@@ -34,6 +34,7 @@ from . import geomap as gm
 from . import roter
 from . import warped as wp
 from .curvops import (
+    constancy_residual,
     max_abs_residual,
     riemann_symmetry_residuals,
     scalar_residual,
@@ -613,8 +614,6 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
             run.emit(job, "pair", -1, (), "geodesic", "profile_invariant",
                      gm.profile_invariant_residual(job.family.cfg), "strict")
             if fits_log:
-                from .curvops import constancy_residual
-
                 src_vals = [a for a, _ in fits_log]
                 img_vals = [b for _, b in fits_log]
                 run.emit(job, "pair", -1, (), "geodesic", "l_r_constancy_source",

@@ -13,7 +13,7 @@ this coincides with the classical index layout (full index reversal is
 the identity on such tensors), so block formulas stated in classical
 index form can be read off the same arrays.
 
-Symmetry is verified where declared, never exploited for storage; at
+Symmetry is checked by the residual suites, never exploited for storage; at
 chart dimensions <= 8 dense arrays are trivially cheap and correctness
 wins.  All functions are pure.
 """
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "ProportionalityResult",
     "unit_curvature",
     "kulkarni_nomizu",
@@ -42,57 +41,9 @@ __all__ = [
     "trace_residual",
 ]
 
-# Declared symmetry classes for Tensor.
-SYMMETRY_CLASSES = ("none", "sym2", "riemann", "derivation-image")
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense (0,k) tensor at a point with a declared symmetry class.
-
-    The class is a claim that `validate` can check, not a storage
-    optimization.  `derivation-image` marks (0,k+2) outputs of B . T or
-    Q(A,T), which are antisymmetric in their last two slots.
-    """
-
-    data: np.ndarray
-    symmetry: str = "none"
-
-    def __post_init__(self):
-        if self.symmetry not in SYMMETRY_CLASSES:
-            raise ValueError(f"unknown symmetry class {self.symmetry!r}")
-        shape = self.data.shape
-        if len(set(shape)) > 1:
-            raise ValueError(f"tensor axes must share one dimension, got {shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0] if self.data.ndim else 0
-
-    @property
-    def order(self) -> int:
-        return self.data.ndim
-
-    def validate(self, tol: float = 1e-9) -> None:
-        """Raise ValueError if a declared symmetry residual exceeds tol."""
-        a = self.data
-        if self.symmetry == "sym2":
-            bad = max_abs_residual(a, a.T)
-            if bad > tol:
-                raise ValueError(f"sym2 violated: residual {bad:.3e}")
-        elif self.symmetry == "riemann":
-            for name, res in riemann_symmetry_residuals(a).items():
-                if res > tol:
-                    raise ValueError(f"{name} violated: residual {res:.3e}")
-        elif self.symmetry == "derivation-image":
-            swapped = np.swapaxes(a, -1, -2)
-            bad = max_abs_residual(a, -swapped)
-            if bad > tol:
-                raise ValueError(f"last-pair antisymmetry violated: residual {bad:.3e}")
-
 
 def _asarray(t) -> np.ndarray:
-    return t.data if isinstance(t, Tensor) else np.asarray(t, dtype=float)
+    return np.asarray(t, dtype=float)
 
 
 # ---------------------------------------------------------------------------

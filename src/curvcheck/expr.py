@@ -26,7 +26,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -48,6 +51,7 @@ __all__ = [
     "to_text",
     "free_symbols",
     "compile_exprs",
+    "jet",
     "num",
     "var",
     "const",
@@ -422,8 +426,9 @@ def evaluate(e: Expr, point: Mapping[str, float], consts: Mapping[str, float] | 
     """Evaluate to an IEEE double.
 
     Domain failures (log of a non-positive value, division by zero,
-    sqrt of a negative, non-real powers) raise DomainError naming the
-    offending subexpression.
+    sqrt of a negative, non-real powers, overflow, a trigonometric
+    function of an infinity) raise DomainError naming the offending
+    subexpression.
     """
     consts = consts if consts is not None else {}
 
@@ -445,12 +450,10 @@ def evaluate(e: Expr, point: Mapping[str, float], consts: Mapping[str, float] | 
             op = node.op
             if op == "neg":
                 return -v
-            if op == "sin":
-                return math.sin(v)
-            if op == "cos":
-                return math.cos(v)
-            if op == "tan":
-                return math.tan(v)
+            if op in ("sin", "cos", "tan"):
+                if math.isinf(v):
+                    raise DomainError(f"{op} of an infinite value", to_text(node))
+                return getattr(math, op)(v)
             if op == "exp":
                 try:
                     return math.exp(v)
@@ -693,8 +696,7 @@ def compile_exprs(
     The result f satisfies f(*point) == tuple(evaluate(e, point_map, consts)
     for e in exprs).  Constants are inlined at compile time.  Domain
     failures raise the interpreter's native ValueError / ZeroDivisionError /
-    OverflowError; callers wanting an attributed DomainError re-run the
-    failing expression through evaluate().
+    OverflowError; jet() turns them into an attributed DomainError.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
     body = ", ".join(_codegen(e, argnames, consts) for e in exprs)
@@ -703,3 +705,61 @@ def compile_exprs(
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
     return namespace["_compiled"]
+
+
+@lru_cache(maxsize=None)
+def jet(
+    exprs: tuple[Expr, ...],
+    coords: tuple[str, ...],
+    bindings: Bindings,
+    order: int,
+) -> Callable[[Sequence[float]], tuple[np.ndarray, ...]]:
+    """Compile the values and exact derivatives of exprs up to order 2.
+
+    Returns program(point) -> (values,) for order 0, (values, first) for
+    order 1 and (values, first, second) for order 2, with arrays of
+    shape (m,), (n, m) and (n, n, m) for m expressions over n
+    coordinates: first[k, e] = d_k exprs[e] and second[l, k, e] =
+    d_l d_k exprs[e].  Each second partial is built once, as
+    diff(diff(e, c_k), c_l) with l <= k, and mirrored, so second is
+    exactly symmetric in its two derivative slots.  Every value equals
+    evaluate() of the same derivative bit for bit.
+
+    Structurally equal expressions share one compiled output.  The
+    program is built once per distinct (exprs, coords, bindings, order)
+    value, so equal specs rebuilt later reuse it.  A native domain
+    failure re-runs the program's expressions through evaluate(), which
+    raises a DomainError naming the failing subexpression.
+    """
+    if order not in (0, 1, 2):
+        raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
+    unique = list(dict.fromkeys(exprs))
+    slot = {e: i for i, e in enumerate(unique)}
+    cols = np.array([slot[e] for e in exprs], dtype=np.intp)
+    n, m = len(coords), len(unique)
+    ordered = list(unique)
+    indices = [cols]
+    if order >= 1:
+        first = [[diff(e, c) for e in unique] for c in coords]
+        ordered += [d for row in first for d in row]
+        indices.append(m * np.arange(1, n + 1)[:, None] + cols)
+    if order == 2:
+        offset = np.empty((n, n), dtype=np.intp)
+        for l in range(n):
+            for k in range(l, n):
+                offset[l, k] = offset[k, l] = len(ordered)
+                ordered += [diff(d, coords[l]) for d in first[k]]
+        indices.append(offset[:, :, None] + cols)
+    program = compile_exprs(ordered, coords, bindings)
+
+    def run(point: Sequence[float]) -> tuple[np.ndarray, ...]:
+        try:
+            flat = np.array(program(*point), dtype=float)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pmap = dict(zip(coords, map(float, point)))
+            for e in ordered:
+                evaluate(e, pmap, bindings)
+            raise
+        return tuple(flat[index] for index in indices)
+
+    return run

@@ -26,7 +26,6 @@ and closed form the construction promises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,32 +89,23 @@ class PsiField:
     exprs: tuple[ex.Expr, ...]
     bindings: ex.Bindings
 
+    def _jet(self, point) -> tuple[np.ndarray, np.ndarray]:
+        """(ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i."""
+        return ex.jet(self.exprs, self.coords, self.bindings, 1)(point)
+
     def values(self, point) -> np.ndarray:
-        return np.array(_psi_eval(self)(*point)[: len(self.coords)])
+        return self._jet(point)[0]
 
     def second_form(self, spec: geo.MetricSpec, point) -> np.ndarray:
         """ψ_ij = ∂_j ψ_i - Γ^s_ij ψ_s - ψ_i ψ_j with Γ of the given metric."""
-        n = len(self.coords)
-        flat = _psi_eval(self)(*point)
-        psi = np.array(flat[:n])
-        dpsi = np.array(flat[n:]).reshape(n, n)  # dpsi[j,i] = d_j psi_i
+        psi, dpsi = self._jet(point)
         gamma = geo.frame(spec, point).gamma
         return dpsi.T - np.einsum("sij,s->ij", gamma, psi) - np.outer(psi, psi)
 
     def gradient_residual(self, point) -> float:
         """Antisymmetric part of ∂_j ψ_i; zero for gradient covectors."""
-        n = len(self.coords)
-        flat = _psi_eval(self)(*point)
-        dpsi = np.array(flat[n:]).reshape(n, n)
+        _, dpsi = self._jet(point)
         return float(np.max(np.abs(dpsi - dpsi.T)) / (np.max(np.abs(dpsi)) + 1.0))
-
-
-@lru_cache(maxsize=None)
-def _psi_eval(psi: PsiField):
-    exprs = list(psi.exprs)
-    for c in psi.coords:
-        exprs.extend(ex.diff(e, c) for e in psi.exprs)
-    return ex.compile_exprs(exprs, psi.coords, psi.bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +272,8 @@ def build_family(cfg: FamilyConfig) -> Family:
     a_expr = ex.div(ex.intpow(bp, 2), ex.mul(b_expr, shape))
 
     profile = profile_expr(cfg, coords2)
-    prof_d = ex.diff(profile, "t")
-    invariant_expr = ex.sub(
-        ex.intpow(prof_d, 2), ex.mul(ex.const("C"), ex.intpow(profile, 2))
-    )
-    invariant = ex.evaluate(invariant_expr, {"x": 0.0, "t": 0.0}, binds)
+    B, Bp = _profile_values(profile, binds, 0.0)
+    invariant = Bp**2 - cfg.c * B**2
 
     n = cfg.n
     cflat_value = cfg.fiber_scalar / ((n - 3) * (n - 2))
@@ -322,33 +309,22 @@ def build_family(cfg: FamilyConfig) -> Family:
     return Family(cfg, source, image, psi, pair, profile, invariant)
 
 
-@lru_cache(maxsize=None)
-def _family_value_eval(fam: Family):
-    cfg = fam.cfg
-    binds = _family_bindings(cfg)
-    coords = fam.source.product.coords
-    b_expr = ex.parse(cfg.b, coords, tuple(binds)) if isinstance(cfg.b, str) else cfg.b
-    bp = ex.diff(b_expr, "x")
-    profile = fam.profile
-    exprs = [
-        b_expr,
-        bp,
-        profile,
-        ex.diff(profile, "t"),
-        fam.source.warp,
-        fam.image.warp,
-    ]
-    return ex.compile_exprs(exprs, coords, binds)
+def _family_jet(fam: Family, point):
+    """Values and (x, t) gradients of 𝔟, B, F and F̄ at the base point."""
+    base = fam.source.base
+    exprs = (base.components[1][1], fam.profile, fam.source.warp, fam.image.warp)
+    values, grads = ex.jet(exprs, base.coords, base.bindings, 1)(point[:2])
+    return values.tolist(), grads
 
 
 def _family_values(fam: Family, point) -> dict[str, float]:
-    b, bp, B, Bp, F, Fbar = _family_value_eval(fam)(*point)
+    (b, B, F, Fbar), grads = _family_jet(fam, point)
     cfg = fam.cfg
     return {
         "b": b,
-        "bp": bp,
+        "bp": float(grads[0, 0]),
         "B": B,
-        "Bp": Bp,
+        "Bp": float(grads[1, 1]),
         "F": F,
         "Fbar": Fbar,
         "one_plus_qb": 1.0 + cfg.map_shift * b,
@@ -356,17 +332,20 @@ def _family_values(fam: Family, point) -> dict[str, float]:
     }
 
 
+def _profile_values(profile: ex.Expr, binds: ex.Bindings, t: float) -> tuple[float, float]:
+    """(B, B') at t."""
+    B, dB = ex.jet((profile,), ("x", "t"), binds, 1)((0.0, t))
+    return float(B[0]), float(dB[1, 0])
+
+
 def profile_invariant_residual(cfg: FamilyConfig, ts=None) -> float:
     """Constancy of (B')^2 - c B^2 across sample values of t."""
     profile = profile_expr(cfg)
-    prof_d = ex.diff(profile, "t")
     binds = _family_bindings(cfg)
     ts = np.linspace(-1.0, 1.5, 24) if ts is None else np.asarray(ts, dtype=float)
     vals = []
     for t in ts:
-        pmap = {"x": 0.0, "t": float(t)}
-        B = ex.evaluate(profile, pmap, binds)
-        Bp = ex.evaluate(prof_d, pmap, binds)
+        B, Bp = _profile_values(profile, binds, float(t))
         vals.append(Bp * Bp - cfg.c * B * B)
     return constancy_residual(vals)
 
@@ -409,12 +388,9 @@ def pair_christoffel_closed_forms(pair: GeodesicPair2D, point) -> dict[str, floa
     Γ̄¹₁₁ = 𝔞'/2𝔞 - q𝔟'/(1+q𝔟), Γ̄²₁₂ = 𝔟'/(2𝔟(1+q𝔟)), Γ̄¹₂₂ = -𝔟'/2𝔞.
     """
     gam_bar = geo.frame(pair.image, point).gamma
-    src = pair.source
-    pmap = src.point_map(point)
-    a = ex.evaluate(src.components[0][0], pmap, src.bindings)
-    b = ex.evaluate(src.components[1][1], pmap, src.bindings)
-    ap = ex.evaluate(ex.diff(src.components[0][0], src.coords[0]), pmap, src.bindings)
-    bp = ex.evaluate(ex.diff(src.components[1][1], src.coords[0]), pmap, src.bindings)
+    sframe = geo.frame(pair.source, point)
+    a, b = sframe.g[0, 0], sframe.g[1, 1]
+    ap, bp = sframe.dg[0, 0, 0], sframe.dg[0, 1, 1]
     q = pair.map_shift
     opq = 1.0 + q * b
     return {
@@ -509,14 +485,8 @@ def warp_compatibility_residuals(fam: Family, point) -> tuple[float, float]:
     Returns (scale residual, log residual), max-abs normalized.
     """
     base_pt = fam.source.split(point)[0]
-    coords2 = fam.source.base.coords
-    binds = _family_bindings(fam.cfg)
-    F, Fbar = fam.source.warp, fam.image.warp
-    pmap = dict(zip(coords2, base_pt))
-    Fv = ex.evaluate(F, pmap, binds)
-    Fbv = ex.evaluate(Fbar, pmap, binds)
-    grad = np.array([ex.evaluate(ex.diff(F, c), pmap, binds) for c in coords2])
-    grad_bar = np.array([ex.evaluate(ex.diff(Fbar, c), pmap, binds) for c in coords2])
+    (_, _, Fv, Fbv), grads = _family_jet(fam, base_pt)
+    grad, grad_bar = grads[:, 2], grads[:, 3]
     bframe = geo.frame(fam.source.base, base_pt)
     gbar_base = geo.frame(fam.image.base, base_pt).g
     psi_v = fam.psi.values(point)[:2]
@@ -648,22 +618,15 @@ def warp_profile_pde_residuals(fam: Family, point) -> dict[str, float]:
         "t_offdiag": zero_residual(d.t[0, 1], d.t),
         "t_balance": scalar_residual(b_v * d.t[0, 0], a_v * d.t[1, 1]),
     }
-    binds = _family_bindings(fam.cfg)
-    coords2 = fam.source.base.coords
+    base = fam.source.base
     f_expr = ex.fn("sqrt", fam.source.warp)
-    pmap = dict(zip(coords2, base_pt))
-    f1 = ex.diff(f_expr, coords2[0])
-    f2 = ex.diff(f_expr, coords2[1])
-    f12 = ex.diff(f1, coords2[1])
-    f11 = ex.diff(f1, coords2[0])
-    f22 = ex.diff(f2, coords2[1])
-    val = lambda e: ex.evaluate(e, pmap, binds)
-    a_e, b_e = fam.source.base.components[0][0], fam.source.base.components[1][1]
-    ab = ex.mul(a_e, b_e)
-    ab_p = val(ex.diff(ab, coords2[0]))
-    bp = val(ex.diff(b_e, coords2[0]))
-    out["warp_root_mixed"] = scalar_residual(val(f12), val(f2) * bp / (2 * b_v))
+    _, df, d2f = ex.jet((f_expr,), base.coords, base.bindings, 2)(base_pt)
+    f1, f2 = df[:, 0]
+    f11, f12, f22 = d2f[0, 0, 0], d2f[0, 1, 0], d2f[1, 1, 0]
+    ap, bp = bframe.dg[0, 0, 0], bframe.dg[0, 1, 1]
+    ab_p = ap * b_v + a_v * bp
+    out["warp_root_mixed"] = scalar_residual(f12, f2 * bp / (2 * b_v))
     out["warp_root_balance"] = scalar_residual(
-        val(f11) - (a_v / b_v) * val(f22), val(f1) * ab_p / (2 * a_v * b_v)
+        f11 - (a_v / b_v) * f22, f1 * ab_p / (2 * a_v * b_v)
     )
     return out

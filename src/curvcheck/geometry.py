@@ -89,7 +89,6 @@ class MetricSpec:
     components: tuple[tuple[ex.Expr, ...], ...]
     bindings: ex.Bindings = field(default_factory=ex.Bindings)
     conditions: tuple[Condition, ...] = ()
-    signature: str | None = None
 
     @property
     def dim(self) -> int:
@@ -97,9 +96,6 @@ class MetricSpec:
 
     def component(self, i: int, j: int) -> ex.Expr:
         return self.components[i][j]
-
-    def point_map(self, point: Sequence[float]) -> dict[str, float]:
-        return dict(zip(self.coords, map(float, point)))
 
 
 def _parse_maybe(entry, coords, const_names) -> ex.Expr:
@@ -115,7 +111,6 @@ def metric_spec(
     components,
     bindings: Mapping[str, float] | None = None,
     conditions: Iterable = (),
-    signature: str | None = None,
 ) -> MetricSpec:
     """Build a MetricSpec, accepting strings or Expr for components.
 
@@ -152,13 +147,13 @@ def metric_spec(
     for c, kind in conds:
         if kind not in ("positive", "nonzero"):
             raise GeometryError(f"unknown condition kind {kind!r}")
-    return MetricSpec(coords, tuple(tuple(r) for r in sym), b, conds, signature)
+    return MetricSpec(coords, tuple(tuple(r) for r in sym), b, conds)
 
 
-def diagonal_metric(coords, diagonal, bindings=None, conditions=(), signature=None) -> MetricSpec:
+def diagonal_metric(coords, diagonal, bindings=None, conditions=()) -> MetricSpec:
     n = len(coords)
     comps = [[(diagonal[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
-    return metric_spec(coords, comps, bindings, conditions, signature)
+    return metric_spec(coords, comps, bindings, conditions)
 
 
 def flat_metric(dim: int, prefix: str = "x") -> MetricSpec:
@@ -194,120 +189,45 @@ def constant_curvature_2d(
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation of g, dg, d2g.  Only the independent entries are
-# compiled (g symmetric in ij; d2g additionally symmetric in the two
-# derivative slots); the mirror copies are filled in afterwards.
+# g, dg and d2g come from one derivative jet of the components; the
+# admissibility checks run on the same evaluation.
 
-class _SpecEvaluator:
-    def __init__(self, spec: MetricSpec):
-        n = spec.dim
-        coords = spec.coords
-        self.n = n
-        g_entries = [(i, j) for i in range(n) for j in range(i, n)]
-        g_exprs = {ij: spec.components[ij[0]][ij[1]] for ij in g_entries}
-        dg_exprs = {
-            (k, i, j): ex.diff(g_exprs[(i, j)], coords[k])
-            for k in range(n)
-            for (i, j) in g_entries
-        }
-        d2g_exprs = {
-            (l, k, i, j): ex.diff(dg_exprs[(k, i, j)], coords[l])
-            for l in range(n)
-            for k in range(l, n)
-            for (i, j) in g_entries
-        }
-        self.g_keys = list(g_exprs)
-        self.dg_keys = list(dg_exprs)
-        self.d2g_keys = list(d2g_exprs)
-        ordered = [g_exprs[k] for k in self.g_keys]
-        ordered += [dg_exprs[k] for k in self.dg_keys]
-        ordered += [d2g_exprs[k] for k in self.d2g_keys]
-        self._fn = ex.compile_exprs(ordered, coords, spec.bindings)
-        self._spec = spec
-        self._sizes = (len(self.g_keys), len(self.dg_keys), len(self.d2g_keys))
-        if spec.conditions:
-            self._cond_fn = ex.compile_exprs(
-                [c for c, _ in spec.conditions], coords, spec.bindings
-            )
-        else:
-            self._cond_fn = None
+def _metric_jet(spec: MetricSpec, point: Sequence[float], check: bool = True):
+    """g, dg[k,i,j] = d_k g_ij and d2g[l,k,i,j] = d_l d_k g_ij at a point.
 
-    def tensors(self, point: Sequence[float]):
-        n = self.n
-        try:
-            flat = self._fn(*point)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            self._reraise_with_location(point)
-            raise  # pragma: no cover
-        ng, ndg, _ = self._sizes
-        g = np.empty((n, n))
-        dg = np.empty((n, n, n))
-        d2g = np.empty((n, n, n, n))
-        for idx, (i, j) in enumerate(self.g_keys):
-            g[i, j] = g[j, i] = flat[idx]
-        for idx, (k, i, j) in enumerate(self.dg_keys):
-            v = flat[ng + idx]
-            dg[k, i, j] = dg[k, j, i] = v
-        for idx, (l, k, i, j) in enumerate(self.d2g_keys):
-            v = flat[ng + ndg + idx]
-            d2g[l, k, i, j] = d2g[l, k, j, i] = v
-            d2g[k, l, i, j] = d2g[k, l, j, i] = v
-        return g, dg, d2g
-
-    def _reraise_with_location(self, point):
-        # Slow path: re-run the same expressions through the tree-walk
-        # evaluator so the raised DomainError names the subexpression.
-        spec = self._spec
-        pmap = spec.point_map(point)
-        for i, j in self.g_keys:
-            base = spec.components[i][j]
-            ex.evaluate(base, pmap, spec.bindings)
-            for ck in spec.coords:
-                first = ex.diff(base, ck)
-                ex.evaluate(first, pmap, spec.bindings)
-                for cl in spec.coords:
-                    ex.evaluate(ex.diff(first, cl), pmap, spec.bindings)
-
-    def condition_values(self, point: Sequence[float]):
-        if self._cond_fn is None:
-            return ()
-        return self._cond_fn(*point)
-
-
-@lru_cache(maxsize=None)
-def _evaluator(spec: MetricSpec) -> _SpecEvaluator:
-    return _SpecEvaluator(spec)
+    Raises InadmissiblePointError when check is set and a declared
+    condition fails, SingularMetricError when g does not invert, and
+    DomainError when a component leaves its real domain.
+    """
+    if check and spec.conditions:
+        conditions = tuple(c for c, _ in spec.conditions)
+        (values,) = ex.jet(conditions, spec.coords, spec.bindings, 0)(point)
+        for v, (cond, kind) in zip(values.tolist(), spec.conditions):
+            ok = v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR
+            if not ok:
+                raise InadmissiblePointError(
+                    f"condition {ex.to_text(cond)!r} ({kind}) fails at {tuple(point)}: value {v!r}"
+                )
+    n = spec.dim
+    components = tuple(e for row in spec.components for e in row)
+    g, dg, d2g = ex.jet(components, spec.coords, spec.bindings, 2)(point)
+    g = g.reshape(n, n)
+    if _is_singular(g):
+        raise SingularMetricError(f"metric is singular at {tuple(point)}")
+    return g, dg.reshape(n, n, n), d2g.reshape(n, n, n, n)
 
 
 def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
     """True when all declared conditions hold and the metric inverts."""
     try:
-        values = _evaluator(spec).condition_values(point)
-    except (ex.ExprError, ValueError, ZeroDivisionError, OverflowError):
+        _metric_jet(spec, point)
+    except (GeometryError, ex.ExprError):
         return False
-    for v, (_, kind) in zip(values, spec.conditions):
-        if kind == "positive" and not v > 0.0:
-            return False
-        if kind == "nonzero" and not abs(v) > _NONZERO_FLOOR:
-            return False
-    try:
-        g, _, _ = _evaluator(spec).tensors(point)
-    except (ex.ExprError, ValueError, ZeroDivisionError, OverflowError):
-        return False
-    return not _is_singular(g)
+    return True
 
 
 def require_admissible(spec: MetricSpec, point: Sequence[float]) -> None:
-    values = _evaluator(spec).condition_values(point)
-    for v, (cond, kind) in zip(values, spec.conditions):
-        ok = v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR
-        if not ok:
-            raise InadmissiblePointError(
-                f"condition {ex.to_text(cond)!r} ({kind}) fails at {tuple(point)}: value {v!r}"
-            )
-    g, _, _ = _evaluator(spec).tensors(point)
-    if _is_singular(g):
-        raise SingularMetricError(f"metric is singular at {tuple(point)}")
+    _metric_jet(spec, point)
 
 
 def _is_singular(g: np.ndarray) -> bool:
@@ -361,11 +281,7 @@ def frame(spec: MetricSpec, point: Sequence[float], check: bool = True) -> Point
 
 @lru_cache(maxsize=512)
 def _frame_cached(spec: MetricSpec, point: tuple[float, ...], check: bool) -> PointFrame:
-    if check:
-        require_admissible(spec, point)
-    g, dg, d2g = _evaluator(spec).tensors(point)
-    if _is_singular(g):
-        raise SingularMetricError(f"metric is singular at {point}")
+    g, dg, d2g = _metric_jet(spec, point, check)
     ginv = np.linalg.inv(g)
     n = spec.dim
 
@@ -440,14 +356,6 @@ def gauss_curvature(spec: MetricSpec, point) -> float:
 # ---------------------------------------------------------------------------
 # Covariant derivative of a (0,2) expression field
 
-@lru_cache(maxsize=512)
-def _cd02_evaluator(spec: MetricSpec, comps: tuple):
-    n = spec.dim
-    exprs = [comps[i * n + j] for i in range(n) for j in range(n)]
-    dexprs = [ex.diff(e, c) for c in spec.coords for e in exprs]
-    return ex.compile_exprs(list(exprs) + dexprs, spec.coords, spec.bindings)
-
-
 def covariant_derivative_02(spec: MetricSpec, components, point) -> np.ndarray:
     """nabla_k T_ij of a (0,2) expression field, using this chart's connection.
 
@@ -460,9 +368,8 @@ def covariant_derivative_02(spec: MetricSpec, components, point) -> np.ndarray:
         _parse_maybe(components[i][j], spec.coords, names) for i in range(n) for j in range(n)
     )
     f = frame(spec, point)
-    flat = _cd02_evaluator(spec, comps)(*f.point)
-    T = np.array(flat[: n * n]).reshape(n, n)
-    dT = np.array(flat[n * n :]).reshape(n, n, n)
+    T, dT = ex.jet(comps, spec.coords, spec.bindings, 1)(f.point)
+    T, dT = T.reshape(n, n), dT.reshape(n, n, n)
     return (
         dT
         - np.einsum("ski,sj->kij", f.gamma, T)

@@ -33,6 +33,7 @@ from .curvops import (
     kulkarni_nomizu,
     proportionality,
     rank_shift,
+    tachibana,
     tensor_residual,
     unit_curvature,
 )
@@ -150,8 +151,9 @@ def fit_roter(frame: PointFrame, residual_limit: float = FIT_RESIDUAL_LIMIT) -> 
     """Least-squares decomposition of the curvature tensor at a point.
 
     Requires dimension >= 4 and membership in both open sets; rejects
-    ill-conditioned bases (Gram condition above 1e12) and fits whose
-    relative reconstruction residual exceeds residual_limit.
+    ill-conditioned bases (Gram condition above GRAM_CONDITION_LIMIT =
+    1e14) and fits whose relative reconstruction residual exceeds
+    residual_limit.
     """
     n = frame.dim
     if n < 4:
@@ -214,7 +216,6 @@ def identity_suite(frame: PointFrame, fit: RoterFit) -> dict[str, float]:
     R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
     kappa = frame.scalar
     G = unit_curvature(g)
-    from .curvops import tachibana  # local alias keeps module import light
 
     RR = derivation_apply(R, R, ginv)
     RC = derivation_apply(R, C, ginv)
@@ -255,8 +256,6 @@ def pseudosymmetry_factors(frame: PointFrame) -> dict[str, ProportionalityResult
     L (R.R - Q(S,R) vs Q(g,C)), L_S (R.S vs Q(g,S)).
     """
     R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
-    from .curvops import tachibana
-
     RR = derivation_apply(R, R, ginv)
     CC = derivation_apply(C, C, ginv)
     RS = derivation_apply(R, S, ginv)
@@ -272,8 +271,6 @@ def pseudosymmetry_factors(frame: PointFrame) -> dict[str, ProportionalityResult
 def ricci_pseudosymmetry(frame: PointFrame) -> ProportionalityResult:
     """Linear dependence of R.S and Q(g,S), as a standalone check."""
     RS = derivation_apply(frame.riemann, frame.ricci, frame.ginv)
-    from .curvops import tachibana
-
     return proportionality(RS, tachibana(frame.g, frame.ricci))
 
 

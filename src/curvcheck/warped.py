@@ -23,7 +23,6 @@ engine's cross-check that the block formulas hold, not assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .curvops import (
     unit_curvature,
     zero_residual,
 )
+from .roter import RoterFit, _derived
 
 __all__ = [
     "WarpedSpec",
@@ -166,23 +166,11 @@ class WarpedDiagnostics:
     mu2: float | None
 
 
-@lru_cache(maxsize=None)
-def _warp_derivatives(ws: WarpedSpec):
-    base = ws.base
-    first = [ex.diff(ws.warp, c) for c in base.coords]
-    exprs = [ws.warp] + first
-    for fa in first:
-        exprs.extend(ex.diff(fa, c) for c in base.coords)
-    return ex.compile_exprs(exprs, base.coords, base.bindings)
-
-
 def _warp_data(ws: WarpedSpec, base_point):
-    p = ws.base_dim
-    flat = _warp_derivatives(ws)(*base_point)
-    f_value = flat[0]
-    grad = np.array(flat[1 : 1 + p])
-    hess = np.array(flat[1 + p :]).reshape(p, p)
-    return f_value, grad, hess
+    """(F, grad F, Hessian F) at a base point, from the warp's jet."""
+    base = ws.base
+    f_value, grad, hess = ex.jet((ws.warp,), base.coords, base.bindings, 2)(base_point)
+    return float(f_value[0]), grad[:, 0], hess[:, :, 0]
 
 
 def diagnostics(ws: WarpedSpec, point) -> WarpedDiagnostics:
@@ -241,8 +229,6 @@ def roter_from_diagnostics(d: WarpedDiagnostics, n: int):
     RoterFit (residual 0: the coefficients are closed forms, not a
     least-squares solve) with the nu field populated.
     """
-    from .roter import RoterFit, _derived
-
     if d.mu1 is None:
         raise geo.GeometryError("block factors need a 2-dimensional base")
     nu = (d.mu2 - d.mu1) ** -2

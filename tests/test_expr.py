@@ -94,6 +94,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             ev("sqrt(x)", point={"x": -4.0})
 
+    def test_trig_of_infinity_domain_error(self):
+        with pytest.raises(DomainError) as info:
+            ev("sin(x*x)", point={"x": 1e200})
+        assert info.value.subexpr == "sin(x*x)"
+
     def test_division_by_zero_names_subexpression(self):
         with pytest.raises(DomainError) as info:
             ev("1/(x-1)", point={"x": 1.0})
@@ -241,11 +246,59 @@ def test_compiled_matches_treewalk():
     rng = random.Random(7)
     exprs = [random_expr(rng, 3) for _ in range(40)]
     f = compile_exprs(exprs, COORDS, {})
+    program = ex.jet(tuple(exprs), COORDS, Bindings(), 2)
     for _ in range(25):
         p = random_point(rng)
         got = f(p["x"], p["y"])
         want = tuple(evaluate(e, p) for e in exprs)
         assert got == want
+        values, first, second = program((p["x"], p["y"]))
+        assert tuple(values.tolist()) == want
+        for k, ck in enumerate(COORDS):
+            for i, e in enumerate(exprs):
+                dk = diff(e, ck)
+                assert first[k, i] == evaluate(dk, p)
+                for l in range(k + 1):
+                    want2 = evaluate(diff(dk, COORDS[l]), p)
+                    assert second[l, k, i] == second[k, l, i] == want2
+
+
+def _psi_values_at_pole():
+    from curvcheck.geomap import PsiField
+
+    psi = PsiField(("x", "y"), (parse("1/x", ("x", "y")), Num(0.0)), Bindings())
+    return psi.values((0.0, 1.0))
+
+
+def _covariant_derivative_of_log():
+    from curvcheck import geometry as geo
+
+    field = [["log(x1)", "0"], ["0", "1"]]
+    return geo.covariant_derivative_02(geo.flat_metric(2), field, (-1.0, 0.5))
+
+
+def _root_warp_diagnostics_at_zero():
+    from curvcheck import geometry as geo
+    from curvcheck import warped as wp
+
+    base = geo.diagonal_metric(("u", "v"), [1.0, 1.0])
+    ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
+    return wp.diagnostics(ws, (0.0, 0.5, 0.1, 0.2))
+
+
+@pytest.mark.parametrize(
+    "call, subexpr",
+    [
+        (_psi_values_at_pole, "1.0/x"),
+        (_covariant_derivative_of_log, "log(x1)"),
+        (_root_warp_diagnostics_at_zero, "1.0/(2.0*sqrt(u))"),
+    ],
+    ids=["psi", "covariant_derivative_02", "warp"],
+)
+def test_jet_programs_name_the_failing_subexpression(call, subexpr):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.subexpr == subexpr
 
 
 def test_compiled_inlines_constants():
