@@ -442,13 +442,6 @@ def run_theorem21_suite(run: Runner, job: Job, target: Target, idx, point):
                  fit.residual, "identity")
         for name, res in roter.identity_suite(f, fit).items():
             run.emit(job, target.label, idx, point, suite, name, res, "identity")
-        measured = roter.pseudosymmetry_factors(f)
-        run.emit(job, target.label, idx, point, suite, "lr_closed_vs_measured",
-                 scalar_residual(fit.L_R, measured["L_R"].factor), "identity")
-        run.emit(job, target.label, idx, point, suite, "lc_closed_vs_measured",
-                 scalar_residual(fit.L_C, measured["L_C"].factor), "identity")
-        run.emit(job, target.label, idx, point, suite, "l_closed_vs_measured",
-                 scalar_residual(fit.L, measured["L"].factor), "identity")
         extra_alphas = ()
         if target.warped_spec is not None and target.warped_spec.base_dim == 2:
             d = wp.diagnostics(target.warped_spec, point)

@@ -7,6 +7,12 @@ B . T induced by a generalized curvature tensor, the Tachibana tensor
 Q(A,T), least-squares proportionality-factor extraction and numerical
 rank of shifted Ricci tensors.
 
+B . T and Q(A,T) are one operation: the derivation of T by a skew
+endomorphism field, B(X,Y) (the (0,4) tensor B with its last slot
+raised) or X ^_A Y.  Both go through one slot-generic kernel that
+contracts the endomorphism into each slot of T in turn, so they serve
+tensors of any order.
+
 Component arrays are indexed in direct slot order, T[a,b,c,d] =
 T(e_a, e_b, e_c, e_d).  For tensors with the curvature pair symmetries
 this coincides with the classical index layout (full index reversal is
@@ -113,6 +119,17 @@ def _endomorphism(B4: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("xyid,sd->xyis", B4, ginv)
 
 
+def _derive(E: np.ndarray, T: np.ndarray) -> np.ndarray:
+    # (E . T)[a_1..a_k, x, y] = -sum_j T(a_1, .., E(x,y) e_{a_j}, .., a_k):
+    # one contraction per slot of T, whatever its order.
+    k = T.ndim
+    out = np.zeros(T.shape + E.shape[:2])
+    for slot in range(k):
+        term = np.tensordot(E, T, axes=([3], [slot]))  # [x, y, a_slot, other slots]
+        out -= np.moveaxis(term, (0, 1, 2), (k, k + 1, slot))
+    return out
+
+
 def derivation_apply(B4, T, ginv) -> np.ndarray:
     """Apply the derivation induced by a generalized curvature tensor.
 
@@ -124,47 +141,21 @@ def derivation_apply(B4, T, ginv) -> np.ndarray:
     B4, T, ginv = _asarray(B4), _asarray(T), _asarray(ginv)
     if B4.shape[0] != T.shape[0]:
         raise ValueError(f"dimension mismatch: {B4.shape} vs {T.shape}")
-    E = _endomorphism(B4, ginv)
-    if T.ndim == 2:
-        return -np.einsum("xyis,sj->ijxy", E, T) - np.einsum("xyjs,is->ijxy", E, T)
-    if T.ndim == 4:
-        return (
-            -np.einsum("xyas,sbcd->abcdxy", E, T)
-            - np.einsum("xybs,ascd->abcdxy", E, T)
-            - np.einsum("xycs,absd->abcdxy", E, T)
-            - np.einsum("xyds,abcs->abcdxy", E, T)
-        )
-    raise ValueError(f"unsupported tensor order {T.ndim}")
+    return _derive(_endomorphism(B4, ginv), T)
 
 
 def tachibana(A, T) -> np.ndarray:
     """Tachibana tensor Q(A,T) of a symmetric (0,2) tensor A and (0,k) T.
 
     The image of T under the derivation induced by the metric-free
-    wedge endomorphism of A; Q(g,G) vanishes identically.
+    wedge endomorphism (X ^_A Y)Z = A(Y,Z) X - A(X,Z) Y; Q(g,G)
+    vanishes identically.
     """
     A, T = _asarray(A), _asarray(T)
     if A.shape[0] != T.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} vs {T.shape}")
-    if T.ndim == 2:
-        return (
-            -np.einsum("yi,xj->ijxy", A, T)
-            + np.einsum("xi,yj->ijxy", A, T)
-            - np.einsum("yj,ix->ijxy", A, T)
-            + np.einsum("xj,iy->ijxy", A, T)
-        )
-    if T.ndim == 4:
-        return (
-            -np.einsum("ya,xbcd->abcdxy", A, T)
-            + np.einsum("xa,ybcd->abcdxy", A, T)
-            - np.einsum("yb,axcd->abcdxy", A, T)
-            + np.einsum("xb,aycd->abcdxy", A, T)
-            - np.einsum("yc,abxd->abcdxy", A, T)
-            + np.einsum("xc,abyd->abcdxy", A, T)
-            - np.einsum("yd,abcx->abcdxy", A, T)
-            + np.einsum("xd,abcy->abcdxy", A, T)
-        )
-    raise ValueError(f"unsupported tensor order {T.ndim}")
+    half = np.einsum("yi,xs->xyis", A, np.eye(A.shape[0]))
+    return _derive(half - np.swapaxes(half, 0, 1), T)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +239,9 @@ def trace_residual(C, ginv) -> float:
     """
     C, ginv = _asarray(C), _asarray(ginv)
     scale = float(np.max(np.abs(C)) + 1.0)
-    pairs = [
-        ("ab,abcd->cd", None),
-        ("ac,abcd->bd", None),
-        ("ad,abcd->bc", None),
-        ("bc,abcd->ad", None),
-        ("bd,abcd->ac", None),
-        ("cd,abcd->ab", None),
-    ]
     worst = 0.0
-    for subs, _ in pairs:
+    for subs in ("ab,abcd->cd", "ac,abcd->bd", "ad,abcd->bc",
+                 "bc,abcd->ad", "bd,abcd->ac", "cd,abcd->ab"):
         tr = np.einsum(subs, ginv, C)
         worst = max(worst, float(np.max(np.abs(tr))))
     return worst / scale

@@ -46,9 +46,6 @@ __all__ = [
     "admissible",
     "require_admissible",
     "frame",
-    "christoffel",
-    "riemann",
-    "ricci_scalar_weyl",
     "gauss_curvature",
     "covariant_derivative_02",
     "second_bianchi_residual",
@@ -93,9 +90,6 @@ class MetricSpec:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def component(self, i: int, j: int) -> ex.Expr:
-        return self.components[i][j]
 
 
 def _parse_maybe(entry, coords, const_names) -> ex.Expr:
@@ -327,21 +321,6 @@ def _frame_cached(spec: MetricSpec, point: tuple[float, ...], check: bool) -> Po
         spec, point, g, ginv, dg, d2g, gamma, dgamma, riem, ricci, ricci_sq,
         scalar, weyl, flagged,
     )
-
-
-# Thin views over frame() matching the operation-level API.
-
-def christoffel(spec: MetricSpec, point) -> np.ndarray:
-    return frame(spec, point).gamma
-
-
-def riemann(spec: MetricSpec, point) -> np.ndarray:
-    return frame(spec, point).riemann
-
-
-def ricci_scalar_weyl(spec: MetricSpec, point) -> tuple[np.ndarray, float, np.ndarray]:
-    f = frame(spec, point)
-    return f.ricci, f.scalar, f.weyl
 
 
 def gauss_curvature(spec: MetricSpec, point) -> float:

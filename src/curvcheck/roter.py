@@ -16,9 +16,11 @@ pseudosymmetry-type condition the decomposition implies:
     L      = L_R + mu/phi                      (R.R = Q(S,R) + L Q(g,C))
     L_C    = L_R + (kappa/(n-1) - alpha1)/(n-2)   (C.C = L_C Q(g,C))
 
-identity_suite evaluates all ten tensor identities these scalars
-satisfy and reports one residual per identity.  classify sorts a point
-into EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER.
+identity_suite evaluates the ten tensor identities these scalars
+satisfy, plus three checks of the closed-form L_R, L_C and L against
+the factors measured from the same products, and reports one residual
+per entry.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
+ROTER / OTHER.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .curvops import (
     kulkarni_nomizu,
     proportionality,
     rank_shift,
+    scalar_residual,
     tachibana,
     tensor_residual,
     unit_curvature,
@@ -203,14 +206,21 @@ IDENTITY_NAMES = (
     "cs_vs_qgs",                # C.S = L_C Q(g,S)
     "commutator_vs_qgr_qsg",    # R.C - C.R in terms of Q(g,R), Q(S,G)
     "commutator_vs_qsc_qgc",    # C.R - R.C = Q(S,C) - kappa/(n-1) Q(g,C)
+    "lr_closed_vs_measured",    # L_R vs the fitted factor of R.R on Q(g,R)
+    "lc_closed_vs_measured",    # L_C vs the fitted factor of C.C on Q(g,C)
+    "l_closed_vs_measured",     # L vs the fitted factor of R.R - Q(S,R) on Q(g,C)
 )
 
 
 def identity_suite(frame: PointFrame, fit: RoterFit) -> dict[str, float]:
-    """Residuals of the ten tensor identities implied by the decomposition.
+    """Residuals of the ten tensor identities implied by the decomposition,
+    and of the closed-form L_R, L_C, L against their measured factors.
 
-    Each entry uses the sum-plus-one Frobenius normalization; an
-    accepted fit on exact-derivative input keeps all ten near 1e-13.
+    The ten identities use the sum-plus-one Frobenius normalization, the
+    three factor checks the scalar one; the factors are measured with
+    proportionality from the same products, as pseudosymmetry_factors
+    would.  An accepted fit on exact-derivative input keeps all thirteen
+    near 1e-13.
     """
     n = frame.dim
     R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
@@ -246,6 +256,9 @@ def identity_suite(frame: PointFrame, fit: RoterFit) -> dict[str, float]:
         "commutator_vs_qsc_qgc": tensor_residual(
             CR - RC, QSC - (kappa / (n - 1)) * QgC
         ),
+        "lr_closed_vs_measured": scalar_residual(fit.L_R, proportionality(RR, QgR).factor),
+        "lc_closed_vs_measured": scalar_residual(fit.L_C, proportionality(CC, QgC).factor),
+        "l_closed_vs_measured": scalar_residual(fit.L, proportionality(RR - QSR, QgC).factor),
     }
 
 

@@ -41,13 +41,13 @@ RN_POINT = (0.0, 3.0, 1.2, 0.3)
 class TestChristoffel:
     def test_flat_plane_all_zero(self):
         spec = geo.flat_metric(2)
-        assert np.max(np.abs(geo.christoffel(spec, (0.3, -1.2)))) == 0.0
+        assert np.max(np.abs(geo.frame(spec, (0.3, -1.2)).gamma)) == 0.0
 
     def test_surface_closed_forms(self):
         # For diag(a(x), b(x)): G^1_11 = a'/2a, G^2_12 = b'/2b, G^1_22 = -b'/2a.
         spec = surface("1 + x^2", "exp(x)")
         x = 0.7
-        gam = geo.christoffel(spec, (x, 0.0))
+        gam = geo.frame(spec, (x, 0.0)).gamma
         a, ap = 1 + x * x, 2 * x
         b, bp = math.exp(x), math.exp(x)
         assert gam[0, 0, 0] == pytest.approx(ap / (2 * a), rel=1e-12)
@@ -61,7 +61,7 @@ class TestChristoffel:
 
     def test_parabolic_profile_values(self):
         # a = 1, b = x^2 at x = 2: G^2_12 = 1/2, G^1_22 = -2.
-        gam = geo.christoffel(surface("1", "x^2"), (2.0, 0.0))
+        gam = geo.frame(surface("1", "x^2"), (2.0, 0.0)).gamma
         assert gam[1, 0, 1] == pytest.approx(0.5, rel=1e-13)
         assert gam[0, 1, 1] == pytest.approx(-2.0, rel=1e-13)
 
@@ -107,10 +107,10 @@ class TestRiemann:
 
 class TestRicciScalarWeyl:
     def test_flat_4d(self):
-        S, kappa, C = geo.ricci_scalar_weyl(geo.flat_metric(4), (0.0, 1.0, 2.0, 3.0))
-        assert np.max(np.abs(S)) == 0.0
-        assert kappa == 0.0
-        assert np.max(np.abs(C)) == 0.0
+        f = geo.frame(geo.flat_metric(4), (0.0, 1.0, 2.0, 3.0))
+        assert np.max(np.abs(f.ricci)) == 0.0
+        assert f.scalar == 0.0
+        assert np.max(np.abs(f.weyl)) == 0.0
 
     def test_unit_sphere_scalar(self):
         # kappa = 2 K; contraction oracle below confirms the engine's S.

@@ -130,6 +130,11 @@ class TestIdentitySuite:
         assert scalar_residual(fit.L, measured["L"].factor) < 1e-8
         assert measured["L_S"].residual < 1e-8
         assert scalar_residual(fit.L_R, measured["L_S"].factor) < 1e-8
+        report = roter.identity_suite(f, fit)
+        for name, key in (("lr_closed_vs_measured", "L_R"),
+                          ("lc_closed_vs_measured", "L_C"),
+                          ("l_closed_vs_measured", "L")):
+            assert report[name] == scalar_residual(getattr(fit, key), measured[key].factor)
 
     def test_perturbed_ricci_breaks_affine_relation(self):
         f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)
