@@ -10,8 +10,9 @@ writes a structured report:
 
 Identical manifest and seed produce byte-identical records and summary
 (modulo the summary timestamp field).  Exit codes: 0 all checks agree
-with expectations, 1 at least one check off-expectation, 2 manifest or
-schema error.
+with expectations, 1 at least one check off-expectation (an error at a
+sampled point is recorded as an off-expectation "error" check and the
+report is still written), 2 manifest or schema error.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from jsonschema import Draft7Validator
 
 from . import __version__
 from . import corpus as corpus_mod
+from . import expr as ex
 from . import geometry as geo
 from . import geomap as gm
 from . import roter
@@ -84,7 +86,6 @@ _expect_schema = {
             "type": "array",
             "items": {"type": "object", "additionalProperties": _number},
         },
-        "fail_checks": {"type": "array", "items": _string},
     },
 }
 _manifold_schema = {
@@ -259,20 +260,14 @@ class Job:
 
 def _build_explicit(mdef) -> geo.MetricSpec:
     return geo.metric_spec(
-        mdef["coords"],
-        mdef["metric"],
-        mdef.get("constants", {}),
-        [(c, kind) for c, kind in mdef.get("conditions", [])],
+        mdef["coords"], mdef["metric"], mdef.get("constants", {}), mdef.get("conditions", [])
     )
 
 
 def _build_fiber(fdef, constants) -> geo.MetricSpec:
     if "dim" in fdef:
         return wp.constant_curvature_fiber(fdef["dim"], fdef.get("scalar_curvature", 0.0))
-    return geo.metric_spec(
-        fdef["coords"], fdef["metric"], constants,
-        [(c, kind) for c, kind in fdef.get("conditions", [])],
-    )
+    return _build_explicit({**fdef, "constants": constants})
 
 
 def build_job(mdef: dict) -> Job:
@@ -283,9 +278,7 @@ def build_job(mdef: dict) -> Job:
         targets = [Target("self", _build_explicit(mdef))]
     elif kind == "warped":
         constants = mdef.get("constants", {})
-        bdef = dict(mdef["base"])
-        bdef.setdefault("constants", constants)
-        base = _build_explicit(bdef)
+        base = _build_explicit({"constants": constants, **mdef["base"]})
         fiber = _build_fiber(mdef["fiber"], constants)
         ws = wp.assemble(base, fiber, mdef["warp"])
         targets = [Target("self", ws.product, ws)]
@@ -331,61 +324,20 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Check emission
+# Checks and records
+#
+# A suite is a generator over one (target, point).  It yields each check
+# as (check, residual, tolerance_key) with optional extra record fields
+# ({"scalars": ...} or {"detail": ...}) and expect_fail; run_manifest
+# turns every yielded check into a record through _record.
 
-@dataclass
-class Runner:
-    tolerances: dict
-    records: list = field(default_factory=list)
-    fails: int = 0
-    unexpected: int = 0
+# Point errors a suite may raise; each becomes an "error" record.
+_POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
 
-    def emit(self, job, target, index, point, suite, check, residual, tol_key,
-             expect_fail=False, scalars=None):
-        threshold = self.tolerances[tol_key]
-        passed = bool(residual <= threshold)
-        ok = passed != expect_fail
-        rec = {
-            "manifold": job.name,
-            "target": target,
-            "point_index": index,
-            "point": [round(v, 12) for v in point],
-            "suite": suite,
-            "check": check,
-            "residual": float(residual),
-            "threshold": threshold,
-            "pass": passed,
-            "expect_fail": expect_fail,
-            "ok": ok,
-        }
-        if scalars:
-            rec["scalars"] = {k: _jsonable(v) for k, v in scalars.items()}
-        self.records.append(rec)
-        if not passed:
-            self.fails += 1
-        if not ok:
-            self.unexpected += 1
 
-    def emit_flag(self, job, target, index, point, suite, check, ok, detail=None):
-        rec = {
-            "manifold": job.name,
-            "target": target,
-            "point_index": index,
-            "point": [round(v, 12) for v in point],
-            "suite": suite,
-            "check": check,
-            "residual": 0.0 if ok else 1.0,
-            "threshold": 0.5,
-            "pass": bool(ok),
-            "expect_fail": False,
-            "ok": bool(ok),
-        }
-        if detail is not None:
-            rec["detail"] = detail
-        self.records.append(rec)
-        if not ok:
-            self.fails += 1
-            self.unexpected += 1
+def _flag(check, ok, detail=None):
+    """A boolean check: residual 0 or 1 under the internal "flag" bound 0.5."""
+    return check, 0.0 if ok else 1.0, "flag", None if detail is None else {"detail": detail}
 
 
 def _jsonable(v):
@@ -394,35 +346,55 @@ def _jsonable(v):
     return v
 
 
-def run_geometry_suite(run: Runner, job: Job, target: Target, idx, point):
-    suite = "geometry-symmetries"
+def _record(job, target, index, point, suite, thresholds,
+            check, residual, tol_key, extra=None, expect_fail=False) -> dict:
+    threshold = thresholds[tol_key]
+    passed = bool(residual <= threshold)
+    rec = {
+        "manifold": job.name,
+        "target": target,
+        "point_index": index,
+        "point": [round(v, 12) for v in point],
+        "suite": suite,
+        "check": check,
+        "residual": float(residual),
+        "threshold": threshold,
+        "pass": passed,
+        "expect_fail": expect_fail,
+        "ok": passed != expect_fail,
+    }
+    rec.update(extra or {})
+    if "scalars" in rec:
+        rec["scalars"] = {k: _jsonable(v) for k, v in rec["scalars"].items()}
+    return rec
+
+
+def geometry_checks(job: Job, target: Target, idx, point):
     f = geo.frame(target.spec, point)
     n = f.dim
-    emit = lambda check, res, tol: run.emit(job, target.label, idx, point, suite, check, res, tol)
-    emit("metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict")
-    emit("gamma_lower_symmetry", max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)), "strict")
+    yield "metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict"
+    yield "gamma_lower_symmetry", max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)), "strict"
     for name, res in riemann_symmetry_residuals(f.riemann).items():
-        emit(f"riemann_{name}", res, "geo")
-    emit("ricci_symmetric", max_abs_residual(f.ricci, f.ricci.T), "geo")
+        yield f"riemann_{name}", res, "geo"
+    yield "ricci_symmetric", max_abs_residual(f.ricci, f.ricci.T), "geo"
     if n >= 4:
-        emit("weyl_trace_free", trace_residual(f.weyl, f.ginv), "geo")
+        yield "weyl_trace_free", trace_residual(f.weyl, f.ginv), "geo"
     nabla_g = geo.covariant_derivative_02(target.spec, target.spec.components, point)
-    emit("nabla_g", float(np.max(np.abs(nabla_g))) / (float(np.max(np.abs(f.g))) + 1.0), "strict")
+    yield "nabla_g", float(np.max(np.abs(nabla_g))) / (float(np.max(np.abs(f.g))) + 1.0), "strict"
     if idx < 2:  # finite-differenced, so spot-check only
-        emit("second_bianchi", geo.second_bianchi_residual(target.spec, point), "smoke")
+        yield "second_bianchi", geo.second_bianchi_residual(target.spec, point), "smoke"
     scalars = {"kappa": f.scalar}
     if n == 2:
         scalars["gauss"] = geo.gauss_curvature(target.spec, point)
         expected = job.definition.get("expect", {}).get("scalars", {})
         if "gauss" in expected:
-            res = scalar_residual(scalars["gauss"], expected["gauss"])
-            run.emit(job, target.label, idx, point, suite, "gauss_value", res, "geo")
-    run.emit(job, target.label, idx, point, suite, "frame_scalars", 0.0, "strict",
-             scalars=scalars)
+            yield "gauss_value", scalar_residual(scalars["gauss"], expected["gauss"]), "geo"
+    yield "frame_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def run_theorem21_suite(run: Runner, job: Job, target: Target, idx, point):
-    suite = "theorem21"
+def theorem21_checks(job: Job, target: Target, idx, point):
+    if target.spec.dim < 2:
+        return
     expect = job.definition.get("expect", {})
     f = geo.frame(target.spec, point)
     perturb = job.definition.get("perturb")
@@ -432,190 +404,183 @@ def run_theorem21_suite(run: Runner, job: Job, target: Target, idx, point):
     want = expect.get("classify")
     if want:
         # Source and image members of a family share the expected kind.
-        run.emit_flag(job, target.label, idx, point, suite, "classification",
-                      c.kind == want, detail=c.kind)
+        yield _flag("classification", c.kind == want, detail=c.kind)
     if c.kind == roter.ROTER:
         fit = c.fit
         scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
                        L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
-        run.emit(job, target.label, idx, point, suite, "fit_residual",
-                 fit.residual, "identity")
+        yield "fit_residual", fit.residual, "identity"
         for name, res in roter.identity_suite(f, fit).items():
-            run.emit(job, target.label, idx, point, suite, name, res, "identity")
+            yield name, res, "identity"
         extra_alphas = ()
         if target.warped_spec is not None and target.warped_spec.base_dim == 2:
             d = wp.diagnostics(target.warped_spec, point)
             if d.mu1 is not None:
                 extra_alphas = (d.mu1, d.mu2)
-        run.emit_flag(job, target.label, idx, point, suite, "rank_shift_grid",
-                      roter.rank_grid_exceeds_one(f, fit, extra=extra_alphas))
+        yield _flag("rank_shift_grid", roter.rank_grid_exceeds_one(f, fit, extra=extra_alphas))
         expected_scalar = expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:
-            run.emit(job, target.label, idx, point, suite, "l_r_expected",
-                     scalar_residual(fit.L_R, expected_scalar[key]), "identity")
+            yield "l_r_expected", scalar_residual(fit.L_R, expected_scalar[key]), "identity"
         if perturb and perturb["target"] == "ricci":
             rng = np.random.default_rng(12345)
             noise = rng.normal(size=f.ricci.shape)
             bad = f.ricci + perturb["epsilon"] * 0.5 * (noise + noise.T)
             res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
-            run.emit(job, target.label, idx, point, suite,
-                     "ricci_square_affine_perturbed", res, "identity", expect_fail=True)
+            yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
     if expect.get("ricci_pseudosymmetric"):
         rp = roter.ricci_pseudosymmetry(f)
-        ok_res = rp.residual if rp.verdict != "vacuous" else 0.0
-        run.emit(job, target.label, idx, point, suite, "ricci_pseudosymmetry",
-                 ok_res, "identity")
+        yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
-    if job.pinned and idx < len(job.pinned):
-        pins = expect.get("pinned_scalars", [])
-        if idx < len(pins):
-            for key, want_v in pins[idx].items():
-                have = scalars.get(key)
-                ok = have is not None
-                res = scalar_residual(have, want_v) if ok else 1.0
-                run.emit(job, target.label, idx, point, suite,
-                         f"pinned_{key}", res, "pinned")
-    run.emit(job, target.label, idx, point, suite, "fit_scalars", 0.0, "strict",
-             scalars=scalars)
+    pins = expect.get("pinned_scalars", [])
+    if idx < min(len(job.pinned), len(pins)):
+        for key, want_v in pins[idx].items():
+            have = scalars.get(key)
+            res = scalar_residual(have, want_v) if have is not None else 1.0
+            yield f"pinned_{key}", res, "pinned"
+    yield "fit_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def run_warped_suite(run: Runner, job: Job, target: Target, idx, point):
-    suite = "warped-diagnostics"
+def warped_checks(job: Job, target: Target, idx, point):
     ws = target.warped_spec
     if ws is None:
         return
-    emit = lambda check, res, tol: run.emit(job, target.label, idx, point, suite, check, res, tol)
-    emit("product_christoffels", wp.verify_product_christoffels(ws, point), "strict")
+    yield "product_christoffels", wp.verify_product_christoffels(ws, point), "strict"
     block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
     for name, res in wp.verify_curvature_blocks(ws, point).items():
-        emit(name, res, block_tols.get(name, "identity"))
+        yield name, res, block_tols.get(name, "identity")
     d = wp.diagnostics(ws, point)
     scalars = {"warp": d.f_value, "tr_t": d.tr_t, "delta1": d.delta1,
                "base_scalar": d.base_scalar, "fiber_scalar": d.fiber_scalar}
     if ws.base_dim == 2 and ws.dim >= 4:
         for name, res in wp.verify_weyl_blocks(ws, point).items():
-            emit(name, res, "identity")
+            yield name, res, "identity"
         rho0, is_flat = wp.conformal_flatness_test(ws, point)
         scalars.update(rho0=rho0, rho1=d.rho1, rho2=d.rho2, rho3=d.rho3,
                        mu1=d.mu1, mu2=d.mu2)
         expect = job.definition.get("expect", {})
         if "conformally_flat" in expect:
-            run.emit_flag(job, target.label, idx, point, suite, "conformally_flat",
-                          is_flat == expect["conformally_flat"], detail=rho0)
+            yield _flag("conformally_flat", is_flat == expect["conformally_flat"], detail=rho0)
     if job.kind == "family":
-        emit("t_proportional", wp.t_proportionality_residual(ws, point), "geo")
+        yield "t_proportional", wp.t_proportionality_residual(ws, point), "geo"
         for name, res in wp.verify_proportional_blocks(ws, point).items():
-            emit(name, res, "identity")
-        cfg = job.family.cfg
+            yield name, res, "identity"
         if target.label == "source":
-            emit("trace_t_scaled_warp",
-                 scalar_residual(d.tr_t, cfg.d * d.f_value), "identity")
-    run.emit(job, target.label, idx, point, suite, "warp_scalars", 0.0, "strict",
-             scalars=scalars)
+            res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
+            yield "trace_t_scaled_warp", res, "identity"
+    yield "warp_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def run_geodesic_suite(run: Runner, job: Job, idx, point, fits_log):
-    suite = "geodesic"
+def geodesic_checks(job: Job, idx, point, fits_log):
+    """Checks on the mapped pair of a pair2d or family manifold."""
     if job.kind == "pair2d":
-        pair = job.pair
-        src, img, psi = pair.source, pair.image, pair.psi
-        emit = lambda check, res, tol: run.emit(job, "pair", idx, point, suite, check, res, tol)
-        emit("geodesic_compatibility",
-             gm.geodesic_compatibility_residual(src, img, psi, point), "geo")
-        emit("christoffel_shift",
-             gm.christoffel_shift_residual(src, img, psi, point), "geo")
-        emit("ricci_shift", gm.ricci_shift_residual(src, img, psi, point), "identity")
-        emit("psi_gradient", psi.gradient_residual(point), "strict")
-        for name, res in gm.pair_christoffel_closed_forms(pair, point).items():
-            emit(name, res, "geo")
+        src, img, psi = job.pair.source, job.pair.image, job.pair.psi
+    elif job.kind == "family":
+        fam = job.family
+        src, img, psi = fam.source.product, fam.image.product, fam.psi
+    else:
         return
+    yield "geodesic_compatibility", gm.geodesic_compatibility_residual(src, img, psi, point), "geo"
+    yield "christoffel_shift", gm.christoffel_shift_residual(src, img, psi, point), "geo"
+    yield "ricci_shift", gm.ricci_shift_residual(src, img, psi, point), "identity"
+    yield "psi_gradient", psi.gradient_residual(point), "strict"
+    if job.kind == "pair2d":
+        for name, res in gm.pair_christoffel_closed_forms(job.pair, point).items():
+            yield name, res, "geo"
+        return
+    r4, r5 = gm.warp_compatibility_residuals(fam, point)
+    yield "warp_scale_equation", r4, "geo"
+    yield "warp_log_equation", r5, "geo"
+    for name, res in gm.family_psi_closed_forms(fam, point).items():
+        yield name, res, "geo"
+    for name, res in gm.family_image_ricci_forms(fam, point).items():
+        yield name, res, "identity"
+    for name, res in gm.warp_profile_pde_residuals(fam, point).items():
+        yield name, res, "geo"
+    kg, kg_bar = gm.base_gauss_values(fam, point)
+    yield "base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"
+    yield "base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo"
+    if job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
+        return
+    try:
+        sfit = roter.fit_roter(geo.frame(src, point))
+        ifit = roter.fit_roter(geo.frame(img, point))
+    except roter.RoterFitError as err:
+        yield _flag("roter_fits", False, detail=str(err))
+        return
+    fits_log.append((sfit.L_R, ifit.L_R))
+    for name, res in gm.factor_relations(fam, point, sfit, ifit).items():
+        yield name, res, "identity"
+    yield "psi_ricci_identity", gm.psi_ricci_identity_residual(fam, point, ifit), "compound"
+
+
+def family_checks(job: Job, fits_log):
+    """Aggregates over all points of a family (point index -1)."""
     if job.kind != "family":
         return
-    fam = job.family
-    src, img, psi = fam.source.product, fam.image.product, fam.psi
-    emit = lambda check, res, tol: run.emit(job, "pair", idx, point, suite, check, res, tol)
-    emit("geodesic_compatibility",
-         gm.geodesic_compatibility_residual(src, img, psi, point), "geo")
-    emit("christoffel_shift", gm.christoffel_shift_residual(src, img, psi, point), "geo")
-    emit("ricci_shift", gm.ricci_shift_residual(src, img, psi, point), "identity")
-    emit("psi_gradient", psi.gradient_residual(point), "strict")
-    r4, r5 = gm.warp_compatibility_residuals(fam, point)
-    emit("warp_scale_equation", r4, "geo")
-    emit("warp_log_equation", r5, "geo")
-    for name, res in gm.family_psi_closed_forms(fam, point).items():
-        emit(name, res, "geo")
-    for name, res in gm.family_image_ricci_forms(fam, point).items():
-        emit(name, res, "identity")
-    for name, res in gm.warp_profile_pde_residuals(fam, point).items():
-        emit(name, res, "geo")
-    kg, kg_bar = gm.base_gauss_values(fam, point)
-    emit("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo")
-    emit("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")
-    expect_kind = job.definition.get("expect", {}).get("classify", "ROTER")
-    if expect_kind == "ROTER":
-        try:
-            sfit = roter.fit_roter(geo.frame(src, point))
-            ifit = roter.fit_roter(geo.frame(img, point))
-        except roter.RoterFitError as err:
-            run.emit_flag(job, "pair", idx, point, suite, "roter_fits",
-                          False, detail=str(err))
-            return
-        fits_log.append((sfit.L_R, ifit.L_R))
-        for name, res in gm.factor_relations(fam, point, sfit, ifit).items():
-            emit(name, res, "identity")
-        emit("psi_ricci_identity",
-             gm.psi_ricci_identity_residual(fam, point, ifit), "compound")
+    yield "profile_invariant", gm.profile_invariant_residual(job.family.cfg), "strict"
+    if fits_log:
+        yield "l_r_constancy_source", constancy_residual([a for a, _ in fits_log]), "identity"
+        yield "l_r_constancy_image", constancy_residual([b for _, b in fits_log]), "identity"
+
+
+TARGET_SUITES = (
+    ("geometry-symmetries", geometry_checks),
+    ("theorem21", theorem21_checks),
+    ("warped-diagnostics", warped_checks),
+)
+
+
+def _suite_runs(job: Job, points, suites):
+    """(suite, target label, point index, point, checks) in run order."""
+    fits_log: list = []
+    for idx, pt in enumerate(points):
+        for suite, checks in TARGET_SUITES:
+            if suite in suites:
+                for target in job.targets:
+                    yield suite, target.label, idx, pt, checks(job, target, idx, pt)
+        if "geodesic" in suites:
+            yield "geodesic", "pair", idx, pt, geodesic_checks(job, idx, pt, fits_log)
+    if "geodesic" in suites:
+        yield "geodesic", "pair", -1, (), family_checks(job, fits_log)
+
+
+def _expand_suites(names) -> set:
+    names = set(names)
+    return set(SUITES) - {"all"} if "all" in names else names
 
 
 def run_manifest(manifest: dict, suites=None, points=None, seed=None,
                  tol_scale: float = 1.0) -> tuple[list, dict]:
     """Execute the manifest; returns (records, summary)."""
-    selected = set(suites or manifest.get("suites", ["all"]))
-    if "all" in selected:
-        selected = set(SUITES) - {"all"}
+    selected = _expand_suites(suites or manifest.get("suites", ["all"]))
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(manifest.get("tolerances", {}))
     tol = {k: v * tol_scale for k, v in tol.items()}
-    run = Runner(tolerances=tol)
+    thresholds = {**tol, "flag": 0.5}
     seed = manifest.get("seed", 0) if seed is None else seed
     count = manifest.get("points", 20) if points is None else points
+    records: list = []
 
     for m_index, mdef in enumerate(manifest["manifolds"]):
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)
-        m_suites = set(job.definition.get("suites", [])) or selected
-        if "all" in m_suites:
-            m_suites = set(SUITES) - {"all"}
-        fits_log: list = []
-        for idx, pt in enumerate(pts):
-            if "geometry-symmetries" in m_suites:
-                for target in job.targets:
-                    run_geometry_suite(run, job, target, idx, pt)
-            if "theorem21" in m_suites:
-                for target in job.targets:
-                    if target.spec.dim >= 2:
-                        run_theorem21_suite(run, job, target, idx, pt)
-            if "warped-diagnostics" in m_suites:
-                for target in job.targets:
-                    run_warped_suite(run, job, target, idx, pt)
-            if "geodesic" in m_suites:
-                run_geodesic_suite(run, job, idx, pt, fits_log)
-        if job.kind == "family" and "geodesic" in m_suites:
-            run.emit(job, "pair", -1, (), "geodesic", "profile_invariant",
-                     gm.profile_invariant_residual(job.family.cfg), "strict")
-            if fits_log:
-                src_vals = [a for a, _ in fits_log]
-                img_vals = [b for _, b in fits_log]
-                run.emit(job, "pair", -1, (), "geodesic", "l_r_constancy_source",
-                         constancy_residual(src_vals), "identity")
-                run.emit(job, "pair", -1, (), "geodesic", "l_r_constancy_image",
-                         constancy_residual(img_vals), "identity")
+        m_suites = _expand_suites(job.definition.get("suites", [])) or selected
+        for suite, label, idx, pt, checks in _suite_runs(job, pts, m_suites):
+            site = (job, label, idx, pt, suite, thresholds)
+            try:
+                for check in checks:
+                    records.append(_record(*site, *check))
+            except _POINT_ERRORS as err:
+                error = _flag("error", False, f"{type(err).__name__}: {err}")
+                records.append(_record(*site, *error))
 
-    run.records.sort(key=lambda r: (r["manifold"], r["target"], r["point_index"],
-                                    r["suite"], r["check"]))
+    records.sort(key=lambda r: (r["manifold"], r["target"], r["point_index"],
+                                r["suite"], r["check"]))
+    failed = sum(not r["pass"] for r in records)
+    off_expectation = sum(not r["ok"] for r in records)
     summary = {
         "manifest": manifest["name"],
         "version": __version__,
@@ -630,18 +595,18 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
             "ur_threshold": roter.UR_THRESHOLD,
         },
         "counts": {
-            "checks": len(run.records),
-            "failed": run.fails,
-            "off_expectation": run.unexpected,
+            "checks": len(records),
+            "failed": failed,
+            "off_expectation": off_expectation,
         },
-        "ok": run.unexpected == 0,
+        "ok": off_expectation == 0,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.system(),
         },
     }
-    return run.records, summary
+    return records, summary
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +710,7 @@ def main(argv=None) -> int:
             manifest, suites=args.suite, points=args.points,
             seed=args.seed, tol_scale=args.tol_scale,
         )
-    except (geo.GeometryError, ManifestError, roter.RoterFitError) as err:
+    except (geo.GeometryError, ex.ExprError, ManifestError, roter.RoterFitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out_dir = args.out or os.environ.get(OUT_ENV) or "reports"

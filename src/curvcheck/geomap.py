@@ -200,7 +200,6 @@ class Family:
     source: wp.WarpedSpec
     image: wp.WarpedSpec
     psi: PsiField
-    pair: GeodesicPair2D
     profile: ex.Expr
     profile_invariant: float  # (B')^2 - c B^2, constant in t
 
@@ -213,10 +212,6 @@ class Family:
         return -(self.cfg.d + 4.0 * self.cfg.map_shift * self.cfg.c) / (
             4.0 * self.cfg.map_scale
         )
-
-    @property
-    def image_base_scalar_expected(self) -> float:
-        return 2.0 * self.l_r_image_expected
 
     def admissible_sample(self, point) -> bool:
         """Admissibility plus the near-singular-mapping guards."""
@@ -305,8 +300,7 @@ def build_family(cfg: FamilyConfig) -> Family:
     chart = source.product.coords
     psi1 = ex.neg(ex.div(ex.mul(ex.const("q"), bp), ex.mul(ex.num(2.0), one_plus_qb)))
     psi = PsiField(chart, (psi1,) + (ex.Num(0.0),) * (n - 1), binds)
-    pair = geodesic_pair_2d(a_expr, b_expr, cfg.map_scale, cfg.map_shift, coords2)
-    return Family(cfg, source, image, psi, pair, profile, invariant)
+    return Family(cfg, source, image, psi, profile, invariant)
 
 
 def _family_jet(fam: Family, point):

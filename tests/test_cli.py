@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,8 +72,11 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         bad = self.good()
         bad["surprise"] = 1
-        with pytest.raises(cli.ManifestError):
-            cli.validate_manifest(bad)
+        unread = self.good()
+        unread["manifolds"][0]["expect"] = {"fail_checks": ["nabla_g"]}
+        for manifest in (bad, unread):
+            with pytest.raises(cli.ManifestError):
+                cli.validate_manifest(manifest)
 
     def test_unknown_suite_rejected(self):
         bad = self.good()
@@ -144,7 +148,8 @@ class TestRun:
         )
         assert summary["ok"]
         perturbed = [r for r in records if r["check"].endswith("_perturbed")]
-        assert perturbed
+        assert summary["counts"]["failed"] == len(perturbed) > 0
+        assert summary["counts"]["off_expectation"] == 0
         for rec in perturbed:
             assert not rec["pass"] and rec["expect_fail"] and rec["ok"]
 
@@ -175,13 +180,47 @@ class TestRun:
                                       suites=["geometry-symmetries"])
         assert {r["suite"] for r in records} == {"geometry-symmetries"}
 
+    def test_point_error_becomes_record(self, tmp_path):
+        # The finite-difference second_bianchi stencil around x = 1e-5
+        # steps onto x = 0, where d|x|/dx divides by zero.
+        manifest = {
+            "name": "bad_point", "seed": 1, "points": 1, "suites": ["geometry-symmetries"],
+            "manifolds": [{
+                "name": "kink", "kind": "explicit", "coords": ["x", "y"],
+                "metric": [["1 + abs(x)", "0"], ["0", "1"]],
+                "box": {"x": [0.5, 1.0], "y": [0.0, 1.0]},
+                "pinned_points": [{"x": 1e-5, "y": 0.5}],
+            }],
+        }
+        path = tmp_path / "bad_point.json"
+        path.write_text(json.dumps(manifest))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "out" / "bad_point.records.jsonl").read_text().splitlines()
+        ]
+        errors = [r for r in records if r["check"] == "error"]
+        assert len(errors) == 1
+        assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
+        assert all(r["ok"] for r in records if r["check"] != "error")
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
 
 class TestWholeCorpus:
     def test_every_entry_runs_green(self):
-        # Index-symmetry and identity suites across the entire corpus.
+        # Index-symmetry and identity suites across the entire corpus, at
+        # each entry's declared points; the total check count is pinned.
+        total = 0
         for name in corpus_list():
-            records, summary = cli.run_manifest(corpus_get(name), points=2)
+            records, summary = cli.run_manifest(corpus_get(name))
             assert summary["ok"], (name, [r for r in records if not r["ok"]][:3])
+            total += len(records)
+        expected = json.loads(REFERENCE.read_text())["checks"]["full"]["corpus"]
+        assert total == expected
 
 
 class TestDeterminism:
