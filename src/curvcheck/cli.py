@@ -12,18 +12,21 @@ Identical manifest and seed produce byte-identical records and summary
 (modulo the summary timestamp field).  Exit codes: 0 all checks agree
 with expectations, 1 at least one check off-expectation (an error at a
 sampled point is recorded as an off-expectation "error" check and the
-report is still written), 2 manifest or schema error.
+report is still written), 2 manifest, schema or out-of-range
+--points / --tol-scale error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from jsonschema import Draft7Validator
@@ -160,7 +163,8 @@ MANIFEST_SCHEMA = {
     "additionalProperties": False,
     "required": ["name", "manifolds"],
     "properties": {
-        "name": _string,
+        # The report file stem: a plain file name, never a path.
+        "name": {"type": "string", "pattern": "^[A-Za-z0-9_][A-Za-z0-9_.-]*$"},
         "description": _string,
         "seed": {"type": "integer", "minimum": 0},
         "points": {"type": "integer", "minimum": 1},
@@ -168,7 +172,9 @@ MANIFEST_SCHEMA = {
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {k: _number for k in DEFAULT_TOLERANCES},
+            "properties": {
+                k: {"type": "number", "exclusiveMinimum": 0} for k in DEFAULT_TOLERANCES
+            },
         },
         "manifolds": {"type": "array", "minItems": 1, "items": _manifold_schema},
     },
@@ -184,7 +190,7 @@ def load_manifest(source: str) -> dict:
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
             except json.JSONDecodeError as err:
                 raise ManifestError(f"manifest is not valid JSON: {err}") from None
     else:
@@ -197,6 +203,18 @@ def load_manifest(source: str) -> dict:
             ) from None
     validate_manifest(data)
     return data
+
+
+def _reject_constant(name):
+    raise ManifestError(f"manifest is not valid JSON: {name} is not a JSON number")
+
+
+def _validate_overrides(points, tol_scale) -> None:
+    """Overrides obey the schema's bounds: points >= 1, finite tol_scale > 0."""
+    if points is not None and points < 1:
+        raise ManifestError(f"points must be at least 1, got {points}")
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ManifestError(f"tolerance scale must be finite and positive, got {tol_scale}")
 
 
 def validate_manifest(data: dict) -> None:
@@ -326,13 +344,45 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 # Checks and records
 #
-# A suite is a generator over one (target, point).  It yields each check
-# as (check, residual, tolerance_key) with optional extra record fields
-# ({"scalars": ...} or {"detail": ...}) and expect_fail; run_manifest
-# turns every yielded check into a record through _record.
+# A suite is a generator over one point, reading each target's shared
+# Evaluation.  It yields each check as (check, residual, tolerance_key)
+# with optional extra record fields ({"scalars": ...} or {"detail": ...})
+# and expect_fail; run_manifest turns every yielded check into a record
+# through _record.
 
 # Point errors a suite may raise; each becomes an "error" record.
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
+
+
+class Evaluation:
+    """One target at one point: frame, diagnostics, classification, fit and
+    curvature products, each computed on first use and shared by every
+    suite for that point only.  A piece that raises is not kept, so each
+    suite that needs it raises and records the error itself."""
+
+    def __init__(self, target: Target, point):
+        self.target, self.point = target, point
+
+    @cached_property
+    def frame(self) -> geo.PointFrame:
+        return geo.frame(self.target.spec, self.point)
+
+    @cached_property
+    def diagnostics(self) -> wp.WarpedDiagnostics:
+        return wp.diagnostics(self.target.warped_spec, self.point)
+
+    @cached_property
+    def classification(self) -> roter.Classification:
+        return roter.classify(self.frame)
+
+    @cached_property
+    def fit(self) -> roter.RoterFit:
+        """The classification's fit, or a direct one where it has none."""
+        return self.classification.fit or roter.fit_roter(self.frame)
+
+    @cached_property
+    def products(self) -> dict:
+        return roter.curvature_products(self.frame)
 
 
 def _flag(check, ok, detail=None):
@@ -369,8 +419,9 @@ def _record(job, target, index, point, suite, thresholds,
     return rec
 
 
-def geometry_checks(job: Job, target: Target, idx, point):
-    f = geo.frame(target.spec, point)
+def geometry_checks(job: Job, ev: Evaluation, idx):
+    spec, point = ev.target.spec, ev.point
+    f = ev.frame
     n = f.dim
     yield "metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict"
     yield "gamma_lower_symmetry", max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)), "strict"
@@ -379,26 +430,27 @@ def geometry_checks(job: Job, target: Target, idx, point):
     yield "ricci_symmetric", max_abs_residual(f.ricci, f.ricci.T), "geo"
     if n >= 4:
         yield "weyl_trace_free", trace_residual(f.weyl, f.ginv), "geo"
-    nabla_g = geo.covariant_derivative_02(target.spec, target.spec.components, point)
+    nabla_g = geo.covariant_derivative_02(spec, spec.components, point)
     yield "nabla_g", float(np.max(np.abs(nabla_g))) / (float(np.max(np.abs(f.g))) + 1.0), "strict"
     if idx < 2:  # finite-differenced, so spot-check only
-        yield "second_bianchi", geo.second_bianchi_residual(target.spec, point), "smoke"
+        yield "second_bianchi", geo.second_bianchi_residual(spec, point), "smoke"
     scalars = {"kappa": f.scalar}
     if n == 2:
-        scalars["gauss"] = geo.gauss_curvature(target.spec, point)
+        scalars["gauss"] = geo.gauss_curvature(spec, point)
         expected = job.definition.get("expect", {}).get("scalars", {})
         if "gauss" in expected:
             yield "gauss_value", scalar_residual(scalars["gauss"], expected["gauss"]), "geo"
     yield "frame_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def theorem21_checks(job: Job, target: Target, idx, point):
+def theorem21_checks(job: Job, ev: Evaluation, idx):
+    target = ev.target
     if target.spec.dim < 2:
         return
     expect = job.definition.get("expect", {})
-    f = geo.frame(target.spec, point)
+    f = ev.frame
     perturb = job.definition.get("perturb")
-    c = roter.classify(f)
+    c = ev.classification
     scalars = {"classification": c.kind, "kappa": f.scalar,
                "in_US": roter.in_us(f), "in_UC": roter.in_uc(f), "in_UR": roter.in_ur(f)}
     want = expect.get("classify")
@@ -410,11 +462,11 @@ def theorem21_checks(job: Job, target: Target, idx, point):
         scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
                        L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
         yield "fit_residual", fit.residual, "identity"
-        for name, res in roter.identity_suite(f, fit).items():
+        for name, res in roter.identity_suite(f, fit, ev.products).items():
             yield name, res, "identity"
         extra_alphas = ()
         if target.warped_spec is not None and target.warped_spec.base_dim == 2:
-            d = wp.diagnostics(target.warped_spec, point)
+            d = ev.diagnostics
             if d.mu1 is not None:
                 extra_alphas = (d.mu1, d.mu2)
         yield _flag("rank_shift_grid", roter.rank_grid_exceeds_one(f, fit, extra=extra_alphas))
@@ -442,45 +494,44 @@ def theorem21_checks(job: Job, target: Target, idx, point):
     yield "fit_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def warped_checks(job: Job, target: Target, idx, point):
-    ws = target.warped_spec
+def warped_checks(job: Job, ev: Evaluation, idx):
+    ws = ev.target.warped_spec
     if ws is None:
         return
-    yield "product_christoffels", wp.verify_product_christoffels(ws, point), "strict"
+    d = ev.diagnostics
+    yield "product_christoffels", wp.verify_product_christoffels(d), "strict"
     block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
-    for name, res in wp.verify_curvature_blocks(ws, point).items():
+    for name, res in wp.verify_curvature_blocks(d).items():
         yield name, res, block_tols.get(name, "identity")
-    d = wp.diagnostics(ws, point)
     scalars = {"warp": d.f_value, "tr_t": d.tr_t, "delta1": d.delta1,
-               "base_scalar": d.base_scalar, "fiber_scalar": d.fiber_scalar}
+               "base_scalar": d.base_frame.scalar, "fiber_scalar": d.fiber_frame.scalar}
     if ws.base_dim == 2 and ws.dim >= 4:
-        for name, res in wp.verify_weyl_blocks(ws, point).items():
+        for name, res in wp.verify_weyl_blocks(d).items():
             yield name, res, "identity"
-        rho0, is_flat = wp.conformal_flatness_test(ws, point)
+        rho0, is_flat = wp.conformal_flatness_test(d)
         scalars.update(rho0=rho0, rho1=d.rho1, rho2=d.rho2, rho3=d.rho3,
                        mu1=d.mu1, mu2=d.mu2)
         expect = job.definition.get("expect", {})
         if "conformally_flat" in expect:
             yield _flag("conformally_flat", is_flat == expect["conformally_flat"], detail=rho0)
     if job.kind == "family":
-        yield "t_proportional", wp.t_proportionality_residual(ws, point), "geo"
-        for name, res in wp.verify_proportional_blocks(ws, point).items():
+        yield "t_proportional", wp.t_proportionality_residual(d), "geo"
+        for name, res in wp.verify_proportional_blocks(d).items():
             yield name, res, "identity"
-        if target.label == "source":
+        if ev.target.label == "source":
             res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
             yield "trace_t_scaled_warp", res, "identity"
     yield "warp_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def geodesic_checks(job: Job, idx, point, fits_log):
-    """Checks on the mapped pair of a pair2d or family manifold."""
-    if job.kind == "pair2d":
-        src, img, psi = job.pair.source, job.pair.image, job.pair.psi
-    elif job.kind == "family":
-        fam = job.family
-        src, img, psi = fam.source.product, fam.image.product, fam.psi
-    else:
+def geodesic_checks(job: Job, evals, idx, fits_log):
+    """Checks on the mapped pair of a pair2d or family manifold, from the
+    (source, image) evaluations at one point."""
+    if job.kind not in ("pair2d", "family"):
         return
+    source, image = evals
+    src, img, point = source.target.spec, image.target.spec, source.point
+    psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
     yield "geodesic_compatibility", gm.geodesic_compatibility_residual(src, img, psi, point), "geo"
     yield "christoffel_shift", gm.christoffel_shift_residual(src, img, psi, point), "geo"
     yield "ricci_shift", gm.ricci_shift_residual(src, img, psi, point), "identity"
@@ -489,14 +540,15 @@ def geodesic_checks(job: Job, idx, point, fits_log):
         for name, res in gm.pair_christoffel_closed_forms(job.pair, point).items():
             yield name, res, "geo"
         return
+    fam = job.family
     r4, r5 = gm.warp_compatibility_residuals(fam, point)
     yield "warp_scale_equation", r4, "geo"
     yield "warp_log_equation", r5, "geo"
     for name, res in gm.family_psi_closed_forms(fam, point).items():
         yield name, res, "geo"
-    for name, res in gm.family_image_ricci_forms(fam, point).items():
+    for name, res in gm.family_image_ricci_forms(fam, image.diagnostics).items():
         yield name, res, "identity"
-    for name, res in gm.warp_profile_pde_residuals(fam, point).items():
+    for name, res in gm.warp_profile_pde_residuals(fam, source.diagnostics).items():
         yield name, res, "geo"
     kg, kg_bar = gm.base_gauss_values(fam, point)
     yield "base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"
@@ -504,15 +556,16 @@ def geodesic_checks(job: Job, idx, point, fits_log):
     if job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
         return
     try:
-        sfit = roter.fit_roter(geo.frame(src, point))
-        ifit = roter.fit_roter(geo.frame(img, point))
+        fits = (source.fit, image.fit)
     except roter.RoterFitError as err:
         yield _flag("roter_fits", False, detail=str(err))
         return
-    fits_log.append((sfit.L_R, ifit.L_R))
-    for name, res in gm.factor_relations(fam, point, sfit, ifit).items():
+    fits_log.append((fits[0].L_R, fits[1].L_R))
+    products = (source.products, image.products)
+    for name, res in gm.factor_relations(fam, point, fits, products).items():
         yield name, res, "identity"
-    yield "psi_ricci_identity", gm.psi_ricci_identity_residual(fam, point, ifit), "compound"
+    res = gm.psi_ricci_identity_residual(fam, point, fits, products)
+    yield "psi_ricci_identity", res, "compound"
 
 
 def family_checks(job: Job, fits_log):
@@ -536,12 +589,13 @@ def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order."""
     fits_log: list = []
     for idx, pt in enumerate(points):
+        evals = [Evaluation(target, pt) for target in job.targets]
         for suite, checks in TARGET_SUITES:
             if suite in suites:
-                for target in job.targets:
-                    yield suite, target.label, idx, pt, checks(job, target, idx, pt)
+                for ev in evals:
+                    yield suite, ev.target.label, idx, pt, checks(job, ev, idx)
         if "geodesic" in suites:
-            yield "geodesic", "pair", idx, pt, geodesic_checks(job, idx, pt, fits_log)
+            yield "geodesic", "pair", idx, pt, geodesic_checks(job, evals, idx, fits_log)
     if "geodesic" in suites:
         yield "geodesic", "pair", -1, (), family_checks(job, fits_log)
 
@@ -554,6 +608,7 @@ def _expand_suites(names) -> set:
 def run_manifest(manifest: dict, suites=None, points=None, seed=None,
                  tol_scale: float = 1.0) -> tuple[list, dict]:
     """Execute the manifest; returns (records, summary)."""
+    _validate_overrides(points, tol_scale)
     selected = _expand_suites(suites or manifest.get("suites", ["all"]))
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(manifest.get("tolerances", {}))
@@ -701,6 +756,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        _validate_overrides(args.points, args.tol_scale)
         manifest = load_manifest(args.manifest)
     except ManifestError as err:
         print(f"error: {err}", file=sys.stderr)

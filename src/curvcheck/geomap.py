@@ -19,8 +19,12 @@ spaces and are pseudosymmetric of constant type, with
 
     L_R = -D/4,      L_R_image = -(D + 4qC)/(4p),
 
-and the verify_* functions below certify every compatibility equation
-and closed form the construction promises.
+and the residual functions below certify every compatibility equation
+and closed form the construction promises.  Most take (fam, point);
+family_image_ricci_forms and warp_profile_pde_residuals take a member's
+WarpedDiagnostics instead, and factor_relations and
+psi_ricci_identity_residual take the (source, image) Roter fits and
+curvature products already evaluated at the point.
 """
 
 from __future__ import annotations
@@ -34,14 +38,17 @@ from . import geometry as geo
 from . import warped as wp
 from .curvops import (
     constancy_residual,
-    derivation_apply,
     max_abs_residual,
     scalar_residual,
-    tachibana,
     tensor_residual,
     zero_residual,
 )
-from .roter import RoterFit, fit_roter
+from .roter import RoterFit
+
+# Unused here (callers pass fits and products in), but perfbench/tests
+# checks that the tracer wraps these names in geomap.
+from .curvops import derivation_apply, tachibana  # noqa: F401
+from .roter import fit_roter  # noqa: F401
 
 __all__ = [
     "GeodesicPair2D",
@@ -432,43 +439,32 @@ def family_psi_closed_forms(fam: Family, point) -> dict[str, float]:
     }
 
 
-def family_image_ricci_forms(fam: Family, point) -> dict[str, float]:
-    """Barred Ricci and T closed forms against the image geometry."""
+def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics) -> dict[str, float]:
+    """Barred Ricci and T closed forms against the image geometry, read
+    from the image member's diagnostics."""
     cfg = fam.cfg
     n = cfg.n
     p, q = cfg.map_scale, cfg.map_shift
-    v = _family_values(fam, tuple(float(u) for u in point))
-    b, B = v["b"], v["B"]
-    Bp = v["Bp"]
-    opq = v["one_plus_qb"]
+    v = _family_values(fam, d_bar.frame.point)
+    b, B, Bp, opq = v["b"], v["B"], v["Bp"], v["one_plus_qb"]
     coef = cfg.d + 4.0 * q * cfg.c
-
-    iframe = geo.frame(fam.image.product, point)
-    s_bar, g_bar = iframe.ricci, iframe.g
-    two = 2
-    out = {
-        "ricci_base_bar": max_abs_residual(
-            s_bar[:two, :two], -(n - 1) / (4.0 * p) * coef * g_bar[:two, :two]
-        ),
-        "ricci_mixed_bar": zero_residual(s_bar[:two, two:], s_bar),
-    }
+    s_bar, g_bar = d_bar.frame.ricci, d_bar.frame.g
     salfa = (
         cfg.fiber_scalar / (n - 2)
         + (n - 3) * (cfg.c * B * B - Bp * Bp)
         - (n - 1) / 4.0 * b * B * B * coef / opq
     ) / v["Fbar"]
-    out["ricci_fiber_bar"] = max_abs_residual(
-        s_bar[two:, two:], salfa * g_bar[two:, two:]
-    )
-    d_bar = wp.diagnostics(fam.image, point)
-    base_bar_frame = geo.frame(fam.image.base, fam.image.split(point)[0])
-    out["t_bar"] = max_abs_residual(
-        d_bar.t, coef / (2.0 * p) * d_bar.f_value * base_bar_frame.g
-    )
-    out["image_base_scalar"] = scalar_residual(
-        base_bar_frame.scalar, -coef / (2.0 * p)
-    )
-    return out
+    return {
+        "ricci_base_bar": max_abs_residual(
+            s_bar[:2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:2, :2]
+        ),
+        "ricci_mixed_bar": zero_residual(s_bar[:2, 2:], s_bar),
+        "ricci_fiber_bar": max_abs_residual(s_bar[2:, 2:], salfa * g_bar[2:, 2:]),
+        "t_bar": max_abs_residual(
+            d_bar.t, coef / (2.0 * p) * d_bar.f_value * d_bar.base_frame.g
+        ),
+        "image_base_scalar": scalar_residual(d_bar.base_frame.scalar, -coef / (2.0 * p)),
+    }
 
 
 def warp_compatibility_residuals(fam: Family, point) -> tuple[float, float]:
@@ -510,12 +506,13 @@ def base_gauss_values(fam: Family, point) -> tuple[float, float]:
 def factor_relations(
     fam: Family,
     point,
-    source_fit: RoterFit | None = None,
-    image_fit: RoterFit | None = None,
+    fits: tuple[RoterFit, RoterFit],
+    products: tuple[dict, dict],
 ) -> dict[str, float]:
     """Scalar and tensor relations tying the two members together.
 
-    Keys:
+    fits and products are the (source, image) Roter fits and
+    roter.curvature_products at the point.  Keys:
       l_r_value, l_r_image_value   fitted L_R against -D/4, -(D+4qC)/(4p)
       lkappa                       L_R - κ/(n(n-1)) = (p/(1+q𝔟)) (image)
       lcr_source, lcr_image        ((n-2)^2/n) L_C = L_R - κ/(n(n-1))
@@ -526,8 +523,7 @@ def factor_relations(
     n = fam.cfg.n
     sframe = geo.frame(fam.source.product, point)
     iframe = geo.frame(fam.image.product, point)
-    sfit = source_fit or fit_roter(sframe)
-    ifit = image_fit or fit_roter(iframe)
+    sfit, ifit = fits
     v = _family_values(fam, tuple(float(u) for u in point))
     ratio = fam.cfg.map_scale / v["one_plus_qb"]  # = F̄/F
 
@@ -548,19 +544,16 @@ def factor_relations(
         "l_source": scalar_residual(sfit.L, -(n - 2) * sfit.L_R),
         "l_image": scalar_residual(ifit.L, -(n - 2) * ifit.L_R),
     }
-    for tag, frame, fit in (("cor42_source", sframe, sfit), ("cor42_image", iframe, ifit)):
-        RR = derivation_apply(frame.riemann, frame.riemann, frame.ginv)
-        QSR = tachibana(frame.ricci, frame.riemann)
-        QgC = tachibana(frame.g, frame.weyl)
-        out[tag] = tensor_residual(RR, QSR - (n - 2) * fit.L_R * QgC)
+    for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
+        out[tag] = tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
     return out
 
 
 def psi_ricci_identity_residual(
     fam: Family,
     point,
-    image_fit: RoterFit | None = None,
-    phi_scale: float = 1.0,
+    fits: tuple[RoterFit, RoterFit],
+    products: tuple[dict, dict],
 ) -> float:
     """The (0,2) identity tying ψ_ij to the image decomposition.
 
@@ -568,19 +561,19 @@ def psi_ricci_identity_residual(
       + (tr(ψ)(L̄_R - η̄) - tr(B)μ̄) ḡ = 0,
 
     with B_mk = ψ_mr S̄^r_k; the index is raised and both traces taken
-    with ḡ (reported convention).  Requires the source to be
-    pseudosymmetric but not semisymmetric (R.R must not vanish).
-    phi_scale perturbs φ̄ for sensitivity controls.
+    with ḡ (reported convention).  fits and products are as for
+    factor_relations: the image fit supplies φ̄, μ̄, η̄, L̄_R and the
+    source R.R the guard.  Requires the source to be pseudosymmetric but
+    not semisymmetric (R.R must not vanish).
     """
     n = fam.cfg.n
     sframe = geo.frame(fam.source.product, point)
-    RR = derivation_apply(sframe.riemann, sframe.riemann, sframe.ginv)
+    RR = products[0]["RR"]
     if np.max(np.abs(RR)) <= 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
         raise FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
     iframe = geo.frame(fam.image.product, point)
-    ifit = image_fit or fit_roter(iframe)
-    phi_b = ifit.phi * phi_scale
-    mu_b, eta_b, lr_b = ifit.mu, ifit.eta, ifit.L_R
+    ifit = fits[1]
+    phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R
     kappa_b = iframe.scalar
     gbar_inv = iframe.ginv
     psi2 = fam.psi.second_form(fam.source.product, point)
@@ -598,15 +591,15 @@ def psi_ricci_identity_residual(
     return float(np.linalg.norm(total)) / scale
 
 
-def warp_profile_pde_residuals(fam: Family, point) -> dict[str, float]:
+def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, float]:
     """Shape constraints that make T proportional to the base metric.
 
     T₁₂ = 0 and 𝔟 T₁₁ = 𝔞 T₂₂, plus the square-root-warp reductions
-    f₁₂ = f₂ 𝔟'/(2𝔟) and f₁₁ - (𝔞/𝔟) f₂₂ = f₁ (𝔞𝔟)'/(2𝔞𝔟) for f = √F.
+    f₁₂ = f₂ 𝔟'/(2𝔟) and f₁₁ - (𝔞/𝔟) f₂₂ = f₁ (𝔞𝔟)'/(2𝔞𝔟) for f = √F,
+    read from the source member's diagnostics.
     """
-    d = wp.diagnostics(fam.source, point)
-    base_pt = fam.source.split(point)[0]
-    bframe = geo.frame(fam.source.base, base_pt)
+    bframe = d.base_frame
+    base_pt = bframe.point
     a_v, b_v = bframe.g[0, 0], bframe.g[1, 1]
     out = {
         "t_offdiag": zero_residual(d.t[0, 1], d.t),

@@ -16,11 +16,13 @@ pseudosymmetry-type condition the decomposition implies:
     L      = L_R + mu/phi                      (R.R = Q(S,R) + L Q(g,C))
     L_C    = L_R + (kappa/(n-1) - alpha1)/(n-2)   (C.C = L_C Q(g,C))
 
-identity_suite evaluates the ten tensor identities these scalars
-satisfy, plus three checks of the closed-form L_R, L_C and L against
-the factors measured from the same products, and reports one residual
-per entry.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
-ROTER / OTHER.
+curvature_products builds, once per point, the twelve derivation and
+Tachibana products the identities compare.  identity_suite(frame, fit,
+products) evaluates the ten tensor identities these scalars satisfy,
+plus three checks of the closed-form L_R, L_C and L against the factors
+pseudosymmetry_factors(frame, products) measures from those same
+products, and reports one residual per entry.  classify sorts a point
+into EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "RoterFitError",
     "Classification",
     "fit_roter",
+    "curvature_products",
     "in_us",
     "in_uc",
     "in_ur",
@@ -88,11 +91,7 @@ class RoterFitError(ValueError):
 
 @dataclass(frozen=True)
 class RoterFit:
-    """Accepted decomposition coefficients plus derived scalars.
-
-    nu = (mu2 - mu1)^-2 is populated only when the fit is produced from
-    warped-product closed forms; the least-squares path leaves it None.
-    """
+    """Accepted decomposition coefficients plus derived scalars."""
 
     phi: float
     mu: float
@@ -106,7 +105,6 @@ class RoterFit:
     L: float
     L_C: float
     gram_condition: float
-    nu: float | None = None
 
 
 def in_us(frame: PointFrame) -> bool:
@@ -132,24 +130,6 @@ def in_ur(frame: PointFrame) -> bool:
     )
 
 
-def _basis(frame: PointFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    S, g = frame.ricci, frame.g
-    return (
-        0.5 * kulkarni_nomizu(S, S),
-        kulkarni_nomizu(g, S),
-        0.5 * kulkarni_nomizu(g, g),
-    )
-
-
-def _derived(phi, mu, eta, kappa, n):
-    alpha1 = kappa + ((n - 2) * mu - 1.0) / phi
-    alpha2 = (mu * kappa + (n - 1) * eta) / phi
-    L_R = ((n - 2) * (mu * mu - phi * eta) - mu) / phi
-    L = L_R + mu / phi
-    L_C = L_R + (kappa / (n - 1) - alpha1) / (n - 2)
-    return alpha1, alpha2, L_R, L, L_C
-
-
 def fit_roter(frame: PointFrame, residual_limit: float = FIT_RESIDUAL_LIMIT) -> RoterFit:
     """Least-squares decomposition of the curvature tensor at a point.
 
@@ -166,7 +146,8 @@ def fit_roter(frame: PointFrame, residual_limit: float = FIT_RESIDUAL_LIMIT) -> 
         raise RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
     if not uc:
         raise RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
-    B1, B2, B3 = _basis(frame)
+    S, g = frame.ricci, frame.g
+    B1, B2, B3 = 0.5 * kulkarni_nomizu(S, S), kulkarni_nomizu(g, S), 0.5 * kulkarni_nomizu(g, g)
     A = np.stack([B1.ravel(), B2.ravel(), B3.ravel()], axis=1)
     # Columns carry wildly different physical scales (S^S vs g^g), so the
     # Gram matrix is formed on unit columns: its condition number then
@@ -186,7 +167,12 @@ def fit_roter(frame: PointFrame, residual_limit: float = FIT_RESIDUAL_LIMIT) -> 
     residual = float(np.linalg.norm(frame.riemann - recon)) / (r_norm + 1e-300)
     if residual > residual_limit:
         raise RoterFitError("RESIDUAL", f"reconstruction residual {residual:.3e}")
-    alpha1, alpha2, L_R, L, L_C = _derived(phi, mu, eta, frame.scalar, n)
+    kappa = frame.scalar
+    alpha1 = kappa + ((n - 2) * mu - 1.0) / phi
+    alpha2 = (mu * kappa + (n - 1) * eta) / phi
+    L_R = ((n - 2) * (mu * mu - phi * eta) - mu) / phi
+    L = L_R + mu / phi
+    L_C = L_R + (kappa / (n - 1) - alpha1) / (n - 2)
     return RoterFit(
         phi, mu, eta, residual, us, uc, alpha1, alpha2, L_R, L, L_C, gram_cond
     )
@@ -212,72 +198,84 @@ IDENTITY_NAMES = (
 )
 
 
-def identity_suite(frame: PointFrame, fit: RoterFit) -> dict[str, float]:
+def curvature_products(frame: PointFrame) -> dict[str, np.ndarray]:
+    """The derivation products X.Y and Tachibana tensors Q(A,T) the
+    identities compare, keyed by name (RR = R.R, QgC = Q(g,C), ...).
+
+    At n = 6 they take about 3.4 MB, so callers hold them for one point
+    only; they are not kept on the frame.
+    """
+    R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
+    return {
+        "RR": derivation_apply(R, R, ginv),
+        "RC": derivation_apply(R, C, ginv),
+        "RS": derivation_apply(R, S, ginv),
+        "CC": derivation_apply(C, C, ginv),
+        "CR": derivation_apply(C, R, ginv),
+        "CS": derivation_apply(C, S, ginv),
+        "QgR": tachibana(g, R),
+        "QgS": tachibana(g, S),
+        "QgC": tachibana(g, C),
+        "QSR": tachibana(S, R),
+        "QSC": tachibana(S, C),
+        "QSG": tachibana(S, unit_curvature(g)),
+    }
+
+
+def identity_suite(frame: PointFrame, fit: RoterFit,
+                   products: dict[str, np.ndarray]) -> dict[str, float]:
     """Residuals of the ten tensor identities implied by the decomposition,
     and of the closed-form L_R, L_C, L against their measured factors.
 
-    The ten identities use the sum-plus-one Frobenius normalization, the
-    three factor checks the scalar one; the factors are measured with
-    proportionality from the same products, as pseudosymmetry_factors
-    would.  An accepted fit on exact-derivative input keeps all thirteen
-    near 1e-13.
+    products are curvature_products(frame).  The ten identities use the
+    sum-plus-one Frobenius normalization, the three factor checks the
+    scalar one, against pseudosymmetry_factors over the same products.
+    An accepted fit on exact-derivative input keeps all thirteen near
+    1e-13.
     """
     n = frame.dim
-    R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
-    kappa = frame.scalar
-    G = unit_curvature(g)
-
-    RR = derivation_apply(R, R, ginv)
-    RC = derivation_apply(R, C, ginv)
-    RS = derivation_apply(R, S, ginv)
-    CC = derivation_apply(C, C, ginv)
-    CR = derivation_apply(C, R, ginv)
-    CS = derivation_apply(C, S, ginv)
-    QgR, QgS, QgC = tachibana(g, R), tachibana(g, S), tachibana(g, C)
-    QSR, QSC, QSG = tachibana(S, R), tachibana(S, C), tachibana(S, G)
-
+    S, g, kappa = frame.ricci, frame.g, frame.scalar
+    P = products
     phi, mu, eta = fit.phi, fit.mu, fit.eta
     commutator_rhs = (
-        ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * QgR
-        + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * QSG
+        ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * P["QgR"]
+        + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"]
     )
+    measured = pseudosymmetry_factors(frame, products)
     return {
         "ricci_square_affine": tensor_residual(
             frame.ricci_sq, fit.alpha1 * S + fit.alpha2 * g
         ),
-        "rr_vs_qgr": tensor_residual(RR, fit.L_R * QgR),
-        "rc_vs_qgc": tensor_residual(RC, fit.L_R * QgC),
-        "rs_vs_qgs": tensor_residual(RS, fit.L_R * QgS),
-        "rr_vs_qsr_plus_qgc": tensor_residual(RR, QSR + fit.L * QgC),
-        "cc_vs_qgc": tensor_residual(CC, fit.L_C * QgC),
-        "cr_vs_qgr": tensor_residual(CR, fit.L_C * QgR),
-        "cs_vs_qgs": tensor_residual(CS, fit.L_C * QgS),
-        "commutator_vs_qgr_qsg": tensor_residual(RC - CR, commutator_rhs),
+        "rr_vs_qgr": tensor_residual(P["RR"], fit.L_R * P["QgR"]),
+        "rc_vs_qgc": tensor_residual(P["RC"], fit.L_R * P["QgC"]),
+        "rs_vs_qgs": tensor_residual(P["RS"], fit.L_R * P["QgS"]),
+        "rr_vs_qsr_plus_qgc": tensor_residual(P["RR"], P["QSR"] + fit.L * P["QgC"]),
+        "cc_vs_qgc": tensor_residual(P["CC"], fit.L_C * P["QgC"]),
+        "cr_vs_qgr": tensor_residual(P["CR"], fit.L_C * P["QgR"]),
+        "cs_vs_qgs": tensor_residual(P["CS"], fit.L_C * P["QgS"]),
+        "commutator_vs_qgr_qsg": tensor_residual(P["RC"] - P["CR"], commutator_rhs),
         "commutator_vs_qsc_qgc": tensor_residual(
-            CR - RC, QSC - (kappa / (n - 1)) * QgC
+            P["CR"] - P["RC"], P["QSC"] - (kappa / (n - 1)) * P["QgC"]
         ),
-        "lr_closed_vs_measured": scalar_residual(fit.L_R, proportionality(RR, QgR).factor),
-        "lc_closed_vs_measured": scalar_residual(fit.L_C, proportionality(CC, QgC).factor),
-        "l_closed_vs_measured": scalar_residual(fit.L, proportionality(RR - QSR, QgC).factor),
+        "lr_closed_vs_measured": scalar_residual(fit.L_R, measured["L_R"].factor),
+        "lc_closed_vs_measured": scalar_residual(fit.L_C, measured["L_C"].factor),
+        "l_closed_vs_measured": scalar_residual(fit.L, measured["L"].factor),
     }
 
 
-def pseudosymmetry_factors(frame: PointFrame) -> dict[str, ProportionalityResult]:
+def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]
+                           ) -> dict[str, ProportionalityResult]:
     """Directly measured proportionality factors, independent of any fit.
 
-    Keys: L_R (R.R vs Q(g,R)), L_C (C.C vs Q(g,C)),
-    L (R.R - Q(S,R) vs Q(g,C)), L_S (R.S vs Q(g,S)).
+    products are curvature_products(frame).  Keys: L_R (R.R vs Q(g,R)),
+    L_C (C.C vs Q(g,C)), L (R.R - Q(S,R) vs Q(g,C)); ricci_pseudosymmetry
+    measures L_S (R.S vs Q(g,S)).
     """
-    R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
-    RR = derivation_apply(R, R, ginv)
-    CC = derivation_apply(C, C, ginv)
-    RS = derivation_apply(R, S, ginv)
-    QSR = tachibana(S, R)
+    P = products
     return {
-        "L_R": proportionality(RR, tachibana(g, R)),
-        "L_C": proportionality(CC, tachibana(g, C)),
-        "L": proportionality(RR - QSR, tachibana(g, C)),
-        "L_S": proportionality(RS, tachibana(g, S)),
+        "L_R": proportionality(P["RR"], P["QgR"]),
+        "L_C": proportionality(P["CC"], P["QgC"]),
+        "L": proportionality(P["RR"] - P["QSR"], P["QgC"]),
     }
 
 

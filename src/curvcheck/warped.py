@@ -12,12 +12,15 @@ All of its curvature concentrates in closed forms built from
     tr(T) = ĝ^{ab} T_ab
     Δ₁F   = ĝ^{ab} F_a F_b
 
-diagnostics() evaluates these together with the two Ricci block
-factors μ₁, μ₂, the three curvature block factors ρ₁, ρ₂, ρ₃ and the
-conformal-flatness scalar ρ₀ (the last six only for a 2-dimensional
-base).  verify_* functions compare every closed form against the
-direct curvature of the assembled product metric; they are the
-engine's cross-check that the block formulas hold, not assumptions.
+diagnostics(ws, point) evaluates these together with the two Ricci
+block factors μ₁, μ₂, the three curvature block factors ρ₁, ρ₂, ρ₃ and
+the conformal-flatness scalar ρ₀ (the last six only for a 2-dimensional
+base), and keeps the product, base and fiber frames it read.  The
+verify_* functions, t_proportionality_residual and
+conformal_flatness_test take that WarpedDiagnostics and compare every
+closed form against the direct curvature of the assembled product
+metric; they are the engine's cross-check that the block formulas hold,
+not assumptions.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .curvops import (
     unit_curvature,
     zero_residual,
 )
-from .roter import RoterFit, _derived
 
 __all__ = [
     "WarpedSpec",
@@ -42,7 +44,6 @@ __all__ = [
     "assemble",
     "constant_curvature_fiber",
     "diagnostics",
-    "roter_from_diagnostics",
     "t_proportionality_residual",
     "verify_product_christoffels",
     "verify_curvature_blocks",
@@ -144,20 +145,23 @@ def constant_curvature_fiber(
 
 @dataclass(frozen=True)
 class WarpedDiagnostics:
-    """Pointwise warped-product scalars.
+    """Pointwise warped-product scalars and the frames they came from.
 
+    frame, base_frame and fiber_frame are the product, base and fiber
+    frames at the point; grad is the base gradient of the warp.
     rho0..rho3, mu1, mu2 are populated only for a 2-dimensional base
     (they are block factors of that geometry); T, tr_T and delta1 are
-    general.  base_scalar and fiber_scalar are the factor scalar
-    curvatures at the point.
+    general.
     """
 
+    frame: geo.PointFrame
+    base_frame: geo.PointFrame
+    fiber_frame: geo.PointFrame
     f_value: float
+    grad: np.ndarray
     t: np.ndarray
     tr_t: float
     delta1: float
-    base_scalar: float
-    fiber_scalar: float
     rho0: float | None
     rho1: float | None
     rho2: float | None
@@ -166,18 +170,13 @@ class WarpedDiagnostics:
     mu2: float | None
 
 
-def _warp_data(ws: WarpedSpec, base_point):
-    """(F, grad F, Hessian F) at a base point, from the warp's jet."""
-    base = ws.base
-    f_value, grad, hess = ex.jet((ws.warp,), base.coords, base.bindings, 2)(base_point)
-    return float(f_value[0]), grad[:, 0], hess[:, :, 0]
-
-
 def diagnostics(ws: WarpedSpec, point) -> WarpedDiagnostics:
     """Evaluate T, tr(T), Δ₁F and (for 2-D bases) the block factors."""
     base_pt, fiber_pt = ws.split(point)
-    bframe = geo.frame(ws.base, base_pt)
-    f_value, grad, hess = _warp_data(ws, base_pt)
+    base = ws.base
+    bframe = geo.frame(base, base_pt)
+    f_value, grad, hess = ex.jet((ws.warp,), base.coords, base.bindings, 2)(base_pt)
+    f_value, grad, hess = float(f_value[0]), grad[:, 0], hess[:, :, 0]
     if f_value <= 0.0:
         raise geo.InadmissiblePointError(f"warping function non-positive at {tuple(point)}")
     nabla_grad = hess - np.einsum("sab,s->ab", bframe.gamma, grad)
@@ -185,7 +184,8 @@ def diagnostics(ws: WarpedSpec, point) -> WarpedDiagnostics:
     ginv_base = bframe.ginv
     tr_t = float(np.einsum("ab,ab->", ginv_base, t))
     delta1 = float(grad @ ginv_base @ grad)
-    fiber_scalar = geo.frame(ws.fiber, fiber_pt).scalar
+    fframe = geo.frame(ws.fiber, fiber_pt)
+    fiber_scalar = fframe.scalar
 
     n, p = ws.dim, ws.base_dim
     if p == 2 and n >= 4:
@@ -206,64 +206,36 @@ def diagnostics(ws: WarpedSpec, point) -> WarpedDiagnostics:
     else:
         rho0 = rho1 = rho2 = rho3 = mu1 = mu2 = None
     return WarpedDiagnostics(
-        f_value, t, tr_t, delta1, bframe.scalar, fiber_scalar,
-        rho0, rho1, rho2, rho3, mu1, mu2,
+        geo.frame(ws.product, point), bframe, fframe, f_value, grad,
+        t, tr_t, delta1, rho0, rho1, rho2, rho3, mu1, mu2,
     )
 
 
-def t_proportionality_residual(ws: WarpedSpec, point) -> float:
+def t_proportionality_residual(d: WarpedDiagnostics) -> float:
     """How far T is from (tr T / 2) ĝ; zero characterizes the
     pseudosymmetric warped products over 2-dimensional bases."""
-    base_pt, _ = ws.split(point)
-    d = diagnostics(ws, point)
-    ghat = geo.frame(ws.base, base_pt).g
-    return max_abs_residual(d.t, (d.tr_t / ws.base_dim) * ghat)
-
-
-def roter_from_diagnostics(d: WarpedDiagnostics, n: int):
-    """Decomposition coefficients from the block factors (2-D base).
-
-    phi = nu (rho1 - 2 rho2 + rho3), with nu = (mu2 - mu1)^-2, and the
-    companion mu / eta combinations; reduces to
-    phi = 1/((n-3)(mu2 - mu1)) when rho1 = rho2.  Returns a full
-    RoterFit (residual 0: the coefficients are closed forms, not a
-    least-squares solve) with the nu field populated.
-    """
-    if d.mu1 is None:
-        raise geo.GeometryError("block factors need a 2-dimensional base")
-    nu = (d.mu2 - d.mu1) ** -2
-    phi = nu * (d.rho1 - 2 * d.rho2 + d.rho3)
-    mu = nu * ((d.rho2 - d.rho3) * d.mu1 + (d.rho2 - d.rho1) * d.mu2)
-    eta = nu * (d.rho1 * d.mu2**2 - 2 * d.rho2 * d.mu1 * d.mu2 + d.rho3 * d.mu1**2)
-    kappa = 2.0 * d.mu1 + (n - 2) * d.mu2
-    alpha1, alpha2, L_R, L, L_C = _derived(phi, mu, eta, kappa, n)
-    return RoterFit(
-        phi, mu, eta, 0.0, True, True, alpha1, alpha2, L_R, L, L_C,
-        gram_condition=1.0, nu=nu,
-    )
+    return max_abs_residual(d.t, (d.tr_t / d.base_frame.dim) * d.base_frame.g)
 
 
 # ---------------------------------------------------------------------------
 # Cross-checks against the assembled product
 
-def _fiber_frame(ws: WarpedSpec, point):
-    _, fiber_pt = ws.split(point)
-    return geo.frame(ws.fiber, fiber_pt)
+def _split_blocks_residual(T, p: int) -> float:
+    """Worst zero residual of the (0,4) blocks with an odd base/fiber split."""
+    blocks = (T[:p, :p, :p, p:], T[:p, :p, p:, p:], T[:p, p:, p:, p:])
+    return max(zero_residual(block, T) for block in blocks)
 
 
-def verify_product_christoffels(ws: WarpedSpec, point) -> float:
+def verify_product_christoffels(d: WarpedDiagnostics) -> float:
     """Max-abs residual of the product connection against its closed form.
 
     Blocks: base and fiber Christoffels pass through; the mixed blocks
     are G^a_{αβ} = -(1/2) ĝ^{ab} F_b g̃_{αβ} and
     G^α_{aβ} = (1/(2F)) F_a δ^α_β; everything else vanishes.
     """
-    base_pt, _ = ws.split(point)
-    p, m, n = ws.base_dim, ws.fiber_dim, ws.dim
-    pframe = geo.frame(ws.product, point)
-    bframe = geo.frame(ws.base, base_pt)
-    fframe = _fiber_frame(ws, point)
-    f_value, grad, _ = _warp_data(ws, base_pt)
+    pframe, bframe, fframe = d.frame, d.base_frame, d.fiber_frame
+    p, m, n = bframe.dim, fframe.dim, pframe.dim
+    f_value, grad = d.f_value, d.grad
 
     expected = np.zeros((n, n, n))
     expected[:p, :p, :p] = bframe.gamma
@@ -279,7 +251,7 @@ def verify_product_christoffels(ws: WarpedSpec, point) -> float:
     return max_abs_residual(pframe.gamma, expected)
 
 
-def verify_curvature_blocks(ws: WarpedSpec, point) -> dict[str, float]:
+def verify_curvature_blocks(d: WarpedDiagnostics) -> dict[str, float]:
     """Residuals of the curvature/Ricci block closed forms.
 
     Checks, against the direct curvature of the product:
@@ -292,12 +264,8 @@ def verify_curvature_blocks(ws: WarpedSpec, point) -> dict[str, float]:
       ricci_mixed     S_aα = 0
       scalar          κ = κ̂ + κ̃/F - ((n-p)/F)(tr T + (n-p-1)/(4F) Δ₁F)
     """
-    base_pt, _ = ws.split(point)
-    p, n = ws.base_dim, ws.dim
-    pframe = geo.frame(ws.product, point)
-    bframe = geo.frame(ws.base, base_pt)
-    fframe = _fiber_frame(ws, point)
-    d = diagnostics(ws, point)
+    pframe, bframe, fframe = d.frame, d.base_frame, d.fiber_frame
+    p, n = bframe.dim, pframe.dim
     R, S = pframe.riemann, pframe.ricci
     g_t, R_t = fframe.g, fframe.riemann
     G_t = unit_curvature(g_t)
@@ -309,14 +277,7 @@ def verify_curvature_blocks(ws: WarpedSpec, point) -> dict[str, float]:
     out["riemann_fiber"] = max_abs_residual(
         R[p:, p:, p:, p:], d.f_value * R_t - (d.delta1 / 4.0) * G_t
     )
-    zero_worst = 0.0
-    for block in (
-        R[: p, : p, : p, p:],
-        R[: p, : p, p:, p:],
-        R[: p, p:, p:, p:],
-    ):
-        zero_worst = max(zero_worst, zero_residual(block, R))
-    out["riemann_zero"] = zero_worst
+    out["riemann_zero"] = _split_blocks_residual(R, p)
     out["ricci_base"] = max_abs_residual(
         S[:p, :p], bframe.ricci - ((n - p) / (2.0 * d.f_value)) * d.t
     )
@@ -327,8 +288,8 @@ def verify_curvature_blocks(ws: WarpedSpec, point) -> dict[str, float]:
     )
     out["ricci_mixed"] = zero_residual(S[:p, p:], S)
     closed_scalar = (
-        d.base_scalar
-        + d.fiber_scalar / d.f_value
+        bframe.scalar
+        + fframe.scalar / d.f_value
         - ((n - p) / d.f_value) * (d.tr_t + (n - p - 1) / (4.0 * d.f_value) * d.delta1)
     )
     out["scalar"] = scalar_residual(pframe.scalar, closed_scalar)
@@ -339,7 +300,7 @@ def verify_curvature_blocks(ws: WarpedSpec, point) -> dict[str, float]:
     return out
 
 
-def verify_weyl_blocks(ws: WarpedSpec, point) -> dict[str, float]:
+def verify_weyl_blocks(d: WarpedDiagnostics) -> dict[str, float]:
     """Residuals of the conformal-tensor block forms for a 2-D base.
 
     C_abcd = ((n-3) ρ₀/(n-1)) G_abcd,
@@ -348,16 +309,12 @@ def verify_weyl_blocks(ws: WarpedSpec, point) -> dict[str, float]:
     with G built from the full product metric.  These are claims the
     engine verifies against the direct Weyl tensor, not assumptions.
     """
-    p, n = ws.base_dim, ws.dim
+    p, n = d.base_frame.dim, d.frame.dim
     if p != 2:
         raise geo.GeometryError("conformal block forms require a 2-dimensional base")
-    if n == 4 and ws.fiber_dim != 2:
+    if n == 4 and d.fiber_frame.dim != 2:
         raise geo.GeometryError("dimension-4 products need a 2-dimensional fiber")
-    pframe = geo.frame(ws.product, point)
-    d = diagnostics(ws, point)
-    C = pframe.weyl
-    G = unit_curvature(pframe.g)
-    rho0 = d.rho0
+    C, G, rho0 = d.frame.weyl, unit_curvature(d.frame.g), d.rho0
     out = {
         "weyl_base": max_abs_residual(
             C[:p, :p, :p, :p], ((n - 3) * rho0 / (n - 1)) * G[:p, :p, :p, :p]
@@ -370,25 +327,20 @@ def verify_weyl_blocks(ws: WarpedSpec, point) -> dict[str, float]:
             C[p:, p:, p:, p:], (2 * rho0 / ((n - 2) * (n - 1))) * G[p:, p:, p:, p:]
         ),
     }
-    zero_worst = 0.0
-    for block in (C[:p, :p, :p, p:], C[:p, :p, p:, p:], C[:p, p:, p:, p:]):
-        zero_worst = max(zero_worst, zero_residual(block, C))
-    out["weyl_zero"] = zero_worst
+    out["weyl_zero"] = _split_blocks_residual(C, p)
     return out
 
 
-def verify_proportional_blocks(ws: WarpedSpec, point) -> dict[str, float]:
+def verify_proportional_blocks(d: WarpedDiagnostics) -> dict[str, float]:
     """Block-proportionality residuals when T = (tr T / 2) ĝ holds.
 
     R_abcd = ρ₁ G, R_αbcβ = ρ₂ G, R_αβγδ = ρ₃ G, S_ab = μ₁ g,
     S_αβ = μ₂ g, each against the direct product curvature.
     """
-    p, n = ws.base_dim, ws.dim
+    p = d.base_frame.dim
     if p != 2:
         raise geo.GeometryError("block factors require a 2-dimensional base")
-    pframe = geo.frame(ws.product, point)
-    d = diagnostics(ws, point)
-    R, S, g = pframe.riemann, pframe.ricci, pframe.g
+    R, S, g = d.frame.riemann, d.frame.ricci, d.frame.g
     G = unit_curvature(g)
     return {
         "block_riemann_base": max_abs_residual(
@@ -405,16 +357,15 @@ def verify_proportional_blocks(ws: WarpedSpec, point) -> dict[str, float]:
     }
 
 
-def conformal_flatness_test(ws: WarpedSpec, point) -> tuple[float, bool]:
+def conformal_flatness_test(d: WarpedDiagnostics) -> tuple[float, bool]:
     """(ρ₀, weyl-flat?) with flatness decided by |ρ₀| against the scale
     of its own terms; the Weyl block forms tie the two together."""
-    d = diagnostics(ws, point)
     if d.rho0 is None:
         raise geo.GeometryError("rho0 requires a 2-dimensional base")
-    n = ws.dim
+    n = d.frame.dim
     scale = (
-        abs(d.base_scalar) / 2.0
-        + abs(d.fiber_scalar) / ((n - 3) * (n - 2) * d.f_value)
+        abs(d.base_frame.scalar) / 2.0
+        + abs(d.fiber_frame.scalar) / ((n - 3) * (n - 2) * d.f_value)
         + abs(d.tr_t) / (2.0 * d.f_value)
         + abs(d.delta1) / (4.0 * d.f_value**2)
         + 1.0

@@ -3,6 +3,8 @@
 import random
 
 from curvcheck import expr as ex
+from curvcheck import geometry as geo
+from curvcheck import roter
 from curvcheck.expr import IntPow, Num, Unary, Var, evaluate
 
 COORDS = ("x", "y")
@@ -50,3 +52,13 @@ def central_difference(e, point, name, h=1e-5):
     hi[name] += h
     lo[name] -= h
     return (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
+
+
+def fits_and_products(fam, point):
+    """(source, image) Roter fits and curvature products of a warped family
+    at a point, as the factor relations and the psi-Ricci identity take them."""
+    frames = [geo.frame(member.product, point) for member in (fam.source, fam.image)]
+    return (
+        tuple(roter.fit_roter(f) for f in frames),
+        tuple(roter.curvature_products(f) for f in frames),
+    )

@@ -16,6 +16,7 @@ R_hijk from the README formula in both signatures as an independent
 oracle for the engine's sign.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -39,7 +40,7 @@ from curvcheck.curvops import (
     tensor_residual,
     unit_curvature,
 )
-from helpers import central_difference, random_expr, random_point
+from helpers import central_difference, fits_and_products, random_expr, random_point
 
 RNG_SEED = 20240817
 
@@ -362,11 +363,10 @@ def test_criterion_4_family_end_to_end():
                     worst_mapping = max(worst_mapping, res)
                     if res > 1e-9:
                         failures.append((branch, n, check, res))
-                sfit = roter.fit_roter(geo.frame(src, pt))
-                ifit = roter.fit_roter(geo.frame(img, pt))
-                lr_src.append(sfit.L_R)
-                lr_img.append(ifit.L_R)
-                relations = gm.factor_relations(fam, pt, sfit, ifit)
+                fits, products = fits_and_products(fam, pt)
+                lr_src.append(fits[0].L_R)
+                lr_img.append(fits[1].L_R)
+                relations = gm.factor_relations(fam, pt, fits, products)
                 for check in ("l_r_value", "l_r_image_value", "lkappa",
                               "lcr_source", "lcr_image", "lc_ratio",
                               "l_source", "l_image",
@@ -408,7 +408,7 @@ def test_criterion_5_classification_dichotomy():
             for member in (toggled.source, toggled.image):
                 frame = geo.frame(member.product, pt)
                 kind = roter.classify(frame).kind
-                rho0, flat = wp.conformal_flatness_test(member, pt)
+                rho0, flat = wp.conformal_flatness_test(wp.diagnostics(member, pt))
                 if kind != roter.EINSTEIN:
                     failures.append((n, "toggle-classify", kind))
                 if not flat or abs(rho0) > 1e-9:
@@ -532,8 +532,10 @@ def test_criterion_7_psi_ricci_identity():
         ))
         rng = np.random.default_rng([RNG_SEED, hash(branch) % 2**31])
         pt = family_points(fam, rng, 1)[0]
-        worst = max(worst, gm.psi_ricci_identity_residual(fam, pt))
-        controls.append(gm.psi_ricci_identity_residual(fam, pt, phi_scale=1.01))
+        (sfit, ifit), products = fits_and_products(fam, pt)
+        perturbed = (sfit, dataclasses.replace(ifit, phi=1.01 * ifit.phi))
+        worst = max(worst, gm.psi_ricci_identity_residual(fam, pt, (sfit, ifit), products))
+        controls.append(gm.psi_ricci_identity_residual(fam, pt, perturbed, products))
     ok = worst <= 1e-7 and all(c > 1e-4 for c in controls)
     report(7, ok, f"identity residual worst = {worst:.3e} over 3 instances; "
                   f"perturbation controls min = {min(controls):.3e} (> 1e-4)")

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from curvcheck import cli
+from curvcheck import cli, curvops, roter
+from curvcheck import expr as ex
+from curvcheck import geometry as geo
+from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
 
 
@@ -108,6 +111,50 @@ class TestValidation:
         proc = run_cli(["run", "no_such_entry", "--out", str(tmp_path)])
         assert proc.returncode == 2
 
+    def test_name_with_path_exits_2(self, tmp_path):
+        # The name is the report file stem; "../escaped" would write the
+        # report outside --out.
+        bad = self.good()
+        bad["name"] = "../escaped"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert not list(tmp_path.glob("escaped.*"))
+        for name in ("a/b", "", ".hidden", "-dash"):
+            bad["name"] = name
+            with pytest.raises(cli.ManifestError):
+                cli.validate_manifest(bad)
+
+    def test_non_positive_tolerance_rejected(self):
+        for value in (0, -1e-9):
+            bad = self.good()
+            bad["tolerances"] = {"geo": value}
+            with pytest.raises(cli.ManifestError):
+                cli.validate_manifest(bad)
+
+    def test_non_finite_json_constant_exits_2(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**self.good(), "tolerances": {"geo": float("nan")}}))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert "NaN" in proc.stderr
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_exits_2(self, tmp_path, points):
+        proc = run_cli(["run", "flat_space", "--points", points, "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(cli.ManifestError):
+            cli.run_manifest(corpus_get("flat_space"), points=int(points))
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_scale_exits_2(self, tmp_path, scale):
+        proc = run_cli(["run", "flat_space", "--tol-scale", scale, "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestRun:
     def test_flat_space_in_process(self):
@@ -205,6 +252,58 @@ class TestRun:
         assert len(errors) == 1
         assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
         assert all(r["ok"] for r in records if r["check"] != "error")
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name wherever curvcheck binds it; returns the call log."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "curvcheck":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+class TestSharedEvaluation:
+    def test_each_target_point_evaluated_once(self, monkeypatch):
+        # Every suite reads one diagnostics, one Roter fit and one product
+        # set per (target, point); identity_suite's products serve the
+        # geodesic factor relations too.
+        diagnostics = count_calls(monkeypatch, wp, "diagnostics")
+        fits = count_calls(monkeypatch, roter, "fit_roter")
+        derivations = count_calls(monkeypatch, curvops, "derivation_apply")
+        records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=2)
+        assert summary["ok"]
+        target_points = {(r["target"], r["point_index"]) for r in records
+                         if r["target"] in ("source", "image")}
+        assert len(target_points) == 4
+        assert len(diagnostics) == len(target_points)
+        assert len(fits) == len(target_points)
+        assert len(derivations) == 6 * len(target_points)
+
+    def test_failed_piece_is_not_kept(self):
+        # x/abs(x) in dg divides by zero at x = 0: each suite asking for
+        # the frame gets the error again and records it itself.
+        spec = geo.metric_spec(("x", "y"), [["1 + abs(x)", "0"], ["0", "1"]])
+        ev = cli.Evaluation(cli.Target("self", spec), (0.0, 0.5))
+        for _ in range(2):
+            with pytest.raises(ex.DomainError):
+                ev.frame
+        assert "frame" not in vars(ev)
+
+    def test_geodesic_records_do_not_depend_on_other_suites(self):
+        full, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2)
+        alone, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2,
+                                    suites=["geodesic"])
+        geodesic = [r for r in full if r["suite"] == "geodesic"]
+        assert geodesic and alone == geodesic
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

@@ -11,6 +11,7 @@ from curvcheck import geomap as gm
 from curvcheck import roter
 from curvcheck import warped as wp
 from curvcheck.curvops import constancy_residual, scalar_residual
+from helpers import fits_and_products
 
 
 BRANCHES = {
@@ -203,13 +204,15 @@ class TestFamilyCompatibility:
             fam = family_for(branch, n=5)
             rng = np.random.default_rng(6)
             for pt in sample(fam, rng, 2):
-                for name, res in gm.family_image_ricci_forms(fam, pt).items():
+                d_bar = wp.diagnostics(fam.image, pt)
+                for name, res in gm.family_image_ricci_forms(fam, d_bar).items():
                     assert res < 1e-8, (branch, name, res)
 
     def test_warp_profile_pde(self):
         fam = family_for("trigonometric")
         for pt in sample(fam, np.random.default_rng(8), 2):
-            for name, res in gm.warp_profile_pde_residuals(fam, pt).items():
+            d = wp.diagnostics(fam.source, pt)
+            for name, res in gm.warp_profile_pde_residuals(fam, d).items():
                 assert res < 1e-9, (name, res)
 
 
@@ -219,7 +222,8 @@ class TestFactorRelations:
         fam = family_for(branch)
         rng = np.random.default_rng(hash(branch) % 2**32)
         for pt in sample(fam, rng, 2):
-            for name, res in gm.factor_relations(fam, pt).items():
+            relations = gm.factor_relations(fam, pt, *fits_and_products(fam, pt))
+            for name, res in relations.items():
                 assert res <= 1e-8, (branch, name, res)
 
     def test_expected_factor_values(self):
@@ -254,19 +258,24 @@ class TestPsiRicciIdentity:
     def test_identity_holds(self, branch):
         fam = family_for(branch)
         pt = sample(fam, np.random.default_rng(4), 1)[0]
-        assert gm.psi_ricci_identity_residual(fam, pt) <= 1e-7
+        assert gm.psi_ricci_identity_residual(fam, pt, *fits_and_products(fam, pt)) <= 1e-7
 
     def test_perturbation_control(self):
         fam = family_for("affine")
         pt = sample(fam, np.random.default_rng(4), 1)[0]
-        assert gm.psi_ricci_identity_residual(fam, pt, phi_scale=1.01) > 1e-4
+        (sfit, ifit), products = fits_and_products(fam, pt)
+        perturbed = (sfit, dataclasses.replace(ifit, phi=1.01 * ifit.phi))
+        assert gm.psi_ricci_identity_residual(fam, pt, perturbed, products) > 1e-4
 
     def test_semisymmetric_source_rejected(self):
-        fam = gm.build_family(gm.FamilyConfig(c=0.0, d=4.0, c1=2.0, c2=1.0,
-                                              fiber_scalar=8.0,
-                                              allow_conformally_flat=True))
+        # d = 0 gives both members a Roter fit, the source with L_R = 0,
+        # so R.R vanishes there.
+        fam = gm.build_family(gm.FamilyConfig(c=1.0, d=0.0, c1=1.0, c2=0.5))
+        pt = (1.2, 0.3, 0.1, -0.1)
+        fits, products = fits_and_products(fam, pt)
+        assert fits[0].L_R == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(gm.FamilyError):
-            gm.psi_ricci_identity_residual(fam, (1.2, 0.3, 0.1, -0.1))
+            gm.psi_ricci_identity_residual(fam, pt, fits, products)
 
 
 class TestEinsteinToggle:
@@ -281,7 +290,7 @@ class TestEinsteinToggle:
             for member in (fam.source, fam.image):
                 frame = geo.frame(member.product, pt)
                 assert roter.classify(frame).kind == roter.EINSTEIN
-                rho0, flat = wp.conformal_flatness_test(member, pt)
+                rho0, flat = wp.conformal_flatness_test(wp.diagnostics(member, pt))
                 assert flat, rho0
         assert cfg0.fiber_scalar != matched
 
@@ -308,7 +317,7 @@ class TestIndefiniteBase:
         assert roter.classify(f).kind == roter.ROTER
         assert gm.geodesic_compatibility_residual(
             fam.source.product, fam.image.product, fam.psi, pt) < 1e-9
-        relations = gm.factor_relations(fam, pt)
+        relations = gm.factor_relations(fam, pt, *fits_and_products(fam, pt))
         for name, res in relations.items():
             assert res <= 1e-8, (name, res)
         kg, kg_bar = gm.base_gauss_values(fam, pt)

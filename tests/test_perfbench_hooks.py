@@ -1,0 +1,38 @@
+"""The benchmark tracer wraps curvcheck functions by name; a rename in
+src/ must fail here, in the default suite, not only in perfbench/tests."""
+
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # Executed from its source text, so nothing is written under perfbench/.
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def _module(name):
+    return __import__(f"curvcheck.{name}", fromlist=[name])
+
+
+def test_every_wrapped_name_resolves(tracer):
+    for span, module, attr in tracer["WRAPPED"]:
+        assert not attr.startswith("_"), attr
+        fn = getattr(_module(module), attr, None)
+        assert callable(fn), (span, module, attr)
+        assert fn.__module__ == f"curvcheck.{module}", (span, module, attr)
+
+
+def test_roter_entries_take_a_frame_first(tracer):
+    # The tracer reads args[0].dim of every roter call.
+    roter_entries = [attr for _, module, attr in tracer["WRAPPED"] if module == "roter"]
+    assert roter_entries
+    for attr in roter_entries:
+        params = list(inspect.signature(getattr(_module("roter"), attr)).parameters)
+        assert params[0] == "frame", attr

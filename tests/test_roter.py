@@ -110,7 +110,7 @@ class TestIdentitySuite:
     def test_all_ten_on_charged_metric(self):
         f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)
         fit = roter.fit_roter(f)
-        report = roter.identity_suite(f, fit)
+        report = roter.identity_suite(f, fit, roter.curvature_products(f))
         assert set(report) == set(roter.IDENTITY_NAMES)
         for name, residual in report.items():
             assert residual <= 1e-8, name
@@ -118,19 +118,22 @@ class TestIdentitySuite:
     def test_all_ten_on_family(self):
         f = geo.frame(family_n4(), (0.9, 0.35, -0.15, 0.1))
         fit = roter.fit_roter(f)
-        for name, residual in roter.identity_suite(f, fit).items():
+        report = roter.identity_suite(f, fit, roter.curvature_products(f))
+        for name, residual in report.items():
             assert residual <= 1e-8, name
 
     def test_factors_match_direct_proportionality(self):
         f = geo.frame(rn_metric(1.0, 0.5, 0.1), (0.0, 3.1, 1.0, 0.4))
         fit = roter.fit_roter(f)
-        measured = roter.pseudosymmetry_factors(f)
+        products = roter.curvature_products(f)
+        measured = roter.pseudosymmetry_factors(f, products)
         assert scalar_residual(fit.L_R, measured["L_R"].factor) < 1e-8
         assert scalar_residual(fit.L_C, measured["L_C"].factor) < 1e-8
         assert scalar_residual(fit.L, measured["L"].factor) < 1e-8
-        assert measured["L_S"].residual < 1e-8
-        assert scalar_residual(fit.L_R, measured["L_S"].factor) < 1e-8
-        report = roter.identity_suite(f, fit)
+        l_s = roter.ricci_pseudosymmetry(f)
+        assert l_s.residual < 1e-8
+        assert scalar_residual(fit.L_R, l_s.factor) < 1e-8
+        report = roter.identity_suite(f, fit, products)
         for name, key in (("lr_closed_vs_measured", "L_R"),
                           ("lc_closed_vs_measured", "L_C"),
                           ("l_closed_vs_measured", "L")):

@@ -32,6 +32,19 @@ def sample_points(ws, rng, count=4):
     return pts
 
 
+def roter_from_diagnostics(d, n):
+    """(phi, mu, eta, L_R) of the decomposition from the block factors of
+    a 2-D base: phi = nu (rho1 - 2 rho2 + rho3) with nu = (mu2 - mu1)^-2,
+    the companion mu / eta combinations, and L_R from roter's closed form.
+    """
+    nu = (d.mu2 - d.mu1) ** -2
+    phi = nu * (d.rho1 - 2 * d.rho2 + d.rho3)
+    mu = nu * ((d.rho2 - d.rho3) * d.mu1 + (d.rho2 - d.rho1) * d.mu2)
+    eta = nu * (d.rho1 * d.mu2**2 - 2 * d.rho2 * d.mu1 * d.mu2 + d.rho3 * d.mu1**2)
+    L_R = ((n - 2) * (mu * mu - phi * eta) - mu) / phi
+    return phi, mu, eta, L_R
+
+
 RNG = np.random.default_rng(7)
 
 
@@ -44,7 +57,7 @@ class TestAssemble:
         gam = geo.frame(ws.product, pt).gamma
         # mixed Christoffels vanish when F is constant
         assert np.max(np.abs(gam[:2, 2:, 2:])) < 1e-14
-        assert warped.verify_product_christoffels(ws, pt) < 1e-10
+        assert warped.verify_product_christoffels(warped.diagnostics(ws, pt)) < 1e-10
 
     def test_charged_metric_as_warped_product(self):
         # (t, r) base with radius-squared warp over a unit sphere equals
@@ -66,12 +79,12 @@ class TestAssemble:
         fe = geo.frame(explicit, pt)
         assert max_abs_residual(fw.g, fe.g) < 1e-14
         assert max_abs_residual(fw.riemann, fe.riemann) < 1e-12
-        assert warped.verify_product_christoffels(ws, pt) < 1e-10
+        assert warped.verify_product_christoffels(warped.diagnostics(ws, pt)) < 1e-10
 
     def test_family_christoffels(self):
         ws = family()
         for pt in sample_points(ws, RNG, 3):
-            assert warped.verify_product_christoffels(ws, pt) < 1e-10
+            assert warped.verify_product_christoffels(warped.diagnostics(ws, pt)) < 1e-10
 
     def test_coordinate_collision_rejected(self):
         base = geo.flat_metric(2, "y")
@@ -148,25 +161,24 @@ class TestDiagnostics:
     def test_t_proportionality_on_family(self):
         ws = family(D=3.0, C=1.0, profile="exp(t) + 0.5*exp(-t)")
         for pt in sample_points(ws, RNG, 3):
-            assert warped.t_proportionality_residual(ws, pt) < 1e-9
+            assert warped.t_proportionality_residual(warped.diagnostics(ws, pt)) < 1e-9
 
     def test_block_factors_match_direct_curvature(self):
         ws = family(D=4.0, C=0.0, n=5, fiber_scalar=3.0)
         for pt in [p + (0.1,) for p in [(1.0, 0.2, 0.1, -0.1), (1.5, 0.4, -0.2, 0.2)]]:
-            for name, res in warped.verify_proportional_blocks(ws, pt).items():
+            for name, res in warped.verify_proportional_blocks(warped.diagnostics(ws, pt)).items():
                 assert res < 1e-8, name
 
     def test_roter_coefficients_from_blocks(self):
         ws = family()
         pt = sample_points(ws, RNG, 1)[0]
         d = warped.diagnostics(ws, pt)
-        closed = warped.roter_from_diagnostics(d, ws.dim)
+        phi, mu, eta, L_R = roter_from_diagnostics(d, ws.dim)
         fit = roter.fit_roter(geo.frame(ws.product, pt))
-        assert closed.phi == pytest.approx(fit.phi, rel=1e-9)
-        assert closed.mu == pytest.approx(fit.mu, rel=1e-9)
-        assert closed.eta == pytest.approx(fit.eta, rel=1e-9)
-        assert closed.L_R == pytest.approx(fit.L_R, rel=1e-9)
-        assert closed.nu == pytest.approx((d.mu2 - d.mu1) ** -2, rel=1e-12)
+        assert phi == pytest.approx(fit.phi, rel=1e-9)
+        assert mu == pytest.approx(fit.mu, rel=1e-9)
+        assert eta == pytest.approx(fit.eta, rel=1e-9)
+        assert L_R == pytest.approx(fit.L_R, rel=1e-9)
 
 
 class TestCurvatureBlocks:
@@ -175,7 +187,7 @@ class TestCurvatureBlocks:
         ws = family(D=4.0, C=0.0, n=n, fiber_scalar=fiber_scalar)
         rng = np.random.default_rng(n)
         for pt in sample_points(ws, rng, 2):
-            report = warped.verify_curvature_blocks(ws, pt)
+            report = warped.verify_curvature_blocks(warped.diagnostics(ws, pt))
             for name, res in report.items():
                 assert res < 1e-8, (name, res)
 
@@ -185,17 +197,17 @@ class TestCurvatureBlocks:
         fiber = warped.constant_curvature_fiber(3, 6.0)
         ws = warped.assemble(base, fiber, "exp(u) + v^2 + 1")
         pt = (0.3, 0.5, 0.1, -0.2, 0.15)
-        for name, res in warped.verify_curvature_blocks(ws, pt).items():
+        for name, res in warped.verify_curvature_blocks(warped.diagnostics(ws, pt)).items():
             assert res < 1e-8, (name, res)
 
     def test_one_dimensional_base(self):
         base = geo.diagonal_metric(("x",), [["1"]][0])
         fiber = warped.constant_curvature_fiber(3, 6.0)
         ws = warped.assemble(base, fiber, "x^2 + 1")
-        pt = (0.4, 0.1, 0.2, -0.1)
-        for name, res in warped.verify_curvature_blocks(ws, pt).items():
+        d = warped.diagnostics(ws, (0.4, 0.1, 0.2, -0.1))
+        for name, res in warped.verify_curvature_blocks(d).items():
             assert res < 1e-8, (name, res)
-        assert warped.diagnostics(ws, pt).rho0 is None
+        assert d.rho0 is None
 
 
 class TestConformalFlatness:
@@ -205,7 +217,7 @@ class TestConformalFlatness:
         for pt in sample_points(ws, RNG, 3):
             d = warped.diagnostics(ws, pt)
             want = (2.0 / 2.0 - 4.0) / d.f_value  # B' = 2, C = 0
-            rho0, flat = warped.conformal_flatness_test(ws, pt)
+            rho0, flat = warped.conformal_flatness_test(d)
             assert rho0 == pytest.approx(want, rel=1e-9)
             assert not flat
 
@@ -214,7 +226,7 @@ class TestConformalFlatness:
             ws = family(D=4.0, C=0.0, n=n, fiber_scalar=ks)
             rng = np.random.default_rng(n + 10)
             for pt in sample_points(ws, rng, 2):
-                for name, res in warped.verify_weyl_blocks(ws, pt).items():
+                for name, res in warped.verify_weyl_blocks(warped.diagnostics(ws, pt)).items():
                     assert res < 1e-8, (name, res)
 
     def test_dimension_four_generic_fiber(self):
@@ -223,17 +235,18 @@ class TestConformalFlatness:
         base = geo.diagonal_metric(("u", "v"), ["1 + u^2", "2 + sin(u)"])
         fiber = geo.diagonal_metric(("w", "z"), ["1", "2 + cos(w)"])
         ws = warped.assemble(base, fiber, "exp(u) + v^2 + 1")
-        pt = (0.3, 0.5, 0.4, -0.2)
-        for name, res in warped.verify_curvature_blocks(ws, pt).items():
+        d = warped.diagnostics(ws, (0.3, 0.5, 0.4, -0.2))
+        for name, res in warped.verify_curvature_blocks(d).items():
             assert res < 1e-10, (name, res)
-        for name, res in warped.verify_weyl_blocks(ws, pt).items():
+        for name, res in warped.verify_weyl_blocks(d).items():
             assert res < 1e-10, (name, res)
 
     def test_flat_base_flat_fiber_unit_warp(self):
         base = geo.flat_metric(2, "x")
         fiber = warped.constant_curvature_fiber(2, 0.0)
         ws = warped.assemble(base, fiber, "1 + 0*x1")
-        rho0, flat = warped.conformal_flatness_test(ws, (0.1, 0.2, 0.0, 0.1))
+        d = warped.diagnostics(ws, (0.1, 0.2, 0.0, 0.1))
+        rho0, flat = warped.conformal_flatness_test(d)
         assert rho0 == pytest.approx(0.0, abs=1e-14)
         assert flat
 
@@ -246,7 +259,7 @@ class TestConformalFlatness:
             hyperbolic_base(), warped.constant_curvature_fiber(2, matched), "x*(2*t+1)^2"
         )
         pt = (1.2, 0.3, 0.1, -0.1)
-        rho0, flat = warped.conformal_flatness_test(ws, pt)
+        rho0, flat = warped.conformal_flatness_test(warped.diagnostics(ws, pt))
         assert flat
         f = geo.frame(ws.product, pt)
         assert roter.classify(f).kind == roter.EINSTEIN
