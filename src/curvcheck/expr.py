@@ -18,7 +18,9 @@ zero base (no log() is ever introduced on an integer-power chain).
 There is no algebraic simplification beyond light constant folding in
 derivative construction; correctness is by evaluation, not by normal
 form.  All node types are frozen dataclasses, so expressions and
-bindings are safe to share between threads.
+bindings are safe to share between threads.  A node computes its hash
+on first use and stores it outside its fields; two threads that race on
+a first hash() store the same value, so the cache needs no lock.
 """
 
 from __future__ import annotations
@@ -96,27 +98,41 @@ class DomainError(ExprError):
 
 
 # --------------------------------------------------------------------------
-# AST
+# AST.  A frozen dataclass rehashes its whole subtree on every hash(), so
+# each node caches its hash in its instance dict on first use.  The cache
+# is not a field: ==, repr and dataclasses.fields see only the node's data.
+
+def _cached_hash(node) -> int:
+    h = node.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(map(node.__getattribute__, node.__match_args__)))
+        object.__setattr__(node, "_hash", h)
+    return h
+
 
 @dataclass(frozen=True)
 class Num:
     value: float
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Const:
     name: str
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # neg sin cos tan exp log sqrt abs
     arg: "Expr"
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -124,12 +140,14 @@ class Bin:
     op: str  # + - * / pow
     lhs: "Expr"
     rhs: "Expr"
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class IntPow:
     base: "Expr"
     power: int
+    __hash__ = _cached_hash
 
 
 Expr = Union[Num, Const, Var, Unary, Bin, IntPow]
@@ -640,8 +658,8 @@ def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
 # --------------------------------------------------------------------------
 # Compilation.  The geometry engine evaluates thousands of derivative
 # expressions per point; compiling them into one generated function
-# removes the tree-walk overhead.  The generated code mirrors evaluate()
-# operation for operation, so both paths produce bit-identical values.
+# removes the tree-walk overhead.  Each generated operation mirrors
+# evaluate() for its node, so both paths produce bit-identical values.
 
 _COMPILE_NS = {
     "_sin": math.sin,
@@ -656,36 +674,6 @@ _COMPILE_NS = {
 }
 
 
-def _codegen(e: Expr, argnames: Mapping[str, str], consts: Mapping[str, float]) -> str:
-    if isinstance(e, Num):
-        return f"({e.value!r})"
-    if isinstance(e, Var):
-        try:
-            return argnames[e.name]
-        except KeyError:
-            raise UnboundSymbolError(f"coordinate {e.name!r} is not in the chart") from None
-    if isinstance(e, Const):
-        try:
-            return f"({float(consts[e.name])!r})"
-        except KeyError:
-            raise UnboundSymbolError(f"constant {e.name!r} is not bound") from None
-    if isinstance(e, Unary):
-        a = _codegen(e.arg, argnames, consts)
-        if e.op == "neg":
-            return f"(-{a})"
-        return f"_{e.op}({a})"
-    if isinstance(e, Bin):
-        a = _codegen(e.lhs, argnames, consts)
-        b = _codegen(e.rhs, argnames, consts)
-        if e.op == "pow":
-            return f"_pow({a}, {b})"
-        return f"({a} {e.op} {b})"
-    if isinstance(e, IntPow):
-        a = _codegen(e.base, argnames, consts)
-        return f"({a} ** ({e.power}))"
-    raise ExprError(f"not an expression node: {e!r}")
-
-
 def compile_exprs(
     exprs: Sequence[Expr],
     coords: Sequence[str],
@@ -697,11 +685,56 @@ def compile_exprs(
     for e in exprs).  Constants are inlined at compile time.  Domain
     failures raise the interpreter's native ValueError / ZeroDivisionError /
     OverflowError; jet() turns them into an attributed DomainError.
+
+    The function is straight-line code: leaves are inlined, and every
+    distinct interior node becomes one temporary, _tK = <op>(<child
+    refs>), assigned after its children.  Temporaries are keyed by that
+    operation text rather than by ==, because Num(0.0) == Num(-0.0)
+    while the two literals compute different signs.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
-    body = ", ".join(_codegen(e, argnames, consts) for e in exprs)
+    temps: dict[str, str] = {}  # operation text -> temporary
+    refs: dict[int, str] = {}  # id(node) -> inlined leaf or temporary
+    lines = []
+
+    def ref(e: Expr) -> str:
+        r = refs.get(id(e))
+        if r is not None:
+            return r
+        if isinstance(e, Num):
+            r = f"({e.value!r})"
+        elif isinstance(e, Var):
+            try:
+                r = argnames[e.name]
+            except KeyError:
+                raise UnboundSymbolError(f"coordinate {e.name!r} is not in the chart") from None
+        elif isinstance(e, Const):
+            try:
+                r = f"({float(consts[e.name])!r})"
+            except KeyError:
+                raise UnboundSymbolError(f"constant {e.name!r} is not bound") from None
+        else:
+            if isinstance(e, Unary):
+                a = ref(e.arg)
+                text = f"(-{a})" if e.op == "neg" else f"_{e.op}({a})"
+            elif isinstance(e, Bin):
+                a, b = ref(e.lhs), ref(e.rhs)
+                text = f"_pow({a}, {b})" if e.op == "pow" else f"({a} {e.op} {b})"
+            elif isinstance(e, IntPow):
+                text = f"({ref(e.base)} ** ({e.power}))"
+            else:
+                raise ExprError(f"not an expression node: {e!r}")
+            r = temps.get(text)
+            if r is None:
+                r = temps[text] = f"_t{len(temps)}"
+                lines.append(f"    {r} = {text}\n")
+        refs[id(e)] = r
+        return r
+
+    outs = [ref(e) for e in exprs]
     trailing = "," if len(exprs) == 1 else ""
-    src = f"def _compiled({', '.join(argnames.values())}):\n    return ({body}{trailing})"
+    src = (f"def _compiled({', '.join(argnames.values())}):\n"
+           + "".join(lines) + f"    return ({', '.join(outs)}{trailing})\n")
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
     return namespace["_compiled"]

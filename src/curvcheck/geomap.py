@@ -358,7 +358,6 @@ def geodesic_compatibility_residual(
     conn_spec: geo.MetricSpec, image_spec: geo.MetricSpec, psi: PsiField, point
 ) -> float:
     """Max-abs residual of ∇_k ḡ_ij = 2ψ_k ḡ_ij + ψ_i ḡ_jk + ψ_j ḡ_ik."""
-    geo.require_admissible(conn_spec, point)
     lhs = geo.covariant_derivative_02(conn_spec, image_spec.components, point)
     gbar = geo.frame(image_spec, point).g
     pv = psi.values(point)

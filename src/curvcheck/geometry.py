@@ -44,7 +44,6 @@ __all__ = [
     "flat_metric",
     "constant_curvature_2d",
     "admissible",
-    "require_admissible",
     "frame",
     "gauss_curvature",
     "covariant_derivative_02",
@@ -218,10 +217,6 @@ def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
     except (GeometryError, ex.ExprError):
         return False
     return True
-
-
-def require_admissible(spec: MetricSpec, point: Sequence[float]) -> None:
-    _metric_jet(spec, point)
 
 
 def _is_singular(g: np.ndarray) -> bool:

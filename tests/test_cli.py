@@ -253,6 +253,28 @@ class TestRun:
         assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
         assert all(r["ok"] for r in records if r["check"] != "error")
 
+    def test_long_formula_runs_green(self, tmp_path):
+        # 251 terms: compiled as one nested expression, this overflowed
+        # compile()'s parenthesis limit with a SyntaxError.
+        poly = " + ".join(f"0.001*x^{k}" for k in range(1, 251))
+        manifest = {
+            "name": "long_formula", "seed": 1, "points": 2,
+            "manifolds": [{
+                "name": "long", "kind": "explicit", "coords": ["x", "y"],
+                "metric": [["1 + " + poly, "0"], ["0", "1"]],
+                "box": {"x": [0.1, 0.5], "y": [-1.0, 1.0]},
+            }],
+        }
+        path = tmp_path / "long_formula.json"
+        path.write_text(json.dumps(manifest))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "out" / "long_formula.records.jsonl").read_text().splitlines()
+        ]
+        assert records and all(r["ok"] for r in records)
+
 
 def count_calls(monkeypatch, module, name) -> list:
     """Wrap module.name wherever curvcheck binds it; returns the call log."""

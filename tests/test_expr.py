@@ -1,5 +1,7 @@
 """Parser, evaluator and exact-derivative tests."""
 
+import copy
+import dataclasses
 import math
 import random
 
@@ -307,3 +309,143 @@ def test_compiled_inlines_constants():
     assert f(1.5) == (2.0 * 1.5 + 9.0,)
     with pytest.raises(UnboundSymbolError):
         compile_exprs([e], ["x"], {"M": 2.0})
+
+
+# ---------------------------------------------------------------------------
+# Straight-line programs: one temporary per distinct node, cached hashes.
+
+def _bits(values):
+    """repr round-trips a double exactly, so equal reprs mean equal bits."""
+    return [repr(float(v)) for v in values]
+
+
+def test_long_sum_compiles_bit_for_bit():
+    # As one nested expression, 300 terms overflowed compile()'s
+    # parenthesis limit.
+    e = parse(" + ".join(f"{0.25 * (k + 1)}*x^{k % 5}*y" for k in range(300)), COORDS)
+    f = compile_exprs([e, diff(e, "x")], COORDS, {})
+    for point in ({"x": 0.3, "y": -1.1}, {"x": -1.7, "y": 0.4}):
+        want = [evaluate(e, point), evaluate(diff(e, "x"), point)]
+        assert _bits(f(point["x"], point["y"])) == _bits(want)
+
+
+def _shared_dag(rng: random.Random) -> list:
+    """Expressions that reuse subtree objects and hold equal copies of them.
+
+    Every combination keeps magnitudes bounded, and Num(0.0) sits beside
+    Num(-0.0), which == equates but which multiply to different signs.
+    """
+    pool = [Var("x"), Var("y"), Num(0.0), Num(-0.0), Num(1.5)]
+    for _ in range(rng.randint(4, 24)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        kind = rng.randrange(6)
+        if kind == 0:
+            pool.append(random_expr(rng, rng.choice([1, 2])))
+        elif kind == 1:
+            pool.append(copy.deepcopy(a))  # equal, not identical
+        elif kind == 2:
+            pool.append(Bin(rng.choice("+-"), a, b))
+        elif kind == 3:
+            pool.append(Bin("*", a, Unary("cos", b)))
+        elif kind == 4:
+            pool.append(IntPow(Unary("sin", a), 2))
+        else:
+            pool.append(Bin("*", rng.choice([Num(0.0), Num(-0.0)]), Unary("neg", a)))
+    return [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_dag_program_matches_treewalk(seed):
+    rng = random.Random(seed)
+    exprs = _shared_dag(rng)
+    f = compile_exprs(exprs, COORDS, {})
+    program = ex.jet(tuple(exprs), COORDS, Bindings(), 2)
+    for _ in range(3):
+        p = random_point(rng)
+        want = [evaluate(e, p) for e in exprs]
+        assert _bits(f(p["x"], p["y"])) == _bits(want)
+        values, first, second = program((p["x"], p["y"]))
+        assert values.tolist() == want
+        for k, ck in enumerate(COORDS):
+            for i, e in enumerate(exprs):
+                dk = diff(e, ck)
+                assert first[k, i] == evaluate(dk, p)
+                for l in range(k + 1):
+                    assert second[l, k, i] == second[k, l, i] == evaluate(diff(dk, COORDS[l]), p)
+
+
+def test_shared_failing_node_keeps_its_attribution():
+    bad = Unary("log", Var("x"))
+    exprs = (Bin("+", Var("y"), bad), Bin("*", bad, Var("y")), IntPow(bad, 2))
+    point = {"x": -1.0, "y": 0.5}
+    with pytest.raises(DomainError) as direct:
+        evaluate(exprs[0], point)
+    with pytest.raises(DomainError) as compiled:
+        ex.jet(exprs, COORDS, Bindings(), 2)((point["x"], point["y"]))
+    assert compiled.value.subexpr == direct.value.subexpr == "log(x)"
+
+
+def _distinct_interior_nodes(exprs, consts) -> int:
+    """Structurally distinct interior nodes of exprs.  A leaf is keyed by
+    the value it stands for: a constant is inlined as its bound value."""
+    interned: dict[tuple, int] = {}
+    memo: dict[int, int] = {}
+
+    def key(e) -> int:
+        if id(e) not in memo:
+            if isinstance(e, Num):
+                k = ("leaf", repr(e.value))
+            elif isinstance(e, ex.Const):
+                k = ("leaf", repr(float(consts[e.name])))
+            elif isinstance(e, Var):
+                k = ("leaf", e.name)
+            elif isinstance(e, Unary):
+                k = ("unary", e.op, key(e.arg))
+            elif isinstance(e, Bin):
+                k = ("bin", e.op, key(e.lhs), key(e.rhs))
+            else:
+                k = ("intpow", e.power, key(e.base))
+            memo[id(e)] = interned.setdefault(k, len(interned))
+        return memo[id(e)]
+
+    for e in exprs:
+        key(e)
+    return sum(1 for k in interned if k[0] != "leaf")
+
+
+def test_n6_jet_has_one_temporary_per_distinct_node(monkeypatch):
+    from curvcheck import cli
+    from curvcheck.corpus import corpus_get
+
+    job = cli.build_job(corpus_get("theorem41_c_neg_n6")["manifolds"][0])
+    spec = next(t.spec for t in job.targets if t.label == "image")
+    built = []
+
+    def recording(exprs, coords, consts):
+        program = compile_exprs(exprs, coords, consts)
+        built.append((list(exprs), program))
+        return program
+
+    monkeypatch.setattr(ex, "compile_exprs", recording)
+    components = tuple(e for row in spec.components for e in row)
+    ex.jet.__wrapped__(components, spec.coords, spec.bindings, 2)  # bypass the cache
+    ((ordered, program),) = built
+    temporaries = program.__code__.co_nlocals - len(spec.coords)
+    assert temporaries == _distinct_interior_nodes(ordered, spec.bindings)
+
+
+def test_equal_nodes_built_separately_hash_and_compare_equal():
+    a = parse("sin(x)^2 + M*x/(1 - x)", ["x"], ["M"])
+    b = parse("sin(x)^2 + M*x/(1 - x)", ["x"], ["M"])
+    assert a is not b
+    assert hash(a) == hash(b) and a == b
+    assert hash(diff(a, "x")) == hash(diff(b, "x")) and diff(a, "x") == diff(b, "x")
+    assert repr(a) == repr(b) and "_hash" not in repr(a)
+
+
+def test_cached_hash_is_not_a_field():
+    e = parse("x*(1 + x)", ["x"])
+    hash(e)
+    assert [f.name for f in dataclasses.fields(Bin)] == ["op", "lhs", "rhs"]
+    assert e == Bin("*", Var("x"), Bin("+", Num(1.0), Var("x")))

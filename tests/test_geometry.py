@@ -214,10 +214,10 @@ class TestAdmissibility:
         spec = rn_metric(1.0, 1.0, 0.0)  # h(r) = (1 - 1/r)^2 vanishes at r=1
         assert not geo.admissible(spec, (0.0, 1.0, 1.2, 0.3))
 
-    def test_require_admissible_raises_with_condition(self):
+    def test_inadmissible_frame_raises_with_condition(self):
         spec = rn_metric(1.0, 1.0, 0.0)
         with pytest.raises(geo.InadmissiblePointError):
-            geo.require_admissible(spec, (0.0, 3.0, 0.0, 0.3))  # sin(th) = 0
+            geo.frame(spec, (0.0, 3.0, 0.0, 0.3))  # sin(th) = 0
 
     def test_determinant_guard(self):
         spec = geo.diagonal_metric(("x", "y"), ["x", "1"])
