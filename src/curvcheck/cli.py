@@ -404,7 +404,7 @@ def _record(job, target, index, point, suite, thresholds,
         "manifold": job.name,
         "target": target,
         "point_index": index,
-        "point": [round(v, 12) for v in point],
+        "point": point,
         "suite": suite,
         "check": check,
         "residual": float(residual),
@@ -481,7 +481,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
             res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
             yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
     if expect.get("ricci_pseudosymmetric"):
-        rp = roter.ricci_pseudosymmetry(f)
+        rp = roter.ricci_pseudosymmetry(f, ev.products)
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
@@ -624,7 +624,7 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
         pts = sample_points(job, count, rng)
         m_suites = _expand_suites(job.definition.get("suites", [])) or selected
         for suite, label, idx, pt, checks in _suite_runs(job, pts, m_suites):
-            site = (job, label, idx, pt, suite, thresholds)
+            site = (job, label, idx, [round(v, 12) for v in pt], suite, thresholds)
             try:
                 for check in checks:
                     records.append(_record(*site, *check))

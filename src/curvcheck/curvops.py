@@ -10,8 +10,10 @@ rank of shifted Ricci tensors.
 B . T and Q(A,T) are one operation: the derivation of T by a skew
 endomorphism field, B(X,Y) (the (0,4) tensor B with its last slot
 raised) or X ^_A Y.  Both go through one slot-generic kernel that
-contracts the endomorphism into each slot of T in turn, so they serve
-tensors of any order.
+contracts the endomorphism into each slot of T in turn, one matrix
+product per slot, so they serve tensors of any order.  rank_shift
+accepts an array of alpha and ranks the whole scan with one stacked
+SVD.
 
 Component arrays are indexed in direct slot order, T[a,b,c,d] =
 T(e_a, e_b, e_c, e_d).  For tensors with the curvature pair symmetries
@@ -121,12 +123,17 @@ def _endomorphism(B4: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def _derive(E: np.ndarray, T: np.ndarray) -> np.ndarray:
     # (E . T)[a_1..a_k, x, y] = -sum_j T(a_1, .., E(x,y) e_{a_j}, .., a_k):
-    # one contraction per slot of T, whatever its order.
-    k = T.ndim
+    # one matrix product per slot of T, whatever its order, subtracted
+    # into out through a transposed view of the product.
+    k, n = T.ndim, T.shape[0]
     out = np.zeros(T.shape + E.shape[:2])
+    E_rows = E.reshape(n ** 3, n)  # [(x, y, i), s]
+    shape = E.shape[:3] + T.shape[1:]
     for slot in range(k):
-        term = np.tensordot(E, T, axes=([3], [slot]))  # [x, y, a_slot, other slots]
-        out -= np.moveaxis(term, (0, 1, 2), (k, k + 1, slot))
+        others = [j for j in range(k) if j != slot]
+        term = (E_rows @ T.transpose(slot, *others).reshape(n, -1)).reshape(shape)
+        # term is [x, y, a_slot, other slots]; view it in out's slot order.
+        out -= term.transpose(*range(3, slot + 3), 2, *range(slot + 3, k + 2), 0, 1)
     return out
 
 
@@ -196,16 +203,18 @@ def proportionality(lhs, rhs) -> ProportionalityResult:
     return ProportionalityResult(factor, residual, False, "fit")
 
 
-def rank_shift(S, g, alpha: float) -> int:
+def rank_shift(S, g, alpha) -> int | np.ndarray:
     """Numerical rank of S - alpha*g via singular values.
 
-    Threshold 1e-9 * sigma_max; an exactly zero matrix has rank 0.
+    Threshold 1e-9 * sigma_max; an exactly zero matrix has rank 0.  An
+    array of alpha is ranked with one stacked SVD and gives an integer
+    array of its shape; a scalar alpha gives an int.
     """
-    M = _asarray(S) - float(alpha) * _asarray(g)
+    alphas = np.asarray(alpha, dtype=float)
+    M = _asarray(S) - alphas[..., None, None] * _asarray(g)
     sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > 1e-9 * sigma[0]))
+    ranks = np.count_nonzero(sigma > 1e-9 * sigma[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ class ParseError(ExprError):
     """Syntax failure; carries the position of the offending token."""
 
     def __init__(self, message: str, src: str, pos: int):
-        super().__init__(f"{message} at position {pos}: {src!r}")
+        shown = src if len(src) <= 80 else src[:77] + "..."
+        super().__init__(f"{message} at position {pos}: {shown!r}")
         self.src = src
         self.pos = pos
 
@@ -295,6 +296,18 @@ _TOKEN_RE = re.compile(
 # Exponent literals larger than this stay general powers.
 _MAX_INT_POWER = 1_000_000
 
+# Depth limits.  Hashing, ==, diff, evaluate and compile_exprs recurse once
+# per tree level, and the parser about five times per nesting level, so a
+# deep formula would exhaust Python's recursion limit (1000).  The parser
+# allows _MAX_NESTING levels.  Each level of a parsed tree costs the frames
+# the deepest later pass spends on it, order-2 derivatives included (a
+# product deepens its derivative by three levels, a quotient by six; a sum
+# is compared at two frames per level).  The costliest root-to-leaf path
+# must fit in _MAX_DEPTH, which leaves room for the caller's stack.
+_MAX_NESTING = 100
+_MAX_DEPTH = 800
+_LEVEL_COST = {"*": 3, "/": 6, "pow": 5, "cos": 3, "log": 3, "sqrt": 3}  # others: 2
+
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -319,6 +332,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.nesting = 0
         self.coords = set(coords)
         self.consts = set(consts)
         overlap = self.coords & self.consts
@@ -368,14 +382,21 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+        # Every nested bracket, function, sign and exponent passes through here.
+        kind, value, pos = self.peek()
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(f"formula nested more than {_MAX_NESTING} levels deep", self.src, pos)
         if kind == "op" and value == "-":
             self.next()
-            return Unary("neg", self.factor())
-        if kind == "op" and value == "+":
+            e = Unary("neg", self.factor())
+        elif kind == "op" and value == "+":
             self.next()
-            return self.factor()
-        return self.power()
+            e = self.factor()
+        else:
+            e = self.power()
+        self.nesting -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -428,13 +449,35 @@ def _as_int_literal(e: Expr) -> int | None:
     return None
 
 
+def _depth_cost(e: Expr) -> int:
+    # Iterative, since a tree too deep for the recursive passes gets here.
+    worst, stack = 0, [(e, 0)]
+    while stack:
+        node, cost = stack.pop()
+        if isinstance(node, Bin):
+            cost += _LEVEL_COST.get(node.op, 2)
+            stack += [(node.lhs, cost), (node.rhs, cost)]
+        elif isinstance(node, Unary):
+            stack.append((node.arg, cost + _LEVEL_COST.get(node.op, 2)))
+        elif isinstance(node, IntPow):
+            stack.append((node.base, cost + 2))
+        else:
+            worst = max(worst, cost)
+    return worst
+
+
 def parse(src: str, coords: Sequence[str], consts: Iterable[str] = ()) -> Expr:
     """Parse a formula over the declared coordinates and constants.
 
-    Raises ParseError (with position) on bad syntax and
-    UndeclaredSymbolError on identifiers outside the declared names.
+    Raises ParseError (with position) on bad syntax, on nesting deeper
+    than _MAX_NESTING and on a tree whose depth cost exceeds _MAX_DEPTH,
+    and UndeclaredSymbolError on identifiers outside the declared names.
     """
-    return _Parser(src, coords, consts).parse()
+    e = _Parser(src, coords, consts).parse()
+    cost = _depth_cost(e)
+    if cost > _MAX_DEPTH:
+        raise ParseError(f"formula too deep: depth cost {cost} exceeds {_MAX_DEPTH}", src, 0)
+    return e
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,11 @@ Tachibana products the identities compare.  identity_suite(frame, fit,
 products) evaluates the ten tensor identities these scalars satisfy,
 plus three checks of the closed-form L_R, L_C and L against the factors
 pseudosymmetry_factors(frame, products) measures from those same
-products, and reports one residual per entry.  classify sorts a point
-into EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER.
+products, and reports one residual per entry.
+ricci_pseudosymmetry(frame, products) reads R.S and Q(g,S) from the
+same products.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
+ROTER / OTHER; its quasi-Einstein scan and rank_grid_exceeds_one each
+rank all their alpha candidates in one rank_shift call.
 """
 
 from __future__ import annotations
@@ -279,10 +282,14 @@ def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]
     }
 
 
-def ricci_pseudosymmetry(frame: PointFrame) -> ProportionalityResult:
-    """Linear dependence of R.S and Q(g,S), as a standalone check."""
-    RS = derivation_apply(frame.riemann, frame.ricci, frame.ginv)
-    return proportionality(RS, tachibana(frame.g, frame.ricci))
+def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]
+                         ) -> ProportionalityResult:
+    """Linear dependence of R.S and Q(g,S), as a standalone check.
+
+    products are curvature_products(frame); R.S and Q(g,S) are read
+    from them, not rebuilt.
+    """
+    return proportionality(products["RS"], products["QgS"])
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +313,9 @@ def _quasi_einstein_alpha(frame: PointFrame) -> float | None:
     # rank(S - alpha g) can only drop at generalized eigenvalues of the
     # Ricci operator; scan the real ones.
     eigs = np.linalg.eigvals(frame.ginv @ frame.ricci)
-    best = None
-    for lam in eigs:
-        if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
-            continue
-        alpha = float(lam.real)
-        if rank_shift(frame.ricci, frame.g, alpha) <= 1:
-            best = alpha
-            break
-    return best
+    real = [float(lam.real) for lam in eigs if abs(lam.imag) <= 1e-8 * (1.0 + abs(lam.real))]
+    ranks = rank_shift(frame.ricci, frame.g, real)
+    return next((alpha for alpha, r in zip(real, ranks) if r <= 1), None)
 
 
 def classify(frame: PointFrame) -> Classification:
@@ -346,4 +347,4 @@ def rank_grid_exceeds_one(frame: PointFrame, fit: RoterFit | None = None,
     grid.extend(extra)
     eigs = np.linalg.eigvals(frame.ginv @ frame.ricci)
     grid.extend(float(z.real) for z in eigs if abs(z.imag) < 1e-8 * (1 + abs(z.real)))
-    return all(rank_shift(frame.ricci, frame.g, a) > 1 for a in grid)
+    return bool(np.all(rank_shift(frame.ricci, frame.g, grid) > 1))

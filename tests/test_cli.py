@@ -253,27 +253,50 @@ class TestRun:
         assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
         assert all(r["ok"] for r in records if r["check"] != "error")
 
-    def test_long_formula_runs_green(self, tmp_path):
-        # 251 terms: compiled as one nested expression, this overflowed
-        # compile()'s parenthesis limit with a SyntaxError.
-        poly = " + ".join(f"0.001*x^{k}" for k in range(1, 251))
+    @staticmethod
+    def run_formula(tmp_path, g_xx):
+        """Run a 2-D manifest whose g_xx is the given formula."""
         manifest = {
             "name": "long_formula", "seed": 1, "points": 2,
             "manifolds": [{
                 "name": "long", "kind": "explicit", "coords": ["x", "y"],
-                "metric": [["1 + " + poly, "0"], ["0", "1"]],
+                "metric": [[g_xx, "0"], ["0", "1"]],
                 "box": {"x": [0.1, 0.5], "y": [-1.0, 1.0]},
             }],
         }
         path = tmp_path / "long_formula.json"
         path.write_text(json.dumps(manifest))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        return run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+
+    @staticmethod
+    def assert_green(proc, tmp_path):
         assert proc.returncode == 0, proc.stderr
         records = [
             json.loads(line)
             for line in (tmp_path / "out" / "long_formula.records.jsonl").read_text().splitlines()
         ]
         assert records and all(r["ok"] for r in records)
+
+    def test_long_formula_runs_green(self, tmp_path):
+        # 251 terms: compiled as one nested expression, this overflowed
+        # compile()'s parenthesis limit with a SyntaxError.
+        poly = " + ".join(f"0.001*x^{k}" for k in range(1, 251))
+        self.assert_green(self.run_formula(tmp_path, "1 + " + poly), tmp_path)
+
+    def test_long_product_runs_green(self, tmp_path):
+        product = "*".join("(1 + 0.001*x)" for _ in range(250))
+        self.assert_green(self.run_formula(tmp_path, product), tmp_path)
+
+    def test_deep_formula_is_an_error_line(self, tmp_path):
+        # Hashing, diff and evaluate recurse once per level: a 600-term sum
+        # used to die with a RecursionError traceback and no report.
+        poly = " + ".join(f"0.001*x^{k % 7}" for k in range(600))
+        proc = self.run_formula(tmp_path, poly)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "too deep" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -309,6 +332,24 @@ class TestSharedEvaluation:
         assert len(diagnostics) == len(target_points)
         assert len(fits) == len(target_points)
         assert len(derivations) == 6 * len(target_points)
+
+    def test_rank_scans_and_products_once_per_point(self, monkeypatch):
+        # One stacked rank_shift per quasi-Einstein scan and per rank grid;
+        # ricci_pseudosymmetry reads R.S and Q(g,S) from the point's products.
+        scans = count_calls(monkeypatch, roter, "_quasi_einstein_alpha")
+        grids = count_calls(monkeypatch, roter, "rank_grid_exceeds_one")
+        ranks = count_calls(monkeypatch, curvops, "rank_shift")
+        derivations = count_calls(monkeypatch, curvops, "derivation_apply")
+        tachibanas = count_calls(monkeypatch, curvops, "tachibana")
+        ricci = count_calls(monkeypatch, roter, "ricci_pseudosymmetry")
+        records, summary = cli.run_manifest(corpus_get("rn_lambda0"), points=2)
+        assert summary["ok"]
+        target_points = {(r["target"], r["point_index"]) for r in records}
+        assert len(target_points) == 3  # the pinned point and two sampled ones
+        assert scans and grids and len(ranks) == len(scans) + len(grids)
+        assert len(ricci) == len(target_points)
+        assert len(derivations) == 6 * len(target_points)
+        assert len(tachibanas) == 6 * len(target_points)
 
     def test_failed_piece_is_not_kept(self):
         # x/abs(x) in dg divides by zero at x = 0: each suite asking for

@@ -67,6 +67,17 @@ def reference_tachibana(A, T):
     )
 
 
+def tensordot_derive(E, T):
+    # The derivation kernel as it was before it moved to one matrix
+    # product per slot: tensordot, then moveaxis into place.
+    k = T.ndim
+    out = np.zeros(T.shape + E.shape[:2])
+    for slot in range(k):
+        term = np.tensordot(E, T, axes=([3], [slot]))  # [x, y, a_slot, other slots]
+        out -= np.moveaxis(term, (0, 1, 2), (k, k + 1, slot))
+    return out
+
+
 def assert_close_to_reference(got, want, scale):
     # Relative Frobenius error <= 1e-13.  At n = 2 every derivation of a
     # (0,4) curvature tensor vanishes (its 2-forms span a line), so where
@@ -131,6 +142,23 @@ class TestDerivationAndTachibana:
                     tachibana(A, T), reference_tachibana(A, T),
                     np.linalg.norm(A) * np.linalg.norm(T),
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_kernel_matches_tensordot_bit_for_bit(self, n):
+        # Each element keeps its length-n dot product and its chain of
+        # subtractions, so the result is the same to the last bit.
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            g = random_metric(rng, n)
+            ginv = np.linalg.inv(g)
+            A = random_sym(rng, n)
+            B4 = rng.normal(size=(n,) * 4)
+            half = np.einsum("yi,xs->xyis", A, np.eye(n))
+            for T in (rng.normal(size=(n, n)), rng.normal(size=(n,) * 4)):
+                want = tensordot_derive(np.einsum("xyid,sd->xyis", B4, ginv), T)
+                assert derivation_apply(B4, T, ginv).tobytes() == want.tobytes()
+                want = tensordot_derive(half - np.swapaxes(half, 0, 1), T)
+                assert tachibana(A, T).tobytes() == want.tobytes()
 
     def test_tachibana_kills_unit_curvature(self):
         for _ in range(50):
@@ -210,6 +238,25 @@ class TestRankShift:
         S = np.diag([3.0, 2.0, 1.0, 0.5])
         assert rank_shift(S, g, 0.0) == 4
         assert rank_shift(S, g, 1.0) == 3
+
+    def test_array_of_alpha_matches_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        g = random_metric(rng, 4)
+        S = random_sym(rng, 4) + np.outer(g[0], g[0])
+        eigs = np.linalg.eigvals(np.linalg.inv(g) @ S).real
+        alphas = np.concatenate([np.linspace(-5.0, 5.0, 21), eigs])
+        ranks = rank_shift(S, g, alphas)
+        assert ranks.shape == alphas.shape
+        assert ranks.tolist() == [rank_shift(S, g, a) for a in alphas]
+        grid = alphas.reshape(5, 5)
+        assert rank_shift(S, g, grid).tolist() == ranks.reshape(5, 5).tolist()
+
+    def test_zero_matrix_and_scalar_type(self):
+        g = np.eye(3)
+        assert rank_shift(np.zeros((3, 3)), g, 0.0) == 0
+        assert rank_shift(2.0 * g, g, np.array([2.0, 2.0])).tolist() == [0, 0]
+        assert type(rank_shift(g, g, 0.5)) is int
+        assert rank_shift(g, g, []).shape == (0,)
 
 
 def test_valid_riemann_passes():

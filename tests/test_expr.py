@@ -449,3 +449,30 @@ def test_cached_hash_is_not_a_field():
     hash(e)
     assert [f.name for f in dataclasses.fields(Bin)] == ["op", "lhs", "rhs"]
     assert e == Bin("*", Var("x"), Bin("+", Num(1.0), Var("x")))
+
+
+# ---------------------------------------------------------------------------
+# Depth limits: a formula too deep for the recursive passes is a ParseError.
+
+def test_deep_sum_is_a_parse_error():
+    with pytest.raises(ParseError, match="too deep"):
+        parse(" + ".join(f"0.001*x^{k % 7}" for k in range(600)), COORDS)
+
+
+def test_deep_product_is_a_parse_error():
+    with pytest.raises(ParseError, match="too deep"):
+        parse("*".join("x" for _ in range(400)), COORDS)
+
+
+def test_deep_brackets_are_a_parse_error():
+    with pytest.raises(ParseError, match="nested more than"):
+        parse("(" * 300 + "x" + ")" * 300, COORDS)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse("-" * 300 + "x", COORDS)
+
+
+def test_long_parse_error_shows_a_prefix():
+    with pytest.raises(ParseError) as info:
+        parse("x + " * 100 + "?", COORDS)
+    assert len(str(info.value)) < 160 and "..." in str(info.value)
+

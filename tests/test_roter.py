@@ -130,7 +130,7 @@ class TestIdentitySuite:
         assert scalar_residual(fit.L_R, measured["L_R"].factor) < 1e-8
         assert scalar_residual(fit.L_C, measured["L_C"].factor) < 1e-8
         assert scalar_residual(fit.L, measured["L"].factor) < 1e-8
-        l_s = roter.ricci_pseudosymmetry(f)
+        l_s = roter.ricci_pseudosymmetry(f, products)
         assert l_s.residual < 1e-8
         assert scalar_residual(fit.L_R, l_s.factor) < 1e-8
         report = roter.identity_suite(f, fit, products)
@@ -219,6 +219,6 @@ class TestRicciPseudosymmetry:
             ["1", f"(x^2+1)/({conf})", f"(x^2+1)/({conf})", f"(x^2+1)/({conf})"],
         )
         f = geo.frame(spec, (0.4, 0.1, 0.2, -0.1))
-        res = roter.ricci_pseudosymmetry(f)
+        res = roter.ricci_pseudosymmetry(f, roter.curvature_products(f))
         assert res.verdict == "fit"
         assert res.residual <= 1e-8
