@@ -357,7 +357,8 @@ _POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
 class Evaluation:
     """One target at one point: frame, diagnostics, classification, fit and
     curvature products, each computed on first use and shared by every
-    suite for that point only.  A piece that raises is not kept, so each
+    suite for that point only; helpers are handed its frames, never
+    evaluate them again.  A piece that raises is not kept, so each
     suite that needs it raises and records the error itself."""
 
     def __init__(self, target: Target, point):
@@ -369,7 +370,7 @@ class Evaluation:
 
     @cached_property
     def diagnostics(self) -> wp.WarpedDiagnostics:
-        return wp.diagnostics(self.target.warped_spec, self.point)
+        return wp.diagnostics(self.target.warped_spec, self.frame)
 
     @cached_property
     def classification(self) -> roter.Classification:
@@ -420,7 +421,6 @@ def _record(job, target, index, point, suite, thresholds,
 
 
 def geometry_checks(job: Job, ev: Evaluation, idx):
-    spec, point = ev.target.spec, ev.point
     f = ev.frame
     n = f.dim
     yield "metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict"
@@ -430,13 +430,13 @@ def geometry_checks(job: Job, ev: Evaluation, idx):
     yield "ricci_symmetric", max_abs_residual(f.ricci, f.ricci.T), "geo"
     if n >= 4:
         yield "weyl_trace_free", trace_residual(f.weyl, f.ginv), "geo"
-    nabla_g = geo.covariant_derivative_02(spec, spec.components, point)
+    nabla_g = geo.covariant_derivative_02(f, f.g, f.dg)
     yield "nabla_g", float(np.max(np.abs(nabla_g))) / (float(np.max(np.abs(f.g))) + 1.0), "strict"
     if idx < 2:  # finite-differenced, so spot-check only
-        yield "second_bianchi", geo.second_bianchi_residual(spec, point), "smoke"
+        yield "second_bianchi", geo.second_bianchi_residual(f), "smoke"
     scalars = {"kappa": f.scalar}
     if n == 2:
-        scalars["gauss"] = geo.gauss_curvature(spec, point)
+        scalars["gauss"] = geo.gauss_curvature(f)
         expected = job.definition.get("expect", {}).get("scalars", {})
         if "gauss" in expected:
             yield "gauss_value", scalar_residual(scalars["gauss"], expected["gauss"]), "geo"
@@ -469,7 +469,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
             d = ev.diagnostics
             if d.mu1 is not None:
                 extra_alphas = (d.mu1, d.mu2)
-        yield _flag("rank_shift_grid", roter.rank_grid_exceeds_one(f, fit, extra=extra_alphas))
+        yield _flag("rank_shift_grid", roter.rank_grid_exceeds_one(f, c, extra=extra_alphas))
         expected_scalar = expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:
@@ -530,27 +530,28 @@ def geodesic_checks(job: Job, evals, idx, fits_log):
     if job.kind not in ("pair2d", "family"):
         return
     source, image = evals
-    src, img, point = source.target.spec, image.target.spec, source.point
+    frames = (source.frame, image.frame)
     psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
-    yield "geodesic_compatibility", gm.geodesic_compatibility_residual(src, img, psi, point), "geo"
-    yield "christoffel_shift", gm.christoffel_shift_residual(src, img, psi, point), "geo"
-    yield "ricci_shift", gm.ricci_shift_residual(src, img, psi, point), "identity"
-    yield "psi_gradient", psi.gradient_residual(point), "strict"
+    yield "geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, psi), "geo"
+    yield "christoffel_shift", gm.christoffel_shift_residual(*frames, psi), "geo"
+    yield "ricci_shift", gm.ricci_shift_residual(*frames, psi), "identity"
+    yield "psi_gradient", psi.gradient_residual(source.point), "strict"
     if job.kind == "pair2d":
-        for name, res in gm.pair_christoffel_closed_forms(job.pair, point).items():
+        for name, res in gm.pair_christoffel_closed_forms(job.pair, *frames).items():
             yield name, res, "geo"
         return
     fam = job.family
-    r4, r5 = gm.warp_compatibility_residuals(fam, point)
+    d, d_bar = source.diagnostics, image.diagnostics
+    r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
     yield "warp_scale_equation", r4, "geo"
     yield "warp_log_equation", r5, "geo"
-    for name, res in gm.family_psi_closed_forms(fam, point).items():
+    for name, res in gm.family_psi_closed_forms(fam, d).items():
         yield name, res, "geo"
-    for name, res in gm.family_image_ricci_forms(fam, image.diagnostics).items():
+    for name, res in gm.family_image_ricci_forms(fam, d_bar).items():
         yield name, res, "identity"
-    for name, res in gm.warp_profile_pde_residuals(fam, source.diagnostics).items():
+    for name, res in gm.warp_profile_pde_residuals(fam, d).items():
         yield name, res, "geo"
-    kg, kg_bar = gm.base_gauss_values(fam, point)
+    kg, kg_bar = gm.base_gauss_values(d, d_bar)
     yield "base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"
     yield "base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo"
     if job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
@@ -562,9 +563,9 @@ def geodesic_checks(job: Job, evals, idx, fits_log):
         return
     fits_log.append((fits[0].L_R, fits[1].L_R))
     products = (source.products, image.products)
-    for name, res in gm.factor_relations(fam, point, fits, products).items():
+    for name, res in gm.factor_relations(fam, frames, fits, products).items():
         yield name, res, "identity"
-    res = gm.psi_ricci_identity_residual(fam, point, fits, products)
+    res = gm.psi_ricci_identity_residual(fam, frames, fits, products)
     yield "psi_ricci_identity", res, "compound"
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -731,14 +732,16 @@ def compile_exprs(
 
     The function is straight-line code: leaves are inlined, and every
     distinct interior node becomes one temporary, _tK = <op>(<child
-    refs>), assigned after its children.  Temporaries are keyed by that
-    operation text rather than by ==, because Num(0.0) == Num(-0.0)
-    while the two literals compute different signs.
+    refs>), assigned after its children on line K + 2, and f.nodes[K] is
+    its node.  Temporaries are keyed by that operation text rather than
+    by ==, because Num(0.0) == Num(-0.0) while the two literals compute
+    different signs.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
     temps: dict[str, str] = {}  # operation text -> temporary
     refs: dict[int, str] = {}  # id(node) -> inlined leaf or temporary
     lines = []
+    nodes = []
 
     def ref(e: Expr) -> str:
         r = refs.get(id(e))
@@ -771,6 +774,7 @@ def compile_exprs(
             if r is None:
                 r = temps[text] = f"_t{len(temps)}"
                 lines.append(f"    {r} = {text}\n")
+                nodes.append(e)
         refs[id(e)] = r
         return r
 
@@ -780,6 +784,7 @@ def compile_exprs(
            + "".join(lines) + f"    return ({', '.join(outs)}{trailing})\n")
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
+    namespace["_compiled"].nodes = tuple(nodes)
     return namespace["_compiled"]
 
 
@@ -804,8 +809,8 @@ def jet(
     Structurally equal expressions share one compiled output.  The
     program is built once per distinct (exprs, coords, bindings, order)
     value, so equal specs rebuilt later reuse it.  A native domain
-    failure re-runs the program's expressions through evaluate(), which
-    raises a DomainError naming the failing subexpression.
+    failure re-runs only the node of the failing program line through
+    evaluate(), which raises a DomainError naming that subexpression.
     """
     if order not in (0, 1, 2):
         raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
@@ -831,10 +836,10 @@ def jet(
     def run(point: Sequence[float]) -> tuple[np.ndarray, ...]:
         try:
             flat = np.array(program(*point), dtype=float)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pmap = dict(zip(coords, map(float, point)))
-            for e in ordered:
-                evaluate(e, pmap, bindings)
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            # The program's own frame is the innermost one: builtins add none.
+            lineno = traceback.extract_tb(err.__traceback__)[-1].lineno
+            evaluate(program.nodes[lineno - 2], dict(zip(coords, map(float, point))), bindings)
             raise
         return tuple(flat[index] for index in indices)
 

@@ -20,11 +20,11 @@ spaces and are pseudosymmetric of constant type, with
     L_R = -D/4,      L_R_image = -(D + 4qC)/(4p),
 
 and the residual functions below certify every compatibility equation
-and closed form the construction promises.  Most take (fam, point);
-family_image_ricci_forms and warp_profile_pde_residuals take a member's
-WarpedDiagnostics instead, and factor_relations and
-psi_ricci_identity_residual take the (source, image) Roter fits and
-curvature products already evaluated at the point.
+and closed form the construction promises.  They evaluate no frame:
+they take the (source, image) frames at a point or the members'
+WarpedDiagnostics, which also carry the base and fiber frames, and
+factor_relations and psi_ricci_identity_residual the fits and
+curvature products already evaluated there.
 """
 
 from __future__ import annotations
@@ -103,11 +103,10 @@ class PsiField:
     def values(self, point) -> np.ndarray:
         return self._jet(point)[0]
 
-    def second_form(self, spec: geo.MetricSpec, point) -> np.ndarray:
-        """ψ_ij = ∂_j ψ_i - Γ^s_ij ψ_s - ψ_i ψ_j with Γ of the given metric."""
-        psi, dpsi = self._jet(point)
-        gamma = geo.frame(spec, point).gamma
-        return dpsi.T - np.einsum("sij,s->ij", gamma, psi) - np.outer(psi, psi)
+    def second_form(self, frame: geo.PointFrame) -> np.ndarray:
+        """ψ_ij = ∂_j ψ_i - Γ^s_ij ψ_s - ψ_i ψ_j at frame's point, Γ of frame."""
+        psi, dpsi = self._jet(frame.point)
+        return dpsi.T - np.einsum("sij,s->ij", frame.gamma, psi) - np.outer(psi, psi)
 
     def gradient_residual(self, point) -> float:
         """Antisymmetric part of ∂_j ψ_i; zero for gradient covectors."""
@@ -310,24 +309,17 @@ def build_family(cfg: FamilyConfig) -> Family:
     return Family(cfg, source, image, psi, profile, invariant)
 
 
-def _family_jet(fam: Family, point):
-    """Values and (x, t) gradients of 𝔟, B, F and F̄ at the base point."""
-    base = fam.source.base
-    exprs = (base.components[1][1], fam.profile, fam.source.warp, fam.image.warp)
-    values, grads = ex.jet(exprs, base.coords, base.bindings, 1)(point[:2])
-    return values.tolist(), grads
-
-
 def _family_values(fam: Family, point) -> dict[str, float]:
-    (b, B, F, Fbar), grads = _family_jet(fam, point)
-    cfg = fam.cfg
+    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at the base point."""
+    base = fam.source.base
+    exprs = (base.components[1][1], fam.profile)
+    values, grads = ex.jet(exprs, base.coords, base.bindings, 1)(point[:2])
+    (b, B), cfg = values.tolist(), fam.cfg
     return {
         "b": b,
         "bp": float(grads[0, 0]),
         "B": B,
         "Bp": float(grads[1, 1]),
-        "F": F,
-        "Fbar": Fbar,
         "one_plus_qb": 1.0 + cfg.map_shift * b,
         "shape": cfg.d * b - 4.0 * cfg.c,
     }
@@ -355,12 +347,13 @@ def profile_invariant_residual(cfg: FamilyConfig, ts=None) -> float:
 # Compatibility residuals (any pair on a common chart)
 
 def geodesic_compatibility_residual(
-    conn_spec: geo.MetricSpec, image_spec: geo.MetricSpec, psi: PsiField, point
+    frame: geo.PointFrame, image_frame: geo.PointFrame, psi: PsiField
 ) -> float:
-    """Max-abs residual of ∇_k ḡ_ij = 2ψ_k ḡ_ij + ψ_i ḡ_jk + ψ_j ḡ_ik."""
-    lhs = geo.covariant_derivative_02(conn_spec, image_spec.components, point)
-    gbar = geo.frame(image_spec, point).g
-    pv = psi.values(point)
+    """Max-abs residual of ∇_k ḡ_ij = 2ψ_k ḡ_ij + ψ_i ḡ_jk + ψ_j ḡ_ik, with
+    ∇ the connection of frame and ḡ the metric of image_frame."""
+    gbar = image_frame.g
+    lhs = geo.covariant_derivative_02(frame, gbar, image_frame.dg)
+    pv = psi.values(frame.point)
     rhs = (
         2.0 * np.einsum("k,ij->kij", pv, gbar)
         + np.einsum("i,jk->kij", pv, gbar)
@@ -370,25 +363,24 @@ def geodesic_compatibility_residual(
 
 
 def christoffel_shift_residual(
-    g_spec: geo.MetricSpec, gbar_spec: geo.MetricSpec, psi: PsiField, point
+    frame: geo.PointFrame, image_frame: geo.PointFrame, psi: PsiField
 ) -> float:
     """Γ̄^h_ij - Γ^h_ij - δ^h_i ψ_j - δ^h_j ψ_i, max-abs normalized."""
-    gam = geo.frame(g_spec, point).gamma
-    gam_bar = geo.frame(gbar_spec, point).gamma
-    pv = psi.values(point)
+    gam, gam_bar = frame.gamma, image_frame.gamma
+    pv = psi.values(frame.point)
     n = len(pv)
     eye = np.eye(n)
     shift = np.einsum("hi,j->hij", eye, pv) + np.einsum("hj,i->hij", eye, pv)
     return max_abs_residual(gam_bar, gam + shift)
 
 
-def pair_christoffel_closed_forms(pair: GeodesicPair2D, point) -> dict[str, float]:
-    """Closed forms of the image connection on a surface pair.
+def pair_christoffel_closed_forms(pair: GeodesicPair2D, sframe: geo.PointFrame,
+                                  iframe: geo.PointFrame) -> dict[str, float]:
+    """Closed forms of the image connection, from (source, image) frames.
 
     Γ̄¹₁₁ = 𝔞'/2𝔞 - q𝔟'/(1+q𝔟), Γ̄²₁₂ = 𝔟'/(2𝔟(1+q𝔟)), Γ̄¹₂₂ = -𝔟'/2𝔞.
     """
-    gam_bar = geo.frame(pair.image, point).gamma
-    sframe = geo.frame(pair.source, point)
+    gam_bar = iframe.gamma
     a, b = sframe.g[0, 0], sframe.g[1, 1]
     ap, bp = sframe.dg[0, 0, 0], sframe.dg[0, 1, 1]
     q = pair.map_shift
@@ -401,34 +393,30 @@ def pair_christoffel_closed_forms(pair: GeodesicPair2D, point) -> dict[str, floa
 
 
 def ricci_shift_residual(
-    g_spec: geo.MetricSpec, gbar_spec: geo.MetricSpec, psi: PsiField, point
+    frame: geo.PointFrame, image_frame: geo.PointFrame, psi: PsiField
 ) -> float:
     """S̄_ij = S_ij - (n-1) ψ_ij with ψ_ij built from the g connection."""
-    n = g_spec.dim
-    s = geo.frame(g_spec, point).ricci
-    s_bar = geo.frame(gbar_spec, point).ricci
-    psi2 = psi.second_form(g_spec, point)
-    return max_abs_residual(s_bar, s - (n - 1) * psi2)
+    psi2 = psi.second_form(frame)
+    return max_abs_residual(image_frame.ricci, frame.ricci - (frame.dim - 1) * psi2)
 
 
 # ---------------------------------------------------------------------------
 # Family closed forms
 
-def family_psi_closed_forms(fam: Family, point) -> dict[str, float]:
-    """ψ_ij block closed forms for the family, against (psiij) directly."""
+def family_psi_closed_forms(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, float]:
+    """ψ_ij block closed forms against (psiij), from the source's diagnostics."""
     cfg = fam.cfg
-    v = _family_values(fam, tuple(float(u) for u in point))
+    v = _family_values(fam, d.frame.point)
     q, b, bp, B = cfg.map_shift, v["b"], v["bp"], v["B"]
     opq, shape = v["one_plus_qb"], v["shape"]
-    psi2 = fam.psi.second_form(fam.source.product, point)
+    psi2 = fam.psi.second_form(d.frame)
     p_dim = 2
     want11 = (
         q * bp * bp * (4 * cfg.c - q * cfg.d * b * b - 2 * cfg.d * b)
         / (4 * b * opq * opq * shape)
     )
     want22 = -q * b * shape / (4 * opq)
-    fiber_g = geo.frame(fam.source.fiber, fam.source.split(point)[1]).g
-    want_fiber = -q * b * B * B * shape / (4 * opq) * fiber_g
+    want_fiber = -q * b * B * B * shape / (4 * opq) * d.fiber_frame.g
     return {
         "psi_11": scalar_residual(psi2[0, 0], want11),
         "psi_22": scalar_residual(psi2[1, 1], want22),
@@ -452,7 +440,7 @@ def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics) -> dict[s
         cfg.fiber_scalar / (n - 2)
         + (n - 3) * (cfg.c * B * B - Bp * Bp)
         - (n - 1) / 4.0 * b * B * B * coef / opq
-    ) / v["Fbar"]
+    ) / d_bar.f_value
     return {
         "ricci_base_bar": max_abs_residual(
             s_bar[:2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:2, :2]
@@ -466,22 +454,20 @@ def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics) -> dict[s
     }
 
 
-def warp_compatibility_residuals(fam: Family, point) -> tuple[float, float]:
-    """The two equations that make the warp pair geodesically compatible.
+def warp_compatibility_residuals(fam: Family, d: wp.WarpedDiagnostics,
+                                 d_bar: wp.WarpedDiagnostics) -> tuple[float, float]:
+    """The two equations that make the warp pair geodesically compatible,
+    from the (source, image) diagnostics at one point.
 
     scale equation: -(F̄/2F) F_a + (1/2) F^c ḡ_ca = F̄ ψ_a
     log equation:   d_a log(F̄/F) = 2 ψ_a
     Returns (scale residual, log residual), max-abs normalized.
     """
-    base_pt = fam.source.split(point)[0]
-    (_, _, Fv, Fbv), grads = _family_jet(fam, base_pt)
-    grad, grad_bar = grads[:, 2], grads[:, 3]
-    bframe = geo.frame(fam.source.base, base_pt)
-    gbar_base = geo.frame(fam.image.base, base_pt).g
-    psi_v = fam.psi.values(point)[:2]
+    Fv, Fbv, grad, grad_bar = d.f_value, d_bar.f_value, d.grad, d_bar.grad
+    psi_v = fam.psi.values(d.frame.point)[:2]
 
-    f_up = bframe.ginv @ grad
-    lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (gbar_base @ f_up)
+    f_up = d.base_frame.ginv @ grad
+    lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (d_bar.base_frame.g @ f_up)
     rhs_scale = Fbv * psi_v
     res_scale = max_abs_residual(lhs_scale, rhs_scale)
 
@@ -490,13 +476,9 @@ def warp_compatibility_residuals(fam: Family, point) -> tuple[float, float]:
     return res_scale, res_log
 
 
-def base_gauss_values(fam: Family, point) -> tuple[float, float]:
-    """(source, image) base Gauss curvatures at the base point."""
-    base_pt = fam.source.split(point)[0]
-    return (
-        geo.gauss_curvature(fam.source.base, base_pt),
-        geo.gauss_curvature(fam.image.base, base_pt),
-    )
+def base_gauss_values(d: wp.WarpedDiagnostics, d_bar: wp.WarpedDiagnostics) -> tuple[float, float]:
+    """(source, image) base Gauss curvatures, from the members' diagnostics."""
+    return geo.gauss_curvature(d.base_frame), geo.gauss_curvature(d_bar.base_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +486,14 @@ def base_gauss_values(fam: Family, point) -> tuple[float, float]:
 
 def factor_relations(
     fam: Family,
-    point,
+    frames: tuple[geo.PointFrame, geo.PointFrame],
     fits: tuple[RoterFit, RoterFit],
     products: tuple[dict, dict],
 ) -> dict[str, float]:
     """Scalar and tensor relations tying the two members together.
 
-    fits and products are the (source, image) Roter fits and
-    roter.curvature_products at the point.  Keys:
+    frames, fits and products are the (source, image) frames, Roter
+    fits and roter.curvature_products at one point.  Keys:
       l_r_value, l_r_image_value   fitted L_R against -D/4, -(D+4qC)/(4p)
       lkappa                       L_R - κ/(n(n-1)) = (p/(1+q𝔟)) (image)
       lcr_source, lcr_image        ((n-2)^2/n) L_C = L_R - κ/(n(n-1))
@@ -520,10 +502,9 @@ def factor_relations(
       cor42_source, cor42_image    R.R = Q(S,R) - (n-2) L_R Q(g,C)
     """
     n = fam.cfg.n
-    sframe = geo.frame(fam.source.product, point)
-    iframe = geo.frame(fam.image.product, point)
+    sframe, iframe = frames
     sfit, ifit = fits
-    v = _family_values(fam, tuple(float(u) for u in point))
+    v = _family_values(fam, sframe.point)
     ratio = fam.cfg.map_scale / v["one_plus_qb"]  # = F̄/F
 
     out = {
@@ -550,7 +531,7 @@ def factor_relations(
 
 def psi_ricci_identity_residual(
     fam: Family,
-    point,
+    frames: tuple[geo.PointFrame, geo.PointFrame],
     fits: tuple[RoterFit, RoterFit],
     products: tuple[dict, dict],
 ) -> float:
@@ -560,22 +541,21 @@ def psi_ricci_identity_residual(
       + (tr(ψ)(L̄_R - η̄) - tr(B)μ̄) ḡ = 0,
 
     with B_mk = ψ_mr S̄^r_k; the index is raised and both traces taken
-    with ḡ (reported convention).  fits and products are as for
+    with ḡ (reported convention).  frames, fits and products are as for
     factor_relations: the image fit supplies φ̄, μ̄, η̄, L̄_R and the
     source R.R the guard.  Requires the source to be pseudosymmetric but
     not semisymmetric (R.R must not vanish).
     """
     n = fam.cfg.n
-    sframe = geo.frame(fam.source.product, point)
+    sframe, iframe = frames
     RR = products[0]["RR"]
     if np.max(np.abs(RR)) <= 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
         raise FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
-    iframe = geo.frame(fam.image.product, point)
     ifit = fits[1]
     phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R
     kappa_b = iframe.scalar
     gbar_inv = iframe.ginv
-    psi2 = fam.psi.second_form(fam.source.product, point)
+    psi2 = fam.psi.second_form(sframe)
     Bmk = psi2 @ gbar_inv @ iframe.ricci
     tr_b = float(np.einsum("mk,mk->", gbar_inv, Bmk))
     tr_psi = float(np.einsum("mk,mk->", gbar_inv, psi2))

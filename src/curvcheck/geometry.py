@@ -18,14 +18,15 @@ convention the unit 2-sphere has R_1221 = 𝔞𝔟 > 0 and kappa = 2.
 Derivatives of Gamma never use finite differences: d Gamma is an
 algebraic function of g, dg and d2g, all of which are evaluated from
 exact symbolic derivatives of the component expressions.  Frames for
-different points are independent; MetricSpec is immutable and safe to
+different points are independent and nothing keeps them: whoever asks
+for a frame owns it and passes it to the helpers below, which take
+frames rather than (spec, point).  MetricSpec is immutable and safe to
 share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -258,18 +259,12 @@ class PointFrame:
 def frame(spec: MetricSpec, point: Sequence[float], check: bool = True) -> PointFrame:
     """Evaluate the full curvature packet at a point.
 
-    Frames are cached per (spec, point); the verification suites touch
-    the same points from several directions.  Callers must not mutate
-    the returned arrays.
+    Every call computes a new frame; callers that need it more than
+    once keep it.  Callers must not mutate the returned arrays.
     """
     point = tuple(float(v) for v in point)
     if len(point) != spec.dim:
         raise GeometryError(f"point has {len(point)} coordinates, chart has {spec.dim}")
-    return _frame_cached(spec, point, bool(check))
-
-
-@lru_cache(maxsize=512)
-def _frame_cached(spec: MetricSpec, point: tuple[float, ...], check: bool) -> PointFrame:
     g, dg, d2g = _metric_jet(spec, point, check)
     ginv = np.linalg.inv(g)
     n = spec.dim
@@ -318,32 +313,25 @@ def _frame_cached(spec: MetricSpec, point: tuple[float, ...], check: bool) -> Po
     )
 
 
-def gauss_curvature(spec: MetricSpec, point) -> float:
-    """Gauss curvature of a 2-dimensional chart: R_1221 / det g = kappa/2."""
-    if spec.dim != 2:
-        raise GeometryError(f"Gauss curvature needs a 2-dimensional chart, got {spec.dim}")
-    f = frame(spec, point)
+def gauss_curvature(f: PointFrame) -> float:
+    """Gauss curvature of a 2-dimensional frame: R_1221 / det g = kappa/2."""
+    if f.dim != 2:
+        raise GeometryError(f"Gauss curvature needs a 2-dimensional chart, got {f.dim}")
     det = float(np.linalg.det(f.g))
     return float(f.riemann[0, 1, 1, 0] / det)
 
 
 # ---------------------------------------------------------------------------
-# Covariant derivative of a (0,2) expression field
+# Covariant derivative of a (0,2) field
 
-def covariant_derivative_02(spec: MetricSpec, components, point) -> np.ndarray:
-    """nabla_k T_ij of a (0,2) expression field, using this chart's connection.
+def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.ndarray:
+    """nabla_k T_ij of a (0,2) field, using the connection of frame f.
 
-    Returns the array indexed [k,i,j].  components may contain strings,
-    numbers or Expr; the field need not be symmetric.
+    T[i,j] is the field at f's point and dT[k,i,j] = d_k T_ij its
+    coordinate derivatives (for example f.g and f.dg, or another
+    metric's g and dg on the same chart).  Returns the array indexed
+    [k,i,j]; the field need not be symmetric.
     """
-    n = spec.dim
-    names = tuple(spec.bindings)
-    comps = tuple(
-        _parse_maybe(components[i][j], spec.coords, names) for i in range(n) for j in range(n)
-    )
-    f = frame(spec, point)
-    T, dT = ex.jet(comps, spec.coords, spec.bindings, 1)(f.point)
-    T, dT = T.reshape(n, n), dT.reshape(n, n, n)
     return (
         dT
         - np.einsum("ski,sj->kij", f.gamma, T)
@@ -354,10 +342,11 @@ def covariant_derivative_02(spec: MetricSpec, components, point) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Smoke check: differential (second) Bianchi identity.  The cyclic sum
 # nabla_l R_hijk + nabla_j R_hikl + nabla_k R_hilj must vanish; the
-# derivative here is finite-differenced, so this is a coarse check only.
+# derivative here is finite-differenced from 2n stencil frames around
+# base's point, so this is a coarse check only.
 
-def second_bianchi_residual(spec: MetricSpec, point, step: float = 1e-5) -> float:
-    base = frame(spec, point)
+def second_bianchi_residual(base: PointFrame, step: float = 1e-5) -> float:
+    spec = base.spec
     n = spec.dim
     dR = np.empty((n, n, n, n, n))
     for l in range(n):

@@ -16,16 +16,17 @@ pseudosymmetry-type condition the decomposition implies:
     L      = L_R + mu/phi                      (R.R = Q(S,R) + L Q(g,C))
     L_C    = L_R + (kappa/(n-1) - alpha1)/(n-2)   (C.C = L_C Q(g,C))
 
-curvature_products builds, once per point, the twelve derivation and
-Tachibana products the identities compare.  identity_suite(frame, fit,
+curvature_products builds, on first read, each of the twelve derivation
+and Tachibana products the identities compare.  identity_suite(frame, fit,
 products) evaluates the ten tensor identities these scalars satisfy,
 plus three checks of the closed-form L_R, L_C and L against the factors
 pseudosymmetry_factors(frame, products) measures from those same
 products, and reports one residual per entry.
 ricci_pseudosymmetry(frame, products) reads R.S and Q(g,S) from the
 same products.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
-ROTER / OTHER; its quasi-Einstein scan and rank_grid_exceeds_one each
-rank all their alpha candidates in one rank_shift call.
+ROTER / OTHER and keeps the Ricci operator's real eigenvalues, which its
+quasi-Einstein scan and rank_grid_exceeds_one read; each ranks all its
+alpha candidates in one rank_shift call.
 """
 
 from __future__ import annotations
@@ -201,28 +202,41 @@ IDENTITY_NAMES = (
 )
 
 
+# Each product from the frame, as the identities compare them.
+_PRODUCTS = {
+    "RR": lambda f: derivation_apply(f.riemann, f.riemann, f.ginv),
+    "RC": lambda f: derivation_apply(f.riemann, f.weyl, f.ginv),
+    "RS": lambda f: derivation_apply(f.riemann, f.ricci, f.ginv),
+    "CC": lambda f: derivation_apply(f.weyl, f.weyl, f.ginv),
+    "CR": lambda f: derivation_apply(f.weyl, f.riemann, f.ginv),
+    "CS": lambda f: derivation_apply(f.weyl, f.ricci, f.ginv),
+    "QgR": lambda f: tachibana(f.g, f.riemann),
+    "QgS": lambda f: tachibana(f.g, f.ricci),
+    "QgC": lambda f: tachibana(f.g, f.weyl),
+    "QSR": lambda f: tachibana(f.ricci, f.riemann),
+    "QSC": lambda f: tachibana(f.ricci, f.weyl),
+    "QSG": lambda f: tachibana(f.ricci, unit_curvature(f.g)),
+}
+
+
+class _Products(dict):
+    def __init__(self, frame: PointFrame):
+        super().__init__()
+        self.frame = frame
+
+    def __missing__(self, key: str) -> np.ndarray:
+        value = self[key] = _PRODUCTS[key](self.frame)
+        return value
+
+
 def curvature_products(frame: PointFrame) -> dict[str, np.ndarray]:
     """The derivation products X.Y and Tachibana tensors Q(A,T) the
     identities compare, keyed by name (RR = R.R, QgC = Q(g,C), ...).
 
-    At n = 6 they take about 3.4 MB, so callers hold them for one point
-    only; they are not kept on the frame.
+    Each is built on first read.  At n = 6 all twelve take about 3.4 MB,
+    so callers hold them for one point only; they are not kept on the frame.
     """
-    R, S, C, g, ginv = frame.riemann, frame.ricci, frame.weyl, frame.g, frame.ginv
-    return {
-        "RR": derivation_apply(R, R, ginv),
-        "RC": derivation_apply(R, C, ginv),
-        "RS": derivation_apply(R, S, ginv),
-        "CC": derivation_apply(C, C, ginv),
-        "CR": derivation_apply(C, R, ginv),
-        "CS": derivation_apply(C, S, ginv),
-        "QgR": tachibana(g, R),
-        "QgS": tachibana(g, S),
-        "QgC": tachibana(g, C),
-        "QSR": tachibana(S, R),
-        "QSC": tachibana(S, C),
-        "QSG": tachibana(S, unit_curvature(g)),
-    }
+    return _Products(frame)
 
 
 def identity_suite(frame: PointFrame, fit: RoterFit,
@@ -298,6 +312,7 @@ def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]
 @dataclass(frozen=True)
 class Classification:
     kind: str
+    eigenvalues: tuple[float, ...]  # real eigenvalues of the Ricci operator g^{-1} S
     alpha: float | None = None
     fit: RoterFit | None = None
     detail: str = ""
@@ -309,42 +324,45 @@ def _einstein(frame: PointFrame) -> bool:
     return float(np.linalg.norm(dev)) <= 1e-9 * float(np.linalg.norm(frame.ricci)) + 1e-12
 
 
-def _quasi_einstein_alpha(frame: PointFrame) -> float | None:
+def _real_ricci_eigenvalues(frame: PointFrame) -> tuple[float, ...]:
     # rank(S - alpha g) can only drop at generalized eigenvalues of the
-    # Ricci operator; scan the real ones.
+    # Ricci operator; only the real ones are candidates.
     eigs = np.linalg.eigvals(frame.ginv @ frame.ricci)
-    real = [float(lam.real) for lam in eigs if abs(lam.imag) <= 1e-8 * (1.0 + abs(lam.real))]
-    ranks = rank_shift(frame.ricci, frame.g, real)
-    return next((alpha for alpha, r in zip(real, ranks) if r <= 1), None)
+    return tuple(float(z.real) for z in eigs if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)))
+
+
+def _quasi_einstein_alpha(frame: PointFrame, eigenvalues: tuple[float, ...]) -> float | None:
+    ranks = rank_shift(frame.ricci, frame.g, eigenvalues)
+    return next((alpha for alpha, r in zip(eigenvalues, ranks) if r <= 1), None)
 
 
 def classify(frame: PointFrame) -> Classification:
     """Sort a point into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
+    eigenvalues = _real_ricci_eigenvalues(frame)
     if _einstein(frame):
-        return Classification(EINSTEIN, alpha=frame.scalar / frame.dim)
-    alpha = _quasi_einstein_alpha(frame)
+        return Classification(EINSTEIN, eigenvalues, alpha=frame.scalar / frame.dim)
+    alpha = _quasi_einstein_alpha(frame, eigenvalues)
     if alpha is not None:
-        return Classification(QUASI_EINSTEIN, alpha=alpha)
+        return Classification(QUASI_EINSTEIN, eigenvalues, alpha=alpha)
     try:
         fit = fit_roter(frame)
     except RoterFitError as err:
-        return Classification(OTHER, detail=str(err))
-    return Classification(ROTER, fit=fit)
+        return Classification(OTHER, eigenvalues, detail=str(err))
+    return Classification(ROTER, eigenvalues, fit=fit)
 
 
-def rank_grid_exceeds_one(frame: PointFrame, fit: RoterFit | None = None,
+def rank_grid_exceeds_one(frame: PointFrame, c: Classification,
                           extra: tuple[float, ...] = ()) -> bool:
     """rank(S - alpha g) > 1 for every alpha on the scan grid.
 
-    The grid spans [-10|kappa|, 10|kappa|] plus alpha1/2 and any extra
-    candidates (e.g. warped block eigenvalues mu1, mu2), plus the exact
-    rank-drop loci (Ricci operator eigenvalues).
+    c is classify(frame).  The grid spans [-10|kappa|, 10|kappa|] plus
+    alpha1/2 of c's fit, any extra candidates (e.g. warped block
+    eigenvalues mu1, mu2) and the exact rank-drop loci c.eigenvalues.
     """
     kappa = abs(frame.scalar)
     grid = list(np.linspace(-10 * kappa - 1.0, 10 * kappa + 1.0, 21))
-    if fit is not None:
-        grid.append(fit.alpha1 / 2.0)
+    if c.fit is not None:
+        grid.append(c.fit.alpha1 / 2.0)
     grid.extend(extra)
-    eigs = np.linalg.eigvals(frame.ginv @ frame.ricci)
-    grid.extend(float(z.real) for z in eigs if abs(z.imag) < 1e-8 * (1 + abs(z.real)))
+    grid.extend(c.eigenvalues)
     return bool(np.all(rank_shift(frame.ricci, frame.g, grid) > 1))

@@ -12,10 +12,11 @@ All of its curvature concentrates in closed forms built from
     tr(T) = ĝ^{ab} T_ab
     Δ₁F   = ĝ^{ab} F_a F_b
 
-diagnostics(ws, point) evaluates these together with the two Ricci
-block factors μ₁, μ₂, the three curvature block factors ρ₁, ρ₂, ρ₃ and
-the conformal-flatness scalar ρ₀ (the last six only for a 2-dimensional
-base), and keeps the product, base and fiber frames it read.  The
+diagnostics(ws, frame) evaluates these at the product frame's point
+together with the two Ricci block factors μ₁, μ₂, the three curvature
+block factors ρ₁, ρ₂, ρ₃ and the conformal-flatness scalar ρ₀ (the last
+six only for a 2-dimensional base), and keeps that frame with the base
+and fiber frames it computes.  The
 verify_* functions, t_proportionality_residual and
 conformal_flatness_test take that WarpedDiagnostics and compare every
 closed form against the direct curvature of the assembled product
@@ -170,8 +171,10 @@ class WarpedDiagnostics:
     mu2: float | None
 
 
-def diagnostics(ws: WarpedSpec, point) -> WarpedDiagnostics:
-    """Evaluate T, tr(T), Δ₁F and (for 2-D bases) the block factors."""
+def diagnostics(ws: WarpedSpec, frame: geo.PointFrame) -> WarpedDiagnostics:
+    """T, tr(T), Δ₁F and (for 2-D bases) the block factors at the product
+    frame's point."""
+    point = frame.point
     base_pt, fiber_pt = ws.split(point)
     base = ws.base
     bframe = geo.frame(base, base_pt)
@@ -206,7 +209,7 @@ def diagnostics(ws: WarpedSpec, point) -> WarpedDiagnostics:
     else:
         rho0 = rho1 = rho2 = rho3 = mu1 = mu2 = None
     return WarpedDiagnostics(
-        geo.frame(ws.product, point), bframe, fframe, f_value, grad,
+        frame, bframe, fframe, f_value, grad,
         t, tr_t, delta1, rho0, rho1, rho2, rho3, mu1, mu2,
     )
 

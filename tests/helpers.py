@@ -5,6 +5,7 @@ import random
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import roter
+from curvcheck import warped as wp
 from curvcheck.expr import IntPow, Num, Unary, Var, evaluate
 
 COORDS = ("x", "y")
@@ -54,11 +55,23 @@ def central_difference(e, point, name, h=1e-5):
     return (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
 
 
-def fits_and_products(fam, point):
-    """(source, image) Roter fits and curvature products of a warped family
-    at a point, as the factor relations and the psi-Ricci identity take them."""
-    frames = [geo.frame(member.product, point) for member in (fam.source, fam.image)]
+def frames_fits_and_products(fam, point):
+    """(source, image) frames, Roter fits and curvature products of a
+    warped family at a point, as the factor relations and the psi-Ricci
+    identity take them."""
+    frames = tuple(geo.frame(member.product, point) for member in (fam.source, fam.image))
     return (
+        frames,
         tuple(roter.fit_roter(f) for f in frames),
         tuple(roter.curvature_products(f) for f in frames),
     )
+
+
+def diagnostics_at(ws, point):
+    """Warped diagnostics at a point, from the product frame there."""
+    return wp.diagnostics(ws, geo.frame(ws.product, point))
+
+
+def member_diagnostics(fam, point):
+    """(source, image) warped diagnostics of a family at a point."""
+    return diagnostics_at(fam.source, point), diagnostics_at(fam.image, point)

@@ -40,7 +40,14 @@ from curvcheck.curvops import (
     tensor_residual,
     unit_curvature,
 )
-from helpers import central_difference, fits_and_products, random_expr, random_point
+from helpers import (
+    central_difference,
+    diagnostics_at,
+    frames_fits_and_products,
+    member_diagnostics,
+    random_expr,
+    random_point,
+)
 
 RNG_SEED = 20240817
 
@@ -82,7 +89,7 @@ def test_criterion_1_gauss_curvature_law():
                 pt = (x, rng.uniform(-1.0, 1.0))
                 if not geo.admissible(spec, pt):
                     continue
-                worst = max(worst, abs(geo.gauss_curvature(spec, pt) + d_const / 4.0))
+                worst = max(worst, abs(geo.gauss_curvature(geo.frame(spec, pt)) + d_const / 4.0))
                 checked += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 5.0
@@ -348,14 +355,15 @@ def test_criterion_4_family_end_to_end():
                 map_scale=2.0, map_shift=shift, **params,
             ))
             rng = np.random.default_rng([RNG_SEED, n, hash(branch) % 2**31])
-            src, img, psi = fam.source.product, fam.image.product, fam.psi
             lr_src, lr_img = [], []
             for pt in family_points(fam, rng, 20):
-                r4, r5 = gm.warp_compatibility_residuals(fam, pt)
+                d, d_bar = member_diagnostics(fam, pt)
+                frames = (d.frame, d_bar.frame)
+                r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
                 mapping = {
-                    "geo": gm.geodesic_compatibility_residual(src, img, psi, pt),
-                    "gamma": gm.christoffel_shift_residual(src, img, psi, pt),
-                    "ricci": gm.ricci_shift_residual(src, img, psi, pt),
+                    "geo": gm.geodesic_compatibility_residual(*frames, fam.psi),
+                    "gamma": gm.christoffel_shift_residual(*frames, fam.psi),
+                    "ricci": gm.ricci_shift_residual(*frames, fam.psi),
                     "r4": r4,
                     "r5": r5,
                 }
@@ -363,10 +371,10 @@ def test_criterion_4_family_end_to_end():
                     worst_mapping = max(worst_mapping, res)
                     if res > 1e-9:
                         failures.append((branch, n, check, res))
-                fits, products = fits_and_products(fam, pt)
+                frames, fits, products = frames_fits_and_products(fam, pt)
                 lr_src.append(fits[0].L_R)
                 lr_img.append(fits[1].L_R)
-                relations = gm.factor_relations(fam, pt, fits, products)
+                relations = gm.factor_relations(fam, frames, fits, products)
                 for check in ("l_r_value", "l_r_image_value", "lkappa",
                               "lcr_source", "lcr_image", "lc_ratio",
                               "l_source", "l_image",
@@ -408,7 +416,7 @@ def test_criterion_5_classification_dichotomy():
             for member in (toggled.source, toggled.image):
                 frame = geo.frame(member.product, pt)
                 kind = roter.classify(frame).kind
-                rho0, flat = wp.conformal_flatness_test(wp.diagnostics(member, pt))
+                rho0, flat = wp.conformal_flatness_test(diagnostics_at(member, pt))
                 if kind != roter.EINSTEIN:
                     failures.append((n, "toggle-classify", kind))
                 if not flat or abs(rho0) > 1e-9:
@@ -419,7 +427,7 @@ def test_criterion_5_classification_dichotomy():
                 c = roter.classify(frame)
                 if c.kind != roter.ROTER:
                     failures.append((n, "violated-classify", c.kind))
-                elif not roter.rank_grid_exceeds_one(frame, c.fit):
+                elif not roter.rank_grid_exceeds_one(frame, c):
                     failures.append((n, "violated-rank", pt))
     ok = not failures
     report(5, ok, "matched fiber scalar => EINSTEIN with rho0 <= 1e-9 on both "
@@ -481,7 +489,7 @@ def test_criterion_6_property_suites():
             continue
         f = geo.frame(spec, pt)
         worst_sym = max(worst_sym, *riemann_symmetry_residuals(f.riemann).values())
-        nabla_g = geo.covariant_derivative_02(spec, spec.components, pt)
+        nabla_g = geo.covariant_derivative_02(f, f.g, f.dg)
         worst_sym = max(
             worst_sym,
             float(np.max(np.abs(nabla_g))) / (float(np.max(np.abs(f.g))) + 1.0),
@@ -532,10 +540,10 @@ def test_criterion_7_psi_ricci_identity():
         ))
         rng = np.random.default_rng([RNG_SEED, hash(branch) % 2**31])
         pt = family_points(fam, rng, 1)[0]
-        (sfit, ifit), products = fits_and_products(fam, pt)
+        frames, (sfit, ifit), products = frames_fits_and_products(fam, pt)
         perturbed = (sfit, dataclasses.replace(ifit, phi=1.01 * ifit.phi))
-        worst = max(worst, gm.psi_ricci_identity_residual(fam, pt, (sfit, ifit), products))
-        controls.append(gm.psi_ricci_identity_residual(fam, pt, perturbed, products))
+        worst = max(worst, gm.psi_ricci_identity_residual(fam, frames, (sfit, ifit), products))
+        controls.append(gm.psi_ricci_identity_residual(fam, frames, perturbed, products))
     ok = worst <= 1e-7 and all(c > 1e-4 for c in controls)
     report(7, ok, f"identity residual worst = {worst:.3e} over 3 instances; "
                   f"perturbation controls min = {min(controls):.3e} (> 1e-4)")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,37 @@ class TestSharedEvaluation:
         assert len(ricci) == len(target_points)
         assert len(derivations) == 6 * len(target_points)
         assert len(tachibanas) == 6 * len(target_points)
+
+    def test_each_frame_computed_once(self, monkeypatch):
+        # A point's Evaluations own its frames and hand them to every
+        # helper.  Only the fiber frame that a family's source and image
+        # share is computed twice, once by each member's diagnostics.
+        computed = Counter()
+        original = geo.frame
+
+        def counted(spec, point, check=True):
+            computed[(spec, tuple(point), check)] += 1
+            return original(spec, point, check)
+
+        monkeypatch.setattr(geo, "frame", counted)
+        for name in ("theorem41_n4", "surface_pair"):
+            records, summary = cli.run_manifest(corpus_get(name), points=2)
+            assert summary["ok"]
+        fiber = cli.build_job(corpus_get("theorem41_n4")["manifolds"][0]).family.source.fiber
+        twice = [key for key, count in computed.items() if count > 1]
+        assert max(computed.values()) == 2
+        assert len(twice) == 2 and all(spec == fiber for spec, _, _ in twice)
+
+    def test_products_built_on_first_read(self, monkeypatch):
+        # ricci_pseudo_1d_base is Ricci-pseudosymmetric but not Roter: each
+        # point reads R.S and Q(g,S), so only those two products are built.
+        derivations = count_calls(monkeypatch, curvops, "derivation_apply")
+        tachibanas = count_calls(monkeypatch, curvops, "tachibana")
+        records, summary = cli.run_manifest(corpus_get("ricci_pseudo_1d_base"), points=2)
+        assert summary["ok"]
+        target_points = {(r["target"], r["point_index"]) for r in records}
+        assert len(target_points) == 2
+        assert len(derivations) == len(tachibanas) == len(target_points)
 
     def test_failed_piece_is_not_kept(self):
         # x/abs(x) in dg divides by zero at x = 0: each suite asking for

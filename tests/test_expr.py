@@ -273,19 +273,23 @@ def _psi_values_at_pole():
 
 
 def _covariant_derivative_of_log():
+    # The field's g and dg come from the frame, whose jet fails first.
     from curvcheck import geometry as geo
 
-    field = [["log(x1)", "0"], ["0", "1"]]
-    return geo.covariant_derivative_02(geo.flat_metric(2), field, (-1.0, 0.5))
+    spec = geo.diagonal_metric(("x1", "x2"), ["log(x1)", "1"])
+    f = geo.frame(spec, (-1.0, 0.5))
+    return geo.covariant_derivative_02(f, f.g, f.dg)
 
 
 def _root_warp_diagnostics_at_zero():
+    # Unchecked, so the product frame gets past warp > 0 and its jet
+    # reaches the warp's derivative.
     from curvcheck import geometry as geo
     from curvcheck import warped as wp
 
     base = geo.diagonal_metric(("u", "v"), [1.0, 1.0])
     ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
-    return wp.diagnostics(ws, (0.0, 0.5, 0.1, 0.2))
+    return wp.diagnostics(ws, geo.frame(ws.product, (0.0, 0.5, 0.1, 0.2), check=False))
 
 
 @pytest.mark.parametrize(
@@ -384,6 +388,32 @@ def test_shared_failing_node_keeps_its_attribution():
     with pytest.raises(DomainError) as compiled:
         ex.jet(exprs, COORDS, Bindings(), 2)((point["x"], point["y"]))
     assert compiled.value.subexpr == direct.value.subexpr == "log(x)"
+
+
+def test_jet_failure_re_evaluates_only_the_failing_node(monkeypatch):
+    # Each prefix product sqrt(x)*(y + 1)*...*(y + k) is finite at x = 0,
+    # but its x-derivative divides by 2*sqrt(x).  Only the failing
+    # line's node goes back through evaluate, not every expression.
+    prod, exprs = Unary("sqrt", Var("x")), []
+    for k in range(40):
+        prod = Bin("*", prod, Bin("+", Var("y"), Num(float(k + 1))))
+        exprs.append(prod)
+    point = {"x": 0.0, "y": 0.5}
+    with pytest.raises(DomainError) as direct:
+        evaluate(diff(exprs[0], "x"), point)
+    calls = []
+    original = ex.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ex, "evaluate", counting)
+    with pytest.raises(DomainError) as compiled:
+        ex.jet(tuple(exprs), COORDS, Bindings(), 2)((point["x"], point["y"]))
+    assert len(calls) == 1
+    assert compiled.value.subexpr == direct.value.subexpr
+    assert str(compiled.value) == str(direct.value)
 
 
 def _distinct_interior_nodes(exprs, consts) -> int:

@@ -11,7 +11,7 @@ from curvcheck import geomap as gm
 from curvcheck import roter
 from curvcheck import warped as wp
 from curvcheck.curvops import constancy_residual, scalar_residual
-from helpers import fits_and_products
+from helpers import diagnostics_at, frames_fits_and_products, member_diagnostics
 
 
 BRANCHES = {
@@ -50,23 +50,26 @@ class TestSurfacePair:
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
         pt = (1.0, 0.2)
         assert pair.psi.values(pt)[0] == pytest.approx(-0.25, rel=1e-14)
-        assert gm.geodesic_compatibility_residual(pair.source, pair.image, pair.psi, pt) < 1e-9
+        frames = geo.frame(pair.source, pt), geo.frame(pair.image, pt)
+        assert gm.geodesic_compatibility_residual(*frames, pair.psi) < 1e-9
 
     def test_image_connection_closed_forms(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
-        forms = gm.pair_christoffel_closed_forms(pair, (1.0, 0.0))
+        frames = geo.frame(pair.source, (1.0, 0.0)), geo.frame(pair.image, (1.0, 0.0))
+        forms = gm.pair_christoffel_closed_forms(pair, *frames)
         for name, res in forms.items():
             assert res < 1e-12, name
-        gam_bar = geo.frame(pair.image, (1.0, 0.0)).gamma
+        gam_bar = frames[1].gamma
         assert gam_bar[1, 0, 1] == pytest.approx(0.25, rel=1e-13)
 
     def test_trivial_mapping_identity(self):
         # psi = 0 and identical metrics satisfy the equation exactly.
         spec = geo.diagonal_metric(("x", "y"), ["1 + x^2", "2 + sin(x)"])
         psi = gm.PsiField(("x", "y"), (ex.Num(0.0), ex.Num(0.0)), ex.Bindings())
-        assert gm.geodesic_compatibility_residual(spec, spec, psi, (0.4, 0.1)) < 1e-14
-        assert gm.christoffel_shift_residual(spec, spec, psi, (0.4, 0.1)) < 1e-14
-        assert gm.ricci_shift_residual(spec, spec, psi, (0.4, 0.1)) < 1e-14
+        f = geo.frame(spec, (0.4, 0.1))
+        assert gm.geodesic_compatibility_residual(f, f, psi) < 1e-14
+        assert gm.christoffel_shift_residual(f, f, psi) < 1e-14
+        assert gm.ricci_shift_residual(f, f, psi) < 1e-14
 
     def test_zero_shift_rejected(self):
         with pytest.raises(gm.FamilyError):
@@ -77,9 +80,10 @@ class TestSurfacePair:
     def test_curved_pair_ricci_shift(self):
         pair = gm.geodesic_pair_2d("1 + x^2", "2 + sin(x)", 1.5, 0.7)
         for pt in [(0.3, 0.1), (0.9, -0.4)]:
-            assert gm.geodesic_compatibility_residual(pair.source, pair.image, pair.psi, pt) < 1e-9
-            assert gm.christoffel_shift_residual(pair.source, pair.image, pair.psi, pt) < 1e-9
-            assert gm.ricci_shift_residual(pair.source, pair.image, pair.psi, pt) < 1e-8
+            frames = geo.frame(pair.source, pt), geo.frame(pair.image, pt)
+            assert gm.geodesic_compatibility_residual(*frames, pair.psi) < 1e-9
+            assert gm.christoffel_shift_residual(*frames, pair.psi) < 1e-9
+            assert gm.ricci_shift_residual(*frames, pair.psi) < 1e-8
 
     def test_psi_is_gradient(self):
         pair = gm.geodesic_pair_2d("1 + x^2", "2 + sin(x)", 1.5, 0.7)
@@ -160,7 +164,7 @@ class TestFamilyConstruction:
     def test_base_gauss_curvatures(self):
         fam = family_for("affine")
         for pt in sample(fam, np.random.default_rng(0), 2):
-            kg, kg_bar = gm.base_gauss_values(fam, pt)
+            kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, pt))
             assert kg == pytest.approx(-1.0, abs=1e-10)
             assert kg_bar == pytest.approx(-0.5, abs=1e-10)
 
@@ -172,11 +176,12 @@ class TestFamilyCompatibility:
         fam = family_for(branch, n=n)
         rng = np.random.default_rng(hash((branch, n)) % 2**32)
         for pt in sample(fam, rng, 2):
-            src, img, psi = fam.source.product, fam.image.product, fam.psi
-            assert gm.geodesic_compatibility_residual(src, img, psi, pt) < 1e-9
-            assert gm.christoffel_shift_residual(src, img, psi, pt) < 1e-9
-            assert gm.ricci_shift_residual(src, img, psi, pt) < 1e-8
-            r4, r5 = gm.warp_compatibility_residuals(fam, pt)
+            d, d_bar = member_diagnostics(fam, pt)
+            frames, psi = (d.frame, d_bar.frame), fam.psi
+            assert gm.geodesic_compatibility_residual(*frames, psi) < 1e-9
+            assert gm.christoffel_shift_residual(*frames, psi) < 1e-9
+            assert gm.ricci_shift_residual(*frames, psi) < 1e-8
+            r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
             assert r4 < 1e-9 and r5 < 1e-9
 
     def test_scaling_image_warp_breaks_scale_equation(self):
@@ -187,7 +192,7 @@ class TestFamilyCompatibility:
                               ex.mul(ex.num(2.0), fam.image.warp))
         broken = dataclasses.replace(fam, image=doubled)
         pt = (1.0, 0.1, 0.05, -0.1)
-        r4, r5 = gm.warp_compatibility_residuals(broken, pt)
+        r4, r5 = gm.warp_compatibility_residuals(broken, *member_diagnostics(broken, pt))
         assert r5 < 1e-12
         assert r4 > 1e-3
 
@@ -196,7 +201,8 @@ class TestFamilyCompatibility:
             fam = family_for(branch)
             rng = np.random.default_rng(5)
             for pt in sample(fam, rng, 2):
-                for name, res in gm.family_psi_closed_forms(fam, pt).items():
+                d = member_diagnostics(fam, pt)[0]
+                for name, res in gm.family_psi_closed_forms(fam, d).items():
                     assert res < 1e-9, (branch, name, res)
 
     def test_image_ricci_closed_forms(self):
@@ -204,14 +210,14 @@ class TestFamilyCompatibility:
             fam = family_for(branch, n=5)
             rng = np.random.default_rng(6)
             for pt in sample(fam, rng, 2):
-                d_bar = wp.diagnostics(fam.image, pt)
+                d_bar = diagnostics_at(fam.image, pt)
                 for name, res in gm.family_image_ricci_forms(fam, d_bar).items():
                     assert res < 1e-8, (branch, name, res)
 
     def test_warp_profile_pde(self):
         fam = family_for("trigonometric")
         for pt in sample(fam, np.random.default_rng(8), 2):
-            d = wp.diagnostics(fam.source, pt)
+            d = diagnostics_at(fam.source, pt)
             for name, res in gm.warp_profile_pde_residuals(fam, d).items():
                 assert res < 1e-9, (name, res)
 
@@ -222,7 +228,7 @@ class TestFactorRelations:
         fam = family_for(branch)
         rng = np.random.default_rng(hash(branch) % 2**32)
         for pt in sample(fam, rng, 2):
-            relations = gm.factor_relations(fam, pt, *fits_and_products(fam, pt))
+            relations = gm.factor_relations(fam, *frames_fits_and_products(fam, pt))
             for name, res in relations.items():
                 assert res <= 1e-8, (branch, name, res)
 
@@ -258,24 +264,24 @@ class TestPsiRicciIdentity:
     def test_identity_holds(self, branch):
         fam = family_for(branch)
         pt = sample(fam, np.random.default_rng(4), 1)[0]
-        assert gm.psi_ricci_identity_residual(fam, pt, *fits_and_products(fam, pt)) <= 1e-7
+        assert gm.psi_ricci_identity_residual(fam, *frames_fits_and_products(fam, pt)) <= 1e-7
 
     def test_perturbation_control(self):
         fam = family_for("affine")
         pt = sample(fam, np.random.default_rng(4), 1)[0]
-        (sfit, ifit), products = fits_and_products(fam, pt)
+        frames, (sfit, ifit), products = frames_fits_and_products(fam, pt)
         perturbed = (sfit, dataclasses.replace(ifit, phi=1.01 * ifit.phi))
-        assert gm.psi_ricci_identity_residual(fam, pt, perturbed, products) > 1e-4
+        assert gm.psi_ricci_identity_residual(fam, frames, perturbed, products) > 1e-4
 
     def test_semisymmetric_source_rejected(self):
         # d = 0 gives both members a Roter fit, the source with L_R = 0,
         # so R.R vanishes there.
         fam = gm.build_family(gm.FamilyConfig(c=1.0, d=0.0, c1=1.0, c2=0.5))
         pt = (1.2, 0.3, 0.1, -0.1)
-        fits, products = fits_and_products(fam, pt)
+        frames, fits, products = frames_fits_and_products(fam, pt)
         assert fits[0].L_R == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(gm.FamilyError):
-            gm.psi_ricci_identity_residual(fam, pt, fits, products)
+            gm.psi_ricci_identity_residual(fam, frames, fits, products)
 
 
 class TestEinsteinToggle:
@@ -290,7 +296,7 @@ class TestEinsteinToggle:
             for member in (fam.source, fam.image):
                 frame = geo.frame(member.product, pt)
                 assert roter.classify(frame).kind == roter.EINSTEIN
-                rho0, flat = wp.conformal_flatness_test(wp.diagnostics(member, pt))
+                rho0, flat = wp.conformal_flatness_test(diagnostics_at(member, pt))
                 assert flat, rho0
         assert cfg0.fiber_scalar != matched
 
@@ -302,7 +308,7 @@ class TestEinsteinToggle:
             frame = geo.frame(member.product, pt)
             c = roter.classify(frame)
             assert c.kind == roter.ROTER
-            assert roter.rank_grid_exceeds_one(frame, c.fit)
+            assert roter.rank_grid_exceeds_one(frame, c)
 
 
 class TestIndefiniteBase:
@@ -316,10 +322,10 @@ class TestIndefiniteBase:
         assert f.g[0, 0] < 0 < f.g[1, 1]
         assert roter.classify(f).kind == roter.ROTER
         assert gm.geodesic_compatibility_residual(
-            fam.source.product, fam.image.product, fam.psi, pt) < 1e-9
-        relations = gm.factor_relations(fam, pt, *fits_and_products(fam, pt))
+            f, geo.frame(fam.image.product, pt), fam.psi) < 1e-9
+        relations = gm.factor_relations(fam, *frames_fits_and_products(fam, pt))
         for name, res in relations.items():
             assert res <= 1e-8, (name, res)
-        kg, kg_bar = gm.base_gauss_values(fam, pt)
+        kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, pt))
         assert kg == pytest.approx(0.5, abs=1e-10)       # -d/4
         assert kg_bar == pytest.approx(0.25, abs=1e-10)  # -(d+4qc)/(4p)

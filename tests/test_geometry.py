@@ -160,7 +160,7 @@ class TestGaussCurvature:
         for K, E, b in [(1.0, 4.0, "sin(x)^2"), (-0.25, 2.0, "x"), (0.5, 3.0, "x^2")]:
             spec = geo.constant_curvature_2d(b, K, E)
             for x in (0.4, 0.8, 1.2):
-                assert geo.gauss_curvature(spec, (x, 0.0)) == pytest.approx(K, abs=1e-11)
+                assert geo.gauss_curvature(geo.frame(spec, (x, 0.0))) == pytest.approx(K, abs=1e-11)
 
     def test_unit_sphere_via_factory_has_unit_first_component(self):
         # E=4, K=1, b=sin^2 x collapses a to 4cos^2/(4cos^2) = 1.
@@ -175,32 +175,33 @@ class TestGaussCurvature:
         spec = geo.constant_curvature_2d("x^2", -1.0, 0.0)
         f = geo.frame(spec, (2.0, 0.0))
         assert f.g[0, 0] == pytest.approx(0.25, rel=1e-12)
-        assert geo.gauss_curvature(spec, (2.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+        assert geo.gauss_curvature(f) == pytest.approx(-1.0, abs=1e-12)
 
     def test_gauss_equals_half_scalar(self):
         spec = geo.constant_curvature_2d("x", -0.75, 1.5)
         pt = (0.7, 0.1)
         f = geo.frame(spec, pt)
-        assert geo.gauss_curvature(spec, pt) == pytest.approx(f.scalar / 2, abs=1e-10)
+        assert geo.gauss_curvature(f) == pytest.approx(f.scalar / 2, abs=1e-10)
 
     def test_requires_two_dimensions(self):
         with pytest.raises(geo.GeometryError):
-            geo.gauss_curvature(geo.flat_metric(3), (0, 0, 0))
+            geo.gauss_curvature(geo.frame(geo.flat_metric(3), (0, 0, 0)))
 
 
 class TestCovariantDerivative:
     def test_metric_compatibility(self):
-        spec = rn_metric(1.0, 1.0, 0.0)
-        nabla_g = geo.covariant_derivative_02(spec, spec.components, RN_POINT)
+        f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)
+        nabla_g = geo.covariant_derivative_02(f, f.g, f.dg)
         assert np.max(np.abs(nabla_g)) < 1e-10
 
     def test_constant_field_on_flat_chart(self):
-        spec = geo.flat_metric(3)
-        T = [["2", "0.5", "0"], ["0.5", "1", "0"], ["0", "0", "3"]]
-        assert np.max(np.abs(geo.covariant_derivative_02(spec, T, (1.0, 2.0, 3.0)))) == 0.0
+        f = geo.frame(geo.flat_metric(3), (1.0, 2.0, 3.0))
+        T = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        assert np.max(np.abs(geo.covariant_derivative_02(f, T, np.zeros((3, 3, 3))))) == 0.0
 
     def test_sphere_metric_compatibility(self):
-        nabla_g = geo.covariant_derivative_02(UNIT_SPHERE, UNIT_SPHERE.components, (0.9, 0.4))
+        f = geo.frame(UNIT_SPHERE, (0.9, 0.4))
+        nabla_g = geo.covariant_derivative_02(f, f.g, f.dg)
         assert np.max(np.abs(nabla_g)) < 1e-12
 
 
@@ -227,16 +228,16 @@ class TestAdmissibility:
 
 class TestSmokeChecks:
     def test_second_bianchi_on_sphere(self):
-        assert geo.second_bianchi_residual(UNIT_SPHERE, (1.0, 0.3)) < 1e-4
+        assert geo.second_bianchi_residual(geo.frame(UNIT_SPHERE, (1.0, 0.3))) < 1e-4
 
     def test_second_bianchi_on_charged_metric(self):
-        assert geo.second_bianchi_residual(rn_metric(1.0, 1.0, 0.0), RN_POINT) < 1e-4
+        assert geo.second_bianchi_residual(geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)) < 1e-4
 
     def test_constant_curvature_scalar_is_twice_gauss(self):
         spec = geo.constant_curvature_2d("x", 0.5, 4.0)
         for x in (0.5, 1.0, 1.5):
             f = geo.frame(spec, (x, 0.0))
-            assert abs(f.scalar - 2 * geo.gauss_curvature(spec, (x, 0.0))) < 1e-10
+            assert abs(f.scalar - 2 * geo.gauss_curvature(f)) < 1e-10
 
 
 class TestSpecValidation:

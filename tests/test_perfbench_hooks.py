@@ -29,6 +29,13 @@ def test_every_wrapped_name_resolves(tracer):
         assert fn.__module__ == f"curvcheck.{module}", (span, module, attr)
 
 
+def test_frame_takes_spec_and_point_first(tracer):
+    # The tracer's frame hook reads args[0] as the spec and args[1] as the point.
+    assert ("geometry.frame", "geometry", "frame") in tracer["WRAPPED"]
+    params = list(inspect.signature(_module("geometry").frame).parameters)
+    assert params[:2] == ["spec", "point"]
+
+
 def test_roter_entries_take_a_frame_first(tracer):
     # The tracer reads args[0].dim of every roter call.
     roter_entries = [attr for _, module, attr in tracer["WRAPPED"] if module == "roter"]

@@ -178,7 +178,7 @@ class TestClassification:
         assert c.kind == roter.ROTER
         mu1 = f.ricci[0, 0] / f.g[0, 0]
         mu2 = f.ricci[2, 2] / f.g[2, 2]
-        assert roter.rank_grid_exceeds_one(f, c.fit, extra=(mu1, mu2))
+        assert roter.rank_grid_exceeds_one(f, c, extra=(mu1, mu2))
 
     def test_charged_metric_is_roter(self):
         c = roter.classify(geo.frame(rn_metric(2.0, 1.0, -0.05), (0.0, 5.0, 1.3, 0.2)))
