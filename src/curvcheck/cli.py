@@ -359,18 +359,29 @@ class Evaluation:
     curvature products, each computed on first use and shared by every
     suite for that point only; helpers are handed its frames, never
     evaluate them again.  A piece that raises is not kept, so each
-    suite that needs it raises and records the error itself."""
+    suite that needs it raises and records the error itself.
 
-    def __init__(self, target: Target, point):
-        self.target, self.point = target, point
+    fiber_peer is an Evaluation at the same point whose target has the
+    same fiber (a family's source, for its image); its fiber frame is
+    read rather than computed again."""
+
+    def __init__(self, target: Target, point, fiber_peer: Evaluation | None = None):
+        self.target, self.point, self.fiber_peer = target, point, fiber_peer
 
     @cached_property
     def frame(self) -> geo.PointFrame:
         return geo.frame(self.target.spec, self.point)
 
     @cached_property
+    def fiber_frame(self) -> geo.PointFrame:
+        if self.fiber_peer is not None:
+            return self.fiber_peer.fiber_frame
+        ws = self.target.warped_spec
+        return geo.frame(ws.fiber, ws.split(self.point)[1])
+
+    @cached_property
     def diagnostics(self) -> wp.WarpedDiagnostics:
-        return wp.diagnostics(self.target.warped_spec, self.frame)
+        return wp.diagnostics(self.target.warped_spec, self.frame, self.fiber_frame)
 
     @cached_property
     def classification(self) -> roter.Classification:
@@ -586,11 +597,19 @@ TARGET_SUITES = (
 )
 
 
+def _evaluations(job: Job, pt) -> list[Evaluation]:
+    """The point's Evaluations, one per target; a family's image reads the
+    fiber frame of its source, whose fiber it shares."""
+    first = Evaluation(job.targets[0], pt)
+    peer = first if job.family is not None else None
+    return [first] + [Evaluation(target, pt, peer) for target in job.targets[1:]]
+
+
 def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order."""
     fits_log: list = []
     for idx, pt in enumerate(points):
-        evals = [Evaluation(target, pt) for target in job.targets]
+        evals = _evaluations(job, pt)
         for suite, checks in TARGET_SUITES:
             if suite in suites:
                 for ev in evals:

@@ -15,6 +15,16 @@ product per slot, so they serve tensors of any order.  rank_shift
 accepts an array of alpha and ranks the whole scan with one stacked
 SVD.
 
+At n = 6 an order-6 array is 373 KB, above the allocator's mmap
+threshold, so every fresh temporary of that size is handed back to the
+OS when freed and page-faulted in again by the next one.  The kernel
+therefore writes every slot's product into one scratch buffer per call,
+and a residual may overwrite only a temporary that no caller reads
+again (proportionality's difference; the right-hand side a caller
+builds and hands to owned_tensor_residual), never a tensor it was
+asked to compare.  Each element still sees the same operations in
+the same order, so results are bit-identical to the plain formulas.
+
 Component arrays are indexed in direct slot order, T[a,b,c,d] =
 T(e_a, e_b, e_c, e_d).  For tensors with the curvature pair symmetries
 this coincides with the classical index layout (full index reversal is
@@ -23,7 +33,7 @@ index form can be read off the same arrays.
 
 Symmetry is checked by the residual suites, never exploited for storage; at
 chart dimensions <= 8 dense arrays are trivially cheap and correctness
-wins.  All functions are pure.
+wins.  All public functions are pure.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = [
     "proportionality",
     "rank_shift",
     "tensor_residual",
+    "owned_tensor_residual",
     "scalar_residual",
     "max_abs_residual",
     "zero_residual",
@@ -61,8 +72,17 @@ def _asarray(t) -> np.ndarray:
 
 def tensor_residual(lhs, rhs) -> float:
     """Frobenius residual of lhs == rhs, sum-plus-one normalized."""
-    a, b = _asarray(lhs), _asarray(rhs)
-    return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
+    return owned_tensor_residual(_asarray(lhs), np.array(rhs, dtype=float))
+
+
+def owned_tensor_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """tensor_residual(lhs, rhs), computed by overwriting rhs with lhs - rhs.
+
+    rhs must be a float array the caller owns and no longer reads.
+    """
+    nb = np.linalg.norm(rhs)
+    np.subtract(lhs, rhs, out=rhs)
+    return float(np.linalg.norm(rhs) / (np.linalg.norm(lhs) + nb + 1.0))
 
 
 def scalar_residual(lhs: float, rhs: float) -> float:
@@ -123,15 +143,17 @@ def _endomorphism(B4: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def _derive(E: np.ndarray, T: np.ndarray) -> np.ndarray:
     # (E . T)[a_1..a_k, x, y] = -sum_j T(a_1, .., E(x,y) e_{a_j}, .., a_k):
-    # one matrix product per slot of T, whatever its order, subtracted
-    # into out through a transposed view of the product.
+    # one matrix product per slot of T, whatever its order, written into
+    # one scratch buffer and subtracted into out through a transposed
+    # view of it.
     k, n = T.ndim, T.shape[0]
     out = np.zeros(T.shape + E.shape[:2])
     E_rows = E.reshape(n ** 3, n)  # [(x, y, i), s]
-    shape = E.shape[:3] + T.shape[1:]
+    buf = np.empty((n ** 3, n ** (k - 1)))
+    term = buf.reshape(E.shape[:3] + T.shape[1:])
     for slot in range(k):
         others = [j for j in range(k) if j != slot]
-        term = (E_rows @ T.transpose(slot, *others).reshape(n, -1)).reshape(shape)
+        np.matmul(E_rows, T.transpose(slot, *others).reshape(n, -1), out=buf)
         # term is [x, y, a_slot, other slots]; view it in out's slot order.
         out -= term.transpose(*range(3, slot + 3), 2, *range(slot + 3, k + 2), 0, 1)
     return out
@@ -199,7 +221,9 @@ def proportionality(lhs, rhs) -> ProportionalityResult:
             return ProportionalityResult(None, 0.0, True, "vacuous")
         return ProportionalityResult(None, na / (na + nb + 1.0), True, "inconsistent")
     factor = float(np.vdot(b, a) / np.vdot(b, b))
-    residual = float(np.linalg.norm(a - factor * b) / (na + nb + 1.0))
+    diff = np.multiply(factor, b, out=np.empty_like(b))
+    np.subtract(a, diff, out=diff)
+    residual = float(np.linalg.norm(diff) / (na + nb + 1.0))
     return ProportionalityResult(factor, residual, False, "fit")
 
 

@@ -39,8 +39,8 @@ from . import warped as wp
 from .curvops import (
     constancy_residual,
     max_abs_residual,
+    owned_tensor_residual,
     scalar_residual,
-    tensor_residual,
     zero_residual,
 )
 from .roter import RoterFit
@@ -525,7 +525,9 @@ def factor_relations(
         "l_image": scalar_residual(ifit.L, -(n - 2) * ifit.L_R),
     }
     for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
-        out[tag] = tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
+        rhs = (n - 2) * fit.L_R * P["QgC"]
+        np.subtract(P["QSR"], rhs, out=rhs)
+        out[tag] = owned_tensor_residual(P["RR"], rhs)
     return out
 
 
@@ -549,7 +551,7 @@ def psi_ricci_identity_residual(
     n = fam.cfg.n
     sframe, iframe = frames
     RR = products[0]["RR"]
-    if np.max(np.abs(RR)) <= 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
+    if max(RR.max(), -RR.min()) <= 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
         raise FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
     ifit = fits[1]
     phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R

@@ -21,7 +21,9 @@ and Tachibana products the identities compare.  identity_suite(frame, fit,
 products) evaluates the ten tensor identities these scalars satisfy,
 plus three checks of the closed-form L_R, L_C and L against the factors
 pseudosymmetry_factors(frame, products) measures from those same
-products, and reports one residual per entry.
+products, and reports one residual per entry.  It builds each
+right-hand side just before its residual, which overwrites it; the
+products themselves are only read.
 ricci_pseudosymmetry(frame, products) reads R.S and Q(g,S) from the
 same products.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
 ROTER / OTHER and keeps the Ricci operator's real eigenvalues, which its
@@ -39,6 +41,7 @@ from .curvops import (
     ProportionalityResult,
     derivation_apply,
     kulkarni_nomizu,
+    owned_tensor_residual,
     proportionality,
     rank_shift,
     scalar_residual,
@@ -254,30 +257,37 @@ def identity_suite(frame: PointFrame, fit: RoterFit,
     S, g, kappa = frame.ricci, frame.g, frame.scalar
     P = products
     phi, mu, eta = fit.phi, fit.mu, fit.eta
-    commutator_rhs = (
-        ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * P["QgR"]
-        + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"]
-    )
     measured = pseudosymmetry_factors(frame, products)
-    return {
+    # Each right-hand side is a temporary that its residual overwrites.
+    # The single-term ones are built inside their call; the multi-term
+    # ones share one buffer, rhs.
+    out = {
         "ricci_square_affine": tensor_residual(
             frame.ricci_sq, fit.alpha1 * S + fit.alpha2 * g
         ),
-        "rr_vs_qgr": tensor_residual(P["RR"], fit.L_R * P["QgR"]),
-        "rc_vs_qgc": tensor_residual(P["RC"], fit.L_R * P["QgC"]),
-        "rs_vs_qgs": tensor_residual(P["RS"], fit.L_R * P["QgS"]),
-        "rr_vs_qsr_plus_qgc": tensor_residual(P["RR"], P["QSR"] + fit.L * P["QgC"]),
-        "cc_vs_qgc": tensor_residual(P["CC"], fit.L_C * P["QgC"]),
-        "cr_vs_qgr": tensor_residual(P["CR"], fit.L_C * P["QgR"]),
-        "cs_vs_qgs": tensor_residual(P["CS"], fit.L_C * P["QgS"]),
-        "commutator_vs_qgr_qsg": tensor_residual(P["RC"] - P["CR"], commutator_rhs),
-        "commutator_vs_qsc_qgc": tensor_residual(
-            P["CR"] - P["RC"], P["QSC"] - (kappa / (n - 1)) * P["QgC"]
-        ),
-        "lr_closed_vs_measured": scalar_residual(fit.L_R, measured["L_R"].factor),
-        "lc_closed_vs_measured": scalar_residual(fit.L_C, measured["L_C"].factor),
-        "l_closed_vs_measured": scalar_residual(fit.L, measured["L"].factor),
+        "rr_vs_qgr": owned_tensor_residual(P["RR"], fit.L_R * P["QgR"]),
+        "rc_vs_qgc": owned_tensor_residual(P["RC"], fit.L_R * P["QgC"]),
+        "rs_vs_qgs": owned_tensor_residual(P["RS"], fit.L_R * P["QgS"]),
     }
+    rhs = fit.L * P["QgC"]
+    np.add(P["QSR"], rhs, out=rhs)
+    out["rr_vs_qsr_plus_qgc"] = owned_tensor_residual(P["RR"], rhs)
+    out["cc_vs_qgc"] = owned_tensor_residual(P["CC"], fit.L_C * P["QgC"])
+    out["cr_vs_qgr"] = owned_tensor_residual(P["CR"], fit.L_C * P["QgR"])
+    out["cs_vs_qgs"] = owned_tensor_residual(P["CS"], fit.L_C * P["QgS"])
+    np.multiply((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1), P["QgR"], out=rhs)
+    rhs += ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"]
+    commutator = P["RC"] - P["CR"]
+    out["commutator_vs_qgr_qsg"] = owned_tensor_residual(commutator, rhs)
+    # CR - RC is exactly -(RC - CR) in IEEE arithmetic.
+    np.negative(commutator, out=commutator)
+    np.multiply(kappa / (n - 1), P["QgC"], out=rhs)
+    np.subtract(P["QSC"], rhs, out=rhs)
+    out["commutator_vs_qsc_qgc"] = owned_tensor_residual(commutator, rhs)
+    out["lr_closed_vs_measured"] = scalar_residual(fit.L_R, measured["L_R"].factor)
+    out["lc_closed_vs_measured"] = scalar_residual(fit.L_C, measured["L_C"].factor)
+    out["l_closed_vs_measured"] = scalar_residual(fit.L, measured["L"].factor)
+    return out
 
 
 def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]

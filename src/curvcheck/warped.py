@@ -12,11 +12,11 @@ All of its curvature concentrates in closed forms built from
     tr(T) = ĝ^{ab} T_ab
     Δ₁F   = ĝ^{ab} F_a F_b
 
-diagnostics(ws, frame) evaluates these at the product frame's point
-together with the two Ricci block factors μ₁, μ₂, the three curvature
-block factors ρ₁, ρ₂, ρ₃ and the conformal-flatness scalar ρ₀ (the last
-six only for a 2-dimensional base), and keeps that frame with the base
-and fiber frames it computes.  The
+diagnostics(ws, frame, fiber_frame) evaluates these at the product
+frame's point together with the two Ricci block factors μ₁, μ₂, the
+three curvature block factors ρ₁, ρ₂, ρ₃ and the conformal-flatness
+scalar ρ₀ (the last six only for a 2-dimensional base), and keeps the
+two frames it is handed with the base frame it computes.  The
 verify_* functions, t_proportionality_residual and
 conformal_flatness_test take that WarpedDiagnostics and compare every
 closed form against the direct curvature of the assembled product
@@ -171,11 +171,13 @@ class WarpedDiagnostics:
     mu2: float | None
 
 
-def diagnostics(ws: WarpedSpec, frame: geo.PointFrame) -> WarpedDiagnostics:
+def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
+                fiber_frame: geo.PointFrame) -> WarpedDiagnostics:
     """T, tr(T), Δ₁F and (for 2-D bases) the block factors at the product
-    frame's point."""
+    frame's point; fiber_frame is the fiber's frame at that point's fiber
+    coordinates (a family's source and image share one)."""
     point = frame.point
-    base_pt, fiber_pt = ws.split(point)
+    base_pt = ws.split(point)[0]
     base = ws.base
     bframe = geo.frame(base, base_pt)
     f_value, grad, hess = ex.jet((ws.warp,), base.coords, base.bindings, 2)(base_pt)
@@ -187,8 +189,7 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame) -> WarpedDiagnostics:
     ginv_base = bframe.ginv
     tr_t = float(np.einsum("ab,ab->", ginv_base, t))
     delta1 = float(grad @ ginv_base @ grad)
-    fframe = geo.frame(ws.fiber, fiber_pt)
-    fiber_scalar = fframe.scalar
+    fiber_scalar = fiber_frame.scalar
 
     n, p = ws.dim, ws.base_dim
     if p == 2 and n >= 4:
@@ -209,7 +210,7 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame) -> WarpedDiagnostics:
     else:
         rho0 = rho1 = rho2 = rho3 = mu1 = mu2 = None
     return WarpedDiagnostics(
-        frame, bframe, fframe, f_value, grad,
+        frame, bframe, fiber_frame, f_value, grad,
         t, tr_t, delta1, rho0, rho1, rho2, rho3, mu1, mu2,
     )
 

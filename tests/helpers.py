@@ -68,8 +68,10 @@ def frames_fits_and_products(fam, point):
 
 
 def diagnostics_at(ws, point):
-    """Warped diagnostics at a point, from the product frame there."""
-    return wp.diagnostics(ws, geo.frame(ws.product, point))
+    """Warped diagnostics at a point, from the product and fiber frames
+    there."""
+    fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
+    return wp.diagnostics(ws, geo.frame(ws.product, point), fiber_frame)
 
 
 def member_diagnostics(fam, point):

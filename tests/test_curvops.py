@@ -221,6 +221,16 @@ class TestProportionality:
         with pytest.raises(ValueError):
             proportionality(np.zeros((3, 3)), np.zeros((4, 4)))
 
+    def test_scalars(self):
+        res = proportionality(2.0, 1.0)
+        assert res.verdict == "fit"
+        assert res.factor == 2.0 and res.residual == 0.0
+
+
+def test_tensor_residual_of_scalars():
+    assert tensor_residual(3.0, 1.0) == 2.0 / 5.0
+    assert tensor_residual(np.float64(1.0), 1.0) == 0.0
+
 
 class TestRankShift:
     def test_einstein_shift_has_rank_zero(self):

@@ -289,7 +289,9 @@ def _root_warp_diagnostics_at_zero():
 
     base = geo.diagonal_metric(("u", "v"), [1.0, 1.0])
     ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
-    return wp.diagnostics(ws, geo.frame(ws.product, (0.0, 0.5, 0.1, 0.2), check=False))
+    point = (0.0, 0.5, 0.1, 0.2)
+    fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
+    return wp.diagnostics(ws, geo.frame(ws.product, point, check=False), fiber_frame)
 
 
 @pytest.mark.parametrize(

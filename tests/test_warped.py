@@ -103,9 +103,11 @@ class TestAssemble:
         base = geo.flat_metric(2, "x")
         fiber = warped.constant_curvature_fiber(2, 0.0)
         ws = warped.assemble(base, fiber, "x1")
-        assert not geo.admissible(ws.product, (-1.0, 0.0, 0.1, 0.1))
+        point = (-1.0, 0.0, 0.1, 0.1)
+        assert not geo.admissible(ws.product, point)
+        fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
         with pytest.raises(geo.GeometryError):
-            warped.diagnostics(ws, geo.frame(ws.product, (-1.0, 0.0, 0.1, 0.1), check=False))
+            warped.diagnostics(ws, geo.frame(ws.product, point, check=False), fiber_frame)
 
 
 class TestConstantCurvatureFiber:
