@@ -321,6 +321,10 @@ def build_job(mdef: dict) -> Job:
 
 def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
     coords = job.targets[0].spec.coords
+    for what, keys in [("box", job.box)] + [(f"pinned point {pin}", pin) for pin in job.pinned]:
+        for key in keys:
+            if key not in coords:
+                raise ManifestError(f"{what} of {job.name!r}: {key!r} is not in the chart {coords}")
     box = dict(job.box)
     for c in coords:
         box.setdefault(c, [-0.3, 0.3])  # default window for fiber coordinates
@@ -556,9 +560,10 @@ def geodesic_checks(job: Job, evals, idx, fits_log):
     r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
     yield "warp_scale_equation", r4, "geo"
     yield "warp_log_equation", r5, "geo"
-    for name, res in gm.family_psi_closed_forms(fam, d).items():
+    values = gm.family_values(fam, source.point)
+    for name, res in gm.family_psi_closed_forms(fam, d, values).items():
         yield name, res, "geo"
-    for name, res in gm.family_image_ricci_forms(fam, d_bar).items():
+    for name, res in gm.family_image_ricci_forms(fam, d_bar, values).items():
         yield name, res, "identity"
     for name, res in gm.warp_profile_pde_residuals(fam, d).items():
         yield name, res, "geo"
@@ -574,7 +579,7 @@ def geodesic_checks(job: Job, evals, idx, fits_log):
         return
     fits_log.append((fits[0].L_R, fits[1].L_R))
     products = (source.products, image.products)
-    for name, res in gm.factor_relations(fam, frames, fits, products).items():
+    for name, res in gm.factor_relations(fam, frames, fits, products, values).items():
         yield name, res, "identity"
     res = gm.psi_ricci_identity_residual(fam, frames, fits, products)
     yield "psi_ricci_identity", res, "compound"

@@ -31,9 +31,8 @@ this coincides with the classical index layout (full index reversal is
 the identity on such tensors), so block formulas stated in classical
 index form can be read off the same arrays.
 
-Symmetry is checked by the residual suites, never exploited for storage; at
-chart dimensions <= 8 dense arrays are trivially cheap and correctness
-wins.  All public functions are pure.
+Symmetry is checked by the residual suites, never exploited for storage.
+All public functions are pure.
 """
 
 from __future__ import annotations

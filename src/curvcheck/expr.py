@@ -56,7 +56,6 @@ __all__ = [
     "compile_exprs",
     "jet",
     "num",
-    "var",
     "const",
     "add",
     "sub",
@@ -64,7 +63,6 @@ __all__ = [
     "div",
     "neg",
     "intpow",
-    "power",
     "fn",
 ]
 
@@ -205,10 +203,6 @@ def num(v: float) -> Num:
     return Num(float(v))
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def const(name: str) -> Const:
     return Const(name)
 
@@ -275,10 +269,6 @@ def intpow(base: Expr, k: int) -> Expr:
     return IntPow(base, int(k))
 
 
-def power(base: Expr, exponent: Expr) -> Expr:
-    return Bin("pow", base, exponent)
-
-
 def fn(name: str, arg: Expr) -> Expr:
     if name not in FUNCTIONS:
         raise ExprError(f"unknown function {name!r}")
@@ -297,9 +287,9 @@ _TOKEN_RE = re.compile(
 # Exponent literals larger than this stay general powers.
 _MAX_INT_POWER = 1_000_000
 
-# Depth limits.  Hashing, ==, diff, evaluate and compile_exprs recurse once
-# per tree level, and the parser about five times per nesting level, so a
-# deep formula would exhaust Python's recursion limit (1000).  The parser
+# Depth limits.  Hashing, ==, diff and compile_exprs recurse once per tree
+# level, and the parser about five times per nesting level, so a deep
+# formula would exhaust Python's recursion limit (1000).  The parser
 # allows _MAX_NESTING levels.  Each level of a parsed tree costs the frames
 # the deepest later pass spends on it, order-2 derivatives included (a
 # product deepens its derivative by three levels, a quotient by six; a sum
@@ -482,90 +472,6 @@ def parse(src: str, coords: Sequence[str], consts: Iterable[str] = ()) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Evaluation
-
-def evaluate(e: Expr, point: Mapping[str, float], consts: Mapping[str, float] | None = None) -> float:
-    """Evaluate to an IEEE double.
-
-    Domain failures (log of a non-positive value, division by zero,
-    sqrt of a negative, non-real powers, overflow, a trigonometric
-    function of an infinity) raise DomainError naming the offending
-    subexpression.
-    """
-    consts = consts if consts is not None else {}
-
-    def ev(node: Expr) -> float:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            try:
-                return float(point[node.name])
-            except KeyError:
-                raise UnboundSymbolError(f"coordinate {node.name!r} has no value") from None
-        if isinstance(node, Const):
-            try:
-                return float(consts[node.name])
-            except KeyError:
-                raise UnboundSymbolError(f"constant {node.name!r} is not bound") from None
-        if isinstance(node, Unary):
-            v = ev(node.arg)
-            op = node.op
-            if op == "neg":
-                return -v
-            if op in ("sin", "cos", "tan"):
-                if math.isinf(v):
-                    raise DomainError(f"{op} of an infinite value", to_text(node))
-                return getattr(math, op)(v)
-            if op == "exp":
-                try:
-                    return math.exp(v)
-                except OverflowError:
-                    raise DomainError("overflow", to_text(node)) from None
-            if op == "log":
-                if v <= 0.0:
-                    raise DomainError("log of non-positive value", to_text(node))
-                return math.log(v)
-            if op == "sqrt":
-                if v < 0.0:
-                    raise DomainError("sqrt of negative value", to_text(node))
-                return math.sqrt(v)
-            if op == "abs":
-                return abs(v)
-            raise ExprError(f"unknown unary op {op!r}")
-        if isinstance(node, Bin):
-            a = ev(node.lhs)
-            b = ev(node.rhs)
-            op = node.op
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise DomainError("division by zero", to_text(node))
-                return a / b
-            if op == "pow":
-                try:
-                    return math.pow(a, b)
-                except (ValueError, OverflowError):
-                    raise DomainError("power outside real domain", to_text(node)) from None
-            raise ExprError(f"unknown binary op {op!r}")
-        if isinstance(node, IntPow):
-            a = ev(node.base)
-            try:
-                return a ** node.power
-            except ZeroDivisionError:
-                raise DomainError("zero base with negative power", to_text(node)) from None
-            except OverflowError:
-                raise DomainError("overflow", to_text(node)) from None
-        raise ExprError(f"not an expression node: {node!r}")
-
-    return ev(e)
-
-
-# --------------------------------------------------------------------------
 # Differentiation
 
 def diff(e: Expr, variable: str) -> Expr:
@@ -700,10 +606,12 @@ def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
 
 
 # --------------------------------------------------------------------------
-# Compilation.  The geometry engine evaluates thousands of derivative
-# expressions per point; compiling them into one generated function
-# removes the tree-walk overhead.  Each generated operation mirrors
-# evaluate() for its node, so both paths produce bit-identical values.
+# Compilation and evaluation.  The geometry engine evaluates thousands
+# of derivative expressions per point, so every evaluation runs through
+# one generated function per expression list.  Each generated operation
+# is the IEEE operation of its node, applied after its children, so a
+# value equals a recursive tree walk of the same expression bit for bit;
+# the tests keep such a walk as their oracle.
 
 _COMPILE_NS = {
     "_sin": math.sin,
@@ -717,6 +625,21 @@ _COMPILE_NS = {
     "__builtins__": {},
 }
 
+# A failing program line raises the interpreter's native exception.
+# jet() names it by (operation of the line's node, exception type); an
+# IntPow node's operation is "^", every other node's is its op.
+_DOMAIN_MESSAGES = {
+    ("log", ValueError): "log of non-positive value",
+    ("sqrt", ValueError): "sqrt of negative value",
+    **{(op, ValueError): f"{op} of an infinite value" for op in ("sin", "cos", "tan")},
+    ("exp", OverflowError): "overflow",
+    ("/", ZeroDivisionError): "division by zero",
+    ("pow", ValueError): "power outside real domain",
+    ("pow", OverflowError): "power outside real domain",
+    ("^", ZeroDivisionError): "zero base with negative power",
+    ("^", OverflowError): "overflow",
+}
+
 
 def compile_exprs(
     exprs: Sequence[Expr],
@@ -725,10 +648,10 @@ def compile_exprs(
 ) -> Callable[..., tuple[float, ...]]:
     """Compile expressions into one positional function of the coordinates.
 
-    The result f satisfies f(*point) == tuple(evaluate(e, point_map, consts)
-    for e in exprs).  Constants are inlined at compile time.  Domain
-    failures raise the interpreter's native ValueError / ZeroDivisionError /
-    OverflowError; jet() turns them into an attributed DomainError.
+    f(*point) returns one double per expression.  Constants are inlined
+    at compile time.  Domain failures raise the interpreter's native
+    ValueError / ZeroDivisionError / OverflowError; jet() turns them into
+    an attributed DomainError.
 
     The function is straight-line code: leaves are inlined, and every
     distinct interior node becomes one temporary, _tK = <op>(<child
@@ -803,14 +726,15 @@ def jet(
     coordinates: first[k, e] = d_k exprs[e] and second[l, k, e] =
     d_l d_k exprs[e].  Each second partial is built once, as
     diff(diff(e, c_k), c_l) with l <= k, and mirrored, so second is
-    exactly symmetric in its two derivative slots.  Every value equals
-    evaluate() of the same derivative bit for bit.
+    exactly symmetric in its two derivative slots.  Every value equals a
+    tree walk of the same derivative bit for bit.
 
     Structurally equal expressions share one compiled output.  The
     program is built once per distinct (exprs, coords, bindings, order)
     value, so equal specs rebuilt later reuse it.  A native domain
-    failure re-runs only the node of the failing program line through
-    evaluate(), which raises a DomainError naming that subexpression.
+    failure raises a DomainError naming the node of the failing program
+    line, with the message _DOMAIN_MESSAGES holds for that node's
+    operation and the exception.
     """
     if order not in (0, 1, 2):
         raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
@@ -835,12 +759,25 @@ def jet(
 
     def run(point: Sequence[float]) -> tuple[np.ndarray, ...]:
         try:
-            flat = np.array(program(*point), dtype=float)
+            values = program(*point)
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             # The program's own frame is the innermost one: builtins add none.
-            lineno = traceback.extract_tb(err.__traceback__)[-1].lineno
-            evaluate(program.nodes[lineno - 2], dict(zip(coords, map(float, point))), bindings)
-            raise
+            node = program.nodes[traceback.extract_tb(err.__traceback__)[-1].lineno - 2]
+            op = "^" if isinstance(node, IntPow) else node.op
+            raise DomainError(_DOMAIN_MESSAGES[op, type(err)], to_text(node)) from err
+        flat = np.array(values, dtype=float)
         return tuple(flat[index] for index in indices)
 
     return run
+
+
+def evaluate(e: Expr, point: Mapping[str, float], consts: Mapping[str, float] | None = None) -> float:
+    """Evaluate one expression to an IEEE double, through its jet program.
+
+    Domain failures (log of a non-positive value, division by zero,
+    sqrt of a negative, non-real powers, overflow, a trigonometric
+    function of an infinity) raise DomainError naming the offending
+    subexpression; a symbol without a value raises UnboundSymbolError.
+    """
+    (values,) = jet((e,), tuple(point), Bindings(consts), 0)(tuple(map(float, point.values())))
+    return float(values[0])

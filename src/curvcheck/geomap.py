@@ -58,6 +58,7 @@ __all__ = [
     "FamilyError",
     "geodesic_pair_2d",
     "build_family",
+    "family_values",
     "profile_expr",
     "profile_invariant_residual",
     "geodesic_compatibility_residual",
@@ -135,24 +136,15 @@ def _pair_components(a_expr, b_expr):
     return one_plus_qb, abar, bbar
 
 
-def geodesic_pair_2d(
-    a,
-    b,
-    map_scale: float,
-    map_shift: float,
-    coords=("x", "y"),
-    bindings=None,
-) -> GeodesicPair2D:
-    """Classical surface pair; requires map_scale != 0 and map_shift != 0
-    (a zero shift is the trivial mapping) and 𝔟' != 0 on the domain."""
+def geodesic_pair_2d(a, b, map_scale: float, map_shift: float) -> GeodesicPair2D:
+    """Classical surface pair on (x, y); requires map_scale != 0 and
+    map_shift != 0 (a zero shift is the trivial mapping) and 𝔟' != 0."""
     if map_scale == 0.0:
         raise FamilyError("TRIVIAL_MAPPING", "map_scale must be nonzero")
     if map_shift == 0.0:
         raise FamilyError("TRIVIAL_MAPPING", "map_shift must be nonzero")
-    coords = tuple(coords)
-    merged = dict(bindings or {})
-    merged.update({"p": float(map_scale), "q": float(map_shift)})
-    binds = ex.Bindings(merged)
+    coords = ("x", "y")
+    binds = ex.Bindings(p=map_scale, q=map_shift)
     names = tuple(binds)
     a_expr = ex.parse(a, coords, names) if isinstance(a, str) else a
     b_expr = ex.parse(b, coords, names) if isinstance(b, str) else b
@@ -224,7 +216,7 @@ class Family:
         if not (geo.admissible(self.source.product, point)
                 and geo.admissible(self.image.product, point)):
             return False
-        vals = _family_values(self, tuple(float(v) for v in point))
+        vals = family_values(self, tuple(float(v) for v in point))
         return (
             abs(vals["one_plus_qb"]) >= GUARD_FLOOR
             and abs(vals["shape"]) >= GUARD_FLOOR
@@ -233,8 +225,8 @@ class Family:
         )
 
 
-def profile_expr(cfg: FamilyConfig, coords=("x", "t")) -> ex.Expr:
-    """B(t) solving B'' = c B in the branch matching the sign of c."""
+def profile_expr(cfg: FamilyConfig) -> ex.Expr:
+    """B(t) on the (x, t) chart, solving B'' = c B in the branch matching c's sign."""
     names = ("C", "C1", "C2")
     if cfg.c > 0:
         src = "C1*exp(sqrt(C)*t) + C2*exp(-sqrt(C)*t)"
@@ -242,7 +234,7 @@ def profile_expr(cfg: FamilyConfig, coords=("x", "t")) -> ex.Expr:
         src = "C1*cos(sqrt(-C)*t) + C2*sin(sqrt(-C)*t)"
     else:
         src = "C1*t + C2"
-    return ex.parse(src, coords, names)
+    return ex.parse(src, ("x", "t"), names)
 
 
 def _family_bindings(cfg: FamilyConfig) -> ex.Bindings:
@@ -272,7 +264,7 @@ def build_family(cfg: FamilyConfig) -> Family:
     shape = ex.sub(ex.mul(ex.const("D"), b_expr), ex.mul(ex.num(4.0), ex.const("C")))
     a_expr = ex.div(ex.intpow(bp, 2), ex.mul(b_expr, shape))
 
-    profile = profile_expr(cfg, coords2)
+    profile = profile_expr(cfg)
     B, Bp = _profile_values(profile, binds, 0.0)
     invariant = Bp**2 - cfg.c * B**2
 
@@ -309,8 +301,8 @@ def build_family(cfg: FamilyConfig) -> Family:
     return Family(cfg, source, image, psi, profile, invariant)
 
 
-def _family_values(fam: Family, point) -> dict[str, float]:
-    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at the base point."""
+def family_values(fam: Family, point) -> dict[str, float]:
+    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at a point, from one jet."""
     base = fam.source.base
     exprs = (base.components[1][1], fam.profile)
     values, grads = ex.jet(exprs, base.coords, base.bindings, 1)(point[:2])
@@ -331,13 +323,12 @@ def _profile_values(profile: ex.Expr, binds: ex.Bindings, t: float) -> tuple[flo
     return float(B[0]), float(dB[1, 0])
 
 
-def profile_invariant_residual(cfg: FamilyConfig, ts=None) -> float:
-    """Constancy of (B')^2 - c B^2 across sample values of t."""
+def profile_invariant_residual(cfg: FamilyConfig) -> float:
+    """Constancy of (B')^2 - c B^2 across 24 values of t in [-1, 1.5]."""
     profile = profile_expr(cfg)
     binds = _family_bindings(cfg)
-    ts = np.linspace(-1.0, 1.5, 24) if ts is None else np.asarray(ts, dtype=float)
     vals = []
-    for t in ts:
+    for t in np.linspace(-1.0, 1.5, 24):
         B, Bp = _profile_values(profile, binds, float(t))
         vals.append(Bp * Bp - cfg.c * B * B)
     return constancy_residual(vals)
@@ -403,10 +394,11 @@ def ricci_shift_residual(
 # ---------------------------------------------------------------------------
 # Family closed forms
 
-def family_psi_closed_forms(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, float]:
-    """ψ_ij block closed forms against (psiij), from the source's diagnostics."""
+def family_psi_closed_forms(fam: Family, d: wp.WarpedDiagnostics,
+                            v: dict[str, float]) -> dict[str, float]:
+    """ψ_ij block closed forms against (psiij), from the source's diagnostics
+    and the family_values v at its point."""
     cfg = fam.cfg
-    v = _family_values(fam, d.frame.point)
     q, b, bp, B = cfg.map_shift, v["b"], v["bp"], v["B"]
     opq, shape = v["one_plus_qb"], v["shape"]
     psi2 = fam.psi.second_form(d.frame)
@@ -426,13 +418,13 @@ def family_psi_closed_forms(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, f
     }
 
 
-def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics) -> dict[str, float]:
+def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics,
+                             v: dict[str, float]) -> dict[str, float]:
     """Barred Ricci and T closed forms against the image geometry, read
-    from the image member's diagnostics."""
+    from the image member's diagnostics and the family_values v."""
     cfg = fam.cfg
     n = cfg.n
     p, q = cfg.map_scale, cfg.map_shift
-    v = _family_values(fam, d_bar.frame.point)
     b, B, Bp, opq = v["b"], v["B"], v["Bp"], v["one_plus_qb"]
     coef = cfg.d + 4.0 * q * cfg.c
     s_bar, g_bar = d_bar.frame.ricci, d_bar.frame.g
@@ -489,11 +481,13 @@ def factor_relations(
     frames: tuple[geo.PointFrame, geo.PointFrame],
     fits: tuple[RoterFit, RoterFit],
     products: tuple[dict, dict],
+    v: dict[str, float],
 ) -> dict[str, float]:
     """Scalar and tensor relations tying the two members together.
 
     frames, fits and products are the (source, image) frames, Roter
-    fits and roter.curvature_products at one point.  Keys:
+    fits and roter.curvature_products at one point, and v the
+    family_values there.  Keys:
       l_r_value, l_r_image_value   fitted L_R against -D/4, -(D+4qC)/(4p)
       lkappa                       L_R - κ/(n(n-1)) = (p/(1+q𝔟)) (image)
       lcr_source, lcr_image        ((n-2)^2/n) L_C = L_R - κ/(n(n-1))
@@ -504,7 +498,6 @@ def factor_relations(
     n = fam.cfg.n
     sframe, iframe = frames
     sfit, ifit = fits
-    v = _family_values(fam, sframe.point)
     ratio = fam.cfg.map_scale / v["one_plus_qb"]  # = F̄/F
 
     out = {

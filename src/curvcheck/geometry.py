@@ -241,9 +241,7 @@ class PointFrame:
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
     gamma: np.ndarray
-    dgamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     ricci_sq: np.ndarray
@@ -308,8 +306,7 @@ def frame(spec: MetricSpec, point: Sequence[float], check: bool = True) -> Point
         flagged = True
 
     return PointFrame(
-        spec, point, g, ginv, dg, d2g, gamma, dgamma, riem, ricci, ricci_sq,
-        scalar, weyl, flagged,
+        spec, point, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl, flagged,
     )
 
 
@@ -345,8 +342,8 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # derivative here is finite-differenced from 2n stencil frames around
 # base's point, so this is a coarse check only.
 
-def second_bianchi_residual(base: PointFrame, step: float = 1e-5) -> float:
-    spec = base.spec
+def second_bianchi_residual(base: PointFrame) -> float:
+    spec, step = base.spec, 1e-5
     n = spec.dim
     dR = np.empty((n, n, n, n, n))
     for l in range(n):

@@ -137,13 +137,13 @@ def in_ur(frame: PointFrame) -> bool:
     )
 
 
-def fit_roter(frame: PointFrame, residual_limit: float = FIT_RESIDUAL_LIMIT) -> RoterFit:
+def fit_roter(frame: PointFrame) -> RoterFit:
     """Least-squares decomposition of the curvature tensor at a point.
 
     Requires dimension >= 4 and membership in both open sets; rejects
     ill-conditioned bases (Gram condition above GRAM_CONDITION_LIMIT =
     1e14) and fits whose relative reconstruction residual exceeds
-    residual_limit.
+    FIT_RESIDUAL_LIMIT = 1e-8.
     """
     n = frame.dim
     if n < 4:
@@ -172,7 +172,7 @@ def fit_roter(frame: PointFrame, residual_limit: float = FIT_RESIDUAL_LIMIT) -> 
     recon = phi * B1 + mu * B2 + eta * B3
     r_norm = float(np.linalg.norm(frame.riemann))
     residual = float(np.linalg.norm(frame.riemann - recon)) / (r_norm + 1e-300)
-    if residual > residual_limit:
+    if residual > FIT_RESIDUAL_LIMIT:
         raise RoterFitError("RESIDUAL", f"reconstruction residual {residual:.3e}")
     kappa = frame.scalar
     alpha1 = kappa + ((n - 2) * mu - 1.0) / phi

@@ -122,9 +122,7 @@ def assemble(base: geo.MetricSpec, fiber: geo.MetricSpec, warp) -> WarpedSpec:
     return WarpedSpec(base, fiber, warp_expr, product)
 
 
-def constant_curvature_fiber(
-    dim: int, scalar_curvature: float, coord_prefix: str = "y"
-) -> geo.MetricSpec:
+def constant_curvature_fiber(dim: int, scalar_curvature: float) -> geo.MetricSpec:
     """Conformally flat model of constant curvature.
 
     Components g̃_αβ = δ_αβ / (1 + (k/4) Σ (y^α)^2)^2 with sectional
@@ -133,7 +131,7 @@ def constant_curvature_fiber(
     """
     if dim < 2:
         raise geo.GeometryError("fiber model needs dimension >= 2")
-    coords = tuple(f"{coord_prefix}{i + 1}" for i in range(dim))
+    coords = tuple(f"y{i + 1}" for i in range(dim))
     k = scalar_curvature / (dim * (dim - 1))
     radius2 = " + ".join(f"{c}^2" for c in coords)
     conf = f"(1 + {k!r}/4*({radius2}))"

@@ -1,12 +1,26 @@
 """Shared test utilities: random expression instances and oracles."""
 
+import math
 import random
+from typing import Mapping
 
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import roter
 from curvcheck import warped as wp
-from curvcheck.expr import IntPow, Num, Unary, Var, evaluate
+from curvcheck.expr import (
+    Bin,
+    Const,
+    DomainError,
+    Expr,
+    ExprError,
+    IntPow,
+    Num,
+    UnboundSymbolError,
+    Unary,
+    Var,
+    to_text,
+)
 
 COORDS = ("x", "y")
 
@@ -41,6 +55,90 @@ def random_expr(rng: random.Random, depth: int) -> ex.Expr:
     if kind == "sqrt":
         return Unary("sqrt", ex.add(Num(1.5), IntPow(child(), 2)))
     return ex.Bin("/", child(), ex.add(Num(2.0), IntPow(child(), 2)))
+
+
+# The tree-walking evaluator: the bit-identity oracle for the compiled
+# programs, which src/ evaluates every expression through.
+
+def evaluate(e: Expr, point: Mapping[str, float], consts: Mapping[str, float] | None = None) -> float:
+    """Evaluate to an IEEE double.
+
+    Domain failures (log of a non-positive value, division by zero,
+    sqrt of a negative, non-real powers, overflow, a trigonometric
+    function of an infinity) raise DomainError naming the offending
+    subexpression.
+    """
+    consts = consts if consts is not None else {}
+
+    def ev(node: Expr) -> float:
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            try:
+                return float(point[node.name])
+            except KeyError:
+                raise UnboundSymbolError(f"coordinate {node.name!r} has no value") from None
+        if isinstance(node, Const):
+            try:
+                return float(consts[node.name])
+            except KeyError:
+                raise UnboundSymbolError(f"constant {node.name!r} is not bound") from None
+        if isinstance(node, Unary):
+            v = ev(node.arg)
+            op = node.op
+            if op == "neg":
+                return -v
+            if op in ("sin", "cos", "tan"):
+                if math.isinf(v):
+                    raise DomainError(f"{op} of an infinite value", to_text(node))
+                return getattr(math, op)(v)
+            if op == "exp":
+                try:
+                    return math.exp(v)
+                except OverflowError:
+                    raise DomainError("overflow", to_text(node)) from None
+            if op == "log":
+                if v <= 0.0:
+                    raise DomainError("log of non-positive value", to_text(node))
+                return math.log(v)
+            if op == "sqrt":
+                if v < 0.0:
+                    raise DomainError("sqrt of negative value", to_text(node))
+                return math.sqrt(v)
+            if op == "abs":
+                return abs(v)
+            raise ExprError(f"unknown unary op {op!r}")
+        if isinstance(node, Bin):
+            a = ev(node.lhs)
+            b = ev(node.rhs)
+            op = node.op
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                if b == 0.0:
+                    raise DomainError("division by zero", to_text(node))
+                return a / b
+            if op == "pow":
+                try:
+                    return math.pow(a, b)
+                except (ValueError, OverflowError):
+                    raise DomainError("power outside real domain", to_text(node)) from None
+            raise ExprError(f"unknown binary op {op!r}")
+        if isinstance(node, IntPow):
+            a = ev(node.base)
+            try:
+                return a ** node.power
+            except ZeroDivisionError:
+                raise DomainError("zero base with negative power", to_text(node)) from None
+            except OverflowError:
+                raise DomainError("overflow", to_text(node)) from None
+        raise ExprError(f"not an expression node: {node!r}")
+
+    return ev(e)
 
 
 def random_point(rng: random.Random) -> dict:

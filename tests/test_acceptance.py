@@ -374,7 +374,8 @@ def test_criterion_4_family_end_to_end():
                 frames, fits, products = frames_fits_and_products(fam, pt)
                 lr_src.append(fits[0].L_R)
                 lr_img.append(fits[1].L_R)
-                relations = gm.factor_relations(fam, frames, fits, products)
+                relations = gm.factor_relations(
+                    fam, frames, fits, products, gm.family_values(fam, pt))
                 for check in ("l_r_value", "l_r_image_value", "lkappa",
                               "lcr_source", "lcr_image", "lc_ratio",
                               "l_source", "l_image",

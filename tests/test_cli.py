@@ -10,6 +10,7 @@ import pytest
 
 from curvcheck import cli, curvops, roter
 from curvcheck import expr as ex
+from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
@@ -141,6 +142,27 @@ class TestValidation:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert "NaN" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("box", {"theta": [0.5, 2.5], "y": [0, 1]}),
+         ("pinned_points", [{"x": 0.1, "theta": 0.5}])],
+    )
+    def test_key_outside_the_chart_exits_1(self, tmp_path, field, value):
+        # A misspelt coordinate used to be dropped: the run sampled the
+        # default window instead and reported OK.
+        bad = self.good()
+        bad["manifolds"][0][field] = value
+        with pytest.raises(cli.ManifestError, match="'theta'"):
+            cli.run_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "'theta'" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_exits_2(self, tmp_path, points):
@@ -370,6 +392,35 @@ class TestSharedEvaluation:
         fiber = cli.build_job(corpus_get("theorem41_n4")["manifolds"][0]).family.source.fiber
         assert max(computed.values()) == 1
         assert sum(spec == fiber for spec, _, _ in computed) == 2  # one per point
+
+    def test_one_family_jet_per_point(self, monkeypatch):
+        # The psi and image Ricci closed forms and the factor relations
+        # read one family_values per point.  Sampling's guards make their
+        # own calls, which are not counted.
+        sampling, run_calls = [], []
+        sample_points, family_values = cli.sample_points, gm.family_values
+
+        def flagged(*args, **kwargs):
+            sampling.append(True)
+            try:
+                return sample_points(*args, **kwargs)
+            finally:
+                sampling.pop()
+
+        def counted(fam, point):
+            if not sampling:
+                run_calls.append(tuple(point))
+            return family_values(fam, point)
+
+        monkeypatch.setattr(cli, "sample_points", flagged)
+        monkeypatch.setattr(gm, "family_values", counted)
+        records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=2)
+        assert summary["ok"]
+        checks = {r["check"] for r in records}
+        assert {"psi_11", "ricci_base_bar", "cor42_source"} <= checks
+        points = {r["point_index"] for r in records if r["suite"] == "geodesic"} - {-1}
+        assert len(points) == 2
+        assert len(run_calls) == len(set(run_calls)) == len(points)
 
     def test_products_built_on_first_read(self, monkeypatch):
         # ricci_pseudo_1d_base is Ricci-pseudosymmetric but not Roter: each

@@ -22,15 +22,17 @@ from curvcheck.expr import (
     Var,
     compile_exprs,
     diff,
-    evaluate,
     parse,
     to_text,
 )
+# evaluate is the tests' tree walker: the oracle that ex.evaluate, jet and
+# compile_exprs must match bit for bit.
+from helpers import COORDS, central_difference, evaluate, random_expr, random_point
 
 
 def ev(src, coords=("x",), consts=(), point=None, values=None):
     e = parse(src, coords, consts)
-    return evaluate(e, point or {}, values or {})
+    return ex.evaluate(e, point or {}, values or {})
 
 
 class TestParse:
@@ -109,7 +111,7 @@ class TestEvaluate:
     def test_unbound_constant(self):
         e = parse("M*x", ["x"], ["M"])
         with pytest.raises(UnboundSymbolError):
-            evaluate(e, {"x": 1.0}, {})
+            ex.evaluate(e, {"x": 1.0}, {})
 
     def test_bindings_reject_missing(self):
         b = Bindings(M=1.0)
@@ -119,8 +121,8 @@ class TestEvaluate:
 
     def test_purity(self):
         e = parse("sin(x)*exp(x) - x^3/7", ["x"])
-        a = evaluate(e, {"x": 0.731})
-        b = evaluate(e, {"x": 0.731})
+        a = ex.evaluate(e, {"x": 0.731})
+        b = ex.evaluate(e, {"x": 0.731})
         assert a == b
 
 
@@ -128,42 +130,39 @@ class TestDiff:
     def test_sin_squared_at_pi_over_4(self):
         e = parse("sin(x)^2", ["x"])
         d = diff(e, "x")
-        assert evaluate(d, {"x": math.pi / 4}) == pytest.approx(1.0, abs=1e-15)
+        assert ex.evaluate(d, {"x": math.pi / 4}) == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_derivative_zero(self):
         e = parse("M", ["x"], ["M"])
         d = diff(e, "x")
-        assert evaluate(d, {"x": 5.0}, {"M": 3.0}) == 0.0
+        assert ex.evaluate(d, {"x": 5.0}, {"M": 3.0}) == 0.0
 
     def test_second_derivative_cubic(self):
         e = parse("x^3", ["x"])
         d2 = diff(diff(e, "x"), "x")
-        assert evaluate(d2, {"x": 2.0}) == 12.0
+        assert ex.evaluate(d2, {"x": 2.0}) == 12.0
 
     def test_abs_derivative_is_sign(self):
         e = parse("abs(x)", ["x"])
         d = diff(e, "x")
-        assert evaluate(d, {"x": 2.5}) == 1.0
-        assert evaluate(d, {"x": -2.5}) == -1.0
+        assert ex.evaluate(d, {"x": 2.5}) == 1.0
+        assert ex.evaluate(d, {"x": -2.5}) == -1.0
         with pytest.raises(DomainError):
-            evaluate(d, {"x": 0.0})
+            ex.evaluate(d, {"x": 0.0})
 
     def test_general_power_derivative(self):
         e = parse("x^2.5", ["x"])
         d = diff(e, "x")
-        assert evaluate(d, {"x": 2.0}) == pytest.approx(2.5 * 2.0 ** 1.5, rel=1e-14)
+        assert ex.evaluate(d, {"x": 2.0}) == pytest.approx(2.5 * 2.0 ** 1.5, rel=1e-14)
 
     def test_negative_intpow_derivative(self):
         e = parse("x^(-2)", ["x"])
         d = diff(e, "x")
-        assert evaluate(d, {"x": 2.0}) == pytest.approx(-2.0 / 8.0, rel=1e-14)
+        assert ex.evaluate(d, {"x": 2.0}) == pytest.approx(-2.0 / 8.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # Randomized properties, on the shared domain-safe generator.
-
-from helpers import COORDS, central_difference, random_expr, random_point  # noqa: E402
-
 
 def test_derivative_matches_central_difference_bulk():
     rng = random.Random(20240817)
@@ -394,8 +393,8 @@ def test_shared_failing_node_keeps_its_attribution():
 
 def test_jet_failure_re_evaluates_only_the_failing_node(monkeypatch):
     # Each prefix product sqrt(x)*(y + 1)*...*(y + k) is finite at x = 0,
-    # but its x-derivative divides by 2*sqrt(x).  Only the failing
-    # line's node goes back through evaluate, not every expression.
+    # but its x-derivative divides by 2*sqrt(x).  The failing line's node
+    # is named from its operation and exception; nothing is evaluated again.
     prod, exprs = Unary("sqrt", Var("x")), []
     for k in range(40):
         prod = Bin("*", prod, Bin("+", Var("y"), Num(float(k + 1))))
@@ -413,9 +412,45 @@ def test_jet_failure_re_evaluates_only_the_failing_node(monkeypatch):
     monkeypatch.setattr(ex, "evaluate", counting)
     with pytest.raises(DomainError) as compiled:
         ex.jet(tuple(exprs), COORDS, Bindings(), 2)((point["x"], point["y"]))
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert compiled.value.subexpr == direct.value.subexpr
     assert str(compiled.value) == str(direct.value)
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "src, point",
+    [
+        ("log(0)", (0.0, 0.0)),
+        ("log(-1)", (0.0, 0.0)),
+        ("sqrt(-1)", (0.0, 0.0)),
+        ("exp(1000)", (0.0, 0.0)),
+        ("1/0", (0.0, 0.0)),
+        ("(-8)^0.5", (0.0, 0.0)),
+        ("x^y", (-8.0, 0.5)),
+        ("(x+10)^400.5", (0.0, 0.0)),
+        ("0^(-1)", (0.0, 0.0)),
+        ("(1e200)^2", (0.0, 0.0)),
+    ]
+    + [(f"{op}(x)", (x, 0.0)) for op in ("sin", "cos", "tan") for x in (INF, -INF)],
+)
+def test_domain_errors_match_the_oracle(src, point):
+    # Each failure raised through a jet program and through ex.evaluate
+    # carries the oracle's message and subexpression.
+    e = parse(src, COORDS)
+    pmap = dict(zip(COORDS, point))
+    raised = []
+    for call in (
+        lambda: evaluate(e, pmap),
+        lambda: ex.evaluate(e, pmap),
+        lambda: ex.jet((e,), COORDS, Bindings(), 0)(point),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        raised.append((type(info.value), str(info.value), info.value.subexpr))
+    assert raised[0] == raised[1] == raised[2]
 
 
 def _distinct_interior_nodes(exprs, consts) -> int:

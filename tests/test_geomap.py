@@ -202,7 +202,8 @@ class TestFamilyCompatibility:
             rng = np.random.default_rng(5)
             for pt in sample(fam, rng, 2):
                 d = member_diagnostics(fam, pt)[0]
-                for name, res in gm.family_psi_closed_forms(fam, d).items():
+                v = gm.family_values(fam, pt)
+                for name, res in gm.family_psi_closed_forms(fam, d, v).items():
                     assert res < 1e-9, (branch, name, res)
 
     def test_image_ricci_closed_forms(self):
@@ -211,7 +212,8 @@ class TestFamilyCompatibility:
             rng = np.random.default_rng(6)
             for pt in sample(fam, rng, 2):
                 d_bar = diagnostics_at(fam.image, pt)
-                for name, res in gm.family_image_ricci_forms(fam, d_bar).items():
+                v = gm.family_values(fam, pt)
+                for name, res in gm.family_image_ricci_forms(fam, d_bar, v).items():
                     assert res < 1e-8, (branch, name, res)
 
     def test_warp_profile_pde(self):
@@ -228,7 +230,8 @@ class TestFactorRelations:
         fam = family_for(branch)
         rng = np.random.default_rng(hash(branch) % 2**32)
         for pt in sample(fam, rng, 2):
-            relations = gm.factor_relations(fam, *frames_fits_and_products(fam, pt))
+            relations = gm.factor_relations(
+                fam, *frames_fits_and_products(fam, pt), gm.family_values(fam, pt))
             for name, res in relations.items():
                 assert res <= 1e-8, (branch, name, res)
 
@@ -323,7 +326,8 @@ class TestIndefiniteBase:
         assert roter.classify(f).kind == roter.ROTER
         assert gm.geodesic_compatibility_residual(
             f, geo.frame(fam.image.product, pt), fam.psi) < 1e-9
-        relations = gm.factor_relations(fam, *frames_fits_and_products(fam, pt))
+        relations = gm.factor_relations(
+            fam, *frames_fits_and_products(fam, pt), gm.family_values(fam, pt))
         for name, res in relations.items():
             assert res <= 1e-8, (name, res)
         kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, pt))

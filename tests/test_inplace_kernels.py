@@ -167,7 +167,8 @@ class TestSameBits:
     def test_factor_relations_cor42(self, member_state):
         fam, frames, fits, products = member_state
         n = fam.cfg.n
-        got = gm.factor_relations(fam, frames, fits, products)
+        v = gm.family_values(fam, frames[0].point)
+        got = gm.factor_relations(fam, frames, fits, products, v)
         for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
             want = plain_tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
             assert got[tag] == want, tag
@@ -179,7 +180,7 @@ class TestSameBits:
         for f, fit, P in zip(frames, fits, products):
             roter.identity_suite(f, fit, P)
             roter.ricci_pseudosymmetry(f, P)
-        gm.factor_relations(fam, frames, fits, products)
+        gm.factor_relations(fam, frames, fits, products, gm.family_values(fam, frames[0].point))
         gm.psi_ricci_identity_residual(fam, frames, fits, products)
         for P, kept in zip(products, before):
             for key, value in kept.items():
