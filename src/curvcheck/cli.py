@@ -330,7 +330,10 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
         box.setdefault(c, [-0.3, 0.3])  # default window for fiber coordinates
     points = []
     for pin in job.pinned:
-        pt = tuple(float(pin.get(c, 0.0)) for c in coords)
+        missing = ", ".join(repr(c) for c in coords if c not in pin)
+        if missing:
+            raise ManifestError(f"pinned point {pin} of {job.name!r} leaves out {missing}")
+        pt = tuple(float(pin[c]) for c in coords)
         if not job.sample_ok(pt):
             raise ManifestError(f"pinned point {pin} of {job.name!r} is inadmissible")
         points.append(pt)

@@ -1,43 +1,43 @@
 """Algebraic curvature operators at a point.
 
-Dense numpy kernels for the (0,4)/(0,6) machinery used by every
-identity check: the unit curvature tensor G of a metric, the
-Kulkarni-Nomizu product of two symmetric (0,2) tensors, the derivation
-B . T induced by a generalized curvature tensor, the Tachibana tensor
-Q(A,T), least-squares proportionality-factor extraction and numerical
-rank of shifted Ricci tensors.
+Numpy kernels for the (0,4)/(0,6) machinery used by every identity
+check: the unit curvature tensor G of a metric, the Kulkarni-Nomizu
+product of two symmetric (0,2) tensors, the derivation B . T induced by
+a generalized curvature tensor, the Tachibana tensor Q(A,T),
+least-squares proportionality-factor extraction and numerical rank of
+shifted Ricci tensors.
 
 B . T and Q(A,T) are one operation: the derivation of T by a skew
 endomorphism field, B(X,Y) (the (0,4) tensor B with its last slot
-raised) or X ^_A Y.  Both go through one slot-generic kernel that
-contracts the endomorphism into each slot of T in turn, one matrix
-product per slot, so they serve tensors of any order.  rank_shift
-accepts an array of alpha and ranks the whole scan with one stacked
-SVD.
+raised) or X ^_A Y, computed by one kernel on bivectors.  rank_shift
+accepts an array of alpha and ranks the whole scan with one stacked SVD.
 
-At n = 6 an order-6 array is 373 KB, above the allocator's mmap
-threshold, so every fresh temporary of that size is handed back to the
-OS when freed and page-faulted in again by the next one.  The kernel
-therefore writes every slot's product into one scratch buffer per call,
-and a residual may overwrite only a temporary that no caller reads
-again (proportionality's difference; the right-hand side a caller
-builds and hands to owned_tensor_residual), never a tensor it was
-asked to compare.  Each element still sees the same operations in
-the same order, so results are bit-identical to the plain formulas.
+Symmetry is exploited for storage: a product keeps each antisymmetric
+slot pair (the derivation pair; both pairs of an order-4 T) once per
+pair x < y, m = n(n-1)/2 of them, its component times sqrt(2) (the
+orthonormal bivector basis).  Frobenius norms and inner products then
+equal the dense ones in exact arithmetic, so residuals and factors need
+no weights; a max-abs reads 2 sqrt(2) larger on an order-6 product.
+E(X) acts on packed 2-forms by an m x m matrix K_X, one table product
+away from E's rows, and maps a packed order-4 T^ to -(K_X T^ + T^ K_X^T).
+At n = 6 an order-6 product is a (15, 15, 15) array of 27 KB, not a
+6**6 array of 373 KB, and a point's twelve products take about 0.26 MB.
+The geometry suite's riemann_symmetry_residuals check, on the dense
+frame, the antisymmetries the packing drops.
 
-Component arrays are indexed in direct slot order, T[a,b,c,d] =
+Dense component arrays are indexed in direct slot order, T[a,b,c,d] =
 T(e_a, e_b, e_c, e_d).  For tensors with the curvature pair symmetries
 this coincides with the classical index layout (full index reversal is
 the identity on such tensors), so block formulas stated in classical
 index form can be read off the same arrays.
 
-Symmetry is checked by the residual suites, never exploited for storage.
 All public functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "proportionality",
     "rank_shift",
     "tensor_residual",
-    "owned_tensor_residual",
     "scalar_residual",
     "max_abs_residual",
     "zero_residual",
@@ -71,17 +70,8 @@ def _asarray(t) -> np.ndarray:
 
 def tensor_residual(lhs, rhs) -> float:
     """Frobenius residual of lhs == rhs, sum-plus-one normalized."""
-    return owned_tensor_residual(_asarray(lhs), np.array(rhs, dtype=float))
-
-
-def owned_tensor_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """tensor_residual(lhs, rhs), computed by overwriting rhs with lhs - rhs.
-
-    rhs must be a float array the caller owns and no longer reads.
-    """
-    nb = np.linalg.norm(rhs)
-    np.subtract(lhs, rhs, out=rhs)
-    return float(np.linalg.norm(rhs) / (np.linalg.norm(lhs) + nb + 1.0))
+    a, b = _asarray(lhs), _asarray(rhs)
+    return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
 
 
 def scalar_residual(lhs: float, rhs: float) -> float:
@@ -134,28 +124,51 @@ def kulkarni_nomizu(A, B) -> np.ndarray:
     )
 
 
-def _endomorphism(B4: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    # E[x,y,i,s]: component s of the skew endomorphism applied to e_i,
-    # recovered from the (0,4) tensor by raising the last slot.
-    return np.einsum("xyid,sd->xyis", B4, ginv)
+@cache
+def _bivectors(n: int):
+    # Tables for dimension n, built on first use, never at import, over
+    # the pairs X = (x, y), x < y, in lexicographic order, m of them:
+    # rows, their flat indices x*n + y; quads, the flat indices of the
+    # pairs of pairs in an n**4 array, so one take packs an order-4 T as
+    # the m x m matrix T^; wedge, each e_x ^ e_y as an n x n matrix; lift,
+    # the (n*n, m*m) table with E(X).ravel() @ lift = K_X, the action on
+    # packed 2-forms, times -2 sqrt(2) (three packed pairs, and the sign).
+    x, y = np.triu_indices(n, 1)
+    m, rows = len(x), x * n + y
+    quads = (rows[:, None] * (n * n) + rows).ravel()
+    wedge = np.zeros((m, n, n))
+    wedge[np.arange(m), y, x], wedge[np.arange(m), x, y] = 1.0, -1.0
+    # (E.w)(e_a, e_b) = -w(E e_a, e_b) - w(e_a, E e_b) on a 2-form w, so
+    # K[P, Q] = E[a,c] d_bd - E[a,d] d_bc + E[b,d] d_ac - E[b,c] d_ad
+    # for P = (a, b), Q = (c, d); the four terms never share an entry.
+    lift = np.zeros((n, n, m, m))
+    P, Q = np.indices((m, m))
+    a, b, c, d = x[:, None], y[:, None], x, y
+    lift[a, c, P, Q] += b == d
+    lift[a, d, P, Q] -= b == c
+    lift[b, d, P, Q] += a == c
+    lift[b, c, P, Q] -= a == d
+    lift = (-2.0 * np.sqrt(2.0)) * lift.reshape(n * n, m * m)
+    for table in (rows, quads, wedge, lift):
+        table.flags.writeable = False
+    return rows, quads, wedge, lift
 
 
 def _derive(E: np.ndarray, T: np.ndarray) -> np.ndarray:
-    # (E . T)[a_1..a_k, x, y] = -sum_j T(a_1, .., E(x,y) e_{a_j}, .., a_k):
-    # one matrix product per slot of T, whatever its order, written into
-    # one scratch buffer and subtracted into out through a transposed
-    # view of it.
-    k, n = T.ndim, T.shape[0]
-    out = np.zeros(T.shape + E.shape[:2])
-    E_rows = E.reshape(n ** 3, n)  # [(x, y, i), s]
-    buf = np.empty((n ** 3, n ** (k - 1)))
-    term = buf.reshape(E.shape[:3] + T.shape[1:])
-    for slot in range(k):
-        others = [j for j in range(k) if j != slot]
-        np.matmul(E_rows, T.transpose(slot, *others).reshape(n, -1), out=buf)
-        # term is [x, y, a_slot, other slots]; view it in out's slot order.
-        out -= term.transpose(*range(3, slot + 3), 2, *range(slot + 3, k + 2), 0, 1)
-    return out
+    # E[X, i, s]: component s of E(X) e_i, for each pair X, x < y.  The
+    # packed (E . T), derivation pair last: (n, n, m) or (m, m, m).
+    n, m = T.shape[0], E.shape[0]
+    if T.ndim == 2:
+        K = -np.sqrt(2.0) * E
+    elif T.ndim == 4:
+        _, quads, _, lift = _bivectors(n)
+        K = (E.reshape(m, n * n) @ lift).reshape(m, m, m)
+        T = T.take(quads).reshape(m, m)
+    else:
+        raise ValueError(f"packed derivation needs an order-2 or order-4 tensor, got {T.shape}")
+    out = K @ T
+    out += T @ K.transpose(0, 2, 1)
+    return out.transpose(1, 2, 0)
 
 
 def derivation_apply(B4, T, ginv) -> np.ndarray:
@@ -163,27 +176,37 @@ def derivation_apply(B4, T, ginv) -> np.ndarray:
 
     Given the (0,4) tensor B of a skew-symmetric endomorphism field and
     a (0,k) tensor T, returns the (0,k+2) tensor (B . T) with the two
-    derivation slots appended last.  Instantiates R.R, R.S, R.C, C.C,
-    C.R and C.S.
+    derivation slots appended last, packed on bivectors (see the module
+    docstring; m = n(n-1)/2, pairs X < Y, sqrt(2) per packed pair):
+    an (n, n, m) array for any order-2 T, an (m, m, m) array for an
+    order-4 T antisymmetric in both pairs.  Only components with
+    x < y of B's first pair and, for order 4, a < b and c < d of T are
+    read.  Instantiates R.R, R.S, R.C, C.C, C.R and C.S.
     """
     B4, T, ginv = _asarray(B4), _asarray(T), _asarray(ginv)
-    if B4.shape[0] != T.shape[0]:
+    n = B4.shape[0]
+    if n != T.shape[0]:
         raise ValueError(f"dimension mismatch: {B4.shape} vs {T.shape}")
-    return _derive(_endomorphism(B4, ginv), T)
+    rows = _bivectors(n)[0]
+    # E(X)[i, s] for X = (x, y), x < y: B's rows X, last slot raised.
+    return _derive(B4.reshape(n * n, n, n).take(rows, axis=0) @ ginv.T, T)
 
 
 def tachibana(A, T) -> np.ndarray:
     """Tachibana tensor Q(A,T) of a symmetric (0,2) tensor A and (0,k) T.
 
     The image of T under the derivation induced by the metric-free
-    wedge endomorphism (X ^_A Y)Z = A(Y,Z) X - A(X,Z) Y; Q(g,G)
-    vanishes identically.
+    wedge endomorphism (X ^_A Y)Z = A(Y,Z) X - A(X,Z) Y, packed as
+    derivation_apply's result: (n, n, m) for any order-2 T, (m, m, m)
+    for an order-4 T antisymmetric in both pairs.  Q(g,G) vanishes
+    identically.
     """
     A, T = _asarray(A), _asarray(T)
-    if A.shape[0] != T.shape[0]:
+    n = A.shape[0]
+    if n != T.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} vs {T.shape}")
-    half = np.einsum("yi,xs->xyis", A, np.eye(A.shape[0]))
-    return _derive(half - np.swapaxes(half, 0, 1), T)
+    # E(X)[i, s] = A[y, i] d_xs - A[x, i] d_ys = (A^T (e_x ^ e_y))[i, s]
+    return _derive(A.T @ _bivectors(n)[2], T)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +226,24 @@ class ProportionalityResult:
     verdict: str
 
 
-def proportionality(lhs, rhs) -> ProportionalityResult:
+def proportionality(lhs, rhs, dim: int) -> ProportionalityResult:
     """Least-squares factor between equally shaped tensors.
 
     factor = <lhs, rhs> / <rhs, rhs>; the residual uses the same
     sum-plus-one normalization as tensor_residual.  RHS is degenerate
-    when its Frobenius norm is below 1e-12 * dim**2.
+    when its Frobenius norm is below 1e-12 * dim**2, dim being the chart
+    dimension n (not a packed product's leading axis m).
     """
     a, b = _asarray(lhs), _asarray(rhs)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    dim = a.shape[0] if a.ndim else 1
     if nb <= 1e-12 * dim * dim:
         if na <= 1e-12 * dim * dim:
             return ProportionalityResult(None, 0.0, True, "vacuous")
         return ProportionalityResult(None, na / (na + nb + 1.0), True, "inconsistent")
     factor = float(np.vdot(b, a) / np.vdot(b, b))
-    diff = np.multiply(factor, b, out=np.empty_like(b))
-    np.subtract(a, diff, out=diff)
-    residual = float(np.linalg.norm(diff) / (na + nb + 1.0))
+    residual = float(np.linalg.norm(a - factor * b) / (na + nb + 1.0))
     return ProportionalityResult(factor, residual, False, "fit")
 
 

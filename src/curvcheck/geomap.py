@@ -39,8 +39,8 @@ from . import warped as wp
 from .curvops import (
     constancy_residual,
     max_abs_residual,
-    owned_tensor_residual,
     scalar_residual,
+    tensor_residual,
     zero_residual,
 )
 from .roter import RoterFit
@@ -518,9 +518,7 @@ def factor_relations(
         "l_image": scalar_residual(ifit.L, -(n - 2) * ifit.L_R),
     }
     for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
-        rhs = (n - 2) * fit.L_R * P["QgC"]
-        np.subtract(P["QSR"], rhs, out=rhs)
-        out[tag] = owned_tensor_residual(P["RR"], rhs)
+        out[tag] = tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
     return out
 
 
@@ -543,8 +541,9 @@ def psi_ricci_identity_residual(
     """
     n = fam.cfg.n
     sframe, iframe = frames
+    # A packed R.R entry is 2 sqrt(2) times the dense one (see curvops).
     RR = products[0]["RR"]
-    if max(RR.max(), -RR.min()) <= 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
+    if np.max(np.abs(RR)) <= 2.0 * np.sqrt(2.0) * 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
         raise FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
     ifit = fits[1]
     phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R

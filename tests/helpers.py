@@ -4,6 +4,8 @@ import math
 import random
 from typing import Mapping
 
+import numpy as np
+
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import roter
@@ -175,3 +177,42 @@ def diagnostics_at(ws, point):
 def member_diagnostics(fam, point):
     """(source, image) warped diagnostics of a family at a point."""
     return diagnostics_at(fam.source, point), diagnostics_at(fam.image, point)
+
+
+# The dense derivation kernel: the oracle for curvops' packed one.  One
+# matrix product per slot of T, whatever its order, into fresh arrays.
+
+def dense_derive(E, T):
+    """(E . T)[a_1..a_k, x, y] = -sum_j T(a_1, .., E(x,y) e_{a_j}, .., a_k),
+    with E[x, y, i, s] the component s of E(x,y) applied to e_i."""
+    k, n = T.ndim, T.shape[0]
+    out = np.zeros(T.shape + E.shape[:2])
+    E_rows = E.reshape(n ** 3, n)  # [(x, y, i), s]
+    shape = E.shape[:3] + T.shape[1:]
+    for slot in range(k):
+        others = [j for j in range(k) if j != slot]
+        term = (E_rows @ T.transpose(slot, *others).reshape(n, -1)).reshape(shape)
+        # term is [x, y, a_slot, other slots]; view it in out's slot order.
+        out -= term.transpose(*range(3, slot + 3), 2, *range(slot + 3, k + 2), 0, 1)
+    return out
+
+
+def dense_derivation(B4, T, ginv):
+    """Dense B . T: B's last slot raised gives the endomorphism field."""
+    return dense_derive(np.einsum("xyid,sd->xyis", B4, ginv), T)
+
+
+def dense_tachibana(A, T):
+    """Dense Q(A,T): the derivation by (X ^_A Y)Z = A(Y,Z) X - A(X,Z) Y."""
+    half = np.einsum("yi,xs->xyis", A, np.eye(A.shape[0]))
+    return dense_derive(half - np.swapaxes(half, 0, 1), T)
+
+
+def pack(D):
+    """A dense order-4 or order-6 derivation product, derivation pair
+    last, in curvops' packed layout: (n, n, m) or (m, m, m) over the
+    pairs x < y, each antisymmetric pair's component times sqrt(2)."""
+    x, y = np.triu_indices(D.shape[0], 1)
+    if D.ndim == 4:
+        return np.sqrt(2.0) * D[:, :, x, y]
+    return 2.0 * np.sqrt(2.0) * D[x, y][:, x, y][:, :, x, y]

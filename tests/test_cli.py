@@ -164,6 +164,28 @@ class TestValidation:
         assert "'theta'" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("pin, missing", [({"th": 1.0}, "'ph'"), ({"ph": 0.5}, "'th'")])
+    def test_pinned_point_missing_a_coordinate_exits_1(self, tmp_path, pin, missing):
+        # A left-out coordinate used to be placed at 0.0: {"th": 1.0} ran
+        # at (1.0, 0.0) and reported OK, {"ph": 0.5} was "inadmissible"
+        # (sin(0) = 0) without naming th.
+        sphere = self.good()
+        sphere["manifolds"][0].update(
+            coords=["th", "ph"], metric=[["1", "0"], ["0", "sin(th)^2"]],
+            conditions=[["sin(th)", "nonzero"]], box={"th": [0.3, 2.8], "ph": [0, 3]},
+            pinned_points=[pin],
+        )
+        with pytest.raises(cli.ManifestError, match=missing):
+            cli.run_manifest(sphere)
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps(sphere))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert missing in proc.stderr and "inadmissible" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_exits_2(self, tmp_path, points):
         proc = run_cli(["run", "flat_space", "--points", points, "--out", str(tmp_path)])

@@ -16,6 +16,8 @@ from curvcheck.curvops import (
     unit_curvature,
 )
 
+from helpers import dense_derive, dense_derivation, pack
+
 
 def random_metric(rng, n):
     """Random symmetric matrix pushed away from degeneracy."""
@@ -32,8 +34,8 @@ RNG = np.random.default_rng(42)
 
 
 # Reference formulas, one explicit index expression per slot and order,
-# independent of the slot-generic kernel behind derivation_apply and
-# tachibana.
+# independent of both the packed kernel behind derivation_apply and
+# tachibana and the dense oracle kernel in helpers.
 
 def reference_derivation(B4, T, ginv):
     E = np.einsum("xyid,sd->xyis", B4, ginv)
@@ -68,8 +70,8 @@ def reference_tachibana(A, T):
 
 
 def tensordot_derive(E, T):
-    # The derivation kernel as it was before it moved to one matrix
-    # product per slot: tensordot, then moveaxis into place.
+    # The dense kernel as it was before it moved to one matrix product
+    # per slot: tensordot, then moveaxis into place.
     k = T.ndim
     out = np.zeros(T.shape + E.shape[:2])
     for slot in range(k):
@@ -79,15 +81,17 @@ def tensordot_derive(E, T):
 
 
 def assert_close_to_reference(got, want, scale):
-    # Relative Frobenius error <= 1e-13.  At n = 2 every derivation of a
-    # (0,4) curvature tensor vanishes (its 2-forms span a line), so where
-    # the reference is zero to round-off both sides must vanish against
-    # the scale of the inputs instead.
-    err, size = np.linalg.norm(got - want), np.linalg.norm(want)
-    if size <= 1e-13 * scale:
-        assert np.linalg.norm(got) <= 1e-13 * scale
+    # got is packed, want the dense reference: relative Frobenius error
+    # <= 1e-14 after packing want, and equal norms to 1e-14.  At n = 2
+    # every derivation of a (0,4) curvature tensor vanishes (its 2-forms
+    # span a line), so where the reference is zero to round-off both
+    # sides must vanish against the scale of the inputs instead.
+    size = np.linalg.norm(want)
+    if size <= 1e-14 * scale:
+        assert np.linalg.norm(got) <= 1e-14 * scale
     else:
-        assert err <= 1e-13 * size
+        assert np.linalg.norm(got - pack(want)) <= 1e-14 * size
+        assert abs(np.linalg.norm(got) - size) <= 1e-14 * size
 
 
 class TestKulkarniNomizu:
@@ -123,7 +127,7 @@ class TestDerivationAndTachibana:
             assert tensor_residual(derivation_apply(G, T2, ginv), tachibana(g, T2)) < 1e-10
             assert tensor_residual(derivation_apply(G, T4, ginv), tachibana(g, T4)) < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_kernel_matches_reference_formulas(self, n):
         rng = np.random.default_rng(n)
         for _ in range(5):
@@ -145,8 +149,10 @@ class TestDerivationAndTachibana:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_kernel_matches_tensordot_bit_for_bit(self, n):
-        # Each element keeps its length-n dot product and its chain of
-        # subtractions, so the result is the same to the last bit.
+        # The dense oracle kernel, on any B and T (outside the packed
+        # kernel's domain too): each element keeps its length-n dot
+        # product and its chain of subtractions, so the result is the
+        # same to the last bit.
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
             g = random_metric(rng, n)
@@ -155,10 +161,8 @@ class TestDerivationAndTachibana:
             B4 = rng.normal(size=(n,) * 4)
             half = np.einsum("yi,xs->xyis", A, np.eye(n))
             for T in (rng.normal(size=(n, n)), rng.normal(size=(n,) * 4)):
-                want = tensordot_derive(np.einsum("xyid,sd->xyis", B4, ginv), T)
-                assert derivation_apply(B4, T, ginv).tobytes() == want.tobytes()
-                want = tensordot_derive(half - np.swapaxes(half, 0, 1), T)
-                assert tachibana(A, T).tobytes() == want.tobytes()
+                for E in (np.einsum("xyid,sd->xyis", B4, ginv), half - np.swapaxes(half, 0, 1)):
+                    assert dense_derive(E, T).tobytes() == tensordot_derive(E, T).tobytes()
 
     def test_tachibana_kills_unit_curvature(self):
         for _ in range(50):
@@ -184,45 +188,55 @@ class TestDerivationAndTachibana:
             ["-(1 - 2/r)", "1/(1 - 2/r)", "r^2", "r^2*sin(th)^2"],
         )
         f = geo.frame(spec, (0.0, 3.0, 1.1, 0.2))
-        RR = derivation_apply(f.riemann, f.riemann, f.ginv)
-        assert max_abs_residual(RR, -np.swapaxes(RR, -1, -2)) <= 1e-9
-        RS = derivation_apply(f.riemann, f.ricci, f.ginv)
-        assert max_abs_residual(RS, -np.swapaxes(RS, -1, -2)) <= 1e-9
+        # The dense image drops nothing when packed on its last pair, and
+        # the packed kernel gives that packing.
+        for T in (f.riemann, f.ricci):
+            dense = dense_derivation(f.riemann, T, f.ginv)
+            assert max_abs_residual(dense, -np.swapaxes(dense, -1, -2)) <= 1e-9
+            packed = derivation_apply(f.riemann, T, f.ginv)
+            assert max_abs_residual(packed, pack(dense)) <= 1e-14
 
 
 class TestProportionality:
     def test_exact_factor_recovered(self):
         g = random_metric(RNG, 4)
         rhs = kulkarni_nomizu(g, random_sym(RNG, 4))
-        res = proportionality(-2.75 * rhs, rhs)
+        res = proportionality(-2.75 * rhs, rhs, 4)
         assert res.verdict == "fit"
         assert res.factor == pytest.approx(-2.75, rel=1e-13)
         assert res.residual < 1e-14
 
     def test_zero_lhs(self):
         rhs = unit_curvature(random_metric(RNG, 4))
-        res = proportionality(np.zeros_like(rhs), rhs)
+        res = proportionality(np.zeros_like(rhs), rhs, 4)
         assert res.factor == pytest.approx(0.0, abs=1e-15)
         assert res.residual == 0.0
 
     def test_vacuous_when_both_vanish(self):
         z = np.zeros((4, 4, 4, 4))
-        res = proportionality(z, z)
+        res = proportionality(z, z, 4)
         assert res.degenerate and res.verdict == "vacuous"
         assert res.factor is None and res.residual == 0.0
 
     def test_inconsistent_when_only_rhs_vanishes(self):
         lhs = unit_curvature(np.eye(4))
-        res = proportionality(lhs, np.zeros_like(lhs))
+        res = proportionality(lhs, np.zeros_like(lhs), 4)
         assert res.degenerate and res.verdict == "inconsistent"
         assert res.factor is None and res.residual > 0.1
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            proportionality(np.zeros((3, 3)), np.zeros((4, 4)))
+            proportionality(np.zeros((3, 3)), np.zeros((4, 4)), 4)
+
+    def test_degeneracy_bound_reads_the_chart_dimension(self):
+        # 1e-12 * dim**2 reads the chart dimension passed in, never the
+        # leading axis: a packed order-6 product at n = 4 has m = 6.
+        rhs = np.full((6, 6, 6), 2e-11 / np.sqrt(6 ** 3))
+        assert proportionality(rhs, rhs, 4).verdict == "fit"
+        assert proportionality(rhs, rhs, 6).verdict == "vacuous"
 
     def test_scalars(self):
-        res = proportionality(2.0, 1.0)
+        res = proportionality(2.0, 1.0, 1)
         assert res.verdict == "fit"
         assert res.factor == 2.0 and res.residual == 0.0
 

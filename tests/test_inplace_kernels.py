@@ -1,11 +1,14 @@
-"""The Roter path's in-place kernels against the plain formulas.
+"""The Roter path's packed products against the dense oracle.
 
-curvops._derive writes every slot's matrix product into one scratch
-buffer, proportionality and the identity residuals overwrite the
-temporaries they own.  These tests pin both sides of that: every float
-equals the one the plain, allocate-per-operation formulas below give
-(==, not a tolerance), and the temporaries stay few, measured with
-tracemalloc in units of one 6**6 array.
+curvops computes every derivation product on bivectors (see its module
+docstring).  These tests pin that layout against the dense kernel in
+helpers: each packed product equals the packing of the dense one, each
+residual and factor read from packed products equals the one read from
+dense products, the two readings that are not norms (proportionality's
+degeneracy bound and the SEMISYMMETRIC guard) keep their dense meaning,
+the residuals equal plain allocate-per-operation formulas (==, not a
+tolerance), and the temporaries stay small, measured with tracemalloc
+in units of one dense 6**6 array.
 """
 
 import tracemalloc
@@ -13,10 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvcheck import cli, curvops, geomap as gm, roter
+from curvcheck import cli, curvops, geomap as gm, geometry as geo, roter
 from curvcheck.corpus import corpus_get
 
-from helpers import frames_fits_and_products
+from helpers import dense_derivation, dense_tachibana, frames_fits_and_products, pack
 
 # One family per chart dimension n = 4, 5, 6.
 FAMILIES = {4: "theorem41_n4", 5: "theorem41_c_pos_n5", 6: "theorem41_c_neg_n6"}
@@ -43,34 +46,12 @@ def member_state(request):
 # ---------------------------------------------------------------------------
 # The plain formulas: one fresh array per operation.
 
-def plain_derive(E, T):
-    k, n = T.ndim, T.shape[0]
-    out = np.zeros(T.shape + E.shape[:2])
-    E_rows = E.reshape(n ** 3, n)
-    shape = E.shape[:3] + T.shape[1:]
-    for slot in range(k):
-        others = [j for j in range(k) if j != slot]
-        term = (E_rows @ T.transpose(slot, *others).reshape(n, -1)).reshape(shape)
-        out -= term.transpose(*range(3, slot + 3), 2, *range(slot + 3, k + 2), 0, 1)
-    return out
-
-
-def plain_tachibana(A, T):
-    half = np.einsum("yi,xs->xyis", A, np.eye(A.shape[0]))
-    return plain_derive(half - np.swapaxes(half, 0, 1), T)
-
-
-def plain_derivation(B4, T, ginv):
-    return plain_derive(np.einsum("xyid,sd->xyis", B4, ginv), T)
-
-
 def plain_tensor_residual(a, b):
     return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
 
 
-def plain_proportionality(a, b):
+def plain_proportionality(a, b, dim):
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    dim = a.shape[0]
     if nb <= 1e-12 * dim * dim:
         if na <= 1e-12 * dim * dim:
             return curvops.ProportionalityResult(None, 0.0, True, "vacuous")
@@ -80,11 +61,11 @@ def plain_proportionality(a, b):
     return curvops.ProportionalityResult(factor, residual, False, "fit")
 
 
-def plain_factors(P):
+def plain_factors(P, n):
     return {
-        "L_R": plain_proportionality(P["RR"], P["QgR"]),
-        "L_C": plain_proportionality(P["CC"], P["QgC"]),
-        "L": plain_proportionality(P["RR"] - P["QSR"], P["QgC"]),
+        "L_R": plain_proportionality(P["RR"], P["QgR"], n),
+        "L_C": plain_proportionality(P["CC"], P["QgC"], n),
+        "L": plain_proportionality(P["RR"] - P["QSR"], P["QgC"], n),
     }
 
 
@@ -96,7 +77,7 @@ def plain_identity_suite(frame, fit, P):
         ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * P["QgR"]
         + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"]
     )
-    measured = plain_factors(P)
+    measured = plain_factors(P, n)
     res = plain_tensor_residual
     return {
         "ricci_square_affine": res(frame.ricci_sq, fit.alpha1 * S + fit.alpha2 * g),
@@ -118,31 +99,40 @@ def plain_identity_suite(frame, fit, P):
 # ---------------------------------------------------------------------------
 # Same bits
 
-PLAIN_PRODUCTS = {
-    "RR": lambda f: plain_derivation(f.riemann, f.riemann, f.ginv),
-    "RC": lambda f: plain_derivation(f.riemann, f.weyl, f.ginv),
-    "RS": lambda f: plain_derivation(f.riemann, f.ricci, f.ginv),
-    "CC": lambda f: plain_derivation(f.weyl, f.weyl, f.ginv),
-    "CR": lambda f: plain_derivation(f.weyl, f.riemann, f.ginv),
-    "CS": lambda f: plain_derivation(f.weyl, f.ricci, f.ginv),
-    "QgR": lambda f: plain_tachibana(f.g, f.riemann),
-    "QgS": lambda f: plain_tachibana(f.g, f.ricci),
-    "QgC": lambda f: plain_tachibana(f.g, f.weyl),
-    "QSR": lambda f: plain_tachibana(f.ricci, f.riemann),
-    "QSC": lambda f: plain_tachibana(f.ricci, f.weyl),
-    "QSG": lambda f: plain_tachibana(f.ricci, curvops.unit_curvature(f.g)),
+DENSE_PRODUCTS = {
+    "RR": lambda f: dense_derivation(f.riemann, f.riemann, f.ginv),
+    "RC": lambda f: dense_derivation(f.riemann, f.weyl, f.ginv),
+    "RS": lambda f: dense_derivation(f.riemann, f.ricci, f.ginv),
+    "CC": lambda f: dense_derivation(f.weyl, f.weyl, f.ginv),
+    "CR": lambda f: dense_derivation(f.weyl, f.riemann, f.ginv),
+    "CS": lambda f: dense_derivation(f.weyl, f.ricci, f.ginv),
+    "QgR": lambda f: dense_tachibana(f.g, f.riemann),
+    "QgS": lambda f: dense_tachibana(f.g, f.ricci),
+    "QgC": lambda f: dense_tachibana(f.g, f.weyl),
+    "QSR": lambda f: dense_tachibana(f.ricci, f.riemann),
+    "QSC": lambda f: dense_tachibana(f.ricci, f.weyl),
+    "QSG": lambda f: dense_tachibana(f.ricci, curvops.unit_curvature(f.g)),
 }
+
+
+def dense_products(frame):
+    return {key: dense(frame) for key, dense in DENSE_PRODUCTS.items()}
 
 
 class TestSameBits:
     def test_products(self, member_state):
+        # Each packed product is the packed dense oracle, to 1e-14
+        # relative; at n = 6 an order-6 product is (15, 15, 15), 27 KB.
         _, frames, _, products = member_state
         for f, P in zip(frames, products):
-            assert set(P) == set(PLAIN_PRODUCTS)
-            for key, plain in PLAIN_PRODUCTS.items():
-                want = plain(f)
+            assert set(P) == set(DENSE_PRODUCTS)
+            for key, dense in DENSE_PRODUCTS.items():
+                D = dense(f)
+                want = pack(D)
                 assert P[key].shape == want.shape
-                assert (P[key] == want).all(), key
+                assert np.linalg.norm(P[key] - want) <= 1e-14 * np.linalg.norm(want), key
+                if f.dim == 6 and D.ndim == 6:
+                    assert P[key].shape == (15, 15, 15) and P[key].nbytes == 27000, key
 
     def test_identity_suite(self, member_state):
         _, frames, fits, products = member_state
@@ -156,12 +146,12 @@ class TestSameBits:
     def test_pseudosymmetry_factors(self, member_state):
         _, frames, _, products = member_state
         for f, P in zip(frames, products):
-            assert roter.pseudosymmetry_factors(f, P) == plain_factors(P)
+            assert roter.pseudosymmetry_factors(f, P) == plain_factors(P, f.dim)
 
     def test_ricci_pseudosymmetry(self, member_state):
         _, frames, _, products = member_state
         for f, P in zip(frames, products):
-            want = plain_proportionality(P["RS"], P["QgS"])
+            want = plain_proportionality(P["RS"], P["QgS"], f.dim)
             assert roter.ricci_pseudosymmetry(f, P) == want
 
     def test_factor_relations_cor42(self, member_state):
@@ -188,6 +178,73 @@ class TestSameBits:
 
 
 # ---------------------------------------------------------------------------
+# Packed against dense
+
+class TestPackedReadsAsDense:
+    def test_identity_suite(self, member_state):
+        _, frames, fits, products = member_state
+        for f, fit, P in zip(frames, fits, products):
+            got, want = roter.identity_suite(f, fit, P), roter.identity_suite(f, fit, dense_products(f))
+            for name in roter.IDENTITY_NAMES:
+                assert abs(got[name] - want[name]) <= 1e-14, name
+
+    def test_pseudosymmetry_factors(self, member_state):
+        _, frames, _, products = member_state
+        for f, P in zip(frames, products):
+            got = roter.pseudosymmetry_factors(f, P)
+            want = roter.pseudosymmetry_factors(f, dense_products(f))
+            for key in want:
+                assert got[key].verdict == want[key].verdict == "fit", key
+                assert abs(got[key].residual - want[key].residual) <= 1e-14, key
+                assert curvops.scalar_residual(got[key].factor, want[key].factor) <= 1e-14, key
+
+    def test_factor_relations_cor42(self, member_state):
+        fam, frames, fits, products = member_state
+        v = gm.family_values(fam, frames[0].point)
+        got = gm.factor_relations(fam, frames, fits, products, v)
+        dense = tuple(dense_products(f) for f in frames)
+        want = gm.factor_relations(fam, frames, fits, dense, v)
+        for tag in ("cor42_source", "cor42_image"):
+            assert abs(got[tag] - want[tag]) <= 1e-14, tag
+
+
+def test_constant_curvature_is_vacuous_packed_and_dense():
+    # R.R and Q(g,R) vanish; the degeneracy bound 1e-12 * n**2 reads the
+    # chart dimension n, so the packed products (leading axis m = 6 at
+    # n = 4) are as vacuous as the dense ones.
+    spec = geo.diagonal_metric(
+        ("x1", "x2", "x3", "x4"),
+        ["1/(1 + (x1^2+x2^2+x3^2+x4^2)/4)^2"] * 4,
+    )
+    f = geo.frame(spec, (0.2, -0.1, 0.3, 0.05))
+    packed = roter.curvature_products(f)
+    dense = dense_products(f)
+    for P in (packed, dense):
+        for lhs, rhs in (("RR", "QgR"), ("CC", "QgC"), ("RS", "QgS")):
+            assert curvops.proportionality(P[lhs], P[rhs], f.dim).verdict == "vacuous"
+
+
+def test_semisymmetric_guard_fires_where_the_dense_guard_fires():
+    # The dense guard: max|R.R| <= 1e-9 (max|R| + 1).  Scale the source
+    # R.R to sit at fixed multiples of that bound; the packed guard must
+    # fire on exactly the same ones.
+    fam, frames, fits, products = state_at(4)
+    dense_rr = DENSE_PRODUCTS["RR"](frames[0])
+    bound = 1e-9 * (np.max(np.abs(frames[0].riemann)) + 1.0)
+    for ratio in (0.0, 0.5, 0.99, 1.01, 2.0, 1e6):
+        t = ratio * bound / np.max(np.abs(dense_rr))
+        dense_fires = np.max(np.abs(t * dense_rr)) <= bound
+        scaled = [dict(products[0], RR=t * products[0]["RR"]), products[1]]
+        try:
+            gm.psi_ricci_identity_residual(fam, frames, fits, scaled)
+            packed_fires = False
+        except gm.FamilyError as err:
+            assert err.reason == "SEMISYMMETRIC"
+            packed_fires = True
+        assert packed_fires == dense_fires == (ratio < 1.0), ratio
+
+
+# ---------------------------------------------------------------------------
 # Few temporaries
 
 def peak_units(fn) -> float:
@@ -207,11 +264,11 @@ def peak_units(fn) -> float:
 
 
 class TestTemporaries:
-    """At n = 6 an order-6 array is 373 KB, above the allocator's mmap
-    threshold, so each temporary is a round trip to the OS.  The result
-    array counts as one unit; allocate-per-operation code peaks at 3.06
-    (derivation_apply), 3.09 (tachibana), 3.0 (pseudosymmetry_factors)
-    and 4.0 (identity_suite)."""
+    """At n = 6 a dense order-6 array is 373 KB, above the allocator's
+    mmap threshold.  A packed one is 27 KB, 0.072 units, so even the
+    plain formulas, one fresh array per operation, stay far below one
+    unit; the dense kernel peaked at 3.06 (derivation_apply) and 3.09
+    (tachibana) units."""
 
     @pytest.fixture(scope="class")
     def n6(self):
@@ -220,16 +277,16 @@ class TestTemporaries:
 
     def test_derivation_apply(self, n6):
         f, _, _ = n6
-        assert peak_units(lambda: curvops.derivation_apply(f.riemann, f.riemann, f.ginv)) < 2.5
+        assert peak_units(lambda: curvops.derivation_apply(f.riemann, f.riemann, f.ginv)) < 0.5
 
     def test_tachibana(self, n6):
         f, _, _ = n6
-        assert peak_units(lambda: curvops.tachibana(f.g, f.riemann)) < 2.5
+        assert peak_units(lambda: curvops.tachibana(f.g, f.riemann)) < 0.5
 
     def test_pseudosymmetry_factors(self, n6):
         f, _, P = n6
-        assert peak_units(lambda: roter.pseudosymmetry_factors(f, P)) < 2.5
+        assert peak_units(lambda: roter.pseudosymmetry_factors(f, P)) < 0.5
 
     def test_identity_suite(self, n6):
         f, fit, P = n6
-        assert peak_units(lambda: roter.identity_suite(f, fit, P)) < 2.5
+        assert peak_units(lambda: roter.identity_suite(f, fit, P)) < 0.5
