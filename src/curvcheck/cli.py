@@ -188,11 +188,13 @@ class ManifestError(ValueError):
 def load_manifest(source: str) -> dict:
     """Path to a JSON manifest, or a corpus name (corpus/ prefix allowed)."""
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh, parse_constant=_reject_constant)
-            except json.JSONDecodeError as err:
-                raise ManifestError(f"manifest is not valid JSON: {err}") from None
+        except json.JSONDecodeError as err:
+            raise ManifestError(f"manifest is not valid JSON: {err}") from None
+        except (OSError, UnicodeDecodeError) as err:
+            raise ManifestError(f"cannot read manifest {source!r}: {err}") from None
     else:
         try:
             data = corpus_mod.corpus_get(source)
@@ -236,6 +238,12 @@ def validate_manifest(data: dict) -> None:
         for key in needed:
             if key not in mdef:
                 raise ManifestError(f"manifold {mdef['name']!r}: kind {kind} needs {key!r}")
+        if "fiber" in mdef:
+            keys = mdef["fiber"].keys()
+            model = keys & {"dim", "scalar_curvature"}
+            if not ("dim" in model and model == keys or not model and keys >= {"coords", "metric"}):
+                raise ManifestError(f"manifold {mdef['name']!r}: fiber needs either 'dim' or both "
+                                    f"'coords' and 'metric', not keys of both forms")
         for block in (mdef, mdef.get("base"), mdef.get("fiber")):
             if not block or "metric" not in block:
                 continue

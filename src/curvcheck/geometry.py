@@ -15,13 +15,19 @@ The sign convention in R_hijk above is fixed once and for all; every
 identity checked elsewhere in the package assumes it.  With this
 convention the unit 2-sphere has R_1221 = 𝔞𝔟 > 0 and kappa = 2.
 
-Derivatives of Gamma never use finite differences: d Gamma is an
-algebraic function of g, dg and d2g, all of which are evaluated from
-exact symbolic derivatives of the component expressions.  Frames for
-different points are independent and nothing keeps them: whoever asks
-for a frame owns it and passes it to the helpers below, which take
-frames rather than (spec, point).  MetricSpec is immutable and safe to
-share across threads.
+R is evaluated in the equal form through the Christoffel symbols of
+the first kind, which needs no derivative of g^{-1} (Eisenhart,
+Riemannian Geometry, 1926, section 8):
+
+    Gamma_s,ij = (1/2) (d_i g_js + d_j g_is - d_s g_ij),    Gamma^h_ij = g^{hs} Gamma_s,ij
+    R_hijk     = d_k Gamma_h,ij - d_j Gamma_h,ik + Gamma_a,hj Gamma^a_ik - Gamma_a,hk Gamma^a_ij
+
+g, dg and d2g come from exact symbolic derivatives of the component
+expressions, never from finite differences.  Frames for different
+points are independent and nothing keeps them: whoever asks for a
+frame owns it and passes it to the helpers below, which take frames
+rather than (spec, point).  MetricSpec is immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -226,14 +232,31 @@ def _is_singular(g: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PointFrame
+# Curvature from the 2-jet, and the PointFrame built on it
+
+def _curvature(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
+    """(g^{-1}, Gamma^h_ij, R_hijk) from g, dg[k,i,j] and d2g[l,k,i,j], as
+    R_hijk = A_hijk - A_hikj with A_hijk = d_k Gamma_h,ij + Gamma_a,hj Gamma^a_ik."""
+    n = g.shape[0]
+    ginv = np.linalg.inv(g)
+    # lower[i,j,s] = Gamma_s,ij and dlower[k,i,j,s] = d_k Gamma_s,ij
+    lower = 0.5 * (dg + np.transpose(dg, (1, 0, 2)) - np.moveaxis(dg, 0, 2))
+    dlower = 0.5 * (
+        d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
+    )
+    gamma = np.einsum("hs,ijs->hij", ginv, lower)
+    # quad[h,j,i,k] = Gamma_a,hj Gamma^a_ik
+    quad = (lower.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
+    A = np.transpose(dlower, (3, 1, 2, 0)) + np.transpose(quad, (0, 2, 1, 3))
+    return ginv, gamma, A - np.swapaxes(A, 2, 3)
+
 
 @dataclass(frozen=True)
 class PointFrame:
     """Everything the identity suites need at one point.
 
-    weyl is the zero array, flagged via weyl_by_convention, for charts
-    of dimension < 4 where the conformal tensor carries no content.
+    weyl is the zero array for charts of dimension < 4, where the
+    conformal tensor carries no content.
     """
 
     spec: MetricSpec
@@ -247,14 +270,13 @@ class PointFrame:
     ricci_sq: np.ndarray
     scalar: float
     weyl: np.ndarray
-    weyl_by_convention: bool
 
     @property
     def dim(self) -> int:
         return len(self.point)
 
 
-def frame(spec: MetricSpec, point: Sequence[float], check: bool = True) -> PointFrame:
+def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:
     """Evaluate the full curvature packet at a point.
 
     Every call computes a new frame; callers that need it more than
@@ -263,32 +285,9 @@ def frame(spec: MetricSpec, point: Sequence[float], check: bool = True) -> Point
     point = tuple(float(v) for v in point)
     if len(point) != spec.dim:
         raise GeometryError(f"point has {len(point)} coordinates, chart has {spec.dim}")
-    g, dg, d2g = _metric_jet(spec, point, check)
-    ginv = np.linalg.inv(g)
+    g, dg, d2g = _metric_jet(spec, point)
+    ginv, gamma, riem = _curvature(g, dg, d2g)
     n = spec.dim
-
-    # B[i,j,s] = d_i g_js + d_j g_is - d_s g_ij
-    B = dg + np.transpose(dg, (1, 0, 2)) - np.moveaxis(dg, 0, 2)
-    gamma = 0.5 * np.einsum("hs,ijs->hij", ginv, B)
-
-    # dB[k,i,j,s] = d_k B[i,j,s]; d_k g^{hs} = -g^{ha} (d_k g_ab) g^{bs}
-    dB = (
-        d2g
-        + np.transpose(d2g, (0, 2, 1, 3))
-        - np.transpose(d2g, (0, 2, 3, 1))
-    )
-    dginv = -np.einsum("ha,kab,bs->khs", ginv, dg, ginv)
-    dgamma = 0.5 * (
-        np.einsum("khs,ijs->khij", dginv, B) + np.einsum("hs,kijs->khij", ginv, dB)
-    )
-
-    rup = (
-        np.transpose(dgamma, (1, 2, 3, 0))  # d_k Gamma^s_ij -> [s,i,j,k]
-        - np.transpose(dgamma, (1, 2, 0, 3))  # d_j Gamma^s_ik -> [s,i,j,k]
-        + np.einsum("rij,srk->sijk", gamma, gamma)
-        - np.einsum("rik,srj->sijk", gamma, gamma)
-    )
-    riem = np.einsum("hs,sijk->hijk", g, rup)
 
     ricci = np.einsum("ad,aijd->ij", ginv, riem)
     scalar = float(np.einsum("ij,ij->", ginv, ricci))
@@ -300,14 +299,10 @@ def frame(spec: MetricSpec, point: Sequence[float], check: bool = True) -> Point
             - kulkarni_nomizu(g, ricci) / (n - 2)
             + scalar * unit_curvature(g) / ((n - 2) * (n - 1))
         )
-        flagged = False
     else:
         weyl = np.zeros_like(riem)
-        flagged = True
 
-    return PointFrame(
-        spec, point, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl, flagged,
-    )
+    return PointFrame(spec, point, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl)
 
 
 def gauss_curvature(f: PointFrame) -> float:
@@ -339,8 +334,9 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # Smoke check: differential (second) Bianchi identity.  The cyclic sum
 # nabla_l R_hijk + nabla_j R_hikl + nabla_k R_hilj must vanish; the
-# derivative here is finite-differenced from 2n stencil frames around
-# base's point, so this is a coarse check only.
+# derivative here is finite-differenced from R at 2n stencil points
+# around base's point (unchecked jets, no frames), so this is a coarse
+# check only.
 
 def second_bianchi_residual(base: PointFrame) -> float:
     spec, step = base.spec, 1e-5
@@ -351,9 +347,8 @@ def second_bianchi_residual(base: PointFrame) -> float:
         lo = list(base.point)
         hi[l] += step
         lo[l] -= step
-        dR[l] = (frame(spec, hi, check=False).riemann - frame(spec, lo, check=False).riemann) / (
-            2 * step
-        )
+        r_hi, r_lo = (_curvature(*_metric_jet(spec, pt, False))[2] for pt in (hi, lo))
+        dR[l] = (r_hi - r_lo) / (2 * step)
     gam = base.gamma
     R = base.riemann
     nabla = (

@@ -104,8 +104,6 @@ class RoterFit:
     mu: float
     eta: float
     residual: float
-    in_US: bool
-    in_UC: bool
     alpha1: float
     alpha2: float
     L_R: float
@@ -148,10 +146,9 @@ def fit_roter(frame: PointFrame) -> RoterFit:
     n = frame.dim
     if n < 4:
         raise RoterFitError("DIMENSION", f"need dimension >= 4, got {n}")
-    us, uc = in_us(frame), in_uc(frame)
-    if not us:
+    if not in_us(frame):
         raise RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
-    if not uc:
+    if not in_uc(frame):
         raise RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
     S, g = frame.ricci, frame.g
     B1, B2, B3 = 0.5 * kulkarni_nomizu(S, S), kulkarni_nomizu(g, S), 0.5 * kulkarni_nomizu(g, g)
@@ -180,9 +177,7 @@ def fit_roter(frame: PointFrame) -> RoterFit:
     L_R = ((n - 2) * (mu * mu - phi * eta) - mu) / phi
     L = L_R + mu / phi
     L_C = L_R + (kappa / (n - 1) - alpha1) / (n - 2)
-    return RoterFit(
-        phi, mu, eta, residual, us, uc, alpha1, alpha2, L_R, L, L_C, gram_cond
-    )
+    return RoterFit(phi, mu, eta, residual, alpha1, alpha2, L_R, L, L_C, gram_cond)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +318,6 @@ class Classification:
     detail: str = ""
 
 
-def _einstein(frame: PointFrame) -> bool:
-    n = frame.dim
-    dev = frame.ricci - (frame.scalar / n) * frame.g
-    return float(np.linalg.norm(dev)) <= 1e-9 * float(np.linalg.norm(frame.ricci)) + 1e-12
-
-
 def _real_ricci_eigenvalues(frame: PointFrame) -> tuple[float, ...]:
     # rank(S - alpha g) can only drop at generalized eigenvalues of the
     # Ricci operator; only the real ones are candidates.
@@ -344,7 +333,7 @@ def _quasi_einstein_alpha(frame: PointFrame, eigenvalues: tuple[float, ...]) -> 
 def classify(frame: PointFrame) -> Classification:
     """Sort a point into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
     eigenvalues = _real_ricci_eigenvalues(frame)
-    if _einstein(frame):
+    if not in_us(frame):
         return Classification(EINSTEIN, eigenvalues, alpha=frame.scalar / frame.dim)
     alpha = _quasi_einstein_alpha(frame, eigenvalues)
     if alpha is not None:

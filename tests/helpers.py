@@ -155,6 +155,31 @@ def central_difference(e, point, name, h=1e-5):
     return (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
 
 
+# The second-kind curvature assembly: the oracle for geometry's
+# first-kind kernel.  It differentiates g^{-1} and Gamma^h_ij and
+# lowers R at the end.
+
+def second_kind_curvature(g, dg, d2g):
+    """(Gamma^h_ij, R_hijk) through d g^{-1} and d Gamma^h_ij."""
+    ginv = np.linalg.inv(g)
+    # B[i,j,s] = d_i g_js + d_j g_is - d_s g_ij
+    B = dg + np.transpose(dg, (1, 0, 2)) - np.moveaxis(dg, 0, 2)
+    gamma = 0.5 * np.einsum("hs,ijs->hij", ginv, B)
+    # dB[k,i,j,s] = d_k B[i,j,s]; d_k g^{hs} = -g^{ha} (d_k g_ab) g^{bs}
+    dB = d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
+    dginv = -np.einsum("ha,kab,bs->khs", ginv, dg, ginv)
+    dgamma = 0.5 * (
+        np.einsum("khs,ijs->khij", dginv, B) + np.einsum("hs,kijs->khij", ginv, dB)
+    )
+    rup = (
+        np.transpose(dgamma, (1, 2, 3, 0))  # d_k Gamma^s_ij -> [s,i,j,k]
+        - np.transpose(dgamma, (1, 2, 0, 3))  # d_j Gamma^s_ik -> [s,i,j,k]
+        + np.einsum("rij,srk->sijk", gamma, gamma)
+        - np.einsum("rik,srj->sijk", gamma, gamma)
+    )
+    return gamma, np.einsum("hs,sijk->hijk", g, rup)
+
+
 def frames_fits_and_products(fam, point):
     """(source, image) frames, Roter fits and curvature products of a
     warped family at a point, as the factor relations and the psi-Ricci

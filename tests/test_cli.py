@@ -186,6 +186,64 @@ class TestValidation:
         assert missing in proc.stderr and "inadmissible" not in proc.stderr
         assert not out.exists()
 
+    def warped(self, fiber):
+        """A one-manifold warped manifest with the given fiber block."""
+        manifest = self.good()
+        manifest["manifolds"][0] = {
+            "name": "line_cross_fiber",
+            "kind": "warped",
+            "base": {"coords": ["u"], "metric": [["1"]]},
+            "fiber": fiber,
+            "warp": "u^2 + 1",
+            "box": {"u": [0.3, 1.5]},
+        }
+        return manifest
+
+    def test_fiber_in_either_form_runs(self):
+        for fiber in ({"dim": 2, "scalar_curvature": 2.0},
+                      {"coords": ["y", "z"], "metric": [["1", "0"], ["0", "cos(y)^2"]]}):
+            records, summary = cli.run_manifest(self.warped(fiber), points=1)
+            assert summary["ok"] and records
+
+    @pytest.mark.parametrize("fiber", [
+        {"scalar_curvature": 2.0},
+        {"coords": ["y", "z"]},
+        {"dim": 2, "coords": ["y", "z"], "metric": [["1", "0"], ["0", "1"]]},
+    ], ids=["no_dim", "no_metric", "both_forms"])
+    def test_fiber_in_neither_form_exits_2(self, tmp_path, fiber):
+        # The first two used to end in a KeyError traceback (exit 1); the
+        # third ran with its explicit metric ignored.
+        bad = self.warped(fiber)
+        with pytest.raises(cli.ManifestError, match="'line_cross_fiber'"):
+            cli.validate_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "fiber" in proc.stderr
+        assert not out.exists()
+
+    def test_directory_as_manifest_exits_2(self, tmp_path):
+        # Used to end in an IsADirectoryError traceback.
+        (tmp_path / "dir.json").mkdir()
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(tmp_path / "dir.json"), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_manifest_not_utf8_exits_2(self, tmp_path):
+        # Used to end in a UnicodeDecodeError traceback.
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(self.good()).encode()[:-1] + b'\xff}')
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_exits_2(self, tmp_path, points):
         proc = run_cli(["run", "flat_space", "--points", points, "--out", str(tmp_path)])
@@ -403,9 +461,9 @@ class TestSharedEvaluation:
         computed = Counter()
         original = geo.frame
 
-        def counted(spec, point, check=True):
-            computed[(spec, tuple(point), check)] += 1
-            return original(spec, point, check)
+        def counted(spec, point):
+            computed[(spec, tuple(point))] += 1
+            return original(spec, point)
 
         monkeypatch.setattr(geo, "frame", counted)
         for name in ("theorem41_n4", "surface_pair"):
@@ -413,7 +471,19 @@ class TestSharedEvaluation:
             assert summary["ok"]
         fiber = cli.build_job(corpus_get("theorem41_n4")["manifolds"][0]).family.source.fiber
         assert max(computed.values()) == 1
-        assert sum(spec == fiber for spec, _, _ in computed) == 2  # one per point
+        assert sum(spec == fiber for spec, _ in computed) == 2  # one per point
+
+    def test_bianchi_stencil_builds_no_frames(self, monkeypatch):
+        # The second Bianchi check reads R at its 2n stencil points from
+        # unchecked jets, so the only frame per (target, point) is the
+        # Evaluation's own.
+        frames = count_calls(monkeypatch, geo, "frame")
+        records, summary = cli.run_manifest(corpus_get("rn_lambda0"), points=2)
+        assert summary["ok"]
+        assert any(r["check"] == "second_bianchi" for r in records)
+        target_points = {(r["target"], r["point_index"]) for r in records}
+        assert len(target_points) == 3
+        assert len(frames) == len(target_points)
 
     def test_one_family_jet_per_point(self, monkeypatch):
         # The psi and image Ricci closed forms and the factor relations

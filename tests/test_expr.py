@@ -281,8 +281,9 @@ def _covariant_derivative_of_log():
 
 
 def _root_warp_diagnostics_at_zero():
-    # Unchecked, so the product frame gets past warp > 0 and its jet
-    # reaches the warp's derivative.
+    # The product frame comes from the product metric without its
+    # conditions, so it gets past warp > 0 and its jet reaches the
+    # warp's derivative.
     from curvcheck import geometry as geo
     from curvcheck import warped as wp
 
@@ -290,7 +291,8 @@ def _root_warp_diagnostics_at_zero():
     ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
     point = (0.0, 0.5, 0.1, 0.2)
     fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
-    return wp.diagnostics(ws, geo.frame(ws.product, point, check=False), fiber_frame)
+    unchecked = dataclasses.replace(ws.product, conditions=())
+    return wp.diagnostics(ws, geo.frame(unchecked, point), fiber_frame)
 
 
 @pytest.mark.parametrize(

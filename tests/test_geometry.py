@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from curvcheck import cli
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
+from curvcheck.corpus import corpus_get, corpus_list
 from curvcheck.curvops import (
     max_abs_residual,
     riemann_symmetry_residuals,
@@ -14,6 +16,8 @@ from curvcheck.curvops import (
     unit_curvature,
     zero_residual,
 )
+
+from helpers import second_kind_curvature
 
 
 def surface(a, b):
@@ -105,6 +109,35 @@ class TestRiemann:
         assert max_abs_residual(f.g @ f.ginv, np.eye(4)) < 1e-10
 
 
+def targets_at_first_point(entry):
+    """(name, spec, point) for every target of a corpus entry, at the
+    first point run_manifest checks for its manifold."""
+    manifest = corpus_get(entry)
+    for m_index, mdef in enumerate(manifest["manifolds"]):
+        job = cli.build_job(mdef)
+        rng = np.random.default_rng([manifest.get("seed", 0), m_index])
+        point = cli.sample_points(job, 1, rng)[0]
+        for target in job.targets:
+            yield f"{mdef['name']}/{target.label}", target.spec, point
+
+
+class TestFirstKindKernel:
+    @pytest.mark.parametrize("entry", corpus_list())
+    def test_matches_second_kind_oracle_on_corpus(self, entry):
+        # frame's Gamma is the oracle's bit for bit (the first-kind
+        # symbols are the oracle's B halved, an exact scaling), and its R
+        # agrees to 1e-13 relative Frobenius.  Corpus charts have n = 2, 4, 5, 6.
+        for name, spec, point in targets_at_first_point(entry):
+            f = geo.frame(spec, point)
+            gamma, riemann = second_kind_curvature(*geo._metric_jet(spec, point))
+            assert (f.gamma == gamma).all(), name
+            assert np.linalg.norm(f.riemann - riemann) <= 1e-13 * np.linalg.norm(riemann), name
+
+    def test_riemann_is_exactly_skew_in_the_last_pair(self):
+        f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)
+        assert (f.riemann == -np.swapaxes(f.riemann, 2, 3)).all()
+
+
 class TestRicciScalarWeyl:
     def test_flat_4d(self):
         f = geo.frame(geo.flat_metric(4), (0.0, 1.0, 2.0, 3.0))
@@ -146,9 +179,15 @@ class TestRicciScalarWeyl:
         assert max_abs_residual(f2.weyl, c * f1.weyl) < 1e-10
 
     def test_low_dimension_weyl_flagged_zero(self):
+        # Below n = 4 the Weyl field is the zero array by convention,
+        # even where R is not zero.
         f = geo.frame(geo.flat_metric(3), (0.0, 0.0, 0.0))
-        assert f.weyl_by_convention
+        assert f.weyl.shape == (3, 3, 3, 3)
         assert np.max(np.abs(f.weyl)) == 0.0
+        sphere = geo.frame(geo.diagonal_metric(("x", "y", "z"), ["1/(1 + (x^2+y^2+z^2)/4)^2"] * 3),
+                           (0.2, -0.1, 0.3))
+        assert np.max(np.abs(sphere.riemann)) > 0.1
+        assert np.max(np.abs(sphere.weyl)) == 0.0
 
     def test_ricci_sq_definition(self):
         f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)

@@ -6,9 +6,8 @@ helpers: each packed product equals the packing of the dense one, each
 residual and factor read from packed products equals the one read from
 dense products, the two readings that are not norms (proportionality's
 degeneracy bound and the SEMISYMMETRIC guard) keep their dense meaning,
-the residuals equal plain allocate-per-operation formulas (==, not a
-tolerance), and the temporaries stay small, measured with tracemalloc
-in units of one dense 6**6 array.
+reading the products leaves them untouched, and the temporaries stay
+small, measured with tracemalloc in units of one dense 6**6 array.
 """
 
 import tracemalloc
@@ -44,60 +43,7 @@ def member_state(request):
 
 
 # ---------------------------------------------------------------------------
-# The plain formulas: one fresh array per operation.
-
-def plain_tensor_residual(a, b):
-    return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
-
-
-def plain_proportionality(a, b, dim):
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if nb <= 1e-12 * dim * dim:
-        if na <= 1e-12 * dim * dim:
-            return curvops.ProportionalityResult(None, 0.0, True, "vacuous")
-        return curvops.ProportionalityResult(None, na / (na + nb + 1.0), True, "inconsistent")
-    factor = float(np.vdot(b, a) / np.vdot(b, b))
-    residual = float(np.linalg.norm(a - factor * b) / (na + nb + 1.0))
-    return curvops.ProportionalityResult(factor, residual, False, "fit")
-
-
-def plain_factors(P, n):
-    return {
-        "L_R": plain_proportionality(P["RR"], P["QgR"], n),
-        "L_C": plain_proportionality(P["CC"], P["QgC"], n),
-        "L": plain_proportionality(P["RR"] - P["QSR"], P["QgC"], n),
-    }
-
-
-def plain_identity_suite(frame, fit, P):
-    n = frame.dim
-    S, g, kappa = frame.ricci, frame.g, frame.scalar
-    phi, mu, eta = fit.phi, fit.mu, fit.eta
-    commutator_rhs = (
-        ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * P["QgR"]
-        + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"]
-    )
-    measured = plain_factors(P, n)
-    res = plain_tensor_residual
-    return {
-        "ricci_square_affine": res(frame.ricci_sq, fit.alpha1 * S + fit.alpha2 * g),
-        "rr_vs_qgr": res(P["RR"], fit.L_R * P["QgR"]),
-        "rc_vs_qgc": res(P["RC"], fit.L_R * P["QgC"]),
-        "rs_vs_qgs": res(P["RS"], fit.L_R * P["QgS"]),
-        "rr_vs_qsr_plus_qgc": res(P["RR"], P["QSR"] + fit.L * P["QgC"]),
-        "cc_vs_qgc": res(P["CC"], fit.L_C * P["QgC"]),
-        "cr_vs_qgr": res(P["CR"], fit.L_C * P["QgR"]),
-        "cs_vs_qgs": res(P["CS"], fit.L_C * P["QgS"]),
-        "commutator_vs_qgr_qsg": res(P["RC"] - P["CR"], commutator_rhs),
-        "commutator_vs_qsc_qgc": res(P["CR"] - P["RC"], P["QSC"] - (kappa / (n - 1)) * P["QgC"]),
-        "lr_closed_vs_measured": curvops.scalar_residual(fit.L_R, measured["L_R"].factor),
-        "lc_closed_vs_measured": curvops.scalar_residual(fit.L_C, measured["L_C"].factor),
-        "l_closed_vs_measured": curvops.scalar_residual(fit.L, measured["L"].factor),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Same bits
+# Packed products, and reading them
 
 DENSE_PRODUCTS = {
     "RR": lambda f: dense_derivation(f.riemann, f.riemann, f.ginv),
@@ -134,37 +80,8 @@ class TestSameBits:
                 if f.dim == 6 and D.ndim == 6:
                     assert P[key].shape == (15, 15, 15) and P[key].nbytes == 27000, key
 
-    def test_identity_suite(self, member_state):
-        _, frames, fits, products = member_state
-        for f, fit, P in zip(frames, fits, products):
-            got = roter.identity_suite(f, fit, P)
-            want = plain_identity_suite(f, fit, P)
-            assert list(got) == list(want) == list(roter.IDENTITY_NAMES)
-            for name in want:
-                assert got[name] == want[name], name
-
-    def test_pseudosymmetry_factors(self, member_state):
-        _, frames, _, products = member_state
-        for f, P in zip(frames, products):
-            assert roter.pseudosymmetry_factors(f, P) == plain_factors(P, f.dim)
-
-    def test_ricci_pseudosymmetry(self, member_state):
-        _, frames, _, products = member_state
-        for f, P in zip(frames, products):
-            want = plain_proportionality(P["RS"], P["QgS"], f.dim)
-            assert roter.ricci_pseudosymmetry(f, P) == want
-
-    def test_factor_relations_cor42(self, member_state):
-        fam, frames, fits, products = member_state
-        n = fam.cfg.n
-        v = gm.family_values(fam, frames[0].point)
-        got = gm.factor_relations(fam, frames, fits, products, v)
-        for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
-            want = plain_tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
-            assert got[tag] == want, tag
-
     def test_products_left_untouched(self, member_state):
-        # The residuals overwrite only temporaries they own.
+        # Residuals and factors never write into the products they read.
         fam, frames, fits, products = member_state
         before = [{key: value.copy() for key, value in P.items()} for P in products]
         for f, fit, P in zip(frames, fits, products):
@@ -265,10 +182,10 @@ def peak_units(fn) -> float:
 
 class TestTemporaries:
     """At n = 6 a dense order-6 array is 373 KB, above the allocator's
-    mmap threshold.  A packed one is 27 KB, 0.072 units, so even the
-    plain formulas, one fresh array per operation, stay far below one
-    unit; the dense kernel peaked at 3.06 (derivation_apply) and 3.09
-    (tachibana) units."""
+    mmap threshold.  A packed one is 27 KB, 0.072 units, so the
+    residual formulas, one fresh array per operation, stay far below
+    one unit; the dense kernel peaked at 3.06 (derivation_apply) and
+    3.09 (tachibana) units."""
 
     @pytest.fixture(scope="class")
     def n6(self):

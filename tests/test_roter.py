@@ -60,7 +60,6 @@ class TestFit:
         assert fit.mu == pytest.approx(0.5, rel=1e-10)
         assert fit.eta == pytest.approx(1.0 / 81.0, rel=1e-10)
         assert fit.residual < 1e-12
-        assert fit.in_US and fit.in_UC
 
     @pytest.mark.parametrize("M,Q,Lam,rs", [
         (1.0, 1.0, 0.0, (2.5, 3.0, 4.0, 5.0)),

@@ -1,5 +1,7 @@
 """Warped-product assembly, diagnostics and block-form cross-checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,9 @@ class TestAssemble:
         point = (-1.0, 0.0, 0.1, 0.1)
         assert not geo.admissible(ws.product, point)
         fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
+        unchecked = dataclasses.replace(ws.product, conditions=())
         with pytest.raises(geo.GeometryError):
-            warped.diagnostics(ws, geo.frame(ws.product, point, check=False), fiber_frame)
+            warped.diagnostics(ws, geo.frame(unchecked, point), fiber_frame)
 
 
 class TestConstantCurvatureFiber:
