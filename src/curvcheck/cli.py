@@ -25,6 +25,7 @@ import os
 import platform
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +40,7 @@ from . import geomap as gm
 from . import roter
 from . import warped as wp
 from .curvops import (
+    ProportionalityResult,
     constancy_residual,
     max_abs_residual,
     riemann_symmetry_residuals,
@@ -219,6 +221,16 @@ def _validate_overrides(points, tol_scale) -> None:
         raise ManifestError(f"tolerance scale must be finite and positive, got {tol_scale}")
 
 
+# Each kind's own manifold keys, (required, optional); a manifold may
+# carry no key of another kind.
+_KIND_KEYS = {
+    "explicit": (("coords", "metric"), ("conditions",)),
+    "warped": (("base", "fiber", "warp"), ()),
+    "family": (("params",), ()),
+    "pair2d": (("pair",), ()),
+}
+
+
 def validate_manifest(data: dict) -> None:
     errors = sorted(Draft7Validator(MANIFEST_SCHEMA).iter_errors(data), key=str)
     if errors:
@@ -229,15 +241,14 @@ def validate_manifest(data: dict) -> None:
         raise ManifestError(f"manifest schema violation: {joined}")
     for mdef in data["manifolds"]:
         kind = mdef["kind"]
-        needed = {
-            "explicit": ("coords", "metric"),
-            "warped": ("base", "fiber", "warp"),
-            "family": ("params",),
-            "pair2d": ("pair",),
-        }[kind]
-        for key in needed:
+        for key in _KIND_KEYS[kind][0]:
             if key not in mdef:
                 raise ManifestError(f"manifold {mdef['name']!r}: kind {kind} needs {key!r}")
+        foreign = [key for other, (needed, optional) in _KIND_KEYS.items() if other != kind
+                   for key in needed + optional if key in mdef]
+        if foreign:
+            raise ManifestError(f"manifold {mdef['name']!r}: kind {kind} does not take "
+                                f"{', '.join(map(repr, foreign))}")
         if "fiber" in mdef:
             keys = mdef["fiber"].keys()
             model = keys & {"dim", "scalar_curvature"}
@@ -369,6 +380,77 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
 
 
+class RoterBatch:
+    """The theorem21 Roter path over the stacked frame of one target's
+    points in a chunk: membership, classification, fit, curvature
+    products, identity residuals and Ricci pseudosymmetry, each computed
+    for all lanes at once on first use.  Each Evaluation reads its own
+    lane (see _batch)."""
+
+    def __init__(self, frame: geo.PointFrame):
+        self.frame = frame
+
+    @cached_property
+    def membership(self) -> list[dict]:
+        f = self.frame
+        return [{"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
+                for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f))]
+
+    @cached_property
+    def classifications(self) -> list[roter.Classification]:
+        return roter.classify(self.frame)
+
+    @cached_property
+    def fits(self) -> list:
+        """Each classification's fit, or a direct one where it has none."""
+        fits = [c.fit for c in self.classifications]
+        rest = [i for i, fit in enumerate(fits) if fit is None]
+        if rest:
+            for i, fit in zip(rest, roter.fit_roter(self.frame.take(rest))):
+                fits[i] = fit
+        return fits
+
+    @cached_property
+    def products(self) -> dict:
+        return roter.curvature_products(self.frame)
+
+    @cached_property
+    def identities(self) -> list:
+        """identity_suite of each ROTER lane, None for the others."""
+        cs = self.classifications
+        lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
+        out = [None] * len(cs)
+        if lanes:
+            frame, products = self.frame, self.products
+            if len(lanes) < len(cs):
+                frame = frame.take(lanes)
+                products = roter.curvature_products(frame)
+            for i, res in zip(lanes, roter.identity_suite(frame, [cs[i].fit for i in lanes],
+                                                          products)):
+                out[i] = res
+        return out
+
+    @cached_property
+    def ricci_pseudosymmetry(self) -> list:
+        return roter.ricci_pseudosymmetry(self.frame, self.products)
+
+
+class _LaneProducts(Mapping):
+    """One lane of a chunk's curvature products, read on demand."""
+
+    def __init__(self, batch: RoterBatch, lane: int):
+        self.products, self.lane = batch.products, lane
+
+    def __getitem__(self, key):
+        return self.products[key][self.lane]
+
+    def __iter__(self):
+        return iter(self.products)
+
+    def __len__(self):
+        return len(self.products)
+
+
 class Evaluation:
     """One target at one point: frame, diagnostics, classification, fit and
     curvature products, each computed on first use and shared by every
@@ -376,12 +458,17 @@ class Evaluation:
     evaluate them again.  A piece that raises is not kept, so each
     suite that needs it raises and records the error itself.
 
-    fiber_peer is an Evaluation at the same point whose target has the
-    same fiber (a family's source, for its image); its fiber frame is
-    read rather than computed again."""
+    The Roter path (classification, fit, products, identity residuals)
+    is read from the point's lane of a RoterBatch shared with the
+    target's other points in the chunk; an Evaluation on its own is a
+    chunk of one.  fiber_peer is an Evaluation at the same point whose
+    target has the same fiber (a family's source, for its image); its
+    fiber frame is read rather than computed again."""
 
     def __init__(self, target: Target, point, fiber_peer: Evaluation | None = None):
         self.target, self.point, self.fiber_peer = target, point, fiber_peer
+        self.batch: RoterBatch | None = None
+        self.lane: int | None = None
 
     @cached_property
     def frame(self) -> geo.PointFrame:
@@ -398,18 +485,61 @@ class Evaluation:
     def diagnostics(self) -> wp.WarpedDiagnostics:
         return wp.diagnostics(self.target.warped_spec, self.frame, self.fiber_frame)
 
-    @cached_property
-    def classification(self) -> roter.Classification:
-        return roter.classify(self.frame)
+    def _chunk(self) -> tuple[RoterBatch, int]:
+        self.frame  # a point whose frame raises has no lane: raise its error
+        if self.batch is None:
+            _batch([self])
+        return self.batch, self.lane
 
-    @cached_property
+    def _read(self, name: str):
+        batch, lane = self._chunk()
+        return getattr(batch, name)[lane]
+
+    @property
+    def membership(self) -> dict:
+        return self._read("membership")
+
+    @property
+    def classification(self) -> roter.Classification:
+        return self._read("classifications")
+
+    @property
     def fit(self) -> roter.RoterFit:
         """The classification's fit, or a direct one where it has none."""
-        return self.classification.fit or roter.fit_roter(self.frame)
+        fit = self._read("fits")
+        if isinstance(fit, roter.RoterFitError):
+            raise fit
+        return fit
 
-    @cached_property
-    def products(self) -> dict:
-        return roter.curvature_products(self.frame)
+    @property
+    def identities(self) -> dict:
+        return self._read("identities")
+
+    @property
+    def ricci_pseudosymmetry(self) -> ProportionalityResult:
+        return self._read("ricci_pseudosymmetry")
+
+    @property
+    def products(self) -> Mapping:
+        return _LaneProducts(*self._chunk())
+
+
+def _batch(evals) -> None:
+    """Stack the frames of one target's Evaluations that build into one
+    RoterBatch and give each of them its lane.  A point whose frame
+    raises gets no lane: it records its own errors, and the other lanes
+    are what they would be without it."""
+    built = []
+    for ev in evals:
+        try:
+            ev.frame
+        except _POINT_ERRORS:
+            continue
+        built.append(ev)
+    if built:
+        batch = RoterBatch(geo.stack([ev.frame for ev in built]))
+        for lane, ev in enumerate(built):
+            ev.batch, ev.lane = batch, lane
 
 
 def _flag(check, ok, detail=None):
@@ -477,8 +607,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
     f = ev.frame
     perturb = job.definition.get("perturb")
     c = ev.classification
-    scalars = {"classification": c.kind, "kappa": f.scalar,
-               "in_US": roter.in_us(f), "in_UC": roter.in_uc(f), "in_UR": roter.in_ur(f)}
+    scalars = {"classification": c.kind, "kappa": f.scalar, **ev.membership}
     want = expect.get("classify")
     if want:
         # Source and image members of a family share the expected kind.
@@ -488,7 +617,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
         scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
                        L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
         yield "fit_residual", fit.residual, "identity"
-        for name, res in roter.identity_suite(f, fit, ev.products).items():
+        for name, res in ev.identities.items():
             yield name, res, "identity"
         extra_alphas = ()
         if target.warped_spec is not None and target.warped_spec.base_dim == 2:
@@ -507,7 +636,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
             res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
             yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
     if expect.get("ricci_pseudosymmetric"):
-        rp = roter.ricci_pseudosymmetry(f, ev.products)
+        rp = ev.ricci_pseudosymmetry
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
@@ -622,16 +751,25 @@ def _evaluations(job: Job, pt) -> list[Evaluation]:
 
 
 def _suite_runs(job: Job, points, suites):
-    """(suite, target label, point index, point, checks) in run order."""
+    """(suite, target label, point index, point, checks) in run order.
+
+    Points go in chunks of roter.chunk_size(n), n the chart dimension.
+    Each chunk's Evaluations are built first, then each target's frames
+    are batched, before any of the chunk's checks run."""
     fits_log: list = []
-    for idx, pt in enumerate(points):
-        evals = _evaluations(job, pt)
-        for suite, checks in TARGET_SUITES:
-            if suite in suites:
-                for ev in evals:
-                    yield suite, ev.target.label, idx, pt, checks(job, ev, idx)
-        if "geodesic" in suites:
-            yield "geodesic", "pair", idx, pt, geodesic_checks(job, evals, idx, fits_log)
+    size = roter.chunk_size(job.targets[0].spec.dim)
+    for start in range(0, len(points), size):
+        chunk = [_evaluations(job, pt) for pt in points[start:start + size]]
+        for target_evals in zip(*chunk):
+            _batch(target_evals)
+        for idx, evals in enumerate(chunk, start):
+            pt = evals[0].point
+            for suite, checks in TARGET_SUITES:
+                if suite in suites:
+                    for ev in evals:
+                        yield suite, ev.target.label, idx, pt, checks(job, ev, idx)
+            if "geodesic" in suites:
+                yield "geodesic", "pair", idx, pt, geodesic_checks(job, evals, idx, fits_log)
     if "geodesic" in suites:
         yield "geodesic", "pair", -1, (), family_checks(job, fits_log)
 

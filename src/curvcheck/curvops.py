@@ -31,6 +31,15 @@ this coincides with the classical index layout (full index reversal is
 the identity on such tensors), so block formulas stated in classical
 index form can be read off the same arrays.
 
+Leading point axes.  The products and rank_shift broadcast over any
+leading axes of their inputs: a chunk of points carries its own point
+axis first (g of shape (P, n, n), R of shape (P, n, n, n, n)), and each
+point's lane of the result is what the same call on that point alone
+gives.  The reductions tensor_residual and proportionality read the
+first axis as the point axis when points is set, and return one result
+per point; scalar_residual broadcasts.  No reduction mixes lanes, so a
+lane never depends on the others in its chunk.
+
 All public functions are pure.
 """
 
@@ -51,6 +60,7 @@ __all__ = [
     "rank_shift",
     "tensor_residual",
     "scalar_residual",
+    "lane_norms",
     "max_abs_residual",
     "zero_residual",
     "constancy_residual",
@@ -63,18 +73,52 @@ def _asarray(t) -> np.ndarray:
     return np.asarray(t, dtype=float)
 
 
+def _rows(*ts: np.ndarray) -> list[np.ndarray]:
+    # Each lane of each t's leading point axis as one row, the entries of
+    # every t in the memory order of the first t's lanes, as
+    # ravel(order="K") flattens one array: views for stacked frames and
+    # products, and the same order whatever chunk a lane sits in.
+    first = ts[0]
+    width = first.size // len(first) if len(first) else 0
+    if not first.flags.c_contiguous:
+        order = (0, *sorted(range(1, first.ndim), key=lambda k: -abs(first.strides[k])))
+        ts = [t.transpose(order) for t in ts]
+    return [t.reshape(len(t), width) for t in ts]
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # <x_p, y_p> for each row p, each one dot product.
+    return np.vecdot(x, y)
+
+
+def lane_norms(t) -> np.ndarray:
+    """Frobenius norm of each lane of an array whose first axis indexes
+    points; each equals np.linalg.norm of that lane alone."""
+    (rows,) = _rows(_asarray(t))
+    return np.sqrt(_row_dots(rows, rows))
+
+
 # ---------------------------------------------------------------------------
 # Residual conventions.  Tensor and scalar residuals are normalized by
 # (|lhs| + |rhs| + 1): relative for O(1)-or-larger quantities, absolute
 # near zero, and never spuriously large when both sides vanish.
 
-def tensor_residual(lhs, rhs) -> float:
-    """Frobenius residual of lhs == rhs, sum-plus-one normalized."""
+def tensor_residual(lhs, rhs, *, points: bool = False):
+    """Frobenius residual of lhs == rhs, sum-plus-one normalized.
+
+    With points set, the first axis indexes points and the result is an
+    array with one residual per point.
+    """
     a, b = _asarray(lhs), _asarray(rhs)
-    return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
+    if not points:
+        return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
+    ra, rb = _rows(a, b)
+    rd = ra - rb
+    return np.sqrt(_row_dots(rd, rd)) / (np.sqrt(_row_dots(ra, ra)) + np.sqrt(_row_dots(rb, rb)) + 1.0)
 
 
-def scalar_residual(lhs: float, rhs: float) -> float:
+def scalar_residual(lhs, rhs):
+    """|lhs - rhs| / (|lhs| + |rhs| + 1); broadcasts over arrays."""
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
 
 
@@ -101,10 +145,21 @@ def constancy_residual(values) -> float:
 # ---------------------------------------------------------------------------
 # Products
 
+def _outer(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # X[..., a, b, c, d] = A_ad B_bc
+    return A[..., :, None, None, :] * B[..., None, :, :, None]
+
+
+def _permuted(X: np.ndarray, order: str) -> np.ndarray:
+    # X with its last four slots read in order: _permuted(X, "badc")[a,b,c,d] = X[b,a,d,c]
+    lead = X.ndim - 4
+    return X.transpose(*range(lead), *(lead + "abcd".index(slot) for slot in order))
+
+
 def unit_curvature(g: np.ndarray) -> np.ndarray:
     """G[a,b,c,d] = g_bc g_ad - g_ac g_bd; satisfies g^g = 2G."""
-    g = _asarray(g)
-    return np.einsum("ad,bc->abcd", g, g) - np.einsum("ac,bd->abcd", g, g)
+    X = _outer(_asarray(g), _asarray(g))
+    return X - _permuted(X, "abdc")
 
 
 def kulkarni_nomizu(A, B) -> np.ndarray:
@@ -116,12 +171,8 @@ def kulkarni_nomizu(A, B) -> np.ndarray:
     A, B = _asarray(A), _asarray(B)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return (
-        np.einsum("ad,bc->abcd", A, B)
-        + np.einsum("bc,ad->abcd", A, B)
-        - np.einsum("ac,bd->abcd", A, B)
-        - np.einsum("bd,ac->abcd", A, B)
-    )
+    X = _outer(A, B)
+    return X + _permuted(X, "badc") - _permuted(X, "abdc") - _permuted(X, "bacd")
 
 
 @cache
@@ -155,20 +206,26 @@ def _bivectors(n: int):
 
 
 def _derive(E: np.ndarray, T: np.ndarray) -> np.ndarray:
-    # E[X, i, s]: component s of E(X) e_i, for each pair X, x < y.  The
-    # packed (E . T), derivation pair last: (n, n, m) or (m, m, m).
-    n, m = T.shape[0], E.shape[0]
-    if T.ndim == 2:
+    # E[..., X, i, s]: component s of E(X) e_i, for each pair X, x < y.
+    # The packed (E . T), derivation pair last: (..., n, n, m) or
+    # (..., m, m, m).  Each point is one matrix product per term.
+    lead, (m, n) = E.shape[:-3], E.shape[-3:-1]
+    order = T.ndim - len(lead)
+    if order == 2:
         K = -np.sqrt(2.0) * E
-    elif T.ndim == 4:
+    elif order == 4:
         _, quads, _, lift = _bivectors(n)
-        K = (E.reshape(m, n * n) @ lift).reshape(m, m, m)
-        T = T.take(quads).reshape(m, m)
+        K = (E.reshape(*lead, m, n * n) @ lift).reshape(*lead, m, m, m)
+        T = T.reshape(*lead, n ** 4).take(quads, axis=-1).reshape(*lead, m, m)
     else:
         raise ValueError(f"packed derivation needs an order-2 or order-4 tensor, got {T.shape}")
-    out = K @ T
-    out += T @ K.transpose(0, 2, 1)
-    return out.transpose(1, 2, 0)
+    # out[X] = K_X T + T K_X^T = K_X T + (K_X T^T)^T, with the rows of
+    # every K_X stacked into one matrix.
+    rows = K.reshape(*lead, -1, K.shape[-1])
+    out = (rows @ T).reshape(K.shape)
+    out += (rows @ T.swapaxes(-1, -2)).reshape(K.shape).swapaxes(-1, -2)
+    k = out.ndim
+    return out.transpose(*range(k - 3), k - 2, k - 1, k - 3)
 
 
 def derivation_apply(B4, T, ginv) -> np.ndarray:
@@ -181,15 +238,18 @@ def derivation_apply(B4, T, ginv) -> np.ndarray:
     an (n, n, m) array for any order-2 T, an (m, m, m) array for an
     order-4 T antisymmetric in both pairs.  Only components with
     x < y of B's first pair and, for order 4, a < b and c < d of T are
-    read.  Instantiates R.R, R.S, R.C, C.C, C.R and C.S.
+    read.  Leading point axes, shared by B4, T and ginv, carry over to
+    the result.  Instantiates R.R, R.S, R.C, C.C, C.R and C.S.
     """
     B4, T, ginv = _asarray(B4), _asarray(T), _asarray(ginv)
-    n = B4.shape[0]
-    if n != T.shape[0]:
+    n, lead = B4.shape[-1], B4.shape[:-4]
+    if n != T.shape[-1] or lead != ginv.shape[:-2]:
         raise ValueError(f"dimension mismatch: {B4.shape} vs {T.shape}")
     rows = _bivectors(n)[0]
     # E(X)[i, s] for X = (x, y), x < y: B's rows X, last slot raised.
-    return _derive(B4.reshape(n * n, n, n).take(rows, axis=0) @ ginv.T, T)
+    B_rows = B4.reshape(*lead, n * n, n, n).take(rows, axis=-3)
+    E = (B_rows.reshape(*lead, -1, n) @ ginv.swapaxes(-1, -2)).reshape(B_rows.shape)
+    return _derive(E, T)
 
 
 def tachibana(A, T) -> np.ndarray:
@@ -198,15 +258,15 @@ def tachibana(A, T) -> np.ndarray:
     The image of T under the derivation induced by the metric-free
     wedge endomorphism (X ^_A Y)Z = A(Y,Z) X - A(X,Z) Y, packed as
     derivation_apply's result: (n, n, m) for any order-2 T, (m, m, m)
-    for an order-4 T antisymmetric in both pairs.  Q(g,G) vanishes
-    identically.
+    for an order-4 T antisymmetric in both pairs, after any leading
+    point axes of A and T.  Q(g,G) vanishes identically.
     """
     A, T = _asarray(A), _asarray(T)
-    n = A.shape[0]
-    if n != T.shape[0]:
+    n = A.shape[-1]
+    if n != T.shape[-1]:
         raise ValueError(f"dimension mismatch: {A.shape} vs {T.shape}")
     # E(X)[i, s] = A[y, i] d_xs - A[x, i] d_ys = (A^T (e_x ^ e_y))[i, s]
-    return _derive(A.T @ _bivectors(n)[2], T)
+    return _derive(A.swapaxes(-1, -2)[..., None, :, :] @ _bivectors(n)[2], T)
 
 
 # ---------------------------------------------------------------------------
@@ -226,38 +286,60 @@ class ProportionalityResult:
     verdict: str
 
 
-def proportionality(lhs, rhs, dim: int) -> ProportionalityResult:
+def proportionality(lhs, rhs, dim: int, *, points: bool = False):
     """Least-squares factor between equally shaped tensors.
 
     factor = <lhs, rhs> / <rhs, rhs>; the residual uses the same
     sum-plus-one normalization as tensor_residual.  RHS is degenerate
     when its Frobenius norm is below 1e-12 * dim**2, dim being the chart
-    dimension n (not a packed product's leading axis m).
+    dimension n (not a packed product's leading axis m).  With points
+    set, the first axis indexes points and the result is a list with
+    one ProportionalityResult per point.
     """
     a, b = _asarray(lhs), _asarray(rhs)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if nb <= 1e-12 * dim * dim:
-        if na <= 1e-12 * dim * dim:
-            return ProportionalityResult(None, 0.0, True, "vacuous")
-        return ProportionalityResult(None, na / (na + nb + 1.0), True, "inconsistent")
-    factor = float(np.vdot(b, a) / np.vdot(b, b))
-    residual = float(np.linalg.norm(a - factor * b) / (na + nb + 1.0))
-    return ProportionalityResult(factor, residual, False, "fit")
+    if not points:
+        return proportionality(a[None], b[None], dim, points=True)[0]
+    ra, rb = _rows(a, b)
+    na, nb2 = np.sqrt(_row_dots(ra, ra)), _row_dots(rb, rb)
+    nb = np.sqrt(nb2)
+    floor = 1e-12 * dim * dim
+    # Only the lanes with signal in rhs are divided by it.
+    live = nb > floor
+    if not live.all():
+        ra, rb, nb2 = ra[live], rb[live], nb2[live]
+    factors = _row_dots(rb, ra) / nb2
+    gap = ra - factors[:, None] * rb
+    residuals = np.sqrt(_row_dots(gap, gap)) / (na[live] + nb[live] + 1.0)
+    fits = iter(zip(factors.tolist(), residuals.tolist()))
+    out = []
+    for na_i, nb_i, fit in zip(na.tolist(), nb.tolist(), live.tolist()):
+        if fit:
+            factor, residual = next(fits)
+            out.append(ProportionalityResult(factor, residual, False, "fit"))
+        elif na_i <= floor:
+            out.append(ProportionalityResult(None, 0.0, True, "vacuous"))
+        else:
+            out.append(ProportionalityResult(None, na_i / (na_i + nb_i + 1.0), True, "inconsistent"))
+    return out
 
 
 def rank_shift(S, g, alpha) -> int | np.ndarray:
-    """Numerical rank of S - alpha*g via singular values.
+    """Numerical rank of S - alpha*g for symmetric S and g.
 
-    Threshold 1e-9 * sigma_max; an exactly zero matrix has rank 0.  An
-    array of alpha is ranked with one stacked SVD and gives an integer
-    array of its shape; a scalar alpha gives an int.
+    Threshold 1e-9 * sigma_max over the singular values, which for a
+    symmetric matrix are the absolute eigenvalues (one stacked eigvalsh);
+    an exactly zero matrix has rank 0.  An array of alpha is ranked in
+    one call and gives an integer array of its shape; a scalar alpha
+    gives an int.  alpha broadcasts against the leading axes of S and g:
+    a chunk of points ranks its candidates alpha[p, k] against S[:, None]
+    and g[:, None].
     """
     alphas = np.asarray(alpha, dtype=float)
     M = _asarray(S) - alphas[..., None, None] * _asarray(g)
-    sigma = np.linalg.svd(M, compute_uv=False)
-    ranks = np.count_nonzero(sigma > 1e-9 * sigma[..., :1], axis=-1)
+    sigma = np.abs(np.linalg.eigvalsh(M))
+    ranks = np.count_nonzero(sigma > 1e-9 * sigma.max(axis=-1, keepdims=True), axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 

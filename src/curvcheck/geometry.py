@@ -26,13 +26,15 @@ g, dg and d2g come from exact symbolic derivatives of the component
 expressions, never from finite differences.  Frames for different
 points are independent and nothing keeps them: whoever asks for a
 frame owns it and passes it to the helpers below, which take frames
-rather than (spec, point).  MetricSpec is immutable and safe to share
-across threads.
+rather than (spec, point).  stack() joins frames of one chart into a
+chunk: one PointFrame whose arrays carry a leading point axis, which
+the Roter path evaluates for all its points at once.  MetricSpec is
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "constant_curvature_2d",
     "admissible",
     "frame",
+    "stack",
     "gauss_curvature",
     "covariant_derivative_02",
     "second_bianchi_residual",
@@ -253,7 +256,8 @@ def _curvature(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Everything the identity suites need at one point.
+    """Everything the identity suites need at one point, or at a chunk
+    of points (see stack).
 
     weyl is the zero array for charts of dimension < 4, where the
     conformal tensor carries no content.
@@ -273,7 +277,30 @@ class PointFrame:
 
     @property
     def dim(self) -> int:
-        return len(self.point)
+        return self.g.shape[-1]
+
+    def take(self, lanes) -> PointFrame:
+        """The chunk of the given lanes (point indices) of a stacked frame."""
+        lanes = list(lanes)
+        if lanes == list(range(len(self.g))):
+            return self
+        return PointFrame(self.spec, tuple(self.point[i] for i in lanes),
+                          *(getattr(self, name)[lanes] for name in _LANE_FIELDS))
+
+
+# The fields that gain the point axis in a stacked frame.
+_LANE_FIELDS = tuple(f.name for f in fields(PointFrame))[2:]
+
+
+def stack(frames: Sequence[PointFrame]) -> PointFrame:
+    """One frame for a chunk of points of one chart.
+
+    Each array gains a leading point axis, lane i holding frames[i]'s
+    (g of shape (P, n, n), scalar of shape (P,)), and point becomes the
+    tuple of the frames' points.
+    """
+    return PointFrame(frames[0].spec, tuple(f.point for f in frames),
+                      *(np.array([getattr(f, name) for f in frames]) for name in _LANE_FIELDS))
 
 
 def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:

@@ -27,9 +27,29 @@ dense ones, so every residual and factor reads them as it would read
 dense tensors.
 ricci_pseudosymmetry(frame, products) reads R.S and Q(g,S) from the
 same products.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
-ROTER / OTHER and keeps the Ricci operator's real eigenvalues, which its
-quasi-Einstein scan and rank_grid_exceeds_one read; each ranks all its
-alpha candidates in one rank_shift call.
+ROTER / OTHER and keeps the Ricci operator's real eigenvalues; one
+stacked rank scan ranks S - alpha g at those eigenvalues (the
+quasi-Einstein test) and on the grid of rank_grid_exceeds_one, a second
+at alpha1/2 of each fit, so rank_grid_exceeds_one ranks only its extra
+candidates.
+
+Chunks.  Every entry takes one point's frame or a chunk of points of
+one chart, as geometry.stack builds it: each array with a leading point
+axis.  On a chunk an entry returns, lane by lane, what the same call on
+that point alone returns: a list of Classification, of residual dicts
+or of ProportionalityResult, a boolean array for membership and the
+rank grid, and from fit_roter a list holding each lane's RoterFit or
+RoterFitError (one point's error is raised).  One point runs as a chunk
+of one, through the same code.  A lane that a step does not apply to
+(an Einstein lane in the fit, a lane that is not Roter in the identity
+suite) is indexed out before the step, never computed and masked, and
+no step mixes lanes.
+
+chunk_size(n) sizes a chunk from the bivector count m = n(n-1)/2, not
+from a setting: one stacked order-6 product, m**3 floats per point,
+stays within CHUNK_BYTES = 32 KB, the 27 KB of one n = 6 product
+rounded up.  That is 18 points at n = 4, 4 at n = 5 and 1 at n = 6, so
+a chunk at n = 6 has one point's working set.
 """
 
 from __future__ import annotations
@@ -39,9 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvops import (
-    ProportionalityResult,
     derivation_apply,
     kulkarni_nomizu,
+    lane_norms,
     proportionality,
     rank_shift,
     scalar_residual,
@@ -49,12 +69,13 @@ from .curvops import (
     tensor_residual,
     unit_curvature,
 )
-from .geometry import PointFrame
+from .geometry import PointFrame, stack
 
 __all__ = [
     "RoterFit",
     "RoterFitError",
     "Classification",
+    "chunk_size",
     "fit_roter",
     "curvature_products",
     "in_us",
@@ -80,6 +101,11 @@ FIT_RESIDUAL_LIMIT = 1e-8
 # coefficient accuracy near 1e-9 while still rejecting bases that are
 # genuinely collapsing (near-Einstein Ricci).
 GRAM_CONDITION_LIMIT = 1e14
+
+# Bytes of one chunk's stacked order-6 product (see chunk_size).
+CHUNK_BYTES = 32 * 1024
+# The alpha grid of rank_grid_exceeds_one, in units of 10|kappa| + 1.
+_UNIT_GRID = np.linspace(-1.0, 1.0, 21)
 
 EINSTEIN = "EINSTEIN"
 QUASI_EINSTEIN = "QUASI_EINSTEIN"
@@ -112,72 +138,128 @@ class RoterFit:
     gram_condition: float
 
 
-def in_us(frame: PointFrame) -> bool:
+def chunk_size(n: int) -> int:
+    """Points per chunk at chart dimension n: as many as keep one stacked
+    order-6 product, m**3 floats a point for m = n(n-1)/2, within
+    CHUNK_BYTES, and at least one."""
+    m = max(n * (n - 1) // 2, 1)
+    return max(1, CHUNK_BYTES // (8 * m ** 3))
+
+
+def _chunk(frame: PointFrame) -> tuple[PointFrame, bool]:
+    # (frame as a chunk, whether it was one point's frame)
+    single = frame.g.ndim == 2
+    return (stack([frame]) if single else frame), single
+
+
+def _unchunk(lanes, single: bool):
+    return lanes[0] if single else lanes
+
+
+def _per_lane(values, t: np.ndarray) -> np.ndarray:
+    # One value per lane, shaped to scale the lanes of t.
+    values = np.asarray(values, dtype=float)
+    return values.reshape(values.shape + (1,) * (t.ndim - 1))
+
+
+def in_us(frame: PointFrame):
     """Ricci not proportional to the metric (relative threshold 1e-9)."""
-    n = frame.dim
-    dev = frame.ricci - (frame.scalar / n) * frame.g
-    return float(np.linalg.norm(dev)) > US_THRESHOLD * float(np.linalg.norm(frame.ricci)) + 1e-12
+    f, single = _chunk(frame)
+    dev = f.ricci - _per_lane(f.scalar / f.dim, f.g) * f.g
+    inside = lane_norms(dev) > US_THRESHOLD * lane_norms(f.ricci) + 1e-12
+    return bool(inside[0]) if single else inside
 
 
-def in_uc(frame: PointFrame) -> bool:
+def in_uc(frame: PointFrame):
     """Weyl tensor nonzero relative to the curvature scale."""
-    return float(np.linalg.norm(frame.weyl)) > UC_THRESHOLD * (
-        float(np.linalg.norm(frame.riemann)) + 1e-12
-    )
+    f, single = _chunk(frame)
+    inside = lane_norms(f.weyl) > UC_THRESHOLD * (lane_norms(f.riemann) + 1e-12)
+    return bool(inside[0]) if single else inside
 
 
-def in_ur(frame: PointFrame) -> bool:
+def in_ur(frame: PointFrame):
     """Curvature not of constant-curvature form (R != kappa/((n-1)n) G)."""
-    n = frame.dim
-    dev = frame.riemann - (frame.scalar / ((n - 1) * n)) * unit_curvature(frame.g)
-    return float(np.linalg.norm(dev)) > UR_THRESHOLD * (
-        float(np.linalg.norm(frame.riemann)) + 1e-12
-    )
+    f, single = _chunk(frame)
+    n = f.dim
+    dev = f.riemann - _per_lane(f.scalar / ((n - 1) * n), f.riemann) * unit_curvature(f.g)
+    inside = lane_norms(dev) > UR_THRESHOLD * (lane_norms(f.riemann) + 1e-12)
+    return bool(inside[0]) if single else inside
 
 
-def fit_roter(frame: PointFrame) -> RoterFit:
+def fit_roter(frame: PointFrame):
     """Least-squares decomposition of the curvature tensor at a point.
 
     Requires dimension >= 4 and membership in both open sets; rejects
     ill-conditioned bases (Gram condition above GRAM_CONDITION_LIMIT =
     1e14) and fits whose relative reconstruction residual exceeds
-    FIT_RESIDUAL_LIMIT = 1e-8.
+    FIT_RESIDUAL_LIMIT = 1e-8.  One point's rejection is raised; a
+    chunk gets a list holding each lane's RoterFit or RoterFitError.
     """
-    n = frame.dim
+    f, single = _chunk(frame)
+    n = f.dim
     if n < 4:
-        raise RoterFitError("DIMENSION", f"need dimension >= 4, got {n}")
-    if not in_us(frame):
-        raise RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
-    if not in_uc(frame):
-        raise RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
-    S, g = frame.ricci, frame.g
-    B1, B2, B3 = 0.5 * kulkarni_nomizu(S, S), kulkarni_nomizu(g, S), 0.5 * kulkarni_nomizu(g, g)
-    A = np.stack([B1.ravel(), B2.ravel(), B3.ravel()], axis=1)
-    # Columns carry wildly different physical scales (S^S vs g^g), so the
-    # Gram matrix is formed on unit columns: its condition number then
-    # measures genuine near-dependence of the span, not units.
-    scales = np.linalg.norm(A, axis=0)
-    if np.any(scales == 0.0):
-        raise RoterFitError("ILL_CONDITIONED", "degenerate basis tensor")
-    An = A / scales
-    gram = An.T @ An
-    gram_cond = float(np.linalg.cond(gram))
-    if gram_cond > GRAM_CONDITION_LIMIT:
-        raise RoterFitError("ILL_CONDITIONED", f"Gram condition {gram_cond:.3e}")
-    coeffs, _, _, _ = np.linalg.lstsq(An, frame.riemann.ravel(), rcond=None)
-    phi, mu, eta = map(float, coeffs / scales)
-    recon = phi * B1 + mu * B2 + eta * B3
-    r_norm = float(np.linalg.norm(frame.riemann))
-    residual = float(np.linalg.norm(frame.riemann - recon)) / (r_norm + 1e-300)
-    if residual > FIT_RESIDUAL_LIMIT:
-        raise RoterFitError("RESIDUAL", f"reconstruction residual {residual:.3e}")
-    kappa = frame.scalar
+        fits = [RoterFitError("DIMENSION", f"need dimension >= 4, got {n}") for _ in f.g]
+    else:
+        fits = [None] * len(f.g)
+        us, uc = in_us(f), in_uc(f)
+        for i in np.flatnonzero(~us):
+            fits[i] = RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
+        for i in np.flatnonzero(us & ~uc):
+            fits[i] = RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
+        lanes = np.flatnonzero(us & uc)
+        if len(lanes):
+            for i, fit in zip(lanes, _decompose(f.take(lanes))):
+                fits[i] = fit
+    if single and isinstance(fits[0], RoterFitError):
+        raise fits[0]
+    return _unchunk(fits, single)
+
+
+def _decompose(f: PointFrame) -> list:
+    # fit_roter on lanes inside U_S and U_C.
+    n, S, g = f.dim, f.ricci, f.g
+    # Rows: each lane's basis tensors (1/2) S^S, g^S and (1/2) g^g, flat.
+    B = np.stack([0.5 * kulkarni_nomizu(S, S), kulkarni_nomizu(g, S),
+                  0.5 * kulkarni_nomizu(g, g)], axis=1).reshape(len(S), 3, -1)
+    R = f.riemann.reshape(len(S), -1)
+    # The basis tensors carry wildly different physical scales (S^S vs
+    # g^g), so the Gram matrix is read on unit tensors: its condition
+    # number then measures genuine near-dependence of the span, not
+    # units.  One SVD of the unit columns An = U s Vt gives both the
+    # condition of An^T An, (s_max/s_min)**2, and the least-squares fit.
+    scales = np.sqrt(np.einsum("pkn,pkn->pk", B, B))
+    out: list = [RoterFitError("ILL_CONDITIONED", "degenerate basis tensor") for _ in S]
+    live = np.flatnonzero(np.all(scales != 0.0, axis=-1))
+    if not len(live):
+        return out
+    B, R, scales = B[live], R[live], scales[live]
+    U, s, Vt = np.linalg.svd((B / scales[..., None]).swapaxes(-1, -2), full_matrices=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        gram_cond = (s[:, 0] / s[:, -1]) ** 2
+    for k in np.flatnonzero(gram_cond > GRAM_CONDITION_LIMIT):
+        out[live[k]] = RoterFitError("ILL_CONDITIONED", f"Gram condition {gram_cond[k]:.3e}")
+    keep = np.flatnonzero(gram_cond <= GRAM_CONDITION_LIMIT)
+    live, B, R, scales = live[keep], B[keep], R[keep], scales[keep]
+    U, s, Vt, gram_cond = U[keep], s[keep], Vt[keep], gram_cond[keep]
+    y = (R[:, None, :] @ U)[:, 0, :] / s
+    coeffs = (y[:, None, :] @ Vt)[:, 0, :] / scales
+    misfit = R - (coeffs[:, None, :] @ B)[:, 0, :]
+    residual = lane_norms(misfit) / (lane_norms(R) + 1e-300)
+    phi, mu, eta = coeffs.T
+    kappa = f.scalar[live]
     alpha1 = kappa + ((n - 2) * mu - 1.0) / phi
     alpha2 = (mu * kappa + (n - 1) * eta) / phi
     L_R = ((n - 2) * (mu * mu - phi * eta) - mu) / phi
     L = L_R + mu / phi
     L_C = L_R + (kappa / (n - 1) - alpha1) / (n - 2)
-    return RoterFit(phi, mu, eta, residual, alpha1, alpha2, L_R, L, L_C, gram_cond)
+    rows = zip(phi.tolist(), mu.tolist(), eta.tolist(), residual.tolist(), alpha1.tolist(),
+               alpha2.tolist(), L_R.tolist(), L.tolist(), L_C.tolist(), gram_cond.tolist())
+    for i, row in zip(live, rows):
+        if row[3] > FIT_RESIDUAL_LIMIT:
+            out[i] = RoterFitError("RESIDUAL", f"reconstruction residual {row[3]:.3e}")
+        else:
+            out[i] = RoterFit(*row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,83 +309,114 @@ class _Products(dict):
         return value
 
 
+class _Lifted(dict):
+    # One point's products, read as a chunk of one.
+    def __init__(self, products):
+        super().__init__()
+        self.products = products
+
+    def __missing__(self, key: str) -> np.ndarray:
+        value = self[key] = np.asarray(self.products[key])[None]
+        return value
+
+
+def _chunk_products(frame: PointFrame, products):
+    f, single = _chunk(frame)
+    return f, (_Lifted(products) if single else products), single
+
+
 def curvature_products(frame: PointFrame) -> dict[str, np.ndarray]:
     """The derivation products X.Y and Tachibana tensors Q(A,T) the
     identities compare, keyed by name (RR = R.R, QgC = Q(g,C), ...).
 
     Each is built on first read, packed on bivectors (see curvops): at
     n = 6 an order-6 product is a (15, 15, 15) array of 27 KB and all
-    twelve take about 0.26 MB.  Callers hold them for one point only;
-    they are not kept on the frame.
+    twelve take about 0.26 MB.  A chunk's products carry its point axis
+    first.  Callers hold them for one point or chunk only; they are not
+    kept on the frame.
     """
     return _Products(frame)
 
 
-def identity_suite(frame: PointFrame, fit: RoterFit,
-                   products: dict[str, np.ndarray]) -> dict[str, float]:
+def _factors(measured: list, key: str) -> np.ndarray:
+    return np.array([np.nan if m[key].factor is None else m[key].factor for m in measured])
+
+
+def identity_suite(frame: PointFrame, fit, products: dict[str, np.ndarray]):
     """Residuals of the ten tensor identities implied by the decomposition,
     and of the closed-form L_R, L_C, L against their measured factors.
 
-    products are curvature_products(frame).  The ten identities use the
-    sum-plus-one Frobenius normalization, the three factor checks the
-    scalar one, against pseudosymmetry_factors over the same products.
-    An accepted fit on exact-derivative input keeps all thirteen near
-    1e-13.
+    products are curvature_products(frame); on a chunk fit is a list of
+    the lanes' RoterFit.  The ten identities use the sum-plus-one
+    Frobenius normalization, the three factor checks the scalar one,
+    against pseudosymmetry_factors over the same products.  An accepted
+    fit on exact-derivative input keeps all thirteen near 1e-13.
     """
-    n = frame.dim
-    S, g, kappa = frame.ricci, frame.g, frame.scalar
-    P = products
-    phi, mu, eta = fit.phi, fit.mu, fit.eta
-    measured = pseudosymmetry_factors(frame, products)
-    return {
-        "ricci_square_affine": tensor_residual(
-            frame.ricci_sq, fit.alpha1 * S + fit.alpha2 * g
-        ),
-        "rr_vs_qgr": tensor_residual(P["RR"], fit.L_R * P["QgR"]),
-        "rc_vs_qgc": tensor_residual(P["RC"], fit.L_R * P["QgC"]),
-        "rs_vs_qgs": tensor_residual(P["RS"], fit.L_R * P["QgS"]),
-        "rr_vs_qsr_plus_qgc": tensor_residual(P["RR"], P["QSR"] + fit.L * P["QgC"]),
-        "cc_vs_qgc": tensor_residual(P["CC"], fit.L_C * P["QgC"]),
-        "cr_vs_qgr": tensor_residual(P["CR"], fit.L_C * P["QgR"]),
-        "cs_vs_qgs": tensor_residual(P["CS"], fit.L_C * P["QgS"]),
-        "commutator_vs_qgr_qsg": tensor_residual(
+    f, P, single = _chunk_products(frame, products)
+    fits = [fit] if single else fit
+    n, S, g, kappa = f.dim, f.ricci, f.g, f.scalar
+    phi, mu, eta, alpha1, alpha2, L_R, L, L_C = (
+        np.array([getattr(x, name) for x in fits])
+        for name in ("phi", "mu", "eta", "alpha1", "alpha2", "L_R", "L", "L_C")
+    )
+    measured = pseudosymmetry_factors(f, P)
+
+    def res(lhs, rhs):
+        return tensor_residual(lhs, rhs, points=True)
+
+    def at(values, t):
+        return _per_lane(values, t) * t
+
+    out = {
+        "ricci_square_affine": res(f.ricci_sq, at(alpha1, S) + at(alpha2, g)),
+        "rr_vs_qgr": res(P["RR"], at(L_R, P["QgR"])),
+        "rc_vs_qgc": res(P["RC"], at(L_R, P["QgC"])),
+        "rs_vs_qgs": res(P["RS"], at(L_R, P["QgS"])),
+        "rr_vs_qsr_plus_qgc": res(P["RR"], P["QSR"] + at(L, P["QgC"])),
+        "cc_vs_qgc": res(P["CC"], at(L_C, P["QgC"])),
+        "cr_vs_qgr": res(P["CR"], at(L_C, P["QgR"])),
+        "cs_vs_qgs": res(P["CS"], at(L_C, P["QgS"])),
+        "commutator_vs_qgr_qsg": res(
             P["RC"] - P["CR"],
-            ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * P["QgR"]
-            + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"],
+            at((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1), P["QgR"])
+            + at((mu / phi) * (mu - 1.0 / (n - 2)) - eta, P["QSG"]),
         ),
-        "commutator_vs_qsc_qgc": tensor_residual(
-            P["CR"] - P["RC"], P["QSC"] - (kappa / (n - 1)) * P["QgC"]
+        "commutator_vs_qsc_qgc": res(
+            P["CR"] - P["RC"], P["QSC"] - at(kappa / (n - 1), P["QgC"])
         ),
-        "lr_closed_vs_measured": scalar_residual(fit.L_R, measured["L_R"].factor),
-        "lc_closed_vs_measured": scalar_residual(fit.L_C, measured["L_C"].factor),
-        "l_closed_vs_measured": scalar_residual(fit.L, measured["L"].factor),
+        "lr_closed_vs_measured": scalar_residual(L_R, _factors(measured, "L_R")),
+        "lc_closed_vs_measured": scalar_residual(L_C, _factors(measured, "L_C")),
+        "l_closed_vs_measured": scalar_residual(L, _factors(measured, "L")),
     }
+    lanes = [{name: float(v[i]) for name, v in out.items()} for i in range(len(fits))]
+    return _unchunk(lanes, single)
 
 
-def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]
-                           ) -> dict[str, ProportionalityResult]:
+def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]):
     """Directly measured proportionality factors, independent of any fit.
 
     products are curvature_products(frame).  Keys: L_R (R.R vs Q(g,R)),
     L_C (C.C vs Q(g,C)), L (R.R - Q(S,R) vs Q(g,C)); ricci_pseudosymmetry
-    measures L_S (R.S vs Q(g,S)).
+    measures L_S (R.S vs Q(g,S)).  A chunk gets one dict per lane.
     """
-    P, n = products, frame.dim
-    return {
-        "L_R": proportionality(P["RR"], P["QgR"], n),
-        "L_C": proportionality(P["CC"], P["QgC"], n),
-        "L": proportionality(P["RR"] - P["QSR"], P["QgC"], n),
+    f, P, single = _chunk_products(frame, products)
+    by_key = {
+        "L_R": proportionality(P["RR"], P["QgR"], f.dim, points=True),
+        "L_C": proportionality(P["CC"], P["QgC"], f.dim, points=True),
+        "L": proportionality(P["RR"] - P["QSR"], P["QgC"], f.dim, points=True),
     }
+    lanes = [{key: results[i] for key, results in by_key.items()} for i in range(len(f.g))]
+    return _unchunk(lanes, single)
 
 
-def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]
-                         ) -> ProportionalityResult:
+def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]):
     """Linear dependence of R.S and Q(g,S), as a standalone check.
 
     products are curvature_products(frame); R.S and Q(g,S) are read
-    from them, not rebuilt.
+    from them, not rebuilt.  A chunk gets one result per lane.
     """
-    return proportionality(products["RS"], products["QgS"], frame.dim)
+    f, P, single = _chunk_products(frame, products)
+    return _unchunk(proportionality(P["RS"], P["QgS"], f.dim, points=True), single)
 
 
 # ---------------------------------------------------------------------------
@@ -311,52 +424,86 @@ def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class Classification:
+    """A point's kind and the real eigenvalues of its Ricci operator g^{-1} S.
+
+    grid_rank_above_one records whether rank(S - alpha g) > 1 at every
+    alpha classify ranked: the grid of rank_grid_exceeds_one, the real
+    eigenvalues and, for a ROTER point, alpha1/2 of its fit.
+    """
+
     kind: str
-    eigenvalues: tuple[float, ...]  # real eigenvalues of the Ricci operator g^{-1} S
+    eigenvalues: tuple[float, ...]
     alpha: float | None = None
     fit: RoterFit | None = None
     detail: str = ""
+    grid_rank_above_one: bool = False
 
 
-def _real_ricci_eigenvalues(frame: PointFrame) -> tuple[float, ...]:
+def classify(frame: PointFrame):
+    """Sort a point into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
+    f, single = _chunk(frame)
+    n = f.dim
     # rank(S - alpha g) can only drop at generalized eigenvalues of the
     # Ricci operator; only the real ones are candidates.
-    eigs = np.linalg.eigvals(frame.ginv @ frame.ricci)
-    return tuple(float(z.real) for z in eigs if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)))
+    eigs = np.linalg.eigvals(f.ginv @ f.ricci)
+    real = np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))
+    eigenvalues = [tuple(row[keep].tolist()) for row, keep in zip(eigs.real, real)]
+    # One scan: each lane's grid, then its eigenvalues, a complex one
+    # replaced by the grid's last value, which the scan ranks anyway.
+    grid = (10.0 * np.abs(f.scalar) + 1.0)[:, None] * _UNIT_GRID
+    alphas = np.concatenate([grid, np.where(real, eigs.real, grid[:, -1:])], axis=-1)
+    ranks = rank_shift(f.ricci[:, None], f.g[:, None], alphas)
+    above = np.all(ranks > 1, axis=-1).tolist()
+    drops = (ranks[:, _UNIT_GRID.size:] <= 1) & real
+    out: list = [None] * len(f.g)
+    candidates = []
+    for i, us in enumerate(in_us(f)):
+        if not us:
+            out[i] = Classification(EINSTEIN, eigenvalues[i], alpha=float(f.scalar[i]) / n,
+                                    grid_rank_above_one=above[i])
+        elif drops[i].any():
+            alpha = float(eigs.real[i, np.argmax(drops[i])])
+            out[i] = Classification(QUASI_EINSTEIN, eigenvalues[i], alpha=alpha,
+                                    grid_rank_above_one=above[i])
+        else:
+            candidates.append(i)
+    fitted = []
+    if candidates:
+        for i, fit in zip(candidates, fit_roter(f.take(candidates))):
+            if isinstance(fit, RoterFitError):
+                out[i] = Classification(OTHER, eigenvalues[i], detail=str(fit),
+                                        grid_rank_above_one=above[i])
+            else:
+                fitted.append((i, fit))
+    if fitted:
+        # alpha1/2 of each fit joins its lane's scan.
+        lanes = [i for i, _ in fitted]
+        halves = [fit.alpha1 / 2.0 for _, fit in fitted]
+        half_above = rank_shift(f.ricci[lanes], f.g[lanes], halves) > 1
+        for (i, fit), ok in zip(fitted, half_above.tolist()):
+            out[i] = Classification(ROTER, eigenvalues[i], fit=fit,
+                                    grid_rank_above_one=above[i] and ok)
+    return _unchunk(out, single)
 
 
-def _quasi_einstein_alpha(frame: PointFrame, eigenvalues: tuple[float, ...]) -> float | None:
-    ranks = rank_shift(frame.ricci, frame.g, eigenvalues)
-    return next((alpha for alpha, r in zip(eigenvalues, ranks) if r <= 1), None)
-
-
-def classify(frame: PointFrame) -> Classification:
-    """Sort a point into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
-    eigenvalues = _real_ricci_eigenvalues(frame)
-    if not in_us(frame):
-        return Classification(EINSTEIN, eigenvalues, alpha=frame.scalar / frame.dim)
-    alpha = _quasi_einstein_alpha(frame, eigenvalues)
-    if alpha is not None:
-        return Classification(QUASI_EINSTEIN, eigenvalues, alpha=alpha)
-    try:
-        fit = fit_roter(frame)
-    except RoterFitError as err:
-        return Classification(OTHER, eigenvalues, detail=str(err))
-    return Classification(ROTER, eigenvalues, fit=fit)
-
-
-def rank_grid_exceeds_one(frame: PointFrame, c: Classification,
-                          extra: tuple[float, ...] = ()) -> bool:
+def rank_grid_exceeds_one(frame: PointFrame, c, extra=()):
     """rank(S - alpha g) > 1 for every alpha on the scan grid.
 
     c is classify(frame).  The grid spans [-10|kappa|, 10|kappa|] plus
-    alpha1/2 of c's fit, any extra candidates (e.g. warped block
-    eigenvalues mu1, mu2) and the exact rank-drop loci c.eigenvalues.
+    alpha1/2 of c's fit and the exact rank-drop loci c.eigenvalues,
+    which classify ranked already (c.grid_rank_above_one), and any extra
+    candidates (e.g. warped block eigenvalues mu1, mu2), ranked here.
+    On a chunk, c and extra hold one entry per lane and the result is a
+    boolean array.
     """
-    kappa = abs(frame.scalar)
-    grid = list(np.linspace(-10 * kappa - 1.0, 10 * kappa + 1.0, 21))
-    if c.fit is not None:
-        grid.append(c.fit.alpha1 / 2.0)
-    grid.extend(extra)
-    grid.extend(c.eigenvalues)
-    return bool(np.all(rank_shift(frame.ricci, frame.g, grid) > 1))
+    single = frame.g.ndim == 2
+    cs, extras = ([c], [tuple(extra)]) if single else (c, [tuple(e) for e in extra])
+    S, g = (frame.ricci[None], frame.g[None]) if single else (frame.ricci, frame.g)
+    out = np.array([ci.grid_rank_above_one for ci in cs])
+    lanes = [i for i, e in enumerate(extras) if e and out[i]]
+    if lanes:
+        width = max(len(extras[i]) for i in lanes)
+        alphas = [extras[i] + extras[i][:1] * (width - len(extras[i])) for i in lanes]
+        ranks = rank_shift(S[lanes][:, None], g[lanes][:, None], alphas)
+        out[lanes] = np.all(ranks > 1, axis=-1)
+    return bool(out[0]) if single else out

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvcheck import cli, curvops, roter
@@ -94,6 +95,33 @@ class TestValidation:
         bad["manifolds"][0]["kind"] = "family"
         with pytest.raises(cli.ManifestError):
             cli.validate_manifest(bad)
+
+    @pytest.mark.parametrize("kind, foreign", [
+        ("explicit", {"warp": "x", "pair": {"a": "1", "b": "x", "map_scale": 1.0, "map_shift": 0.0}}),
+        ("warped", {"params": {"c": 1.0, "d": 1.0, "c1": 1.0, "c2": 0.0}}),
+        ("family", {"coords": ["x", "t"], "conditions": [["x", "positive"]]}),
+        ("pair2d", {"fiber": {"dim": 2}, "metric": [["1"]]}),
+    ])
+    def test_keys_of_another_kind_exit_2(self, tmp_path, capsys, kind, foreign):
+        # Each used to pass validation and run with the keys ignored.
+        manifest = {
+            "explicit": self.good(),
+            "warped": self.warped({"dim": 2, "scalar_curvature": 2.0}),
+            "family": corpus_get("theorem41_n4"),
+            "pair2d": corpus_get("surface_pair"),
+        }[kind]
+        cli.validate_manifest(manifest)
+        manifest["manifolds"][0].update(foreign)
+        with pytest.raises(cli.ManifestError, match=f"kind {kind} does not take"):
+            cli.validate_manifest(manifest)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(repr(key) in err for key in foreign)
+        assert not out.exists()
 
     def test_non_square_metric_rejected(self):
         bad = self.good()
@@ -421,9 +449,11 @@ def count_calls(monkeypatch, module, name) -> list:
 
 class TestSharedEvaluation:
     def test_each_target_point_evaluated_once(self, monkeypatch):
-        # Every suite reads one diagnostics, one Roter fit and one product
-        # set per (target, point); identity_suite's products serve the
-        # geodesic factor relations too.
+        # Every suite reads one diagnostics per (target, point), and one
+        # Roter fit and one product set per (target, chunk) whose lanes
+        # cover each point once; identity_suite's products serve the
+        # geodesic factor relations too.  Two points at n = 4 make one
+        # chunk per target.
         diagnostics = count_calls(monkeypatch, wp, "diagnostics")
         fits = count_calls(monkeypatch, roter, "fit_roter")
         derivations = count_calls(monkeypatch, curvops, "derivation_apply")
@@ -433,13 +463,18 @@ class TestSharedEvaluation:
                          if r["target"] in ("source", "image")}
         assert len(target_points) == 4
         assert len(diagnostics) == len(target_points)
-        assert len(fits) == len(target_points)
-        assert len(derivations) == 6 * len(target_points)
+        assert len(fits) == 2
+        assert sum(len(frame.g) for frame, in fits) == len(target_points)
+        assert len(derivations) == 6 * 2
+        assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
 
     def test_rank_scans_and_products_once_per_point(self, monkeypatch):
-        # One stacked rank_shift per quasi-Einstein scan and per rank grid;
-        # ricci_pseudosymmetry reads R.S and Q(g,S) from the point's products.
-        scans = count_calls(monkeypatch, roter, "_quasi_einstein_alpha")
+        # Per chunk, classify ranks its grid and the Ricci eigenvalues in
+        # one stacked rank_shift and alpha1/2 of its fits in a second;
+        # rank_grid_exceeds_one, with no extra candidates, ranks nothing
+        # more.  ricci_pseudosymmetry reads R.S and Q(g,S) from the
+        # chunk's products, whose lanes cover each point once.
+        classify = count_calls(monkeypatch, roter, "classify")
         grids = count_calls(monkeypatch, roter, "rank_grid_exceeds_one")
         ranks = count_calls(monkeypatch, curvops, "rank_shift")
         derivations = count_calls(monkeypatch, curvops, "derivation_apply")
@@ -449,10 +484,13 @@ class TestSharedEvaluation:
         assert summary["ok"]
         target_points = {(r["target"], r["point_index"]) for r in records}
         assert len(target_points) == 3  # the pinned point and two sampled ones
-        assert scans and grids and len(ranks) == len(scans) + len(grids)
-        assert len(ricci) == len(target_points)
-        assert len(derivations) == 6 * len(target_points)
-        assert len(tachibanas) == 6 * len(target_points)
+        assert len(classify) == 1 and len(classify[0][0].g) == len(target_points)
+        assert len(grids) == len(target_points)
+        assert len(ranks) == 2
+        assert len(ricci) == 1 and len(ricci[0][0].g) == len(target_points)
+        assert len(derivations) == len(tachibanas) == 6
+        assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
+        assert sum(len(A) for A, _ in tachibanas) == 6 * len(target_points)
 
     def test_each_frame_computed_once(self, monkeypatch):
         # A point's Evaluations own its frames and hand them to every
@@ -515,15 +553,46 @@ class TestSharedEvaluation:
         assert len(run_calls) == len(set(run_calls)) == len(points)
 
     def test_products_built_on_first_read(self, monkeypatch):
-        # ricci_pseudo_1d_base is Ricci-pseudosymmetric but not Roter: each
-        # point reads R.S and Q(g,S), so only those two products are built.
+        # ricci_pseudo_1d_base is Ricci-pseudosymmetric but not Roter: its
+        # chunk reads R.S and Q(g,S), so only those two products are
+        # built, once for both points.
         derivations = count_calls(monkeypatch, curvops, "derivation_apply")
         tachibanas = count_calls(monkeypatch, curvops, "tachibana")
         records, summary = cli.run_manifest(corpus_get("ricci_pseudo_1d_base"), points=2)
         assert summary["ok"]
         target_points = {(r["target"], r["point_index"]) for r in records}
         assert len(target_points) == 2
-        assert len(derivations) == len(tachibanas) == len(target_points)
+        assert len(derivations) == len(tachibanas) == 1
+        assert len(derivations[0][2]) == len(tachibanas[0][0]) == len(target_points)
+
+    def test_frame_error_in_a_chunk_stays_with_its_point(self, monkeypatch):
+        # Six points at n = 4 share one chunk.  A point whose frame raises
+        # gets one error record per suite and no lane; every other point's
+        # records equal those of a run without it.
+        manifest = corpus_get("rn_lambda0")
+        sample = cli.sample_points
+        points = sample(cli.build_job(manifest["manifolds"][0]), 5,
+                        np.random.default_rng([manifest["seed"], 0]))
+        bad = points[3]
+        frame = geo.frame
+
+        def refusing(spec, point):
+            if tuple(point) == bad:
+                raise geo.GeometryError("frame refused")
+            return frame(spec, point)
+
+        monkeypatch.setattr(geo, "frame", refusing)
+        with_bad, _ = cli.run_manifest(manifest, points=5)
+        monkeypatch.setattr(cli, "sample_points",
+                            lambda job, count, rng: [p for p in sample(job, count, rng) if p != bad])
+        without, _ = cli.run_manifest(manifest, points=5)
+        errors = [r for r in with_bad if r["point_index"] == 3]
+        assert [(r["suite"], r["check"]) for r in errors] == [
+            ("geometry-symmetries", "error"), ("theorem21", "error")]
+        assert all("frame refused" in r["detail"] for r in errors)
+        others = [dict(r, point_index=r["point_index"] - (r["point_index"] > 3))
+                  for r in with_bad if r["point_index"] != 3]
+        assert len(without) > 5 * 20 and others == without
 
     def test_failed_piece_is_not_kept(self):
         # x/abs(x) in dg divides by zero at x = 0: each suite asking for

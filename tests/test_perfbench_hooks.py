@@ -4,7 +4,12 @@ src/ must fail here, in the default suite, not only in perfbench/tests."""
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from curvcheck import cli, roter
+from curvcheck import geometry as geo
+from curvcheck.corpus import corpus_get
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +48,28 @@ def test_roter_entries_take_a_frame_first(tracer):
     for attr in roter_entries:
         params = list(inspect.signature(getattr(_module("roter"), attr)).parameters)
         assert params[0] == "frame", attr
+
+
+def test_roter_entries_take_a_stacked_frame(tracer):
+    # The tracer's dimension split reads args[0].dim, which on a chunk
+    # of points must still be the chart dimension.
+    job = cli.build_job(corpus_get("rn_lambda0")["manifolds"][0])
+    points = cli.sample_points(job, 3, np.random.default_rng(0))
+    chunk = geo.stack([geo.frame(job.targets[0].spec, pt) for pt in points])
+    assert chunk.dim == job.targets[0].spec.dim == 4
+    cs = roter.classify(chunk)
+    products = roter.curvature_products(chunk)
+    calls = {
+        "classify": (chunk,),
+        "fit_roter": (chunk,),
+        "identity_suite": (chunk, [c.fit for c in cs], products),
+        "pseudosymmetry_factors": (chunk, products),
+        "ricci_pseudosymmetry": (chunk, products),
+        "rank_grid_exceeds_one": (chunk, cs),
+    }
+    roter_entries = [attr for _, module, attr in tracer["WRAPPED"] if module == "roter"]
+    assert roter_entries
+    for attr in roter_entries:
+        args = calls[attr]  # a new roter entry needs its chunk call here
+        assert tracer["_frame_dim"](args) == 4
+        assert len(getattr(roter, attr)(*args)) == len(points), attr
