@@ -381,14 +381,19 @@ _POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
 
 
 class RoterBatch:
-    """The theorem21 Roter path over the stacked frame of one target's
-    points in a chunk: membership, classification, fit, curvature
-    products, identity residuals and Ricci pseudosymmetry, each computed
-    for all lanes at once on first use.  Each Evaluation reads its own
-    lane (see _batch)."""
+    """The theorem21 Roter path over the frames of one target's points in
+    a chunk: membership, classification, fit, curvature products,
+    identity residuals and Ricci pseudosymmetry, each computed for all
+    lanes at once on first use.  The frames are stacked on the first
+    read too, so a run that reads none of these copies nothing.  Each
+    Evaluation reads its own lane (see _batch)."""
 
-    def __init__(self, frame: geo.PointFrame):
-        self.frame = frame
+    def __init__(self, frames: list[geo.PointFrame]):
+        self.frames = frames
+
+    @cached_property
+    def frame(self) -> geo.PointFrame:
+        return geo.stack(self.frames)
 
     @cached_property
     def membership(self) -> list[dict]:
@@ -525,7 +530,7 @@ class Evaluation:
 
 
 def _batch(evals) -> None:
-    """Stack the frames of one target's Evaluations that build into one
+    """Join the frames of one target's Evaluations that build into one
     RoterBatch and give each of them its lane.  A point whose frame
     raises gets no lane: it records its own errors, and the other lanes
     are what they would be without it."""
@@ -537,7 +542,7 @@ def _batch(evals) -> None:
             continue
         built.append(ev)
     if built:
-        batch = RoterBatch(geo.stack([ev.frame for ev in built]))
+        batch = RoterBatch([ev.frame for ev in built])
         for lane, ev in enumerate(built):
             ev.batch, ev.lane = batch, lane
 

@@ -35,10 +35,11 @@ Leading point axes.  The products and rank_shift broadcast over any
 leading axes of their inputs: a chunk of points carries its own point
 axis first (g of shape (P, n, n), R of shape (P, n, n, n, n)), and each
 point's lane of the result is what the same call on that point alone
-gives.  The reductions tensor_residual and proportionality read the
-first axis as the point axis when points is set, and return one result
-per point; scalar_residual broadcasts.  No reduction mixes lanes, so a
-lane never depends on the others in its chunk.
+gives.  The reductions lane_norms, lane_residuals and proportionality
+read the first axis as the point axis and return one result per point
+(one tensor is a chunk of one: tensor_residual is lane_residuals on a
+chunk of one); scalar_residual broadcasts.  No reduction mixes lanes,
+so a lane never depends on the others in its chunk.
 
 All public functions are pure.
 """
@@ -59,6 +60,7 @@ __all__ = [
     "proportionality",
     "rank_shift",
     "tensor_residual",
+    "lane_residuals",
     "scalar_residual",
     "lane_norms",
     "max_abs_residual",
@@ -86,16 +88,11 @@ def _rows(*ts: np.ndarray) -> list[np.ndarray]:
     return [t.reshape(len(t), width) for t in ts]
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # <x_p, y_p> for each row p, each one dot product.
-    return np.vecdot(x, y)
-
-
 def lane_norms(t) -> np.ndarray:
     """Frobenius norm of each lane of an array whose first axis indexes
     points; each equals np.linalg.norm of that lane alone."""
     (rows,) = _rows(_asarray(t))
-    return np.sqrt(_row_dots(rows, rows))
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +100,18 @@ def lane_norms(t) -> np.ndarray:
 # (|lhs| + |rhs| + 1): relative for O(1)-or-larger quantities, absolute
 # near zero, and never spuriously large when both sides vanish.
 
-def tensor_residual(lhs, rhs, *, points: bool = False):
-    """Frobenius residual of lhs == rhs, sum-plus-one normalized.
-
-    With points set, the first axis indexes points and the result is an
-    array with one residual per point.
-    """
-    a, b = _asarray(lhs), _asarray(rhs)
-    if not points:
-        return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1.0))
-    ra, rb = _rows(a, b)
+def lane_residuals(lhs, rhs) -> np.ndarray:
+    """tensor_residual of each lane of lhs == rhs, the first axis
+    indexing points."""
+    ra, rb = _rows(_asarray(lhs), _asarray(rhs))
     rd = ra - rb
-    return np.sqrt(_row_dots(rd, rd)) / (np.sqrt(_row_dots(ra, ra)) + np.sqrt(_row_dots(rb, rb)) + 1.0)
+    scale = np.sqrt(np.vecdot(ra, ra)) + np.sqrt(np.vecdot(rb, rb)) + 1.0
+    return np.sqrt(np.vecdot(rd, rd)) / scale
+
+
+def tensor_residual(lhs, rhs) -> float:
+    """Frobenius residual of lhs == rhs, sum-plus-one normalized."""
+    return float(lane_residuals(_asarray(lhs)[None], _asarray(rhs)[None])[0])
 
 
 def scalar_residual(lhs, rhs):
@@ -145,21 +142,10 @@ def constancy_residual(values) -> float:
 # ---------------------------------------------------------------------------
 # Products
 
-def _outer(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # X[..., a, b, c, d] = A_ad B_bc
-    return A[..., :, None, None, :] * B[..., None, :, :, None]
-
-
-def _permuted(X: np.ndarray, order: str) -> np.ndarray:
-    # X with its last four slots read in order: _permuted(X, "badc")[a,b,c,d] = X[b,a,d,c]
-    lead = X.ndim - 4
-    return X.transpose(*range(lead), *(lead + "abcd".index(slot) for slot in order))
-
-
 def unit_curvature(g: np.ndarray) -> np.ndarray:
     """G[a,b,c,d] = g_bc g_ad - g_ac g_bd; satisfies g^g = 2G."""
-    X = _outer(_asarray(g), _asarray(g))
-    return X - _permuted(X, "abdc")
+    g = _asarray(g)
+    return np.einsum("...ad,...bc->...abcd", g, g) - np.einsum("...ac,...bd->...abcd", g, g)
 
 
 def kulkarni_nomizu(A, B) -> np.ndarray:
@@ -171,8 +157,12 @@ def kulkarni_nomizu(A, B) -> np.ndarray:
     A, B = _asarray(A), _asarray(B)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    X = _outer(A, B)
-    return X + _permuted(X, "badc") - _permuted(X, "abdc") - _permuted(X, "bacd")
+    return (
+        np.einsum("...ad,...bc->...abcd", A, B)
+        + np.einsum("...bc,...ad->...abcd", A, B)
+        - np.einsum("...ac,...bd->...abcd", A, B)
+        - np.einsum("...bd,...ac->...abcd", A, B)
+    )
 
 
 @cache
@@ -219,13 +209,17 @@ def _derive(E: np.ndarray, T: np.ndarray) -> np.ndarray:
         T = T.reshape(*lead, n ** 4).take(quads, axis=-1).reshape(*lead, m, m)
     else:
         raise ValueError(f"packed derivation needs an order-2 or order-4 tensor, got {T.shape}")
-    # out[X] = K_X T + T K_X^T = K_X T + (K_X T^T)^T, with the rows of
-    # every K_X stacked into one matrix.
-    rows = K.reshape(*lead, -1, K.shape[-1])
-    out = (rows @ T).reshape(K.shape)
-    out += (rows @ T.swapaxes(-1, -2)).reshape(K.shape).swapaxes(-1, -2)
-    k = out.ndim
-    return out.transpose(*range(k - 3), k - 2, k - 1, k - 3)
+    # out[i, j, X] = (K_X T + T K_X^T)[i, j], each term one matrix
+    # product per point with the rows of every K_X stacked: K_X T comes
+    # out as [X, i, j], T K_X^T as [i, X, j], and their sum is written
+    # in C order.
+    a = K.shape[-1]
+    rows = K.reshape(*lead, m * a, a)
+    left = (rows @ T).reshape(*lead, m, a, a)
+    right = (T @ rows.swapaxes(-1, -2)).reshape(*lead, a, m, a)
+    k = len(lead)
+    return np.add(left.transpose(*range(k), k + 1, k + 2, k),
+                  right.transpose(*range(k), k, k + 2, k + 1), order="C")
 
 
 def derivation_apply(B4, T, ginv) -> np.ndarray:
@@ -286,32 +280,31 @@ class ProportionalityResult:
     verdict: str
 
 
-def proportionality(lhs, rhs, dim: int, *, points: bool = False):
-    """Least-squares factor between equally shaped tensors.
+def proportionality(lhs, rhs, dim: int) -> list[ProportionalityResult]:
+    """Least-squares factor between equally shaped tensors, lane by lane.
 
-    factor = <lhs, rhs> / <rhs, rhs>; the residual uses the same
-    sum-plus-one normalization as tensor_residual.  RHS is degenerate
-    when its Frobenius norm is below 1e-12 * dim**2, dim being the chart
-    dimension n (not a packed product's leading axis m).  With points
-    set, the first axis indexes points and the result is a list with
-    one ProportionalityResult per point.
+    The first axis indexes points; the result holds one
+    ProportionalityResult per lane (one tensor is a chunk of one:
+    proportionality(a[None], b[None], dim)[0]).  factor = <lhs, rhs> /
+    <rhs, rhs>; the residual uses the same sum-plus-one normalization as
+    tensor_residual.  RHS is degenerate when its Frobenius norm is below
+    1e-12 * dim**2, dim being the chart dimension n (not a packed
+    product's leading axis m).
     """
     a, b = _asarray(lhs), _asarray(rhs)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not points:
-        return proportionality(a[None], b[None], dim, points=True)[0]
     ra, rb = _rows(a, b)
-    na, nb2 = np.sqrt(_row_dots(ra, ra)), _row_dots(rb, rb)
+    na, nb2 = np.sqrt(np.vecdot(ra, ra)), np.vecdot(rb, rb)
     nb = np.sqrt(nb2)
     floor = 1e-12 * dim * dim
     # Only the lanes with signal in rhs are divided by it.
     live = nb > floor
     if not live.all():
         ra, rb, nb2 = ra[live], rb[live], nb2[live]
-    factors = _row_dots(rb, ra) / nb2
+    factors = np.vecdot(rb, ra) / nb2
     gap = ra - factors[:, None] * rb
-    residuals = np.sqrt(_row_dots(gap, gap)) / (na[live] + nb[live] + 1.0)
+    residuals = np.sqrt(np.vecdot(gap, gap)) / (na[live] + nb[live] + 1.0)
     fits = iter(zip(factors.tolist(), residuals.tolist()))
     out = []
     for na_i, nb_i, fit in zip(na.tolist(), nb.tolist(), live.tolist()):
@@ -321,25 +314,24 @@ def proportionality(lhs, rhs, dim: int, *, points: bool = False):
         elif na_i <= floor:
             out.append(ProportionalityResult(None, 0.0, True, "vacuous"))
         else:
-            out.append(ProportionalityResult(None, na_i / (na_i + nb_i + 1.0), True, "inconsistent"))
+            residual = na_i / (na_i + nb_i + 1.0)
+            out.append(ProportionalityResult(None, residual, True, "inconsistent"))
     return out
 
 
 def rank_shift(S, g, alpha) -> int | np.ndarray:
-    """Numerical rank of S - alpha*g for symmetric S and g.
+    """Numerical rank of S - alpha*g via singular values.
 
-    Threshold 1e-9 * sigma_max over the singular values, which for a
-    symmetric matrix are the absolute eigenvalues (one stacked eigvalsh);
-    an exactly zero matrix has rank 0.  An array of alpha is ranked in
-    one call and gives an integer array of its shape; a scalar alpha
-    gives an int.  alpha broadcasts against the leading axes of S and g:
-    a chunk of points ranks its candidates alpha[p, k] against S[:, None]
-    and g[:, None].
+    Threshold 1e-9 * sigma_max; an exactly zero matrix has rank 0.  An
+    array of alpha is ranked with one stacked SVD and gives an integer
+    array of its shape; a scalar alpha gives an int.  alpha broadcasts
+    against the leading axes of S and g: a chunk of points ranks its
+    candidates alpha[p, k] against S[:, None] and g[:, None].
     """
     alphas = np.asarray(alpha, dtype=float)
     M = _asarray(S) - alphas[..., None, None] * _asarray(g)
-    sigma = np.abs(np.linalg.eigvalsh(M))
-    ranks = np.count_nonzero(sigma > 1e-9 * sigma.max(axis=-1, keepdims=True), axis=-1)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    ranks = np.count_nonzero(sigma > 1e-9 * sigma[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 

@@ -297,10 +297,14 @@ def stack(frames: Sequence[PointFrame]) -> PointFrame:
 
     Each array gains a leading point axis, lane i holding frames[i]'s
     (g of shape (P, n, n), scalar of shape (P,)), and point becomes the
-    tuple of the frames' points.
+    tuple of the frames' points.  One frame's arrays are views, not
+    copies.
     """
-    return PointFrame(frames[0].spec, tuple(f.point for f in frames),
-                      *(np.array([getattr(f, name) for f in frames]) for name in _LANE_FIELDS))
+    if len(frames) == 1:
+        lanes = (np.asarray(getattr(frames[0], name))[None] for name in _LANE_FIELDS)
+    else:
+        lanes = (np.array([getattr(f, name) for f in frames]) for name in _LANE_FIELDS)
+    return PointFrame(frames[0].spec, tuple(f.point for f in frames), *lanes)
 
 
 def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:

@@ -62,11 +62,11 @@ from .curvops import (
     derivation_apply,
     kulkarni_nomizu,
     lane_norms,
+    lane_residuals,
     proportionality,
     rank_shift,
     scalar_residual,
     tachibana,
-    tensor_residual,
     unit_curvature,
 )
 from .geometry import PointFrame, stack
@@ -156,16 +156,10 @@ def _unchunk(lanes, single: bool):
     return lanes[0] if single else lanes
 
 
-def _per_lane(values, t: np.ndarray) -> np.ndarray:
-    # One value per lane, shaped to scale the lanes of t.
-    values = np.asarray(values, dtype=float)
-    return values.reshape(values.shape + (1,) * (t.ndim - 1))
-
-
 def in_us(frame: PointFrame):
     """Ricci not proportional to the metric (relative threshold 1e-9)."""
     f, single = _chunk(frame)
-    dev = f.ricci - _per_lane(f.scalar / f.dim, f.g) * f.g
+    dev = f.ricci - (f.scalar / f.dim)[:, None, None] * f.g
     inside = lane_norms(dev) > US_THRESHOLD * lane_norms(f.ricci) + 1e-12
     return bool(inside[0]) if single else inside
 
@@ -181,7 +175,7 @@ def in_ur(frame: PointFrame):
     """Curvature not of constant-curvature form (R != kappa/((n-1)n) G)."""
     f, single = _chunk(frame)
     n = f.dim
-    dev = f.riemann - _per_lane(f.scalar / ((n - 1) * n), f.riemann) * unit_curvature(f.g)
+    dev = f.riemann - (f.scalar / ((n - 1) * n))[:, None, None, None, None] * unit_curvature(f.g)
     inside = lane_norms(dev) > UR_THRESHOLD * (lane_norms(f.riemann) + 1e-12)
     return bool(inside[0]) if single else inside
 
@@ -229,18 +223,22 @@ def _decompose(f: PointFrame) -> list:
     # condition of An^T An, (s_max/s_min)**2, and the least-squares fit.
     scales = np.sqrt(np.einsum("pkn,pkn->pk", B, B))
     out: list = [RoterFitError("ILL_CONDITIONED", "degenerate basis tensor") for _ in S]
-    live = np.flatnonzero(np.all(scales != 0.0, axis=-1))
-    if not len(live):
-        return out
-    B, R, scales = B[live], R[live], scales[live]
+    # Lanes leave the arrays only when some lane drops out.
+    live = np.arange(len(S))
+    nonzero = np.all(scales != 0.0, axis=-1)
+    if not nonzero.all():
+        live, B, R, scales = live[nonzero], B[nonzero], R[nonzero], scales[nonzero]
+        if not len(live):
+            return out
     U, s, Vt = np.linalg.svd((B / scales[..., None]).swapaxes(-1, -2), full_matrices=False)
     with np.errstate(divide="ignore", over="ignore"):
         gram_cond = (s[:, 0] / s[:, -1]) ** 2
     for k in np.flatnonzero(gram_cond > GRAM_CONDITION_LIMIT):
         out[live[k]] = RoterFitError("ILL_CONDITIONED", f"Gram condition {gram_cond[k]:.3e}")
-    keep = np.flatnonzero(gram_cond <= GRAM_CONDITION_LIMIT)
-    live, B, R, scales = live[keep], B[keep], R[keep], scales[keep]
-    U, s, Vt, gram_cond = U[keep], s[keep], Vt[keep], gram_cond[keep]
+    keep = gram_cond <= GRAM_CONDITION_LIMIT
+    if not keep.all():
+        live, B, R, scales = live[keep], B[keep], R[keep], scales[keep]
+        U, s, Vt, gram_cond = U[keep], s[keep], Vt[keep], gram_cond[keep]
     y = (R[:, None, :] @ U)[:, 0, :] / s
     coeffs = (y[:, None, :] @ Vt)[:, 0, :] / scales
     misfit = R - (coeffs[:, None, :] @ B)[:, 0, :]
@@ -354,41 +352,37 @@ def identity_suite(frame: PointFrame, fit, products: dict[str, np.ndarray]):
     """
     f, P, single = _chunk_products(frame, products)
     fits = [fit] if single else fit
-    n, S, g, kappa = f.dim, f.ricci, f.g, f.scalar
-    phi, mu, eta, alpha1, alpha2, L_R, L, L_C = (
-        np.array([getattr(x, name) for x in fits])
-        for name in ("phi", "mu", "eta", "alpha1", "alpha2", "L_R", "L", "L_C")
-    )
+    n = f.dim
+    # Each lane's scalars as a (P, 1, 1, 1) column, which scales its lane
+    # of a product (four axes with the point axis); [..., 0] scales an
+    # order-2 tensor.
+    coeffs = np.array([[x.phi, x.mu, x.eta, x.alpha1, x.alpha2, x.L_R, x.L, x.L_C] for x in fits])
+    phi, mu, eta, alpha1, alpha2, L_R, L, L_C = coeffs.T[..., None, None, None]
+    kappa = f.scalar[:, None, None, None]
     measured = pseudosymmetry_factors(f, P)
-
-    def res(lhs, rhs):
-        return tensor_residual(lhs, rhs, points=True)
-
-    def at(values, t):
-        return _per_lane(values, t) * t
-
     out = {
-        "ricci_square_affine": res(f.ricci_sq, at(alpha1, S) + at(alpha2, g)),
-        "rr_vs_qgr": res(P["RR"], at(L_R, P["QgR"])),
-        "rc_vs_qgc": res(P["RC"], at(L_R, P["QgC"])),
-        "rs_vs_qgs": res(P["RS"], at(L_R, P["QgS"])),
-        "rr_vs_qsr_plus_qgc": res(P["RR"], P["QSR"] + at(L, P["QgC"])),
-        "cc_vs_qgc": res(P["CC"], at(L_C, P["QgC"])),
-        "cr_vs_qgr": res(P["CR"], at(L_C, P["QgR"])),
-        "cs_vs_qgs": res(P["CS"], at(L_C, P["QgS"])),
-        "commutator_vs_qgr_qsg": res(
+        "ricci_square_affine": lane_residuals(
+            f.ricci_sq, alpha1[..., 0] * f.ricci + alpha2[..., 0] * f.g),
+        "rr_vs_qgr": lane_residuals(P["RR"], L_R * P["QgR"]),
+        "rc_vs_qgc": lane_residuals(P["RC"], L_R * P["QgC"]),
+        "rs_vs_qgs": lane_residuals(P["RS"], L_R * P["QgS"]),
+        "rr_vs_qsr_plus_qgc": lane_residuals(P["RR"], P["QSR"] + L * P["QgC"]),
+        "cc_vs_qgc": lane_residuals(P["CC"], L_C * P["QgC"]),
+        "cr_vs_qgr": lane_residuals(P["CR"], L_C * P["QgR"]),
+        "cs_vs_qgs": lane_residuals(P["CS"], L_C * P["QgS"]),
+        "commutator_vs_qgr_qsg": lane_residuals(
             P["RC"] - P["CR"],
-            at((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1), P["QgR"])
-            + at((mu / phi) * (mu - 1.0 / (n - 2)) - eta, P["QSG"]),
+            ((1.0 / phi) * (mu - 1.0 / (n - 2)) + kappa / (n - 1)) * P["QgR"]
+            + ((mu / phi) * (mu - 1.0 / (n - 2)) - eta) * P["QSG"],
         ),
-        "commutator_vs_qsc_qgc": res(
-            P["CR"] - P["RC"], P["QSC"] - at(kappa / (n - 1), P["QgC"])
+        "commutator_vs_qsc_qgc": lane_residuals(
+            P["CR"] - P["RC"], P["QSC"] - (kappa / (n - 1)) * P["QgC"]
         ),
-        "lr_closed_vs_measured": scalar_residual(L_R, _factors(measured, "L_R")),
-        "lc_closed_vs_measured": scalar_residual(L_C, _factors(measured, "L_C")),
-        "l_closed_vs_measured": scalar_residual(L, _factors(measured, "L")),
+        "lr_closed_vs_measured": scalar_residual(L_R.ravel(), _factors(measured, "L_R")),
+        "lc_closed_vs_measured": scalar_residual(L_C.ravel(), _factors(measured, "L_C")),
+        "l_closed_vs_measured": scalar_residual(L.ravel(), _factors(measured, "L")),
     }
-    lanes = [{name: float(v[i]) for name, v in out.items()} for i in range(len(fits))]
+    lanes = [dict(zip(out, row)) for row in np.array(list(out.values())).T.tolist()]
     return _unchunk(lanes, single)
 
 
@@ -401,9 +395,9 @@ def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]):
     """
     f, P, single = _chunk_products(frame, products)
     by_key = {
-        "L_R": proportionality(P["RR"], P["QgR"], f.dim, points=True),
-        "L_C": proportionality(P["CC"], P["QgC"], f.dim, points=True),
-        "L": proportionality(P["RR"] - P["QSR"], P["QgC"], f.dim, points=True),
+        "L_R": proportionality(P["RR"], P["QgR"], f.dim),
+        "L_C": proportionality(P["CC"], P["QgC"], f.dim),
+        "L": proportionality(P["RR"] - P["QSR"], P["QgC"], f.dim),
     }
     lanes = [{key: results[i] for key, results in by_key.items()} for i in range(len(f.g))]
     return _unchunk(lanes, single)
@@ -416,7 +410,7 @@ def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]):
     from them, not rebuilt.  A chunk gets one result per lane.
     """
     f, P, single = _chunk_products(frame, products)
-    return _unchunk(proportionality(P["RS"], P["QgS"], f.dim, points=True), single)
+    return _unchunk(proportionality(P["RS"], P["QgS"], f.dim), single)
 
 
 # ---------------------------------------------------------------------------

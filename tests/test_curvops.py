@@ -7,6 +7,7 @@ from curvcheck import geometry as geo
 from curvcheck.curvops import (
     derivation_apply,
     kulkarni_nomizu,
+    lane_residuals,
     max_abs_residual,
     proportionality,
     rank_shift,
@@ -197,30 +198,35 @@ class TestDerivationAndTachibana:
             assert max_abs_residual(packed, pack(dense)) <= 1e-14
 
 
+def one_lane(lhs, rhs, dim):
+    """proportionality of one tensor pair, a chunk of one."""
+    return proportionality(np.asarray(lhs)[None], np.asarray(rhs)[None], dim)[0]
+
+
 class TestProportionality:
     def test_exact_factor_recovered(self):
         g = random_metric(RNG, 4)
         rhs = kulkarni_nomizu(g, random_sym(RNG, 4))
-        res = proportionality(-2.75 * rhs, rhs, 4)
+        res = one_lane(-2.75 * rhs, rhs, 4)
         assert res.verdict == "fit"
         assert res.factor == pytest.approx(-2.75, rel=1e-13)
         assert res.residual < 1e-14
 
     def test_zero_lhs(self):
         rhs = unit_curvature(random_metric(RNG, 4))
-        res = proportionality(np.zeros_like(rhs), rhs, 4)
+        res = one_lane(np.zeros_like(rhs), rhs, 4)
         assert res.factor == pytest.approx(0.0, abs=1e-15)
         assert res.residual == 0.0
 
     def test_vacuous_when_both_vanish(self):
         z = np.zeros((4, 4, 4, 4))
-        res = proportionality(z, z, 4)
+        res = one_lane(z, z, 4)
         assert res.degenerate and res.verdict == "vacuous"
         assert res.factor is None and res.residual == 0.0
 
     def test_inconsistent_when_only_rhs_vanishes(self):
         lhs = unit_curvature(np.eye(4))
-        res = proportionality(lhs, np.zeros_like(lhs), 4)
+        res = one_lane(lhs, np.zeros_like(lhs), 4)
         assert res.degenerate and res.verdict == "inconsistent"
         assert res.factor is None and res.residual > 0.1
 
@@ -232,13 +238,25 @@ class TestProportionality:
         # 1e-12 * dim**2 reads the chart dimension passed in, never the
         # leading axis: a packed order-6 product at n = 4 has m = 6.
         rhs = np.full((6, 6, 6), 2e-11 / np.sqrt(6 ** 3))
-        assert proportionality(rhs, rhs, 4).verdict == "fit"
-        assert proportionality(rhs, rhs, 6).verdict == "vacuous"
+        assert one_lane(rhs, rhs, 4).verdict == "fit"
+        assert one_lane(rhs, rhs, 6).verdict == "vacuous"
 
     def test_scalars(self):
-        res = proportionality(2.0, 1.0, 1)
+        res = one_lane(2.0, 1.0, 1)
         assert res.verdict == "fit"
         assert res.factor == 2.0 and res.residual == 0.0
+
+    def test_each_lane_is_its_own_fit(self):
+        # A fit, a vacuous and an inconsistent lane in one chunk: each
+        # gets what it gets alone, and no lane divides by a zero rhs.
+        rhs = kulkarni_nomizu(random_metric(RNG, 4), random_sym(RNG, 4))
+        z = np.zeros_like(rhs)
+        lhs, rhs = np.stack([-2.75 * rhs, z, rhs]), np.stack([rhs, z, z])
+        lanes = proportionality(lhs, rhs, 4)
+        assert [r.verdict for r in lanes] == ["fit", "vacuous", "inconsistent"]
+        assert lanes == [one_lane(a, b, 4) for a, b in zip(lhs, rhs)]
+        alone = [tensor_residual(a, b) for a, b in zip(lhs, rhs)]
+        assert lane_residuals(lhs, rhs).tolist() == alone
 
 
 def test_tensor_residual_of_scalars():

@@ -138,7 +138,8 @@ def test_constant_curvature_is_vacuous_packed_and_dense():
     dense = dense_products(f)
     for P in (packed, dense):
         for lhs, rhs in (("RR", "QgR"), ("CC", "QgC"), ("RS", "QgS")):
-            assert curvops.proportionality(P[lhs], P[rhs], f.dim).verdict == "vacuous"
+            (res,) = curvops.proportionality(P[lhs][None], P[rhs][None], f.dim)
+            assert res.verdict == "vacuous"
 
 
 def test_semisymmetric_guard_fires_where_the_dense_guard_fires():
