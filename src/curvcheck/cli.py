@@ -23,6 +23,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
 from collections.abc import Mapping
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import __version__
 from . import corpus as corpus_mod
@@ -231,13 +231,74 @@ _KIND_KEYS = {
 }
 
 
+# Draft-7 type tests: a boolean is no number, and 1.0 is an integer.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def schema_errors(instance, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each draft-7 violation of schema by instance.
+
+    Interprets only the keywords MANIFEST_SCHEMA uses: type, enum,
+    required, properties, additionalProperties (false or a schema),
+    items (one schema or a tuple of them), minItems, maxItems, minimum,
+    exclusiveMinimum and pattern.  As in draft 7, a keyword ignores an
+    instance of a type it does not apply to.  Paths and messages follow
+    jsonschema's Draft7Validator.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _JSON_TYPES[kind](instance):
+        yield path, f"{instance!r} is not of type {kind!r}"
+    if "enum" in schema and instance not in schema["enum"]:
+        yield path, f"{instance!r} is not one of {schema['enum']!r}"
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                yield path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, value in instance.items():
+            sub = properties.get(key, extra)
+            if isinstance(sub, dict):
+                yield from schema_errors(value, sub, path + (key,))
+        unexpected = sorted(key for key in instance if key not in properties)
+        if extra is False and unexpected:
+            verb = "was" if len(unexpected) == 1 else "were"
+            yield path, (f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, unexpected))} {verb} unexpected)")
+    elif isinstance(instance, list):
+        if len(instance) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            yield path, f"{instance!r} {short}"
+        if len(instance) > schema.get("maxItems", math.inf):
+            yield path, f"{instance!r} is too long"
+        items = schema.get("items", {})
+        subs = items if isinstance(items, list) else [items] * len(instance)
+        for index, (value, sub) in enumerate(zip(instance, subs)):
+            yield from schema_errors(value, sub, path + (index,))
+    elif isinstance(instance, str):
+        if "pattern" in schema and not re.search(schema["pattern"], instance):
+            yield path, f"{instance!r} does not match {schema['pattern']!r}"
+    elif _JSON_TYPES["number"](instance):
+        if instance < schema.get("minimum", -math.inf):
+            yield path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+        if instance <= schema.get("exclusiveMinimum", -math.inf):
+            yield path, (f"{instance!r} is less than or equal to the minimum of "
+                         f"{schema['exclusiveMinimum']!r}")
+
+
 def validate_manifest(data: dict) -> None:
-    errors = sorted(Draft7Validator(MANIFEST_SCHEMA).iter_errors(data), key=str)
+    errors = sorted((message, "/".join(map(str, path)) or "<root>")
+                    for path, message in schema_errors(data, MANIFEST_SCHEMA))
     if errors:
-        joined = "; ".join(
-            f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-            for e in errors[:5]
-        )
+        joined = "; ".join(f"{where}: {message}" for message, where in errors[:5])
         raise ManifestError(f"manifest schema violation: {joined}")
     for mdef in data["manifolds"]:
         kind = mdef["kind"]

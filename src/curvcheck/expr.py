@@ -474,59 +474,82 @@ def parse(src: str, coords: Sequence[str], consts: Iterable[str] = ()) -> Expr:
 # --------------------------------------------------------------------------
 # Differentiation
 
-def diff(e: Expr, variable: str) -> Expr:
+def _d_unary(node: Unary, du: Expr) -> Expr:
+    """Derivative of a unary node whose argument has derivative du."""
+    u, op = node.arg, node.op
+    if op == "neg":
+        return neg(du)
+    if op == "sin":
+        return mul(Unary("cos", u), du)
+    if op == "cos":
+        return neg(mul(Unary("sin", u), du))
+    if op == "tan":
+        return mul(add(Num(1.0), intpow(Unary("tan", u), 2)), du)
+    if op == "exp":
+        return mul(node, du)
+    if op == "log":
+        return div(du, u)
+    if op == "sqrt":
+        return div(du, mul(Num(2.0), node))
+    if op == "abs":
+        return mul(div(u, node), du)
+    raise ExprError(f"unknown unary op {op!r}")
+
+
+def _d_bin(node: Bin, da: Expr, db: Expr) -> Expr:
+    """Derivative of a binary node whose operands have derivatives da, db."""
+    a, b, op = node.lhs, node.rhs, node.op
+    if op == "+":
+        return add(da, db)
+    if op == "-":
+        return sub(da, db)
+    if op == "*":
+        return add(mul(da, b), mul(a, db))
+    if op == "/":
+        return div(sub(mul(da, b), mul(a, db)), intpow(b, 2))
+    if op == "pow":
+        # d(a^b) = a^b * (db*log(a) + b*da/a)
+        return mul(node, add(mul(db, Unary("log", a)), div(mul(b, da), a)))
+    raise ExprError(f"unknown binary op {op!r}")
+
+
+def diff(e: Expr, variable: str, _memo: dict | None = None) -> Expr:
     """Exact symbolic derivative with respect to a coordinate.
 
     Closed over the AST grammar; abs differentiates to u/abs(u) * u',
     which errors on evaluation at u = 0.
-    """
 
+    The walk differentiates each distinct node object once, so a subtree
+    shared by several parents is differentiated once and its derivative
+    shared too.  _memo is jet()'s, not a caller's: it maps id(node) ->
+    (node, derivative), and jet() passes one to every diff by the same
+    variable, so a subtree reached from several expressions or partials
+    is differentiated once as well.  It holds each node it keys, so no
+    id is reused while it lives.
+    """
+    memo = {} if _memo is None else _memo
+
+    # One frame per tree level, as _MAX_DEPTH assumes: the rules above
+    # recurse into nothing.
     def d(node: Expr) -> Expr:
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
         if isinstance(node, (Num, Const)):
-            return Num(0.0)
-        if isinstance(node, Var):
-            return Num(1.0) if node.name == variable else Num(0.0)
-        if isinstance(node, Unary):
-            u, du = node.arg, d(node.arg)
-            op = node.op
-            if op == "neg":
-                return neg(du)
-            if op == "sin":
-                return mul(Unary("cos", u), du)
-            if op == "cos":
-                return neg(mul(Unary("sin", u), du))
-            if op == "tan":
-                return mul(add(Num(1.0), intpow(Unary("tan", u), 2)), du)
-            if op == "exp":
-                return mul(node, du)
-            if op == "log":
-                return div(du, u)
-            if op == "sqrt":
-                return div(du, mul(Num(2.0), node))
-            if op == "abs":
-                return mul(div(u, node), du)
-            raise ExprError(f"unknown unary op {op!r}")
-        if isinstance(node, Bin):
-            a, b = node.lhs, node.rhs
-            da, db = d(a), d(b)
-            op = node.op
-            if op == "+":
-                return add(da, db)
-            if op == "-":
-                return sub(da, db)
-            if op == "*":
-                return add(mul(da, b), mul(a, db))
-            if op == "/":
-                return div(sub(mul(da, b), mul(a, db)), intpow(b, 2))
-            if op == "pow":
-                # d(a^b) = a^b * (db*log(a) + b*da/a)
-                return mul(node, add(mul(db, Unary("log", a)), div(mul(b, da), a)))
-            raise ExprError(f"unknown binary op {op!r}")
-        if isinstance(node, IntPow):
+            result = Num(0.0)
+        elif isinstance(node, Var):
+            result = Num(1.0) if node.name == variable else Num(0.0)
+        elif isinstance(node, Unary):
+            result = _d_unary(node, d(node.arg))
+        elif isinstance(node, Bin):
+            result = _d_bin(node, d(node.lhs), d(node.rhs))
+        elif isinstance(node, IntPow):
             k = node.power
-            du = d(node.base)
-            return mul(mul(Num(float(k)), intpow(node.base, k - 1)), du)
-        raise ExprError(f"not an expression node: {node!r}")
+            result = mul(mul(Num(float(k)), intpow(node.base, k - 1)), d(node.base))
+        else:
+            raise ExprError(f"not an expression node: {node!r}")
+        memo[id(node)] = (node, result)
+        return result
 
     return d(e)
 
@@ -655,10 +678,10 @@ def compile_exprs(
 
     The function is straight-line code: leaves are inlined, and every
     distinct interior node becomes one temporary, _tK = <op>(<child
-    refs>), assigned after its children on line K + 2, and f.nodes[K] is
-    its node.  Temporaries are keyed by that operation text rather than
-    by ==, because Num(0.0) == Num(-0.0) while the two literals compute
-    different signs.
+    refs>), assigned after its children on line K + 2, f.nodes[K] is its
+    node and f.source is the generated text.  Temporaries are keyed by
+    that operation text rather than by ==, because Num(0.0) == Num(-0.0)
+    while the two literals compute different signs.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
     temps: dict[str, str] = {}  # operation text -> temporary
@@ -708,6 +731,7 @@ def compile_exprs(
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
     namespace["_compiled"].nodes = tuple(nodes)
+    namespace["_compiled"].source = src
     return namespace["_compiled"]
 
 
@@ -726,8 +750,10 @@ def jet(
     coordinates: first[k, e] = d_k exprs[e] and second[l, k, e] =
     d_l d_k exprs[e].  Each second partial is built once, as
     diff(diff(e, c_k), c_l) with l <= k, and mirrored, so second is
-    exactly symmetric in its two derivative slots.  Every value equals a
-    tree walk of the same derivative bit for bit.
+    exactly symmetric in its two derivative slots.  Every diff by one
+    coordinate shares one memo, so each distinct subtree object is
+    differentiated once per coordinate.  Every value equals a tree walk
+    of the same derivative bit for bit.
 
     Structurally equal expressions share one compiled output.  The
     program is built once per distinct (exprs, coords, bindings, order)
@@ -744,8 +770,9 @@ def jet(
     n, m = len(coords), len(unique)
     ordered = list(unique)
     indices = [cols]
+    memos = {c: {} for c in coords}  # one diff memo per coordinate
     if order >= 1:
-        first = [[diff(e, c) for e in unique] for c in coords]
+        first = [[diff(e, c, _memo=memos[c]) for e in unique] for c in coords]
         ordered += [d for row in first for d in row]
         indices.append(m * np.arange(1, n + 1)[:, None] + cols)
     if order == 2:
@@ -753,7 +780,7 @@ def jet(
         for l in range(n):
             for k in range(l, n):
                 offset[l, k] = offset[k, l] = len(ordered)
-                ordered += [diff(d, coords[l]) for d in first[k]]
+                ordered += [diff(d, coords[l], _memo=memos[coords[l]]) for d in first[k]]
         indices.append(offset[:, :, None] + cols)
     program = compile_exprs(ordered, coords, bindings)
 

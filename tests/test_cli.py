@@ -17,11 +17,20 @@ from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
 
 
-def run_cli(args, **kw):
+def run_module(args, **kw):
+    """Run `python -m curvcheck.cli` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "curvcheck.cli", *args],
         capture_output=True, text=True, **kw,
     )
+
+
+def run_cli(args, capsys):
+    """Run cli.main(args) in this process, output captured by capsys, and
+    return what run_module would: exit code, stdout and stderr."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 class TestCorpus:
@@ -74,6 +83,16 @@ class TestValidation:
 
     def test_good_manifest_passes(self):
         cli.validate_manifest(self.good())
+
+    def test_importing_the_cli_loads_no_jsonschema(self):
+        # jsonschema is a test dependency only: the tests use it as the
+        # schema interpreter's oracle (test_manifest_schema.py).
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, curvcheck.cli; assert 'jsonschema' not in sys.modules"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_key_rejected(self):
         bad = self.good()
@@ -134,14 +153,14 @@ class TestValidation:
         bad["suites"] = ["spectral"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        proc = run_module(["run", str(path), "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
 
-    def test_unknown_corpus_name_exits_2(self, tmp_path):
-        proc = run_cli(["run", "no_such_entry", "--out", str(tmp_path)])
+    def test_unknown_corpus_name_exits_2(self, tmp_path, capsys):
+        proc = run_cli(["run", "no_such_entry", "--out", str(tmp_path)], capsys)
         assert proc.returncode == 2
 
-    def test_name_with_path_exits_2(self, tmp_path):
+    def test_name_with_path_exits_2(self, tmp_path, capsys):
         # The name is the report file stem; "../escaped" would write the
         # report outside --out.
         bad = self.good()
@@ -149,7 +168,7 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out)])
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
         assert proc.returncode == 2
         assert not list(tmp_path.glob("escaped.*"))
         for name in ("a/b", "", ".hidden", "-dash"):
@@ -164,10 +183,10 @@ class TestValidation:
             with pytest.raises(cli.ManifestError):
                 cli.validate_manifest(bad)
 
-    def test_non_finite_json_constant_exits_2(self, tmp_path):
+    def test_non_finite_json_constant_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({**self.good(), "tolerances": {"geo": float("nan")}}))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert proc.returncode == 2
         assert "NaN" in proc.stderr
 
@@ -176,7 +195,7 @@ class TestValidation:
         [("box", {"theta": [0.5, 2.5], "y": [0, 1]}),
          ("pinned_points", [{"x": 0.1, "theta": 0.5}])],
     )
-    def test_key_outside_the_chart_exits_1(self, tmp_path, field, value):
+    def test_key_outside_the_chart_exits_1(self, tmp_path, field, value, capsys):
         # A misspelt coordinate used to be dropped: the run sampled the
         # default window instead and reported OK.
         bad = self.good()
@@ -186,14 +205,14 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out)])
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "'theta'" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("pin, missing", [({"th": 1.0}, "'ph'"), ({"ph": 0.5}, "'th'")])
-    def test_pinned_point_missing_a_coordinate_exits_1(self, tmp_path, pin, missing):
+    def test_pinned_point_missing_a_coordinate_exits_1(self, tmp_path, pin, missing, capsys):
         # A left-out coordinate used to be placed at 0.0: {"th": 1.0} ran
         # at (1.0, 0.0) and reported OK, {"ph": 0.5} was "inadmissible"
         # (sin(0) = 0) without naming th.
@@ -208,7 +227,7 @@ class TestValidation:
         path = tmp_path / "sphere.json"
         path.write_text(json.dumps(sphere))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out)])
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert missing in proc.stderr and "inadmissible" not in proc.stderr
@@ -238,7 +257,7 @@ class TestValidation:
         {"coords": ["y", "z"]},
         {"dim": 2, "coords": ["y", "z"], "metric": [["1", "0"], ["0", "1"]]},
     ], ids=["no_dim", "no_metric", "both_forms"])
-    def test_fiber_in_neither_form_exits_2(self, tmp_path, fiber):
+    def test_fiber_in_neither_form_exits_2(self, tmp_path, fiber, capsys):
         # The first two used to end in a KeyError traceback (exit 1); the
         # third ran with its explicit metric ignored.
         bad = self.warped(fiber)
@@ -247,42 +266,42 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out)])
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "fiber" in proc.stderr
         assert not out.exists()
 
-    def test_directory_as_manifest_exits_2(self, tmp_path):
+    def test_directory_as_manifest_exits_2(self, tmp_path, capsys):
         # Used to end in an IsADirectoryError traceback.
         (tmp_path / "dir.json").mkdir()
         out = tmp_path / "out"
-        proc = run_cli(["run", str(tmp_path / "dir.json"), "--out", str(out)])
+        proc = run_cli(["run", str(tmp_path / "dir.json"), "--out", str(out)], capsys)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not out.exists()
 
-    def test_manifest_not_utf8_exits_2(self, tmp_path):
+    def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
         # Used to end in a UnicodeDecodeError traceback.
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(self.good()).encode()[:-1] + b'\xff}')
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out)])
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_points_below_one_exits_2(self, tmp_path, points):
-        proc = run_cli(["run", "flat_space", "--points", points, "--out", str(tmp_path)])
+    def test_points_below_one_exits_2(self, tmp_path, points, capsys):
+        proc = run_cli(["run", "flat_space", "--points", points, "--out", str(tmp_path)], capsys)
         assert proc.returncode == 2
         assert not list(tmp_path.iterdir())
         with pytest.raises(cli.ManifestError):
             cli.run_manifest(corpus_get("flat_space"), points=int(points))
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
-    def test_bad_tolerance_scale_exits_2(self, tmp_path, scale):
-        proc = run_cli(["run", "flat_space", "--tol-scale", scale, "--out", str(tmp_path)])
+    def test_bad_tolerance_scale_exits_2(self, tmp_path, scale, capsys):
+        proc = run_cli(["run", "flat_space", "--tol-scale", scale, "--out", str(tmp_path)], capsys)
         assert proc.returncode == 2
         assert not list(tmp_path.iterdir())
 
@@ -294,7 +313,7 @@ class TestRun:
         assert all(rec["ok"] for rec in records)
 
     def test_family_corpus_end_to_end(self, tmp_path):
-        proc = run_cli([
+        proc = run_module([
             "run", "corpus/theorem41_n4.manifest",
             "--points", "4", "--out", str(tmp_path),
         ])
@@ -302,8 +321,8 @@ class TestRun:
         assert (tmp_path / "theorem41_n4.records.jsonl").exists()
         assert "verdict  : OK" in proc.stdout
 
-    def test_charged_metric_report_contains_fit(self, tmp_path):
-        proc = run_cli(["run", "rn_lambda0", "--points", "2", "--out", str(tmp_path)])
+    def test_charged_metric_report_contains_fit(self, tmp_path, capsys):
+        proc = run_cli(["run", "rn_lambda0", "--points", "2", "--out", str(tmp_path)], capsys)
         assert proc.returncode == 0, proc.stderr
         records = [
             json.loads(line)
@@ -372,7 +391,7 @@ class TestRun:
         }
         path = tmp_path / "bad_point.json"
         path.write_text(json.dumps(manifest))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        proc = run_module(["run", str(path), "--out", str(tmp_path / "out")])
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         records = [
@@ -385,7 +404,7 @@ class TestRun:
         assert all(r["ok"] for r in records if r["check"] != "error")
 
     @staticmethod
-    def run_formula(tmp_path, g_xx):
+    def run_formula(tmp_path, g_xx, capsys):
         """Run a 2-D manifest whose g_xx is the given formula."""
         manifest = {
             "name": "long_formula", "seed": 1, "points": 2,
@@ -397,7 +416,7 @@ class TestRun:
         }
         path = tmp_path / "long_formula.json"
         path.write_text(json.dumps(manifest))
-        return run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        return run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
 
     @staticmethod
     def assert_green(proc, tmp_path):
@@ -408,21 +427,21 @@ class TestRun:
         ]
         assert records and all(r["ok"] for r in records)
 
-    def test_long_formula_runs_green(self, tmp_path):
+    def test_long_formula_runs_green(self, tmp_path, capsys):
         # 251 terms: compiled as one nested expression, this overflowed
         # compile()'s parenthesis limit with a SyntaxError.
         poly = " + ".join(f"0.001*x^{k}" for k in range(1, 251))
-        self.assert_green(self.run_formula(tmp_path, "1 + " + poly), tmp_path)
+        self.assert_green(self.run_formula(tmp_path, "1 + " + poly, capsys), tmp_path)
 
-    def test_long_product_runs_green(self, tmp_path):
+    def test_long_product_runs_green(self, tmp_path, capsys):
         product = "*".join("(1 + 0.001*x)" for _ in range(250))
-        self.assert_green(self.run_formula(tmp_path, product), tmp_path)
+        self.assert_green(self.run_formula(tmp_path, product, capsys), tmp_path)
 
-    def test_deep_formula_is_an_error_line(self, tmp_path):
+    def test_deep_formula_is_an_error_line(self, tmp_path, capsys):
         # Hashing, diff and evaluate recurse once per level: a 600-term sum
         # used to die with a RecursionError traceback and no report.
         poly = " + ".join(f"0.001*x^{k % 7}" for k in range(600))
-        proc = self.run_formula(tmp_path, poly)
+        proc = self.run_formula(tmp_path, poly, capsys)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -632,7 +651,7 @@ class TestDeterminism:
     def test_byte_identical_records(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            proc = run_cli(["run", "theorem41_n4", "--points", "3", "--out", str(out)])
+            proc = run_module(["run", "theorem41_n4", "--points", "3", "--out", str(out)])
             assert proc.returncode == 0, proc.stderr
         rec_a = (a / "theorem41_n4.records.jsonl").read_bytes()
         rec_b = (b / "theorem41_n4.records.jsonl").read_bytes()
@@ -647,29 +666,26 @@ class TestDeterminism:
         rec2, _ = cli.run_manifest(corpus_get("flat_space"), points=2, seed=2)
         assert rec1[0]["point"] != rec2[0]["point"]
 
-    def test_out_env_default(self, tmp_path, monkeypatch):
+    def test_out_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envout"))
-        proc = run_cli(
-            ["run", "flat_space", "--points", "1"],
-            env={**__import__("os").environ, cli.OUT_ENV: str(tmp_path / "envout")},
-        )
+        proc = run_cli(["run", "flat_space", "--points", "1"], capsys)
         assert proc.returncode == 0
         assert (tmp_path / "envout" / "flat_space.records.jsonl").exists()
 
 
 class TestDescribe:
-    def test_describe_prints_manifest(self):
-        proc = run_cli(["describe", "einstein_cflat"])
+    def test_describe_prints_manifest(self, capsys):
+        proc = run_cli(["describe", "einstein_cflat"], capsys)
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["name"] == "einstein_cflat"
 
-    def test_describe_unknown_exits_2(self):
-        proc = run_cli(["describe", "nope"])
+    def test_describe_unknown_exits_2(self, capsys):
+        proc = run_cli(["describe", "nope"], capsys)
         assert proc.returncode == 2
 
-    def test_list_contains_required(self):
-        proc = run_cli(["list"])
+    def test_list_contains_required(self, capsys):
+        proc = run_cli(["list"], capsys)
         names = proc.stdout.split()
         for required in ("rn_lambda0", "theorem41_n4", "einstein_cflat"):
             assert required in names

@@ -504,6 +504,59 @@ def test_n6_jet_has_one_temporary_per_distinct_node(monkeypatch):
     assert temporaries == _distinct_interior_nodes(ordered, spec.bindings)
 
 
+def _node_objects(e) -> int:
+    """Distinct node objects reachable from e."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [getattr(node, f) for f in ("arg", "lhs", "rhs", "base") if hasattr(node, f)]
+    return len(seen)
+
+
+def test_diff_differentiates_each_shared_node_once():
+    # Each level multiplies its child by itself.  Differentiated once per
+    # tree path, the child's derivative is built 2^depth times, about
+    # 2e5 node objects at depth 16; once per node object, it is built
+    # once per level.
+    depth = 16
+    e = Var("x")
+    for _ in range(depth):
+        e = Bin("*", e, e)
+    de = diff(e, "x")
+    assert _node_objects(de) <= 5 * depth
+    assert ex.evaluate(de, {"x": 1.0}) == 2.0 ** depth
+
+
+def test_shared_memo_leaves_the_n6_program_unchanged(monkeypatch):
+    # jet shares one diff memo per coordinate across all partials; the
+    # program must be the one built from a separate diff call per partial.
+    from curvcheck import cli
+    from curvcheck.corpus import corpus_get
+
+    job = cli.build_job(corpus_get("theorem41_c_neg_n6")["manifolds"][0])
+    spec = next(t.spec for t in job.targets if t.label == "image")
+    built = []
+
+    def recording(exprs, coords, consts):
+        program = compile_exprs(exprs, coords, consts)
+        built.append(program)
+        return program
+
+    monkeypatch.setattr(ex, "compile_exprs", recording)
+    components = tuple(e for row in spec.components for e in row)
+    ex.jet.__wrapped__(components, spec.coords, spec.bindings, 2)  # bypass the cache
+    (program,) = built
+    coords, unique = spec.coords, list(dict.fromkeys(components))
+    first = [[diff(e, c) for e in unique] for c in coords]
+    separate = unique + [d for row in first for d in row]
+    for l in range(len(coords)):
+        for k in range(l, len(coords)):
+            separate += [diff(d, coords[l]) for d in first[k]]
+    assert program.source == compile_exprs(separate, coords, spec.bindings).source
+
+
 def test_equal_nodes_built_separately_hash_and_compare_equal():
     a = parse("sin(x)^2 + M*x/(1 - x)", ["x"], ["M"])
     b = parse("sin(x)^2 + M*x/(1 - x)", ["x"], ["M"])
