@@ -26,6 +26,7 @@ import platform
 import re
 import sys
 import time
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -442,15 +443,17 @@ _POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
 
 
 class RoterBatch:
-    """The theorem21 Roter path over the frames of one target's points in
-    a chunk: membership, classification, fit, curvature products,
-    identity residuals and Ricci pseudosymmetry, each computed for all
-    lanes at once on first use.  The frames are stacked on the first
-    read too, so a run that reads none of these copies nothing.  Each
-    Evaluation reads its own lane (see _batch)."""
+    """The theorem21 Roter path over one target's Evaluations in a chunk:
+    membership, classification, fit, curvature products, identity
+    residuals, rank grid and Ricci pseudosymmetry, each computed for all
+    lanes at once on first use, as is the stacked frame.  Each Evaluation
+    reads its own lane (see _batch), where a lane's error stays.  The
+    batch refers to its Evaluations weakly, so they form no cycle."""
 
-    def __init__(self, frames: list[geo.PointFrame]):
-        self.frames = frames
+    def __init__(self, evals: list[Evaluation]):
+        self.target = evals[0].target
+        self.frames = [ev.frame for ev in evals]
+        self.evals = [weakref.ref(ev) for ev in evals]
 
     @cached_property
     def frame(self) -> geo.PointFrame:
@@ -487,13 +490,35 @@ class RoterBatch:
         lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
         out = [None] * len(cs)
         if lanes:
-            frame, products = self.frame, self.products
-            if len(lanes) < len(cs):
-                frame = frame.take(lanes)
-                products = roter.curvature_products(frame)
+            frame = self.frame.take(lanes)
+            products = self.products if frame is self.frame else roter.curvature_products(frame)
             for i, res in zip(lanes, roter.identity_suite(frame, [cs[i].fit for i in lanes],
                                                           products)):
                 out[i] = res
+        return out
+
+    @cached_property
+    def rank_grid(self) -> list:
+        """rank_grid_exceeds_one of each ROTER lane, None for the others.
+        On a warped target with a 2-dimensional base, each lane's block
+        eigenvalues mu1, mu2 join its scan; a lane whose diagnostics
+        raise holds the error instead."""
+        cs, ws = self.classifications, self.target.warped_spec
+        out: list = [None] * len(cs)
+        lanes, extras = [], []
+        for i in [k for k, c in enumerate(cs) if c.kind == roter.ROTER]:
+            try:
+                d = self.evals[i]().diagnostics if ws is not None and ws.base_dim == 2 else None
+            except _POINT_ERRORS as err:
+                out[i] = err
+                continue
+            lanes.append(i)
+            extras.append(() if d is None or d.mu1 is None else (d.mu1, d.mu2))
+        if lanes:
+            flags = roter.rank_grid_exceeds_one(self.frame.take(lanes), [cs[i] for i in lanes],
+                                                extras)
+            for i, flag in zip(lanes, flags.tolist()):
+                out[i] = flag
         return out
 
     @cached_property
@@ -524,12 +549,12 @@ class Evaluation:
     evaluate them again.  A piece that raises is not kept, so each
     suite that needs it raises and records the error itself.
 
-    The Roter path (classification, fit, products, identity residuals)
-    is read from the point's lane of a RoterBatch shared with the
-    target's other points in the chunk; an Evaluation on its own is a
-    chunk of one.  fiber_peer is an Evaluation at the same point whose
-    target has the same fiber (a family's source, for its image); its
-    fiber frame is read rather than computed again."""
+    The Roter path (classification, fit, products, identity residuals,
+    rank grid) is read from the point's lane of the RoterBatch that
+    _batch joins over the target's points in the chunk.  fiber_peer is
+    an Evaluation at the same point whose target has the same fiber (a
+    family's source, for its image); its fiber frame is read rather than
+    computed again."""
 
     def __init__(self, target: Target, point, fiber_peer: Evaluation | None = None):
         self.target, self.point, self.fiber_peer = target, point, fiber_peer
@@ -551,15 +576,13 @@ class Evaluation:
     def diagnostics(self) -> wp.WarpedDiagnostics:
         return wp.diagnostics(self.target.warped_spec, self.frame, self.fiber_frame)
 
-    def _chunk(self) -> tuple[RoterBatch, int]:
-        self.frame  # a point whose frame raises has no lane: raise its error
-        if self.batch is None:
-            _batch([self])
-        return self.batch, self.lane
-
     def _read(self, name: str):
-        batch, lane = self._chunk()
-        return getattr(batch, name)[lane]
+        """This point's lane of the batch's name; a lane's error is raised."""
+        self.frame  # a point whose frame raises has no lane: raise its error
+        value = getattr(self.batch, name)[self.lane]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     @property
     def membership(self) -> dict:
@@ -572,14 +595,15 @@ class Evaluation:
     @property
     def fit(self) -> roter.RoterFit:
         """The classification's fit, or a direct one where it has none."""
-        fit = self._read("fits")
-        if isinstance(fit, roter.RoterFitError):
-            raise fit
-        return fit
+        return self._read("fits")
 
     @property
     def identities(self) -> dict:
         return self._read("identities")
+
+    @property
+    def rank_grid(self) -> bool:
+        return self._read("rank_grid")
 
     @property
     def ricci_pseudosymmetry(self) -> ProportionalityResult:
@@ -587,7 +611,8 @@ class Evaluation:
 
     @property
     def products(self) -> Mapping:
-        return _LaneProducts(*self._chunk())
+        self.frame  # as in _read
+        return _LaneProducts(self.batch, self.lane)
 
 
 def _batch(evals) -> None:
@@ -603,7 +628,7 @@ def _batch(evals) -> None:
             continue
         built.append(ev)
     if built:
-        batch = RoterBatch([ev.frame for ev in built])
+        batch = RoterBatch(built)
         for lane, ev in enumerate(built):
             ev.batch, ev.lane = batch, lane
 
@@ -685,12 +710,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
         yield "fit_residual", fit.residual, "identity"
         for name, res in ev.identities.items():
             yield name, res, "identity"
-        extra_alphas = ()
-        if target.warped_spec is not None and target.warped_spec.base_dim == 2:
-            d = ev.diagnostics
-            if d.mu1 is not None:
-                extra_alphas = (d.mu1, d.mu2)
-        yield _flag("rank_shift_grid", roter.rank_grid_exceeds_one(f, c, extra=extra_alphas))
+        yield _flag("rank_shift_grid", ev.rank_grid)
         expected_scalar = expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:

@@ -319,20 +319,19 @@ def proportionality(lhs, rhs, dim: int) -> list[ProportionalityResult]:
     return out
 
 
-def rank_shift(S, g, alpha) -> int | np.ndarray:
+def rank_shift(S, g, alpha) -> np.ndarray:
     """Numerical rank of S - alpha*g via singular values.
 
-    Threshold 1e-9 * sigma_max; an exactly zero matrix has rank 0.  An
-    array of alpha is ranked with one stacked SVD and gives an integer
-    array of its shape; a scalar alpha gives an int.  alpha broadcasts
-    against the leading axes of S and g: a chunk of points ranks its
-    candidates alpha[p, k] against S[:, None] and g[:, None].
+    Threshold 1e-9 * sigma_max; an exactly zero matrix has rank 0.  alpha
+    is ranked with one stacked SVD and gives an integer array of its
+    shape, 0-d (a numpy integer) for a scalar.  alpha broadcasts against
+    the leading axes of S and g: a chunk of points ranks its candidates
+    alpha[p, k] against S[:, None] and g[:, None].
     """
     alphas = np.asarray(alpha, dtype=float)
     M = _asarray(S) - alphas[..., None, None] * _asarray(g)
     sigma = np.linalg.svd(M, compute_uv=False)
-    ranks = np.count_nonzero(sigma > 1e-9 * sigma[..., :1], axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
+    return np.count_nonzero(sigma > 1e-9 * sigma[..., :1], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,33 +17,31 @@ pseudosymmetry-type condition the decomposition implies:
     L_C    = L_R + (kappa/(n-1) - alpha1)/(n-2)   (C.C = L_C Q(g,C))
 
 curvature_products builds, on first read, each of the twelve derivation
-and Tachibana products the identities compare.  identity_suite(frame, fit,
-products) evaluates the ten tensor identities these scalars satisfy,
-plus three checks of the closed-form L_R, L_C and L against the factors
-pseudosymmetry_factors(frame, products) measures from those same
-products, and reports one residual per entry.  The products are packed
-on bivectors (see curvops), whose norms and inner products equal the
-dense ones, so every residual and factor reads them as it would read
-dense tensors.
-ricci_pseudosymmetry(frame, products) reads R.S and Q(g,S) from the
-same products.  classify sorts a point into EINSTEIN / QUASI_EINSTEIN /
-ROTER / OTHER and keeps the Ricci operator's real eigenvalues; one
-stacked rank scan ranks S - alpha g at those eigenvalues (the
-quasi-Einstein test) and on the grid of rank_grid_exceeds_one, a second
-at alpha1/2 of each fit, so rank_grid_exceeds_one ranks only its extra
-candidates.
+and Tachibana products the identities compare.  identity_suite(frame,
+fits, products) evaluates the ten tensor identities these scalars
+satisfy, plus three checks of the closed-form L_R, L_C and L against
+the factors pseudosymmetry_factors(frame, products) measures from those
+same products, and reports one residual per entry.  The products are
+packed on bivectors (see curvops), whose norms and inner products equal
+the dense ones, so every residual and factor reads them as it would
+read dense tensors.  ricci_pseudosymmetry(frame, products) reads R.S
+and Q(g,S) from the same products.  classify sorts a point into
+EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER and keeps the Ricci
+operator's real eigenvalues; one stacked rank scan ranks S - alpha g at
+those eigenvalues (the quasi-Einstein test) and on the grid of
+rank_grid_exceeds_one, which ranks alpha1/2 of each fit and its extra
+candidates in one more.
 
-Chunks.  Every entry takes one point's frame or a chunk of points of
-one chart, as geometry.stack builds it: each array with a leading point
-axis.  On a chunk an entry returns, lane by lane, what the same call on
-that point alone returns: a list of Classification, of residual dicts
-or of ProportionalityResult, a boolean array for membership and the
-rank grid, and from fit_roter a list holding each lane's RoterFit or
-RoterFitError (one point's error is raised).  One point runs as a chunk
-of one, through the same code.  A lane that a step does not apply to
-(an Einstein lane in the fit, a lane that is not Roter in the identity
-suite) is indexed out before the step, never computed and masked, and
-no step mixes lanes.
+Chunks.  Every entry takes a chunk of points of one chart, as
+geometry.stack builds it: each array with a leading point axis, one
+point being stack([frame]).  It returns one result per lane: a list of
+Classification, of residual dicts or of ProportionalityResult, a
+boolean array for membership and the rank grid, and from fit_roter a
+list holding each lane's RoterFit or RoterFitError (returned, not
+raised).  A lane that a step does not apply to (an Einstein lane in
+the fit, a lane that is not Roter in the identity suite) is indexed out
+before the step, never computed and masked, and no step mixes lanes, so
+a lane's result does not depend on the rest of its chunk.
 
 chunk_size(n) sizes a chunk from the bivector count m = n(n-1)/2, not
 from a setting: one stacked order-6 product, m**3 floats per point,
@@ -69,7 +67,7 @@ from .curvops import (
     tachibana,
     unit_curvature,
 )
-from .geometry import PointFrame, stack
+from .geometry import PointFrame
 
 __all__ = [
     "RoterFit",
@@ -146,67 +144,48 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (8 * m ** 3))
 
 
-def _chunk(frame: PointFrame) -> tuple[PointFrame, bool]:
-    # (frame as a chunk, whether it was one point's frame)
-    single = frame.g.ndim == 2
-    return (stack([frame]) if single else frame), single
-
-
-def _unchunk(lanes, single: bool):
-    return lanes[0] if single else lanes
-
-
-def in_us(frame: PointFrame):
+def in_us(frame: PointFrame) -> np.ndarray:
     """Ricci not proportional to the metric (relative threshold 1e-9)."""
-    f, single = _chunk(frame)
-    dev = f.ricci - (f.scalar / f.dim)[:, None, None] * f.g
-    inside = lane_norms(dev) > US_THRESHOLD * lane_norms(f.ricci) + 1e-12
-    return bool(inside[0]) if single else inside
+    dev = frame.ricci - (frame.scalar / frame.dim)[:, None, None] * frame.g
+    return lane_norms(dev) > US_THRESHOLD * lane_norms(frame.ricci) + 1e-12
 
 
-def in_uc(frame: PointFrame):
+def in_uc(frame: PointFrame) -> np.ndarray:
     """Weyl tensor nonzero relative to the curvature scale."""
-    f, single = _chunk(frame)
-    inside = lane_norms(f.weyl) > UC_THRESHOLD * (lane_norms(f.riemann) + 1e-12)
-    return bool(inside[0]) if single else inside
+    return lane_norms(frame.weyl) > UC_THRESHOLD * (lane_norms(frame.riemann) + 1e-12)
 
 
-def in_ur(frame: PointFrame):
+def in_ur(frame: PointFrame) -> np.ndarray:
     """Curvature not of constant-curvature form (R != kappa/((n-1)n) G)."""
-    f, single = _chunk(frame)
-    n = f.dim
-    dev = f.riemann - (f.scalar / ((n - 1) * n))[:, None, None, None, None] * unit_curvature(f.g)
-    inside = lane_norms(dev) > UR_THRESHOLD * (lane_norms(f.riemann) + 1e-12)
-    return bool(inside[0]) if single else inside
+    n = frame.dim
+    sectional = frame.scalar / ((n - 1) * n)
+    dev = frame.riemann - sectional[:, None, None, None, None] * unit_curvature(frame.g)
+    return lane_norms(dev) > UR_THRESHOLD * (lane_norms(frame.riemann) + 1e-12)
 
 
-def fit_roter(frame: PointFrame):
-    """Least-squares decomposition of the curvature tensor at a point.
+def fit_roter(frame: PointFrame) -> list:
+    """Least-squares decomposition of the curvature tensor, lane by lane.
 
     Requires dimension >= 4 and membership in both open sets; rejects
     ill-conditioned bases (Gram condition above GRAM_CONDITION_LIMIT =
     1e14) and fits whose relative reconstruction residual exceeds
-    FIT_RESIDUAL_LIMIT = 1e-8.  One point's rejection is raised; a
-    chunk gets a list holding each lane's RoterFit or RoterFitError.
+    FIT_RESIDUAL_LIMIT = 1e-8.  Each lane holds its RoterFit or its
+    RoterFitError.
     """
-    f, single = _chunk(frame)
-    n = f.dim
+    n = frame.dim
     if n < 4:
-        fits = [RoterFitError("DIMENSION", f"need dimension >= 4, got {n}") for _ in f.g]
-    else:
-        fits = [None] * len(f.g)
-        us, uc = in_us(f), in_uc(f)
-        for i in np.flatnonzero(~us):
-            fits[i] = RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
-        for i in np.flatnonzero(us & ~uc):
-            fits[i] = RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
-        lanes = np.flatnonzero(us & uc)
-        if len(lanes):
-            for i, fit in zip(lanes, _decompose(f.take(lanes))):
-                fits[i] = fit
-    if single and isinstance(fits[0], RoterFitError):
-        raise fits[0]
-    return _unchunk(fits, single)
+        return [RoterFitError("DIMENSION", f"need dimension >= 4, got {n}") for _ in frame.g]
+    fits = [None] * len(frame.g)
+    us, uc = in_us(frame), in_uc(frame)
+    for i in np.flatnonzero(~us):
+        fits[i] = RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
+    for i in np.flatnonzero(us & ~uc):
+        fits[i] = RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
+    lanes = np.flatnonzero(us & uc)
+    if len(lanes):
+        for i, fit in zip(lanes, _decompose(frame.take(lanes))):
+            fits[i] = fit
+    return fits
 
 
 def _decompose(f: PointFrame) -> list:
@@ -307,31 +286,14 @@ class _Products(dict):
         return value
 
 
-class _Lifted(dict):
-    # One point's products, read as a chunk of one.
-    def __init__(self, products):
-        super().__init__()
-        self.products = products
-
-    def __missing__(self, key: str) -> np.ndarray:
-        value = self[key] = np.asarray(self.products[key])[None]
-        return value
-
-
-def _chunk_products(frame: PointFrame, products):
-    f, single = _chunk(frame)
-    return f, (_Lifted(products) if single else products), single
-
-
 def curvature_products(frame: PointFrame) -> dict[str, np.ndarray]:
     """The derivation products X.Y and Tachibana tensors Q(A,T) the
     identities compare, keyed by name (RR = R.R, QgC = Q(g,C), ...).
 
-    Each is built on first read, packed on bivectors (see curvops): at
-    n = 6 an order-6 product is a (15, 15, 15) array of 27 KB and all
-    twelve take about 0.26 MB.  A chunk's products carry its point axis
-    first.  Callers hold them for one point or chunk only; they are not
-    kept on the frame.
+    Each is built on first read, packed on bivectors (see curvops), with
+    the chunk's point axis first: at n = 6 an order-6 product takes 27 KB
+    a point and all twelve about 0.26 MB.  Callers hold them for one
+    chunk only; they are not kept on the frame.
     """
     return _Products(frame)
 
@@ -340,19 +302,17 @@ def _factors(measured: list, key: str) -> np.ndarray:
     return np.array([np.nan if m[key].factor is None else m[key].factor for m in measured])
 
 
-def identity_suite(frame: PointFrame, fit, products: dict[str, np.ndarray]):
+def identity_suite(frame: PointFrame, fits: list, products: dict[str, np.ndarray]) -> list:
     """Residuals of the ten tensor identities implied by the decomposition,
     and of the closed-form L_R, L_C, L against their measured factors.
 
-    products are curvature_products(frame); on a chunk fit is a list of
-    the lanes' RoterFit.  The ten identities use the sum-plus-one
+    fits hold each lane's RoterFit and products are
+    curvature_products(frame).  The ten identities use the sum-plus-one
     Frobenius normalization, the three factor checks the scalar one,
     against pseudosymmetry_factors over the same products.  An accepted
     fit on exact-derivative input keeps all thirteen near 1e-13.
     """
-    f, P, single = _chunk_products(frame, products)
-    fits = [fit] if single else fit
-    n = f.dim
+    f, P, n = frame, products, frame.dim
     # Each lane's scalars as a (P, 1, 1, 1) column, which scales its lane
     # of a product (four axes with the point axis); [..., 0] scales an
     # order-2 tensor.
@@ -382,35 +342,34 @@ def identity_suite(frame: PointFrame, fit, products: dict[str, np.ndarray]):
         "lc_closed_vs_measured": scalar_residual(L_C.ravel(), _factors(measured, "L_C")),
         "l_closed_vs_measured": scalar_residual(L.ravel(), _factors(measured, "L")),
     }
-    lanes = [dict(zip(out, row)) for row in np.array(list(out.values())).T.tolist()]
-    return _unchunk(lanes, single)
+    return [dict(zip(out, row)) for row in np.array(list(out.values())).T.tolist()]
 
 
-def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]):
-    """Directly measured proportionality factors, independent of any fit.
+def pseudosymmetry_factors(frame: PointFrame, products: dict[str, np.ndarray]) -> list:
+    """Directly measured proportionality factors, independent of any fit,
+    one dict per lane.
 
     products are curvature_products(frame).  Keys: L_R (R.R vs Q(g,R)),
     L_C (C.C vs Q(g,C)), L (R.R - Q(S,R) vs Q(g,C)); ricci_pseudosymmetry
-    measures L_S (R.S vs Q(g,S)).  A chunk gets one dict per lane.
+    measures L_S (R.S vs Q(g,S)).
     """
-    f, P, single = _chunk_products(frame, products)
+    P, n = products, frame.dim
     by_key = {
-        "L_R": proportionality(P["RR"], P["QgR"], f.dim),
-        "L_C": proportionality(P["CC"], P["QgC"], f.dim),
-        "L": proportionality(P["RR"] - P["QSR"], P["QgC"], f.dim),
+        "L_R": proportionality(P["RR"], P["QgR"], n),
+        "L_C": proportionality(P["CC"], P["QgC"], n),
+        "L": proportionality(P["RR"] - P["QSR"], P["QgC"], n),
     }
-    lanes = [{key: results[i] for key, results in by_key.items()} for i in range(len(f.g))]
-    return _unchunk(lanes, single)
+    return [dict(zip(by_key, lane)) for lane in zip(*by_key.values())]
 
 
-def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]):
-    """Linear dependence of R.S and Q(g,S), as a standalone check.
+def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]) -> list:
+    """Linear dependence of R.S and Q(g,S), as a standalone check: one
+    ProportionalityResult per lane.
 
     products are curvature_products(frame); R.S and Q(g,S) are read
-    from them, not rebuilt.  A chunk gets one result per lane.
+    from them, not rebuilt.
     """
-    f, P, single = _chunk_products(frame, products)
-    return _unchunk(proportionality(P["RS"], P["QgS"], f.dim), single)
+    return proportionality(products["RS"], products["QgS"], frame.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +380,8 @@ class Classification:
     """A point's kind and the real eigenvalues of its Ricci operator g^{-1} S.
 
     grid_rank_above_one records whether rank(S - alpha g) > 1 at every
-    alpha classify ranked: the grid of rank_grid_exceeds_one, the real
-    eigenvalues and, for a ROTER point, alpha1/2 of its fit.
+    alpha classify ranked: the grid of rank_grid_exceeds_one and the
+    real eigenvalues.  rank_grid_exceeds_one ranks the rest of the scan.
     """
 
     kind: str
@@ -433,10 +392,9 @@ class Classification:
     grid_rank_above_one: bool = False
 
 
-def classify(frame: PointFrame):
-    """Sort a point into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
-    f, single = _chunk(frame)
-    n = f.dim
+def classify(frame: PointFrame) -> list:
+    """Sort each lane into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
+    f, n = frame, frame.dim
     # rank(S - alpha g) can only drop at generalized eigenvalues of the
     # Ricci operator; only the real ones are candidates.
     eigs = np.linalg.eigvals(f.ginv @ f.ricci)
@@ -461,43 +419,34 @@ def classify(frame: PointFrame):
                                     grid_rank_above_one=above[i])
         else:
             candidates.append(i)
-    fitted = []
     if candidates:
         for i, fit in zip(candidates, fit_roter(f.take(candidates))):
             if isinstance(fit, RoterFitError):
                 out[i] = Classification(OTHER, eigenvalues[i], detail=str(fit),
                                         grid_rank_above_one=above[i])
             else:
-                fitted.append((i, fit))
-    if fitted:
-        # alpha1/2 of each fit joins its lane's scan.
-        lanes = [i for i, _ in fitted]
-        halves = [fit.alpha1 / 2.0 for _, fit in fitted]
-        half_above = rank_shift(f.ricci[lanes], f.g[lanes], halves) > 1
-        for (i, fit), ok in zip(fitted, half_above.tolist()):
-            out[i] = Classification(ROTER, eigenvalues[i], fit=fit,
-                                    grid_rank_above_one=above[i] and ok)
-    return _unchunk(out, single)
+                out[i] = Classification(ROTER, eigenvalues[i], fit=fit,
+                                        grid_rank_above_one=above[i])
+    return out
 
 
-def rank_grid_exceeds_one(frame: PointFrame, c, extra=()):
-    """rank(S - alpha g) > 1 for every alpha on the scan grid.
+def rank_grid_exceeds_one(frame: PointFrame, cs: list, extras: list) -> np.ndarray:
+    """rank(S - alpha g) > 1 for every alpha on each lane's scan grid.
 
-    c is classify(frame).  The grid spans [-10|kappa|, 10|kappa|] plus
-    alpha1/2 of c's fit and the exact rank-drop loci c.eigenvalues,
-    which classify ranked already (c.grid_rank_above_one), and any extra
-    candidates (e.g. warped block eigenvalues mu1, mu2), ranked here.
-    On a chunk, c and extra hold one entry per lane and the result is a
-    boolean array.
+    cs are classify(frame) and extras hold one tuple of further
+    candidates per lane (e.g. warped block eigenvalues mu1, mu2).  The
+    grid spans [-10|kappa|, 10|kappa|] plus the exact rank-drop loci
+    c.eigenvalues, which classify ranked already (c.grid_rank_above_one),
+    then alpha1/2 of c's fit and the lane's extras, ranked here: every
+    lane with candidates left in one stacked rank_shift.
     """
-    single = frame.g.ndim == 2
-    cs, extras = ([c], [tuple(extra)]) if single else (c, [tuple(e) for e in extra])
-    S, g = (frame.ricci[None], frame.g[None]) if single else (frame.ricci, frame.g)
-    out = np.array([ci.grid_rank_above_one for ci in cs])
-    lanes = [i for i, e in enumerate(extras) if e and out[i]]
+    out = np.array([c.grid_rank_above_one for c in cs])
+    alphas = [((c.fit.alpha1 / 2.0,) if c.fit is not None else ()) + tuple(extra)
+              for c, extra in zip(cs, extras, strict=True)]
+    lanes = [i for i, a in enumerate(alphas) if a and out[i]]
     if lanes:
-        width = max(len(extras[i]) for i in lanes)
-        alphas = [extras[i] + extras[i][:1] * (width - len(extras[i])) for i in lanes]
-        ranks = rank_shift(S[lanes][:, None], g[lanes][:, None], alphas)
+        width = max(len(alphas[i]) for i in lanes)
+        padded = [alphas[i] + alphas[i][:1] * (width - len(alphas[i])) for i in lanes]
+        ranks = rank_shift(frame.ricci[lanes][:, None], frame.g[lanes][:, None], padded)
         out[lanes] = np.all(ranks > 1, axis=-1)
-    return bool(out[0]) if single else out
+    return out

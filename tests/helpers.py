@@ -187,7 +187,7 @@ def frames_fits_and_products(fam, point):
     frames = tuple(geo.frame(member.product, point) for member in (fam.source, fam.image))
     return (
         frames,
-        tuple(roter.fit_roter(f) for f in frames),
+        tuple(roter.fit_roter(geo.stack([f]))[0] for f in frames),
         tuple(roter.curvature_products(f) for f in frames),
     )
 

@@ -151,7 +151,7 @@ def collect_charged_fits(signature=ENGINE_CHART):
             pt = (0.0, r, 1.2, 0.3)
             assert geo.admissible(spec, pt), (M, Q, Lam, r)
             f = geo.frame(spec, pt)
-            out.append(((M, Q, Lam, r), f, roter.fit_roter(f),
+            out.append(((M, Q, Lam, r), f, roter.fit_roter(geo.stack([f]))[0],
                         published_closed_forms(M, Q, Lam, r)))
     return out
 
@@ -271,7 +271,7 @@ def test_criterion_2_supplement_sympy_oracle():
         worst = max(worst,
                     max_abs_residual(f.riemann, np.array(R.tolist(), dtype=float)),
                     max_abs_residual(f.ricci, np.array(S.tolist(), dtype=float)))
-        fit = roter.fit_roter(f)
+        fit = roter.fit_roter(geo.stack([f]))[0]
         for got, want in zip((fit.phi, fit.mu, fit.eta), (phi, mu, eta)):
             worst = max(worst, rel(got, float(triple[want])))
     ok = worst <= 1e-10
@@ -415,8 +415,8 @@ def test_criterion_5_classification_dichotomy():
         rng = np.random.default_rng([RNG_SEED, n])
         for pt in family_points(toggled, rng, 3):
             for member in (toggled.source, toggled.image):
-                frame = geo.frame(member.product, pt)
-                kind = roter.classify(frame).kind
+                frame = geo.stack([geo.frame(member.product, pt)])
+                kind = roter.classify(frame)[0].kind
                 rho0, flat = wp.conformal_flatness_test(diagnostics_at(member, pt))
                 if kind != roter.EINSTEIN:
                     failures.append((n, "toggle-classify", kind))
@@ -424,11 +424,11 @@ def test_criterion_5_classification_dichotomy():
                     failures.append((n, "toggle-rho0", rho0))
         for pt in family_points(violated, rng, 3):
             for member in (violated.source, violated.image):
-                frame = geo.frame(member.product, pt)
-                c = roter.classify(frame)
+                frame = geo.stack([geo.frame(member.product, pt)])
+                c = roter.classify(frame)[0]
                 if c.kind != roter.ROTER:
                     failures.append((n, "violated-classify", c.kind))
-                elif not roter.rank_grid_exceeds_one(frame, c):
+                elif not roter.rank_grid_exceeds_one(frame, [c], [()])[0]:
                     failures.append((n, "violated-rank", pt))
     ok = not failures
     report(5, ok, "matched fiber scalar => EINSTEIN with rho0 <= 1e-9 on both "
@@ -500,7 +500,7 @@ def test_criterion_6_property_suites():
 
     # (d) negative controls must fail their designated checks.
     f = geo.frame(charged_spec(1.0, 1.0, 0.0), (0.0, 3.0, 1.2, 0.3))
-    fit = roter.fit_roter(f)
+    fit = roter.fit_roter(geo.stack([f]))[0]
     noise = nrng.normal(size=(4, 4))
     bad_ricci = f.ricci + 1e-3 * 0.5 * (noise + noise.T)
     control_s2 = tensor_residual(

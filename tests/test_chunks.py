@@ -1,8 +1,8 @@
 """The Roter path on chunks of points.
 
-Every roter entry takes one point's frame or a chunk of frames stacked
-by geometry.stack.  Each lane of a chunk must get what the same call on
-that point alone gets: the same classification and fit-error reason,
+Every roter entry takes a chunk of frames stacked by geometry.stack.
+Each lane of a chunk must get what the same call on that point alone,
+as a chunk of one, gets: the same classification and fit-error reason,
 and residuals, factors and products equal to 1e-14, whatever the chunk
 size and whatever kinds of points share the chunk.
 """
@@ -52,24 +52,21 @@ def close(a, b, where=""):
 
 
 def one_point(f, extra=(1.0, 2.0)):
-    """Every roter entry on one point's frame."""
-    c = roter.classify(f)
-    try:
-        fit = roter.fit_roter(f)
-    except roter.RoterFitError as err:
-        fit = err
-    P = roter.curvature_products(f)
+    """Every roter entry on one point's frame, as a chunk of one."""
+    F = geo.stack([f])
+    (c,), (fit,) = roter.classify(F), roter.fit_roter(F)
+    P = roter.curvature_products(F)
     out = {
         "classification": c,
         "fit": fit,
-        "membership": (roter.in_us(f), roter.in_uc(f), roter.in_ur(f)),
-        "factors": roter.pseudosymmetry_factors(f, P),
-        "ricci": roter.ricci_pseudosymmetry(f, P),
-        "grid": roter.rank_grid_exceeds_one(f, c, extra),
-        "products": {key: P[key] for key in PRODUCTS},
+        "membership": tuple(bool(fn(F)[0]) for fn in (roter.in_us, roter.in_uc, roter.in_ur)),
+        "factors": roter.pseudosymmetry_factors(F, P)[0],
+        "ricci": roter.ricci_pseudosymmetry(F, P)[0],
+        "grid": bool(roter.rank_grid_exceeds_one(F, [c], [extra])[0]),
+        "products": {key: P[key][0] for key in PRODUCTS},
     }
     if c.kind == roter.ROTER:
-        out["identities"] = roter.identity_suite(f, c.fit, P)
+        out["identities"] = roter.identity_suite(F, [c.fit], P)[0]
     return out
 
 
@@ -184,9 +181,9 @@ def test_mixed_chunk_matches_one_point_calls(monkeypatch):
     assert [("identities" in lane) for lane in lanes] == [k == roter.ROTER for k in kinds]
 
 
-def test_one_point_error_is_raised_and_a_chunk_error_returned():
+def test_fit_errors_are_returned_in_their_lanes():
     frames = [f for f, _, _ in mixed_frames()[:2]]
-    with pytest.raises(roter.RoterFitError, match="NOT_IN_US"):
-        roter.fit_roter(frames[1])
+    (alone,) = roter.fit_roter(geo.stack(frames[1:]))
+    assert isinstance(alone, roter.RoterFitError) and alone.reason == "NOT_IN_US"
     fit, error = roter.fit_roter(geo.stack(frames))
     assert isinstance(fit, roter.RoterFit) and error.reason == "NOT_IN_US"

@@ -1,5 +1,6 @@
 """Harness tests: manifest validation, corpus runs, reports, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -488,10 +489,11 @@ class TestSharedEvaluation:
         assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
 
     def test_rank_scans_and_products_once_per_point(self, monkeypatch):
-        # Per chunk, classify ranks its grid and the Ricci eigenvalues in
-        # one stacked rank_shift and alpha1/2 of its fits in a second;
-        # rank_grid_exceeds_one, with no extra candidates, ranks nothing
-        # more.  ricci_pseudosymmetry reads R.S and Q(g,S) from the
+        # Per (target, chunk), classify ranks its grid and the Ricci
+        # eigenvalues in one stacked rank_shift, and one
+        # rank_grid_exceeds_one ranks alpha1/2 of each ROTER lane's fit,
+        # with that lane's warped mu1 and mu2 where it has them, in a
+        # second.  ricci_pseudosymmetry reads R.S and Q(g,S) from the
         # chunk's products, whose lanes cover each point once.
         classify = count_calls(monkeypatch, roter, "classify")
         grids = count_calls(monkeypatch, roter, "rank_grid_exceeds_one")
@@ -504,12 +506,21 @@ class TestSharedEvaluation:
         target_points = {(r["target"], r["point_index"]) for r in records}
         assert len(target_points) == 3  # the pinned point and two sampled ones
         assert len(classify) == 1 and len(classify[0][0].g) == len(target_points)
-        assert len(grids) == len(target_points)
+        assert len(grids) == 1 and len(grids[0][0].g) == len(target_points)
         assert len(ranks) == 2
         assert len(ricci) == 1 and len(ricci[0][0].g) == len(target_points)
         assert len(derivations) == len(tachibanas) == 6
         assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
         assert sum(len(A) for A, _ in tachibanas) == 6 * len(target_points)
+        # A family at n = 4: two targets of one chunk each, every lane
+        # ranking its mu1 and mu2 with alpha1/2.
+        for log in (grids, ranks):
+            log.clear()
+        records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=4)
+        assert summary["ok"]
+        assert len(grids) == 2 and all(len(frame.g) == 4 for frame, _, _ in grids)
+        assert all(len(extra) == 2 for _, _, extras in grids for extra in extras)
+        assert len(ranks) == 4
 
     def test_each_frame_computed_once(self, monkeypatch):
         # A point's Evaluations own its frames and hand them to every
@@ -612,6 +623,54 @@ class TestSharedEvaluation:
         others = [dict(r, point_index=r["point_index"] - (r["point_index"] > 3))
                   for r in with_bad if r["point_index"] != 3]
         assert len(without) > 5 * 20 and others == without
+
+    def test_diagnostics_error_in_a_chunk_stays_with_its_point(self, monkeypatch):
+        # Six points of a family at n = 4 share one chunk per target, whose
+        # rank grid reads every lane's warped diagnostics.  A point whose
+        # diagnostics raise records its own errors; every other point's
+        # records equal those of a run without it.
+        manifest = corpus_get("theorem41_n4")
+        sample = cli.sample_points
+        points = sample(cli.build_job(manifest["manifolds"][0]), 6,
+                        np.random.default_rng([manifest["seed"], 0]))
+        bad = points[3]
+        diagnostics = wp.diagnostics
+
+        def refusing(ws, frame, fiber_frame):
+            if tuple(frame.point) == bad:
+                raise geo.GeometryError("diagnostics refused")
+            return diagnostics(ws, frame, fiber_frame)
+
+        monkeypatch.setattr(wp, "diagnostics", refusing)
+        with_bad, _ = cli.run_manifest(manifest, points=6)
+        monkeypatch.setattr(cli, "sample_points",
+                            lambda job, count, rng: [p for p in sample(job, count, rng) if p != bad])
+        without, _ = cli.run_manifest(manifest, points=6)
+        errors = [r for r in with_bad if r["point_index"] == 3 and r["check"] == "error"]
+        assert sorted((r["target"], r["suite"]) for r in errors) == [
+            ("image", "theorem21"), ("image", "warped-diagnostics"), ("pair", "geodesic"),
+            ("source", "theorem21"), ("source", "warped-diagnostics")]
+        assert all("diagnostics refused" in r["detail"] for r in errors)
+        others = [dict(r, point_index=r["point_index"] - (r["point_index"] > 3))
+                  for r in with_bad if r["point_index"] != 3]
+        assert len(without) > 5 * 20 and others == without
+
+    def test_no_evaluation_outlives_its_run(self):
+        # A RoterBatch refers to its Evaluations weakly, so no reference
+        # cycle keeps them alive after the run, even with the cycle
+        # collector off.
+        def evaluations():
+            return [o for o in gc.get_objects() if isinstance(o, cli.Evaluation)]
+
+        gc.collect()
+        assert evaluations() == []
+        gc.disable()
+        try:
+            records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=4)
+            left = len(evaluations())
+        finally:
+            gc.enable()
+        assert summary["ok"] and left == 0
 
     def test_failed_piece_is_not_kept(self):
         # x/abs(x) in dg divides by zero at x = 0: each suite asking for

@@ -141,7 +141,7 @@ class TestFamilyConstruction:
                                               allow_conformally_flat=True))
         pt = (1.2, 0.3, 0.1, -0.1)
         f = geo.frame(fam.source.product, pt)
-        assert roter.classify(f).kind == roter.EINSTEIN
+        assert roter.classify(geo.stack([f]))[0].kind == roter.EINSTEIN
 
     def test_trivial_mapping_rejected(self):
         with pytest.raises(gm.FamilyError):
@@ -248,8 +248,8 @@ class TestFactorRelations:
         rng = np.random.default_rng(12)
         src_vals, img_vals = [], []
         for pt in sample(fam, rng, 8):
-            src_vals.append(roter.fit_roter(geo.frame(fam.source.product, pt)).L_R)
-            img_vals.append(roter.fit_roter(geo.frame(fam.image.product, pt)).L_R)
+            src_vals.append(roter.fit_roter(geo.stack([geo.frame(fam.source.product, pt)]))[0].L_R)
+            img_vals.append(roter.fit_roter(geo.stack([geo.frame(fam.image.product, pt)]))[0].L_R)
         assert constancy_residual(src_vals) <= 1e-8
         assert constancy_residual(img_vals) <= 1e-8
         assert np.mean(src_vals) == pytest.approx(-1.0, abs=1e-9)
@@ -258,8 +258,8 @@ class TestFactorRelations:
     def test_both_members_are_roter(self):
         fam = family_for("trigonometric", n=6)
         pt = sample(fam, np.random.default_rng(3), 1)[0]
-        assert roter.classify(geo.frame(fam.source.product, pt)).kind == roter.ROTER
-        assert roter.classify(geo.frame(fam.image.product, pt)).kind == roter.ROTER
+        for member in (fam.source, fam.image):
+            assert roter.classify(geo.stack([geo.frame(member.product, pt)]))[0].kind == roter.ROTER
 
 
 class TestPsiRicciIdentity:
@@ -297,8 +297,8 @@ class TestEinsteinToggle:
         rng = np.random.default_rng(n)
         for pt in sample(fam, rng, 2):
             for member in (fam.source, fam.image):
-                frame = geo.frame(member.product, pt)
-                assert roter.classify(frame).kind == roter.EINSTEIN
+                frame = geo.stack([geo.frame(member.product, pt)])
+                assert roter.classify(frame)[0].kind == roter.EINSTEIN
                 rho0, flat = wp.conformal_flatness_test(diagnostics_at(member, pt))
                 assert flat, rho0
         assert cfg0.fiber_scalar != matched
@@ -308,10 +308,10 @@ class TestEinsteinToggle:
         fam = family_for("affine", n=n)
         pt = sample(fam, np.random.default_rng(n + 50), 1)[0]
         for member in (fam.source, fam.image):
-            frame = geo.frame(member.product, pt)
-            c = roter.classify(frame)
+            frame = geo.stack([geo.frame(member.product, pt)])
+            c = roter.classify(frame)[0]
             assert c.kind == roter.ROTER
-            assert roter.rank_grid_exceeds_one(frame, c)
+            assert roter.rank_grid_exceeds_one(frame, [c], [()])[0]
 
 
 class TestIndefiniteBase:
@@ -323,7 +323,7 @@ class TestIndefiniteBase:
         assert fam.admissible_sample(pt)
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
-        assert roter.classify(f).kind == roter.ROTER
+        assert roter.classify(geo.stack([f]))[0].kind == roter.ROTER
         assert gm.geodesic_compatibility_residual(
             f, geo.frame(fam.image.product, pt), fam.psi) < 1e-9
         relations = gm.factor_relations(

@@ -65,6 +65,11 @@ def dense_products(frame):
     return {key: dense(frame) for key, dense in DENSE_PRODUCTS.items()}
 
 
+def as_chunk(P):
+    """One point's products as a chunk of one's: views with a point axis."""
+    return {key: P[key][None] for key in P}
+
+
 class TestSameBits:
     def test_products(self, member_state):
         # Each packed product is the packed dense oracle, to 1e-14
@@ -85,8 +90,9 @@ class TestSameBits:
         fam, frames, fits, products = member_state
         before = [{key: value.copy() for key, value in P.items()} for P in products]
         for f, fit, P in zip(frames, fits, products):
-            roter.identity_suite(f, fit, P)
-            roter.ricci_pseudosymmetry(f, P)
+            F, chunk = geo.stack([f]), as_chunk(P)
+            roter.identity_suite(F, [fit], chunk)
+            roter.ricci_pseudosymmetry(F, chunk)
         gm.factor_relations(fam, frames, fits, products, gm.family_values(fam, frames[0].point))
         gm.psi_ricci_identity_residual(fam, frames, fits, products)
         for P, kept in zip(products, before):
@@ -101,15 +107,18 @@ class TestPackedReadsAsDense:
     def test_identity_suite(self, member_state):
         _, frames, fits, products = member_state
         for f, fit, P in zip(frames, fits, products):
-            got, want = roter.identity_suite(f, fit, P), roter.identity_suite(f, fit, dense_products(f))
+            F = geo.stack([f])
+            got = roter.identity_suite(F, [fit], as_chunk(P))[0]
+            want = roter.identity_suite(F, [fit], as_chunk(dense_products(f)))[0]
             for name in roter.IDENTITY_NAMES:
                 assert abs(got[name] - want[name]) <= 1e-14, name
 
     def test_pseudosymmetry_factors(self, member_state):
         _, frames, _, products = member_state
         for f, P in zip(frames, products):
-            got = roter.pseudosymmetry_factors(f, P)
-            want = roter.pseudosymmetry_factors(f, dense_products(f))
+            F = geo.stack([f])
+            got = roter.pseudosymmetry_factors(F, as_chunk(P))[0]
+            want = roter.pseudosymmetry_factors(F, as_chunk(dense_products(f)))[0]
             for key in want:
                 assert got[key].verdict == want[key].verdict == "fit", key
                 assert abs(got[key].residual - want[key].residual) <= 1e-14, key
@@ -203,8 +212,10 @@ class TestTemporaries:
 
     def test_pseudosymmetry_factors(self, n6):
         f, _, P = n6
-        assert peak_units(lambda: roter.pseudosymmetry_factors(f, P)) < 0.5
+        F, chunk = geo.stack([f]), as_chunk(P)
+        assert peak_units(lambda: roter.pseudosymmetry_factors(F, chunk)) < 0.5
 
     def test_identity_suite(self, n6):
         f, fit, P = n6
-        assert peak_units(lambda: roter.identity_suite(f, fit, P)) < 0.5
+        F, chunk = geo.stack([f]), as_chunk(P)
+        assert peak_units(lambda: roter.identity_suite(F, [fit], chunk)) < 0.5

@@ -180,7 +180,7 @@ class TestDiagnostics:
         pt = sample_points(ws, RNG, 1)[0]
         d = diagnostics_at(ws, pt)
         phi, mu, eta, L_R = roter_from_diagnostics(d, ws.dim)
-        fit = roter.fit_roter(geo.frame(ws.product, pt))
+        fit = roter.fit_roter(geo.stack([geo.frame(ws.product, pt)]))[0]
         assert phi == pytest.approx(fit.phi, rel=1e-9)
         assert mu == pytest.approx(fit.mu, rel=1e-9)
         assert eta == pytest.approx(fit.eta, rel=1e-9)
@@ -268,14 +268,14 @@ class TestConformalFlatness:
         rho0, flat = warped.conformal_flatness_test(diagnostics_at(ws, pt))
         assert flat
         f = geo.frame(ws.product, pt)
-        assert roter.classify(f).kind == roter.EINSTEIN
+        assert roter.classify(geo.stack([f]))[0].kind == roter.EINSTEIN
         assert np.max(np.abs(f.weyl)) < 1e-9 * (np.max(np.abs(f.riemann)) + 1)
 
     def test_unmatched_fiber_scalar_is_roter_not_quasi_einstein(self):
         ws = family(D=4.0, C=0.0, n=4, fiber_scalar=2.0)
         pt = (1.2, 0.3, 0.1, -0.1)
         f = geo.frame(ws.product, pt)
-        c = roter.classify(f)
+        c = roter.classify(geo.stack([f]))[0]
         assert c.kind == roter.ROTER
         d = diagnostics_at(ws, pt)
         # no shift of the metric ever reduces the Ricci tensor to rank <= 1
