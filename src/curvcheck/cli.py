@@ -26,7 +26,6 @@ import platform
 import re
 import sys
 import time
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +40,6 @@ from . import geomap as gm
 from . import roter
 from . import warped as wp
 from .curvops import (
-    ProportionalityResult,
     constancy_residual,
     max_abs_residual,
     riemann_symmetry_residuals,
@@ -65,6 +63,7 @@ OUT_ENV = "CURVCHECK_OUT"
 
 _number = {"type": "number"}
 _string = {"type": "string"}
+_suites = {"type": "array", "minItems": 1, "items": {"enum": list(SUITES)}}
 _expr_matrix = {"type": "array", "items": {"type": "array", "items": _string}}
 _conditions = {
     "type": "array",
@@ -112,7 +111,7 @@ _manifold_schema = {
             "items": {"type": "object", "additionalProperties": _number},
         },
         "constants": {"type": "object", "additionalProperties": _number},
-        "suites": {"type": "array", "items": {"enum": list(SUITES)}},
+        "suites": _suites,
         "expect": _expect_schema,
         "perturb": {
             "type": "object",
@@ -171,7 +170,7 @@ MANIFEST_SCHEMA = {
         "description": _string,
         "seed": {"type": "integer", "minimum": 0},
         "points": {"type": "integer", "minimum": 1},
-        "suites": {"type": "array", "items": {"enum": list(SUITES)}},
+        "suites": _suites,
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
@@ -207,6 +206,13 @@ def load_manifest(source: str) -> dict:
                 f"known entries: {', '.join(corpus_mod.corpus_list())}"
             ) from None
     validate_manifest(data)
+    # Draft 7 takes 1.0 for an integer; the run needs an int.
+    blocks = [(data, "seed"), (data, "points")] + [
+        (mdef[part], key) for mdef in data["manifolds"]
+        for part, key in (("fiber", "dim"), ("params", "fiber_dim")) if part in mdef]
+    for block, key in blocks:
+        if key in block:
+            block[key] = int(block[key])
     return data
 
 
@@ -432,105 +438,33 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 # Checks and records
 #
-# A suite is a generator over one point, reading each target's shared
-# Evaluation.  It yields each check as (check, residual, tolerance_key)
-# with optional extra record fields ({"scalars": ...} or {"detail": ...})
-# and expect_fail; run_manifest turns every yielded check into a record
-# through _record.
+# A suite is a generator over one point, reading each target's Chunk
+# at the point's index.  It yields each check as (check, residual,
+# tolerance_key) with optional extra record fields ({"scalars": ...} or
+# {"detail": ...}) and expect_fail; run_manifest turns every yielded
+# check into a record through _record.
 
 # Point errors a suite may raise; each becomes an "error" record.
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
 
 
-class RoterBatch:
-    """The theorem21 Roter path over one target's Evaluations in a chunk:
-    membership, classification, fit, curvature products, identity
-    residuals, rank grid and Ricci pseudosymmetry, each computed for all
-    lanes at once on first use, as is the stacked frame.  Each Evaluation
-    reads its own lane (see _batch), where a lane's error stays.  The
-    batch refers to its Evaluations weakly, so they form no cycle."""
-
-    def __init__(self, evals: list[Evaluation]):
-        self.target = evals[0].target
-        self.frames = [ev.frame for ev in evals]
-        self.evals = [weakref.ref(ev) for ev in evals]
-
-    @cached_property
-    def frame(self) -> geo.PointFrame:
-        return geo.stack(self.frames)
-
-    @cached_property
-    def membership(self) -> list[dict]:
-        f = self.frame
-        return [{"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
-                for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f))]
-
-    @cached_property
-    def classifications(self) -> list[roter.Classification]:
-        return roter.classify(self.frame)
-
-    @cached_property
-    def fits(self) -> list:
-        """Each classification's fit, or a direct one where it has none."""
-        fits = [c.fit for c in self.classifications]
-        rest = [i for i, fit in enumerate(fits) if fit is None]
-        if rest:
-            for i, fit in zip(rest, roter.fit_roter(self.frame.take(rest))):
-                fits[i] = fit
-        return fits
-
-    @cached_property
-    def products(self) -> dict:
-        return roter.curvature_products(self.frame)
-
-    @cached_property
-    def identities(self) -> list:
-        """identity_suite of each ROTER lane, None for the others."""
-        cs = self.classifications
-        lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
-        out = [None] * len(cs)
-        if lanes:
-            frame = self.frame.take(lanes)
-            products = self.products if frame is self.frame else roter.curvature_products(frame)
-            for i, res in zip(lanes, roter.identity_suite(frame, [cs[i].fit for i in lanes],
-                                                          products)):
-                out[i] = res
-        return out
-
-    @cached_property
-    def rank_grid(self) -> list:
-        """rank_grid_exceeds_one of each ROTER lane, None for the others.
-        On a warped target with a 2-dimensional base, each lane's block
-        eigenvalues mu1, mu2 join its scan; a lane whose diagnostics
-        raise holds the error instead."""
-        cs, ws = self.classifications, self.target.warped_spec
-        out: list = [None] * len(cs)
-        lanes, extras = [], []
-        for i in [k for k, c in enumerate(cs) if c.kind == roter.ROTER]:
-            try:
-                d = self.evals[i]().diagnostics if ws is not None and ws.base_dim == 2 else None
-            except _POINT_ERRORS as err:
-                out[i] = err
-                continue
-            lanes.append(i)
-            extras.append(() if d is None or d.mu1 is None else (d.mu1, d.mu2))
-        if lanes:
-            flags = roter.rank_grid_exceeds_one(self.frame.take(lanes), [cs[i] for i in lanes],
-                                                extras)
-            for i, flag in zip(lanes, flags.tolist()):
-                out[i] = flag
-        return out
-
-    @cached_property
-    def ricci_pseudosymmetry(self) -> list:
-        return roter.ricci_pseudosymmetry(self.frame, self.products)
+def _each(compute, items) -> list:
+    """compute of each item, or the error it raised.  A kept error's
+    traceback is cleared: its frames would hold the chunk that keeps it."""
+    out = []
+    for item in items:
+        try:
+            out.append(compute(item))
+        except _POINT_ERRORS as err:
+            out.append(err.with_traceback(None))
+    return out
 
 
 class _LaneProducts(Mapping):
     """One lane of a chunk's curvature products, read on demand."""
 
-    def __init__(self, batch: RoterBatch, lane: int):
-        self.products, self.lane = batch.products, lane
+    def __init__(self, products: dict, lane: int):
+        self.products, self.lane = products, lane
 
     def __getitem__(self, key):
         return self.products[key][self.lane]
@@ -542,95 +476,134 @@ class _LaneProducts(Mapping):
         return len(self.products)
 
 
-class Evaluation:
-    """One target at one point: frame, diagnostics, classification, fit and
-    curvature products, each computed on first use and shared by every
-    suite for that point only; helpers are handed its frames, never
-    evaluate them again.  A piece that raises is not kept, so each
-    suite that needs it raises and records the error itself.
+class Chunk:
+    """One target at a chunk of points, and the only owner of their frames.
 
-    The Roter path (classification, fit, products, identity residuals,
-    rank grid) is read from the point's lane of the RoterBatch that
-    _batch joins over the target's points in the chunk.  fiber_peer is
-    an Evaluation at the same point whose target has the same fiber (a
-    family's source, for its image); its fiber frame is read rather than
-    computed again."""
+    Each piece is computed for every point on first read and holds one
+    entry per point: its value, or the error computing it raised.  Suites
+    read an entry through at, which raises a kept error, so every suite
+    reading it records it and nothing is computed again.
 
-    def __init__(self, target: Target, point, fiber_peer: Evaluation | None = None):
-        self.target, self.point, self.fiber_peer = target, point, fiber_peer
-        self.batch: RoterBatch | None = None
-        self.lane: int | None = None
+    Per point: frames, fiber_frames (those of peer, a chunk of the same
+    points whose target has the same fiber, if given) and diagnostics.
+    The Roter pieces (membership to ricci_pseudosymmetry) run once over
+    stacked, one lane per point whose frame built; a point whose frame
+    raised holds that error in each, and the other lanes do not change."""
 
-    @cached_property
-    def frame(self) -> geo.PointFrame:
-        return geo.frame(self.target.spec, self.point)
+    def __init__(self, target: Target, points: list, peer: Chunk | None = None):
+        self.target, self.points, self.peer = target, points, peer
 
-    @cached_property
-    def fiber_frame(self) -> geo.PointFrame:
-        if self.fiber_peer is not None:
-            return self.fiber_peer.fiber_frame
-        ws = self.target.warped_spec
-        return geo.frame(ws.fiber, ws.split(self.point)[1])
-
-    @cached_property
-    def diagnostics(self) -> wp.WarpedDiagnostics:
-        return wp.diagnostics(self.target.warped_spec, self.frame, self.fiber_frame)
-
-    def _read(self, name: str):
-        """This point's lane of the batch's name; a lane's error is raised."""
-        self.frame  # a point whose frame raises has no lane: raise its error
-        value = getattr(self.batch, name)[self.lane]
+    def at(self, piece: str, i: int):
+        """Point i's entry of piece, raised if it is an error.  The point's
+        frame error is raised first, so no Roter piece is computed over an
+        empty stack."""
+        value = self.frames[i]
+        if not isinstance(value, Exception):
+            value = getattr(self, piece)[i]
         if isinstance(value, Exception):
             raise value
         return value
 
-    @property
-    def membership(self) -> dict:
-        return self._read("membership")
+    @cached_property
+    def frames(self) -> list:
+        return _each(lambda point: geo.frame(self.target.spec, point), self.points)
 
-    @property
-    def classification(self) -> roter.Classification:
-        return self._read("classifications")
+    @cached_property
+    def fiber_frames(self) -> list:
+        if self.peer is not None:
+            return self.peer.fiber_frames
+        ws = self.target.warped_spec
+        return _each(lambda point: geo.frame(ws.fiber, ws.split(point)[1]), self.points)
 
-    @property
-    def fit(self) -> roter.RoterFit:
-        """The classification's fit, or a direct one where it has none."""
-        return self._read("fits")
+    @cached_property
+    def diagnostics(self) -> list:
+        ws = self.target.warped_spec
+        return _each(lambda i: wp.diagnostics(ws, self.at("frames", i), self.at("fiber_frames", i)),
+                     range(len(self.points)))
 
-    @property
-    def identities(self) -> dict:
-        return self._read("identities")
+    def _lanes(self, piece: list) -> list:
+        """piece's entries at the points whose frames built, in lane order."""
+        return [v for v, f in zip(piece, self.frames) if not isinstance(f, Exception)]
 
-    @property
-    def rank_grid(self) -> bool:
-        return self._read("rank_grid")
+    def _spread(self, lanes) -> list:
+        """One entry per point from one per lane: a point without a lane
+        holds its frame's error."""
+        lanes = iter(lanes)
+        return [f if isinstance(f, Exception) else next(lanes) for f in self.frames]
 
-    @property
-    def ricci_pseudosymmetry(self) -> ProportionalityResult:
-        return self._read("ricci_pseudosymmetry")
+    @cached_property
+    def stacked(self) -> geo.PointFrame:
+        return geo.stack(self._lanes(self.frames))
 
-    @property
-    def products(self) -> Mapping:
-        self.frame  # as in _read
-        return _LaneProducts(self.batch, self.lane)
+    @cached_property
+    def membership(self) -> list:
+        f = self.stacked
+        return self._spread({"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
+                            for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f)))
 
+    @cached_property
+    def classifications(self) -> list:
+        return self._spread(roter.classify(self.stacked))
 
-def _batch(evals) -> None:
-    """Join the frames of one target's Evaluations that build into one
-    RoterBatch and give each of them its lane.  A point whose frame
-    raises gets no lane: it records its own errors, and the other lanes
-    are what they would be without it."""
-    built = []
-    for ev in evals:
-        try:
-            ev.frame
-        except _POINT_ERRORS:
-            continue
-        built.append(ev)
-    if built:
-        batch = RoterBatch(built)
-        for lane, ev in enumerate(built):
-            ev.batch, ev.lane = batch, lane
+    @cached_property
+    def fits(self) -> list:
+        """Each classification's fit, or a direct one where it has none."""
+        fits = [c.fit for c in self._lanes(self.classifications)]
+        rest = [i for i, fit in enumerate(fits) if fit is None]
+        if rest:
+            for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest))):
+                fits[i] = fit
+        return self._spread(fits)
+
+    @cached_property
+    def _products(self) -> dict:
+        return roter.curvature_products(self.stacked)
+
+    @cached_property
+    def products(self) -> list:
+        return self._spread(_LaneProducts(self._products, lane)
+                            for lane in range(len(self.stacked.g)))
+
+    @cached_property
+    def identities(self) -> list:
+        """identity_suite of each ROTER lane, None for the others."""
+        cs = self._lanes(self.classifications)
+        lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
+        out = [None] * len(cs)
+        if lanes:
+            frame = self.stacked.take(lanes)
+            products = self._products if frame is self.stacked else roter.curvature_products(frame)
+            for i, res in zip(lanes, roter.identity_suite(frame, [cs[i].fit for i in lanes],
+                                                          products)):
+                out[i] = res
+        return self._spread(out)
+
+    @cached_property
+    def rank_grid(self) -> list:
+        """rank_grid_exceeds_one of each ROTER lane, None for the others.
+        On a warped target with a 2-dimensional base, each lane's block
+        eigenvalues mu1, mu2 join its scan; a lane whose diagnostics
+        raised holds that error instead."""
+        ws, cs = self.target.warped_spec, self._lanes(self.classifications)
+        ds = self._lanes(self.diagnostics) if ws and ws.base_dim == 2 else [None] * len(cs)
+        out: list = [None] * len(cs)
+        lanes, extras = [], []
+        for i in [k for k, c in enumerate(cs) if c.kind == roter.ROTER]:
+            if isinstance(ds[i], Exception):
+                out[i] = ds[i]
+                continue
+            lanes.append(i)
+            extras.append(() if ds[i] is None or ds[i].mu1 is None else (ds[i].mu1, ds[i].mu2))
+        if lanes:
+            flags = roter.rank_grid_exceeds_one(self.stacked.take(lanes), [cs[i] for i in lanes],
+                                                extras)
+            for i, flag in zip(lanes, flags.tolist()):
+                out[i] = flag
+        return self._spread(out)
+
+    @cached_property
+    def ricci_pseudosymmetry(self) -> list:
+        return self._spread(roter.ricci_pseudosymmetry(self.stacked, self._products))
 
 
 def _flag(check, ok, detail=None):
@@ -667,8 +640,8 @@ def _record(job, target, index, point, suite, thresholds,
     return rec
 
 
-def geometry_checks(job: Job, ev: Evaluation, idx):
-    f = ev.frame
+def geometry_checks(job: Job, chunk: Chunk, i, idx):
+    f = chunk.at("frames", i)
     n = f.dim
     yield "metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict"
     yield "gamma_lower_symmetry", max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)), "strict"
@@ -690,15 +663,15 @@ def geometry_checks(job: Job, ev: Evaluation, idx):
     yield "frame_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def theorem21_checks(job: Job, ev: Evaluation, idx):
-    target = ev.target
+def theorem21_checks(job: Job, chunk: Chunk, i, idx):
+    target = chunk.target
     if target.spec.dim < 2:
         return
     expect = job.definition.get("expect", {})
-    f = ev.frame
+    f = chunk.at("frames", i)
     perturb = job.definition.get("perturb")
-    c = ev.classification
-    scalars = {"classification": c.kind, "kappa": f.scalar, **ev.membership}
+    c = chunk.at("classifications", i)
+    scalars = {"classification": c.kind, "kappa": f.scalar, **chunk.at("membership", i)}
     want = expect.get("classify")
     if want:
         # Source and image members of a family share the expected kind.
@@ -708,9 +681,9 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
         scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
                        L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
         yield "fit_residual", fit.residual, "identity"
-        for name, res in ev.identities.items():
+        for name, res in chunk.at("identities", i).items():
             yield name, res, "identity"
-        yield _flag("rank_shift_grid", ev.rank_grid)
+        yield _flag("rank_shift_grid", chunk.at("rank_grid", i))
         expected_scalar = expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:
@@ -722,7 +695,7 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
             res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
             yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
     if expect.get("ricci_pseudosymmetric"):
-        rp = ev.ricci_pseudosymmetry
+        rp = chunk.at("ricci_pseudosymmetry", i)
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
@@ -735,11 +708,11 @@ def theorem21_checks(job: Job, ev: Evaluation, idx):
     yield "fit_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def warped_checks(job: Job, ev: Evaluation, idx):
-    ws = ev.target.warped_spec
+def warped_checks(job: Job, chunk: Chunk, i, idx):
+    ws = chunk.target.warped_spec
     if ws is None:
         return
-    d = ev.diagnostics
+    d = chunk.at("diagnostics", i)
     yield "product_christoffels", wp.verify_product_christoffels(d), "strict"
     block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
     for name, res in wp.verify_curvature_blocks(d).items():
@@ -759,34 +732,34 @@ def warped_checks(job: Job, ev: Evaluation, idx):
         yield "t_proportional", wp.t_proportionality_residual(d), "geo"
         for name, res in wp.verify_proportional_blocks(d).items():
             yield name, res, "identity"
-        if ev.target.label == "source":
+        if chunk.target.label == "source":
             res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
             yield "trace_t_scaled_warp", res, "identity"
     yield "warp_scalars", 0.0, "strict", {"scalars": scalars}
 
 
-def geodesic_checks(job: Job, evals, idx, fits_log):
+def geodesic_checks(job: Job, chunks, i, idx, fits_log):
     """Checks on the mapped pair of a pair2d or family manifold, from the
-    (source, image) evaluations at one point."""
+    (source, image) chunks at point i."""
     if job.kind not in ("pair2d", "family"):
         return
-    source, image = evals
-    frames = (source.frame, image.frame)
+    source, image = chunks
+    frames = (source.at("frames", i), image.at("frames", i))
     psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
     yield "geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, psi), "geo"
     yield "christoffel_shift", gm.christoffel_shift_residual(*frames, psi), "geo"
     yield "ricci_shift", gm.ricci_shift_residual(*frames, psi), "identity"
-    yield "psi_gradient", psi.gradient_residual(source.point), "strict"
+    yield "psi_gradient", psi.gradient_residual(source.points[i]), "strict"
     if job.kind == "pair2d":
         for name, res in gm.pair_christoffel_closed_forms(job.pair, *frames).items():
             yield name, res, "geo"
         return
     fam = job.family
-    d, d_bar = source.diagnostics, image.diagnostics
+    d, d_bar = source.at("diagnostics", i), image.at("diagnostics", i)
     r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
     yield "warp_scale_equation", r4, "geo"
     yield "warp_log_equation", r5, "geo"
-    values = gm.family_values(fam, source.point)
+    values = gm.family_values(fam, source.points[i])
     for name, res in gm.family_psi_closed_forms(fam, d, values).items():
         yield name, res, "geo"
     for name, res in gm.family_image_ricci_forms(fam, d_bar, values).items():
@@ -798,13 +771,13 @@ def geodesic_checks(job: Job, evals, idx, fits_log):
     yield "base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo"
     if job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
         return
-    try:
-        fits = (source.fit, image.fit)
-    except roter.RoterFitError as err:
-        yield _flag("roter_fits", False, detail=str(err))
+    fits = (source.fits[i], image.fits[i])  # frames built: a fit or its RoterFitError
+    rejected = [fit for fit in fits if isinstance(fit, roter.RoterFitError)]
+    if rejected:
+        yield _flag("roter_fits", False, detail=str(rejected[0]))
         return
     fits_log.append((fits[0].L_R, fits[1].L_R))
-    products = (source.products, image.products)
+    products = (source.at("products", i), image.at("products", i))
     for name, res in gm.factor_relations(fam, frames, fits, products, values).items():
         yield name, res, "identity"
     res = gm.psi_ricci_identity_residual(fam, frames, fits, products)
@@ -828,34 +801,27 @@ TARGET_SUITES = (
 )
 
 
-def _evaluations(job: Job, pt) -> list[Evaluation]:
-    """The point's Evaluations, one per target; a family's image reads the
-    fiber frame of its source, whose fiber it shares."""
-    first = Evaluation(job.targets[0], pt)
-    peer = first if job.family is not None else None
-    return [first] + [Evaluation(target, pt, peer) for target in job.targets[1:]]
-
-
 def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order.
 
-    Points go in chunks of roter.chunk_size(n), n the chart dimension.
-    Each chunk's Evaluations are built first, then each target's frames
-    are batched, before any of the chunk's checks run."""
+    Points go in chunks of roter.chunk_size(n), n the chart dimension,
+    each read through one Chunk per target; a family's image reads the
+    fiber frames of its source, whose fiber it shares."""
     fits_log: list = []
     size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):
-        chunk = [_evaluations(job, pt) for pt in points[start:start + size]]
-        for target_evals in zip(*chunk):
-            _batch(target_evals)
-        for idx, evals in enumerate(chunk, start):
-            pt = evals[0].point
+        pts = points[start:start + size]
+        first = Chunk(job.targets[0], pts)
+        peer = first if job.family is not None else None
+        chunks = [first] + [Chunk(target, pts, peer) for target in job.targets[1:]]
+        for i, pt in enumerate(pts):
+            idx = start + i
             for suite, checks in TARGET_SUITES:
                 if suite in suites:
-                    for ev in evals:
-                        yield suite, ev.target.label, idx, pt, checks(job, ev, idx)
+                    for chunk in chunks:
+                        yield suite, chunk.target.label, idx, pt, checks(job, chunk, i, idx)
             if "geodesic" in suites:
-                yield "geodesic", "pair", idx, pt, geodesic_checks(job, evals, idx, fits_log)
+                yield "geodesic", "pair", idx, pt, geodesic_checks(job, chunks, i, idx, fits_log)
     if "geodesic" in suites:
         yield "geodesic", "pair", -1, (), family_checks(job, fits_log)
 
@@ -891,6 +857,7 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
             except _POINT_ERRORS as err:
                 error = _flag("error", False, f"{type(err).__name__}: {err}")
                 records.append(_record(*site, *error))
+                err.with_traceback(None)  # a chunk may keep it: its frames would hold the chunk
 
     records.sort(key=lambda r: (r["manifold"], r["target"], r["point_index"],
                                 r["suite"], r["check"]))

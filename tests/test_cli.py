@@ -467,6 +467,28 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def sampled(manifest, count) -> list:
+    """The points run_manifest samples for the manifest's first manifold."""
+    job = cli.build_job(manifest["manifolds"][0])
+    return cli.sample_points(job, count, np.random.default_rng([manifest["seed"], 0]))
+
+
+def refuse_at(monkeypatch, module, name, bad) -> list:
+    """Make module.name (geo.frame or wp.diagnostics) raise at the point
+    bad; returns the log of refused calls."""
+    original, refused = getattr(module, name), []
+
+    def refusing(*args):
+        point = args[1] if name == "frame" else args[1].point
+        if tuple(point) == bad:
+            refused.append(name)
+            raise geo.GeometryError(f"{name} refused")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, refusing)
+    return refused
+
+
 class TestSharedEvaluation:
     def test_each_target_point_evaluated_once(self, monkeypatch):
         # Every suite reads one diagnostics per (target, point), and one
@@ -601,17 +623,8 @@ class TestSharedEvaluation:
         # records equal those of a run without it.
         manifest = corpus_get("rn_lambda0")
         sample = cli.sample_points
-        points = sample(cli.build_job(manifest["manifolds"][0]), 5,
-                        np.random.default_rng([manifest["seed"], 0]))
-        bad = points[3]
-        frame = geo.frame
-
-        def refusing(spec, point):
-            if tuple(point) == bad:
-                raise geo.GeometryError("frame refused")
-            return frame(spec, point)
-
-        monkeypatch.setattr(geo, "frame", refusing)
+        bad = sampled(manifest, 5)[3]
+        refuse_at(monkeypatch, geo, "frame", bad)
         with_bad, _ = cli.run_manifest(manifest, points=5)
         monkeypatch.setattr(cli, "sample_points",
                             lambda job, count, rng: [p for p in sample(job, count, rng) if p != bad])
@@ -631,17 +644,8 @@ class TestSharedEvaluation:
         # records equal those of a run without it.
         manifest = corpus_get("theorem41_n4")
         sample = cli.sample_points
-        points = sample(cli.build_job(manifest["manifolds"][0]), 6,
-                        np.random.default_rng([manifest["seed"], 0]))
-        bad = points[3]
-        diagnostics = wp.diagnostics
-
-        def refusing(ws, frame, fiber_frame):
-            if tuple(frame.point) == bad:
-                raise geo.GeometryError("diagnostics refused")
-            return diagnostics(ws, frame, fiber_frame)
-
-        monkeypatch.setattr(wp, "diagnostics", refusing)
+        bad = sampled(manifest, 6)[3]
+        refuse_at(monkeypatch, wp, "diagnostics", bad)
         with_bad, _ = cli.run_manifest(manifest, points=6)
         monkeypatch.setattr(cli, "sample_points",
                             lambda job, count, rng: [p for p in sample(job, count, rng) if p != bad])
@@ -655,32 +659,64 @@ class TestSharedEvaluation:
                   for r in with_bad if r["point_index"] != 3]
         assert len(without) > 5 * 20 and others == without
 
-    def test_no_evaluation_outlives_its_run(self):
-        # A RoterBatch refers to its Evaluations weakly, so no reference
-        # cycle keeps them alive after the run, even with the cycle
-        # collector off.
-        def evaluations():
-            return [o for o in gc.get_objects() if isinstance(o, cli.Evaluation)]
+    def test_failed_piece_is_computed_once(self, monkeypatch):
+        # A piece that raises at a point keeps the error in that point's
+        # entry: it is computed once per (target, chunk), and every suite
+        # reading it records the error.  Four points at n = 4 make one
+        # chunk per target.  Every suite reads the frame; the rank grid,
+        # the warped and the geodesic suite read the diagnostics.
+        manifest = corpus_get("theorem41_n4")
+        bad = sampled(manifest, 4)[2]
+        expected = {
+            "frame": [("image", "geometry-symmetries"), ("image", "theorem21"),
+                      ("image", "warped-diagnostics"), ("pair", "geodesic"),
+                      ("source", "geometry-symmetries"), ("source", "theorem21"),
+                      ("source", "warped-diagnostics")],
+            "diagnostics": [("image", "theorem21"), ("image", "warped-diagnostics"),
+                            ("pair", "geodesic"), ("source", "theorem21"),
+                            ("source", "warped-diagnostics")],
+        }
+        for name, module in (("frame", geo), ("diagnostics", wp)):
+            with monkeypatch.context() as patch:
+                refused = refuse_at(patch, module, name, bad)
+                records, _ = cli.run_manifest(manifest, points=4)
+            errors = [r for r in records if r["check"] == "error"]
+            assert len(refused) == 2  # one per target
+            assert sorted((r["target"], r["suite"]) for r in errors) == expected[name]
+            assert all(r["point_index"] == 2 and f"{name} refused" in r["detail"] for r in errors)
+        # x/abs(x) in dg divides by zero at x = 0.  The kept error holds no
+        # traceback, whose frames would hold its chunk, and at raises it.
+        spec = geo.metric_spec(("x", "y"), [["1 + abs(x)", "0"], ["0", "1"]])
+        chunk = cli.Chunk(cli.Target("self", spec), [(0.0, 0.5)])
+        kept = chunk.frames[0]
+        assert isinstance(kept, ex.DomainError) and kept.__traceback__ is None
+        with pytest.raises(ex.DomainError) as info:
+            chunk.at("membership", 0)
+        assert info.value is kept
+
+    @pytest.mark.parametrize("refused", [None, "frame", "diagnostics"],
+                             ids=["clean", "frame_refused", "diagnostics_refused"])
+    def test_no_chunk_outlives_its_run(self, monkeypatch, refused):
+        # A Chunk forms no reference cycle, and the traceback of an error
+        # it keeps is cleared once kept and once recorded, so no chunk is
+        # left after the run, even with the cycle collector off.
+        manifest = corpus_get("theorem41_n4")
+        if refused:
+            module = geo if refused == "frame" else wp
+            refuse_at(monkeypatch, module, refused, sampled(manifest, 4)[2])
+
+        def chunks():
+            return [o for o in gc.get_objects() if isinstance(o, cli.Chunk)]
 
         gc.collect()
-        assert evaluations() == []
+        assert chunks() == []
         gc.disable()
         try:
-            records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=4)
-            left = len(evaluations())
+            records, summary = cli.run_manifest(manifest, points=4)
+            left = len(chunks())
         finally:
             gc.enable()
-        assert summary["ok"] and left == 0
-
-    def test_failed_piece_is_not_kept(self):
-        # x/abs(x) in dg divides by zero at x = 0: each suite asking for
-        # the frame gets the error again and records it itself.
-        spec = geo.metric_spec(("x", "y"), [["1 + abs(x)", "0"], ["0", "1"]])
-        ev = cli.Evaluation(cli.Target("self", spec), (0.0, 0.5))
-        for _ in range(2):
-            with pytest.raises(ex.DomainError):
-                ev.frame
-        assert "frame" not in vars(ev)
+        assert summary["ok"] == (refused is None) and left == 0
 
     def test_geodesic_records_do_not_depend_on_other_suites(self):
         full, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2)

@@ -7,6 +7,7 @@ report each violation at the same place.
 """
 
 import copy
+import json
 
 import pytest
 
@@ -87,6 +88,8 @@ VIOLATIONS = [
     ("items_tuple_second", lambda: edited(
         good, lambda m, f: f.update(conditions=[["x", "maybe"]]))),
     ("min_items_empty", lambda: edited(good, lambda m, f: m.update(manifolds=[]))),
+    ("min_items_suites", lambda: edited(good, lambda m, f: m.update(suites=[]))),
+    ("min_items_manifold_suites", lambda: edited(good, lambda m, f: f.update(suites=[]))),
     ("min_items_short", lambda: edited(good, lambda m, f: f["box"].update(x=[0]))),
     ("min_items_condition", lambda: edited(good, lambda m, f: f.update(conditions=[["x"]]))),
     ("max_items", lambda: edited(good, lambda m, f: f["box"].update(x=[0, 1, 2]))),
@@ -127,6 +130,32 @@ def test_accepted_by_both(make):
     manifest = make()
     assert oracle_paths(manifest) == own_paths(manifest) == []
     cli.validate_manifest(manifest)
+
+
+def integer_twin(value):
+    """value with each integer-valued float made an int."""
+    if isinstance(value, dict):
+        return {k: integer_twin(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [integer_twin(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+@pytest.mark.parametrize("make", [m for _, m in ACCEPTED], ids=[k for k, _ in ACCEPTED])
+def test_accepted_runs_as_its_integer_twin(make, tmp_path):
+    # `curvcheck run` on the manifest and on its twin: the same exit code,
+    # records and summaries, the summary.json timestamp aside.
+    reports = []
+    for k, manifest in enumerate((make(), integer_twin(make()))):
+        path, out = tmp_path / f"{k}.json", tmp_path / f"out{k}"
+        path.write_text(json.dumps(manifest))
+        code = cli.main(["run", str(path), "--out", str(out)])
+        stem = out / manifest["name"]
+        summary = json.loads(stem.with_suffix(".summary.json").read_text())
+        summary.pop("timestamp")
+        reports.append((code, stem.with_suffix(".records.jsonl").read_text(), summary,
+                        stem.with_suffix(".summary.txt").read_text()))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("make", [m for _, m in VIOLATIONS], ids=[k for k, _ in VIOLATIONS])
