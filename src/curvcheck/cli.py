@@ -206,13 +206,6 @@ def load_manifest(source: str) -> dict:
                 f"known entries: {', '.join(corpus_mod.corpus_list())}"
             ) from None
     validate_manifest(data)
-    # Draft 7 takes 1.0 for an integer; the run needs an int.
-    blocks = [(data, "seed"), (data, "points")] + [
-        (mdef[part], key) for mdef in data["manifolds"]
-        for part, key in (("fiber", "dim"), ("params", "fiber_dim")) if part in mdef]
-    for block, key in blocks:
-        if key in block:
-            block[key] = int(block[key])
     return data
 
 
@@ -371,7 +364,7 @@ def _build_explicit(mdef) -> geo.MetricSpec:
 
 def _build_fiber(fdef, constants) -> geo.MetricSpec:
     if "dim" in fdef:
-        return wp.constant_curvature_fiber(fdef["dim"], fdef.get("scalar_curvature", 0.0))
+        return wp.constant_curvature_fiber(int(fdef["dim"]), fdef.get("scalar_curvature", 0.0))
     return _build_explicit({**fdef, "constants": constants})
 
 
@@ -389,6 +382,8 @@ def build_job(mdef: dict) -> Job:
         targets = [Target("self", ws.product, ws)]
     elif kind == "family":
         params = dict(mdef["params"])
+        if "fiber_dim" in params:
+            params["fiber_dim"] = int(params["fiber_dim"])
         family = gm.build_family(gm.FamilyConfig(**params))
         targets = [
             Target("source", family.source.product, family.source),
@@ -438,26 +433,14 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 # Checks and records
 #
-# A suite is a generator over one point, reading each target's Chunk
-# at the point's index.  It yields each check as (check, residual,
+# A suite is a generator over point i of a chunk, reading each target's
+# chunk.<piece>[i].  It yields each check as (check, residual,
 # tolerance_key) with optional extra record fields ({"scalars": ...} or
 # {"detail": ...}) and expect_fail; run_manifest turns every yielded
-# check into a record through _record.
+# check into a record through _record, and a _POINT_ERRORS error the
+# suite raises (say in the Bianchi stencil or a psi jet) into an "error" one.
 
-# Point errors a suite may raise; each becomes an "error" record.
-_POINT_ERRORS = (geo.GeometryError, ex.ExprError, roter.RoterFitError)
-
-
-def _each(compute, items) -> list:
-    """compute of each item, or the error it raised.  A kept error's
-    traceback is cleared: its frames would hold the chunk that keeps it."""
-    out = []
-    for item in items:
-        try:
-            out.append(compute(item))
-        except _POINT_ERRORS as err:
-            out.append(err.with_traceback(None))
-    return out
+_POINT_ERRORS = (geo.GeometryError, ex.ExprError)
 
 
 class _LaneProducts(Mapping):
@@ -480,80 +463,58 @@ class Chunk:
     """One target at a chunk of points, and the only owner of their frames.
 
     Each piece is computed for every point on first read and holds one
-    entry per point: its value, or the error computing it raised.  Suites
-    read an entry through at, which raises a kept error, so every suite
-    reading it records it and nothing is computed again.
+    entry per point, which suites read as chunk.<piece>[i].  No piece
+    fails at a sampled point: Job.sample_ok admitted it by running the
+    metric jet that geo.frame runs, and a warped product's conditions
+    and jet cover those of its base, fiber and warp.
 
     Per point: frames, fiber_frames (those of peer, a chunk of the same
     points whose target has the same fiber, if given) and diagnostics.
     The Roter pieces (membership to ricci_pseudosymmetry) run once over
-    stacked, one lane per point whose frame built; a point whose frame
-    raised holds that error in each, and the other lanes do not change."""
+    stacked, one lane per point."""
 
     def __init__(self, target: Target, points: list, peer: Chunk | None = None):
         self.target, self.points, self.peer = target, points, peer
 
-    def at(self, piece: str, i: int):
-        """Point i's entry of piece, raised if it is an error.  The point's
-        frame error is raised first, so no Roter piece is computed over an
-        empty stack."""
-        value = self.frames[i]
-        if not isinstance(value, Exception):
-            value = getattr(self, piece)[i]
-        if isinstance(value, Exception):
-            raise value
-        return value
-
     @cached_property
     def frames(self) -> list:
-        return _each(lambda point: geo.frame(self.target.spec, point), self.points)
+        return [geo.frame(self.target.spec, point) for point in self.points]
 
     @cached_property
     def fiber_frames(self) -> list:
         if self.peer is not None:
             return self.peer.fiber_frames
         ws = self.target.warped_spec
-        return _each(lambda point: geo.frame(ws.fiber, ws.split(point)[1]), self.points)
+        return [geo.frame(ws.fiber, ws.split(point)[1]) for point in self.points]
 
     @cached_property
     def diagnostics(self) -> list:
         ws = self.target.warped_spec
-        return _each(lambda i: wp.diagnostics(ws, self.at("frames", i), self.at("fiber_frames", i)),
-                     range(len(self.points)))
-
-    def _lanes(self, piece: list) -> list:
-        """piece's entries at the points whose frames built, in lane order."""
-        return [v for v, f in zip(piece, self.frames) if not isinstance(f, Exception)]
-
-    def _spread(self, lanes) -> list:
-        """One entry per point from one per lane: a point without a lane
-        holds its frame's error."""
-        lanes = iter(lanes)
-        return [f if isinstance(f, Exception) else next(lanes) for f in self.frames]
+        return [wp.diagnostics(ws, f, fiber) for f, fiber in zip(self.frames, self.fiber_frames)]
 
     @cached_property
     def stacked(self) -> geo.PointFrame:
-        return geo.stack(self._lanes(self.frames))
+        return geo.stack(self.frames)
 
     @cached_property
     def membership(self) -> list:
         f = self.stacked
-        return self._spread({"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
-                            for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f)))
+        return [{"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
+                for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f))]
 
     @cached_property
     def classifications(self) -> list:
-        return self._spread(roter.classify(self.stacked))
+        return roter.classify(self.stacked)
 
     @cached_property
     def fits(self) -> list:
         """Each classification's fit, or a direct one where it has none."""
-        fits = [c.fit for c in self._lanes(self.classifications)]
+        fits = [c.fit for c in self.classifications]
         rest = [i for i, fit in enumerate(fits) if fit is None]
         if rest:
             for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest))):
                 fits[i] = fit
-        return self._spread(fits)
+        return fits
 
     @cached_property
     def _products(self) -> dict:
@@ -561,13 +522,12 @@ class Chunk:
 
     @cached_property
     def products(self) -> list:
-        return self._spread(_LaneProducts(self._products, lane)
-                            for lane in range(len(self.stacked.g)))
+        return [_LaneProducts(self._products, lane) for lane in range(len(self.points))]
 
     @cached_property
     def identities(self) -> list:
         """identity_suite of each ROTER lane, None for the others."""
-        cs = self._lanes(self.classifications)
+        cs = self.classifications
         lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
         out = [None] * len(cs)
         if lanes:
@@ -576,34 +536,29 @@ class Chunk:
             for i, res in zip(lanes, roter.identity_suite(frame, [cs[i].fit for i in lanes],
                                                           products)):
                 out[i] = res
-        return self._spread(out)
+        return out
 
     @cached_property
     def rank_grid(self) -> list:
         """rank_grid_exceeds_one of each ROTER lane, None for the others.
         On a warped target with a 2-dimensional base, each lane's block
-        eigenvalues mu1, mu2 join its scan; a lane whose diagnostics
-        raised holds that error instead."""
-        ws, cs = self.target.warped_spec, self._lanes(self.classifications)
-        ds = self._lanes(self.diagnostics) if ws and ws.base_dim == 2 else [None] * len(cs)
-        out: list = [None] * len(cs)
-        lanes, extras = [], []
-        for i in [k for k, c in enumerate(cs) if c.kind == roter.ROTER]:
-            if isinstance(ds[i], Exception):
-                out[i] = ds[i]
-                continue
-            lanes.append(i)
-            extras.append(() if ds[i] is None or ds[i].mu1 is None else (ds[i].mu1, ds[i].mu2))
+        eigenvalues mu1, mu2 join its scan."""
+        ws, cs = self.target.warped_spec, self.classifications
+        lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
+        out = [None] * len(cs)
         if lanes:
+            ds = self.diagnostics if ws and ws.base_dim == 2 else [None] * len(cs)
+            extras = [() if ds[i] is None or ds[i].mu1 is None else (ds[i].mu1, ds[i].mu2)
+                      for i in lanes]
             flags = roter.rank_grid_exceeds_one(self.stacked.take(lanes), [cs[i] for i in lanes],
                                                 extras)
             for i, flag in zip(lanes, flags.tolist()):
                 out[i] = flag
-        return self._spread(out)
+        return out
 
     @cached_property
     def ricci_pseudosymmetry(self) -> list:
-        return self._spread(roter.ricci_pseudosymmetry(self.stacked, self._products))
+        return roter.ricci_pseudosymmetry(self.stacked, self._products)
 
 
 def _flag(check, ok, detail=None):
@@ -641,7 +596,7 @@ def _record(job, target, index, point, suite, thresholds,
 
 
 def geometry_checks(job: Job, chunk: Chunk, i, idx):
-    f = chunk.at("frames", i)
+    f = chunk.frames[i]
     n = f.dim
     yield "metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict"
     yield "gamma_lower_symmetry", max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)), "strict"
@@ -668,10 +623,10 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
     if target.spec.dim < 2:
         return
     expect = job.definition.get("expect", {})
-    f = chunk.at("frames", i)
+    f = chunk.frames[i]
     perturb = job.definition.get("perturb")
-    c = chunk.at("classifications", i)
-    scalars = {"classification": c.kind, "kappa": f.scalar, **chunk.at("membership", i)}
+    c = chunk.classifications[i]
+    scalars = {"classification": c.kind, "kappa": f.scalar, **chunk.membership[i]}
     want = expect.get("classify")
     if want:
         # Source and image members of a family share the expected kind.
@@ -681,9 +636,9 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
         scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
                        L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
         yield "fit_residual", fit.residual, "identity"
-        for name, res in chunk.at("identities", i).items():
+        for name, res in chunk.identities[i].items():
             yield name, res, "identity"
-        yield _flag("rank_shift_grid", chunk.at("rank_grid", i))
+        yield _flag("rank_shift_grid", chunk.rank_grid[i])
         expected_scalar = expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:
@@ -695,7 +650,7 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
             res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
             yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
     if expect.get("ricci_pseudosymmetric"):
-        rp = chunk.at("ricci_pseudosymmetry", i)
+        rp = chunk.ricci_pseudosymmetry[i]
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
@@ -712,7 +667,7 @@ def warped_checks(job: Job, chunk: Chunk, i, idx):
     ws = chunk.target.warped_spec
     if ws is None:
         return
-    d = chunk.at("diagnostics", i)
+    d = chunk.diagnostics[i]
     yield "product_christoffels", wp.verify_product_christoffels(d), "strict"
     block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
     for name, res in wp.verify_curvature_blocks(d).items():
@@ -744,7 +699,7 @@ def geodesic_checks(job: Job, chunks, i, idx, fits_log):
     if job.kind not in ("pair2d", "family"):
         return
     source, image = chunks
-    frames = (source.at("frames", i), image.at("frames", i))
+    frames = (source.frames[i], image.frames[i])
     psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
     yield "geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, psi), "geo"
     yield "christoffel_shift", gm.christoffel_shift_residual(*frames, psi), "geo"
@@ -755,7 +710,7 @@ def geodesic_checks(job: Job, chunks, i, idx, fits_log):
             yield name, res, "geo"
         return
     fam = job.family
-    d, d_bar = source.at("diagnostics", i), image.at("diagnostics", i)
+    d, d_bar = source.diagnostics[i], image.diagnostics[i]
     r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
     yield "warp_scale_equation", r4, "geo"
     yield "warp_log_equation", r5, "geo"
@@ -771,13 +726,13 @@ def geodesic_checks(job: Job, chunks, i, idx, fits_log):
     yield "base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo"
     if job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
         return
-    fits = (source.fits[i], image.fits[i])  # frames built: a fit or its RoterFitError
+    fits = (source.fits[i], image.fits[i])  # each a RoterFit or the RoterFitError returned
     rejected = [fit for fit in fits if isinstance(fit, roter.RoterFitError)]
     if rejected:
         yield _flag("roter_fits", False, detail=str(rejected[0]))
         return
     fits_log.append((fits[0].L_R, fits[1].L_R))
-    products = (source.at("products", i), image.at("products", i))
+    products = (source.products[i], image.products[i])
     for name, res in gm.factor_relations(fam, frames, fits, products, values).items():
         yield name, res, "identity"
     res = gm.psi_ricci_identity_residual(fam, frames, fits, products)
@@ -840,15 +795,16 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
     tol.update(manifest.get("tolerances", {}))
     tol = {k: v * tol_scale for k, v in tol.items()}
     thresholds = {**tol, "flag": 0.5}
-    seed = manifest.get("seed", 0) if seed is None else seed
-    count = manifest.get("points", 20) if points is None else points
+    # Draft 7 takes 1.0 for an integer; the run needs an int.
+    seed = int(manifest.get("seed", 0) if seed is None else seed)
+    count = int(manifest.get("points", 20) if points is None else points)
     records: list = []
 
     for m_index, mdef in enumerate(manifest["manifolds"]):
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)
-        m_suites = _expand_suites(job.definition.get("suites", [])) or selected
+        m_suites = selected if suites else _expand_suites(mdef.get("suites", [])) or selected
         for suite, label, idx, pt, checks in _suite_runs(job, pts, m_suites):
             site = (job, label, idx, [round(v, 12) for v in pt], suite, thresholds)
             try:
@@ -857,7 +813,6 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
             except _POINT_ERRORS as err:
                 error = _flag("error", False, f"{type(err).__name__}: {err}")
                 records.append(_record(*site, *error))
-                err.with_traceback(None)  # a chunk may keep it: its frames would hold the chunk
 
     records.sort(key=lambda r: (r["manifold"], r["target"], r["point_index"],
                                 r["suite"], r["check"]))
@@ -993,7 +948,7 @@ def main(argv=None) -> int:
             manifest, suites=args.suite, points=args.points,
             seed=args.seed, tol_scale=args.tol_scale,
         )
-    except (geo.GeometryError, ex.ExprError, ManifestError, roter.RoterFitError) as err:
+    except (*_POINT_ERRORS, ManifestError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out_dir = args.out or os.environ.get(OUT_ENV) or "reports"

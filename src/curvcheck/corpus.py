@@ -12,6 +12,8 @@ perturbed negative control whose designated check must fail.
 
 from __future__ import annotations
 
+import copy
+
 CHARGED_H = "1 - 2*M/r + Q^2/r^2 - Lam*r^2/3"
 
 _CHARGED_METRIC = {
@@ -270,6 +272,7 @@ def corpus_list() -> list[str]:
 
 
 def corpus_get(name: str) -> dict:
+    """A new copy of the entry, which the caller may edit."""
     key = name
     if key.startswith("corpus/"):
         key = key[len("corpus/"):]
@@ -277,4 +280,4 @@ def corpus_get(name: str) -> dict:
         key = key[: -len(".manifest")]
     if key not in CORPUS:
         raise KeyError(f"no corpus entry named {name!r}")
-    return CORPUS[key]
+    return copy.deepcopy(CORPUS[key])

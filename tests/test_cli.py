@@ -1,6 +1,7 @@
 """Harness tests: manifest validation, corpus runs, reports, determinism."""
 
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from curvcheck import cli, curvops, roter
-from curvcheck import expr as ex
 from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
@@ -62,6 +62,16 @@ class TestCorpus:
 
     def test_prefix_and_suffix_stripping(self):
         assert corpus_get("corpus/rn_lambda0.manifest")["name"] == "rn_lambda0"
+
+    def test_each_get_is_a_new_copy(self):
+        # An edit to one copy, or load_manifest's own, never reaches the
+        # next: a float seed left behind used to crash every later run.
+        before = json.dumps(corpus_get("flat_space"), sort_keys=True)
+        corpus_get("flat_space")["seed"] = 1.5
+        cli.load_manifest("flat_space")["manifolds"][0]["box"].clear()
+        assert json.dumps(corpus_get("flat_space"), sort_keys=True) == before
+        records, summary = cli.run_manifest(corpus_get("flat_space"), points=1)
+        assert summary["ok"] and summary["seed"] == json.loads(before)["seed"]
 
 
 class TestValidation:
@@ -378,6 +388,16 @@ class TestRun:
                                       suites=["geometry-symmetries"])
         assert {r["suite"] for r in records} == {"geometry-symmetries"}
 
+    def test_suite_argument_overrides_the_manifold_suites(self):
+        # Given suites win over both the manifest's and a manifold's own
+        # list; without them, the manifold's own list wins.
+        manifest = corpus_get("theorem41_n4")
+        manifest["manifolds"][0]["suites"] = ["theorem21"]
+        records, summary = cli.run_manifest(manifest, points=1, suites=["geometry-symmetries"])
+        assert {r["suite"] for r in records} == set(summary["suites"]) == {"geometry-symmetries"}
+        records, _ = cli.run_manifest(manifest, points=1)
+        assert {r["suite"] for r in records} == {"theorem21"}
+
     def test_point_error_becomes_record(self, tmp_path):
         # The finite-difference second_bianchi stencil around x = 1e-5
         # steps onto x = 0, where d|x|/dx divides by zero.
@@ -545,7 +565,7 @@ class TestSharedEvaluation:
         assert len(ranks) == 4
 
     def test_each_frame_computed_once(self, monkeypatch):
-        # A point's Evaluations own its frames and hand them to every
+        # A target's Chunk owns its points' frames and hands them to every
         # helper.  The fiber frame that a family's source and image share
         # is computed once, by the source, and read by the image.
         computed = Counter()
@@ -566,7 +586,7 @@ class TestSharedEvaluation:
     def test_bianchi_stencil_builds_no_frames(self, monkeypatch):
         # The second Bianchi check reads R at its 2n stencil points from
         # unchecked jets, so the only frame per (target, point) is the
-        # Evaluation's own.
+        # one its Chunk builds.
         frames = count_calls(monkeypatch, geo, "frame")
         records, summary = cli.run_manifest(corpus_get("rn_lambda0"), points=2)
         assert summary["ok"]
@@ -617,89 +637,31 @@ class TestSharedEvaluation:
         assert len(derivations) == len(tachibanas) == 1
         assert len(derivations[0][2]) == len(tachibanas[0][0]) == len(target_points)
 
-    def test_frame_error_in_a_chunk_stays_with_its_point(self, monkeypatch):
-        # Six points at n = 4 share one chunk.  A point whose frame raises
-        # gets one error record per suite and no lane; every other point's
-        # records equal those of a run without it.
-        manifest = corpus_get("rn_lambda0")
-        sample = cli.sample_points
-        bad = sampled(manifest, 5)[3]
+    def test_refused_frame_fails_its_whole_chunk(self, monkeypatch, tmp_path, capsys):
+        # Sampling admits no point whose frame can fail, so a chunk keeps
+        # no frame error: if one raised anyway, every suite reading the
+        # chunk's frames records it at each of its points.  rn_lambda0's
+        # pinned point and 20 sampled ones make chunks of 18 and 3 at n = 4.
+        bad = sampled(corpus_get("rn_lambda0"), 20)[5]
         refuse_at(monkeypatch, geo, "frame", bad)
-        with_bad, _ = cli.run_manifest(manifest, points=5)
-        monkeypatch.setattr(cli, "sample_points",
-                            lambda job, count, rng: [p for p in sample(job, count, rng) if p != bad])
-        without, _ = cli.run_manifest(manifest, points=5)
-        errors = [r for r in with_bad if r["point_index"] == 3]
-        assert [(r["suite"], r["check"]) for r in errors] == [
-            ("geometry-symmetries", "error"), ("theorem21", "error")]
-        assert all("frame refused" in r["detail"] for r in errors)
-        others = [dict(r, point_index=r["point_index"] - (r["point_index"] > 3))
-                  for r in with_bad if r["point_index"] != 3]
-        assert len(without) > 5 * 20 and others == without
-
-    def test_diagnostics_error_in_a_chunk_stays_with_its_point(self, monkeypatch):
-        # Six points of a family at n = 4 share one chunk per target, whose
-        # rank grid reads every lane's warped diagnostics.  A point whose
-        # diagnostics raise records its own errors; every other point's
-        # records equal those of a run without it.
-        manifest = corpus_get("theorem41_n4")
-        sample = cli.sample_points
-        bad = sampled(manifest, 6)[3]
-        refuse_at(monkeypatch, wp, "diagnostics", bad)
-        with_bad, _ = cli.run_manifest(manifest, points=6)
-        monkeypatch.setattr(cli, "sample_points",
-                            lambda job, count, rng: [p for p in sample(job, count, rng) if p != bad])
-        without, _ = cli.run_manifest(manifest, points=6)
-        errors = [r for r in with_bad if r["point_index"] == 3 and r["check"] == "error"]
-        assert sorted((r["target"], r["suite"]) for r in errors) == [
-            ("image", "theorem21"), ("image", "warped-diagnostics"), ("pair", "geodesic"),
-            ("source", "theorem21"), ("source", "warped-diagnostics")]
-        assert all("diagnostics refused" in r["detail"] for r in errors)
-        others = [dict(r, point_index=r["point_index"] - (r["point_index"] > 3))
-                  for r in with_bad if r["point_index"] != 3]
-        assert len(without) > 5 * 20 and others == without
-
-    def test_failed_piece_is_computed_once(self, monkeypatch):
-        # A piece that raises at a point keeps the error in that point's
-        # entry: it is computed once per (target, chunk), and every suite
-        # reading it records the error.  Four points at n = 4 make one
-        # chunk per target.  Every suite reads the frame; the rank grid,
-        # the warped and the geodesic suite read the diagnostics.
-        manifest = corpus_get("theorem41_n4")
-        bad = sampled(manifest, 4)[2]
-        expected = {
-            "frame": [("image", "geometry-symmetries"), ("image", "theorem21"),
-                      ("image", "warped-diagnostics"), ("pair", "geodesic"),
-                      ("source", "geometry-symmetries"), ("source", "theorem21"),
-                      ("source", "warped-diagnostics")],
-            "diagnostics": [("image", "theorem21"), ("image", "warped-diagnostics"),
-                            ("pair", "geodesic"), ("source", "theorem21"),
-                            ("source", "warped-diagnostics")],
-        }
-        for name, module in (("frame", geo), ("diagnostics", wp)):
-            with monkeypatch.context() as patch:
-                refused = refuse_at(patch, module, name, bad)
-                records, _ = cli.run_manifest(manifest, points=4)
-            errors = [r for r in records if r["check"] == "error"]
-            assert len(refused) == 2  # one per target
-            assert sorted((r["target"], r["suite"]) for r in errors) == expected[name]
-            assert all(r["point_index"] == 2 and f"{name} refused" in r["detail"] for r in errors)
-        # x/abs(x) in dg divides by zero at x = 0.  The kept error holds no
-        # traceback, whose frames would hold its chunk, and at raises it.
-        spec = geo.metric_spec(("x", "y"), [["1 + abs(x)", "0"], ["0", "1"]])
-        chunk = cli.Chunk(cli.Target("self", spec), [(0.0, 0.5)])
-        kept = chunk.frames[0]
-        assert isinstance(kept, ex.DomainError) and kept.__traceback__ is None
-        with pytest.raises(ex.DomainError) as info:
-            chunk.at("membership", 0)
-        assert info.value is kept
+        proc = run_cli(["run", "rn_lambda0", "--points", "20", "--out", str(tmp_path)], capsys)
+        assert proc.returncode == 1, proc.stderr
+        lines = (tmp_path / "rn_lambda0.records.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        errors = [(r["point_index"], r["suite"]) for r in records if r["check"] == "error"]
+        assert sorted(errors) == [(i, suite) for i in range(18)
+                                  for suite in ("geometry-symmetries", "theorem21")]
+        assert all("frame refused" in r["detail"] for r in records if r["check"] == "error")
+        later = [r for r in records if r["point_index"] >= 18]
+        assert {r["point_index"] for r in later} == {18, 19, 20} and all(r["ok"] for r in later)
+        assert (tmp_path / "rn_lambda0.summary.json").exists()
 
     @pytest.mark.parametrize("refused", [None, "frame", "diagnostics"],
                              ids=["clean", "frame_refused", "diagnostics_refused"])
     def test_no_chunk_outlives_its_run(self, monkeypatch, refused):
-        # A Chunk forms no reference cycle, and the traceback of an error
-        # it keeps is cleared once kept and once recorded, so no chunk is
-        # left after the run, even with the cycle collector off.
+        # A Chunk forms no reference cycle and keeps no error, whose
+        # traceback would hold it, so no chunk is left after the run, even
+        # with the cycle collector off.
         manifest = corpus_get("theorem41_n4")
         if refused:
             module = geo if refused == "frame" else wp
@@ -729,17 +691,28 @@ class TestSharedEvaluation:
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
+# sha256 of the corpus's records files, in corpus_list order, as
+# write_report writes them at each entry's declared seed and points.  A
+# change that moves a residual updates it and says so.
+CORPUS_RECORDS_SHA256 = "1546203d057fce56071cb2bff1efb20a9b593f7a80c215549c33917d7b847532"
+
+
 class TestWholeCorpus:
-    def test_every_entry_runs_green(self):
+    def test_every_entry_runs_green(self, tmp_path):
         # Index-symmetry and identity suites across the entire corpus, at
-        # each entry's declared points; the total check count is pinned.
-        total = 0
+        # each entry's declared points; the total check count is pinned,
+        # and so are the records' bytes on the numpy they were taken with.
+        total, digest = 0, hashlib.sha256()
         for name in corpus_list():
             records, summary = cli.run_manifest(corpus_get(name))
             assert summary["ok"], (name, [r for r in records if not r["ok"]][:3])
             total += len(records)
+            digest.update(Path(cli.write_report(records, summary, tmp_path)["records"]).read_bytes())
         expected = json.loads(REFERENCE.read_text())["checks"]["full"]["corpus"]
         assert total == expected
+        if np.__version__ != "2.4.6":
+            pytest.skip(f"records pinned on numpy 2.4.6, not {np.__version__}")
+        assert digest.hexdigest() == CORPUS_RECORDS_SHA256
 
 
 class TestDeterminism:

@@ -53,6 +53,12 @@ def warped() -> dict:
     return manifest
 
 
+def family() -> dict:
+    manifest = good()
+    manifest["manifolds"] = corpus_get("theorem41_n4")["manifolds"]
+    return manifest
+
+
 def edited(base, edit):
     manifest = copy.deepcopy(base())
     edit(manifest, manifest["manifolds"][0])
@@ -113,6 +119,8 @@ ACCEPTED = [
         good, lambda m, f: m.update(seed=1.0, points=2.0))),
     ("integer_valued_float_fiber_dim", lambda: edited(
         warped, lambda m, f: f["fiber"].update(dim=3.0))),
+    ("integer_valued_float_params_fiber_dim", lambda: edited(
+        family, lambda m, f: f["params"].update(fiber_dim=2.0))),
     ("integer_is_a_number", lambda: edited(
         good, lambda m, f: m.update(tolerances={"geo": 1}))),
     ("float_at_the_minimum", lambda: edited(good, lambda m, f: m.update(seed=0.0))),
@@ -156,6 +164,13 @@ def test_accepted_runs_as_its_integer_twin(make, tmp_path):
         reports.append((code, stem.with_suffix(".records.jsonl").read_text(), summary,
                         stem.with_suffix(".summary.txt").read_text()))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ACCEPTED], ids=[k for k, _ in ACCEPTED])
+def test_accepted_runs_in_process_as_its_integer_twin(make):
+    # The corpus and library callers hand run_manifest a dict that
+    # load_manifest never saw.
+    assert cli.run_manifest(make()) == cli.run_manifest(integer_twin(make()))
 
 
 @pytest.mark.parametrize("make", [m for _, m in VIOLATIONS], ids=[k for k, _ in VIOLATIONS])
