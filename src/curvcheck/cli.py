@@ -41,11 +41,11 @@ from . import roter
 from . import warped as wp
 from .curvops import (
     constancy_residual,
-    max_abs_residual,
-    riemann_symmetry_residuals,
+    lane_max_abs_residuals,
+    lane_riemann_symmetry_residuals,
+    lane_trace_residuals,
     scalar_residual,
     tensor_residual,
-    trace_residual,
 )
 
 SUITES = ("geometry-symmetries", "theorem21", "warped-diagnostics", "geodesic", "all")
@@ -465,36 +465,61 @@ class Chunk:
     Each piece is computed for every point on first read and holds one
     entry per point, which suites read as chunk.<piece>[i].  No piece
     fails at a sampled point: Job.sample_ok admitted it by running the
-    metric jet that geo.frame runs, and a warped product's conditions
+    metric jet that geo.frames runs, and a warped product's conditions
     and jet cover those of its base, fiber and warp.
 
-    Per point: frames, fiber_frames (those of peer, a chunk of the same
-    points whose target has the same fiber, if given) and diagnostics.
-    The Roter pieces (membership to ricci_pseudosymmetry) run once over
+    stacked is the frame of all the chunk's points from one geo.frames
+    call, and frames[i] its lane i.  Per point: frames, fiber_frames
+    (those of peer, a chunk of the same points whose target has the same
+    fiber, if given) and diagnostics.  The geometry suite's residuals and
+    the Roter pieces (membership to ricci_pseudosymmetry) run once over
     stacked, one lane per point."""
 
     def __init__(self, target: Target, points: list, peer: Chunk | None = None):
         self.target, self.points, self.peer = target, points, peer
 
     @cached_property
+    def stacked(self) -> geo.PointFrame:
+        return geo.frames(self.target.spec, self.points)
+
+    @cached_property
     def frames(self) -> list:
-        return [geo.frame(self.target.spec, point) for point in self.points]
+        return self.stacked.lanes()
 
     @cached_property
     def fiber_frames(self) -> list:
         if self.peer is not None:
             return self.peer.fiber_frames
         ws = self.target.warped_spec
-        return [geo.frame(ws.fiber, ws.split(point)[1]) for point in self.points]
+        return geo.frames(ws.fiber, [ws.split(point)[1] for point in self.points]).lanes()
+
+    @cached_property
+    def geometry_residuals(self) -> list:
+        """The geometry suite's residual checks at each point, as
+        (check, residual, tolerance key), from one pass over stacked."""
+        f = self.stacked
+        eye = np.broadcast_to(np.eye(f.dim), f.g.shape)
+        checks = [
+            ("metric_inverse", lane_max_abs_residuals(f.g @ f.ginv, eye), "strict"),
+            ("gamma_lower_symmetry",
+             lane_max_abs_residuals(f.gamma, np.swapaxes(f.gamma, 2, 3)), "strict"),
+            *((f"riemann_{name}", res, "geo")
+              for name, res in lane_riemann_symmetry_residuals(f.riemann).items()),
+            ("ricci_symmetric", lane_max_abs_residuals(f.ricci, np.swapaxes(f.ricci, 1, 2)), "geo"),
+        ]
+        if f.dim >= 4:
+            checks.append(("weyl_trace_free", lane_trace_residuals(f.weyl, f.ginv), "geo"))
+        nabla_g = np.abs(geo.covariant_derivative_02(f, f.g, f.dg))
+        scale = np.max(np.abs(f.g), axis=(1, 2)) + 1.0
+        checks.append(("nabla_g", np.max(nabla_g, axis=(1, 2, 3)) / scale, "strict"))
+        lanes = [(check, res.tolist(), key) for check, res, key in checks]
+        return [[(check, res[i], key) for check, res, key in lanes]
+                for i in range(len(self.points))]
 
     @cached_property
     def diagnostics(self) -> list:
         ws = self.target.warped_spec
         return [wp.diagnostics(ws, f, fiber) for f, fiber in zip(self.frames, self.fiber_frames)]
-
-    @cached_property
-    def stacked(self) -> geo.PointFrame:
-        return geo.stack(self.frames)
 
     @cached_property
     def membership(self) -> list:
@@ -598,15 +623,7 @@ def _record(job, target, index, point, suite, thresholds,
 def geometry_checks(job: Job, chunk: Chunk, i, idx):
     f = chunk.frames[i]
     n = f.dim
-    yield "metric_inverse", max_abs_residual(f.g @ f.ginv, np.eye(n)), "strict"
-    yield "gamma_lower_symmetry", max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)), "strict"
-    for name, res in riemann_symmetry_residuals(f.riemann).items():
-        yield f"riemann_{name}", res, "geo"
-    yield "ricci_symmetric", max_abs_residual(f.ricci, f.ricci.T), "geo"
-    if n >= 4:
-        yield "weyl_trace_free", trace_residual(f.weyl, f.ginv), "geo"
-    nabla_g = geo.covariant_derivative_02(f, f.g, f.dg)
-    yield "nabla_g", float(np.max(np.abs(nabla_g))) / (float(np.max(np.abs(f.g))) + 1.0), "strict"
+    yield from chunk.geometry_residuals[i]
     if idx < 2:  # finite-differenced, so spot-check only
         yield "second_bianchi", geo.second_bianchi_residual(f), "smoke"
     scalars = {"kappa": f.scalar}
@@ -783,6 +800,10 @@ def _suite_runs(job: Job, points, suites):
 
 def _expand_suites(names) -> set:
     names = set(names)
+    unknown = sorted(names - set(SUITES))
+    if unknown:
+        raise ManifestError(f"unknown suite {', '.join(map(repr, unknown))}; "
+                            f"valid suites: {', '.join(SUITES)}")
     return set(SUITES) - {"all"} if "all" in names else names
 
 
@@ -798,13 +819,14 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
     # Draft 7 takes 1.0 for an integer; the run needs an int.
     seed = int(manifest.get("seed", 0) if seed is None else seed)
     count = int(manifest.get("points", 20) if points is None else points)
+    plans = [selected if suites else _expand_suites(mdef.get("suites", [])) or selected
+             for mdef in manifest["manifolds"]]
     records: list = []
 
-    for m_index, mdef in enumerate(manifest["manifolds"]):
+    for m_index, (mdef, m_suites) in enumerate(zip(manifest["manifolds"], plans)):
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)
-        m_suites = selected if suites else _expand_suites(mdef.get("suites", [])) or selected
         for suite, label, idx, pt, checks in _suite_runs(job, pts, m_suites):
             site = (job, label, idx, [round(v, 12) for v in pt], suite, thresholds)
             try:
@@ -857,9 +879,9 @@ def write_report(records, summary, out_dir: str) -> dict[str, str]:
         "summary": os.path.join(out_dir, f"{name}.summary.json"),
         "text": os.path.join(out_dir, f"{name}.summary.txt"),
     }
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(rec, sort_keys=True) builds
     with open(paths["records"], "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(encode(rec) + "\n" for rec in records)
     stamped = dict(summary)
     stamped["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(paths["summary"], "w", encoding="utf-8") as fh:

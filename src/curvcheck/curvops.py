@@ -64,10 +64,13 @@ __all__ = [
     "scalar_residual",
     "lane_norms",
     "max_abs_residual",
+    "lane_max_abs_residuals",
     "zero_residual",
     "constancy_residual",
     "riemann_symmetry_residuals",
+    "lane_riemann_symmetry_residuals",
     "trace_residual",
+    "lane_trace_residuals",
 ]
 
 
@@ -119,11 +122,22 @@ def scalar_residual(lhs, rhs):
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
 
 
+def _lane_max_abs(t: np.ndarray) -> np.ndarray:
+    # max|t| over each lane of t's leading point axis; exact, so it does
+    # not depend on the order the lane's entries are read in.
+    return np.max(np.abs(t), axis=tuple(range(1, t.ndim)))
+
+
+def lane_max_abs_residuals(lhs, rhs) -> np.ndarray:
+    """max_abs_residual of each lane of lhs == rhs, the first axis
+    indexing points."""
+    a, b = _asarray(lhs), _asarray(rhs)
+    return _lane_max_abs(a - b) / (_lane_max_abs(a) + _lane_max_abs(b) + 1.0)
+
+
 def max_abs_residual(lhs, rhs) -> float:
     """Componentwise max-abs residual, sum-plus-one normalized."""
-    a, b = _asarray(lhs), _asarray(rhs)
-    denom = float(np.max(np.abs(a)) + np.max(np.abs(b)) + 1.0)
-    return float(np.max(np.abs(a - b)) / denom)
+    return float(lane_max_abs_residuals(_asarray(lhs)[None], _asarray(rhs)[None])[0])
 
 
 def zero_residual(t, reference=None) -> float:
@@ -337,24 +351,40 @@ def rank_shift(S, g, alpha) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Symmetry suites
 
+def lane_riemann_symmetry_residuals(R) -> dict[str, np.ndarray]:
+    """riemann_symmetry_residuals of each lane of R, the first axis
+    indexing points: one array of lane residuals per key."""
+    R = _asarray(R)
+    scale = _lane_max_abs(R) + 1.0
+    return {
+        "skew_first_pair": _lane_max_abs(R + np.swapaxes(R, 1, 2)) / scale,
+        "skew_last_pair": _lane_max_abs(R + np.swapaxes(R, 3, 4)) / scale,
+        "pair_exchange": _lane_max_abs(R - np.transpose(R, (0, 3, 4, 1, 2))) / scale,
+        "first_cyclic": _lane_max_abs(
+            R + np.transpose(R, (0, 3, 1, 2, 4)) + np.transpose(R, (0, 2, 3, 1, 4))
+        ) / scale,
+    }
+
+
 def riemann_symmetry_residuals(R) -> dict[str, float]:
     """Max-abs residuals of the algebraic curvature symmetries.
 
     Keys: skew_first_pair, skew_last_pair, pair_exchange, first_cyclic.
     Each is normalized by (max|R| + 1).
     """
-    R = _asarray(R)
-    scale = float(np.max(np.abs(R)) + 1.0)
-    out = {
-        "skew_first_pair": float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))) / scale,
-        "skew_last_pair": float(np.max(np.abs(R + np.swapaxes(R, 2, 3)))) / scale,
-        "pair_exchange": float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))) / scale,
-        "first_cyclic": float(
-            np.max(np.abs(R + np.transpose(R, (2, 0, 1, 3)) + np.transpose(R, (1, 2, 0, 3))))
-        )
-        / scale,
-    }
-    return out
+    lanes = lane_riemann_symmetry_residuals(_asarray(R)[None])
+    return {name: float(res[0]) for name, res in lanes.items()}
+
+
+def lane_trace_residuals(C, ginv) -> np.ndarray:
+    """trace_residual of each lane of C against the same lane of ginv,
+    the first axis indexing points."""
+    C, ginv = _asarray(C), _asarray(ginv)
+    worst = np.zeros(len(C))
+    for subs in ("pab,pabcd->pcd", "pac,pabcd->pbd", "pad,pabcd->pbc",
+                 "pbc,pabcd->pad", "pbd,pabcd->pac", "pcd,pabcd->pab"):
+        worst = np.maximum(worst, _lane_max_abs(np.einsum(subs, ginv, C)))
+    return worst / (_lane_max_abs(C) + 1.0)
 
 
 def trace_residual(C, ginv) -> float:
@@ -363,11 +393,4 @@ def trace_residual(C, ginv) -> float:
     Zero (to tolerance) exactly when the tensor is totally trace-free,
     as the Weyl tensor must be.  Normalized by (max|C| + 1).
     """
-    C, ginv = _asarray(C), _asarray(ginv)
-    scale = float(np.max(np.abs(C)) + 1.0)
-    worst = 0.0
-    for subs in ("ab,abcd->cd", "ac,abcd->bd", "ad,abcd->bc",
-                 "bc,abcd->ad", "bd,abcd->ac", "cd,abcd->ab"):
-        tr = np.einsum(subs, ginv, C)
-        worst = max(worst, float(np.max(np.abs(tr))))
-    return worst / scale
+    return float(lane_trace_residuals(_asarray(C)[None], _asarray(ginv)[None])[0])

@@ -30,6 +30,7 @@ curvature products already evaluated there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,9 +98,10 @@ class PsiField:
     exprs: tuple[ex.Expr, ...]
     bindings: ex.Bindings
 
-    def _jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """(ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i."""
-        return ex.jet(self.exprs, self.coords, self.bindings, 1)(point)
+    @cached_property
+    def _jet(self):
+        """point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per field."""
+        return ex.jet(self.exprs, self.coords, self.bindings, 1)
 
     def values(self, point) -> np.ndarray:
         return self._jet(point)[0]
@@ -200,6 +202,18 @@ class Family:
     psi: PsiField
     profile: ex.Expr
     profile_invariant: float  # (B')^2 - c B^2, constant in t
+
+    # The base jets of family_values and warp_profile_pde_residuals,
+    # bound once per family.
+    @cached_property
+    def _values_jet(self):
+        base = self.source.base
+        return ex.jet((base.components[1][1], self.profile), base.coords, base.bindings, 1)
+
+    @cached_property
+    def _warp_root_jet(self):
+        base = self.source.base
+        return ex.jet((ex.fn("sqrt", self.source.warp),), base.coords, base.bindings, 2)
 
     @property
     def l_r_expected(self) -> float:
@@ -303,9 +317,7 @@ def build_family(cfg: FamilyConfig) -> Family:
 
 def family_values(fam: Family, point) -> dict[str, float]:
     """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at a point, from one jet."""
-    base = fam.source.base
-    exprs = (base.components[1][1], fam.profile)
-    values, grads = ex.jet(exprs, base.coords, base.bindings, 1)(point[:2])
+    values, grads = fam._values_jet(point[:2])
     (b, B), cfg = values.tolist(), fam.cfg
     return {
         "b": b,
@@ -578,9 +590,7 @@ def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str
         "t_offdiag": zero_residual(d.t[0, 1], d.t),
         "t_balance": scalar_residual(b_v * d.t[0, 0], a_v * d.t[1, 1]),
     }
-    base = fam.source.base
-    f_expr = ex.fn("sqrt", fam.source.warp)
-    _, df, d2f = ex.jet((f_expr,), base.coords, base.bindings, 2)(base_pt)
+    _, df, d2f = fam._warp_root_jet(base_pt)
     f1, f2 = df[:, 0]
     f11, f12, f22 = d2f[0, 0, 0], d2f[0, 1, 0], d2f[1, 1, 0]
     ap, bp = bframe.dg[0, 0, 0], bframe.dg[0, 1, 1]

@@ -1,9 +1,9 @@
 """Pointwise differential geometry of a coordinate-chart metric.
 
 A MetricSpec holds the n x n matrix of metric component expressions,
-constant bindings and an admissibility predicate.  frame() evaluates
-the metric together with its exact first and second derivatives at a
-point and assembles the full curvature packet:
+constant bindings and an admissibility predicate.  frames() evaluates
+the metric together with its exact first and second derivatives at
+each point of a chunk and assembles the full curvature packet:
 
     Gamma^h_ij = (1/2) g^{hs} (d_i g_js + d_j g_is - d_s g_ij)
     R_hijk     = g_hs (d_k Gamma^s_ij - d_j Gamma^s_ik
@@ -23,18 +23,28 @@ Riemannian Geometry, 1926, section 8):
     R_hijk     = d_k Gamma_h,ij - d_j Gamma_h,ik + Gamma_a,hj Gamma^a_ik - Gamma_a,hk Gamma^a_ij
 
 g, dg and d2g come from exact symbolic derivatives of the component
-expressions, never from finite differences.  Frames for different
-points are independent and nothing keeps them: whoever asks for a
+expressions, never from finite differences.  A MetricSpec binds its
+conditions program and its components program from ex.jet on first
+use, so no point's evaluation looks up ex.jet's cache.
+
+frames(spec, points) evaluates jets and conditions point by point and
+then the curvature packet once over a leading point axis: one
+PointFrame whose arrays carry that axis (g of shape (P, n, n)), which
+the Roter path and the geometry suite's residuals read for all its
+points at once.  frame(spec, point) is its one-lane case, and
+PointFrame.lanes() gives each lane as its point's own frame, viewing
+the stack's arrays; every lane equals frame() at its point bit for bit.
+Frames are independent and nothing keeps them: whoever asks for a
 frame owns it and passes it to the helpers below, which take frames
-rather than (spec, point).  stack() joins frames of one chart into a
-chunk: one PointFrame whose arrays carry a leading point axis, which
-the Roter path evaluates for all its points at once.  MetricSpec is
-immutable and safe to share across threads.
+rather than (spec, point).  stack() joins frames of one chart into
+such a chunk.  MetricSpec is immutable apart from those bound programs,
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -99,6 +109,18 @@ class MetricSpec:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    # The chart's jet programs, bound on first use, so that a point's
+    # evaluation looks up no ex.jet cache entry (whose key compare walks
+    # the expression trees of a rebuilt spec).
+    @cached_property
+    def _condition_jet(self):
+        return ex.jet(tuple(c for c, _ in self.conditions), self.coords, self.bindings, 0)
+
+    @cached_property
+    def _component_jet(self):
+        components = tuple(e for row in self.components for e in row)
+        return ex.jet(components, self.coords, self.bindings, 2)
 
 
 def _parse_maybe(entry, coords, const_names) -> ex.Expr:
@@ -199,12 +221,11 @@ def _metric_jet(spec: MetricSpec, point: Sequence[float], check: bool = True):
     """g, dg[k,i,j] = d_k g_ij and d2g[l,k,i,j] = d_l d_k g_ij at a point.
 
     Raises InadmissiblePointError when check is set and a declared
-    condition fails, SingularMetricError when g does not invert, and
-    DomainError when a component leaves its real domain.
+    condition fails, and DomainError when a component leaves its real
+    domain; whether g inverts is _metric_jets's test.
     """
     if check and spec.conditions:
-        conditions = tuple(c for c, _ in spec.conditions)
-        (values,) = ex.jet(conditions, spec.coords, spec.bindings, 0)(point)
+        (values,) = spec._condition_jet(point)
         for v, (cond, kind) in zip(values.tolist(), spec.conditions):
             ok = v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR
             if not ok:
@@ -212,52 +233,65 @@ def _metric_jet(spec: MetricSpec, point: Sequence[float], check: bool = True):
                     f"condition {ex.to_text(cond)!r} ({kind}) fails at {tuple(point)}: value {v!r}"
                 )
     n = spec.dim
-    components = tuple(e for row in spec.components for e in row)
-    g, dg, d2g = ex.jet(components, spec.coords, spec.bindings, 2)(point)
-    g = g.reshape(n, n)
-    if _is_singular(g):
-        raise SingularMetricError(f"metric is singular at {tuple(point)}")
-    return g, dg.reshape(n, n, n), d2g.reshape(n, n, n, n)
+    g, dg, d2g = spec._component_jet(point)
+    return g.reshape(n, n), dg.reshape(n, n, n), d2g.reshape(n, n, n, n)
+
+
+def _metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True):
+    """The _metric_jet of each point, stacked on a leading point axis.
+
+    Raises the error of the first point whose conditions or jet fail;
+    otherwise SingularMetricError at the first point where g does not
+    invert, tested on the stack.
+    """
+    jets = [_metric_jet(spec, point, check) for point in points]
+    g, dg, d2g = (np.array(part) for part in zip(*jets))
+    singular = _singular(g)
+    if singular.any():
+        raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
+    return g, dg, d2g
 
 
 def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
     """True when all declared conditions hold and the metric inverts."""
     try:
-        _metric_jet(spec, point)
+        _metric_jets(spec, [point])
     except (GeometryError, ex.ExprError):
         return False
     return True
 
 
-def _is_singular(g: np.ndarray) -> bool:
-    scale = float(np.prod(np.linalg.norm(g, axis=1))) + 1e-300
-    return abs(float(np.linalg.det(g))) <= _DET_RATIO * scale
+def _singular(g: np.ndarray) -> np.ndarray:
+    """Whether each lane of a stack of metrics counts as singular."""
+    scale = np.prod(np.linalg.norm(g, axis=-1), axis=-1) + 1e-300
+    return np.abs(np.linalg.det(g)) <= _DET_RATIO * scale
 
 
 # ---------------------------------------------------------------------------
 # Curvature from the 2-jet, and the PointFrame built on it
 
 def _curvature(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
-    """(g^{-1}, Gamma^h_ij, R_hijk) from g, dg[k,i,j] and d2g[l,k,i,j], as
-    R_hijk = A_hijk - A_hikj with A_hijk = d_k Gamma_h,ij + Gamma_a,hj Gamma^a_ik."""
-    n = g.shape[0]
+    """(g^{-1}, Gamma^h_ij, R_hijk) from g, dg[k,i,j] and d2g[l,k,i,j], each
+    with a leading point axis, as R_hijk = A_hijk - A_hikj with
+    A_hijk = d_k Gamma_h,ij + Gamma_a,hj Gamma^a_ik."""
+    P, n = g.shape[:2]
     ginv = np.linalg.inv(g)
-    # lower[i,j,s] = Gamma_s,ij and dlower[k,i,j,s] = d_k Gamma_s,ij
-    lower = 0.5 * (dg + np.transpose(dg, (1, 0, 2)) - np.moveaxis(dg, 0, 2))
+    # lower[p,i,j,s] = Gamma_s,ij and dlower[p,k,i,j,s] = d_k Gamma_s,ij
+    lower = 0.5 * (dg + np.transpose(dg, (0, 2, 1, 3)) - np.moveaxis(dg, 1, 3))
     dlower = 0.5 * (
-        d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
+        d2g + np.transpose(d2g, (0, 1, 3, 2, 4)) - np.transpose(d2g, (0, 1, 3, 4, 2))
     )
-    gamma = np.einsum("hs,ijs->hij", ginv, lower)
-    # quad[h,j,i,k] = Gamma_a,hj Gamma^a_ik
-    quad = (lower.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
-    A = np.transpose(dlower, (3, 1, 2, 0)) + np.transpose(quad, (0, 2, 1, 3))
-    return ginv, gamma, A - np.swapaxes(A, 2, 3)
+    gamma = np.einsum("phs,pijs->phij", ginv, lower)
+    # quad[p,h,j,i,k] = Gamma_a,hj Gamma^a_ik
+    quad = (lower.reshape(P, n * n, n) @ gamma.reshape(P, n, n * n)).reshape(P, n, n, n, n)
+    A = np.transpose(dlower, (0, 4, 2, 3, 1)) + np.transpose(quad, (0, 1, 3, 2, 4))
+    return ginv, gamma, A - np.swapaxes(A, 3, 4)
 
 
 @dataclass(frozen=True)
 class PointFrame:
     """Everything the identity suites need at one point, or at a chunk
-    of points (see stack).
+    of points (see frames).
 
     weyl is the zero array for charts of dimension < 4, where the
     conformal tensor carries no content.
@@ -287,6 +321,18 @@ class PointFrame:
         return PointFrame(self.spec, tuple(self.point[i] for i in lanes),
                           *(getattr(self, name)[lanes] for name in _LANE_FIELDS))
 
+    def lanes(self) -> list[PointFrame]:
+        """Each lane of a stacked frame as its point's own frame, whose
+        arrays are views of the stack's."""
+        columns = [getattr(self, name) for name in _LANE_FIELDS]
+        scalar = _LANE_FIELDS.index("scalar")
+        out = []
+        for i, point in enumerate(self.point):
+            values = [column[i] for column in columns]
+            values[scalar] = float(values[scalar])
+            out.append(PointFrame(self.spec, point, *values))
+        return out
+
 
 # The fields that gain the point axis in a stacked frame.
 _LANE_FIELDS = tuple(f.name for f in fields(PointFrame))[2:]
@@ -307,33 +353,48 @@ def stack(frames: Sequence[PointFrame]) -> PointFrame:
     return PointFrame(frames[0].spec, tuple(f.point for f in frames), *lanes)
 
 
-def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:
-    """Evaluate the full curvature packet at a point.
+def frames(spec: MetricSpec, points: Sequence[Sequence[float]]) -> PointFrame:
+    """The full curvature packet at a chunk of points, stacked.
 
-    Every call computes a new frame; callers that need it more than
-    once keep it.  Callers must not mutate the returned arrays.
+    Jets and their conditions are evaluated point by point, so an error
+    names its point; curvature, Ricci, scalar, Ricci-square and Weyl then
+    run once over the leading point axis.  Lane i equals what frame(spec,
+    points[i]) returns, bit for bit.  Every call computes new arrays;
+    callers must not mutate them.
     """
-    point = tuple(float(v) for v in point)
-    if len(point) != spec.dim:
-        raise GeometryError(f"point has {len(point)} coordinates, chart has {spec.dim}")
-    g, dg, d2g = _metric_jet(spec, point)
-    ginv, gamma, riem = _curvature(g, dg, d2g)
+    points = tuple(tuple(float(v) for v in point) for point in points)
     n = spec.dim
+    for point in points:
+        if len(point) != n:
+            raise GeometryError(f"point has {len(point)} coordinates, chart has {n}")
+    g, dg, d2g = _metric_jets(spec, points)
+    ginv, gamma, riem = _curvature(g, dg, d2g)
 
-    ricci = np.einsum("ad,aijd->ij", ginv, riem)
-    scalar = float(np.einsum("ij,ij->", ginv, ricci))
+    ricci = np.einsum("pad,paijd->pij", ginv, riem)
+    scalar = np.einsum("pij,pij->p", ginv, ricci)
     ricci_sq = ricci @ ginv @ ricci
 
     if n >= 4:
         weyl = (
             riem
             - kulkarni_nomizu(g, ricci) / (n - 2)
-            + scalar * unit_curvature(g) / ((n - 2) * (n - 1))
+            + scalar[:, None, None, None, None] * unit_curvature(g) / ((n - 2) * (n - 1))
         )
     else:
         weyl = np.zeros_like(riem)
 
-    return PointFrame(spec, point, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl)
+    return PointFrame(spec, points, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl)
+
+
+def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:
+    """The full curvature packet at one point: the one lane of
+    frames(spec, [point]).
+
+    Every call computes a new frame; callers that need it more than
+    once keep it.  Callers must not mutate the returned arrays.
+    """
+    (f,) = frames(spec, [point]).lanes()
+    return f
 
 
 def gauss_curvature(f: PointFrame) -> float:
@@ -353,12 +414,14 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
     T[i,j] is the field at f's point and dT[k,i,j] = d_k T_ij its
     coordinate derivatives (for example f.g and f.dg, or another
     metric's g and dg on the same chart).  Returns the array indexed
-    [k,i,j]; the field need not be symmetric.
+    [k,i,j]; the field need not be symmetric.  On a stacked frame T and
+    dT carry its point axis first, and so does the result, each lane
+    equal to the call on that lane's frame alone.
     """
     return (
         dT
-        - np.einsum("ski,sj->kij", f.gamma, T)
-        - np.einsum("skj,is->kij", f.gamma, T)
+        - np.einsum("...ski,...sj->...kij", f.gamma, T)
+        - np.einsum("...skj,...is->...kij", f.gamma, T)
     )
 
 
@@ -366,20 +429,20 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # Smoke check: differential (second) Bianchi identity.  The cyclic sum
 # nabla_l R_hijk + nabla_j R_hikl + nabla_k R_hilj must vanish; the
 # derivative here is finite-differenced from R at 2n stencil points
-# around base's point (unchecked jets, no frames), so this is a coarse
-# check only.
+# around base's point (unchecked jets, one stacked curvature kernel, no
+# frames), so this is a coarse check only.
 
 def second_bianchi_residual(base: PointFrame) -> float:
     spec, step = base.spec, 1e-5
     n = spec.dim
-    dR = np.empty((n, n, n, n, n))
+    stencil = []
     for l in range(n):
-        hi = list(base.point)
-        lo = list(base.point)
-        hi[l] += step
-        lo[l] -= step
-        r_hi, r_lo = (_curvature(*_metric_jet(spec, pt, False))[2] for pt in (hi, lo))
-        dR[l] = (r_hi - r_lo) / (2 * step)
+        for sign in (1.0, -1.0):
+            pt = list(base.point)
+            pt[l] += sign * step
+            stencil.append(pt)
+    R = _curvature(*_metric_jets(spec, stencil, False))[2]
+    dR = (R[0::2] - R[1::2]) / (2 * step)
     gam = base.gamma
     R = base.riemann
     nabla = (

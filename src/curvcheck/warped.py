@@ -27,6 +27,7 @@ not assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,11 @@ class WarpedSpec:
     @property
     def dim(self) -> int:
         return self.base.dim + self.fiber.dim
+
+    @cached_property
+    def _warp_jet(self):
+        """The warp's 2-jet over the base chart, bound once per spec."""
+        return ex.jet((self.warp,), self.base.coords, self.base.bindings, 2)
 
     def split(self, point) -> tuple[tuple[float, ...], tuple[float, ...]]:
         p = tuple(float(v) for v in point)
@@ -178,7 +184,7 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
     base_pt = ws.split(point)[0]
     base = ws.base
     bframe = geo.frame(base, base_pt)
-    f_value, grad, hess = ex.jet((ws.warp,), base.coords, base.bindings, 2)(base_pt)
+    f_value, grad, hess = ws._warp_jet(base_pt)
     f_value, grad, hess = float(f_value[0]), grad[:, 0], hess[:, :, 0]
     if f_value <= 0.0:
         raise geo.InadmissiblePointError(f"warping function non-positive at {tuple(point)}")

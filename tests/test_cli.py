@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from curvcheck import cli, curvops, roter
+from curvcheck import expr as ex
 from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
@@ -398,6 +399,21 @@ class TestRun:
         records, _ = cli.run_manifest(manifest, points=1)
         assert {r["suite"] for r in records} == {"theorem21"}
 
+    @pytest.mark.parametrize("where", ["argument", "manifest", "manifold"])
+    def test_unknown_suite_is_a_manifest_error(self, where):
+        # run_manifest checks suite names wherever they come from, so a
+        # misspelt one cannot select no suite and pass vacuously.
+        manifest, suites = corpus_get("flat_space"), None
+        if where == "argument":
+            suites = ["geometry_symmetries"]
+        elif where == "manifest":
+            manifest["suites"] = ["geometry_symmetries"]
+        else:
+            manifest["manifolds"][0]["suites"] = ["geometry_symmetries"]
+        with pytest.raises(cli.ManifestError, match="unknown suite 'geometry_symmetries'") as err:
+            cli.run_manifest(manifest, suites=suites, points=1)
+        assert all(suite in str(err.value) for suite in cli.SUITES)
+
     def test_point_error_becomes_record(self, tmp_path):
         # The finite-difference second_bianchi stencil around x = 1e-5
         # steps onto x = 0, where d|x|/dx divides by zero.
@@ -494,13 +510,14 @@ def sampled(manifest, count) -> list:
 
 
 def refuse_at(monkeypatch, module, name, bad) -> list:
-    """Make module.name (geo.frame or wp.diagnostics) raise at the point
-    bad; returns the log of refused calls."""
+    """Make module.name (geo.frames or wp.diagnostics) raise at the point
+    bad (geo.frames at any chunk of points holding it); returns the log
+    of refused calls."""
     original, refused = getattr(module, name), []
 
     def refusing(*args):
-        point = args[1] if name == "frame" else args[1].point
-        if tuple(point) == bad:
+        points = args[1] if name == "frames" else [args[1].point]
+        if bad in map(tuple, points):
             refused.append(name)
             raise geo.GeometryError(f"{name} refused")
         return original(*args)
@@ -565,17 +582,20 @@ class TestSharedEvaluation:
         assert len(ranks) == 4
 
     def test_each_frame_computed_once(self, monkeypatch):
-        # A target's Chunk owns its points' frames and hands them to every
-        # helper.  The fiber frame that a family's source and image share
-        # is computed once, by the source, and read by the image.
+        # A target's Chunk owns its points' frames, one lane each of a
+        # geo.frames stack, and hands them to every helper.  The fiber
+        # frame that a family's source and image share is computed once,
+        # by the source, and read by the image.  geo.frame is a one-lane
+        # geo.frames, so the base frames of the diagnostics count too.
         computed = Counter()
-        original = geo.frame
+        original = geo.frames
 
-        def counted(spec, point):
-            computed[(spec, tuple(point))] += 1
-            return original(spec, point)
+        def counted(spec, points):
+            for point in points:
+                computed[(spec, tuple(point))] += 1
+            return original(spec, points)
 
-        monkeypatch.setattr(geo, "frame", counted)
+        monkeypatch.setattr(geo, "frames", counted)
         for name in ("theorem41_n4", "surface_pair"):
             records, summary = cli.run_manifest(corpus_get(name), points=2)
             assert summary["ok"]
@@ -585,15 +605,15 @@ class TestSharedEvaluation:
 
     def test_bianchi_stencil_builds_no_frames(self, monkeypatch):
         # The second Bianchi check reads R at its 2n stencil points from
-        # unchecked jets, so the only frame per (target, point) is the
-        # one its Chunk builds.
-        frames = count_calls(monkeypatch, geo, "frame")
+        # unchecked jets, so the only frame lane per (target, point) is
+        # the one its Chunk builds.
+        frames = count_calls(monkeypatch, geo, "frames")
         records, summary = cli.run_manifest(corpus_get("rn_lambda0"), points=2)
         assert summary["ok"]
         assert any(r["check"] == "second_bianchi" for r in records)
         target_points = {(r["target"], r["point_index"]) for r in records}
         assert len(target_points) == 3
-        assert len(frames) == len(target_points)
+        assert sum(len(points) for _, points in frames) == len(target_points)
 
     def test_one_family_jet_per_point(self, monkeypatch):
         # The psi and image Ricci closed forms and the factor relations
@@ -624,6 +644,20 @@ class TestSharedEvaluation:
         assert len(points) == 2
         assert len(run_calls) == len(set(run_calls)) == len(points)
 
+    @pytest.mark.parametrize("entry", ["rn_lambda0", "theorem41_n4", "surface_pair"])
+    def test_jet_lookups_do_not_grow_with_points(self, monkeypatch, entry):
+        # Each chart binds its jet programs once per run (MetricSpec,
+        # WarpedSpec, PsiField, Family), so no point looks one up in the
+        # ex.jet cache, whose key compare walks the expression trees.
+        lookups = count_calls(monkeypatch, ex, "jet")
+        counts = []
+        for points in (2, 12):
+            before = len(lookups)
+            records, summary = cli.run_manifest(corpus_get(entry), points=points)
+            assert summary["ok"]
+            counts.append(len(lookups) - before)
+        assert counts[0] == counts[1] > 0
+
     def test_products_built_on_first_read(self, monkeypatch):
         # ricci_pseudo_1d_base is Ricci-pseudosymmetric but not Roter: its
         # chunk reads R.S and Q(g,S), so only those two products are
@@ -643,7 +677,7 @@ class TestSharedEvaluation:
         # chunk's frames records it at each of its points.  rn_lambda0's
         # pinned point and 20 sampled ones make chunks of 18 and 3 at n = 4.
         bad = sampled(corpus_get("rn_lambda0"), 20)[5]
-        refuse_at(monkeypatch, geo, "frame", bad)
+        refuse_at(monkeypatch, geo, "frames", bad)
         proc = run_cli(["run", "rn_lambda0", "--points", "20", "--out", str(tmp_path)], capsys)
         assert proc.returncode == 1, proc.stderr
         lines = (tmp_path / "rn_lambda0.records.jsonl").read_text().splitlines()
@@ -651,12 +685,12 @@ class TestSharedEvaluation:
         errors = [(r["point_index"], r["suite"]) for r in records if r["check"] == "error"]
         assert sorted(errors) == [(i, suite) for i in range(18)
                                   for suite in ("geometry-symmetries", "theorem21")]
-        assert all("frame refused" in r["detail"] for r in records if r["check"] == "error")
+        assert all("frames refused" in r["detail"] for r in records if r["check"] == "error")
         later = [r for r in records if r["point_index"] >= 18]
         assert {r["point_index"] for r in later} == {18, 19, 20} and all(r["ok"] for r in later)
         assert (tmp_path / "rn_lambda0.summary.json").exists()
 
-    @pytest.mark.parametrize("refused", [None, "frame", "diagnostics"],
+    @pytest.mark.parametrize("refused", [None, "frames", "diagnostics"],
                              ids=["clean", "frame_refused", "diagnostics_refused"])
     def test_no_chunk_outlives_its_run(self, monkeypatch, refused):
         # A Chunk forms no reference cycle and keeps no error, whose
@@ -664,7 +698,7 @@ class TestSharedEvaluation:
         # with the cycle collector off.
         manifest = corpus_get("theorem41_n4")
         if refused:
-            module = geo if refused == "frame" else wp
+            module = geo if refused == "frames" else wp
             refuse_at(monkeypatch, module, refused, sampled(manifest, 4)[2])
 
         def chunks():

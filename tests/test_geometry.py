@@ -1,6 +1,7 @@
 """Curvature-engine tests against closed forms and classical surfaces."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck.corpus import corpus_get, corpus_list
 from curvcheck.curvops import (
+    lane_max_abs_residuals,
+    lane_riemann_symmetry_residuals,
+    lane_trace_residuals,
     max_abs_residual,
     riemann_symmetry_residuals,
     trace_residual,
@@ -119,6 +123,76 @@ def targets_at_first_point(entry):
         point = cli.sample_points(job, 1, rng)[0]
         for target in job.targets:
             yield f"{mdef['name']}/{target.label}", target.spec, point
+
+
+@pytest.fixture(scope="module")
+def corpus_chunks():
+    """(name, spec, points) for every corpus target, at its pinned points
+    and 18 sampled ones, drawn as run_manifest draws them."""
+    out = []
+    for entry in corpus_list():
+        manifest = corpus_get(entry)
+        for m_index, mdef in enumerate(manifest["manifolds"]):
+            job = cli.build_job(mdef)
+            rng = np.random.default_rng([manifest.get("seed", 0), m_index])
+            points = cli.sample_points(job, 18, rng)
+            out += [(f"{mdef['name']}/{t.label}", t.spec, points) for t in job.targets]
+    return out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedFrames:
+    def test_each_lane_is_the_frame_of_its_point(self, corpus_chunks):
+        # frames stacks the curvature kernel over a chunk's points; each
+        # lane is frame(spec, point), field for field, bit for bit.
+        for name, spec, points in corpus_chunks:
+            lanes = geo.frames(spec, points).lanes()
+            assert len(lanes) == len(points), name
+            for point, lane in zip(points, lanes):
+                alone = geo.frame(spec, point)
+                assert lane.spec is alone.spec and lane.point == alone.point == point, name
+                assert type(lane.scalar) is type(alone.scalar) is float, name
+                for field in fields(geo.PointFrame)[2:]:
+                    have, want = getattr(lane, field.name), getattr(alone, field.name)
+                    assert same_bits(have, want), (name, point, field.name)
+
+    def test_lane_forms_match_one_point_forms(self, corpus_chunks):
+        # The geometry suite's residuals run once per chunk through the
+        # lane forms; each lane is the one-point form on its frame alone.
+        for name, spec, points in corpus_chunks:
+            F = geo.frames(spec, points)
+            n = F.dim
+            eye = np.broadcast_to(np.eye(n), F.g.shape)
+            lanes = {
+                "metric_inverse": lane_max_abs_residuals(F.g @ F.ginv, eye),
+                "gamma": lane_max_abs_residuals(F.gamma, np.swapaxes(F.gamma, 2, 3)),
+                "ricci": lane_max_abs_residuals(F.ricci, np.swapaxes(F.ricci, 1, 2)),
+                "weyl": lane_trace_residuals(F.weyl, F.ginv),
+                **lane_riemann_symmetry_residuals(F.riemann),
+            }
+            nabla = geo.covariant_derivative_02(F, F.g, F.dg)
+            for i, f in enumerate(F.lanes()):
+                alone = {
+                    "metric_inverse": max_abs_residual(f.g @ f.ginv, np.eye(n)),
+                    "gamma": max_abs_residual(f.gamma, np.swapaxes(f.gamma, 1, 2)),
+                    "ricci": max_abs_residual(f.ricci, f.ricci.T),
+                    "weyl": trace_residual(f.weyl, f.ginv),
+                    **riemann_symmetry_residuals(f.riemann),
+                }
+                assert {key: lanes[key][i] for key in alone} == alone, (name, i)
+                assert same_bits(nabla[i], geo.covariant_derivative_02(f, f.g, f.dg)), (name, i)
+
+    def test_frames_name_the_failing_point(self):
+        spec = rn_metric(1.0, 1.0, 0.0)
+        with pytest.raises(geo.InadmissiblePointError, match=r"\(0\.0, 3\.0, 0\.0, 0\.3\)"):
+            geo.frames(spec, [RN_POINT, (0.0, 3.0, 0.0, 0.3)])  # sin(th) = 0
+        singular = geo.diagonal_metric(("x", "y"), ["x", "1"])
+        with pytest.raises(geo.SingularMetricError, match=r"\(0\.0, 0\.5\)"):
+            geo.frames(singular, [(2.0, 0.5), (0.0, 0.5)])
 
 
 class TestFirstKindKernel:
