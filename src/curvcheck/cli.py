@@ -26,7 +26,6 @@ import platform
 import re
 import sys
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -434,49 +433,47 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # Checks and records
 #
 # A suite is a generator over point i of a chunk, reading each target's
-# chunk.<piece>[i].  It yields each check as (check, residual,
+# chunk pieces at i.  It yields each check as (check, residual,
 # tolerance_key) with optional extra record fields ({"scalars": ...} or
 # {"detail": ...}) and expect_fail; run_manifest turns every yielded
 # check into a record through _record, and a _POINT_ERRORS error the
-# suite raises (say in the Bianchi stencil or a psi jet) into an "error" one.
+# suite raises (the Bianchi stencil, a psi jet, the semisymmetry guard)
+# into an "error" one.
 
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError)
 
 
-class _LaneProducts(Mapping):
-    """One lane of a chunk's curvature products, read on demand."""
+def _named(residuals: dict, key: str) -> list:
+    """A residual dict's entries as (check, residual, tolerance key)."""
+    return [(name, res, key) for name, res in residuals.items()]
 
-    def __init__(self, products: dict, lane: int):
-        self.products, self.lane = products, lane
 
-    def __getitem__(self, key):
-        return self.products[key][self.lane]
-
-    def __iter__(self):
-        return iter(self.products)
-
-    def __len__(self):
-        return len(self.products)
+def _per_point(checks, count: int) -> list:
+    """Checks of one residual per lane, (check, residuals, tolerance key)
+    and maybe extra record fields per lane, as a list per point."""
+    lanes = [(check, np.asarray(res).tolist(), key, *extra) for check, res, key, *extra in checks]
+    return [[(check, res[i], key, *(fields[i] for fields in extra))
+             for check, res, key, *extra in lanes] for i in range(count)]
 
 
 class Chunk:
     """One target at a chunk of points, and the only owner of their frames.
 
-    Each piece is computed for every point on first read and holds one
-    entry per point, which suites read as chunk.<piece>[i].  No piece
-    fails at a sampled point: Job.sample_ok admitted it by running the
-    metric jet that geo.frames runs, and a warped product's conditions
-    and jet cover those of its base, fiber and warp.
+    Each piece is computed for every point on first read, once over the
+    chunk's point axis, and suites read it at point i.  No piece fails at
+    a sampled point: Job.sample_ok admitted it by running the metric jet
+    that geo.frames runs, and a warped product's conditions and jet cover
+    those of its base, fiber and warp.
 
-    stacked is the frame of all the chunk's points from one geo.frames
-    call, and frames[i] its lane i.  Per point: frames, fiber_frames
-    (those of peer, a chunk of the same points whose target has the same
-    fiber, if given) and diagnostics.  The geometry suite's residuals and
-    the Roter pieces (membership to ricci_pseudosymmetry) run once over
-    stacked, one lane per point."""
+    stacked is the frame of all the points from one geo.frames call, and
+    frames[i] its lane i.  fiber_frames and diagnostics are stacked too;
+    a family's image reads the fiber frames of its peer, the source
+    chunk.  The Roter pieces (classifications through product_checks)
+    run on sub-chunks of roter.chunk_size(n) points, so that only one
+    sub-chunk's curvature products are alive."""
 
-    def __init__(self, target: Target, points: list, peer: Chunk | None = None):
-        self.target, self.points, self.peer = target, points, peer
+    def __init__(self, job: Job, target: Target, points: list, peer: Chunk | None = None):
+        self.job, self.target, self.points, self.peer = job, target, points, peer
 
     @cached_property
     def stacked(self) -> geo.PointFrame:
@@ -487,11 +484,11 @@ class Chunk:
         return self.stacked.lanes()
 
     @cached_property
-    def fiber_frames(self) -> list:
-        if self.peer is not None:
+    def fiber_frames(self) -> geo.PointFrame:
+        if self.job.family is not None and self.peer is not None:
             return self.peer.fiber_frames
         ws = self.target.warped_spec
-        return geo.frames(ws.fiber, [ws.split(point)[1] for point in self.points]).lanes()
+        return geo.frames(ws.fiber, [ws.split(point)[1] for point in self.points])
 
     @cached_property
     def geometry_residuals(self) -> list:
@@ -512,14 +509,42 @@ class Chunk:
         nabla_g = np.abs(geo.covariant_derivative_02(f, f.g, f.dg))
         scale = np.max(np.abs(f.g), axis=(1, 2)) + 1.0
         checks.append(("nabla_g", np.max(nabla_g, axis=(1, 2, 3)) / scale, "strict"))
-        lanes = [(check, res.tolist(), key) for check, res, key in checks]
-        return [[(check, res[i], key) for check, res, key in lanes]
-                for i in range(len(self.points))]
+        return _per_point(checks, len(self.points))
 
     @cached_property
-    def diagnostics(self) -> list:
-        ws = self.target.warped_spec
-        return [wp.diagnostics(ws, f, fiber) for f, fiber in zip(self.frames, self.fiber_frames)]
+    def diagnostics(self) -> wp.WarpedDiagnostics:
+        return wp.diagnostics(self.target.warped_spec, self.stacked, self.fiber_frames)
+
+    @cached_property
+    def warped(self) -> list:
+        """The warped-diagnostics suite's checks at each point, from one
+        pass over diagnostics."""
+        job, ws, d = self.job, self.target.warped_spec, self.diagnostics
+        block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
+        checks = [("product_christoffels", wp.verify_product_christoffels(d), "strict")]
+        checks += [(name, res, block_tols.get(name, "identity"))
+                   for name, res in wp.verify_curvature_blocks(d).items()]
+        scalars = {"warp": d.f_value, "tr_t": d.tr_t, "delta1": d.delta1,
+                   "base_scalar": d.base_frame.scalar, "fiber_scalar": d.fiber_frame.scalar}
+        if ws.base_dim == 2 and ws.dim >= 4:
+            checks += _named(wp.verify_weyl_blocks(d), "identity")
+            rho0, is_flat = wp.conformal_flatness_test(d)
+            scalars.update(rho0=rho0, rho1=d.rho1, rho2=d.rho2, rho3=d.rho3, mu1=d.mu1, mu2=d.mu2)
+            expect = job.definition.get("expect", {})
+            if "conformally_flat" in expect:  # a flag, as _flag makes it
+                flags = np.where(is_flat == expect["conformally_flat"], 0.0, 1.0)
+                details = [{"detail": value} for value in rho0.tolist()]
+                checks.append(("conformally_flat", flags, "flag", details))
+        if job.kind == "family":
+            checks.append(("t_proportional", wp.t_proportionality_residual(d), "geo"))
+            checks += _named(wp.verify_proportional_blocks(d), "identity")
+            if self.target.label == "source":
+                res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
+                checks.append(("trace_t_scaled_warp", res, "identity"))
+        lanes = zip(*(value.tolist() for value in scalars.values()))
+        checks.append(("warp_scalars", np.zeros(len(self.points)), "strict",
+                       [{"scalars": dict(zip(scalars, lane))} for lane in lanes]))
+        return _per_point(checks, len(self.points))
 
     @cached_property
     def membership(self) -> list:
@@ -527,9 +552,14 @@ class Chunk:
         return [{"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
                 for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f))]
 
+    def _parts(self) -> list:
+        """The lanes of each Roter sub-chunk, roter.chunk_size(n) points."""
+        size, count = roter.chunk_size(self.stacked.dim), len(self.points)
+        return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
     @cached_property
     def classifications(self) -> list:
-        return roter.classify(self.stacked)
+        return [c for lanes in self._parts() for c in roter.classify(self.stacked.take(lanes))]
 
     @cached_property
     def fits(self) -> list:
@@ -542,39 +572,17 @@ class Chunk:
         return fits
 
     @cached_property
-    def _products(self) -> dict:
-        return roter.curvature_products(self.stacked)
-
-    @cached_property
-    def products(self) -> list:
-        return [_LaneProducts(self._products, lane) for lane in range(len(self.points))]
-
-    @cached_property
-    def identities(self) -> list:
-        """identity_suite of each ROTER lane, None for the others."""
-        cs = self.classifications
-        lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
-        out = [None] * len(cs)
-        if lanes:
-            frame = self.stacked.take(lanes)
-            products = self._products if frame is self.stacked else roter.curvature_products(frame)
-            for i, res in zip(lanes, roter.identity_suite(frame, [cs[i].fit for i in lanes],
-                                                          products)):
-                out[i] = res
-        return out
-
-    @cached_property
     def rank_grid(self) -> list:
         """rank_grid_exceeds_one of each ROTER lane, None for the others.
         On a warped target with a 2-dimensional base, each lane's block
         eigenvalues mu1, mu2 join its scan."""
         ws, cs = self.target.warped_spec, self.classifications
         lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
-        out = [None] * len(cs)
+        out, extras = [None] * len(cs), [()] * len(lanes)
+        if lanes and ws and ws.base_dim == 2 and self.diagnostics.mu1 is not None:
+            d = self.diagnostics
+            extras = list(zip(d.mu1[lanes].tolist(), d.mu2[lanes].tolist()))
         if lanes:
-            ds = self.diagnostics if ws and ws.base_dim == 2 else [None] * len(cs)
-            extras = [() if ds[i] is None or ds[i].mu1 is None else (ds[i].mu1, ds[i].mu2)
-                      for i in lanes]
             flags = roter.rank_grid_exceeds_one(self.stacked.take(lanes), [cs[i] for i in lanes],
                                                 extras)
             for i, flag in zip(lanes, flags.tolist()):
@@ -582,19 +590,100 @@ class Chunk:
         return out
 
     @cached_property
-    def ricci_pseudosymmetry(self) -> list:
-        return roter.ricci_pseudosymmetry(self.stacked, self._products)
+    def product_checks(self) -> list:
+        """Per point, a dict of what reads curvature products: identities
+        (a ROTER point's identity_suite), ricci (ricci_pseudosymmetry, if
+        expected) and, on a family member expected ROTER, at a point with
+        a fit: cor42 (corollary42_residual) and on the source semisymmetric."""
+        job, cs = self.job, self.classifications
+        expect = job.definition.get("expect", {})
+        family = job.kind == "family" and expect.get("classify", "ROTER") == "ROTER"
+        out = []
+        for lanes in self._parts():
+            frame = self.stacked.take(lanes)
+            products, pieces = roter.curvature_products(frame), [{} for _ in lanes]
+            kept = [j for j, i in enumerate(lanes) if cs[i].kind == roter.ROTER]
+            if kept:
+                sub = frame.take(kept)
+                sub_products = products if sub is frame else roter.curvature_products(sub)
+                results = roter.identity_suite(sub, [cs[lanes[j]].fit for j in kept], sub_products)
+                for j, res in zip(kept, results):
+                    pieces[j]["identities"] = res
+            if expect.get("ricci_pseudosymmetric"):
+                for piece, rp in zip(pieces, roter.ricci_pseudosymmetry(frame, products)):
+                    piece["ricci"] = rp
+            fits = [self.fits[i] for i in lanes] if family else []
+            kept = [j for j, fit in enumerate(fits) if isinstance(fit, roter.RoterFit)]
+            if kept:
+                P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
+                res = gm.corollary42_residual(frame.dim, [fits[j] for j in kept], P)
+                for j, value in zip(kept, res.tolist()):
+                    pieces[j]["cor42"] = value
+                if self.target.label == "source":
+                    for piece, flag in zip(pieces, gm.semisymmetric(products["RR"], frame).tolist()):
+                        piece["semisymmetric"] = flag
+            out += pieces
+        return out
+
+    @cached_property
+    def geodesic(self) -> list:
+        """On the image chunk of a mapped pair (peer its source), the
+        geodesic suite at each point: its checks that read no fit, and
+        where a family's members both have a Roter fit, the factor
+        relations and last the psi-Ricci identity (else None).  A point
+        whose psi jet raises gets None; the suite raises it there."""
+        job, source, count, n = self.job, self.peer, len(self.points), self.stacked.dim
+        psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
+        jets, failed = (np.zeros((count, n)), np.zeros((count, n, n))), []
+        for k, point in enumerate(self.points):
+            try:
+                jets[0][k], jets[1][k] = psi.jet(point)
+            except _POINT_ERRORS:
+                failed.append(k)  # its lanes keep zeros and are never read
+        frames = (source.stacked, self.stacked)
+        checks = [
+            ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),
+            ("christoffel_shift", gm.christoffel_shift_residual(*frames, jets), "geo"),
+            ("ricci_shift", gm.ricci_shift_residual(*frames, jets), "identity"),
+            ("psi_gradient", gm.psi_gradient_residual(jets), "strict"),
+        ]
+        relations = [None] * count
+        if job.kind == "pair2d":
+            checks += _named(gm.pair_christoffel_closed_forms(job.pair, *frames), "geo")
+        else:
+            fam, values = job.family, gm.family_values(job.family, self.points)
+            d, d_bar = source.diagnostics, self.diagnostics
+            r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
+            checks += [("warp_scale_equation", r4, "geo"), ("warp_log_equation", r5, "geo")]
+            checks += _named(gm.family_psi_closed_forms(fam, d, values, jets), "geo")
+            checks += _named(gm.family_image_ricci_forms(fam, d_bar, values), "identity")
+            checks += _named(gm.warp_profile_pde_residuals(fam, d), "geo")
+            kg, kg_bar = gm.base_gauss_values(d, d_bar)
+            checks += [("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"),
+                       ("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")]
+            expect = job.definition.get("expect", {})
+            fits = (source.fits, self.fits) if expect.get("classify", "ROTER") == "ROTER" else ()
+            lanes = [i for i, pair in enumerate(zip(*fits))
+                     if all(isinstance(fit, roter.RoterFit) for fit in pair)]
+            if lanes:
+                frames = (source.stacked.take(lanes), self.stacked.take(lanes))
+                fits = tuple([member[i] for i in lanes] for member in fits)
+                values = {key: value[lanes] for key, value in values.items()}
+                jets = tuple(part[lanes] for part in jets)
+                fitted = _named(gm.factor_relations(fam, frames, fits, values), "identity")
+                fitted.append(("psi_ricci_identity",
+                               gm.psi_ricci_identity_residual(fam, frames, fits, jets), "compound"))
+                for i, row in zip(lanes, _per_point(fitted, len(lanes))):
+                    relations[i] = row
+        out = list(zip(_per_point(checks, count), relations))
+        for k in failed:
+            out[k] = None
+        return out
 
 
 def _flag(check, ok, detail=None):
     """A boolean check: residual 0 or 1 under the internal "flag" bound 0.5."""
     return check, 0.0 if ok else 1.0, "flag", None if detail is None else {"detail": detail}
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
 
 
 def _record(job, target, index, point, suite, thresholds,
@@ -614,9 +703,7 @@ def _record(job, target, index, point, suite, thresholds,
         "expect_fail": expect_fail,
         "ok": passed != expect_fail,
     }
-    rec.update(extra or {})
-    if "scalars" in rec:
-        rec["scalars"] = {k: _jsonable(v) for k, v in rec["scalars"].items()}
+    rec.update(extra or {})  # scalars hold Python numbers (see the suites)
     return rec
 
 
@@ -628,7 +715,7 @@ def geometry_checks(job: Job, chunk: Chunk, i, idx):
         yield "second_bianchi", geo.second_bianchi_residual(f), "smoke"
     scalars = {"kappa": f.scalar}
     if n == 2:
-        scalars["gauss"] = geo.gauss_curvature(f)
+        scalars["gauss"] = float(geo.gauss_curvature(f))
         expected = job.definition.get("expect", {}).get("scalars", {})
         if "gauss" in expected:
             yield "gauss_value", scalar_residual(scalars["gauss"], expected["gauss"]), "geo"
@@ -653,7 +740,7 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
         scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
                        L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
         yield "fit_residual", fit.residual, "identity"
-        for name, res in chunk.identities[i].items():
+        for name, res in chunk.product_checks[i]["identities"].items():
             yield name, res, "identity"
         yield _flag("rank_shift_grid", chunk.rank_grid[i])
         expected_scalar = expect.get("scalars", {})
@@ -667,7 +754,7 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
             res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
             yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
     if expect.get("ricci_pseudosymmetric"):
-        rp = chunk.ricci_pseudosymmetry[i]
+        rp = chunk.product_checks[i]["ricci"]
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
@@ -681,67 +768,23 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
 
 
 def warped_checks(job: Job, chunk: Chunk, i, idx):
-    ws = chunk.target.warped_spec
-    if ws is None:
-        return
-    d = chunk.diagnostics[i]
-    yield "product_christoffels", wp.verify_product_christoffels(d), "strict"
-    block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
-    for name, res in wp.verify_curvature_blocks(d).items():
-        yield name, res, block_tols.get(name, "identity")
-    scalars = {"warp": d.f_value, "tr_t": d.tr_t, "delta1": d.delta1,
-               "base_scalar": d.base_frame.scalar, "fiber_scalar": d.fiber_frame.scalar}
-    if ws.base_dim == 2 and ws.dim >= 4:
-        for name, res in wp.verify_weyl_blocks(d).items():
-            yield name, res, "identity"
-        rho0, is_flat = wp.conformal_flatness_test(d)
-        scalars.update(rho0=rho0, rho1=d.rho1, rho2=d.rho2, rho3=d.rho3,
-                       mu1=d.mu1, mu2=d.mu2)
-        expect = job.definition.get("expect", {})
-        if "conformally_flat" in expect:
-            yield _flag("conformally_flat", is_flat == expect["conformally_flat"], detail=rho0)
-    if job.kind == "family":
-        yield "t_proportional", wp.t_proportionality_residual(d), "geo"
-        for name, res in wp.verify_proportional_blocks(d).items():
-            yield name, res, "identity"
-        if chunk.target.label == "source":
-            res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
-            yield "trace_t_scaled_warp", res, "identity"
-    yield "warp_scalars", 0.0, "strict", {"scalars": scalars}
+    if chunk.target.warped_spec is not None:
+        yield from chunk.warped[i]
 
 
 def geodesic_checks(job: Job, chunks, i, idx, fits_log):
     """Checks on the mapped pair of a pair2d or family manifold, from the
-    (source, image) chunks at point i."""
+    (source, image) chunks at point i.  A psi jet or the semisymmetry
+    guard that fails at the point raises here, at that point only."""
     if job.kind not in ("pair2d", "family"):
         return
     source, image = chunks
-    frames = (source.frames[i], image.frames[i])
-    psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
-    yield "geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, psi), "geo"
-    yield "christoffel_shift", gm.christoffel_shift_residual(*frames, psi), "geo"
-    yield "ricci_shift", gm.ricci_shift_residual(*frames, psi), "identity"
-    yield "psi_gradient", psi.gradient_residual(source.points[i]), "strict"
-    if job.kind == "pair2d":
-        for name, res in gm.pair_christoffel_closed_forms(job.pair, *frames).items():
-            yield name, res, "geo"
-        return
-    fam = job.family
-    d, d_bar = source.diagnostics[i], image.diagnostics[i]
-    r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
-    yield "warp_scale_equation", r4, "geo"
-    yield "warp_log_equation", r5, "geo"
-    values = gm.family_values(fam, source.points[i])
-    for name, res in gm.family_psi_closed_forms(fam, d, values).items():
-        yield name, res, "geo"
-    for name, res in gm.family_image_ricci_forms(fam, d_bar, values).items():
-        yield name, res, "identity"
-    for name, res in gm.warp_profile_pde_residuals(fam, d).items():
-        yield name, res, "geo"
-    kg, kg_bar = gm.base_gauss_values(d, d_bar)
-    yield "base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"
-    yield "base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo"
-    if job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
+    if image.geodesic[i] is None:
+        psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
+        psi.jet(source.points[i])  # raises this point's error
+    checks, relations = image.geodesic[i]
+    yield from checks
+    if job.kind == "pair2d" or job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
         return
     fits = (source.fits[i], image.fits[i])  # each a RoterFit or the RoterFitError returned
     rejected = [fit for fit in fits if isinstance(fit, roter.RoterFitError)]
@@ -749,11 +792,13 @@ def geodesic_checks(job: Job, chunks, i, idx, fits_log):
         yield _flag("roter_fits", False, detail=str(rejected[0]))
         return
     fits_log.append((fits[0].L_R, fits[1].L_R))
-    products = (source.products[i], image.products[i])
-    for name, res in gm.factor_relations(fam, frames, fits, products, values).items():
-        yield name, res, "identity"
-    res = gm.psi_ricci_identity_residual(fam, frames, fits, products)
-    yield "psi_ricci_identity", res, "compound"
+    *relations, identity = relations
+    yield from relations
+    yield "cor42_source", source.product_checks[i]["cor42"], "identity"
+    yield "cor42_image", image.product_checks[i]["cor42"], "identity"
+    if source.product_checks[i]["semisymmetric"]:
+        raise gm.FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
+    yield identity
 
 
 def family_checks(job: Job, fits_log):
@@ -776,16 +821,16 @@ TARGET_SUITES = (
 def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order.
 
-    Points go in chunks of roter.chunk_size(n), n the chart dimension,
-    each read through one Chunk per target; a family's image reads the
-    fiber frames of its source, whose fiber it shares."""
+    Points go in chunks of roter.chunk_size(min(n, 4)), n the chart
+    dimension, each read through one Chunk per target (whose Roter
+    pieces cut roter.chunk_size(n) sub-chunks); the image of a mapped
+    pair reads its source as peer."""
     fits_log: list = []
-    size = roter.chunk_size(job.targets[0].spec.dim)
+    size = roter.chunk_size(min(job.targets[0].spec.dim, 4))
     for start in range(0, len(points), size):
         pts = points[start:start + size]
-        first = Chunk(job.targets[0], pts)
-        peer = first if job.family is not None else None
-        chunks = [first] + [Chunk(target, pts, peer) for target in job.targets[1:]]
+        first = Chunk(job, job.targets[0], pts)
+        chunks = [first] + [Chunk(job, target, pts, first) for target in job.targets[1:]]
         for i, pt in enumerate(pts):
             idx = start + i
             for suite, checks in TARGET_SUITES:
@@ -821,6 +866,7 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
     count = int(manifest.get("points", 20) if points is None else points)
     plans = [selected if suites else _expand_suites(mdef.get("suites", [])) or selected
              for mdef in manifest["manifolds"]]
+    validate_manifest(manifest)  # run_manifest reads keys only the schema guarantees
     records: list = []
 
     for m_index, (mdef, m_suites) in enumerate(zip(manifest["manifolds"], plans)):

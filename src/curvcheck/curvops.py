@@ -22,7 +22,7 @@ E(X) acts on packed 2-forms by an m x m matrix K_X, one table product
 away from E's rows, and maps a packed order-4 T^ to -(K_X T^ + T^ K_X^T).
 At n = 6 an order-6 product is a (15, 15, 15) array of 27 KB, not a
 6**6 array of 373 KB, and a point's twelve products take about 0.26 MB.
-The geometry suite's riemann_symmetry_residuals check, on the dense
+The geometry suite's lane_riemann_symmetry_residuals check, on the dense
 frame, the antisymmetries the packing drops.
 
 Dense component arrays are indexed in direct slot order, T[a,b,c,d] =
@@ -35,10 +35,10 @@ Leading point axes.  The products and rank_shift broadcast over any
 leading axes of their inputs: a chunk of points carries its own point
 axis first (g of shape (P, n, n), R of shape (P, n, n, n, n)), and each
 point's lane of the result is what the same call on that point alone
-gives.  The reductions lane_norms, lane_residuals and proportionality
-read the first axis as the point axis and return one result per point
-(one tensor is a chunk of one: tensor_residual is lane_residuals on a
-chunk of one); scalar_residual broadcasts.  No reduction mixes lanes,
+gives.  The reductions (lane_norms, the lane_* residuals and
+proportionality) read the first axis as the point axis and return one
+result per point (one tensor is a chunk of one: tensor_residual is
+lane_residuals on a chunk of one); scalar_residual broadcasts.  No reduction mixes lanes,
 so a lane never depends on the others in its chunk.
 
 All public functions are pure.
@@ -63,13 +63,11 @@ __all__ = [
     "lane_residuals",
     "scalar_residual",
     "lane_norms",
-    "max_abs_residual",
+    "per_lane",
     "lane_max_abs_residuals",
-    "zero_residual",
+    "lane_zero_residuals",
     "constancy_residual",
-    "riemann_symmetry_residuals",
     "lane_riemann_symmetry_residuals",
-    "trace_residual",
     "lane_trace_residuals",
 ]
 
@@ -89,6 +87,13 @@ def _rows(*ts: np.ndarray) -> list[np.ndarray]:
         order = (0, *sorted(range(1, first.ndim), key=lambda k: -abs(first.strides[k])))
         ts = [t.transpose(order) for t in ts]
     return [t.reshape(len(t), width) for t in ts]
+
+
+def per_lane(v, ndim: int) -> np.ndarray:
+    """One value per lane as a column that scales its lane of an array
+    with ndim axes after the point axis."""
+    v = _asarray(v)
+    return v.reshape(v.shape + (1,) * ndim)
 
 
 def lane_norms(t) -> np.ndarray:
@@ -129,22 +134,16 @@ def _lane_max_abs(t: np.ndarray) -> np.ndarray:
 
 
 def lane_max_abs_residuals(lhs, rhs) -> np.ndarray:
-    """max_abs_residual of each lane of lhs == rhs, the first axis
-    indexing points."""
+    """Componentwise max-abs residual of each lane of lhs == rhs, the
+    first axis indexing points, sum-plus-one normalized."""
     a, b = _asarray(lhs), _asarray(rhs)
     return _lane_max_abs(a - b) / (_lane_max_abs(a) + _lane_max_abs(b) + 1.0)
 
 
-def max_abs_residual(lhs, rhs) -> float:
-    """Componentwise max-abs residual, sum-plus-one normalized."""
-    return float(lane_max_abs_residuals(_asarray(lhs)[None], _asarray(rhs)[None])[0])
-
-
-def zero_residual(t, reference=None) -> float:
-    """Max-abs of t, normalized by the scale of a reference tensor."""
-    a = _asarray(t)
-    scale = 1.0 if reference is None else float(np.max(np.abs(_asarray(reference))) + 1.0)
-    return float(np.max(np.abs(a)) / scale)
+def lane_zero_residuals(t, reference) -> np.ndarray:
+    """Max-abs of each lane of t, normalized by the scale (max-abs + 1)
+    of the same lane of a reference tensor."""
+    return _lane_max_abs(_asarray(t)) / (_lane_max_abs(_asarray(reference)) + 1.0)
 
 
 def constancy_residual(values) -> float:
@@ -352,8 +351,10 @@ def rank_shift(S, g, alpha) -> np.ndarray:
 # Symmetry suites
 
 def lane_riemann_symmetry_residuals(R) -> dict[str, np.ndarray]:
-    """riemann_symmetry_residuals of each lane of R, the first axis
-    indexing points: one array of lane residuals per key."""
+    """Max-abs residuals of the algebraic curvature symmetries of each
+    lane of R, the first axis indexing points: one array of lane
+    residuals per key (skew_first_pair, skew_last_pair, pair_exchange,
+    first_cyclic), each normalized by (max|R| + 1)."""
     R = _asarray(R)
     scale = _lane_max_abs(R) + 1.0
     return {
@@ -366,31 +367,14 @@ def lane_riemann_symmetry_residuals(R) -> dict[str, np.ndarray]:
     }
 
 
-def riemann_symmetry_residuals(R) -> dict[str, float]:
-    """Max-abs residuals of the algebraic curvature symmetries.
-
-    Keys: skew_first_pair, skew_last_pair, pair_exchange, first_cyclic.
-    Each is normalized by (max|R| + 1).
-    """
-    lanes = lane_riemann_symmetry_residuals(_asarray(R)[None])
-    return {name: float(res[0]) for name, res in lanes.items()}
-
-
 def lane_trace_residuals(C, ginv) -> np.ndarray:
-    """trace_residual of each lane of C against the same lane of ginv,
-    the first axis indexing points."""
+    """Largest metric trace of each lane of a (0,4) tensor over all slot
+    pairs, against the same lane of ginv, the first axis indexing
+    points.  Zero (to tolerance) exactly when the lane is totally
+    trace-free, as the Weyl tensor must be.  Normalized by (max|C| + 1)."""
     C, ginv = _asarray(C), _asarray(ginv)
     worst = np.zeros(len(C))
     for subs in ("pab,pabcd->pcd", "pac,pabcd->pbd", "pad,pabcd->pbc",
                  "pbc,pabcd->pad", "pbd,pabcd->pac", "pcd,pabcd->pab"):
         worst = np.maximum(worst, _lane_max_abs(np.einsum(subs, ginv, C)))
     return worst / (_lane_max_abs(C) + 1.0)
-
-
-def trace_residual(C, ginv) -> float:
-    """Largest metric trace of a (0,4) tensor over all slot pairs.
-
-    Zero (to tolerance) exactly when the tensor is totally trace-free,
-    as the Weyl tensor must be.  Normalized by (max|C| + 1).
-    """
-    return float(lane_trace_residuals(_asarray(C)[None], _asarray(ginv)[None])[0])

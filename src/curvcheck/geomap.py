@@ -20,11 +20,10 @@ spaces and are pseudosymmetric of constant type, with
     L_R = -D/4,      L_R_image = -(D + 4qC)/(4p),
 
 and the residual functions below certify every compatibility equation
-and closed form the construction promises.  They evaluate no frame:
-they take the (source, image) frames at a point or the members'
-WarpedDiagnostics, which also carry the base and fiber frames, and
-factor_relations and psi_ricci_identity_residual the fits and
-curvature products already evaluated there.
+and closed form the construction promises, one residual per point of
+a chunk.  They evaluate no frame: they take the stacked (source,
+image) frames or WarpedDiagnostics, the fits, and the ψ jets, PsiField.jet
+at each point stacked as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).
 """
 
 from __future__ import annotations
@@ -39,10 +38,12 @@ from . import geometry as geo
 from . import warped as wp
 from .curvops import (
     constancy_residual,
-    max_abs_residual,
+    lane_max_abs_residuals,
+    lane_norms,
+    lane_residuals,
+    lane_zero_residuals,
+    per_lane,
     scalar_residual,
-    tensor_residual,
-    zero_residual,
 )
 from .roter import RoterFit
 
@@ -65,11 +66,14 @@ __all__ = [
     "geodesic_compatibility_residual",
     "christoffel_shift_residual",
     "pair_christoffel_closed_forms",
+    "psi_gradient_residual",
     "ricci_shift_residual",
     "family_psi_closed_forms",
     "family_image_ricci_forms",
     "warp_compatibility_residuals",
     "factor_relations",
+    "corollary42_residual",
+    "semisymmetric",
     "psi_ricci_identity_residual",
     "warp_profile_pde_residuals",
     "base_gauss_values",
@@ -99,22 +103,22 @@ class PsiField:
     bindings: ex.Bindings
 
     @cached_property
-    def _jet(self):
+    def jet(self):
         """point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per field."""
         return ex.jet(self.exprs, self.coords, self.bindings, 1)
 
-    def values(self, point) -> np.ndarray:
-        return self._jet(point)[0]
 
-    def second_form(self, frame: geo.PointFrame) -> np.ndarray:
-        """ψ_ij = ∂_j ψ_i - Γ^s_ij ψ_s - ψ_i ψ_j at frame's point, Γ of frame."""
-        psi, dpsi = self._jet(frame.point)
-        return dpsi.T - np.einsum("sij,s->ij", frame.gamma, psi) - np.outer(psi, psi)
+def _second_form(frame: geo.PointFrame, jets) -> np.ndarray:
+    """ψ_ij = ∂_j ψ_i - Γ^s_ij ψ_s - ψ_i ψ_j at each lane, Γ of frame."""
+    psi, dpsi = jets
+    return (np.swapaxes(dpsi, 1, 2) - np.einsum("psij,ps->pij", frame.gamma, psi)
+            - psi[:, :, None] * psi[:, None, :])
 
-    def gradient_residual(self, point) -> float:
-        """Antisymmetric part of ∂_j ψ_i; zero for gradient covectors."""
-        _, dpsi = self._jet(point)
-        return float(np.max(np.abs(dpsi - dpsi.T)) / (np.max(np.abs(dpsi)) + 1.0))
+
+def psi_gradient_residual(jets) -> np.ndarray:
+    """Antisymmetric part of ∂_j ψ_i at each lane; zero for gradient covectors."""
+    dpsi = jets[1]
+    return lane_zero_residuals(dpsi - np.swapaxes(dpsi, 1, 2), dpsi)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +234,8 @@ class Family:
         if not (geo.admissible(self.source.product, point)
                 and geo.admissible(self.image.product, point)):
             return False
-        vals = family_values(self, tuple(float(v) for v in point))
-        return (
-            abs(vals["one_plus_qb"]) >= GUARD_FLOOR
-            and abs(vals["shape"]) >= GUARD_FLOOR
-            and abs(vals["bp"]) >= GUARD_FLOOR
-            and abs(vals["B"]) >= GUARD_FLOOR
-        )
+        vals = family_values(self, [tuple(float(v) for v in point)])
+        return all(abs(vals[key][0]) >= GUARD_FLOOR for key in ("one_plus_qb", "shape", "bp", "B"))
 
 
 def profile_expr(cfg: FamilyConfig) -> ex.Expr:
@@ -315,15 +314,17 @@ def build_family(cfg: FamilyConfig) -> Family:
     return Family(cfg, source, image, psi, profile, invariant)
 
 
-def family_values(fam: Family, point) -> dict[str, float]:
-    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at a point, from one jet."""
-    values, grads = fam._values_jet(point[:2])
-    (b, B), cfg = values.tolist(), fam.cfg
+def family_values(fam: Family, points) -> dict[str, np.ndarray]:
+    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at a chunk of points,
+    from one jet per point: one array per key."""
+    jets = [fam._values_jet(point[:2]) for point in points]
+    (b, B), cfg = np.array([values for values, _ in jets]).T, fam.cfg
+    grads = np.array([grads for _, grads in jets])
     return {
         "b": b,
-        "bp": float(grads[0, 0]),
+        "bp": grads[:, 0, 0],
         "B": B,
-        "Bp": float(grads[1, 1]),
+        "Bp": grads[:, 1, 1],
         "one_plus_qb": 1.0 + cfg.map_shift * b,
         "shape": cfg.d * b - 4.0 * cfg.c,
     }
@@ -347,93 +348,91 @@ def profile_invariant_residual(cfg: FamilyConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Compatibility residuals (any pair on a common chart)
+# Compatibility residuals (any pair on a common chart), one per lane of
+# the stacked frames; jets are the ψ jets at the frames' points.
 
 def geodesic_compatibility_residual(
-    frame: geo.PointFrame, image_frame: geo.PointFrame, psi: PsiField
-) -> float:
+    frame: geo.PointFrame, image_frame: geo.PointFrame, jets
+) -> np.ndarray:
     """Max-abs residual of ∇_k ḡ_ij = 2ψ_k ḡ_ij + ψ_i ḡ_jk + ψ_j ḡ_ik, with
     ∇ the connection of frame and ḡ the metric of image_frame."""
-    gbar = image_frame.g
+    gbar, pv = image_frame.g, jets[0]
     lhs = geo.covariant_derivative_02(frame, gbar, image_frame.dg)
-    pv = psi.values(frame.point)
     rhs = (
-        2.0 * np.einsum("k,ij->kij", pv, gbar)
-        + np.einsum("i,jk->kij", pv, gbar)
-        + np.einsum("j,ik->kij", pv, gbar)
+        2.0 * np.einsum("pk,pij->pkij", pv, gbar)
+        + np.einsum("pi,pjk->pkij", pv, gbar)
+        + np.einsum("pj,pik->pkij", pv, gbar)
     )
-    return max_abs_residual(lhs, rhs)
+    return lane_max_abs_residuals(lhs, rhs)
 
 
 def christoffel_shift_residual(
-    frame: geo.PointFrame, image_frame: geo.PointFrame, psi: PsiField
-) -> float:
+    frame: geo.PointFrame, image_frame: geo.PointFrame, jets
+) -> np.ndarray:
     """Γ̄^h_ij - Γ^h_ij - δ^h_i ψ_j - δ^h_j ψ_i, max-abs normalized."""
-    gam, gam_bar = frame.gamma, image_frame.gamma
-    pv = psi.values(frame.point)
-    n = len(pv)
-    eye = np.eye(n)
-    shift = np.einsum("hi,j->hij", eye, pv) + np.einsum("hj,i->hij", eye, pv)
-    return max_abs_residual(gam_bar, gam + shift)
+    pv = jets[0]
+    eye = np.eye(frame.dim)
+    shift = np.einsum("hi,pj->phij", eye, pv) + np.einsum("hj,pi->phij", eye, pv)
+    return lane_max_abs_residuals(image_frame.gamma, frame.gamma + shift)
 
 
 def pair_christoffel_closed_forms(pair: GeodesicPair2D, sframe: geo.PointFrame,
-                                  iframe: geo.PointFrame) -> dict[str, float]:
+                                  iframe: geo.PointFrame) -> dict[str, np.ndarray]:
     """Closed forms of the image connection, from (source, image) frames.
 
     Γ̄¹₁₁ = 𝔞'/2𝔞 - q𝔟'/(1+q𝔟), Γ̄²₁₂ = 𝔟'/(2𝔟(1+q𝔟)), Γ̄¹₂₂ = -𝔟'/2𝔞.
     """
     gam_bar = iframe.gamma
-    a, b = sframe.g[0, 0], sframe.g[1, 1]
-    ap, bp = sframe.dg[0, 0, 0], sframe.dg[0, 1, 1]
+    a, b = sframe.g[:, 0, 0], sframe.g[:, 1, 1]
+    ap, bp = sframe.dg[:, 0, 0, 0], sframe.dg[:, 0, 1, 1]
     q = pair.map_shift
     opq = 1.0 + q * b
     return {
-        "gbar_111": scalar_residual(gam_bar[0, 0, 0], ap / (2 * a) - q * bp / opq),
-        "gbar_212": scalar_residual(gam_bar[1, 0, 1], bp / (2 * b * opq)),
-        "gbar_122": scalar_residual(gam_bar[0, 1, 1], -bp / (2 * a)),
+        "gbar_111": scalar_residual(gam_bar[:, 0, 0, 0], ap / (2 * a) - q * bp / opq),
+        "gbar_212": scalar_residual(gam_bar[:, 1, 0, 1], bp / (2 * b * opq)),
+        "gbar_122": scalar_residual(gam_bar[:, 0, 1, 1], -bp / (2 * a)),
     }
 
 
 def ricci_shift_residual(
-    frame: geo.PointFrame, image_frame: geo.PointFrame, psi: PsiField
-) -> float:
+    frame: geo.PointFrame, image_frame: geo.PointFrame, jets
+) -> np.ndarray:
     """S̄_ij = S_ij - (n-1) ψ_ij with ψ_ij built from the g connection."""
-    psi2 = psi.second_form(frame)
-    return max_abs_residual(image_frame.ricci, frame.ricci - (frame.dim - 1) * psi2)
+    psi2 = _second_form(frame, jets)
+    return lane_max_abs_residuals(image_frame.ricci, frame.ricci - (frame.dim - 1) * psi2)
 
 
 # ---------------------------------------------------------------------------
-# Family closed forms
+# Family closed forms, from the members' stacked diagnostics and the
+# family_values v at their points
 
 def family_psi_closed_forms(fam: Family, d: wp.WarpedDiagnostics,
-                            v: dict[str, float]) -> dict[str, float]:
-    """ψ_ij block closed forms against (psiij), from the source's diagnostics
-    and the family_values v at its point."""
+                            v: dict[str, np.ndarray], jets) -> dict[str, np.ndarray]:
+    """ψ_ij block closed forms against (psiij), from the source's diagnostics."""
     cfg = fam.cfg
     q, b, bp, B = cfg.map_shift, v["b"], v["bp"], v["B"]
     opq, shape = v["one_plus_qb"], v["shape"]
-    psi2 = fam.psi.second_form(d.frame)
+    psi2 = _second_form(d.frame, jets)
     p_dim = 2
     want11 = (
         q * bp * bp * (4 * cfg.c - q * cfg.d * b * b - 2 * cfg.d * b)
         / (4 * b * opq * opq * shape)
     )
     want22 = -q * b * shape / (4 * opq)
-    want_fiber = -q * b * B * B * shape / (4 * opq) * d.fiber_frame.g
+    want_fiber = per_lane(-q * b * B * B * shape / (4 * opq), 2) * d.fiber_frame.g
     return {
-        "psi_11": scalar_residual(psi2[0, 0], want11),
-        "psi_22": scalar_residual(psi2[1, 1], want22),
-        "psi_fiber": max_abs_residual(psi2[p_dim:, p_dim:], want_fiber),
-        "psi_off": zero_residual(psi2[0, 1], psi2)
-        + zero_residual(psi2[:p_dim, p_dim:], psi2),
+        "psi_11": scalar_residual(psi2[:, 0, 0], want11),
+        "psi_22": scalar_residual(psi2[:, 1, 1], want22),
+        "psi_fiber": lane_max_abs_residuals(psi2[:, p_dim:, p_dim:], want_fiber),
+        "psi_off": lane_zero_residuals(psi2[:, 0, 1], psi2)
+        + lane_zero_residuals(psi2[:, :p_dim, p_dim:], psi2),
     }
 
 
 def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics,
-                             v: dict[str, float]) -> dict[str, float]:
+                             v: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Barred Ricci and T closed forms against the image geometry, read
-    from the image member's diagnostics and the family_values v."""
+    from the image member's diagnostics."""
     cfg = fam.cfg
     n = cfg.n
     p, q = cfg.map_scale, cfg.map_shift
@@ -446,41 +445,45 @@ def family_image_ricci_forms(fam: Family, d_bar: wp.WarpedDiagnostics,
         - (n - 1) / 4.0 * b * B * B * coef / opq
     ) / d_bar.f_value
     return {
-        "ricci_base_bar": max_abs_residual(
-            s_bar[:2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:2, :2]
+        "ricci_base_bar": lane_max_abs_residuals(
+            s_bar[:, :2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:, :2, :2]
         ),
-        "ricci_mixed_bar": zero_residual(s_bar[:2, 2:], s_bar),
-        "ricci_fiber_bar": max_abs_residual(s_bar[2:, 2:], salfa * g_bar[2:, 2:]),
-        "t_bar": max_abs_residual(
-            d_bar.t, coef / (2.0 * p) * d_bar.f_value * d_bar.base_frame.g
+        "ricci_mixed_bar": lane_zero_residuals(s_bar[:, :2, 2:], s_bar),
+        "ricci_fiber_bar": lane_max_abs_residuals(
+            s_bar[:, 2:, 2:], per_lane(salfa, 2) * g_bar[:, 2:, 2:]),
+        "t_bar": lane_max_abs_residuals(
+            d_bar.t, per_lane(coef / (2.0 * p) * d_bar.f_value, 2) * d_bar.base_frame.g
         ),
         "image_base_scalar": scalar_residual(d_bar.base_frame.scalar, -coef / (2.0 * p)),
     }
 
 
 def warp_compatibility_residuals(fam: Family, d: wp.WarpedDiagnostics,
-                                 d_bar: wp.WarpedDiagnostics) -> tuple[float, float]:
+                                 d_bar: wp.WarpedDiagnostics,
+                                 jets) -> tuple[np.ndarray, np.ndarray]:
     """The two equations that make the warp pair geodesically compatible,
-    from the (source, image) diagnostics at one point.
+    from the (source, image) diagnostics.
 
     scale equation: -(F̄/2F) F_a + (1/2) F^c ḡ_ca = F̄ ψ_a
     log equation:   d_a log(F̄/F) = 2 ψ_a
-    Returns (scale residual, log residual), max-abs normalized.
+    Returns (scale residuals, log residuals), max-abs normalized.
     """
     Fv, Fbv, grad, grad_bar = d.f_value, d_bar.f_value, d.grad, d_bar.grad
-    psi_v = fam.psi.values(d.frame.point)[:2]
+    psi_v = jets[0][:, :2]
 
-    f_up = d.base_frame.ginv @ grad
-    lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (d_bar.base_frame.g @ f_up)
-    rhs_scale = Fbv * psi_v
-    res_scale = max_abs_residual(lhs_scale, rhs_scale)
+    f_up = d.base_frame.ginv @ grad[:, :, None]
+    lhs_scale = (-per_lane(Fbv / (2.0 * Fv), 1) * grad
+                 + 0.5 * (d_bar.base_frame.g @ f_up)[:, :, 0])
+    rhs_scale = per_lane(Fbv, 1) * psi_v
+    res_scale = lane_max_abs_residuals(lhs_scale, rhs_scale)
 
-    lhs_log = grad_bar / Fbv - grad / Fv
-    res_log = max_abs_residual(lhs_log, 2.0 * psi_v)
+    lhs_log = grad_bar / per_lane(Fbv, 1) - grad / per_lane(Fv, 1)
+    res_log = lane_max_abs_residuals(lhs_log, 2.0 * psi_v)
     return res_scale, res_log
 
 
-def base_gauss_values(d: wp.WarpedDiagnostics, d_bar: wp.WarpedDiagnostics) -> tuple[float, float]:
+def base_gauss_values(d: wp.WarpedDiagnostics,
+                      d_bar: wp.WarpedDiagnostics) -> tuple[np.ndarray, np.ndarray]:
     """(source, image) base Gauss curvatures, from the members' diagnostics."""
     return geo.gauss_curvature(d.base_frame), geo.gauss_curvature(d_bar.base_frame)
 
@@ -488,112 +491,125 @@ def base_gauss_values(d: wp.WarpedDiagnostics, d_bar: wp.WarpedDiagnostics) -> t
 # ---------------------------------------------------------------------------
 # Factor relations across the pair
 
+def _fit_values(fits: list, *names: str) -> list[np.ndarray]:
+    # One array per named RoterFit field, a lane per fit.
+    return list(np.array([[getattr(fit, name) for name in names] for fit in fits]).T)
+
+
 def factor_relations(
     fam: Family,
     frames: tuple[geo.PointFrame, geo.PointFrame],
-    fits: tuple[RoterFit, RoterFit],
-    products: tuple[dict, dict],
-    v: dict[str, float],
-) -> dict[str, float]:
-    """Scalar and tensor relations tying the two members together.
+    fits: tuple[list, list],
+    v: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Scalar relations tying the two members together.
 
-    frames, fits and products are the (source, image) frames, Roter
-    fits and roter.curvature_products at one point, and v the
-    family_values there.  Keys:
+    frames are the stacked (source, image) frames, fits their RoterFit
+    lists, one per lane, and v the family_values there.  Keys:
       l_r_value, l_r_image_value   fitted L_R against -D/4, -(D+4qC)/(4p)
       lkappa                       L_R - κ/(n(n-1)) = (p/(1+q𝔟)) (image)
       lcr_source, lcr_image        ((n-2)^2/n) L_C = L_R - κ/(n(n-1))
       lc_ratio                     L_C = (p/(1+q𝔟)) L_C_image
       l_source, l_image            L = -(n-2) L_R
-      cor42_source, cor42_image    R.R = Q(S,R) - (n-2) L_R Q(g,C)
+    corollary42_residual checks the tensor relation of each member.
     """
     n = fam.cfg.n
     sframe, iframe = frames
-    sfit, ifit = fits
+    (s_lr, s_lc, s_l), (i_lr, i_lc, i_l) = (_fit_values(f, "L_R", "L_C", "L") for f in fits)
     ratio = fam.cfg.map_scale / v["one_plus_qb"]  # = F̄/F
 
-    out = {
-        "l_r_value": scalar_residual(sfit.L_R, fam.l_r_expected),
-        "l_r_image_value": scalar_residual(ifit.L_R, fam.l_r_image_expected),
+    return {
+        "l_r_value": scalar_residual(s_lr, fam.l_r_expected),
+        "l_r_image_value": scalar_residual(i_lr, fam.l_r_image_expected),
         "lkappa": scalar_residual(
-            sfit.L_R - sframe.scalar / (n * (n - 1)),
-            ratio * (ifit.L_R - iframe.scalar / (n * (n - 1))),
+            s_lr - sframe.scalar / (n * (n - 1)),
+            ratio * (i_lr - iframe.scalar / (n * (n - 1))),
         ),
         "lcr_source": scalar_residual(
-            (n - 2) ** 2 / n * sfit.L_C, sfit.L_R - sframe.scalar / (n * (n - 1))
+            (n - 2) ** 2 / n * s_lc, s_lr - sframe.scalar / (n * (n - 1))
         ),
         "lcr_image": scalar_residual(
-            (n - 2) ** 2 / n * ifit.L_C, ifit.L_R - iframe.scalar / (n * (n - 1))
+            (n - 2) ** 2 / n * i_lc, i_lr - iframe.scalar / (n * (n - 1))
         ),
-        "lc_ratio": scalar_residual(sfit.L_C, ratio * ifit.L_C),
-        "l_source": scalar_residual(sfit.L, -(n - 2) * sfit.L_R),
-        "l_image": scalar_residual(ifit.L, -(n - 2) * ifit.L_R),
+        "lc_ratio": scalar_residual(s_lc, ratio * i_lc),
+        "l_source": scalar_residual(s_l, -(n - 2) * s_lr),
+        "l_image": scalar_residual(i_l, -(n - 2) * i_lr),
     }
-    for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
-        out[tag] = tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
-    return out
+
+
+def corollary42_residual(n: int, fits: list, products: dict) -> np.ndarray:
+    """R.R = Q(S,R) - (n-2) L_R Q(g,C) at each lane of one member of
+    dimension n, from its RoterFit list and roter.curvature_products."""
+    (l_r,) = _fit_values(fits, "L_R")
+    P = products
+    return lane_residuals(P["RR"], P["QSR"] - per_lane((n - 2) * l_r, 3) * P["QgC"])
+
+
+def semisymmetric(RR: np.ndarray, frame: geo.PointFrame) -> np.ndarray:
+    """Whether R.R (packed, RR) vanishes at each lane of the source's
+    frame, where psi_ricci_identity_residual's identity does not hold."""
+    # A packed R.R entry is 2 sqrt(2) times the dense one (see curvops).
+    rr = np.max(np.abs(RR), axis=tuple(range(1, RR.ndim)))
+    return rr <= 2.0 * np.sqrt(2.0) * 1e-9 * (np.max(np.abs(frame.riemann), axis=(1, 2, 3, 4)) + 1.0)
 
 
 def psi_ricci_identity_residual(
     fam: Family,
     frames: tuple[geo.PointFrame, geo.PointFrame],
-    fits: tuple[RoterFit, RoterFit],
-    products: tuple[dict, dict],
-) -> float:
+    fits: tuple[list, list],
+    jets,
+) -> np.ndarray:
     """The (0,2) identity tying ψ_ij to the image decomposition.
 
     (κ̄φ̄ + nμ̄) B - (tr(B)φ̄ + tr(ψ)μ̄) S̄ + (κ̄μ̄ - n(L̄_R - η̄)) ψ
       + (tr(ψ)(L̄_R - η̄) - tr(B)μ̄) ḡ = 0,
 
     with B_mk = ψ_mr S̄^r_k; the index is raised and both traces taken
-    with ḡ (reported convention).  frames, fits and products are as for
-    factor_relations: the image fit supplies φ̄, μ̄, η̄, L̄_R and the
-    source R.R the guard.  Requires the source to be pseudosymmetric but
-    not semisymmetric (R.R must not vanish).
+    with ḡ (reported convention).  frames and fits are as for
+    factor_relations: the image fits supply φ̄, μ̄, η̄, L̄_R.  It holds
+    where the source is pseudosymmetric but not semisymmetric (see
+    semisymmetric).
     """
     n = fam.cfg.n
     sframe, iframe = frames
-    # A packed R.R entry is 2 sqrt(2) times the dense one (see curvops).
-    RR = products[0]["RR"]
-    if np.max(np.abs(RR)) <= 2.0 * np.sqrt(2.0) * 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
-        raise FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
-    ifit = fits[1]
-    phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R
+    phi_b, mu_b, eta_b, lr_b = _fit_values(fits[1], "phi", "mu", "eta", "L_R")
     kappa_b = iframe.scalar
     gbar_inv = iframe.ginv
-    psi2 = fam.psi.second_form(sframe)
+    psi2 = _second_form(sframe, jets)
     Bmk = psi2 @ gbar_inv @ iframe.ricci
-    tr_b = float(np.einsum("mk,mk->", gbar_inv, Bmk))
-    tr_psi = float(np.einsum("mk,mk->", gbar_inv, psi2))
+    tr_b = np.einsum("pmk,pmk->p", gbar_inv, Bmk)
+    tr_psi = np.einsum("pmk,pmk->p", gbar_inv, psi2)
     terms = [
-        (kappa_b * phi_b + n * mu_b) * Bmk,
-        -(tr_b * phi_b + tr_psi * mu_b) * iframe.ricci,
-        (kappa_b * mu_b - n * (lr_b - eta_b)) * psi2,
-        (tr_psi * (lr_b - eta_b) - tr_b * mu_b) * iframe.g,
+        per_lane(kappa_b * phi_b + n * mu_b, 2) * Bmk,
+        -per_lane(tr_b * phi_b + tr_psi * mu_b, 2) * iframe.ricci,
+        per_lane(kappa_b * mu_b - n * (lr_b - eta_b), 2) * psi2,
+        per_lane(tr_psi * (lr_b - eta_b) - tr_b * mu_b, 2) * iframe.g,
     ]
     total = sum(terms)
-    scale = sum(float(np.linalg.norm(t)) for t in terms) + 1.0
-    return float(np.linalg.norm(total)) / scale
+    scale = sum(lane_norms(t) for t in terms) + 1.0
+    return lane_norms(total) / scale
 
 
-def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, float]:
+def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, np.ndarray]:
     """Shape constraints that make T proportional to the base metric.
 
     T₁₂ = 0 and 𝔟 T₁₁ = 𝔞 T₂₂, plus the square-root-warp reductions
     f₁₂ = f₂ 𝔟'/(2𝔟) and f₁₁ - (𝔞/𝔟) f₂₂ = f₁ (𝔞𝔟)'/(2𝔞𝔟) for f = √F,
-    read from the source member's diagnostics.
+    read from the source member's diagnostics; the jets of f are
+    evaluated point by point.
     """
     bframe = d.base_frame
-    base_pt = bframe.point
-    a_v, b_v = bframe.g[0, 0], bframe.g[1, 1]
+    jets = [fam._warp_root_jet(point) for point in bframe.point]
+    df = np.array([grad[:, 0] for _, grad, _ in jets])
+    d2f = np.array([hess[:, :, 0] for _, _, hess in jets])
+    a_v, b_v = bframe.g[:, 0, 0], bframe.g[:, 1, 1]
     out = {
-        "t_offdiag": zero_residual(d.t[0, 1], d.t),
-        "t_balance": scalar_residual(b_v * d.t[0, 0], a_v * d.t[1, 1]),
+        "t_offdiag": lane_zero_residuals(d.t[:, 0, 1], d.t),
+        "t_balance": scalar_residual(b_v * d.t[:, 0, 0], a_v * d.t[:, 1, 1]),
     }
-    _, df, d2f = fam._warp_root_jet(base_pt)
-    f1, f2 = df[:, 0]
-    f11, f12, f22 = d2f[0, 0, 0], d2f[0, 1, 0], d2f[1, 1, 0]
-    ap, bp = bframe.dg[0, 0, 0], bframe.dg[0, 1, 1]
+    f1, f2 = df.T
+    f11, f12, f22 = d2f[:, 0, 0], d2f[:, 0, 1], d2f[:, 1, 1]
+    ap, bp = bframe.dg[:, 0, 0, 0], bframe.dg[:, 0, 1, 1]
     ab_p = ap * b_v + a_v * bp
     out["warp_root_mixed"] = scalar_residual(f12, f2 * bp / (2 * b_v))
     out["warp_root_balance"] = scalar_residual(

@@ -29,16 +29,13 @@ use, so no point's evaluation looks up ex.jet's cache.
 
 frames(spec, points) evaluates jets and conditions point by point and
 then the curvature packet once over a leading point axis: one
-PointFrame whose arrays carry that axis (g of shape (P, n, n)), which
-the Roter path and the geometry suite's residuals read for all its
-points at once.  frame(spec, point) is its one-lane case, and
-PointFrame.lanes() gives each lane as its point's own frame, viewing
-the stack's arrays; every lane equals frame() at its point bit for bit.
-Frames are independent and nothing keeps them: whoever asks for a
-frame owns it and passes it to the helpers below, which take frames
-rather than (spec, point).  stack() joins frames of one chart into
-such a chunk.  MetricSpec is immutable apart from those bound programs,
-and safe to share across threads.
+PointFrame whose arrays carry that axis (g of shape (P, n, n)).  Each
+lane equals the same call on that point alone, bit for bit.
+PointFrame.take cuts some lanes, and PointFrame.lanes() views each as
+its point's own frame for the per-point checks; frame(spec, point) is
+the lane of a one-point chunk.  Whoever asks for a frame owns it and
+passes it to the helpers below.  MetricSpec is immutable apart from
+its bound programs, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -60,11 +57,9 @@ __all__ = [
     "PointFrame",
     "metric_spec",
     "diagonal_metric",
-    "flat_metric",
-    "constant_curvature_2d",
     "admissible",
     "frame",
-    "stack",
+    "frames",
     "gauss_curvature",
     "covariant_derivative_02",
     "second_bianchi_residual",
@@ -179,38 +174,6 @@ def diagonal_metric(coords, diagonal, bindings=None, conditions=()) -> MetricSpe
     n = len(coords)
     comps = [[(diagonal[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
     return metric_spec(coords, comps, bindings, conditions)
-
-
-def flat_metric(dim: int, prefix: str = "x") -> MetricSpec:
-    coords = tuple(f"{prefix}{i + 1}" for i in range(dim))
-    return diagonal_metric(coords, [1.0] * dim)
-
-
-def constant_curvature_2d(
-    b,
-    gauss_curvature: float,
-    energy: float,
-    coords: Sequence[str] = ("x", "y"),
-    bindings: Mapping[str, float] | None = None,
-) -> MetricSpec:
-    """Surface diag(𝔞, 𝔟) of constant Gauss curvature K.
-
-    Given a profile 𝔟(x) the first component is forced to
-    𝔞 = (𝔟')^2 / (𝔟 (E - 4K𝔟)), which pins the Gauss curvature to K
-    wherever the chart is admissible; E selects the representative.
-    """
-    coords = tuple(coords)
-    bmap = bindings if isinstance(bindings, ex.Bindings) else ex.Bindings(bindings or {})
-    b_expr = _parse_maybe(b, coords, tuple(bmap))
-    bp = ex.diff(b_expr, coords[0])
-    denom_factor = ex.sub(ex.num(energy), ex.mul(ex.num(4.0 * gauss_curvature), b_expr))
-    a_expr = ex.div(ex.intpow(bp, 2), ex.mul(b_expr, denom_factor))
-    conds = (
-        (b_expr, "nonzero"),
-        (bp, "nonzero"),
-        (denom_factor, "nonzero"),
-    )
-    return metric_spec(coords, [[a_expr, 0.0], [0.0, b_expr]], bmap, conds)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +301,6 @@ class PointFrame:
 _LANE_FIELDS = tuple(f.name for f in fields(PointFrame))[2:]
 
 
-def stack(frames: Sequence[PointFrame]) -> PointFrame:
-    """One frame for a chunk of points of one chart.
-
-    Each array gains a leading point axis, lane i holding frames[i]'s
-    (g of shape (P, n, n), scalar of shape (P,)), and point becomes the
-    tuple of the frames' points.  One frame's arrays are views, not
-    copies.
-    """
-    if len(frames) == 1:
-        lanes = (np.asarray(getattr(frames[0], name))[None] for name in _LANE_FIELDS)
-    else:
-        lanes = (np.array([getattr(f, name) for f in frames]) for name in _LANE_FIELDS)
-    return PointFrame(frames[0].spec, tuple(f.point for f in frames), *lanes)
-
-
 def frames(spec: MetricSpec, points: Sequence[Sequence[float]]) -> PointFrame:
     """The full curvature packet at a chunk of points, stacked.
 
@@ -397,12 +345,12 @@ def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:
     return f
 
 
-def gauss_curvature(f: PointFrame) -> float:
-    """Gauss curvature of a 2-dimensional frame: R_1221 / det g = kappa/2."""
+def gauss_curvature(f: PointFrame):
+    """Gauss curvature of a 2-dimensional frame: R_1221 / det g = kappa/2,
+    one per lane of a stacked frame."""
     if f.dim != 2:
         raise GeometryError(f"Gauss curvature needs a 2-dimensional chart, got {f.dim}")
-    det = float(np.linalg.det(f.g))
-    return float(f.riemann[0, 1, 1, 0] / det)
+    return f.riemann[..., 0, 1, 1, 0] / np.linalg.det(f.g)
 
 
 # ---------------------------------------------------------------------------

@@ -32,22 +32,19 @@ those eigenvalues (the quasi-Einstein test) and on the grid of
 rank_grid_exceeds_one, which ranks alpha1/2 of each fit and its extra
 candidates in one more.
 
-Chunks.  Every entry takes a chunk of points of one chart, as
-geometry.stack builds it: each array with a leading point axis, one
-point being stack([frame]).  It returns one result per lane: a list of
-Classification, of residual dicts or of ProportionalityResult, a
-boolean array for membership and the rank grid, and from fit_roter a
-list holding each lane's RoterFit or RoterFitError (returned, not
-raised).  A lane that a step does not apply to (an Einstein lane in
-the fit, a lane that is not Roter in the identity suite) is indexed out
-before the step, never computed and masked, and no step mixes lanes, so
-a lane's result does not depend on the rest of its chunk.
+Chunks.  Every entry takes a stacked frame of one chart's points, as
+geometry.frames builds it (each array with a leading point axis), and
+returns one result per lane: a list of Classification, of residual
+dicts or of ProportionalityResult, a boolean array for membership and
+the rank grid, and from fit_roter each lane's RoterFit or RoterFitError
+(returned, not raised).  A lane that a step does not apply to is
+indexed out before the step, and no step mixes lanes, so a lane's
+result does not depend on the rest of its chunk.
 
-chunk_size(n) sizes a chunk from the bivector count m = n(n-1)/2, not
-from a setting: one stacked order-6 product, m**3 floats per point,
-stays within CHUNK_BYTES = 32 KB, the 27 KB of one n = 6 product
-rounded up.  That is 18 points at n = 4, 4 at n = 5 and 1 at n = 6, so
-a chunk at n = 6 has one point's working set.
+chunk_size(n) sizes a chunk from the bivector count m = n(n-1)/2: one
+stacked order-6 product, m**3 floats per point, stays within
+CHUNK_BYTES = 32 KB, the 27 KB of one n = 6 product rounded up.  That
+is 18 points at n = 4, 4 at n = 5 and 1 at n = 6.
 """
 
 from __future__ import annotations

@@ -12,16 +12,14 @@ All of its curvature concentrates in closed forms built from
     tr(T) = ĝ^{ab} T_ab
     Δ₁F   = ĝ^{ab} F_a F_b
 
-diagnostics(ws, frame, fiber_frame) evaluates these at the product
-frame's point together with the two Ricci block factors μ₁, μ₂, the
-three curvature block factors ρ₁, ρ₂, ρ₃ and the conformal-flatness
-scalar ρ₀ (the last six only for a 2-dimensional base), and keeps the
-two frames it is handed with the base frame it computes.  The
-verify_* functions, t_proportionality_residual and
-conformal_flatness_test take that WarpedDiagnostics and compare every
-closed form against the direct curvature of the assembled product
-metric; they are the engine's cross-check that the block formulas hold,
-not assumptions.
+diagnostics(ws, frame, fiber_frame) evaluates these at every point of
+a stacked product frame (see geometry.frames) with the Ricci block
+factors μ₁, μ₂, the curvature block factors ρ₁, ρ₂, ρ₃ and the
+conformal-flatness scalar ρ₀ (the last six only for a 2-dimensional
+base).  The verify_* functions, t_proportionality_residual and
+conformal_flatness_test compare every closed form against the direct
+curvature of the assembled product, one residual per point: the
+engine's cross-check that the block formulas hold.
 """
 
 from __future__ import annotations
@@ -34,10 +32,11 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from .curvops import (
-    max_abs_residual,
+    lane_max_abs_residuals,
+    lane_zero_residuals,
+    per_lane,
     scalar_residual,
     unit_curvature,
-    zero_residual,
 )
 
 __all__ = [
@@ -150,49 +149,56 @@ def constant_curvature_fiber(dim: int, scalar_curvature: float) -> geo.MetricSpe
 
 @dataclass(frozen=True)
 class WarpedDiagnostics:
-    """Pointwise warped-product scalars and the frames they came from.
+    """Warped-product scalars at a chunk of points, and the frames they
+    came from.
 
-    frame, base_frame and fiber_frame are the product, base and fiber
-    frames at the point; grad is the base gradient of the warp.
-    rho0..rho3, mu1, mu2 are populated only for a 2-dimensional base
-    (they are block factors of that geometry); T, tr_T and delta1 are
-    general.
+    frame, base_frame and fiber_frame are the stacked product, base and
+    fiber frames; grad is the base gradient of the warp.  Every array
+    carries the chunk's point axis first (f_value of shape (P,), t of
+    shape (P, p, p)).  rho0..rho3, mu1, mu2 are populated only for a
+    2-dimensional base (they are block factors of that geometry); T,
+    tr_T and delta1 are general.
     """
 
     frame: geo.PointFrame
     base_frame: geo.PointFrame
     fiber_frame: geo.PointFrame
-    f_value: float
+    f_value: np.ndarray
     grad: np.ndarray
     t: np.ndarray
-    tr_t: float
-    delta1: float
-    rho0: float | None
-    rho1: float | None
-    rho2: float | None
-    rho3: float | None
-    mu1: float | None
-    mu2: float | None
+    tr_t: np.ndarray
+    delta1: np.ndarray
+    rho0: np.ndarray | None
+    rho1: np.ndarray | None
+    rho2: np.ndarray | None
+    rho3: np.ndarray | None
+    mu1: np.ndarray | None
+    mu2: np.ndarray | None
 
 
 def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
                 fiber_frame: geo.PointFrame) -> WarpedDiagnostics:
-    """T, tr(T), Δ₁F and (for 2-D bases) the block factors at the product
-    frame's point; fiber_frame is the fiber's frame at that point's fiber
-    coordinates (a family's source and image share one)."""
-    point = frame.point
-    base_pt = ws.split(point)[0]
+    """T, tr(T), Δ₁F and (for 2-D bases) the block factors at each point
+    of a stacked product frame; fiber_frame is the fiber's stacked frame
+    at those points' fiber coordinates (a family's source and image
+    share one).  The base frames come from one geo.frames call, and the
+    warp jets are evaluated point by point, as frames does with metric
+    jets; everything else runs once over the point axis."""
+    base_pts = [ws.split(point)[0] for point in frame.point]
     base = ws.base
-    bframe = geo.frame(base, base_pt)
-    f_value, grad, hess = ws._warp_jet(base_pt)
-    f_value, grad, hess = float(f_value[0]), grad[:, 0], hess[:, :, 0]
-    if f_value <= 0.0:
+    bframe = geo.frames(base, base_pts)
+    jets = [ws._warp_jet(point) for point in base_pts]
+    f_value = np.array([f[0] for f, _, _ in jets])
+    grad = np.array([g[:, 0] for _, g, _ in jets])
+    hess = np.array([h[:, :, 0] for _, _, h in jets])
+    if (f_value <= 0.0).any():
+        point = frame.point[int(np.argmax(f_value <= 0.0))]
         raise geo.InadmissiblePointError(f"warping function non-positive at {tuple(point)}")
-    nabla_grad = hess - np.einsum("sab,s->ab", bframe.gamma, grad)
-    t = nabla_grad - np.outer(grad, grad) / (2.0 * f_value)
+    nabla_grad = hess - np.einsum("psab,ps->pab", bframe.gamma, grad)
+    t = nabla_grad - grad[:, :, None] * grad[:, None, :] / per_lane(2.0 * f_value, 2)
     ginv_base = bframe.ginv
-    tr_t = float(np.einsum("ab,ab->", ginv_base, t))
-    delta1 = float(grad @ ginv_base @ grad)
+    tr_t = np.einsum("pab,pab->p", ginv_base, t)
+    delta1 = (grad[:, None, :] @ ginv_base @ grad[:, :, None])[:, 0, 0]
     fiber_scalar = fiber_frame.scalar
 
     n, p = ws.dim, ws.base_dim
@@ -202,7 +208,7 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
             kb / 2.0
             + fiber_scalar / ((n - 3) * (n - 2) * f_value)
             + tr_t / (2.0 * f_value)
-            - delta1 / (4.0 * f_value**2)
+            - delta1 / (4.0 * _square(f_value))
         )
         rho1 = kb / 2.0
         rho2 = -tr_t / (4.0 * f_value)
@@ -219,22 +225,42 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
     )
 
 
-def t_proportionality_residual(d: WarpedDiagnostics) -> float:
-    """How far T is from (tr T / 2) ĝ; zero characterizes the
-    pseudosymmetric warped products over 2-dimensional bases."""
-    return max_abs_residual(d.t, (d.tr_t / d.base_frame.dim) * d.base_frame.g)
+def _square(v: np.ndarray) -> np.ndarray:
+    # Each lane through libm's pow, as Python squares a float; numpy's
+    # v * v differs from it in the last bit for about 0.1% of values.
+    return np.array([x ** 2 for x in v.tolist()])
+
+
+def t_proportionality_residual(d: WarpedDiagnostics) -> np.ndarray:
+    """How far T is from (tr T / 2) ĝ at each lane; zero characterizes
+    the pseudosymmetric warped products over 2-dimensional bases."""
+    return lane_max_abs_residuals(d.t, per_lane(d.tr_t / d.base_frame.dim, 2) * d.base_frame.g)
 
 
 # ---------------------------------------------------------------------------
-# Cross-checks against the assembled product
+# Cross-checks against the assembled product.  Each returns one residual
+# per lane of the diagnostics; block slices keep the point axis.
 
-def _split_blocks_residual(T, p: int) -> float:
+def _block(T, p: int, kind: str) -> np.ndarray:
+    """The base (abcd), mixed (αabδ) or fiber (αβγδ) block of a stacked
+    (0,4) tensor over a p-dimensional base."""
+    b, f = slice(None, p), slice(p, None)
+    return T[(slice(None),) + {"base": (b, b, b, b), "mixed": (f, b, b, f), "fiber": (f, f, f, f)}[kind]]
+
+
+def _block_residuals(T, G, p: int, factors: dict) -> dict:
+    """Each named block of T against its factor (per lane) times G's."""
+    return {name: lane_max_abs_residuals(_block(T, p, kind), per_lane(factor, 4) * _block(G, p, kind))
+            for name, (kind, factor) in factors.items()}
+
+
+def _split_blocks_residual(T, p: int) -> np.ndarray:
     """Worst zero residual of the (0,4) blocks with an odd base/fiber split."""
-    blocks = (T[:p, :p, :p, p:], T[:p, :p, p:, p:], T[:p, p:, p:, p:])
-    return max(zero_residual(block, T) for block in blocks)
+    blocks = (T[:, :p, :p, :p, p:], T[:, :p, :p, p:, p:], T[:, :p, p:, p:, p:])
+    return np.maximum.reduce([lane_zero_residuals(block, T) for block in blocks])
 
 
-def verify_product_christoffels(d: WarpedDiagnostics) -> float:
+def verify_product_christoffels(d: WarpedDiagnostics) -> np.ndarray:
     """Max-abs residual of the product connection against its closed form.
 
     Blocks: base and fiber Christoffels pass through; the mixed blocks
@@ -243,23 +269,20 @@ def verify_product_christoffels(d: WarpedDiagnostics) -> float:
     """
     pframe, bframe, fframe = d.frame, d.base_frame, d.fiber_frame
     p, m, n = bframe.dim, fframe.dim, pframe.dim
-    f_value, grad = d.f_value, d.grad
 
-    expected = np.zeros((n, n, n))
-    expected[:p, :p, :p] = bframe.gamma
-    expected[p:, p:, p:] = fframe.gamma
-    mixed_a = -0.5 * np.einsum("ab,b->a", bframe.ginv, grad)
-    for al in range(m):
-        for be in range(m):
-            expected[:p, p + al, p + be] = mixed_a * fframe.g[al, be]
-    for a in range(p):
-        for al in range(m):
-            expected[p + al, a, p + al] = grad[a] / (2.0 * f_value)
-            expected[p + al, p + al, a] = grad[a] / (2.0 * f_value)
-    return max_abs_residual(pframe.gamma, expected)
+    expected = np.zeros((len(d.f_value), n, n, n))
+    expected[:, :p, :p, :p] = bframe.gamma
+    expected[:, p:, p:, p:] = fframe.gamma
+    mixed_a = -0.5 * np.einsum("pab,pb->pa", bframe.ginv, d.grad)
+    expected[:, :p, p:, p:] = mixed_a[:, :, None, None] * fframe.g[:, None]
+    half = d.grad / per_lane(2.0 * d.f_value, 1)
+    for al in range(p, p + m):
+        expected[:, al, :p, al] = half
+        expected[:, al, al, :p] = half
+    return lane_max_abs_residuals(pframe.gamma, expected)
 
 
-def verify_curvature_blocks(d: WarpedDiagnostics) -> dict[str, float]:
+def verify_curvature_blocks(d: WarpedDiagnostics) -> dict[str, np.ndarray]:
     """Residuals of the curvature/Ricci block closed forms.
 
     Checks, against the direct curvature of the product:
@@ -277,38 +300,36 @@ def verify_curvature_blocks(d: WarpedDiagnostics) -> dict[str, float]:
     R, S = pframe.riemann, pframe.ricci
     g_t, R_t = fframe.g, fframe.riemann
     G_t = unit_curvature(g_t)
+    F, tr_t, delta1 = d.f_value, d.tr_t, d.delta1
 
     out = {}
-    out["riemann_base"] = max_abs_residual(R[:p, :p, :p, :p], bframe.riemann)
-    mixed = np.einsum("ab,xd->xabd", -0.5 * d.t, g_t)
-    out["riemann_mixed"] = max_abs_residual(R[p:, :p, :p, p:], mixed)
-    out["riemann_fiber"] = max_abs_residual(
-        R[p:, p:, p:, p:], d.f_value * R_t - (d.delta1 / 4.0) * G_t
+    out["riemann_base"] = lane_max_abs_residuals(_block(R, p, "base"), bframe.riemann)
+    mixed = np.einsum("pab,pxd->pxabd", -0.5 * d.t, g_t)
+    out["riemann_mixed"] = lane_max_abs_residuals(_block(R, p, "mixed"), mixed)
+    out["riemann_fiber"] = lane_max_abs_residuals(
+        _block(R, p, "fiber"), per_lane(F, 4) * R_t - per_lane(delta1 / 4.0, 4) * G_t
     )
     out["riemann_zero"] = _split_blocks_residual(R, p)
-    out["ricci_base"] = max_abs_residual(
-        S[:p, :p], bframe.ricci - ((n - p) / (2.0 * d.f_value)) * d.t
+    out["ricci_base"] = lane_max_abs_residuals(
+        S[:, :p, :p], bframe.ricci - per_lane((n - p) / (2.0 * F), 2) * d.t
     )
-    out["ricci_fiber"] = max_abs_residual(
-        S[p:, p:],
-        fframe.ricci
-        - 0.5 * (d.tr_t + (n - p - 1) / (2.0 * d.f_value) * d.delta1) * g_t,
+    out["ricci_fiber"] = lane_max_abs_residuals(
+        S[:, p:, p:],
+        fframe.ricci - per_lane(0.5 * (tr_t + (n - p - 1) / (2.0 * F) * delta1), 2) * g_t,
     )
-    out["ricci_mixed"] = zero_residual(S[:p, p:], S)
+    out["ricci_mixed"] = lane_zero_residuals(S[:, :p, p:], S)
     closed_scalar = (
         bframe.scalar
-        + fframe.scalar / d.f_value
-        - ((n - p) / d.f_value) * (d.tr_t + (n - p - 1) / (4.0 * d.f_value) * d.delta1)
+        + fframe.scalar / F
+        - ((n - p) / F) * (tr_t + (n - p - 1) / (4.0 * F) * delta1)
     )
     out["scalar"] = scalar_residual(pframe.scalar, closed_scalar)
     # internal consistency of the trace definition
-    out["trace_t"] = scalar_residual(
-        d.tr_t, float(np.einsum("ab,ab->", bframe.ginv, d.t))
-    )
+    out["trace_t"] = scalar_residual(tr_t, np.einsum("pab,pab->p", bframe.ginv, d.t))
     return out
 
 
-def verify_weyl_blocks(d: WarpedDiagnostics) -> dict[str, float]:
+def verify_weyl_blocks(d: WarpedDiagnostics) -> dict[str, np.ndarray]:
     """Residuals of the conformal-tensor block forms for a 2-D base.
 
     C_abcd = ((n-3) ρ₀/(n-1)) G_abcd,
@@ -323,23 +344,16 @@ def verify_weyl_blocks(d: WarpedDiagnostics) -> dict[str, float]:
     if n == 4 and d.fiber_frame.dim != 2:
         raise geo.GeometryError("dimension-4 products need a 2-dimensional fiber")
     C, G, rho0 = d.frame.weyl, unit_curvature(d.frame.g), d.rho0
-    out = {
-        "weyl_base": max_abs_residual(
-            C[:p, :p, :p, :p], ((n - 3) * rho0 / (n - 1)) * G[:p, :p, :p, :p]
-        ),
-        "weyl_mixed": max_abs_residual(
-            C[p:, :p, :p, p:],
-            (-(n - 3) * rho0 / ((n - 2) * (n - 1))) * G[p:, :p, :p, p:],
-        ),
-        "weyl_fiber": max_abs_residual(
-            C[p:, p:, p:, p:], (2 * rho0 / ((n - 2) * (n - 1))) * G[p:, p:, p:, p:]
-        ),
-    }
+    out = _block_residuals(C, G, p, {
+        "weyl_base": ("base", (n - 3) * rho0 / (n - 1)),
+        "weyl_mixed": ("mixed", -(n - 3) * rho0 / ((n - 2) * (n - 1))),
+        "weyl_fiber": ("fiber", 2 * rho0 / ((n - 2) * (n - 1))),
+    })
     out["weyl_zero"] = _split_blocks_residual(C, p)
     return out
 
 
-def verify_proportional_blocks(d: WarpedDiagnostics) -> dict[str, float]:
+def verify_proportional_blocks(d: WarpedDiagnostics) -> dict[str, np.ndarray]:
     """Block-proportionality residuals when T = (tr T / 2) ĝ holds.
 
     R_abcd = ρ₁ G, R_αbcβ = ρ₂ G, R_αβγδ = ρ₃ G, S_ab = μ₁ g,
@@ -349,33 +363,28 @@ def verify_proportional_blocks(d: WarpedDiagnostics) -> dict[str, float]:
     if p != 2:
         raise geo.GeometryError("block factors require a 2-dimensional base")
     R, S, g = d.frame.riemann, d.frame.ricci, d.frame.g
-    G = unit_curvature(g)
-    return {
-        "block_riemann_base": max_abs_residual(
-            R[:p, :p, :p, :p], d.rho1 * G[:p, :p, :p, :p]
-        ),
-        "block_riemann_mixed": max_abs_residual(
-            R[p:, :p, :p, p:], d.rho2 * G[p:, :p, :p, p:]
-        ),
-        "block_riemann_fiber": max_abs_residual(
-            R[p:, p:, p:, p:], d.rho3 * G[p:, p:, p:, p:]
-        ),
-        "block_ricci_base": max_abs_residual(S[:p, :p], d.mu1 * g[:p, :p]),
-        "block_ricci_fiber": max_abs_residual(S[p:, p:], d.mu2 * g[p:, p:]),
-    }
+    out = _block_residuals(R, unit_curvature(g), p, {
+        "block_riemann_base": ("base", d.rho1),
+        "block_riemann_mixed": ("mixed", d.rho2),
+        "block_riemann_fiber": ("fiber", d.rho3),
+    })
+    out["block_ricci_base"] = lane_max_abs_residuals(S[:, :p, :p], per_lane(d.mu1, 2) * g[:, :p, :p])
+    out["block_ricci_fiber"] = lane_max_abs_residuals(S[:, p:, p:], per_lane(d.mu2, 2) * g[:, p:, p:])
+    return out
 
 
-def conformal_flatness_test(d: WarpedDiagnostics) -> tuple[float, bool]:
-    """(ρ₀, weyl-flat?) with flatness decided by |ρ₀| against the scale
-    of its own terms; the Weyl block forms tie the two together."""
+def conformal_flatness_test(d: WarpedDiagnostics) -> tuple[np.ndarray, np.ndarray]:
+    """(ρ₀, weyl-flat?) at each lane, with flatness decided by |ρ₀|
+    against the scale of its own terms; the Weyl block forms tie the
+    two together."""
     if d.rho0 is None:
         raise geo.GeometryError("rho0 requires a 2-dimensional base")
     n = d.frame.dim
     scale = (
-        abs(d.base_frame.scalar) / 2.0
-        + abs(d.fiber_frame.scalar) / ((n - 3) * (n - 2) * d.f_value)
-        + abs(d.tr_t) / (2.0 * d.f_value)
-        + abs(d.delta1) / (4.0 * d.f_value**2)
+        np.abs(d.base_frame.scalar) / 2.0
+        + np.abs(d.fiber_frame.scalar) / ((n - 3) * (n - 2) * d.f_value)
+        + np.abs(d.tr_t) / (2.0 * d.f_value)
+        + np.abs(d.delta1) / (4.0 * _square(d.f_value))
         + 1.0
     )
-    return d.rho0, abs(d.rho0) <= 1e-9 * scale
+    return d.rho0, np.abs(d.rho0) <= 1e-9 * scale

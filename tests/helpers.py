@@ -1,5 +1,6 @@
 """Shared test utilities: random expression instances and oracles."""
 
+import dataclasses
 import math
 import random
 from typing import Mapping
@@ -7,9 +8,18 @@ from typing import Mapping
 import numpy as np
 
 from curvcheck import expr as ex
+from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import roter
 from curvcheck import warped as wp
+from curvcheck.curvops import (
+    lane_max_abs_residuals,
+    lane_riemann_symmetry_residuals,
+    lane_trace_residuals,
+    scalar_residual,
+    tensor_residual,
+    unit_curvature,
+)
 from curvcheck.expr import (
     Bin,
     Const,
@@ -180,28 +190,405 @@ def second_kind_curvature(g, dg, d2g):
     return gamma, np.einsum("hs,sijk->hijk", g, rup)
 
 
-def frames_fits_and_products(fam, point):
-    """(source, image) frames, Roter fits and curvature products of a
-    warped family at a point, as the factor relations and the psi-Ricci
-    identity take them."""
-    frames = tuple(geo.frame(member.product, point) for member in (fam.source, fam.image))
+def stack(frames):
+    """One frame for a chunk of points of one chart: each array gains a
+    leading point axis, lane i holding frames[i]'s, and point becomes
+    the tuple of the frames' points.  One frame's arrays are views."""
+    names = [f.name for f in dataclasses.fields(geo.PointFrame)][2:]
+    if len(frames) == 1:  # views of the one frame's arrays
+        lanes = (np.asarray(getattr(frames[0], name))[None] for name in names)
+    else:
+        lanes = (np.array([getattr(f, name) for f in frames]) for name in names)
+    return geo.PointFrame(frames[0].spec, tuple(f.point for f in frames), *lanes)
+
+
+def flat_metric(dim: int, prefix: str = "x") -> geo.MetricSpec:
+    coords = tuple(f"{prefix}{i + 1}" for i in range(dim))
+    return geo.diagonal_metric(coords, [1.0] * dim)
+
+
+def constant_curvature_2d(b, gauss_curvature, energy, coords=("x", "y"), bindings=None):
+    """Surface diag(a, b) of constant Gauss curvature K.
+
+    Given a profile b(x) the first component is forced to
+    a = (b')^2 / (b (E - 4K b)), which pins the Gauss curvature to K
+    wherever the chart is admissible; E selects the representative.
+    """
+    coords = tuple(coords)
+    bmap = bindings if isinstance(bindings, ex.Bindings) else ex.Bindings(bindings or {})
+    b_expr = ex.parse(b, coords, tuple(bmap)) if isinstance(b, str) else b
+    bp = ex.diff(b_expr, coords[0])
+    denom_factor = ex.sub(ex.num(energy), ex.mul(ex.num(4.0 * gauss_curvature), b_expr))
+    a_expr = ex.div(ex.intpow(bp, 2), ex.mul(b_expr, denom_factor))
+    conds = ((b_expr, "nonzero"), (bp, "nonzero"), (denom_factor, "nonzero"))
+    return geo.metric_spec(coords, [[a_expr, 0.0], [0.0, b_expr]], bmap, conds)
+
+
+def psi_jets(psi, points):
+    """The stacked psi jets (psi, dpsi) of a mapping at a chunk of points."""
+    jets = [psi.jet(point) for point in points]
+    return np.array([v for v, _ in jets]), np.array([d for _, d in jets])
+
+
+def member_frames(fam, points):
+    """(source, image) stacked frames of a warped family at a chunk of points."""
+    return tuple(geo.frames(member.product, points) for member in (fam.source, fam.image))
+
+
+def frames_fits_and_products(fam, points):
+    """(source, image) stacked frames, Roter fit lists and curvature
+    products of a warped family at a chunk of points, as the factor
+    relations, corollary42_residual and the psi-Ricci identity take them."""
+    frames = member_frames(fam, points)
     return (
         frames,
-        tuple(roter.fit_roter(geo.stack([f]))[0] for f in frames),
+        tuple(roter.fit_roter(f) for f in frames),
         tuple(roter.curvature_products(f) for f in frames),
     )
 
 
-def diagnostics_at(ws, point):
-    """Warped diagnostics at a point, from the product and fiber frames
-    there."""
-    fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
-    return wp.diagnostics(ws, geo.frame(ws.product, point), fiber_frame)
+def diagnostics_at(ws, points):
+    """Stacked warped diagnostics at a chunk of points (or at one point,
+    a chunk of one), from the product and fiber frames there."""
+    if np.ndim(points[0]) == 0:
+        points = [points]
+    fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1] for point in points])
+    return wp.diagnostics(ws, geo.frames(ws.product, points), fiber_frame)
 
 
-def member_diagnostics(fam, point):
-    """(source, image) warped diagnostics of a family at a point."""
-    return diagnostics_at(fam.source, point), diagnostics_at(fam.image, point)
+def member_diagnostics(fam, points):
+    """(source, image) stacked warped diagnostics of a family."""
+    return diagnostics_at(fam.source, points), diagnostics_at(fam.image, points)
+
+
+# One-point residual forms, each the one-lane case of its curvops lane
+# form.
+
+def max_abs_residual(lhs, rhs) -> float:
+    """Componentwise max-abs residual, sum-plus-one normalized."""
+    return float(lane_max_abs_residuals(np.asarray(lhs, float)[None], np.asarray(rhs, float)[None])[0])
+
+
+def zero_residual(t, reference=None) -> float:
+    """Max-abs of t, normalized by the scale of a reference tensor."""
+    a = np.asarray(t, dtype=float)
+    scale = 1.0 if reference is None else float(np.max(np.abs(np.asarray(reference, float))) + 1.0)
+    return float(np.max(np.abs(a)) / scale)
+
+
+def riemann_symmetry_residuals(R) -> dict:
+    """Max-abs residuals of the algebraic curvature symmetries of one R."""
+    lanes = lane_riemann_symmetry_residuals(np.asarray(R, float)[None])
+    return {name: float(res[0]) for name, res in lanes.items()}
+
+
+def trace_residual(C, ginv) -> float:
+    """Largest metric trace of one (0,4) tensor over all slot pairs."""
+    return float(lane_trace_residuals(np.asarray(C, float)[None], np.asarray(ginv, float)[None])[0])
+
+
+# The warped and geodesic suites point by point: the bit-identity oracle
+# for their stacked forms.  Each takes one point's frames (lanes, as
+# geo.frame gives them) and returns Python floats.
+
+@dataclasses.dataclass(frozen=True)
+class PointDiagnostics:
+    """Warped-product scalars at one point, and the frames they came from."""
+
+    frame: geo.PointFrame
+    base_frame: geo.PointFrame
+    fiber_frame: geo.PointFrame
+    f_value: float
+    grad: np.ndarray
+    t: np.ndarray
+    tr_t: float
+    delta1: float
+    rho0: float | None
+    rho1: float | None
+    rho2: float | None
+    rho3: float | None
+    mu1: float | None
+    mu2: float | None
+
+
+def point_diagnostics(ws, frame, fiber_frame) -> PointDiagnostics:
+    base_pt = ws.split(frame.point)[0]
+    bframe = geo.frame(ws.base, base_pt)
+    f_value, grad, hess = ws._warp_jet(base_pt)
+    f_value, grad, hess = float(f_value[0]), grad[:, 0], hess[:, :, 0]
+    nabla_grad = hess - np.einsum("sab,s->ab", bframe.gamma, grad)
+    t = nabla_grad - np.outer(grad, grad) / (2.0 * f_value)
+    ginv_base = bframe.ginv
+    tr_t = float(np.einsum("ab,ab->", ginv_base, t))
+    delta1 = float(grad @ ginv_base @ grad)
+    fiber_scalar = fiber_frame.scalar
+    n, p = ws.dim, ws.base_dim
+    if p == 2 and n >= 4:
+        kb = bframe.scalar
+        rho0 = (kb / 2.0 + fiber_scalar / ((n - 3) * (n - 2) * f_value)
+                + tr_t / (2.0 * f_value) - delta1 / (4.0 * f_value**2))
+        rho1 = kb / 2.0
+        rho2 = -tr_t / (4.0 * f_value)
+        rho3 = (fiber_scalar / ((n - 3) * (n - 2)) - delta1 / (4.0 * f_value)) / f_value
+        mu1 = (2.0 * f_value * kb - (n - 2) * tr_t) / (4.0 * f_value)
+        mu2 = (fiber_scalar / (n - 2) - tr_t / 2.0 - (n - 3) * delta1 / (4.0 * f_value)) / f_value
+    else:
+        rho0 = rho1 = rho2 = rho3 = mu1 = mu2 = None
+    return PointDiagnostics(frame, bframe, fiber_frame, f_value, grad, t, tr_t, delta1,
+                            rho0, rho1, rho2, rho3, mu1, mu2)
+
+
+def point_t_proportionality_residual(d) -> float:
+    return max_abs_residual(d.t, (d.tr_t / d.base_frame.dim) * d.base_frame.g)
+
+
+def _point_split_blocks_residual(T, p):
+    blocks = (T[:p, :p, :p, p:], T[:p, :p, p:, p:], T[:p, p:, p:, p:])
+    return max(zero_residual(block, T) for block in blocks)
+
+
+def point_product_christoffels(d) -> float:
+    pframe, bframe, fframe = d.frame, d.base_frame, d.fiber_frame
+    p, m, n = bframe.dim, fframe.dim, pframe.dim
+    expected = np.zeros((n, n, n))
+    expected[:p, :p, :p] = bframe.gamma
+    expected[p:, p:, p:] = fframe.gamma
+    mixed_a = -0.5 * np.einsum("ab,b->a", bframe.ginv, d.grad)
+    for al in range(m):
+        for be in range(m):
+            expected[:p, p + al, p + be] = mixed_a * fframe.g[al, be]
+    for a in range(p):
+        for al in range(m):
+            expected[p + al, a, p + al] = d.grad[a] / (2.0 * d.f_value)
+            expected[p + al, p + al, a] = d.grad[a] / (2.0 * d.f_value)
+    return max_abs_residual(pframe.gamma, expected)
+
+
+def point_curvature_blocks(d) -> dict:
+    pframe, bframe, fframe = d.frame, d.base_frame, d.fiber_frame
+    p, n = bframe.dim, pframe.dim
+    R, S = pframe.riemann, pframe.ricci
+    g_t, R_t = fframe.g, fframe.riemann
+    G_t = unit_curvature(g_t)
+    out = {}
+    out["riemann_base"] = max_abs_residual(R[:p, :p, :p, :p], bframe.riemann)
+    mixed = np.einsum("ab,xd->xabd", -0.5 * d.t, g_t)
+    out["riemann_mixed"] = max_abs_residual(R[p:, :p, :p, p:], mixed)
+    out["riemann_fiber"] = max_abs_residual(
+        R[p:, p:, p:, p:], d.f_value * R_t - (d.delta1 / 4.0) * G_t)
+    out["riemann_zero"] = _point_split_blocks_residual(R, p)
+    out["ricci_base"] = max_abs_residual(
+        S[:p, :p], bframe.ricci - ((n - p) / (2.0 * d.f_value)) * d.t)
+    out["ricci_fiber"] = max_abs_residual(
+        S[p:, p:],
+        fframe.ricci - 0.5 * (d.tr_t + (n - p - 1) / (2.0 * d.f_value) * d.delta1) * g_t)
+    out["ricci_mixed"] = zero_residual(S[:p, p:], S)
+    closed_scalar = (bframe.scalar + fframe.scalar / d.f_value
+                     - ((n - p) / d.f_value) * (d.tr_t + (n - p - 1) / (4.0 * d.f_value) * d.delta1))
+    out["scalar"] = scalar_residual(pframe.scalar, closed_scalar)
+    out["trace_t"] = scalar_residual(d.tr_t, float(np.einsum("ab,ab->", bframe.ginv, d.t)))
+    return out
+
+
+def point_weyl_blocks(d) -> dict:
+    p, n = d.base_frame.dim, d.frame.dim
+    C, G, rho0 = d.frame.weyl, unit_curvature(d.frame.g), d.rho0
+    out = {
+        "weyl_base": max_abs_residual(
+            C[:p, :p, :p, :p], ((n - 3) * rho0 / (n - 1)) * G[:p, :p, :p, :p]),
+        "weyl_mixed": max_abs_residual(
+            C[p:, :p, :p, p:], (-(n - 3) * rho0 / ((n - 2) * (n - 1))) * G[p:, :p, :p, p:]),
+        "weyl_fiber": max_abs_residual(
+            C[p:, p:, p:, p:], (2 * rho0 / ((n - 2) * (n - 1))) * G[p:, p:, p:, p:]),
+    }
+    out["weyl_zero"] = _point_split_blocks_residual(C, p)
+    return out
+
+
+def point_proportional_blocks(d) -> dict:
+    p = d.base_frame.dim
+    R, S, g = d.frame.riemann, d.frame.ricci, d.frame.g
+    G = unit_curvature(g)
+    return {
+        "block_riemann_base": max_abs_residual(R[:p, :p, :p, :p], d.rho1 * G[:p, :p, :p, :p]),
+        "block_riemann_mixed": max_abs_residual(R[p:, :p, :p, p:], d.rho2 * G[p:, :p, :p, p:]),
+        "block_riemann_fiber": max_abs_residual(R[p:, p:, p:, p:], d.rho3 * G[p:, p:, p:, p:]),
+        "block_ricci_base": max_abs_residual(S[:p, :p], d.mu1 * g[:p, :p]),
+        "block_ricci_fiber": max_abs_residual(S[p:, p:], d.mu2 * g[p:, p:]),
+    }
+
+
+def point_conformal_flatness(d) -> tuple:
+    n = d.frame.dim
+    scale = (abs(d.base_frame.scalar) / 2.0
+             + abs(d.fiber_frame.scalar) / ((n - 3) * (n - 2) * d.f_value)
+             + abs(d.tr_t) / (2.0 * d.f_value) + abs(d.delta1) / (4.0 * d.f_value**2) + 1.0)
+    return d.rho0, abs(d.rho0) <= 1e-9 * scale
+
+
+def point_second_form(psi, frame):
+    """psi_ij = d_j psi_i - Gamma^s_ij psi_s - psi_i psi_j at frame's point."""
+    pv, dpsi = psi.jet(frame.point)
+    return dpsi.T - np.einsum("sij,s->ij", frame.gamma, pv) - np.outer(pv, pv)
+
+
+def point_gradient_residual(psi, point) -> float:
+    _, dpsi = psi.jet(point)
+    return float(np.max(np.abs(dpsi - dpsi.T)) / (np.max(np.abs(dpsi)) + 1.0))
+
+
+def point_family_values(fam, point) -> dict:
+    values, grads = fam._values_jet(point[:2])
+    (b, B), cfg = values.tolist(), fam.cfg
+    return {"b": b, "bp": float(grads[0, 0]), "B": B, "Bp": float(grads[1, 1]),
+            "one_plus_qb": 1.0 + cfg.map_shift * b, "shape": cfg.d * b - 4.0 * cfg.c}
+
+
+def point_geodesic_compatibility(frame, image_frame, psi) -> float:
+    gbar = image_frame.g
+    lhs = geo.covariant_derivative_02(frame, gbar, image_frame.dg)
+    pv = psi.jet(frame.point)[0]
+    rhs = (2.0 * np.einsum("k,ij->kij", pv, gbar) + np.einsum("i,jk->kij", pv, gbar)
+           + np.einsum("j,ik->kij", pv, gbar))
+    return max_abs_residual(lhs, rhs)
+
+
+def point_christoffel_shift(frame, image_frame, psi) -> float:
+    pv = psi.jet(frame.point)[0]
+    eye = np.eye(len(pv))
+    shift = np.einsum("hi,j->hij", eye, pv) + np.einsum("hj,i->hij", eye, pv)
+    return max_abs_residual(image_frame.gamma, frame.gamma + shift)
+
+
+def point_ricci_shift(frame, image_frame, psi) -> float:
+    psi2 = point_second_form(psi, frame)
+    return max_abs_residual(image_frame.ricci, frame.ricci - (frame.dim - 1) * psi2)
+
+
+def point_pair_christoffel_closed_forms(pair, sframe, iframe) -> dict:
+    gam_bar = iframe.gamma
+    a, b = sframe.g[0, 0], sframe.g[1, 1]
+    ap, bp = sframe.dg[0, 0, 0], sframe.dg[0, 1, 1]
+    q = pair.map_shift
+    opq = 1.0 + q * b
+    return {
+        "gbar_111": scalar_residual(gam_bar[0, 0, 0], ap / (2 * a) - q * bp / opq),
+        "gbar_212": scalar_residual(gam_bar[1, 0, 1], bp / (2 * b * opq)),
+        "gbar_122": scalar_residual(gam_bar[0, 1, 1], -bp / (2 * a)),
+    }
+
+
+def point_family_psi_closed_forms(fam, d, v) -> dict:
+    cfg = fam.cfg
+    q, b, bp, B = cfg.map_shift, v["b"], v["bp"], v["B"]
+    opq, shape = v["one_plus_qb"], v["shape"]
+    psi2 = point_second_form(fam.psi, d.frame)
+    want11 = (q * bp * bp * (4 * cfg.c - q * cfg.d * b * b - 2 * cfg.d * b)
+              / (4 * b * opq * opq * shape))
+    want22 = -q * b * shape / (4 * opq)
+    want_fiber = -q * b * B * B * shape / (4 * opq) * d.fiber_frame.g
+    return {
+        "psi_11": scalar_residual(psi2[0, 0], want11),
+        "psi_22": scalar_residual(psi2[1, 1], want22),
+        "psi_fiber": max_abs_residual(psi2[2:, 2:], want_fiber),
+        "psi_off": zero_residual(psi2[0, 1], psi2) + zero_residual(psi2[:2, 2:], psi2),
+    }
+
+
+def point_family_image_ricci_forms(fam, d_bar, v) -> dict:
+    cfg = fam.cfg
+    n, p, q = cfg.n, cfg.map_scale, cfg.map_shift
+    b, B, Bp, opq = v["b"], v["B"], v["Bp"], v["one_plus_qb"]
+    coef = cfg.d + 4.0 * q * cfg.c
+    s_bar, g_bar = d_bar.frame.ricci, d_bar.frame.g
+    salfa = (cfg.fiber_scalar / (n - 2) + (n - 3) * (cfg.c * B * B - Bp * Bp)
+             - (n - 1) / 4.0 * b * B * B * coef / opq) / d_bar.f_value
+    return {
+        "ricci_base_bar": max_abs_residual(s_bar[:2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:2, :2]),
+        "ricci_mixed_bar": zero_residual(s_bar[:2, 2:], s_bar),
+        "ricci_fiber_bar": max_abs_residual(s_bar[2:, 2:], salfa * g_bar[2:, 2:]),
+        "t_bar": max_abs_residual(d_bar.t, coef / (2.0 * p) * d_bar.f_value * d_bar.base_frame.g),
+        "image_base_scalar": scalar_residual(d_bar.base_frame.scalar, -coef / (2.0 * p)),
+    }
+
+
+def point_warp_compatibility(fam, d, d_bar) -> tuple:
+    Fv, Fbv, grad, grad_bar = d.f_value, d_bar.f_value, d.grad, d_bar.grad
+    psi_v = fam.psi.jet(d.frame.point)[0][:2]
+    f_up = d.base_frame.ginv @ grad
+    lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (d_bar.base_frame.g @ f_up)
+    res_scale = max_abs_residual(lhs_scale, Fbv * psi_v)
+    res_log = max_abs_residual(grad_bar / Fbv - grad / Fv, 2.0 * psi_v)
+    return res_scale, res_log
+
+
+def point_gauss_curvature(f) -> float:
+    return float(f.riemann[0, 1, 1, 0] / float(np.linalg.det(f.g)))
+
+
+def point_factor_relations(fam, frames, fits, products, v) -> dict:
+    """The scalar factor relations and, as cor42_source and cor42_image,
+    each member's corollary42 residual; products hold one point's."""
+    n = fam.cfg.n
+    sframe, iframe = frames
+    sfit, ifit = fits
+    ratio = fam.cfg.map_scale / v["one_plus_qb"]
+    out = {
+        "l_r_value": scalar_residual(sfit.L_R, fam.l_r_expected),
+        "l_r_image_value": scalar_residual(ifit.L_R, fam.l_r_image_expected),
+        "lkappa": scalar_residual(sfit.L_R - sframe.scalar / (n * (n - 1)),
+                                  ratio * (ifit.L_R - iframe.scalar / (n * (n - 1)))),
+        "lcr_source": scalar_residual((n - 2) ** 2 / n * sfit.L_C,
+                                      sfit.L_R - sframe.scalar / (n * (n - 1))),
+        "lcr_image": scalar_residual((n - 2) ** 2 / n * ifit.L_C,
+                                     ifit.L_R - iframe.scalar / (n * (n - 1))),
+        "lc_ratio": scalar_residual(sfit.L_C, ratio * ifit.L_C),
+        "l_source": scalar_residual(sfit.L, -(n - 2) * sfit.L_R),
+        "l_image": scalar_residual(ifit.L, -(n - 2) * ifit.L_R),
+    }
+    for tag, fit, P in zip(("cor42_source", "cor42_image"), fits, products):
+        out[tag] = tensor_residual(P["RR"], P["QSR"] - (n - 2) * fit.L_R * P["QgC"])
+    return out
+
+
+def point_psi_ricci_identity(fam, frames, fits, products) -> float:
+    n = fam.cfg.n
+    sframe, iframe = frames
+    RR = products[0]["RR"]
+    if np.max(np.abs(RR)) <= 2.0 * np.sqrt(2.0) * 1e-9 * (np.max(np.abs(sframe.riemann)) + 1.0):
+        raise gm.FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
+    ifit = fits[1]
+    phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R
+    kappa_b, gbar_inv = iframe.scalar, iframe.ginv
+    psi2 = point_second_form(fam.psi, sframe)
+    Bmk = psi2 @ gbar_inv @ iframe.ricci
+    tr_b = float(np.einsum("mk,mk->", gbar_inv, Bmk))
+    tr_psi = float(np.einsum("mk,mk->", gbar_inv, psi2))
+    terms = [
+        (kappa_b * phi_b + n * mu_b) * Bmk,
+        -(tr_b * phi_b + tr_psi * mu_b) * iframe.ricci,
+        (kappa_b * mu_b - n * (lr_b - eta_b)) * psi2,
+        (tr_psi * (lr_b - eta_b) - tr_b * mu_b) * iframe.g,
+    ]
+    scale = sum(float(np.linalg.norm(t)) for t in terms) + 1.0
+    return float(np.linalg.norm(sum(terms))) / scale
+
+
+def point_warp_profile_pde(fam, d) -> dict:
+    bframe = d.base_frame
+    a_v, b_v = bframe.g[0, 0], bframe.g[1, 1]
+    out = {
+        "t_offdiag": zero_residual(d.t[0, 1], d.t),
+        "t_balance": scalar_residual(b_v * d.t[0, 0], a_v * d.t[1, 1]),
+    }
+    _, df, d2f = fam._warp_root_jet(bframe.point)
+    f1, f2 = df[:, 0]
+    f11, f12, f22 = d2f[0, 0, 0], d2f[0, 1, 0], d2f[1, 1, 0]
+    ap, bp = bframe.dg[0, 0, 0], bframe.dg[0, 1, 1]
+    ab_p = ap * b_v + a_v * bp
+    out["warp_root_mixed"] = scalar_residual(f12, f2 * bp / (2 * b_v))
+    out["warp_root_balance"] = scalar_residual(f11 - (a_v / b_v) * f22, f1 * ab_p / (2 * a_v * b_v))
+    return out
 
 
 # The dense derivation kernel: the oracle for curvops' packed one.  One

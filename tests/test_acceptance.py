@@ -34,19 +34,22 @@ from curvcheck.corpus import corpus_get
 from curvcheck.curvops import (
     constancy_residual,
     kulkarni_nomizu,
-    max_abs_residual,
-    riemann_symmetry_residuals,
     tachibana,
     tensor_residual,
     unit_curvature,
 )
 from helpers import (
     central_difference,
+    constant_curvature_2d,
     diagnostics_at,
     frames_fits_and_products,
+    max_abs_residual,
     member_diagnostics,
+    psi_jets,
     random_expr,
     random_point,
+    riemann_symmetry_residuals,
+    stack,
 )
 
 RNG_SEED = 20240817
@@ -75,7 +78,7 @@ def test_criterion_1_gauss_curvature_law():
         d_const = rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 4.0)
         c_const = rng.uniform(-1.5, 1.5)
         for profile, (lo, hi) in GAUSS_PROFILES.items():
-            spec = geo.constant_curvature_2d(profile, -d_const / 4.0, -4.0 * c_const)
+            spec = constant_curvature_2d(profile, -d_const / 4.0, -4.0 * c_const)
             b_expr = spec.components[1][1]
             bp_expr = ex.diff(b_expr, "x")
             checked = 0
@@ -151,7 +154,7 @@ def collect_charged_fits(signature=ENGINE_CHART):
             pt = (0.0, r, 1.2, 0.3)
             assert geo.admissible(spec, pt), (M, Q, Lam, r)
             f = geo.frame(spec, pt)
-            out.append(((M, Q, Lam, r), f, roter.fit_roter(geo.stack([f]))[0],
+            out.append(((M, Q, Lam, r), f, roter.fit_roter(stack([f]))[0],
                         published_closed_forms(M, Q, Lam, r)))
     return out
 
@@ -271,7 +274,7 @@ def test_criterion_2_supplement_sympy_oracle():
         worst = max(worst,
                     max_abs_residual(f.riemann, np.array(R.tolist(), dtype=float)),
                     max_abs_residual(f.ricci, np.array(S.tolist(), dtype=float)))
-        fit = roter.fit_roter(geo.stack([f]))[0]
+        fit = roter.fit_roter(stack([f]))[0]
         for got, want in zip((fit.phi, fit.mu, fit.eta), (phi, mu, eta)):
             worst = max(worst, rel(got, float(triple[want])))
     ok = worst <= 1e-10
@@ -355,32 +358,33 @@ def test_criterion_4_family_end_to_end():
                 map_scale=2.0, map_shift=shift, **params,
             ))
             rng = np.random.default_rng([RNG_SEED, n, hash(branch) % 2**31])
-            lr_src, lr_img = [], []
-            for pt in family_points(fam, rng, 20):
-                d, d_bar = member_diagnostics(fam, pt)
-                frames = (d.frame, d_bar.frame)
-                r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
-                mapping = {
-                    "geo": gm.geodesic_compatibility_residual(*frames, fam.psi),
-                    "gamma": gm.christoffel_shift_residual(*frames, fam.psi),
-                    "ricci": gm.ricci_shift_residual(*frames, fam.psi),
-                    "r4": r4,
-                    "r5": r5,
-                }
-                for check, res in mapping.items():
+            points = family_points(fam, rng, 20)
+            d, d_bar = member_diagnostics(fam, points)
+            frames, jets = (d.frame, d_bar.frame), psi_jets(fam.psi, points)
+            r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
+            mapping = {
+                "geo": gm.geodesic_compatibility_residual(*frames, jets),
+                "gamma": gm.christoffel_shift_residual(*frames, jets),
+                "ricci": gm.ricci_shift_residual(*frames, jets),
+                "r4": r4,
+                "r5": r5,
+            }
+            for check, lanes in mapping.items():
+                for res in lanes.tolist():
                     worst_mapping = max(worst_mapping, res)
                     if res > 1e-9:
                         failures.append((branch, n, check, res))
-                frames, fits, products = frames_fits_and_products(fam, pt)
-                lr_src.append(fits[0].L_R)
-                lr_img.append(fits[1].L_R)
-                relations = gm.factor_relations(
-                    fam, frames, fits, products, gm.family_values(fam, pt))
-                for check in ("l_r_value", "l_r_image_value", "lkappa",
-                              "lcr_source", "lcr_image", "lc_ratio",
-                              "l_source", "l_image",
-                              "cor42_source", "cor42_image"):
-                    res = relations[check]
+            frames, fits, products = frames_fits_and_products(fam, points)
+            lr_src = [fit.L_R for fit in fits[0]]
+            lr_img = [fit.L_R for fit in fits[1]]
+            relations = gm.factor_relations(fam, frames, fits, gm.family_values(fam, points))
+            for tag, member_fits, P in zip(("cor42_source", "cor42_image"), fits, products):
+                relations[tag] = gm.corollary42_residual(n, member_fits, P)
+            for check in ("l_r_value", "l_r_image_value", "lkappa",
+                          "lcr_source", "lcr_image", "lc_ratio",
+                          "l_source", "l_image",
+                          "cor42_source", "cor42_image"):
+                for res in relations[check].tolist():
                     worst_factor = max(worst_factor, res)
                     if res > 1e-8:
                         failures.append((branch, n, check, res))
@@ -415,16 +419,16 @@ def test_criterion_5_classification_dichotomy():
         rng = np.random.default_rng([RNG_SEED, n])
         for pt in family_points(toggled, rng, 3):
             for member in (toggled.source, toggled.image):
-                frame = geo.stack([geo.frame(member.product, pt)])
+                frame = stack([geo.frame(member.product, pt)])
                 kind = roter.classify(frame)[0].kind
-                rho0, flat = wp.conformal_flatness_test(diagnostics_at(member, pt))
+                (rho0,), (flat,) = wp.conformal_flatness_test(diagnostics_at(member, pt))
                 if kind != roter.EINSTEIN:
                     failures.append((n, "toggle-classify", kind))
                 if not flat or abs(rho0) > 1e-9:
                     failures.append((n, "toggle-rho0", rho0))
         for pt in family_points(violated, rng, 3):
             for member in (violated.source, violated.image):
-                frame = geo.stack([geo.frame(member.product, pt)])
+                frame = stack([geo.frame(member.product, pt)])
                 c = roter.classify(frame)[0]
                 if c.kind != roter.ROTER:
                     failures.append((n, "violated-classify", c.kind))
@@ -469,7 +473,7 @@ def test_criterion_6_property_suites():
     # (c) 1000 frame instances: curvature symmetries and nabla g = 0.
     specs = [
         geo.diagonal_metric(("x", "y"), ["1 + x^2", "2 + sin(x)"]),
-        geo.constant_curvature_2d("x", -1.0, 0.0),
+        constant_curvature_2d("x", -1.0, 0.0),
         geo.diagonal_metric(("x", "y"), ["1", "exp(x)"]),
         charged_spec(1.0, 1.0, 0.0),
         gm.build_family(gm.FamilyConfig(c=0.0, d=4.0, c1=2.0, c2=1.0)).source.product,
@@ -500,7 +504,7 @@ def test_criterion_6_property_suites():
 
     # (d) negative controls must fail their designated checks.
     f = geo.frame(charged_spec(1.0, 1.0, 0.0), (0.0, 3.0, 1.2, 0.3))
-    fit = roter.fit_roter(geo.stack([f]))[0]
+    fit = roter.fit_roter(stack([f]))[0]
     noise = nrng.normal(size=(4, 4))
     bad_ricci = f.ricci + 1e-3 * 0.5 * (noise + noise.T)
     control_s2 = tensor_residual(
@@ -541,10 +545,12 @@ def test_criterion_7_psi_ricci_identity():
         ))
         rng = np.random.default_rng([RNG_SEED, hash(branch) % 2**31])
         pt = family_points(fam, rng, 1)[0]
-        frames, (sfit, ifit), products = frames_fits_and_products(fam, pt)
-        perturbed = (sfit, dataclasses.replace(ifit, phi=1.01 * ifit.phi))
-        worst = max(worst, gm.psi_ricci_identity_residual(fam, frames, (sfit, ifit), products))
-        controls.append(gm.psi_ricci_identity_residual(fam, frames, perturbed, products))
+        frames, ((sfit,), (ifit,)), _ = frames_fits_and_products(fam, [pt])
+        jets = psi_jets(fam.psi, [pt])
+        perturbed = ([sfit], [dataclasses.replace(ifit, phi=1.01 * ifit.phi)])
+        (res,) = gm.psi_ricci_identity_residual(fam, frames, ([sfit], [ifit]), jets)
+        worst = max(worst, res)
+        controls.append(gm.psi_ricci_identity_residual(fam, frames, perturbed, jets)[0])
     ok = worst <= 1e-7 and all(c > 1e-4 for c in controls)
     report(7, ok, f"identity residual worst = {worst:.3e} over 3 instances; "
                   f"perturbation controls min = {min(controls):.3e} (> 1e-4)")

@@ -1,6 +1,7 @@
 """The Roter path on chunks of points.
 
-Every roter entry takes a chunk of frames stacked by geometry.stack.
+Every roter entry takes a chunk of frames, stacked as geometry.frames
+stacks them.
 Each lane of a chunk must get what the same call on that point alone,
 as a chunk of one, gets: the same classification and fit-error reason,
 and residuals, factors and products equal to 1e-14, whatever the chunk
@@ -16,6 +17,7 @@ from curvcheck import cli, roter
 from curvcheck import geometry as geo
 from curvcheck.corpus import corpus_get, corpus_list
 
+from helpers import stack
 from test_roter import RN_POINT, family_n4, rn_metric
 
 CHUNK_SIZES = (1, 2, 18)
@@ -53,7 +55,7 @@ def close(a, b, where=""):
 
 def one_point(f, extra=(1.0, 2.0)):
     """Every roter entry on one point's frame, as a chunk of one."""
-    F = geo.stack([f])
+    F = stack([f])
     (c,), (fit,) = roter.classify(F), roter.fit_roter(F)
     P = roter.curvature_products(F)
     out = {
@@ -72,7 +74,7 @@ def one_point(f, extra=(1.0, 2.0)):
 
 def chunked(frames, extra=(1.0, 2.0)):
     """Every roter entry on one chunk of frames, unpacked lane by lane."""
-    F = geo.stack(frames)
+    F = stack(frames)
     cs = roter.classify(F)
     P = roter.curvature_products(F)
     membership = zip(*(fn(F).tolist() for fn in (roter.in_us, roter.in_uc, roter.in_ur)))
@@ -164,7 +166,7 @@ def test_mixed_chunk_matches_one_point_calls(monkeypatch):
         built = []
         kn = roter.kulkarni_nomizu
         monkeypatch.setattr(roter, "kulkarni_nomizu", lambda A, B: built.append(len(A)) or kn(A, B))
-        fits = roter.fit_roter(geo.stack(frames))
+        fits = roter.fit_roter(stack(frames))
         inside = sum(us and uc for us, uc, _ in (want["membership"] for want in alone))
         assert 0 < inside < len(frames) and built == [inside] * 3
         monkeypatch.undo()
@@ -183,7 +185,7 @@ def test_mixed_chunk_matches_one_point_calls(monkeypatch):
 
 def test_fit_errors_are_returned_in_their_lanes():
     frames = [f for f, _, _ in mixed_frames()[:2]]
-    (alone,) = roter.fit_roter(geo.stack(frames[1:]))
+    (alone,) = roter.fit_roter(stack(frames[1:]))
     assert isinstance(alone, roter.RoterFitError) and alone.reason == "NOT_IN_US"
-    fit, error = roter.fit_roter(geo.stack(frames))
+    fit, error = roter.fit_roter(stack(frames))
     assert isinstance(fit, roter.RoterFit) and error.reason == "NOT_IN_US"

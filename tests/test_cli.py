@@ -127,6 +127,19 @@ class TestValidation:
         with pytest.raises(cli.ManifestError):
             cli.validate_manifest(bad)
 
+    @pytest.mark.parametrize("entry, change, message", [
+        ("flat_space", lambda m: m.pop("box"), "'box' is a required property"),
+        ("theorem41_n4", lambda m: m.pop("params"), "kind family needs 'params'"),
+        ("flat_space", lambda m: m.update(kind="pair"), "'pair' is not one of"),
+    ], ids=["no_box", "family_without_params", "unknown_kind"])
+    def test_run_manifest_checks_the_manifold_keys(self, entry, change, message):
+        # A manifest built in code reaches run_manifest without
+        # load_manifest; a missing key is a ManifestError, not a KeyError.
+        manifest = corpus_get(entry)
+        change(manifest["manifolds"][0])
+        with pytest.raises(cli.ManifestError, match=message):
+            cli.run_manifest(manifest, points=1)
+
     @pytest.mark.parametrize("kind, foreign", [
         ("explicit", {"warp": "x", "pair": {"a": "1", "b": "x", "map_scale": 1.0, "map_shift": 0.0}}),
         ("warped", {"params": {"c": 1.0, "d": 1.0, "c1": 1.0, "c2": 0.0}}),
@@ -510,13 +523,12 @@ def sampled(manifest, count) -> list:
 
 
 def refuse_at(monkeypatch, module, name, bad) -> list:
-    """Make module.name (geo.frames or wp.diagnostics) raise at the point
-    bad (geo.frames at any chunk of points holding it); returns the log
-    of refused calls."""
+    """Make module.name (geo.frames or wp.diagnostics) raise at any chunk
+    of points holding the point bad; returns the log of refused calls."""
     original, refused = getattr(module, name), []
 
     def refusing(*args):
-        points = args[1] if name == "frames" else [args[1].point]
+        points = args[1] if name == "frames" else args[1].point
         if bad in map(tuple, points):
             refused.append(name)
             raise geo.GeometryError(f"{name} refused")
@@ -528,11 +540,11 @@ def refuse_at(monkeypatch, module, name, bad) -> list:
 
 class TestSharedEvaluation:
     def test_each_target_point_evaluated_once(self, monkeypatch):
-        # Every suite reads one diagnostics per (target, point), and one
-        # Roter fit and one product set per (target, chunk) whose lanes
-        # cover each point once; identity_suite's products serve the
-        # geodesic factor relations too.  Two points at n = 4 make one
-        # chunk per target.
+        # Every suite reads one diagnostics lane per (target, point), and
+        # one Roter fit and one product set per (target, chunk) whose
+        # lanes cover each point once; identity_suite's products serve
+        # the geodesic's corollary 4.2 residuals too.  Two points at
+        # n = 4 make one chunk per target.
         diagnostics = count_calls(monkeypatch, wp, "diagnostics")
         fits = count_calls(monkeypatch, roter, "fit_roter")
         derivations = count_calls(monkeypatch, curvops, "derivation_apply")
@@ -541,7 +553,8 @@ class TestSharedEvaluation:
         target_points = {(r["target"], r["point_index"]) for r in records
                          if r["target"] in ("source", "image")}
         assert len(target_points) == 4
-        assert len(diagnostics) == len(target_points)
+        lanes = [(id(ws), point) for ws, frame, _ in diagnostics for point in frame.point]
+        assert len(lanes) == len(set(lanes)) == len(target_points)
         assert len(fits) == 2
         assert sum(len(frame.g) for frame, in fits) == len(target_points)
         assert len(derivations) == 6 * 2
@@ -617,8 +630,8 @@ class TestSharedEvaluation:
 
     def test_one_family_jet_per_point(self, monkeypatch):
         # The psi and image Ricci closed forms and the factor relations
-        # read one family_values per point.  Sampling's guards make their
-        # own calls, which are not counted.
+        # read one family_values lane per point.  Sampling's guards make
+        # their own calls, which are not counted.
         sampling, run_calls = [], []
         sample_points, family_values = cli.sample_points, gm.family_values
 
@@ -629,10 +642,10 @@ class TestSharedEvaluation:
             finally:
                 sampling.pop()
 
-        def counted(fam, point):
+        def counted(fam, points):
             if not sampling:
-                run_calls.append(tuple(point))
-            return family_values(fam, point)
+                run_calls.extend(tuple(point) for point in points)
+            return family_values(fam, points)
 
         monkeypatch.setattr(cli, "sample_points", flagged)
         monkeypatch.setattr(gm, "family_values", counted)

@@ -8,16 +8,21 @@ from curvcheck.curvops import (
     derivation_apply,
     kulkarni_nomizu,
     lane_residuals,
-    max_abs_residual,
     proportionality,
     rank_shift,
-    riemann_symmetry_residuals,
     tachibana,
     tensor_residual,
     unit_curvature,
 )
 
-from helpers import dense_derive, dense_derivation, pack
+from helpers import (
+    dense_derive,
+    dense_derivation,
+    max_abs_residual,
+    pack,
+    riemann_symmetry_residuals,
+    stack,
+)
 
 
 def random_metric(rng, n):

@@ -268,7 +268,7 @@ def _psi_values_at_pole():
     from curvcheck.geomap import PsiField
 
     psi = PsiField(("x", "y"), (parse("1/x", ("x", "y")), Num(0.0)), Bindings())
-    return psi.values((0.0, 1.0))
+    return psi.jet((0.0, 1.0))[0]
 
 
 def _covariant_derivative_of_log():
@@ -290,9 +290,9 @@ def _root_warp_diagnostics_at_zero():
     base = geo.diagonal_metric(("u", "v"), [1.0, 1.0])
     ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
     point = (0.0, 0.5, 0.1, 0.2)
-    fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
+    fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]])
     unchecked = dataclasses.replace(ws.product, conditions=())
-    return wp.diagnostics(ws, geo.frame(unchecked, point), fiber_frame)
+    return wp.diagnostics(ws, geo.frames(unchecked, [point]), fiber_frame)
 
 
 @pytest.mark.parametrize(

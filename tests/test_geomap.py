@@ -11,7 +11,14 @@ from curvcheck import geomap as gm
 from curvcheck import roter
 from curvcheck import warped as wp
 from curvcheck.curvops import constancy_residual, scalar_residual
-from helpers import diagnostics_at, frames_fits_and_products, member_diagnostics
+from helpers import (
+    constant_curvature_2d,
+    diagnostics_at,
+    frames_fits_and_products,
+    member_diagnostics,
+    psi_jets,
+    stack,
+)
 
 
 BRANCHES = {
@@ -32,6 +39,11 @@ def family_for(branch, n=4, **overrides):
     return gm.build_family(gm.FamilyConfig(**params))
 
 
+def pair_frames(pair, points):
+    """(source, image) stacked frames of a surface pair at a chunk of points."""
+    return geo.frames(pair.source, points), geo.frames(pair.image, points)
+
+
 def sample(fam, rng, count=3):
     pts = []
     while len(pts) < count:
@@ -49,27 +61,28 @@ class TestSurfacePair:
     def test_psi_value_and_compatibility(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
         pt = (1.0, 0.2)
-        assert pair.psi.values(pt)[0] == pytest.approx(-0.25, rel=1e-14)
-        frames = geo.frame(pair.source, pt), geo.frame(pair.image, pt)
-        assert gm.geodesic_compatibility_residual(*frames, pair.psi) < 1e-9
+        assert pair.psi.jet(pt)[0][0] == pytest.approx(-0.25, rel=1e-14)
+        frames = pair_frames(pair, [pt])
+        assert gm.geodesic_compatibility_residual(*frames, psi_jets(pair.psi, [pt])) < 1e-9
 
     def test_image_connection_closed_forms(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
-        frames = geo.frame(pair.source, (1.0, 0.0)), geo.frame(pair.image, (1.0, 0.0))
+        frames = pair_frames(pair, [(1.0, 0.0)])
         forms = gm.pair_christoffel_closed_forms(pair, *frames)
         for name, res in forms.items():
             assert res < 1e-12, name
         gam_bar = frames[1].gamma
-        assert gam_bar[1, 0, 1] == pytest.approx(0.25, rel=1e-13)
+        assert gam_bar[0, 1, 0, 1] == pytest.approx(0.25, rel=1e-13)
 
     def test_trivial_mapping_identity(self):
         # psi = 0 and identical metrics satisfy the equation exactly.
         spec = geo.diagonal_metric(("x", "y"), ["1 + x^2", "2 + sin(x)"])
         psi = gm.PsiField(("x", "y"), (ex.Num(0.0), ex.Num(0.0)), ex.Bindings())
-        f = geo.frame(spec, (0.4, 0.1))
-        assert gm.geodesic_compatibility_residual(f, f, psi) < 1e-14
-        assert gm.christoffel_shift_residual(f, f, psi) < 1e-14
-        assert gm.ricci_shift_residual(f, f, psi) < 1e-14
+        f = geo.frames(spec, [(0.4, 0.1)])
+        jets = psi_jets(psi, f.point)
+        assert gm.geodesic_compatibility_residual(f, f, jets) < 1e-14
+        assert gm.christoffel_shift_residual(f, f, jets) < 1e-14
+        assert gm.ricci_shift_residual(f, f, jets) < 1e-14
 
     def test_zero_shift_rejected(self):
         with pytest.raises(gm.FamilyError):
@@ -79,15 +92,15 @@ class TestSurfacePair:
 
     def test_curved_pair_ricci_shift(self):
         pair = gm.geodesic_pair_2d("1 + x^2", "2 + sin(x)", 1.5, 0.7)
-        for pt in [(0.3, 0.1), (0.9, -0.4)]:
-            frames = geo.frame(pair.source, pt), geo.frame(pair.image, pt)
-            assert gm.geodesic_compatibility_residual(*frames, pair.psi) < 1e-9
-            assert gm.christoffel_shift_residual(*frames, pair.psi) < 1e-9
-            assert gm.ricci_shift_residual(*frames, pair.psi) < 1e-8
+        points = [(0.3, 0.1), (0.9, -0.4)]
+        frames, jets = pair_frames(pair, points), psi_jets(pair.psi, points)
+        assert np.all(gm.geodesic_compatibility_residual(*frames, jets) < 1e-9)
+        assert np.all(gm.christoffel_shift_residual(*frames, jets) < 1e-9)
+        assert np.all(gm.ricci_shift_residual(*frames, jets) < 1e-8)
 
     def test_psi_is_gradient(self):
         pair = gm.geodesic_pair_2d("1 + x^2", "2 + sin(x)", 1.5, 0.7)
-        assert pair.psi.gradient_residual((0.5, 0.2)) < 1e-12
+        assert gm.psi_gradient_residual(psi_jets(pair.psi, [(0.5, 0.2)])) < 1e-12
 
 
 class TestProfile:
@@ -141,7 +154,7 @@ class TestFamilyConstruction:
                                               allow_conformally_flat=True))
         pt = (1.2, 0.3, 0.1, -0.1)
         f = geo.frame(fam.source.product, pt)
-        assert roter.classify(geo.stack([f]))[0].kind == roter.EINSTEIN
+        assert roter.classify(stack([f]))[0].kind == roter.EINSTEIN
 
     def test_trivial_mapping_rejected(self):
         with pytest.raises(gm.FamilyError):
@@ -151,7 +164,7 @@ class TestFamilyConstruction:
         # The constant-curvature factory with E = -4C, K = -D/4 must
         # reproduce the family's first base component pointwise.
         fam = family_for("exponential")
-        factory = geo.constant_curvature_2d(
+        factory = constant_curvature_2d(
             "x", -fam.cfg.d / 4.0, -4.0 * fam.cfg.c, coords=("x", "t")
         )
         binds = gm._family_bindings(fam.cfg)
@@ -163,10 +176,10 @@ class TestFamilyConstruction:
 
     def test_base_gauss_curvatures(self):
         fam = family_for("affine")
-        for pt in sample(fam, np.random.default_rng(0), 2):
-            kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, pt))
-            assert kg == pytest.approx(-1.0, abs=1e-10)
-            assert kg_bar == pytest.approx(-0.5, abs=1e-10)
+        points = sample(fam, np.random.default_rng(0), 2)
+        kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, points))
+        assert kg == pytest.approx([-1.0] * 2, abs=1e-10)
+        assert kg_bar == pytest.approx([-0.5] * 2, abs=1e-10)
 
 
 class TestFamilyCompatibility:
@@ -175,14 +188,14 @@ class TestFamilyCompatibility:
     def test_mapping_equations(self, branch, n):
         fam = family_for(branch, n=n)
         rng = np.random.default_rng(hash((branch, n)) % 2**32)
-        for pt in sample(fam, rng, 2):
-            d, d_bar = member_diagnostics(fam, pt)
-            frames, psi = (d.frame, d_bar.frame), fam.psi
-            assert gm.geodesic_compatibility_residual(*frames, psi) < 1e-9
-            assert gm.christoffel_shift_residual(*frames, psi) < 1e-9
-            assert gm.ricci_shift_residual(*frames, psi) < 1e-8
-            r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar)
-            assert r4 < 1e-9 and r5 < 1e-9
+        points = sample(fam, rng, 2)
+        d, d_bar = member_diagnostics(fam, points)
+        frames, jets = (d.frame, d_bar.frame), psi_jets(fam.psi, points)
+        assert np.all(gm.geodesic_compatibility_residual(*frames, jets) < 1e-9)
+        assert np.all(gm.christoffel_shift_residual(*frames, jets) < 1e-9)
+        assert np.all(gm.ricci_shift_residual(*frames, jets) < 1e-8)
+        r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
+        assert np.all(r4 < 1e-9) and np.all(r5 < 1e-9)
 
     def test_scaling_image_warp_breaks_scale_equation(self):
         # Doubling the image warp leaves the log equation alone but
@@ -192,7 +205,8 @@ class TestFamilyCompatibility:
                               ex.mul(ex.num(2.0), fam.image.warp))
         broken = dataclasses.replace(fam, image=doubled)
         pt = (1.0, 0.1, 0.05, -0.1)
-        r4, r5 = gm.warp_compatibility_residuals(broken, *member_diagnostics(broken, pt))
+        r4, r5 = gm.warp_compatibility_residuals(broken, *member_diagnostics(broken, pt),
+                                                 psi_jets(broken.psi, [pt]))
         assert r5 < 1e-12
         assert r4 > 1e-3
 
@@ -200,28 +214,27 @@ class TestFamilyCompatibility:
         for branch in BRANCHES:
             fam = family_for(branch)
             rng = np.random.default_rng(5)
-            for pt in sample(fam, rng, 2):
-                d = member_diagnostics(fam, pt)[0]
-                v = gm.family_values(fam, pt)
-                for name, res in gm.family_psi_closed_forms(fam, d, v).items():
-                    assert res < 1e-9, (branch, name, res)
+            points = sample(fam, rng, 2)
+            d = member_diagnostics(fam, points)[0]
+            v, jets = gm.family_values(fam, points), psi_jets(fam.psi, points)
+            for name, res in gm.family_psi_closed_forms(fam, d, v, jets).items():
+                assert np.all(res < 1e-9), (branch, name, res)
 
     def test_image_ricci_closed_forms(self):
         for branch in BRANCHES:
             fam = family_for(branch, n=5)
             rng = np.random.default_rng(6)
-            for pt in sample(fam, rng, 2):
-                d_bar = diagnostics_at(fam.image, pt)
-                v = gm.family_values(fam, pt)
-                for name, res in gm.family_image_ricci_forms(fam, d_bar, v).items():
-                    assert res < 1e-8, (branch, name, res)
+            points = sample(fam, rng, 2)
+            d_bar = diagnostics_at(fam.image, points)
+            v = gm.family_values(fam, points)
+            for name, res in gm.family_image_ricci_forms(fam, d_bar, v).items():
+                assert np.all(res < 1e-8), (branch, name, res)
 
     def test_warp_profile_pde(self):
         fam = family_for("trigonometric")
-        for pt in sample(fam, np.random.default_rng(8), 2):
-            d = diagnostics_at(fam.source, pt)
-            for name, res in gm.warp_profile_pde_residuals(fam, d).items():
-                assert res < 1e-9, (name, res)
+        d = diagnostics_at(fam.source, sample(fam, np.random.default_rng(8), 2))
+        for name, res in gm.warp_profile_pde_residuals(fam, d).items():
+            assert np.all(res < 1e-9), (name, res)
 
 
 class TestFactorRelations:
@@ -229,11 +242,13 @@ class TestFactorRelations:
     def test_relations_hold(self, branch):
         fam = family_for(branch)
         rng = np.random.default_rng(hash(branch) % 2**32)
-        for pt in sample(fam, rng, 2):
-            relations = gm.factor_relations(
-                fam, *frames_fits_and_products(fam, pt), gm.family_values(fam, pt))
-            for name, res in relations.items():
-                assert res <= 1e-8, (branch, name, res)
+        points = sample(fam, rng, 2)
+        frames, fits, products = frames_fits_and_products(fam, points)
+        relations = gm.factor_relations(fam, frames, fits, gm.family_values(fam, points))
+        for tag, member_fits, P in zip(("cor42_source", "cor42_image"), fits, products):
+            relations[tag] = gm.corollary42_residual(fam.cfg.n, member_fits, P)
+        for name, res in relations.items():
+            assert np.all(res <= 1e-8), (branch, name, res)
 
     def test_expected_factor_values(self):
         fam = family_for("exponential", map_scale=2.0, map_shift=1.0)
@@ -248,8 +263,8 @@ class TestFactorRelations:
         rng = np.random.default_rng(12)
         src_vals, img_vals = [], []
         for pt in sample(fam, rng, 8):
-            src_vals.append(roter.fit_roter(geo.stack([geo.frame(fam.source.product, pt)]))[0].L_R)
-            img_vals.append(roter.fit_roter(geo.stack([geo.frame(fam.image.product, pt)]))[0].L_R)
+            src_vals.append(roter.fit_roter(stack([geo.frame(fam.source.product, pt)]))[0].L_R)
+            img_vals.append(roter.fit_roter(stack([geo.frame(fam.image.product, pt)]))[0].L_R)
         assert constancy_residual(src_vals) <= 1e-8
         assert constancy_residual(img_vals) <= 1e-8
         assert np.mean(src_vals) == pytest.approx(-1.0, abs=1e-9)
@@ -259,7 +274,7 @@ class TestFactorRelations:
         fam = family_for("trigonometric", n=6)
         pt = sample(fam, np.random.default_rng(3), 1)[0]
         for member in (fam.source, fam.image):
-            assert roter.classify(geo.stack([geo.frame(member.product, pt)]))[0].kind == roter.ROTER
+            assert roter.classify(stack([geo.frame(member.product, pt)]))[0].kind == roter.ROTER
 
 
 class TestPsiRicciIdentity:
@@ -267,24 +282,26 @@ class TestPsiRicciIdentity:
     def test_identity_holds(self, branch):
         fam = family_for(branch)
         pt = sample(fam, np.random.default_rng(4), 1)[0]
-        assert gm.psi_ricci_identity_residual(fam, *frames_fits_and_products(fam, pt)) <= 1e-7
+        frames, fits, _ = frames_fits_and_products(fam, [pt])
+        assert gm.psi_ricci_identity_residual(fam, frames, fits, psi_jets(fam.psi, [pt])) <= 1e-7
 
     def test_perturbation_control(self):
         fam = family_for("affine")
         pt = sample(fam, np.random.default_rng(4), 1)[0]
-        frames, (sfit, ifit), products = frames_fits_and_products(fam, pt)
-        perturbed = (sfit, dataclasses.replace(ifit, phi=1.01 * ifit.phi))
-        assert gm.psi_ricci_identity_residual(fam, frames, perturbed, products) > 1e-4
+        frames, ((sfit,), (ifit,)), _ = frames_fits_and_products(fam, [pt])
+        perturbed = ([sfit], [dataclasses.replace(ifit, phi=1.01 * ifit.phi)])
+        assert gm.psi_ricci_identity_residual(fam, frames, perturbed,
+                                              psi_jets(fam.psi, [pt])) > 1e-4
 
     def test_semisymmetric_source_rejected(self):
         # d = 0 gives both members a Roter fit, the source with L_R = 0,
-        # so R.R vanishes there.
+        # so R.R vanishes there, and the guard in front of the identity
+        # fires.
         fam = gm.build_family(gm.FamilyConfig(c=1.0, d=0.0, c1=1.0, c2=0.5))
         pt = (1.2, 0.3, 0.1, -0.1)
-        frames, fits, products = frames_fits_and_products(fam, pt)
-        assert fits[0].L_R == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(gm.FamilyError):
-            gm.psi_ricci_identity_residual(fam, frames, fits, products)
+        frames, fits, products = frames_fits_and_products(fam, [pt])
+        assert fits[0][0].L_R == pytest.approx(0.0, abs=1e-12)
+        assert gm.semisymmetric(products[0]["RR"], frames[0]).tolist() == [True]
 
 
 class TestEinsteinToggle:
@@ -297,7 +314,7 @@ class TestEinsteinToggle:
         rng = np.random.default_rng(n)
         for pt in sample(fam, rng, 2):
             for member in (fam.source, fam.image):
-                frame = geo.stack([geo.frame(member.product, pt)])
+                frame = stack([geo.frame(member.product, pt)])
                 assert roter.classify(frame)[0].kind == roter.EINSTEIN
                 rho0, flat = wp.conformal_flatness_test(diagnostics_at(member, pt))
                 assert flat, rho0
@@ -308,7 +325,7 @@ class TestEinsteinToggle:
         fam = family_for("affine", n=n)
         pt = sample(fam, np.random.default_rng(n + 50), 1)[0]
         for member in (fam.source, fam.image):
-            frame = geo.stack([geo.frame(member.product, pt)])
+            frame = stack([geo.frame(member.product, pt)])
             c = roter.classify(frame)[0]
             assert c.kind == roter.ROTER
             assert roter.rank_grid_exceeds_one(frame, [c], [()])[0]
@@ -323,11 +340,13 @@ class TestIndefiniteBase:
         assert fam.admissible_sample(pt)
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
-        assert roter.classify(geo.stack([f]))[0].kind == roter.ROTER
-        assert gm.geodesic_compatibility_residual(
-            f, geo.frame(fam.image.product, pt), fam.psi) < 1e-9
-        relations = gm.factor_relations(
-            fam, *frames_fits_and_products(fam, pt), gm.family_values(fam, pt))
+        assert roter.classify(stack([f]))[0].kind == roter.ROTER
+        frames, fits, products = frames_fits_and_products(fam, [pt])
+        jets = psi_jets(fam.psi, [pt])
+        assert gm.geodesic_compatibility_residual(*frames, jets) < 1e-9
+        relations = gm.factor_relations(fam, frames, fits, gm.family_values(fam, [pt]))
+        for tag, member_fits, P in zip(("cor42_source", "cor42_image"), fits, products):
+            relations[tag] = gm.corollary42_residual(fam.cfg.n, member_fits, P)
         for name, res in relations.items():
             assert res <= 1e-8, (name, res)
         kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, pt))

@@ -14,14 +14,19 @@ from curvcheck.curvops import (
     lane_max_abs_residuals,
     lane_riemann_symmetry_residuals,
     lane_trace_residuals,
-    max_abs_residual,
-    riemann_symmetry_residuals,
-    trace_residual,
     unit_curvature,
-    zero_residual,
 )
 
-from helpers import second_kind_curvature
+from helpers import (
+    constant_curvature_2d,
+    flat_metric,
+    max_abs_residual,
+    riemann_symmetry_residuals,
+    second_kind_curvature,
+    stack,
+    trace_residual,
+    zero_residual,
+)
 
 
 def surface(a, b):
@@ -48,7 +53,7 @@ RN_POINT = (0.0, 3.0, 1.2, 0.3)
 
 class TestChristoffel:
     def test_flat_plane_all_zero(self):
-        spec = geo.flat_metric(2)
+        spec = flat_metric(2)
         assert np.max(np.abs(geo.frame(spec, (0.3, -1.2)).gamma)) == 0.0
 
     def test_surface_closed_forms(self):
@@ -85,7 +90,7 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_flat_is_zero(self):
-        f = geo.frame(geo.flat_metric(3), (0.1, 0.2, 0.3))
+        f = geo.frame(flat_metric(3), (0.1, 0.2, 0.3))
         assert np.max(np.abs(f.riemann)) == 0.0
 
     def test_surface_component_closed_form(self):
@@ -214,7 +219,7 @@ class TestFirstKindKernel:
 
 class TestRicciScalarWeyl:
     def test_flat_4d(self):
-        f = geo.frame(geo.flat_metric(4), (0.0, 1.0, 2.0, 3.0))
+        f = geo.frame(flat_metric(4), (0.0, 1.0, 2.0, 3.0))
         assert np.max(np.abs(f.ricci)) == 0.0
         assert f.scalar == 0.0
         assert np.max(np.abs(f.weyl)) == 0.0
@@ -255,7 +260,7 @@ class TestRicciScalarWeyl:
     def test_low_dimension_weyl_flagged_zero(self):
         # Below n = 4 the Weyl field is the zero array by convention,
         # even where R is not zero.
-        f = geo.frame(geo.flat_metric(3), (0.0, 0.0, 0.0))
+        f = geo.frame(flat_metric(3), (0.0, 0.0, 0.0))
         assert f.weyl.shape == (3, 3, 3, 3)
         assert np.max(np.abs(f.weyl)) == 0.0
         sphere = geo.frame(geo.diagonal_metric(("x", "y", "z"), ["1/(1 + (x^2+y^2+z^2)/4)^2"] * 3),
@@ -271,13 +276,13 @@ class TestRicciScalarWeyl:
 class TestGaussCurvature:
     def test_constant_curvature_factory(self):
         for K, E, b in [(1.0, 4.0, "sin(x)^2"), (-0.25, 2.0, "x"), (0.5, 3.0, "x^2")]:
-            spec = geo.constant_curvature_2d(b, K, E)
+            spec = constant_curvature_2d(b, K, E)
             for x in (0.4, 0.8, 1.2):
                 assert geo.gauss_curvature(geo.frame(spec, (x, 0.0))) == pytest.approx(K, abs=1e-11)
 
     def test_unit_sphere_via_factory_has_unit_first_component(self):
         # E=4, K=1, b=sin^2 x collapses a to 4cos^2/(4cos^2) = 1.
-        spec = geo.constant_curvature_2d("sin(x)^2", 1.0, 4.0)
+        spec = constant_curvature_2d("sin(x)^2", 1.0, 4.0)
         for x in (0.3, 0.9, 1.4):
             f = geo.frame(spec, (x, 0.0))
             assert f.g[0, 0] == pytest.approx(1.0, rel=1e-12)
@@ -285,20 +290,20 @@ class TestGaussCurvature:
     def test_quarter_scale_law(self):
         # b = x^2 with a = (b')^2/(b(D*b - 4C)), D=4, C=0 gives a = 1/x^2
         # and Gauss curvature -D/4 = -1.
-        spec = geo.constant_curvature_2d("x^2", -1.0, 0.0)
+        spec = constant_curvature_2d("x^2", -1.0, 0.0)
         f = geo.frame(spec, (2.0, 0.0))
         assert f.g[0, 0] == pytest.approx(0.25, rel=1e-12)
         assert geo.gauss_curvature(f) == pytest.approx(-1.0, abs=1e-12)
 
     def test_gauss_equals_half_scalar(self):
-        spec = geo.constant_curvature_2d("x", -0.75, 1.5)
+        spec = constant_curvature_2d("x", -0.75, 1.5)
         pt = (0.7, 0.1)
         f = geo.frame(spec, pt)
         assert geo.gauss_curvature(f) == pytest.approx(f.scalar / 2, abs=1e-10)
 
     def test_requires_two_dimensions(self):
         with pytest.raises(geo.GeometryError):
-            geo.gauss_curvature(geo.frame(geo.flat_metric(3), (0, 0, 0)))
+            geo.gauss_curvature(geo.frame(flat_metric(3), (0, 0, 0)))
 
 
 class TestCovariantDerivative:
@@ -308,7 +313,7 @@ class TestCovariantDerivative:
         assert np.max(np.abs(nabla_g)) < 1e-10
 
     def test_constant_field_on_flat_chart(self):
-        f = geo.frame(geo.flat_metric(3), (1.0, 2.0, 3.0))
+        f = geo.frame(flat_metric(3), (1.0, 2.0, 3.0))
         T = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
         assert np.max(np.abs(geo.covariant_derivative_02(f, T, np.zeros((3, 3, 3))))) == 0.0
 
@@ -347,7 +352,7 @@ class TestSmokeChecks:
         assert geo.second_bianchi_residual(geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)) < 1e-4
 
     def test_constant_curvature_scalar_is_twice_gauss(self):
-        spec = geo.constant_curvature_2d("x", 0.5, 4.0)
+        spec = constant_curvature_2d("x", 0.5, 4.0)
         for x in (0.5, 1.0, 1.5):
             f = geo.frame(spec, (x, 0.0))
             assert abs(f.scalar - 2 * geo.gauss_curvature(f)) < 1e-10
@@ -369,5 +374,5 @@ class TestSpecValidation:
         assert max_abs_residual(f.riemann, G) < 1e-12
 
     def test_zero_residual_helper(self):
-        f = geo.frame(geo.flat_metric(4), (0, 0, 0, 0))
+        f = geo.frame(flat_metric(4), (0, 0, 0, 0))
         assert zero_residual(f.riemann, f.riemann) == 0.0

@@ -18,7 +18,7 @@ import pytest
 from curvcheck import cli, curvops, geomap as gm, geometry as geo, roter
 from curvcheck.corpus import corpus_get
 
-from helpers import dense_derivation, dense_tachibana, frames_fits_and_products, pack
+from helpers import dense_derivation, dense_tachibana, pack, psi_jets, stack
 
 # One family per chart dimension n = 4, 5, 6.
 FAMILIES = {4: "theorem41_n4", 5: "theorem41_c_pos_n5", 6: "theorem41_c_neg_n6"}
@@ -26,11 +26,15 @@ UNIT = 6 ** 6 * np.dtype(float).itemsize  # bytes of one order-6 array at n = 6
 
 
 def state_at(n, seed=3):
-    """(family, frames, fits, products) at one sampled point of the n-dim
-    family, products all built."""
+    """(family, frames, fits, products) of the (source, image) members at
+    one sampled point of the n-dim family, one point's each, products all
+    built."""
     job = cli.build_job(corpus_get(FAMILIES[n])["manifolds"][0])
     point = cli.sample_points(job, 1, np.random.default_rng(seed))[0]
-    frames, fits, products = frames_fits_and_products(job.family, point)
+    fam = job.family
+    frames = tuple(geo.frame(member.product, point) for member in (fam.source, fam.image))
+    fits = tuple(roter.fit_roter(stack([f]))[0] for f in frames)
+    products = tuple(roter.curvature_products(f) for f in frames)
     for P in products:
         for key in roter._PRODUCTS:
             P[key]
@@ -90,11 +94,12 @@ class TestSameBits:
         fam, frames, fits, products = member_state
         before = [{key: value.copy() for key, value in P.items()} for P in products]
         for f, fit, P in zip(frames, fits, products):
-            F, chunk = geo.stack([f]), as_chunk(P)
+            F, chunk = stack([f]), as_chunk(P)
             roter.identity_suite(F, [fit], chunk)
             roter.ricci_pseudosymmetry(F, chunk)
-        gm.factor_relations(fam, frames, fits, products, gm.family_values(fam, frames[0].point))
-        gm.psi_ricci_identity_residual(fam, frames, fits, products)
+        for fit, P in zip(fits, products):
+            gm.corollary42_residual(frames[0].dim, [fit], as_chunk(P))
+        gm.semisymmetric(products[0]["RR"][None], stack([frames[0]]))
         for P, kept in zip(products, before):
             for key, value in kept.items():
                 assert (P[key] == value).all(), key
@@ -107,7 +112,7 @@ class TestPackedReadsAsDense:
     def test_identity_suite(self, member_state):
         _, frames, fits, products = member_state
         for f, fit, P in zip(frames, fits, products):
-            F = geo.stack([f])
+            F = stack([f])
             got = roter.identity_suite(F, [fit], as_chunk(P))[0]
             want = roter.identity_suite(F, [fit], as_chunk(dense_products(f)))[0]
             for name in roter.IDENTITY_NAMES:
@@ -116,7 +121,7 @@ class TestPackedReadsAsDense:
     def test_pseudosymmetry_factors(self, member_state):
         _, frames, _, products = member_state
         for f, P in zip(frames, products):
-            F = geo.stack([f])
+            F = stack([f])
             got = roter.pseudosymmetry_factors(F, as_chunk(P))[0]
             want = roter.pseudosymmetry_factors(F, as_chunk(dense_products(f)))[0]
             for key in want:
@@ -126,12 +131,10 @@ class TestPackedReadsAsDense:
 
     def test_factor_relations_cor42(self, member_state):
         fam, frames, fits, products = member_state
-        v = gm.family_values(fam, frames[0].point)
-        got = gm.factor_relations(fam, frames, fits, products, v)
-        dense = tuple(dense_products(f) for f in frames)
-        want = gm.factor_relations(fam, frames, fits, dense, v)
-        for tag in ("cor42_source", "cor42_image"):
-            assert abs(got[tag] - want[tag]) <= 1e-14, tag
+        for tag, f, fit, P in zip(("cor42_source", "cor42_image"), frames, fits, products):
+            (got,) = gm.corollary42_residual(f.dim, [fit], as_chunk(P))
+            (want,) = gm.corollary42_residual(f.dim, [fit], as_chunk(dense_products(f)))
+            assert abs(got - want) <= 1e-14, tag
 
 
 def test_constant_curvature_is_vacuous_packed_and_dense():
@@ -161,13 +164,7 @@ def test_semisymmetric_guard_fires_where_the_dense_guard_fires():
     for ratio in (0.0, 0.5, 0.99, 1.01, 2.0, 1e6):
         t = ratio * bound / np.max(np.abs(dense_rr))
         dense_fires = np.max(np.abs(t * dense_rr)) <= bound
-        scaled = [dict(products[0], RR=t * products[0]["RR"]), products[1]]
-        try:
-            gm.psi_ricci_identity_residual(fam, frames, fits, scaled)
-            packed_fires = False
-        except gm.FamilyError as err:
-            assert err.reason == "SEMISYMMETRIC"
-            packed_fires = True
+        (packed_fires,) = gm.semisymmetric(t * products[0]["RR"][None], stack([frames[0]]))
         assert packed_fires == dense_fires == (ratio < 1.0), ratio
 
 
@@ -212,10 +209,10 @@ class TestTemporaries:
 
     def test_pseudosymmetry_factors(self, n6):
         f, _, P = n6
-        F, chunk = geo.stack([f]), as_chunk(P)
+        F, chunk = stack([f]), as_chunk(P)
         assert peak_units(lambda: roter.pseudosymmetry_factors(F, chunk)) < 0.5
 
     def test_identity_suite(self, n6):
         f, fit, P = n6
-        F, chunk = geo.stack([f]), as_chunk(P)
+        F, chunk = stack([f]), as_chunk(P)
         assert peak_units(lambda: roter.identity_suite(F, [fit], chunk)) < 0.5

@@ -55,7 +55,7 @@ def test_roter_entries_take_a_stacked_frame(tracer):
     # of points must still be the chart dimension.
     job = cli.build_job(corpus_get("rn_lambda0")["manifolds"][0])
     points = cli.sample_points(job, 3, np.random.default_rng(0))
-    chunk = geo.stack([geo.frame(job.targets[0].spec, pt) for pt in points])
+    chunk = geo.frames(job.targets[0].spec, points)
     assert chunk.dim == job.targets[0].spec.dim == 4
     cs = roter.classify(chunk)
     products = roter.curvature_products(chunk)

@@ -6,6 +6,7 @@ import pytest
 from curvcheck import geometry as geo
 from curvcheck import roter
 from curvcheck.curvops import constancy_residual, scalar_residual
+from helpers import flat_metric, stack
 
 
 def rn_metric(M, Q, Lam):
@@ -54,7 +55,7 @@ RN_POINT = (0.0, 3.0, 1.2, 0.3)
 
 class TestFit:
     def test_charged_metric_spot_values(self):
-        f = geo.stack([geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)])
+        f = stack([geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)])
         fit = roter.fit_roter(f)[0]
         assert fit.phi == pytest.approx(243.0, rel=1e-10)
         assert fit.mu == pytest.approx(0.5, rel=1e-10)
@@ -69,7 +70,7 @@ class TestFit:
     def test_charged_metric_closed_forms(self, M, Q, Lam, rs):
         spec = rn_metric(M, Q, Lam)
         for r in rs:
-            fit = roter.fit_roter(geo.stack([geo.frame(spec, (0.0, r, 1.2, 0.3))]))[0]
+            fit = roter.fit_roter(stack([geo.frame(spec, (0.0, r, 1.2, 0.3))]))[0]
             phi, mu, eta = charged_coefficients(M, Q, Lam, r)
             assert scalar_residual(fit.phi, phi) < 1e-9
             assert scalar_residual(fit.mu, mu) < 1e-9
@@ -80,7 +81,7 @@ class TestFit:
             ("x1", "x2", "x3", "x4"),
             ["1/(1 + (x1^2+x2^2+x3^2+x4^2)/4)^2"] * 4,
         )
-        (err,) = roter.fit_roter(geo.stack([geo.frame(spec, (0.1, 0.2, -0.1, 0.3))]))
+        (err,) = roter.fit_roter(stack([geo.frame(spec, (0.1, 0.2, -0.1, 0.3))]))
         assert isinstance(err, roter.RoterFitError)
         assert err.reason == "NOT_IN_US"
 
@@ -88,7 +89,7 @@ class TestFit:
         spec = family_n4()
         pt = (1.3, 0.2, 0.1, -0.2)
         f = geo.frame(spec, pt)
-        fit = roter.fit_roter(geo.stack([f]))[0]
+        fit = roter.fit_roter(stack([f]))[0]
         mu1 = f.ricci[0, 0] / f.g[0, 0]
         mu2 = f.ricci[2, 2] / f.g[2, 2]
         n = 4
@@ -99,7 +100,7 @@ class TestFit:
         assert scalar_residual(fit.eta, rho1 + mu1**2 * phi) < 1e-10
 
     def test_low_dimension_rejected(self):
-        f = geo.stack([geo.frame(geo.flat_metric(3), (0, 0, 0))])
+        f = stack([geo.frame(flat_metric(3), (0, 0, 0))])
         (err,) = roter.fit_roter(f)
         assert isinstance(err, roter.RoterFitError)
         assert err.reason == "DIMENSION"
@@ -107,7 +108,7 @@ class TestFit:
 
 class TestIdentitySuite:
     def test_all_ten_on_charged_metric(self):
-        f = geo.stack([geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)])
+        f = stack([geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)])
         fit = roter.fit_roter(f)[0]
         report = roter.identity_suite(f, [fit], roter.curvature_products(f))[0]
         assert set(report) == set(roter.IDENTITY_NAMES)
@@ -115,14 +116,14 @@ class TestIdentitySuite:
             assert residual <= 1e-8, name
 
     def test_all_ten_on_family(self):
-        f = geo.stack([geo.frame(family_n4(), (0.9, 0.35, -0.15, 0.1))])
+        f = stack([geo.frame(family_n4(), (0.9, 0.35, -0.15, 0.1))])
         fit = roter.fit_roter(f)[0]
         report = roter.identity_suite(f, [fit], roter.curvature_products(f))[0]
         for name, residual in report.items():
             assert residual <= 1e-8, name
 
     def test_factors_match_direct_proportionality(self):
-        f = geo.stack([geo.frame(rn_metric(1.0, 0.5, 0.1), (0.0, 3.1, 1.0, 0.4))])
+        f = stack([geo.frame(rn_metric(1.0, 0.5, 0.1), (0.0, 3.1, 1.0, 0.4))])
         fit = roter.fit_roter(f)[0]
         products = roter.curvature_products(f)
         measured = roter.pseudosymmetry_factors(f, products)[0]
@@ -140,7 +141,7 @@ class TestIdentitySuite:
 
     def test_perturbed_ricci_breaks_affine_relation(self):
         f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)
-        fit = roter.fit_roter(geo.stack([f]))[0]
+        fit = roter.fit_roter(stack([f]))[0]
         rng = np.random.default_rng(3)
         noise = rng.normal(size=(4, 4))
         bad_ricci = f.ricci + 1e-3 * 0.5 * (noise + noise.T)
@@ -152,7 +153,7 @@ class TestIdentitySuite:
 
     def test_internal_consistency_of_l(self):
         f = geo.frame(family_n4(), (1.1, 0.15, 0.2, 0.05))
-        fit = roter.fit_roter(geo.stack([f]))[0]
+        fit = roter.fit_roter(stack([f]))[0]
         n = 4
         target = ((n - 2) / fit.phi) * (fit.mu**2 - fit.phi * fit.eta)
         assert scalar_residual(fit.L, target) < 1e-8
@@ -160,7 +161,7 @@ class TestIdentitySuite:
 
 class TestClassification:
     def test_flat_space_is_einstein(self):
-        c = roter.classify(geo.stack([geo.frame(geo.flat_metric(4), (0, 0, 0, 0))]))[0]
+        c = roter.classify(stack([geo.frame(flat_metric(4), (0, 0, 0, 0))]))[0]
         assert c.kind == roter.EINSTEIN
 
     def test_constant_curvature_is_einstein(self):
@@ -168,12 +169,12 @@ class TestClassification:
             ("x1", "x2", "x3", "x4"),
             ["1/(1 - (x1^2+x2^2+x3^2+x4^2)/8)^2"] * 4,
         )
-        c = roter.classify(geo.stack([geo.frame(spec, (0.2, 0.1, -0.3, 0.05))]))[0]
+        c = roter.classify(stack([geo.frame(spec, (0.2, 0.1, -0.3, 0.05))]))[0]
         assert c.kind == roter.EINSTEIN
 
     def test_family_is_roter_never_quasi_einstein(self):
         f = geo.frame(family_n4(), (1.4, 0.25, 0.1, 0.2))
-        F = geo.stack([f])
+        F = stack([f])
         c = roter.classify(F)[0]
         assert c.kind == roter.ROTER
         mu1 = f.ricci[0, 0] / f.g[0, 0]
@@ -181,7 +182,7 @@ class TestClassification:
         assert roter.rank_grid_exceeds_one(F, [c], [(mu1, mu2)])[0]
 
     def test_charged_metric_is_roter(self):
-        c = roter.classify(geo.stack([geo.frame(rn_metric(2.0, 1.0, -0.05),
+        c = roter.classify(stack([geo.frame(rn_metric(2.0, 1.0, -0.05),
                                                 (0.0, 5.0, 1.3, 0.2))]))[0]
         assert c.kind == roter.ROTER
 
@@ -193,7 +194,7 @@ class TestClassification:
             ("x", "y1", "y2", "y3"),
             ["1", f"1/({conf})", f"1/({conf})", f"1/({conf})"],
         )
-        c = roter.classify(geo.stack([geo.frame(spec, (0.5, 0.1, -0.2, 0.3))]))[0]
+        c = roter.classify(stack([geo.frame(spec, (0.5, 0.1, -0.2, 0.3))]))[0]
         assert c.kind == roter.QUASI_EINSTEIN
         assert c.alpha == pytest.approx(2.0, rel=1e-8)
 
@@ -204,7 +205,7 @@ class TestClassification:
         for _ in range(20):
             pt = (rng.uniform(0.6, 2.0), rng.uniform(-0.3, 0.6),
                   rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            fit = roter.fit_roter(geo.stack([geo.frame(spec, pt)]))[0]
+            fit = roter.fit_roter(stack([geo.frame(spec, pt)]))[0]
             values.append(fit.L_R)
         assert constancy_residual(values) <= 1e-8
         assert np.mean(values) == pytest.approx(-1.0, abs=1e-9)
@@ -219,7 +220,7 @@ class TestRicciPseudosymmetry:
             ("x", "y1", "y2", "y3"),
             ["1", f"(x^2+1)/({conf})", f"(x^2+1)/({conf})", f"(x^2+1)/({conf})"],
         )
-        f = geo.stack([geo.frame(spec, (0.4, 0.1, 0.2, -0.1))])
+        f = stack([geo.frame(spec, (0.4, 0.1, 0.2, -0.1))])
         res = roter.ricci_pseudosymmetry(f, roter.curvature_products(f))[0]
         assert res.verdict == "fit"
         assert res.residual <= 1e-8

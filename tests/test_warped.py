@@ -9,13 +9,13 @@ from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import roter
 from curvcheck import warped
-from curvcheck.curvops import max_abs_residual, rank_shift, unit_curvature
-from helpers import diagnostics_at
+from curvcheck.curvops import rank_shift, unit_curvature
+from helpers import constant_curvature_2d, diagnostics_at, flat_metric, max_abs_residual, stack
 
 
 def hyperbolic_base(D=4.0, C=0.0, b="x"):
     """diag(a, b) with a = (b')^2/(b(D b - 4C)); Gauss curvature -D/4."""
-    return geo.constant_curvature_2d(b, -D / 4.0, -4.0 * C, coords=("x", "t"))
+    return constant_curvature_2d(b, -D / 4.0, -4.0 * C, coords=("x", "t"))
 
 
 def family(D=4.0, C=0.0, n=4, fiber_scalar=2.0, profile="2*t+1"):
@@ -53,7 +53,7 @@ RNG = np.random.default_rng(7)
 
 class TestAssemble:
     def test_unit_warp_gives_plain_product(self):
-        base = geo.flat_metric(2, "x")
+        base = flat_metric(2, "x")
         fiber = warped.constant_curvature_fiber(2, 2.0)
         ws = warped.assemble(base, fiber, "1 + 0*x1")
         pt = (0.3, -0.2, 0.1, 0.2)
@@ -90,27 +90,27 @@ class TestAssemble:
             assert warped.verify_product_christoffels(diagnostics_at(ws, pt)) < 1e-10
 
     def test_coordinate_collision_rejected(self):
-        base = geo.flat_metric(2, "y")
+        base = flat_metric(2, "y")
         fiber = warped.constant_curvature_fiber(2, 2.0)  # y1, y2
         with pytest.raises(geo.GeometryError):
             warped.assemble(base, fiber, "1 + 0*y1")
 
     def test_fiber_dependent_warp_rejected(self):
-        base = geo.flat_metric(2, "x")
+        base = flat_metric(2, "x")
         fiber = warped.constant_curvature_fiber(2, 2.0)
         with pytest.raises(geo.GeometryError):
             warped.assemble(base, fiber, ex.parse("y1", ("y1",)))
 
     def test_nonpositive_warp_is_inadmissible(self):
-        base = geo.flat_metric(2, "x")
+        base = flat_metric(2, "x")
         fiber = warped.constant_curvature_fiber(2, 0.0)
         ws = warped.assemble(base, fiber, "x1")
         point = (-1.0, 0.0, 0.1, 0.1)
         assert not geo.admissible(ws.product, point)
-        fiber_frame = geo.frame(ws.fiber, ws.split(point)[1])
+        fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]])
         unchecked = dataclasses.replace(ws.product, conditions=())
         with pytest.raises(geo.GeometryError):
-            warped.diagnostics(ws, geo.frame(unchecked, point), fiber_frame)
+            warped.diagnostics(ws, geo.frames(unchecked, [point]), fiber_frame)
 
 
 class TestConstantCurvatureFiber:
@@ -180,7 +180,7 @@ class TestDiagnostics:
         pt = sample_points(ws, RNG, 1)[0]
         d = diagnostics_at(ws, pt)
         phi, mu, eta, L_R = roter_from_diagnostics(d, ws.dim)
-        fit = roter.fit_roter(geo.stack([geo.frame(ws.product, pt)]))[0]
+        fit = roter.fit_roter(stack([geo.frame(ws.product, pt)]))[0]
         assert phi == pytest.approx(fit.phi, rel=1e-9)
         assert mu == pytest.approx(fit.mu, rel=1e-9)
         assert eta == pytest.approx(fit.eta, rel=1e-9)
@@ -248,7 +248,7 @@ class TestConformalFlatness:
             assert res < 1e-10, (name, res)
 
     def test_flat_base_flat_fiber_unit_warp(self):
-        base = geo.flat_metric(2, "x")
+        base = flat_metric(2, "x")
         fiber = warped.constant_curvature_fiber(2, 0.0)
         ws = warped.assemble(base, fiber, "1 + 0*x1")
         d = diagnostics_at(ws, (0.1, 0.2, 0.0, 0.1))
@@ -268,14 +268,14 @@ class TestConformalFlatness:
         rho0, flat = warped.conformal_flatness_test(diagnostics_at(ws, pt))
         assert flat
         f = geo.frame(ws.product, pt)
-        assert roter.classify(geo.stack([f]))[0].kind == roter.EINSTEIN
+        assert roter.classify(stack([f]))[0].kind == roter.EINSTEIN
         assert np.max(np.abs(f.weyl)) < 1e-9 * (np.max(np.abs(f.riemann)) + 1)
 
     def test_unmatched_fiber_scalar_is_roter_not_quasi_einstein(self):
         ws = family(D=4.0, C=0.0, n=4, fiber_scalar=2.0)
         pt = (1.2, 0.3, 0.1, -0.1)
         f = geo.frame(ws.product, pt)
-        c = roter.classify(geo.stack([f]))[0]
+        c = roter.classify(stack([f]))[0]
         assert c.kind == roter.ROTER
         d = diagnostics_at(ws, pt)
         # no shift of the metric ever reduces the Ricci tensor to rank <= 1
