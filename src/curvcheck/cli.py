@@ -472,8 +472,9 @@ class Chunk:
     run on sub-chunks of roter.chunk_size(n) points, so that only one
     sub-chunk's curvature products are alive."""
 
-    def __init__(self, job: Job, target: Target, points: list, peer: Chunk | None = None):
-        self.job, self.target, self.points, self.peer = job, target, points, peer
+    def __init__(self, job: Job, suites: set, target: Target, points: list, peer=None):
+        self.job, self.suites = job, suites
+        self.target, self.points, self.peer = target, points, peer
 
     @cached_property
     def stacked(self) -> geo.PointFrame:
@@ -591,25 +592,26 @@ class Chunk:
 
     @cached_property
     def product_checks(self) -> list:
-        """Per point, a dict of what reads curvature products: identities
-        (a ROTER point's identity_suite), ricci (ricci_pseudosymmetry, if
-        expected) and, on a family member expected ROTER, at a point with
-        a fit: cor42 (corollary42_residual) and on the source semisymmetric."""
-        job, cs = self.job, self.classifications
+        """Per point, a dict of what reads curvature products for the
+        suites that run: identities and ricci (if expected) for theorem21;
+        for the geodesic suite on a family expected ROTER, at a point with
+        a fit, cor42 (corollary42_residual) and on the source semisymmetric."""
+        job, cs, theorem21 = self.job, self.classifications, "theorem21" in self.suites
         expect = job.definition.get("expect", {})
-        family = job.kind == "family" and expect.get("classify", "ROTER") == "ROTER"
+        family = ("geodesic" in self.suites and job.kind == "family"
+                  and expect.get("classify", "ROTER") == "ROTER")
         out = []
         for lanes in self._parts():
             frame = self.stacked.take(lanes)
             products, pieces = roter.curvature_products(frame), [{} for _ in lanes]
-            kept = [j for j, i in enumerate(lanes) if cs[i].kind == roter.ROTER]
+            kept = [j for j, i in enumerate(lanes) if theorem21 and cs[i].kind == roter.ROTER]
             if kept:
                 sub = frame.take(kept)
                 sub_products = products if sub is frame else roter.curvature_products(sub)
                 results = roter.identity_suite(sub, [cs[lanes[j]].fit for j in kept], sub_products)
                 for j, res in zip(kept, results):
                     pieces[j]["identities"] = res
-            if expect.get("ricci_pseudosymmetric"):
+            if theorem21 and expect.get("ricci_pseudosymmetric"):
                 for piece, rp in zip(pieces, roter.ricci_pseudosymmetry(frame, products)):
                     piece["ricci"] = rp
             fits = [self.fits[i] for i in lanes] if family else []
@@ -620,7 +622,8 @@ class Chunk:
                 for j, value in zip(kept, res.tolist()):
                     pieces[j]["cor42"] = value
                 if self.target.label == "source":
-                    for piece, flag in zip(pieces, gm.semisymmetric(products["RR"], frame).tolist()):
+                    flags = gm.semisymmetric(products["RR"], frame).tolist()
+                    for piece, flag in zip(pieces, flags):
                         piece["semisymmetric"] = flag
             out += pieces
         return out
@@ -633,7 +636,7 @@ class Chunk:
         relations and last the psi-Ricci identity (else None).  A point
         whose psi jet raises gets None; the suite raises it there."""
         job, source, count, n = self.job, self.peer, len(self.points), self.stacked.dim
-        psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
+        psi = (job.pair or job.family).psi
         jets, failed = (np.zeros((count, n)), np.zeros((count, n, n))), []
         for k, point in enumerate(self.points):
             try:
@@ -780,8 +783,7 @@ def geodesic_checks(job: Job, chunks, i, idx, fits_log):
         return
     source, image = chunks
     if image.geodesic[i] is None:
-        psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
-        psi.jet(source.points[i])  # raises this point's error
+        (job.pair or job.family).psi.jet(source.points[i])  # raises this point's error
     checks, relations = image.geodesic[i]
     yield from checks
     if job.kind == "pair2d" or job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
@@ -822,15 +824,14 @@ def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order.
 
     Points go in chunks of roter.chunk_size(min(n, 4)), n the chart
-    dimension, each read through one Chunk per target (whose Roter
-    pieces cut roter.chunk_size(n) sub-chunks); the image of a mapped
-    pair reads its source as peer."""
+    dimension, read through one Chunk per target, whose Roter pieces cut
+    sub-chunks of roter.chunk_size(n); a mapped pair's image has peer."""
     fits_log: list = []
     size = roter.chunk_size(min(job.targets[0].spec.dim, 4))
     for start in range(0, len(points), size):
         pts = points[start:start + size]
-        first = Chunk(job, job.targets[0], pts)
-        chunks = [first] + [Chunk(job, target, pts, first) for target in job.targets[1:]]
+        first = Chunk(job, suites, job.targets[0], pts)
+        chunks = [first] + [Chunk(job, suites, target, pts, first) for target in job.targets[1:]]
         for i, pt in enumerate(pts):
             idx = start + i
             for suite, checks in TARGET_SUITES:
@@ -865,7 +866,7 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
     seed = int(manifest.get("seed", 0) if seed is None else seed)
     count = int(manifest.get("points", 20) if points is None else points)
     plans = [selected if suites else _expand_suites(mdef.get("suites", [])) or selected
-             for mdef in manifest["manifolds"]]
+             for mdef in manifest.get("manifolds", [])]
     validate_manifest(manifest)  # run_manifest reads keys only the schema guarantees
     records: list = []
 

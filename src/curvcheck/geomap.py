@@ -549,8 +549,8 @@ def semisymmetric(RR: np.ndarray, frame: geo.PointFrame) -> np.ndarray:
     """Whether R.R (packed, RR) vanishes at each lane of the source's
     frame, where psi_ricci_identity_residual's identity does not hold."""
     # A packed R.R entry is 2 sqrt(2) times the dense one (see curvops).
-    rr = np.max(np.abs(RR), axis=tuple(range(1, RR.ndim)))
-    return rr <= 2.0 * np.sqrt(2.0) * 1e-9 * (np.max(np.abs(frame.riemann), axis=(1, 2, 3, 4)) + 1.0)
+    rr, r = (np.max(np.abs(t), axis=tuple(range(1, t.ndim))) for t in (RR, frame.riemann))
+    return rr <= 2.0 * np.sqrt(2.0) * 1e-9 * (r + 1.0)
 
 
 def psi_ricci_identity_residual(

@@ -149,15 +149,13 @@ def constant_curvature_fiber(dim: int, scalar_curvature: float) -> geo.MetricSpe
 
 @dataclass(frozen=True)
 class WarpedDiagnostics:
-    """Warped-product scalars at a chunk of points, and the frames they
-    came from.
+    """Warped-product scalars at a chunk of points, and their frames.
 
     frame, base_frame and fiber_frame are the stacked product, base and
     fiber frames; grad is the base gradient of the warp.  Every array
-    carries the chunk's point axis first (f_value of shape (P,), t of
-    shape (P, p, p)).  rho0..rho3, mu1, mu2 are populated only for a
-    2-dimensional base (they are block factors of that geometry); T,
-    tr_T and delta1 are general.
+    carries the point axis first (t of shape (P, p, p)).  rho0..rho3,
+    mu1, mu2 are set only for a 2-dimensional base (block factors of
+    that geometry).
     """
 
     frame: geo.PointFrame
@@ -185,8 +183,7 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
     warp jets are evaluated point by point, as frames does with metric
     jets; everything else runs once over the point axis."""
     base_pts = [ws.split(point)[0] for point in frame.point]
-    base = ws.base
-    bframe = geo.frames(base, base_pts)
+    bframe = geo.frames(ws.base, base_pts)
     jets = [ws._warp_jet(point) for point in base_pts]
     f_value = np.array([f[0] for f, _, _ in jets])
     grad = np.array([g[:, 0] for _, g, _ in jets])
@@ -245,13 +242,14 @@ def _block(T, p: int, kind: str) -> np.ndarray:
     """The base (abcd), mixed (αabδ) or fiber (αβγδ) block of a stacked
     (0,4) tensor over a p-dimensional base."""
     b, f = slice(None, p), slice(p, None)
-    return T[(slice(None),) + {"base": (b, b, b, b), "mixed": (f, b, b, f), "fiber": (f, f, f, f)}[kind]]
+    slots = {"base": (b, b, b, b), "mixed": (f, b, b, f), "fiber": (f, f, f, f)}[kind]
+    return T[(slice(None),) + slots]
 
 
 def _block_residuals(T, G, p: int, factors: dict) -> dict:
     """Each named block of T against its factor (per lane) times G's."""
-    return {name: lane_max_abs_residuals(_block(T, p, kind), per_lane(factor, 4) * _block(G, p, kind))
-            for name, (kind, factor) in factors.items()}
+    return {name: lane_max_abs_residuals(_block(T, p, k), per_lane(c, 4) * _block(G, p, k))
+            for name, (k, c) in factors.items()}
 
 
 def _split_blocks_residual(T, p: int) -> np.ndarray:
@@ -368,8 +366,9 @@ def verify_proportional_blocks(d: WarpedDiagnostics) -> dict[str, np.ndarray]:
         "block_riemann_mixed": ("mixed", d.rho2),
         "block_riemann_fiber": ("fiber", d.rho3),
     })
-    out["block_ricci_base"] = lane_max_abs_residuals(S[:, :p, :p], per_lane(d.mu1, 2) * g[:, :p, :p])
-    out["block_ricci_fiber"] = lane_max_abs_residuals(S[:, p:, p:], per_lane(d.mu2, 2) * g[:, p:, p:])
+    base, fiber = np.s_[:, :p, :p], np.s_[:, p:, p:]
+    out["block_ricci_base"] = lane_max_abs_residuals(S[base], per_lane(d.mu1, 2) * g[base])
+    out["block_ricci_fiber"] = lane_max_abs_residuals(S[fiber], per_lane(d.mu2, 2) * g[fiber])
     return out
 
 

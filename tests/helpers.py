@@ -266,7 +266,8 @@ def member_diagnostics(fam, points):
 
 def max_abs_residual(lhs, rhs) -> float:
     """Componentwise max-abs residual, sum-plus-one normalized."""
-    return float(lane_max_abs_residuals(np.asarray(lhs, float)[None], np.asarray(rhs, float)[None])[0])
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    return float(lane_max_abs_residuals(lhs[None], rhs[None])[0])
 
 
 def zero_residual(t, reference=None) -> float:
@@ -383,8 +384,11 @@ def point_curvature_blocks(d) -> dict:
         S[p:, p:],
         fframe.ricci - 0.5 * (d.tr_t + (n - p - 1) / (2.0 * d.f_value) * d.delta1) * g_t)
     out["ricci_mixed"] = zero_residual(S[:p, p:], S)
-    closed_scalar = (bframe.scalar + fframe.scalar / d.f_value
-                     - ((n - p) / d.f_value) * (d.tr_t + (n - p - 1) / (4.0 * d.f_value) * d.delta1))
+    closed_scalar = (
+        bframe.scalar
+        + fframe.scalar / d.f_value
+        - ((n - p) / d.f_value) * (d.tr_t + (n - p - 1) / (4.0 * d.f_value) * d.delta1)
+    )
     out["scalar"] = scalar_residual(pframe.scalar, closed_scalar)
     out["trace_t"] = scalar_residual(d.tr_t, float(np.einsum("ab,ab->", bframe.ginv, d.t)))
     return out
@@ -504,7 +508,8 @@ def point_family_image_ricci_forms(fam, d_bar, v) -> dict:
     salfa = (cfg.fiber_scalar / (n - 2) + (n - 3) * (cfg.c * B * B - Bp * Bp)
              - (n - 1) / 4.0 * b * B * B * coef / opq) / d_bar.f_value
     return {
-        "ricci_base_bar": max_abs_residual(s_bar[:2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:2, :2]),
+        "ricci_base_bar": max_abs_residual(
+            s_bar[:2, :2], -(n - 1) / (4.0 * p) * coef * g_bar[:2, :2]),
         "ricci_mixed_bar": zero_residual(s_bar[:2, 2:], s_bar),
         "ricci_fiber_bar": max_abs_residual(s_bar[2:, 2:], salfa * g_bar[2:, 2:]),
         "t_bar": max_abs_residual(d_bar.t, coef / (2.0 * p) * d_bar.f_value * d_bar.base_frame.g),

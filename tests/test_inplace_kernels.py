@@ -91,7 +91,7 @@ class TestSameBits:
 
     def test_products_left_untouched(self, member_state):
         # Residuals and factors never write into the products they read.
-        fam, frames, fits, products = member_state
+        _, frames, fits, products = member_state
         before = [{key: value.copy() for key, value in P.items()} for P in products]
         for f, fit, P in zip(frames, fits, products):
             F, chunk = stack([f]), as_chunk(P)
@@ -130,7 +130,7 @@ class TestPackedReadsAsDense:
                 assert curvops.scalar_residual(got[key].factor, want[key].factor) <= 1e-14, key
 
     def test_factor_relations_cor42(self, member_state):
-        fam, frames, fits, products = member_state
+        _, frames, fits, products = member_state
         for tag, f, fit, P in zip(("cor42_source", "cor42_image"), frames, fits, products):
             (got,) = gm.corollary42_residual(f.dim, [fit], as_chunk(P))
             (want,) = gm.corollary42_residual(f.dim, [fit], as_chunk(dense_products(f)))
@@ -158,7 +158,7 @@ def test_semisymmetric_guard_fires_where_the_dense_guard_fires():
     # The dense guard: max|R.R| <= 1e-9 (max|R| + 1).  Scale the source
     # R.R to sit at fixed multiples of that bound; the packed guard must
     # fire on exactly the same ones.
-    fam, frames, fits, products = state_at(4)
+    _, frames, _, products = state_at(4)
     dense_rr = DENSE_PRODUCTS["RR"](frames[0])
     bound = 1e-9 * (np.max(np.abs(frames[0].riemann)) + 1.0)
     for ratio in (0.0, 0.5, 0.99, 1.01, 2.0, 1e6):

@@ -207,11 +207,12 @@ def failing_point_run(monkeypatch, plant):
                 == [r for r in clean if r["point_index"] == index]), index
     at = [r for r in planted if r["point_index"] == 3]
     was = [r for r in clean if r["point_index"] == 3]
-    assert [r for r in at if r["suite"] != "geodesic"] == [r for r in was if r["suite"] != "geodesic"]
-    geodesic = [r for r in at if r["suite"] == "geodesic"]
-    errors = [r for r in geodesic if r["check"] == "error"]
-    assert len(errors) == 1
-    return [r for r in geodesic if r["check"] != "error"], [r for r in was if r["suite"] == "geodesic"]
+    def geodesic(records, keep=True):
+        return [r for r in records if (r["suite"] == "geodesic") == keep]
+
+    assert geodesic(at, keep=False) == geodesic(was, keep=False)
+    assert len([r for r in geodesic(at) if r["check"] == "error"]) == 1
+    return [r for r in geodesic(at) if r["check"] != "error"], geodesic(was)
 
 
 def test_a_failing_psi_jet_fails_its_point_only(monkeypatch):
