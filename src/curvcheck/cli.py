@@ -566,9 +566,9 @@ class Chunk:
     def fits(self) -> list:
         """Each classification's fit, or a direct one where it has none."""
         fits = [c.fit for c in self.classifications]
-        rest = [i for i, fit in enumerate(fits) if fit is None]
-        if rest:
-            for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest))):
+        for lanes in self._parts():
+            rest = [i for i in lanes if fits[i] is None]
+            for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest)) if rest else []):
                 fits[i] = fit
         return fits
 
