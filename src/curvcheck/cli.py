@@ -41,10 +41,10 @@ from . import warped as wp
 from .curvops import (
     constancy_residual,
     lane_max_abs_residuals,
+    lane_residuals,
     lane_riemann_symmetry_residuals,
     lane_trace_residuals,
     scalar_residual,
-    tensor_residual,
 )
 
 SUITES = ("geometry-symmetries", "theorem21", "warped-diagnostics", "geodesic", "all")
@@ -349,6 +349,15 @@ class Job:
     box: dict
     pinned: list[dict]
 
+    @property
+    def expect(self) -> dict:
+        return self.definition.get("expect", {})
+
+    @property
+    def fitted(self) -> bool:
+        """A family expected ROTER (the default), whose fits the geodesic suite reads."""
+        return self.kind == "family" and self.expect.get("classify", "ROTER") == "ROTER"
+
     def sample_ok(self, point) -> bool:
         if self.family is not None:
             return self.family.admissible_sample(point)
@@ -468,9 +477,8 @@ class Chunk:
     stacked is the frame of all the points from one geo.frames call, and
     frames[i] its lane i.  fiber_frames and diagnostics are stacked too;
     a family's image reads the fiber frames of its peer, the source
-    chunk.  The Roter pieces (classifications through product_checks)
-    run on sub-chunks of roter.chunk_size(n) points, so that only one
-    sub-chunk's curvature products are alive."""
+    chunk.  Only product_checks runs per sub-chunk of roter.chunk_size(n)
+    points, so that only one sub-chunk's curvature products are alive."""
 
     def __init__(self, job: Job, suites: set, target: Target, points: list, peer=None):
         self.job, self.suites = job, suites
@@ -531,9 +539,8 @@ class Chunk:
             checks += _named(wp.verify_weyl_blocks(d), "identity")
             rho0, is_flat = wp.conformal_flatness_test(d)
             scalars.update(rho0=rho0, rho1=d.rho1, rho2=d.rho2, rho3=d.rho3, mu1=d.mu1, mu2=d.mu2)
-            expect = job.definition.get("expect", {})
-            if "conformally_flat" in expect:  # a flag, as _flag makes it
-                flags = np.where(is_flat == expect["conformally_flat"], 0.0, 1.0)
+            if "conformally_flat" in job.expect:  # a flag, as _flag makes it
+                flags = np.where(is_flat == job.expect["conformally_flat"], 0.0, 1.0)
                 details = [{"detail": value} for value in rho0.tolist()]
                 checks.append(("conformally_flat", flags, "flag", details))
         if job.kind == "family":
@@ -553,23 +560,17 @@ class Chunk:
         return [{"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
                 for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f))]
 
-    def _parts(self) -> list:
-        """The lanes of each Roter sub-chunk, roter.chunk_size(n) points."""
-        size, count = roter.chunk_size(self.stacked.dim), len(self.points)
-        return [range(start, min(start + size, count)) for start in range(0, count, size)]
-
     @cached_property
     def classifications(self) -> list:
-        return [c for lanes in self._parts() for c in roter.classify(self.stacked.take(lanes))]
+        return roter.classify(self.stacked)
 
     @cached_property
     def fits(self) -> list:
         """Each classification's fit, or a direct one where it has none."""
         fits = [c.fit for c in self.classifications]
-        for lanes in self._parts():
-            rest = [i for i in lanes if fits[i] is None]
-            for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest)) if rest else []):
-                fits[i] = fit
+        rest = [i for i, fit in enumerate(fits) if fit is None]
+        for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest)) if rest else []):
+            fits[i] = fit
         return fits
 
     @cached_property
@@ -594,14 +595,14 @@ class Chunk:
     def product_checks(self) -> list:
         """Per point, a dict of what reads curvature products for the
         suites that run: identities and ricci (if expected) for theorem21;
-        for the geodesic suite on a family expected ROTER, at a point with
-        a fit, cor42 (corollary42_residual) and on the source semisymmetric."""
+        for the geodesic suite on a fitted family, at a point with a fit,
+        cor42 (corollary42_residual) and on the source semisymmetric."""
         job, cs, theorem21 = self.job, self.classifications, "theorem21" in self.suites
-        expect = job.definition.get("expect", {})
-        family = ("geodesic" in self.suites and job.kind == "family"
-                  and expect.get("classify", "ROTER") == "ROTER")
+        fitted = "geodesic" in self.suites and job.fitted
+        size, count = roter.chunk_size(self.stacked.dim), len(self.points)
         out = []
-        for lanes in self._parts():
+        for start in range(0, count, size):
+            lanes = range(start, min(start + size, count))
             frame = self.stacked.take(lanes)
             products, pieces = roter.curvature_products(frame), [{} for _ in lanes]
             kept = [j for j, i in enumerate(lanes) if theorem21 and cs[i].kind == roter.ROTER]
@@ -611,10 +612,10 @@ class Chunk:
                 results = roter.identity_suite(sub, [cs[lanes[j]].fit for j in kept], sub_products)
                 for j, res in zip(kept, results):
                     pieces[j]["identities"] = res
-            if theorem21 and expect.get("ricci_pseudosymmetric"):
+            if theorem21 and job.expect.get("ricci_pseudosymmetric"):
                 for piece, rp in zip(pieces, roter.ricci_pseudosymmetry(frame, products)):
                     piece["ricci"] = rp
-            fits = [self.fits[i] for i in lanes] if family else []
+            fits = [self.fits[i] for i in lanes] if fitted else []
             kept = [j for j, fit in enumerate(fits) if isinstance(fit, roter.RoterFit)]
             if kept:
                 P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
@@ -664,8 +665,7 @@ class Chunk:
             kg, kg_bar = gm.base_gauss_values(d, d_bar)
             checks += [("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"),
                        ("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")]
-            expect = job.definition.get("expect", {})
-            fits = (source.fits, self.fits) if expect.get("classify", "ROTER") == "ROTER" else ()
+            fits = (source.fits, self.fits) if job.fitted else ()
             lanes = [i for i, pair in enumerate(zip(*fits))
                      if all(isinstance(fit, roter.RoterFit) for fit in pair)]
             if lanes:
@@ -719,7 +719,7 @@ def geometry_checks(job: Job, chunk: Chunk, i, idx):
     scalars = {"kappa": f.scalar}
     if n == 2:
         scalars["gauss"] = float(geo.gauss_curvature(f))
-        expected = job.definition.get("expect", {}).get("scalars", {})
+        expected = job.expect.get("scalars", {})
         if "gauss" in expected:
             yield "gauss_value", scalar_residual(scalars["gauss"], expected["gauss"]), "geo"
     yield "frame_scalars", 0.0, "strict", {"scalars": scalars}
@@ -729,12 +729,11 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
     target = chunk.target
     if target.spec.dim < 2:
         return
-    expect = job.definition.get("expect", {})
     f = chunk.frames[i]
     perturb = job.definition.get("perturb")
     c = chunk.classifications[i]
     scalars = {"classification": c.kind, "kappa": f.scalar, **chunk.membership[i]}
-    want = expect.get("classify")
+    want = job.expect.get("classify")
     if want:
         # Source and image members of a family share the expected kind.
         yield _flag("classification", c.kind == want, detail=c.kind)
@@ -746,7 +745,7 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
         for name, res in chunk.product_checks[i]["identities"].items():
             yield name, res, "identity"
         yield _flag("rank_shift_grid", chunk.rank_grid[i])
-        expected_scalar = expect.get("scalars", {})
+        expected_scalar = job.expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:
             yield "l_r_expected", scalar_residual(fit.L_R, expected_scalar[key]), "identity"
@@ -754,14 +753,14 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
             rng = np.random.default_rng(12345)
             noise = rng.normal(size=f.ricci.shape)
             bad = f.ricci + perturb["epsilon"] * 0.5 * (noise + noise.T)
-            res = tensor_residual(bad @ f.ginv @ bad, fit.alpha1 * bad + fit.alpha2 * f.g)
-            yield "ricci_square_affine_perturbed", res, "identity", None, True  # expect_fail
-    if expect.get("ricci_pseudosymmetric"):
+            res = lane_residuals([bad @ f.ginv @ bad], [fit.alpha1 * bad + fit.alpha2 * f.g])
+            yield "ricci_square_affine_perturbed", res[0], "identity", None, True  # expect_fail
+    if job.expect.get("ricci_pseudosymmetric"):
         rp = chunk.product_checks[i]["ricci"]
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
-    pins = expect.get("pinned_scalars", [])
+    pins = job.expect.get("pinned_scalars", [])
     if idx < min(len(job.pinned), len(pins)):
         for key, want_v in pins[idx].items():
             have = scalars.get(key)
@@ -786,7 +785,7 @@ def geodesic_checks(job: Job, chunks, i, idx, fits_log):
         (job.pair or job.family).psi.jet(source.points[i])  # raises this point's error
     checks, relations = image.geodesic[i]
     yield from checks
-    if job.kind == "pair2d" or job.definition.get("expect", {}).get("classify", "ROTER") != "ROTER":
+    if not job.fitted:
         return
     fits = (source.fits[i], image.fits[i])  # each a RoterFit or the RoterFitError returned
     rejected = [fit for fit in fits if isinstance(fit, roter.RoterFitError)]
@@ -807,7 +806,7 @@ def family_checks(job: Job, fits_log):
     """Aggregates over all points of a family (point index -1)."""
     if job.kind != "family":
         return
-    yield "profile_invariant", gm.profile_invariant_residual(job.family.cfg), "strict"
+    yield "profile_invariant", gm.profile_invariant_residual(job.family), "strict"
     if fits_log:
         yield "l_r_constancy_source", constancy_residual([a for a, _ in fits_log]), "identity"
         yield "l_r_constancy_image", constancy_residual([b for _, b in fits_log]), "identity"
@@ -823,9 +822,10 @@ TARGET_SUITES = (
 def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order.
 
-    Points go in chunks of roter.chunk_size(min(n, 4)), n the chart
-    dimension, read through one Chunk per target, whose Roter pieces cut
-    sub-chunks of roter.chunk_size(n); a mapped pair's image has peer."""
+    Points go in frame chunks of roter.chunk_size(min(n, 4)), n the chart
+    dimension, read through one Chunk per target, which runs only its
+    product_checks per sub-chunk of roter.chunk_size(n); a mapped pair's
+    image has peer."""
     fits_log: list = []
     size = roter.chunk_size(min(job.targets[0].spec.dim, 4))
     for start in range(0, len(points), size):

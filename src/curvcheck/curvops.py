@@ -37,9 +37,9 @@ axis first (g of shape (P, n, n), R of shape (P, n, n, n, n)), and each
 point's lane of the result is what the same call on that point alone
 gives.  The reductions (lane_norms, the lane_* residuals and
 proportionality) read the first axis as the point axis and return one
-result per point (one tensor is a chunk of one: tensor_residual is
-lane_residuals on a chunk of one); scalar_residual broadcasts.  No reduction mixes lanes,
-so a lane never depends on the others in its chunk.
+result per point (one tensor is a chunk of one); scalar_residual
+broadcasts.  No reduction mixes lanes, so a lane never depends on the
+others in its chunk.
 
 All public functions are pure.
 """
@@ -59,7 +59,6 @@ __all__ = [
     "tachibana",
     "proportionality",
     "rank_shift",
-    "tensor_residual",
     "lane_residuals",
     "scalar_residual",
     "lane_norms",
@@ -109,17 +108,12 @@ def lane_norms(t) -> np.ndarray:
 # near zero, and never spuriously large when both sides vanish.
 
 def lane_residuals(lhs, rhs) -> np.ndarray:
-    """tensor_residual of each lane of lhs == rhs, the first axis
-    indexing points."""
+    """Frobenius residual of each lane of lhs == rhs, the first axis
+    indexing points, sum-plus-one normalized."""
     ra, rb = _rows(_asarray(lhs), _asarray(rhs))
     rd = ra - rb
     scale = np.sqrt(np.vecdot(ra, ra)) + np.sqrt(np.vecdot(rb, rb)) + 1.0
     return np.sqrt(np.vecdot(rd, rd)) / scale
-
-
-def tensor_residual(lhs, rhs) -> float:
-    """Frobenius residual of lhs == rhs, sum-plus-one normalized."""
-    return float(lane_residuals(_asarray(lhs)[None], _asarray(rhs)[None])[0])
 
 
 def scalar_residual(lhs, rhs):
@@ -300,7 +294,7 @@ def proportionality(lhs, rhs, dim: int) -> list[ProportionalityResult]:
     ProportionalityResult per lane (one tensor is a chunk of one:
     proportionality(a[None], b[None], dim)[0]).  factor = <lhs, rhs> /
     <rhs, rhs>; the residual uses the same sum-plus-one normalization as
-    tensor_residual.  RHS is degenerate when its Frobenius norm is below
+    lane_residuals.  RHS is degenerate when its Frobenius norm is below
     1e-12 * dim**2, dim being the chart dimension n (not a packed
     product's leading axis m).
     """

@@ -28,6 +28,7 @@ at each point stacked as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,6 +206,7 @@ class Family:
     image: wp.WarpedSpec
     psi: PsiField
     profile: ex.Expr
+    profile_jet: Callable  # (B, B') on the (x, t) chart, bound once per family
     profile_invariant: float  # (B')^2 - c B^2, constant in t
 
     # The base jets of family_values and warp_profile_pde_residuals,
@@ -278,8 +280,9 @@ def build_family(cfg: FamilyConfig) -> Family:
     a_expr = ex.div(ex.intpow(bp, 2), ex.mul(b_expr, shape))
 
     profile = profile_expr(cfg)
-    B, Bp = _profile_values(profile, binds, 0.0)
-    invariant = Bp**2 - cfg.c * B**2
+    profile_jet = ex.jet((profile,), coords2, binds, 1)
+    B, dB = profile_jet((0.0, 0.0))
+    invariant = float(dB[1, 0]) ** 2 - cfg.c * float(B[0]) ** 2
 
     n = cfg.n
     cflat_value = cfg.fiber_scalar / ((n - 3) * (n - 2))
@@ -311,7 +314,7 @@ def build_family(cfg: FamilyConfig) -> Family:
     chart = source.product.coords
     psi1 = ex.neg(ex.div(ex.mul(ex.const("q"), bp), ex.mul(ex.num(2.0), one_plus_qb)))
     psi = PsiField(chart, (psi1,) + (ex.Num(0.0),) * (n - 1), binds)
-    return Family(cfg, source, image, psi, profile, invariant)
+    return Family(cfg, source, image, psi, profile, profile_jet, invariant)
 
 
 def family_values(fam: Family, points) -> dict[str, np.ndarray]:
@@ -330,20 +333,13 @@ def family_values(fam: Family, points) -> dict[str, np.ndarray]:
     }
 
 
-def _profile_values(profile: ex.Expr, binds: ex.Bindings, t: float) -> tuple[float, float]:
-    """(B, B') at t."""
-    B, dB = ex.jet((profile,), ("x", "t"), binds, 1)((0.0, t))
-    return float(B[0]), float(dB[1, 0])
-
-
-def profile_invariant_residual(cfg: FamilyConfig) -> float:
+def profile_invariant_residual(fam: Family) -> float:
     """Constancy of (B')^2 - c B^2 across 24 values of t in [-1, 1.5]."""
-    profile = profile_expr(cfg)
-    binds = _family_bindings(cfg)
     vals = []
     for t in np.linspace(-1.0, 1.5, 24):
-        B, Bp = _profile_values(profile, binds, float(t))
-        vals.append(Bp * Bp - cfg.c * B * B)
+        B, dB = fam.profile_jet((0.0, float(t)))
+        B, Bp = float(B[0]), float(dB[1, 0])
+        vals.append(Bp * Bp - fam.cfg.c * B * B)
     return constancy_residual(vals)
 
 

@@ -26,11 +26,10 @@ packed on bivectors (see curvops), whose norms and inner products equal
 the dense ones, so every residual and factor reads them as it would
 read dense tensors.  ricci_pseudosymmetry(frame, products) reads R.S
 and Q(g,S) from the same products.  classify sorts a point into
-EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER and keeps the Ricci
-operator's real eigenvalues; one stacked rank scan ranks S - alpha g at
-those eigenvalues (the quasi-Einstein test) and on the grid of
-rank_grid_exceeds_one, which ranks alpha1/2 of each fit and its extra
-candidates in one more.
+EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER; one stacked rank scan ranks
+S - alpha g at the Ricci operator's real eigenvalues (the
+quasi-Einstein test) and on the grid of rank_grid_exceeds_one, which
+ranks alpha1/2 of each fit and its extra candidates in one more.
 
 Chunks.  Every entry takes a stacked frame of one chart's points, as
 geometry.frames builds it (each array with a leading point axis), and
@@ -41,10 +40,12 @@ the rank grid, and from fit_roter each lane's RoterFit or RoterFitError
 indexed out before the step, and no step mixes lanes, so a lane's
 result does not depend on the rest of its chunk.
 
-chunk_size(n) sizes a chunk from the bivector count m = n(n-1)/2: one
-stacked order-6 product, m**3 floats per point, stays within
-CHUNK_BYTES = 32 KB, the 27 KB of one n = 6 product rounded up.  That
-is 18 points at n = 4, 4 at n = 5 and 1 at n = 6.
+A caller runs every entry once per frame chunk of chunk_size(min(n, 4))
+points, but curvature_products and the entries that read them per
+sub-chunk of chunk_size(n): one stacked order-6 product, m**3 floats
+per point for m = n(n-1)/2, stays within CHUNK_BYTES = 32 KB, the 27 KB
+of one n = 6 product rounded up.  That is 18 points at n = 4, 4 at
+n = 5 and 1 at n = 6.
 """
 
 from __future__ import annotations
@@ -374,18 +375,16 @@ def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]) -> 
 
 @dataclass(frozen=True)
 class Classification:
-    """A point's kind and the real eigenvalues of its Ricci operator g^{-1} S.
+    """A point's kind, with its quasi-Einstein alpha or its Roter fit.
 
     grid_rank_above_one records whether rank(S - alpha g) > 1 at every
-    alpha classify ranked: the grid of rank_grid_exceeds_one and the
-    real eigenvalues.  rank_grid_exceeds_one ranks the rest of the scan.
+    alpha classify ranked, the grid of rank_grid_exceeds_one and the real
+    eigenvalues of g^{-1} S; rank_grid_exceeds_one ranks the rest.
     """
 
     kind: str
-    eigenvalues: tuple[float, ...]
     alpha: float | None = None
     fit: RoterFit | None = None
-    detail: str = ""
     grid_rank_above_one: bool = False
 
 
@@ -396,7 +395,6 @@ def classify(frame: PointFrame) -> list:
     # Ricci operator; only the real ones are candidates.
     eigs = np.linalg.eigvals(f.ginv @ f.ricci)
     real = np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))
-    eigenvalues = [tuple(row[keep].tolist()) for row, keep in zip(eigs.real, real)]
     # One scan: each lane's grid, then its eigenvalues, a complex one
     # replaced by the grid's last value, which the scan ranks anyway.
     grid = (10.0 * np.abs(f.scalar) + 1.0)[:, None] * _UNIT_GRID
@@ -408,22 +406,19 @@ def classify(frame: PointFrame) -> list:
     candidates = []
     for i, us in enumerate(in_us(f)):
         if not us:
-            out[i] = Classification(EINSTEIN, eigenvalues[i], alpha=float(f.scalar[i]) / n,
+            out[i] = Classification(EINSTEIN, alpha=float(f.scalar[i]) / n,
                                     grid_rank_above_one=above[i])
         elif drops[i].any():
             alpha = float(eigs.real[i, np.argmax(drops[i])])
-            out[i] = Classification(QUASI_EINSTEIN, eigenvalues[i], alpha=alpha,
-                                    grid_rank_above_one=above[i])
+            out[i] = Classification(QUASI_EINSTEIN, alpha=alpha, grid_rank_above_one=above[i])
         else:
             candidates.append(i)
     if candidates:
         for i, fit in zip(candidates, fit_roter(f.take(candidates))):
             if isinstance(fit, RoterFitError):
-                out[i] = Classification(OTHER, eigenvalues[i], detail=str(fit),
-                                        grid_rank_above_one=above[i])
+                out[i] = Classification(OTHER, grid_rank_above_one=above[i])
             else:
-                out[i] = Classification(ROTER, eigenvalues[i], fit=fit,
-                                        grid_rank_above_one=above[i])
+                out[i] = Classification(ROTER, fit=fit, grid_rank_above_one=above[i])
     return out
 
 
@@ -432,10 +427,11 @@ def rank_grid_exceeds_one(frame: PointFrame, cs: list, extras: list) -> np.ndarr
 
     cs are classify(frame) and extras hold one tuple of further
     candidates per lane (e.g. warped block eigenvalues mu1, mu2).  The
-    grid spans [-10|kappa|, 10|kappa|] plus the exact rank-drop loci
-    c.eigenvalues, which classify ranked already (c.grid_rank_above_one),
-    then alpha1/2 of c's fit and the lane's extras, ranked here: every
-    lane with candidates left in one stacked rank_shift.
+    grid spans [-10|kappa|, 10|kappa|] plus the exact rank-drop loci, the
+    real eigenvalues of the lane's Ricci operator, which classify ranked
+    already (c.grid_rank_above_one), then alpha1/2 of c's fit and the
+    lane's extras, ranked here: every lane with candidates left in one
+    stacked rank_shift.
     """
     out = np.array([c.grid_rank_above_one for c in cs])
     alphas = [((c.fit.alpha1 / 2.0,) if c.fit is not None else ()) + tuple(extra)

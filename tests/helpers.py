@@ -14,10 +14,10 @@ from curvcheck import roter
 from curvcheck import warped as wp
 from curvcheck.curvops import (
     lane_max_abs_residuals,
+    lane_residuals,
     lane_riemann_symmetry_residuals,
     lane_trace_residuals,
     scalar_residual,
-    tensor_residual,
     unit_curvature,
 )
 from curvcheck.expr import (
@@ -263,6 +263,12 @@ def member_diagnostics(fam, points):
 
 # One-point residual forms, each the one-lane case of its curvops lane
 # form.
+
+def tensor_residual(lhs, rhs) -> float:
+    """Frobenius residual of lhs == rhs, sum-plus-one normalized."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    return float(lane_residuals(lhs[None], rhs[None])[0])
+
 
 def max_abs_residual(lhs, rhs) -> float:
     """Componentwise max-abs residual, sum-plus-one normalized."""

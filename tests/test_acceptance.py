@@ -35,7 +35,6 @@ from curvcheck.curvops import (
     constancy_residual,
     kulkarni_nomizu,
     tachibana,
-    tensor_residual,
     unit_curvature,
 )
 from helpers import (
@@ -50,6 +49,7 @@ from helpers import (
     random_point,
     riemann_symmetry_residuals,
     stack,
+    tensor_residual,
 )
 
 RNG_SEED = 20240817

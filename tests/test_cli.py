@@ -684,6 +684,34 @@ class TestSharedEvaluation:
         assert len(derivations) == len(tachibanas) == 1
         assert len(derivations[0][2]) == len(tachibanas[0][0]) == len(target_points)
 
+    def test_only_products_run_per_sub_chunk(self, monkeypatch):
+        # At n = 6 a frame chunk holds 18 points, a product sub-chunk one.
+        # classify runs once per target over the chunk's four lanes, every
+        # fit is made inside it, and each derivation product holds one lane.
+        classify, fit_roter = roter.classify, roter.fit_roter
+        classified, fits, inside = [], [], []
+
+        def classifying(frame):
+            classified.append(len(frame.g))
+            inside.append(True)
+            try:
+                return classify(frame)
+            finally:
+                inside.pop()
+
+        def fitting(frame):
+            fits.append((bool(inside), len(frame.g)))
+            return fit_roter(frame)
+
+        monkeypatch.setattr(roter, "classify", classifying)
+        monkeypatch.setattr(roter, "fit_roter", fitting)
+        derivations = count_calls(monkeypatch, curvops, "derivation_apply")
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=4)
+        assert summary["ok"] and roter.chunk_size(6) == 1
+        assert classified == [4, 4]  # source, image
+        assert fits == [(True, 4), (True, 4)]
+        assert derivations and all(len(ginv) == 1 for _, _, ginv in derivations)
+
     def test_refused_frame_fails_its_whole_chunk(self, monkeypatch, tmp_path, capsys):
         # Sampling admits no point whose frame can fail, so a chunk keeps
         # no frame error: if one raised anyway, every suite reading the
@@ -786,6 +814,51 @@ class TestDeterminism:
         proc = run_cli(["run", "flat_space", "--points", "1"], capsys)
         assert proc.returncode == 0
         assert (tmp_path / "envout" / "flat_space.records.jsonl").exists()
+
+
+class TestJob:
+    def test_expect_and_fitted_over_the_corpus(self):
+        # fitted: a family expected ROTER, whose geodesic suite reads the
+        # members' fits; a family that leaves classify out counts too.
+        fitted = set()
+        for name in corpus_list():
+            for mdef in corpus_get(name)["manifolds"]:
+                job = cli.build_job(mdef)
+                assert job.expect == mdef.get("expect", {})
+                if job.fitted:
+                    fitted.add(mdef["name"])
+        assert fitted == {"theorem41_n4", "theorem41_c_pos_n5", "theorem41_c_neg_n6"}
+        mdef = corpus_get("theorem41_n4")["manifolds"][0]
+        del mdef["expect"]
+        job = cli.build_job(mdef)
+        assert job.expect == {} and job.fitted
+
+
+class TestBenchmarkCalls:
+    @pytest.mark.parametrize("source", [*corpus_list(), "manifest_file"])
+    def test_repetition_call_sequence(self, tmp_path, source):
+        # The cli calls of one benchmark repetition, in their order: load
+        # the manifest, build each job and sample one point, then run the
+        # manifest at one point and write its report.  The file is a
+        # charged chart whose r-box straddles the horizon r+ = 2.25.
+        seed = 11
+        if source == "manifest_file":
+            manifest = corpus_get("rn_lambda0")
+            mdef = manifest["manifolds"][0]
+            del mdef["pinned_points"], mdef["expect"]["pinned_scalars"]
+            mdef["constants"] = {"M": 1.25, "Q": 0.75, "Lam": 0.0}
+            mdef["box"]["r"] = [1.2, 6.0]
+            manifest["suites"] = ["geometry-symmetries", "theorem21"]
+            source = str(tmp_path / "charged.json")
+            Path(source).write_text(json.dumps(manifest))
+        manifest = cli.load_manifest(source)
+        for index, mdef in enumerate(manifest["manifolds"]):
+            cli.sample_points(cli.build_job(mdef), 1, np.random.default_rng([seed, index]))
+        records, summary = cli.run_manifest(manifest, points=1, seed=seed)
+        paths = cli.write_report(records, summary, str(tmp_path / "out"))
+        lines = Path(paths["records"]).read_text().splitlines()
+        assert summary["ok"] and len(lines) == summary["counts"]["checks"] > 0
+        assert all(json.loads(line)["ok"] for line in lines)
 
 
 class TestDescribe:

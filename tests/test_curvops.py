@@ -11,7 +11,6 @@ from curvcheck.curvops import (
     proportionality,
     rank_shift,
     tachibana,
-    tensor_residual,
     unit_curvature,
 )
 
@@ -22,6 +21,7 @@ from helpers import (
     pack,
     riemann_symmetry_residuals,
     stack,
+    tensor_residual,
 )
 
 

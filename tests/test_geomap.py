@@ -111,21 +111,21 @@ class TestProfile:
         vals = [ex.evaluate(prof, {"x": 0, "t": t}, gm._family_bindings(cfg))
                 for t in (0.0, 0.5)]
         assert vals == [1.0, 2.0]
-        assert gm.profile_invariant_residual(cfg) < 1e-12
+        assert gm.profile_invariant_residual(gm.build_family(cfg)) < 1e-12
 
     def test_exponential_invariant(self):
         cfg = gm.FamilyConfig(c=1.0, d=4.0, c1=1.0, c2=0.0)
         # B = e^t: (B')^2 - B^2 = 0.
-        assert gm.profile_invariant_residual(cfg) < 1e-10
         fam = gm.build_family(cfg)
+        assert gm.profile_invariant_residual(fam) < 1e-10
         assert fam.profile_invariant == pytest.approx(0.0, abs=1e-12)
 
     def test_trigonometric_invariant(self):
         # B = cos t: (B')^2 + B^2 = 1 (fiber scalar chosen off the
         # degenerate value (n-3)(n-2)*1 so construction succeeds).
         cfg = gm.FamilyConfig(c=-1.0, d=4.0, c1=1.0, c2=0.0, fiber_scalar=3.0)
-        assert gm.profile_invariant_residual(cfg) < 1e-12
         fam = gm.build_family(cfg)
+        assert gm.profile_invariant_residual(fam) < 1e-12
         assert fam.profile_invariant == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("branch", list(BRANCHES))

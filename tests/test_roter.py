@@ -6,7 +6,7 @@ import pytest
 from curvcheck import geometry as geo
 from curvcheck import roter
 from curvcheck.curvops import constancy_residual, scalar_residual
-from helpers import flat_metric, stack
+from helpers import flat_metric, stack, tensor_residual
 
 
 def rn_metric(M, Q, Lam):
@@ -146,8 +146,6 @@ class TestIdentitySuite:
         noise = rng.normal(size=(4, 4))
         bad_ricci = f.ricci + 1e-3 * 0.5 * (noise + noise.T)
         bad_sq = bad_ricci @ f.ginv @ bad_ricci
-        from curvcheck.curvops import tensor_residual
-
         res = tensor_residual(bad_sq, fit.alpha1 * bad_ricci + fit.alpha2 * f.g)
         assert res > 1e-6  # far above the 1e-8 identity threshold
 
