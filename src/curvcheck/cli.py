@@ -315,6 +315,14 @@ def validate_manifest(data: dict) -> None:
             if not ("dim" in model and model == keys or not model and keys >= {"coords", "metric"}):
                 raise ManifestError(f"manifold {mdef['name']!r}: fiber needs either 'dim' or both "
                                     f"'coords' and 'metric', not keys of both forms")
+        for key, (lo, hi) in mdef["box"].items():
+            if not lo <= hi or hi - lo > sys.float_info.max:
+                raise ManifestError(f"manifold {mdef['name']!r}: box {key!r} needs lo <= hi "
+                                    f"and a finite width, got {[lo, hi]}")
+        pins = len(mdef.get("expect", {}).get("pinned_scalars", ()))
+        if pins > len(mdef.get("pinned_points", ())):
+            raise ManifestError(f"manifold {mdef['name']!r}: {pins} pinned_scalars entries, "
+                                f"more than its pinned_points")
         for block in (mdef, mdef.get("base"), mdef.get("fiber")):
             if not block or "metric" not in block:
                 continue
@@ -359,9 +367,19 @@ class Job:
         return self.kind == "family" and self.expect.get("classify", "ROTER") == "ROTER"
 
     def sample_ok(self, point) -> bool:
+        """Admissible for every target and, on a mapped pair, with a psi
+        jet that evaluates: no chunk piece or psi jet can fail there."""
         if self.family is not None:
-            return self.family.admissible_sample(point)
-        return all(geo.admissible(t.spec, point) for t in self.targets)
+            ok = self.family.admissible_sample(point)
+        else:
+            ok = all(geo.admissible(t.spec, point) for t in self.targets)
+        mapped = self.pair or self.family
+        if ok and mapped is not None:
+            try:
+                mapped.psi.jet(point)
+            except _POINT_ERRORS:
+                return False
+        return ok
 
 
 def _build_explicit(mdef) -> geo.MetricSpec:
@@ -446,8 +464,8 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # tolerance_key) with optional extra record fields ({"scalars": ...} or
 # {"detail": ...}) and expect_fail; run_manifest turns every yielded
 # check into a record through _record, and a _POINT_ERRORS error the
-# suite raises (the Bianchi stencil, a psi jet, the semisymmetry guard)
-# into an "error" one.
+# suite raises (the Bianchi stencil, the semisymmetry guard) into an
+# "error" one.
 
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError)
 
@@ -470,15 +488,15 @@ class Chunk:
 
     Each piece is computed for every point on first read, once over the
     chunk's point axis, and suites read it at point i.  No piece fails at
-    a sampled point: Job.sample_ok admitted it by running the metric jet
-    that geo.frames runs, and a warped product's conditions and jet cover
-    those of its base, fiber and warp.
+    a sampled point: Job.sample_ok admitted it by running the metric and
+    psi jets that the pieces run, and a warped product's conditions and
+    jet cover those of its base, fiber and warp.
 
     stacked is the frame of all the points from one geo.frames call, and
     frames[i] its lane i.  fiber_frames and diagnostics are stacked too;
     a family's image reads the fiber frames of its peer, the source
-    chunk.  Only product_checks runs per sub-chunk of roter.chunk_size(n)
-    points, so that only one sub-chunk's curvature products are alive."""
+    chunk.  classifications[i] is point i's whole Roter verdict, and
+    product_checks builds the chunk's curvature products once."""
 
     def __init__(self, job: Job, suites: set, target: Target, points: list, peer=None):
         self.job, self.suites = job, suites
@@ -555,78 +573,46 @@ class Chunk:
         return _per_point(checks, len(self.points))
 
     @cached_property
-    def membership(self) -> list:
-        f = self.stacked
-        return [{"in_US": bool(us), "in_UC": bool(uc), "in_UR": bool(ur)}
-                for us, uc, ur in zip(roter.in_us(f), roter.in_uc(f), roter.in_ur(f))]
-
-    @cached_property
     def classifications(self) -> list:
-        return roter.classify(self.stacked)
-
-    @cached_property
-    def fits(self) -> list:
-        """Each classification's fit, or a direct one where it has none."""
-        fits = [c.fit for c in self.classifications]
-        rest = [i for i, fit in enumerate(fits) if fit is None]
-        for i, fit in zip(rest, roter.fit_roter(self.stacked.take(rest)) if rest else []):
-            fits[i] = fit
-        return fits
-
-    @cached_property
-    def rank_grid(self) -> list:
-        """rank_grid_exceeds_one of each ROTER lane, None for the others.
-        On a warped target with a 2-dimensional base, each lane's block
-        eigenvalues mu1, mu2 join its scan."""
-        ws, cs = self.target.warped_spec, self.classifications
-        lanes = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
-        out, extras = [None] * len(cs), [()] * len(lanes)
-        if lanes and ws and ws.base_dim == 2 and self.diagnostics.mu1 is not None:
-            d = self.diagnostics
-            extras = list(zip(d.mu1[lanes].tolist(), d.mu2[lanes].tolist()))
-        if lanes:
-            flags = roter.rank_grid_exceeds_one(self.stacked.take(lanes), [cs[i] for i in lanes],
-                                                extras)
-            for i, flag in zip(lanes, flags.tolist()):
-                out[i] = flag
-        return out
+        """roter.classify of every point; on a warped target with a
+        2-dimensional base, each point's block eigenvalues mu1, mu2 join
+        its rank grid."""
+        ws, extras = self.target.warped_spec, None
+        if ws and ws.base_dim == 2 and self.diagnostics.mu1 is not None:
+            extras = list(zip(self.diagnostics.mu1.tolist(), self.diagnostics.mu2.tolist()))
+        return roter.classify(self.stacked, extras)
 
     @cached_property
     def product_checks(self) -> list:
         """Per point, a dict of what reads curvature products for the
         suites that run: identities and ricci (if expected) for theorem21;
         for the geodesic suite on a fitted family, at a point with a fit,
-        cor42 (corollary42_residual) and on the source semisymmetric."""
-        job, cs, theorem21 = self.job, self.classifications, "theorem21" in self.suites
+        cor42 (corollary42_residual) and on the source semisymmetric.  The
+        chunk's products are built once; if only some points are ROTER,
+        the identities read products built on those points alone."""
+        job, cs, frame = self.job, self.classifications, self.stacked
+        theorem21 = "theorem21" in self.suites
+        products, out = roter.curvature_products(frame), [{} for _ in cs]
+        kept = [i for i, c in enumerate(cs) if theorem21 and c.kind == roter.ROTER]
+        if kept:
+            sub = frame.take(kept)
+            sub_products = products if sub is frame else roter.curvature_products(sub)
+            for i, res in zip(kept, roter.identity_suite(sub, [cs[i].fit for i in kept],
+                                                         sub_products)):
+                out[i]["identities"] = res
+        if theorem21 and job.expect.get("ricci_pseudosymmetric"):
+            for piece, rp in zip(out, roter.ricci_pseudosymmetry(frame, products)):
+                piece["ricci"] = rp
         fitted = "geodesic" in self.suites and job.fitted
-        size, count = roter.chunk_size(self.stacked.dim), len(self.points)
-        out = []
-        for start in range(0, count, size):
-            lanes = range(start, min(start + size, count))
-            frame = self.stacked.take(lanes)
-            products, pieces = roter.curvature_products(frame), [{} for _ in lanes]
-            kept = [j for j, i in enumerate(lanes) if theorem21 and cs[i].kind == roter.ROTER]
-            if kept:
-                sub = frame.take(kept)
-                sub_products = products if sub is frame else roter.curvature_products(sub)
-                results = roter.identity_suite(sub, [cs[lanes[j]].fit for j in kept], sub_products)
-                for j, res in zip(kept, results):
-                    pieces[j]["identities"] = res
-            if theorem21 and job.expect.get("ricci_pseudosymmetric"):
-                for piece, rp in zip(pieces, roter.ricci_pseudosymmetry(frame, products)):
-                    piece["ricci"] = rp
-            fits = [self.fits[i] for i in lanes] if fitted else []
-            kept = [j for j, fit in enumerate(fits) if isinstance(fit, roter.RoterFit)]
-            if kept:
-                P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
-                res = gm.corollary42_residual(frame.dim, [fits[j] for j in kept], P)
-                for j, value in zip(kept, res.tolist()):
-                    pieces[j]["cor42"] = value
-                if self.target.label == "source":
-                    flags = gm.semisymmetric(products["RR"], frame).tolist()
-                    for piece, flag in zip(pieces, flags):
-                        piece["semisymmetric"] = flag
-            out += pieces
+        kept = [i for i, c in enumerate(cs) if fitted and c.fit is not None]
+        if kept:
+            P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
+            res = gm.corollary42_residual(frame.dim, [cs[i].fit for i in kept], P)
+            for i, value in zip(kept, res.tolist()):
+                out[i]["cor42"] = value
+            if self.target.label == "source":
+                for piece, flag in zip(out, gm.semisymmetric(products["RR"], frame).tolist()):
+                    piece["semisymmetric"] = flag
         return out
 
     @cached_property
@@ -634,16 +620,10 @@ class Chunk:
         """On the image chunk of a mapped pair (peer its source), the
         geodesic suite at each point: its checks that read no fit, and
         where a family's members both have a Roter fit, the factor
-        relations and last the psi-Ricci identity (else None).  A point
-        whose psi jet raises gets None; the suite raises it there."""
-        job, source, count, n = self.job, self.peer, len(self.points), self.stacked.dim
+        relations and last the psi-Ricci identity (else None)."""
+        job, source, count = self.job, self.peer, len(self.points)
         psi = (job.pair or job.family).psi
-        jets, failed = (np.zeros((count, n)), np.zeros((count, n, n))), []
-        for k, point in enumerate(self.points):
-            try:
-                jets[0][k], jets[1][k] = psi.jet(point)
-            except _POINT_ERRORS:
-                failed.append(k)  # its lanes keep zeros and are never read
+        jets = tuple(np.array(part) for part in zip(*map(psi.jet, self.points)))
         frames = (source.stacked, self.stacked)
         checks = [
             ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),
@@ -665,9 +645,9 @@ class Chunk:
             kg, kg_bar = gm.base_gauss_values(d, d_bar)
             checks += [("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"),
                        ("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")]
-            fits = (source.fits, self.fits) if job.fitted else ()
-            lanes = [i for i, pair in enumerate(zip(*fits))
-                     if all(isinstance(fit, roter.RoterFit) for fit in pair)]
+            fits = tuple([c.fit for c in chunk.classifications]
+                         for chunk in (source, self)) if job.fitted else ()
+            lanes = [i for i, pair in enumerate(zip(*fits)) if None not in pair]
             if lanes:
                 frames = (source.stacked.take(lanes), self.stacked.take(lanes))
                 fits = tuple([member[i] for i in lanes] for member in fits)
@@ -678,10 +658,7 @@ class Chunk:
                                gm.psi_ricci_identity_residual(fam, frames, fits, jets), "compound"))
                 for i, row in zip(lanes, _per_point(fitted, len(lanes))):
                     relations[i] = row
-        out = list(zip(_per_point(checks, count), relations))
-        for k in failed:
-            out[k] = None
-        return out
+        return list(zip(_per_point(checks, count), relations))
 
 
 def _flag(check, ok, detail=None):
@@ -732,7 +709,8 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
     f = chunk.frames[i]
     perturb = job.definition.get("perturb")
     c = chunk.classifications[i]
-    scalars = {"classification": c.kind, "kappa": f.scalar, **chunk.membership[i]}
+    scalars = {"classification": c.kind, "kappa": f.scalar,
+               "in_US": c.in_US, "in_UC": c.in_UC, "in_UR": c.in_UR}
     want = job.expect.get("classify")
     if want:
         # Source and image members of a family share the expected kind.
@@ -744,7 +722,7 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
         yield "fit_residual", fit.residual, "identity"
         for name, res in chunk.product_checks[i]["identities"].items():
             yield name, res, "identity"
-        yield _flag("rank_shift_grid", chunk.rank_grid[i])
+        yield _flag("rank_shift_grid", c.grid_rank_above_one)
         expected_scalar = job.expect.get("scalars", {})
         key = "L_R" if target.label in ("self", "source") else "L_R_image"
         if key in expected_scalar:
@@ -760,8 +738,8 @@ def theorem21_checks(job: Job, chunk: Chunk, i, idx):
         yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
         if rp.factor is not None:
             scalars["L_S"] = rp.factor
-    pins = job.expect.get("pinned_scalars", [])
-    if idx < min(len(job.pinned), len(pins)):
+    pins = job.expect.get("pinned_scalars", [])  # one per pinned point at most
+    if idx < len(pins):
         for key, want_v in pins[idx].items():
             have = scalars.get(key)
             res = scalar_residual(have, want_v) if have is not None else 1.0
@@ -776,23 +754,21 @@ def warped_checks(job: Job, chunk: Chunk, i, idx):
 
 def geodesic_checks(job: Job, chunks, i, idx, fits_log):
     """Checks on the mapped pair of a pair2d or family manifold, from the
-    (source, image) chunks at point i.  A psi jet or the semisymmetry
-    guard that fails at the point raises here, at that point only."""
+    (source, image) chunks at point i.  The semisymmetry guard that fails
+    at the point raises here, at that point only."""
     if job.kind not in ("pair2d", "family"):
         return
     source, image = chunks
-    if image.geodesic[i] is None:
-        (job.pair or job.family).psi.jet(source.points[i])  # raises this point's error
     checks, relations = image.geodesic[i]
     yield from checks
     if not job.fitted:
         return
-    fits = (source.fits[i], image.fits[i])  # each a RoterFit or the RoterFitError returned
-    rejected = [fit for fit in fits if isinstance(fit, roter.RoterFitError)]
+    cs = (source.classifications[i], image.classifications[i])
+    rejected = [c.fit_error for c in cs if c.fit is None]
     if rejected:
-        yield _flag("roter_fits", False, detail=str(rejected[0]))
+        yield _flag("roter_fits", False, detail=rejected[0])
         return
-    fits_log.append((fits[0].L_R, fits[1].L_R))
+    fits_log.append((cs[0].fit.L_R, cs[1].fit.L_R))
     *relations, identity = relations
     yield from relations
     yield "cor42_source", source.product_checks[i]["cor42"], "identity"
@@ -822,12 +798,10 @@ TARGET_SUITES = (
 def _suite_runs(job: Job, points, suites):
     """(suite, target label, point index, point, checks) in run order.
 
-    Points go in frame chunks of roter.chunk_size(min(n, 4)), n the chart
-    dimension, read through one Chunk per target, which runs only its
-    product_checks per sub-chunk of roter.chunk_size(n); a mapped pair's
-    image has peer."""
+    Points go in chunks of roter.chunk_size(n), n the chart dimension,
+    read through one Chunk per target; a mapped pair's image has peer."""
     fits_log: list = []
-    size = roter.chunk_size(min(job.targets[0].spec.dim, 4))
+    size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):
         pts = points[start:start + size]
         first = Chunk(job, suites, job.targets[0], pts)

@@ -306,9 +306,10 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]]) -> PointFrame:
 
     Jets and their conditions are evaluated point by point, so an error
     names its point; curvature, Ricci, scalar, Ricci-square and Weyl then
-    run once over the leading point axis.  Lane i equals what frame(spec,
-    points[i]) returns, bit for bit.  Every call computes new arrays;
-    callers must not mutate them.
+    run once over the leading point axis.  Raises GeometryError naming
+    the first point where any of them is not finite.  Lane i equals what
+    frame(spec, points[i]) returns, bit for bit.  Every call computes new
+    arrays; callers must not mutate them.
     """
     points = tuple(tuple(float(v) for v in point) for point in points)
     n = spec.dim
@@ -331,7 +332,13 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]]) -> PointFrame:
     else:
         weyl = np.zeros_like(riem)
 
-    return PointFrame(spec, points, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl)
+    f = PointFrame(spec, points, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl)
+    finite = np.ones(len(points), dtype=bool)
+    for name in _LANE_FIELDS:
+        finite &= np.isfinite(getattr(f, name)).reshape(len(points), -1).all(axis=1)
+    if not finite.all():
+        raise GeometryError(f"curvature is not finite at {points[np.argmin(finite)]}")
+    return f
 
 
 def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:

@@ -38,19 +38,20 @@ dicts or of ProportionalityResult, a boolean array for membership and
 the rank grid, and from fit_roter each lane's RoterFit or RoterFitError
 (returned, not raised).  A lane that a step does not apply to is
 indexed out before the step, and no step mixes lanes, so a lane's
-result does not depend on the rest of its chunk.
+result does not depend on the rest of its chunk.  classify holds a
+lane's whole verdict: its kind, membership, fit or rejection message
+and rank-grid flag, from one fit_roter and one rank_grid_exceeds_one
+call over the chunk.
 
-A caller runs every entry once per frame chunk of chunk_size(min(n, 4))
-points, but curvature_products and the entries that read them per
-sub-chunk of chunk_size(n): one stacked order-6 product, m**3 floats
-per point for m = n(n-1)/2, stays within CHUNK_BYTES = 32 KB, the 27 KB
-of one n = 6 product rounded up.  That is 18 points at n = 4, 4 at
-n = 5 and 1 at n = 6.
+A caller runs every entry once per chunk of chunk_size(n) points: at
+most 18, and at n >= 5 as many as keep one stacked order-6 product,
+m**3 floats per point for m = n(n-1)/2, within CHUNK_BYTES = 128 KB.
+That is 18 points at n <= 4, 16 at n = 5, 4 at n = 6 and 1 at n = 7.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,7 +100,7 @@ FIT_RESIDUAL_LIMIT = 1e-8
 GRAM_CONDITION_LIMIT = 1e14
 
 # Bytes of one chunk's stacked order-6 product (see chunk_size).
-CHUNK_BYTES = 32 * 1024
+CHUNK_BYTES = 128 * 1024
 # The alpha grid of rank_grid_exceeds_one, in units of 10|kappa| + 1.
 _UNIT_GRID = np.linspace(-1.0, 1.0, 21)
 
@@ -135,11 +136,11 @@ class RoterFit:
 
 
 def chunk_size(n: int) -> int:
-    """Points per chunk at chart dimension n: as many as keep one stacked
-    order-6 product, m**3 floats a point for m = n(n-1)/2, within
-    CHUNK_BYTES, and at least one."""
+    """Points per chunk at chart dimension n: at most 18, as many as keep
+    one stacked order-6 product, m**3 floats a point for m = n(n-1)/2,
+    within CHUNK_BYTES, and at least one."""
     m = max(n * (n - 1) // 2, 1)
-    return max(1, CHUNK_BYTES // (8 * m ** 3))
+    return max(1, min(18, CHUNK_BYTES // (8 * m ** 3)))
 
 
 def in_us(frame: PointFrame) -> np.ndarray:
@@ -375,21 +376,34 @@ def ricci_pseudosymmetry(frame: PointFrame, products: dict[str, np.ndarray]) -> 
 
 @dataclass(frozen=True)
 class Classification:
-    """A point's kind, with its quasi-Einstein alpha or its Roter fit.
+    """A lane's Roter verdict.
 
-    grid_rank_above_one records whether rank(S - alpha g) > 1 at every
-    alpha classify ranked, the grid of rank_grid_exceeds_one and the real
-    eigenvalues of g^{-1} S; rank_grid_exceeds_one ranks the rest.
+    kind is EINSTEIN, QUASI_EINSTEIN (with its alpha), ROTER or OTHER;
+    in_US, in_UC and in_UR are its membership in the open sets.  fit is
+    its RoterFit wherever fit_roter accepts the lane, whatever its kind;
+    else fit_error holds the rejection message.  grid_rank_above_one
+    records whether rank(S - alpha g) > 1 at every alpha classify ranked:
+    the grid of rank_grid_exceeds_one, the real eigenvalues of g^{-1} S
+    and, on a ROTER lane, alpha1/2 of its fit and its extras.
     """
 
     kind: str
+    in_US: bool
+    in_UC: bool
+    in_UR: bool
     alpha: float | None = None
     fit: RoterFit | None = None
+    fit_error: str | None = None
     grid_rank_above_one: bool = False
 
 
-def classify(frame: PointFrame) -> list:
-    """Sort each lane into EINSTEIN, QUASI_EINSTEIN(alpha), ROTER or OTHER."""
+def classify(frame: PointFrame, extras: list | None = None) -> list:
+    """Each lane's Classification, from one fit_roter call over every lane.
+
+    extras hold one tuple of further rank candidates per lane (e.g.
+    warped block eigenvalues mu1, mu2); one rank_grid_exceeds_one call
+    ranks them with alpha1/2 on the ROTER lanes.
+    """
     f, n = frame, frame.dim
     # rank(S - alpha g) can only drop at generalized eigenvalues of the
     # Ricci operator; only the real ones are candidates.
@@ -402,32 +416,33 @@ def classify(frame: PointFrame) -> list:
     ranks = rank_shift(f.ricci[:, None], f.g[:, None], alphas)
     above = np.all(ranks > 1, axis=-1).tolist()
     drops = (ranks[:, _UNIT_GRID.size:] <= 1) & real
-    out: list = [None] * len(f.g)
-    candidates = []
-    for i, us in enumerate(in_us(f)):
+    membership = zip(in_us(f).tolist(), in_uc(f).tolist(), in_ur(f).tolist())
+    out = []
+    for i, (fit, (us, uc, ur)) in enumerate(zip(fit_roter(f), membership)):
+        kind, alpha = (ROTER if isinstance(fit, RoterFit) else OTHER), None
         if not us:
-            out[i] = Classification(EINSTEIN, alpha=float(f.scalar[i]) / n,
-                                    grid_rank_above_one=above[i])
+            kind, alpha = EINSTEIN, float(f.scalar[i]) / n
         elif drops[i].any():
-            alpha = float(eigs.real[i, np.argmax(drops[i])])
-            out[i] = Classification(QUASI_EINSTEIN, alpha=alpha, grid_rank_above_one=above[i])
-        else:
-            candidates.append(i)
-    if candidates:
-        for i, fit in zip(candidates, fit_roter(f.take(candidates))):
-            if isinstance(fit, RoterFitError):
-                out[i] = Classification(OTHER, grid_rank_above_one=above[i])
-            else:
-                out[i] = Classification(ROTER, fit=fit, grid_rank_above_one=above[i])
+            kind, alpha = QUASI_EINSTEIN, float(eigs.real[i, np.argmax(drops[i])])
+        rejected = isinstance(fit, RoterFitError)
+        out.append(Classification(kind, us, uc, ur, alpha, None if rejected else fit,
+                                  str(fit) if rejected else None, above[i]))
+    lanes = [i for i, c in enumerate(out) if c.kind == ROTER]
+    if lanes:
+        more = [extras[i] for i in lanes] if extras else [()] * len(lanes)
+        flags = rank_grid_exceeds_one(f.take(lanes), [out[i] for i in lanes], more)
+        for i, flag in zip(lanes, flags.tolist()):
+            out[i] = replace(out[i], grid_rank_above_one=flag)
     return out
 
 
 def rank_grid_exceeds_one(frame: PointFrame, cs: list, extras: list) -> np.ndarray:
     """rank(S - alpha g) > 1 for every alpha on each lane's scan grid.
 
-    cs are classify(frame) and extras hold one tuple of further
-    candidates per lane (e.g. warped block eigenvalues mu1, mu2).  The
-    grid spans [-10|kappa|, 10|kappa|] plus the exact rank-drop loci, the
+    cs are each lane's Classification and extras hold one tuple of
+    further candidates per lane (e.g. warped block eigenvalues mu1,
+    mu2); classify calls it on its ROTER lanes.  The grid spans
+    [-10|kappa|, 10|kappa|] plus the exact rank-drop loci, the
     real eigenvalues of the lane's Ricci operator, which classify ranked
     already (c.grid_rank_above_one), then alpha1/2 of c's fit and the
     lane's extras, ranked here: every lane with candidates left in one

@@ -120,9 +120,11 @@ def corpus_targets():
 
 
 def test_chunk_size_follows_the_bivector_count():
-    # One stacked order-6 product, m**3 floats a point, stays within 32 KB.
-    assert [roter.chunk_size(n) for n in (2, 3, 4, 5, 6, 7)] == [4096, 151, 18, 4, 1, 1]
-    for n in (4, 5, 6):
+    # At most 18 points, and one stacked order-6 product, m**3 floats a
+    # point, stays within 128 KB.
+    assert roter.CHUNK_BYTES == 128 * 1024
+    assert [roter.chunk_size(n) for n in (2, 3, 4, 5, 6, 7)] == [18, 18, 18, 16, 4, 1]
+    for n in (2, 3, 4, 5, 6, 7):
         m = n * (n - 1) // 2
         assert roter.chunk_size(n) * m ** 3 * 8 <= roter.CHUNK_BYTES
 

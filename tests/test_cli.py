@@ -271,6 +271,33 @@ class TestValidation:
         }
         return manifest
 
+    @pytest.mark.parametrize("bounds", [[1, 0.1], [-1e308, 1e308]])
+    def test_box_needs_ordered_bounds_and_a_finite_width_exits_2(self, tmp_path, bounds, capsys):
+        # lo > hi reached rng.uniform as "high - low < 0", and a width past
+        # the largest float as an OverflowError, each with a traceback.
+        bad = self.good()
+        bad["manifolds"][0]["box"]["x"] = bounds
+        with pytest.raises(cli.ManifestError, match="manifold 'flat': box 'x'"):
+            cli.validate_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "'flat'" in proc.stderr
+
+    def test_pinned_scalars_beyond_the_pinned_points_exit_2(self, tmp_path, capsys):
+        # A pinned_scalars entry with no pinned point was never checked:
+        # this one used to leave the run ok.
+        bad = corpus_get("rn_lambda0")
+        bad["manifolds"][0]["expect"]["pinned_scalars"].append({"phi": 12345.0})
+        with pytest.raises(cli.ManifestError, match="manifold 'rn_lambda0'.*pinned_scalars"):
+            cli.validate_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "'rn_lambda0'" in proc.stderr
+
     def test_fiber_in_either_form_runs(self):
         for fiber in ({"dim": 2, "scalar_curvature": 2.0},
                       {"coords": ["y", "z"], "metric": [["1", "0"], ["0", "cos(y)^2"]]}):
@@ -452,6 +479,32 @@ class TestRun:
         assert len(errors) == 1
         assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
         assert all(r["ok"] for r in records if r["check"] != "error")
+
+    @pytest.mark.parametrize("suite", ["theorem21", "geometry-symmetries"])
+    def test_non_finite_curvature_is_an_error_record(self, tmp_path, suite):
+        # Every sampled point passes sampling, but its curvature overflows:
+        # theorem21 used to die in classify's eigvals with a traceback and
+        # no report, and the geometry suite wrote NaN residuals and kappa.
+        manifest = {
+            "name": "overflow", "seed": 1, "points": 2, "suites": [suite],
+            "manifolds": [{
+                "name": "huge", "kind": "explicit", "coords": ["t", "x", "y", "z"],
+                "metric": [["-1e200*(1 + x^2)", "0", "0", "0"], ["0", "1", "0", "0"],
+                           ["0", "0", "1", "0"], ["0", "0", "0", "1e-200*(2 + y^2)"]],
+                "box": {"t": [0, 1], "x": [0.1, 1], "y": [0.1, 1], "z": [0, 1]},
+            }],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(manifest))
+        proc = run_module(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        text = (tmp_path / "out" / "overflow.records.jsonl").read_text()
+        assert "NaN" not in text
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [(r["point_index"], r["check"]) for r in records] == [(0, "error"), (1, "error")]
+        assert all("curvature is not finite" in r["detail"] for r in records)
+        assert (tmp_path / "out" / "overflow.summary.json").exists()
 
     @staticmethod
     def run_formula(tmp_path, g_xx, capsys):
@@ -684,33 +737,40 @@ class TestSharedEvaluation:
         assert len(derivations) == len(tachibanas) == 1
         assert len(derivations[0][2]) == len(tachibanas[0][0]) == len(target_points)
 
-    def test_only_products_run_per_sub_chunk(self, monkeypatch):
-        # At n = 6 a frame chunk holds 18 points, a product sub-chunk one.
-        # classify runs once per target over the chunk's four lanes, every
-        # fit is made inside it, and each derivation product holds one lane.
-        classify, fit_roter = roter.classify, roter.fit_roter
-        classified, fits, inside = [], [], []
+    def test_products_built_once_per_chunk(self, monkeypatch):
+        # At n = 6 a chunk holds 4 points.  classify runs once per target
+        # over the chunk's four lanes and makes the target's one fit_roter
+        # and one rank_grid_exceeds_one call, and each derivation product
+        # is built once per target, over the four lanes.
+        classify, calls, inside = roter.classify, [], []
 
-        def classifying(frame):
-            classified.append(len(frame.g))
+        def classifying(frame, extras=None):
+            calls.append(("classify", len(frame.g)))
             inside.append(True)
             try:
-                return classify(frame)
+                return classify(frame, extras)
             finally:
                 inside.pop()
 
-        def fitting(frame):
-            fits.append((bool(inside), len(frame.g)))
-            return fit_roter(frame)
+        def logged(name):
+            original = getattr(roter, name)
+
+            def logging(frame, *args):
+                calls.append((name, bool(inside), len(frame.g)))
+                return original(frame, *args)
+            monkeypatch.setattr(roter, name, logging)
 
         monkeypatch.setattr(roter, "classify", classifying)
-        monkeypatch.setattr(roter, "fit_roter", fitting)
+        logged("fit_roter")
+        logged("rank_grid_exceeds_one")
         derivations = count_calls(monkeypatch, curvops, "derivation_apply")
         records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=4)
-        assert summary["ok"] and roter.chunk_size(6) == 1
-        assert classified == [4, 4]  # source, image
-        assert fits == [(True, 4), (True, 4)]
-        assert derivations and all(len(ginv) == 1 for _, _, ginv in derivations)
+        assert summary["ok"] and roter.chunk_size(6) == 4
+        # source, then image
+        assert calls == [("classify", 4), ("fit_roter", True, 4),
+                         ("rank_grid_exceeds_one", True, 4)] * 2
+        assert len(derivations) == 6 * 2
+        assert all(len(ginv) == 4 for _, _, ginv in derivations)
 
     def test_refused_frame_fails_its_whole_chunk(self, monkeypatch, tmp_path, capsys):
         # Sampling admits no point whose frame can fail, so a chunk keeps

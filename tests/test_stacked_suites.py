@@ -4,8 +4,9 @@ Both suites run once over a chunk of points.  For every warped, family
 and pair2d corpus target, at 18 sampled points (one chunk), each lane of
 the stacked diagnostics, of every verify_* result and of every geodesic
 residual equals the one-point oracle in helpers bit for bit.  Records do
-not depend on how the points are chunked, and a psi jet or the
-semisymmetry guard that fails at one point fails that point only.
+not depend on how the points are chunked; sampling skips a candidate
+whose psi jet fails, and the semisymmetry guard or a rejected fit at
+one point fails that point only.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
+from curvcheck.curvops import constancy_residual
 
 from helpers import (
     point_christoffel_shift,
@@ -180,15 +182,18 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
             assert semisymmetric[lane]
 
 
-def test_records_do_not_depend_on_the_chunking(monkeypatch):
-    # theorem41_c_pos_n5 runs its 8 points as one frame chunk of two
-    # Roter sub-chunks; one point per chunk writes the same bytes.
-    manifest = corpus_get("theorem41_c_pos_n5")
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("name", ["theorem41_n4", "theorem41_c_pos_n5", "theorem41_c_neg_n6"])
+def test_records_do_not_depend_on_the_chunking(monkeypatch, name, size):
+    # At their declared points the families run as one chunk of 10 (n = 4)
+    # or 8 (n = 5), or as chunks of 4 and 2 (n = 6); chunks of 1 or 3
+    # points write the same records.
+    manifest = corpus_get(name)
     default, summary = cli.run_manifest(manifest)
     assert summary["ok"]
-    monkeypatch.setattr(roter, "chunk_size", lambda n: 1)
-    alone, _ = cli.run_manifest(manifest)
-    assert alone == default
+    monkeypatch.setattr(roter, "chunk_size", lambda n: size)
+    chunked, _ = cli.run_manifest(manifest)
+    assert chunked == default
 
 
 def failing_point_run(monkeypatch, plant):
@@ -215,23 +220,78 @@ def failing_point_run(monkeypatch, plant):
     return [r for r in geodesic(at) if r["check"] != "error"], geodesic(was)
 
 
-def test_a_failing_psi_jet_fails_its_point_only(monkeypatch):
-    def plant(monkeypatch, bad):
-        bound = gm.PsiField.jet.func
+def test_a_candidate_whose_psi_jet_fails_is_not_sampled(monkeypatch):
+    # Sampling runs each candidate's psi jet, so no suite meets one that
+    # raises: the candidate is skipped and the next one takes its place.
+    manifest = corpus_get("theorem41_c_neg_n6")
+    mdef = manifest["manifolds"][0]
 
-        def jet(self):
-            run = bound(self)
+    def sampled():
+        rng = np.random.default_rng([manifest["seed"], 0])
+        return cli.sample_points(cli.build_job(mdef), 16, rng)
 
-            def planted(point):
-                if tuple(point) == bad:
-                    raise ex.DomainError("planted", "psi")
-                return run(point)
-            return planted
+    clean = sampled()
+    bad = clean[3]
+    bound = gm.PsiField.jet.func
 
-        monkeypatch.setattr(gm.PsiField, "jet", property(jet))
+    def jet(self):
+        run = bound(self)
 
-    kept, clean = failing_point_run(monkeypatch, plant)
-    assert kept == [] and clean  # the first geodesic check reads the jet
+        def planted(point):
+            if tuple(point) == bad:
+                raise ex.DomainError("planted", "psi")
+            return run(point)
+        return planted
+
+    monkeypatch.setattr(gm.PsiField, "jet", property(jet))
+    points = sampled()
+    assert bad not in points and points[:3] == clean[:3] and points[3:15] == clean[4:]
+    records, summary = cli.run_manifest(manifest, points=16)
+    assert summary["ok"] and all(r["check"] != "error" for r in records)
+    assert {tuple(r["point"]) for r in records if r["point_index"] == 3} != {bad}
+
+
+def test_a_rejected_fit_fails_only_the_fitted_geodesic_checks(monkeypatch):
+    # fit_roter rejects the image at point 1 of theorem41_n4.  There the
+    # geodesic suite records its checks that read no fit and roter_fits,
+    # with the rejection message; the L_R constancy runs over the others.
+    manifest = corpus_get("theorem41_n4")
+    mdef = manifest["manifolds"][0]
+    clean, summary = cli.run_manifest(manifest, points=4)
+    assert summary["ok"]
+    unfitted = corpus_get("theorem41_n4")
+    unfitted["manifolds"][0]["expect"]["classify"] = "OTHER"  # so no fit is read
+    no_fit, _ = cli.run_manifest(unfitted, points=4, suites=["geodesic"])
+    job = cli.build_job(mdef)
+    bad = cli.sample_points(job, 4, np.random.default_rng([manifest["seed"], 0]))[1]
+    image, fit_roter = job.targets[1].spec, roter.fit_roter
+
+    def rejecting(frame):
+        fits = fit_roter(frame)
+        if frame.spec != image:
+            return fits
+        return [roter.RoterFitError("RESIDUAL", "planted") if point == bad else fit
+                for point, fit in zip(frame.point, fits)]
+
+    monkeypatch.setattr(roter, "fit_roter", rejecting)
+    planted, summary = cli.run_manifest(manifest, points=4)
+    assert not summary["ok"]
+
+    def geodesic(records, index):
+        return [r for r in records if r["suite"] == "geodesic" and r["point_index"] == index]
+
+    flag = [r for r in geodesic(planted, 1) if r["check"] == "roter_fits"]
+    assert len(flag) == 1 and not flag[0]["ok"] and flag[0]["detail"] == "RESIDUAL: planted"
+    assert [r for r in geodesic(planted, 1) if r["check"] != "roter_fits"] == geodesic(no_fit, 1)
+    for index in (0, 2, 3):
+        assert geodesic(planted, index) == geodesic(clean, index)
+    fitted = {(r["target"], r["point_index"]): r["scalars"]["L_R"] for r in clean
+              if r["check"] == "fit_scalars"}
+    for label in ("source", "image"):
+        want = constancy_residual([fitted[label, i] for i in (0, 2, 3)])
+        (got,) = [r["residual"] for r in geodesic(planted, -1)
+                  if r["check"] == f"l_r_constancy_{label}"]
+        assert got == want
 
 
 def test_the_semisymmetry_guard_fails_its_point_only(monkeypatch):
