@@ -315,10 +315,11 @@ def validate_manifest(data: dict) -> None:
             if not ("dim" in model and model == keys or not model and keys >= {"coords", "metric"}):
                 raise ManifestError(f"manifold {mdef['name']!r}: fiber needs either 'dim' or both "
                                     f"'coords' and 'metric', not keys of both forms")
+        big = sys.float_info.max  # an int compares with it exactly, so no int overflows
         for key, (lo, hi) in mdef["box"].items():
-            if not lo <= hi or hi - lo > sys.float_info.max:
-                raise ManifestError(f"manifold {mdef['name']!r}: box {key!r} needs lo <= hi "
-                                    f"and a finite width, got {[lo, hi]}")
+            if not (-big <= lo <= hi <= big and hi - lo <= big):
+                raise ManifestError(f"manifold {mdef['name']!r}: box {key!r} needs float "
+                                    f"bounds lo <= hi and a finite width, got {[lo, hi]}")
         pins = len(mdef.get("expect", {}).get("pinned_scalars", ()))
         if pins > len(mdef.get("pinned_points", ())):
             raise ManifestError(f"manifold {mdef['name']!r}: {pins} pinned_scalars entries, "

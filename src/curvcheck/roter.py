@@ -419,14 +419,13 @@ def classify(frame: PointFrame, extras: list | None = None) -> list:
     membership = zip(in_us(f).tolist(), in_uc(f).tolist(), in_ur(f).tolist())
     out = []
     for i, (fit, (us, uc, ur)) in enumerate(zip(fit_roter(f), membership)):
-        kind, alpha = (ROTER if isinstance(fit, RoterFit) else OTHER), None
+        error = str(fit) if isinstance(fit, RoterFitError) else None
+        kind, alpha = (OTHER if error else ROTER), None
         if not us:
             kind, alpha = EINSTEIN, float(f.scalar[i]) / n
         elif drops[i].any():
             kind, alpha = QUASI_EINSTEIN, float(eigs.real[i, np.argmax(drops[i])])
-        rejected = isinstance(fit, RoterFitError)
-        out.append(Classification(kind, us, uc, ur, alpha, None if rejected else fit,
-                                  str(fit) if rejected else None, above[i]))
+        out.append(Classification(kind, us, uc, ur, alpha, None if error else fit, error, above[i]))
     lanes = [i for i, c in enumerate(out) if c.kind == ROTER]
     if lanes:
         more = [extras[i] for i in lanes] if extras else [()] * len(lanes)

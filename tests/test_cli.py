@@ -271,10 +271,11 @@ class TestValidation:
         }
         return manifest
 
-    @pytest.mark.parametrize("bounds", [[1, 0.1], [-1e308, 1e308]])
+    @pytest.mark.parametrize("bounds", [[1, 0.1], [-1e308, 1e308], [-10**400, -10**400]])
     def test_box_needs_ordered_bounds_and_a_finite_width_exits_2(self, tmp_path, bounds, capsys):
-        # lo > hi reached rng.uniform as "high - low < 0", and a width past
-        # the largest float as an OverflowError, each with a traceback.
+        # lo > hi reached rng.uniform as "high - low < 0", and a width or
+        # an integer bound past the largest float as an OverflowError,
+        # each with a traceback.
         bad = self.good()
         bad["manifolds"][0]["box"]["x"] = bounds
         with pytest.raises(cli.ManifestError, match="manifold 'flat': box 'x'"):
