@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import platform
 import re
@@ -212,12 +213,18 @@ def _reject_constant(name):
     raise ManifestError(f"manifest is not valid JSON: {name} is not a JSON number")
 
 
-def _validate_overrides(points, tol_scale) -> None:
-    """Overrides obey the schema's bounds: points >= 1, finite tol_scale > 0."""
+def _validate_overrides(points, tol_scale, tolerances=None) -> dict:
+    """Overrides obey the schema's bounds: points >= 1, and every tolerance times
+    tol_scale finite and positive (so tol_scale too); returns those tolerances."""
     if points is not None and points < 1:
         raise ManifestError(f"points must be at least 1, got {points}")
-    if not (math.isfinite(tol_scale) and tol_scale > 0):
-        raise ManifestError(f"tolerance scale must be finite and positive, got {tol_scale}")
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    for key, value in tol.items():  # an int past the float range scales to inf
+        tol[key] = value * tol_scale if value <= sys.float_info.max else math.inf
+        if not (math.isfinite(tol[key]) and tol[key] > 0):
+            raise ManifestError(f"tolerance {key!r} times {tol_scale} is {tol[key]}, "
+                                "not finite and positive")
+    return tol
 
 
 # Each kind's own manifold keys, (required, optional); a manifold may
@@ -831,11 +838,8 @@ def _expand_suites(names) -> set:
 def run_manifest(manifest: dict, suites=None, points=None, seed=None,
                  tol_scale: float = 1.0) -> tuple[list, dict]:
     """Execute the manifest; returns (records, summary)."""
-    _validate_overrides(points, tol_scale)
+    tol = _validate_overrides(points, tol_scale, manifest.get("tolerances"))
     selected = _expand_suites(suites or manifest.get("suites", ["all"]))
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(manifest.get("tolerances", {}))
-    tol = {k: v * tol_scale for k, v in tol.items()}
     thresholds = {**tol, "flag": 0.5}
     # Draft 7 takes 1.0 for an integer; the run needs an int.
     seed = int(manifest.get("seed", 0) if seed is None else seed)
@@ -901,9 +905,8 @@ def write_report(records, summary, out_dir: str) -> dict[str, str]:
         "summary": os.path.join(out_dir, f"{name}.summary.json"),
         "text": os.path.join(out_dir, f"{name}.summary.txt"),
     }
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(rec, sort_keys=True) builds
     with open(paths["records"], "w", encoding="utf-8") as fh:
-        fh.writelines(encode(rec) + "\n" for rec in records)
+        fh.writelines(record_lines(records))
     stamped = dict(summary)
     stamped["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(paths["summary"], "w", encoding="utf-8") as fh:
@@ -912,6 +915,36 @@ def write_report(records, summary, out_dir: str) -> dict[str, str]:
     with open(paths["text"], "w", encoding="utf-8") as fh:
         fh.write(render_text_summary(records, summary))
     return paths
+
+
+_RECORD_FIELDS = operator.itemgetter("check", "expect_fail", "manifold", "ok", "pass", "point",
+                                     "point_index", "residual", "suite", "target", "threshold")
+
+
+def record_lines(records):
+    """Each record as json.dumps(rec, sort_keys=True) + "\\n": a sorted-key template that encodes
+    a site's fields once per run of its records; a record it does not fit is encoded whole."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    site = None
+    for rec in records:
+        try:
+            check, ef, m, ok, ps, p, i, res, s, t, thr = _RECORD_FIELDS(rec)
+            extra = len(rec) - 11 - ("detail" in rec) - ("scalars" in rec)
+        except KeyError:
+            extra = 1
+        if extra or not (type(ef) is type(ok) is type(ps) is bool and type(res) is type(thr) is float
+                         and math.isfinite(res) and math.isfinite(thr)):
+            yield encode(rec) + "\n"
+            continue
+        if site is None or any(map(operator.is_not, site, (m, t, p, i, s))):
+            site, (em, et, ep, ei, es) = (m, t, p, i, s), map(encode, (m, t, p, i, s))
+        detail = ', "detail": ' + encode(rec["detail"]) if "detail" in rec else ""
+        scalars = ', "scalars": ' + encode(rec["scalars"]) if "scalars" in rec else ""
+        yield (f'{{"check": {encode(check)}{detail}, "expect_fail": {"true" if ef else "false"}, '
+               f'"manifold": {em}, "ok": {"true" if ok else "false"}, '
+               f'"pass": {"true" if ps else "false"}, "point": {ep}, "point_index": {ei}, '
+               f'"residual": {res!r}{scalars}, "suite": {es}, "target": {et}, '
+               f'"threshold": {thr!r}}}\n')
 
 
 def render_text_summary(records, summary) -> str:
@@ -982,8 +1015,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        _validate_overrides(args.points, args.tol_scale)
         manifest = load_manifest(args.manifest)
+        _validate_overrides(args.points, args.tol_scale, manifest.get("tolerances"))
     except ManifestError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -997,7 +1030,8 @@ def main(argv=None) -> int:
         return 1
     out_dir = args.out or os.environ.get(OUT_ENV) or "reports"
     paths = write_report(records, summary, out_dir)
-    print(render_text_summary(records, summary))
+    with open(paths["text"], encoding="utf-8") as fh:
+        print(fh.read())
     print(f"records : {paths['records']}")
     print(f"summary : {paths['summary']}")
     return 0 if summary["ok"] else 1

@@ -1,6 +1,7 @@
 """Shared test utilities: random expression instances and oracles."""
 
 import dataclasses
+import json
 import math
 import random
 from typing import Mapping
@@ -639,3 +640,11 @@ def pack(D):
     if D.ndim == 4:
         return np.sqrt(2.0) * D[:, :, x, y]
     return 2.0 * np.sqrt(2.0) * D[x, y][:, x, y][:, :, x, y]
+
+
+def json_lines(records) -> list:
+    """Each record as the line json.dumps(rec, sort_keys=True) + "\\n": how
+    write_report encoded records before its per-site template, kept as the
+    byte-identity oracle for cli.record_lines."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return [encode(rec) + "\n" for rec in records]

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvcheck import cli, curvops, roter
 from curvcheck import expr as ex
@@ -17,6 +19,7 @@ from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
+from helpers import json_lines
 
 
 def run_module(args, **kw):
@@ -357,6 +360,25 @@ class TestValidation:
         proc = run_cli(["run", "flat_space", "--tol-scale", scale, "--out", str(tmp_path)], capsys)
         assert proc.returncode == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("strict, scale", [
+        (1e308, "10"),      # would write "threshold": Infinity, which is not JSON
+        (1e-10, "1e-320"),  # every tolerance 0.0: nothing could pass
+        (10 ** 400, "1"),   # an int past the float range
+    ])
+    def test_scaled_tolerance_not_finite_and_positive_exits_2(self, tmp_path, strict, scale,
+                                                              capsys):
+        manifest = corpus_get("flat_space")
+        manifest["tolerances"] = {"strict": strict}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--tol-scale", scale, "--out", str(out)], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tolerance 'strict' times ")
+        assert not out.exists()
+        with pytest.raises(cli.ManifestError, match="'strict'"):
+            cli.run_manifest(manifest, points=1, tol_scale=float(scale))
 
 
 class TestRun:
@@ -870,11 +892,101 @@ class TestDeterminism:
         rec2, _ = cli.run_manifest(corpus_get("flat_space"), points=2, seed=2)
         assert rec1[0]["point"] != rec2[0]["point"]
 
+    def test_digest_rendered_once_and_printed_as_written(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, cli, "render_text_summary")
+        proc = run_cli(["run", "flat_space", "--points", "1", "--out", str(tmp_path)], capsys)
+        assert proc.returncode == 0 and len(calls) == 1
+        text = (tmp_path / "flat_space.summary.txt").read_text(encoding="utf-8")
+        assert proc.stdout.startswith(text + "\nrecords : ")
+
     def test_out_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envout"))
         proc = run_cli(["run", "flat_space", "--points", "1"], capsys)
         assert proc.returncode == 0
         assert (tmp_path / "envout" / "flat_space.records.jsonl").exists()
+
+
+def _record(**fields) -> dict:
+    rec = {"manifold": "m", "target": "self", "point_index": 0, "point": [0.1, -0.25],
+           "suite": "geometry-symmetries", "check": "metric_inverse", "residual": 1e-16,
+           "threshold": 1e-10, "pass": True, "expect_fail": False, "ok": True}
+    rec.update(fields)
+    return rec
+
+
+_SHARED_POINT = [0.0, 1.5]
+_ODD_TEXT = 'say "hi" \\ back\nslash, r\u00e9sidu \u2603 \U0001d11e \x00'
+
+# Strategies for random records over a few sites.
+_TEXT, _NUMBER = st.text(max_size=6), st.floats() | st.integers(-3, 3)
+_VALUE = st.recursive(st.none() | st.booleans() | _NUMBER | _TEXT,
+                      lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=5)
+_SITE = st.fixed_dictionaries({
+    "manifold": _TEXT, "target": _TEXT, "suite": _TEXT,
+    "point": st.lists(st.floats(), max_size=3), "point_index": st.integers(-1, 3)})
+_FIELDS = st.fixed_dictionaries(
+    {"check": _TEXT, "residual": st.floats(), "threshold": st.floats(),
+     "pass": st.booleans(), "expect_fail": st.booleans(), "ok": st.booleans()},
+    optional={"detail": _VALUE, "scalars": _VALUE})
+# Most records fit the template; the rest override a field or add a key.
+_ODD = st.none() | st.dictionaries(
+    st.sampled_from(["pass", "residual", "threshold", "point", "point_index"]) | _TEXT,
+    _VALUE, max_size=1)
+
+
+class TestRecordLines:
+    """cli.record_lines writes what json.dumps(rec, sort_keys=True) writes."""
+
+    @pytest.mark.parametrize("records", [
+        [_record()],
+        [_record(residual=r) for r in (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324)],
+        [_record(threshold=2), _record(threshold=np.float64(1e-10)), _record(threshold=math.inf)],
+        [_record(check="conformally_flat", residual=0.0, threshold=0.5, detail=0.3125)],
+        [_record(check="error", detail=_ODD_TEXT, manifold=_ODD_TEXT)],
+        [_record(scalars={"phi": 243.0, "classification": "ROTER", "L_S": None,
+                          "nested": {"b": [1, None, "x"], "a": -0.0, "c": math.nan}})],
+        [_record(zeta=1), _record(aaa=None), _record(detail="x", scalars={}, more=[1])],
+        [_record(**{"pass": 1}), _record(ok=None), _record(residual=np.float64(0.5))],
+        # Sites out of order, and equal sites that encode differently:
+        # [0.0] and [-0.0], 1 and True and 1.0; then a tuple point.
+        [_record(point=_SHARED_POINT, point_index=1, suite="b"),
+         _record(point=_SHARED_POINT, point_index=0, suite="a"),
+         _record(point=_SHARED_POINT, point_index=1, suite="b", check="z"),
+         _record(point=[0.0, 1.5], point_index=True, suite="b"),
+         _record(point=[-0.0, 1.5], point_index=1.0, suite="b"),
+         _record(point=(0, 1.5), point_index=1, suite="b"),
+         {k: v for k, v in reversed(_record(point=_SHARED_POINT, suite="a").items())}],
+    ], ids=["plain", "residuals", "thresholds", "float_detail", "text", "scalars",
+            "extra_keys", "odd_flags", "shuffled_sites"])
+    def test_byte_identical_on_a_table(self, records):
+        assert list(cli.record_lines(records)) == json_lines(records)
+
+    def test_byte_identical_on_a_run_with_int_thresholds(self):
+        # int thresholds (1 * 2 stays an int), float and string details,
+        # fit scalars and warp scalars from one run.
+        manifest = corpus_get("einstein_cflat")
+        manifest["tolerances"] = {"strict": 1}
+        records, _ = cli.run_manifest(manifest, points=2, tol_scale=2)
+        assert any(type(r["threshold"]) is int for r in records)
+        assert {type(r.get("detail")) for r in records} == {type(None), float, str}
+        assert list(cli.record_lines(records)) == json_lines(records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_SITE, min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.booleans(), _FIELDS, _ODD), max_size=6),
+           st.randoms(use_true_random=False))
+    def test_byte_identical_on_random_records(self, sites, picks, rng):
+        # Records drawn over a few sites, some as equal copies that are not
+        # the same objects, in any order and with their keys in any order.
+        records = []
+        for k, copy, fields, odd in picks:
+            site = sites[k % len(sites)]
+            items = list({**(json.loads(json.dumps(site)) if copy else site),
+                          **fields, **(odd or {})}.items())
+            rng.shuffle(items)
+            records.append(dict(items))
+        assert list(cli.record_lines(records)) == json_lines(records)
 
 
 class TestJob:
