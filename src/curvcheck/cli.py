@@ -472,10 +472,11 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # tolerance_key) with optional extra record fields ({"scalars": ...} or
 # {"detail": ...}) and expect_fail; run_manifest turns every yielded
 # check into a record through _record, and a _POINT_ERRORS error the
-# suite raises (the Bianchi stencil, the semisymmetry guard) into an
-# "error" one.
+# suite raises (only the Bianchi stencil does) into an "error" one.
 
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError)
+# The error detail in the psi-Ricci identity's place where R.R = 0 on the source.
+_SEMISYMMETRIC = "FamilyError: SEMISYMMETRIC: source has R.R = 0; identity needs R.R != 0"
 
 
 def _named(residuals: dict, key: str) -> list:
@@ -594,9 +595,9 @@ class Chunk:
     def product_checks(self) -> list:
         """Per point, a dict of what reads curvature products for the
         suites that run: identities and ricci (if expected) for theorem21;
-        for the geodesic suite on a fitted family, at a point with a fit,
-        cor42 (corollary42_residual) and on the source semisymmetric.  The
-        chunk's products are built once; if only some points are ROTER,
+        on a fitted family, at a point with a fit, cor42 and on the source
+        semisymmetric, which the geodesic piece reads.  The chunk's products
+        are built here, once, and dropped; if only some points are ROTER,
         the identities read products built on those points alone."""
         job, cs, frame = self.job, self.classifications, self.stacked
         theorem21 = "theorem21" in self.suites
@@ -625,10 +626,11 @@ class Chunk:
 
     @cached_property
     def geodesic(self) -> list:
-        """On the image chunk of a mapped pair (peer its source), the
-        geodesic suite at each point: its checks that read no fit, and
-        where a family's members both have a Roter fit, the factor
-        relations and last the psi-Ricci identity (else None)."""
+        """On the image chunk of a mapped pair (peer its source), each point's
+        geodesic checks and (source, image) L_R pair, else None: the checks
+        that read no fit and, on a fitted family, the roter_fits flag with the
+        first rejection or the factor relations, each member's cor42 and the
+        psi-Ricci identity (an error flag where the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
         psi = (job.pair or job.family).psi
         jets = tuple(np.array(part) for part in zip(*map(psi.jet, self.points)))
@@ -639,7 +641,6 @@ class Chunk:
             ("ricci_shift", gm.ricci_shift_residual(*frames, jets), "identity"),
             ("psi_gradient", gm.psi_gradient_residual(jets), "strict"),
         ]
-        relations = [None] * count
         if job.kind == "pair2d":
             checks += _named(gm.pair_christoffel_closed_forms(job.pair, *frames), "geo")
         else:
@@ -653,20 +654,30 @@ class Chunk:
             kg, kg_bar = gm.base_gauss_values(d, d_bar)
             checks += [("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"),
                        ("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")]
-            fits = tuple([c.fit for c in chunk.classifications]
-                         for chunk in (source, self)) if job.fitted else ()
-            lanes = [i for i, pair in enumerate(zip(*fits)) if None not in pair]
-            if lanes:
-                frames = (source.stacked.take(lanes), self.stacked.take(lanes))
-                fits = tuple([member[i] for i in lanes] for member in fits)
-                values = {key: value[lanes] for key, value in values.items()}
-                jets = tuple(part[lanes] for part in jets)
-                fitted = _named(gm.factor_relations(fam, frames, fits, values), "identity")
-                fitted.append(("psi_ricci_identity",
-                               gm.psi_ricci_identity_residual(fam, frames, fits, jets), "compound"))
-                for i, row in zip(lanes, _per_point(fitted, len(lanes))):
-                    relations[i] = row
-        return list(zip(_per_point(checks, count), relations))
+        rows, pairs = [[] for _ in range(count)], [None] * count
+        members = zip(source.classifications, self.classifications) if job.fitted else ()
+        for i, cs in enumerate(members):
+            rejected = [c.fit_error for c in cs if c.fit is None]
+            if rejected:
+                rows[i].append(_flag("roter_fits", False, detail=rejected[0]))
+            else:
+                pairs[i] = tuple(c.fit.L_R for c in cs)
+        lanes = [i for i, pair in enumerate(pairs) if pair]
+        if lanes:
+            frames = (source.stacked.take(lanes), self.stacked.take(lanes))
+            fits = tuple([chunk.classifications[i].fit for i in lanes] for chunk in (source, self))
+            values = {key: value[lanes] for key, value in values.items()}
+            jets = tuple(part[lanes] for part in jets)
+            fitted = _named(gm.factor_relations(fam, frames, fits, values), "identity")
+            for tag, chunk in (("cor42_source", source), ("cor42_image", self)):
+                fitted.append((tag, [chunk.product_checks[i]["cor42"] for i in lanes], "identity"))
+            fitted.append(("psi_ricci_identity",
+                           gm.psi_ricci_identity_residual(fam, frames, fits, jets), "compound"))
+            for i, row in zip(lanes, _per_point(fitted, len(lanes))):
+                if source.product_checks[i]["semisymmetric"]:
+                    row[-1] = _flag("error", False, _SEMISYMMETRIC)
+                rows[i] += row
+        return list(zip((a + b for a, b in zip(_per_point(checks, count), rows)), pairs))
 
 
 def _flag(check, ok, detail=None):
@@ -761,29 +772,13 @@ def warped_checks(job: Job, chunk: Chunk, i, idx):
 
 
 def geodesic_checks(job: Job, chunks, i, idx, fits_log):
-    """Checks on the mapped pair of a pair2d or family manifold, from the
-    (source, image) chunks at point i.  The semisymmetry guard that fails
-    at the point raises here, at that point only."""
-    if job.kind not in ("pair2d", "family"):
-        return
-    source, image = chunks
-    checks, relations = image.geodesic[i]
-    yield from checks
-    if not job.fitted:
-        return
-    cs = (source.classifications[i], image.classifications[i])
-    rejected = [c.fit_error for c in cs if c.fit is None]
-    if rejected:
-        yield _flag("roter_fits", False, detail=rejected[0])
-        return
-    fits_log.append((cs[0].fit.L_R, cs[1].fit.L_R))
-    *relations, identity = relations
-    yield from relations
-    yield "cor42_source", source.product_checks[i]["cor42"], "identity"
-    yield "cor42_image", image.product_checks[i]["cor42"], "identity"
-    if source.product_checks[i]["semisymmetric"]:
-        raise gm.FamilyError("SEMISYMMETRIC", "source has R.R = 0; identity needs R.R != 0")
-    yield identity
+    """The image chunk's geodesic checks at point i of a pair2d or family
+    manifold; the (source, image) L_R pair, where both have a fit, joins fits_log."""
+    if job.kind in ("pair2d", "family"):
+        checks, pair = chunks[1].geodesic[i]
+        if pair:
+            fits_log.append(pair)
+        yield from checks
 
 
 def family_checks(job: Job, fits_log):
@@ -838,18 +833,22 @@ def _expand_suites(names) -> set:
 def run_manifest(manifest: dict, suites=None, points=None, seed=None,
                  tol_scale: float = 1.0) -> tuple[list, dict]:
     """Execute the manifest; returns (records, summary)."""
+    manifolds = manifest.get("manifolds")  # suite names first, so a misspelt one is named
+    for owner in [manifest, *(manifolds if isinstance(manifolds, list) else [])]:
+        names = owner.get("suites") if isinstance(owner, dict) else None
+        if isinstance(names, list) and all(isinstance(name, str) for name in names):
+            _expand_suites(names)
+    validate_manifest(manifest)  # then the schema, which every key read below relies on
     tol = _validate_overrides(points, tol_scale, manifest.get("tolerances"))
     selected = _expand_suites(suites or manifest.get("suites", ["all"]))
     thresholds = {**tol, "flag": 0.5}
     # Draft 7 takes 1.0 for an integer; the run needs an int.
     seed = int(manifest.get("seed", 0) if seed is None else seed)
     count = int(manifest.get("points", 20) if points is None else points)
-    plans = [selected if suites else _expand_suites(mdef.get("suites", [])) or selected
-             for mdef in manifest.get("manifolds", [])]
-    validate_manifest(manifest)  # run_manifest reads keys only the schema guarantees
     records: list = []
 
-    for m_index, (mdef, m_suites) in enumerate(zip(manifest["manifolds"], plans)):
+    for m_index, mdef in enumerate(manifest["manifolds"]):
+        m_suites = selected if suites else _expand_suites(mdef.get("suites", [])) or selected
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)

@@ -143,6 +143,22 @@ class TestValidation:
         with pytest.raises(cli.ManifestError, match=message):
             cli.run_manifest(manifest, points=1)
 
+    @pytest.mark.parametrize("change", [
+        lambda m: m.update(tolerances={"strict": "x"}),
+        lambda m: m.update(tolerances=[1e-10]),
+        lambda m: m.update(manifolds=5),
+        lambda m: m.update(manifolds=[5]),
+    ], ids=["tolerance_not_a_number", "tolerances_a_list", "manifolds_a_number",
+            "manifold_a_number"])
+    def test_run_manifest_validates_before_reading(self, change):
+        # run_manifest checks the schema before it reads the tolerances or
+        # the manifolds, so a malformed one is a ManifestError, not a bare
+        # TypeError or AttributeError.
+        manifest = corpus_get("flat_space")
+        change(manifest)
+        with pytest.raises(cli.ManifestError, match="manifest schema violation"):
+            cli.run_manifest(manifest, points=1)
+
     @pytest.mark.parametrize("kind, foreign", [
         ("explicit", {"warp": "x", "pair": {"a": "1", "b": "x", "map_scale": 1.0, "map_shift": 0.0}}),
         ("warped", {"params": {"c": 1.0, "d": 1.0, "c1": 1.0, "c2": 0.0}}),
@@ -871,6 +887,37 @@ class TestWholeCorpus:
         if np.__version__ != "2.4.6":
             pytest.skip(f"records pinned on numpy 2.4.6, not {np.__version__}")
         assert digest.hexdigest() == CORPUS_RECORDS_SHA256
+
+
+# sha256 of the records files of sweep-shaped runs at each entry's
+# declared seed, as write_report writes them: the theorem41 families at
+# 16 points (n = 4 and n = 5 in one chunk, n = 6 in four chunks of 4), and
+# rn_lambda0 with Q = 0.5, its pins dropped and its r-box straddling the
+# horizon, at 60 points (chunks of 18, 18, 18 and 6; sampling rejects 14
+# candidates).  A change that moves a residual updates them and says so.
+SWEEP_RECORDS_SHA256 = {
+    "theorem41_n4": "1b2444b6cee102e5f205fcd634d0af4d6233bcd20f9d4c1deeca09f58748a7e6",
+    "theorem41_c_pos_n5": "d2459b4d0d8e4746a1616b54f38fd57240b074ed6ea60d39b2aa62bf3cd7e4ef",
+    "theorem41_c_neg_n6": "adab05a674d47d42fb744e0519e436d893bcdeeec9695cbd679ca742c9a094c5",
+    "rn_lambda0": "0a37ae5f59af0c0f3f102c7ee1dc681ca70c06e77dfc439cc42fbf83f9fd1d99",
+}
+
+
+class TestSweepRecords:
+    @pytest.mark.parametrize("name", list(SWEEP_RECORDS_SHA256))
+    def test_records_are_pinned(self, tmp_path, name):
+        manifest, points = corpus_get(name), 16
+        if name == "rn_lambda0":
+            mdef, points = manifest["manifolds"][0], 60
+            del mdef["pinned_points"], mdef["expect"]["pinned_scalars"]
+            mdef["constants"]["Q"] = 0.5
+            mdef["box"]["r"] = [1.1, 5.6]  # r+ = 1 + sqrt(0.75)
+        records, summary = cli.run_manifest(manifest, points=points)
+        assert summary["ok"], [r for r in records if not r["ok"]][:3]
+        if np.__version__ != "2.4.6":
+            pytest.skip(f"records pinned on numpy 2.4.6, not {np.__version__}")
+        path = Path(cli.write_report(records, summary, tmp_path)["records"])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_RECORDS_SHA256[name]
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import pytest
 from curvcheck import cli
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
+from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
 from curvcheck.curvops import (
     lane_max_abs_residuals,
@@ -215,6 +216,28 @@ class TestFirstKindKernel:
     def test_riemann_is_exactly_skew_in_the_last_pair(self):
         f = geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)
         assert (f.riemann == -np.swapaxes(f.riemann, 2, 3)).all()
+
+
+@pytest.mark.parametrize("entry", corpus_list())
+def test_the_kernels_build_three_checks_exactly(entry):
+    # gamma_lower_symmetry, riemann_skew_last_pair and trace_t compare what
+    # a kernel builds equal by construction: Gamma from a first-kind symbol
+    # symmetric in its lower pair, R as A - swapaxes(A, 3, 4), and tr T by
+    # diagnostics' own contraction.  On the stacked frames of every corpus
+    # target, at the first 6 points run_manifest draws, each holds exactly.
+    manifest = corpus_get(entry)
+    for m_index, mdef in enumerate(manifest["manifolds"]):
+        job = cli.build_job(mdef)
+        rng = np.random.default_rng([manifest.get("seed", 0), m_index])
+        points = cli.sample_points(job, 6, rng)
+        for target in job.targets:
+            f, where = geo.frames(target.spec, points), f"{mdef['name']}/{target.label}"
+            assert np.array_equal(f.gamma, np.swapaxes(f.gamma, 2, 3)), where
+            assert np.array_equal(f.riemann, -np.swapaxes(f.riemann, 3, 4)), where
+            ws = target.warped_spec
+            if ws is not None:
+                d = wp.diagnostics(ws, f, geo.frames(ws.fiber, [ws.split(p)[1] for p in points]))
+                assert np.array_equal(d.tr_t, np.einsum("pab,pab->p", d.base_frame.ginv, d.t)), where
 
 
 class TestRicciScalarWeyl:
