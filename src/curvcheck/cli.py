@@ -501,19 +501,27 @@ class Chunk:
     psi jets that the pieces run, and a warped product's conditions and
     jet cover those of its base, fiber and warp.
 
-    stacked is the frame of all the points from one geo.frames call, and
-    frames[i] its lane i.  fiber_frames and diagnostics are stacked too;
-    a family's image reads the fiber frames of its peer, the source
-    chunk.  classifications[i] is point i's whole Roter verdict, and
-    product_checks builds the chunk's curvature products once."""
+    stacked is the frame of all the points, and frames[i] its lane i.
+    fiber_frames and diagnostics are stacked too, built from the factor
+    jets read from stacked's geo.metric_jets call, whose arrays are not
+    kept; a family's image reads the fiber frames of its peer, the
+    source chunk.  classifications[i] is point i's whole Roter verdict,
+    and product_checks builds the chunk's curvature products once."""
 
     def __init__(self, job: Job, suites: set, target: Target, points: list, peer=None):
         self.job, self.suites = job, suites
         self.target, self.points, self.peer = target, points, peer
 
     @cached_property
+    def evaluated(self) -> tuple:
+        """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks)."""
+        spec, ws = self.target.spec, self.target.warped_spec
+        jets = geo.metric_jets(spec, self.points)
+        return geo.frames(spec, self.points, geo.jet_block(jets)), ws and ws.blocks(jets)
+
+    @property
     def stacked(self) -> geo.PointFrame:
-        return geo.frames(self.target.spec, self.points)
+        return self.evaluated[0]
 
     @cached_property
     def frames(self) -> list:
@@ -524,7 +532,7 @@ class Chunk:
         if self.job.family is not None and self.peer is not None:
             return self.peer.fiber_frames
         ws = self.target.warped_spec
-        return geo.frames(ws.fiber, [ws.split(point)[1] for point in self.points])
+        return geo.frames(ws.fiber, [ws.split(p)[1] for p in self.points], self.evaluated[1][1])
 
     @cached_property
     def geometry_residuals(self) -> list:
@@ -549,7 +557,7 @@ class Chunk:
 
     @cached_property
     def diagnostics(self) -> wp.WarpedDiagnostics:
-        return wp.diagnostics(self.target.warped_spec, self.stacked, self.fiber_frames)
+        return wp.diagnostics(self.target.warped_spec, self.stacked, self.fiber_frames, self.evaluated[1])
 
     @cached_property
     def warped(self) -> list:

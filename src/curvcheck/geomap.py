@@ -595,9 +595,8 @@ def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str
     evaluated point by point.
     """
     bframe = d.base_frame
-    jets = [fam._warp_root_jet(point) for point in bframe.point]
-    df = np.array([grad[:, 0] for _, grad, _ in jets])
-    d2f = np.array([hess[:, :, 0] for _, _, hess in jets])
+    jets = tuple(np.array(part) for part in zip(*map(fam._warp_root_jet, bframe.point)))
+    _, df, d2f = geo.jet_block(jets, 0)
     a_v, b_v = bframe.g[:, 0, 0], bframe.g[:, 1, 1]
     out = {
         "t_offdiag": lane_zero_residuals(d.t[:, 0, 1], d.t),

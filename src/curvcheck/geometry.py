@@ -25,17 +25,19 @@ Riemannian Geometry, 1926, section 8):
 g, dg and d2g come from exact symbolic derivatives of the component
 expressions, never from finite differences.  A MetricSpec binds its
 conditions program and its components program from ex.jet on first
-use, so no point's evaluation looks up ex.jet's cache.
+use, so no point's evaluation looks up ex.jet's cache; a warped
+product's also yields the jets of its fiber components and warp.
 
-frames(spec, points) evaluates jets and conditions point by point and
-then the curvature packet once over a leading point axis: one
-PointFrame whose arrays carry that axis (g of shape (P, n, n)).  Each
-lane equals the same call on that point alone, bit for bit.
-PointFrame.take cuts some lanes, and PointFrame.lanes() views each as
-its point's own frame for the per-point checks; frame(spec, point) is
-the lane of a one-point chunk.  Whoever asks for a frame owns it and
-passes it to the helpers below.  MetricSpec is immutable apart from
-its bound programs, and safe to share across threads.
+metric_jets(spec, points) evaluates conditions and jets point by point,
+stacked on a leading point axis, and jet_block reads (g, dg, d2g) from
+them; frames(spec, points, jet) then computes the curvature packet once
+over that axis: one PointFrame whose arrays carry it (g of shape
+(P, n, n)).  Each lane equals the same call on that point alone, bit
+for bit.  PointFrame.take cuts some lanes, and PointFrame.lanes() views
+each as its point's own frame for the per-point checks; frame(spec,
+point) is the lane of a one-point chunk.  Whoever asks for a frame owns
+it and passes it to the helpers below.  MetricSpec is immutable apart
+from its bound programs, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ __all__ = [
     "metric_spec",
     "diagonal_metric",
     "admissible",
+    "metric_jets",
+    "jet_block",
     "frame",
     "frames",
     "gauss_curvature",
@@ -93,13 +97,15 @@ class MetricSpec:
     components is symmetric with shared AST references (the [i][j] and
     [j][i] entries are the same object).  conditions lists expressions
     required positive or nonzero for a point to be admissible; the
-    determinant check is automatic and always on.
+    determinant check is automatic and always on.  extras are outputs
+    of the components program after the n x n components, row-major.
     """
 
     coords: tuple[str, ...]
     components: tuple[tuple[ex.Expr, ...], ...]
     bindings: ex.Bindings = field(default_factory=ex.Bindings)
     conditions: tuple[Condition, ...] = ()
+    extras: tuple[ex.Expr, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -115,7 +121,7 @@ class MetricSpec:
     @cached_property
     def _component_jet(self):
         components = tuple(e for row in self.components for e in row)
-        return ex.jet(components, self.coords, self.bindings, 2)
+        return ex.jet(components + self.extras, self.coords, self.bindings, 2)
 
 
 def _parse_maybe(entry, coords, const_names) -> ex.Expr:
@@ -180,54 +186,58 @@ def diagonal_metric(coords, diagonal, bindings=None, conditions=()) -> MetricSpe
 # g, dg and d2g come from one derivative jet of the components; the
 # admissibility checks run on the same evaluation.
 
-def _metric_jet(spec: MetricSpec, point: Sequence[float], check: bool = True):
-    """g, dg[k,i,j] = d_k g_ij and d2g[l,k,i,j] = d_l d_k g_ij at a point.
-
-    Raises InadmissiblePointError when check is set and a declared
-    condition fails, and DomainError when a component leaves its real
-    domain; whether g inverts is _metric_jets's test.
-    """
-    if check and spec.conditions:
+def _failed_condition(spec: MetricSpec, point: Sequence[float]):
+    """(expression, kind, value) of the first condition failing at a point, or None."""
+    if spec.conditions:
         (values,) = spec._condition_jet(point)
         for v, (cond, kind) in zip(values.tolist(), spec.conditions):
-            ok = v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR
-            if not ok:
-                raise InadmissiblePointError(
-                    f"condition {ex.to_text(cond)!r} ({kind}) fails at {tuple(point)}: value {v!r}"
-                )
+            if not (v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR):
+                return cond, kind, v
+
+
+def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True):
+    """The jets of spec's components program at each point, as ex.jet's
+    with a leading point axis.  Raises the error of the first point
+    whose conditions (if check is set) or jet fail; otherwise
+    SingularMetricError at the first point where g does not invert."""
+    jets = []
+    for point in points:
+        failed = check and _failed_condition(spec, point)
+        if failed:
+            cond, kind, v = failed
+            raise InadmissiblePointError(f"condition {ex.to_text(cond)!r} ({kind}) fails at "
+                                         f"{tuple(point)}: value {v!r}")
+        jets.append(spec._component_jet(point))
+    jets = tuple(np.array(part) for part in zip(*jets))
     n = spec.dim
-    g, dg, d2g = spec._component_jet(point)
-    return g.reshape(n, n), dg.reshape(n, n, n), d2g.reshape(n, n, n, n)
-
-
-def _metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True):
-    """The _metric_jet of each point, stacked on a leading point axis.
-
-    Raises the error of the first point whose conditions or jet fail;
-    otherwise SingularMetricError at the first point where g does not
-    invert, tested on the stack.
-    """
-    jets = [_metric_jet(spec, point, check) for point in points]
-    g, dg, d2g = (np.array(part) for part in zip(*jets))
-    singular = _singular(g)
+    g = np.ascontiguousarray(jets[0][:, : n * n].reshape(-1, n, n))
+    scale = np.prod(np.linalg.norm(g, axis=-1), axis=-1) + 1e-300
+    singular = np.abs(np.linalg.det(g)) <= _DET_RATIO * scale
     if singular.any():
         raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
-    return g, dg, d2g
+    return jets
+
+
+def jet_block(jets, columns=None, axes=slice(None)) -> tuple[np.ndarray, ...]:
+    """Contiguous (values, first, second) of metric_jets's outputs at
+    columns, an index array shaping each lane (by default the program's
+    own n x n metric), differentiated along the chart axes axes only."""
+    values, first, second = jets
+    n = first.shape[1]
+    columns = np.arange(n * n).reshape(n, n) if columns is None else columns
+    parts = (values, first[:, axes], second[:, axes, axes])
+    return tuple(np.ascontiguousarray(part[..., columns]) for part in parts)
 
 
 def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
     """True when all declared conditions hold and the metric inverts."""
     try:
-        _metric_jets(spec, [point])
+        if _failed_condition(spec, point) is None:
+            metric_jets(spec, [point], False)
+            return True
     except (GeometryError, ex.ExprError):
-        return False
-    return True
-
-
-def _singular(g: np.ndarray) -> np.ndarray:
-    """Whether each lane of a stack of metrics counts as singular."""
-    scale = np.prod(np.linalg.norm(g, axis=-1), axis=-1) + 1e-300
-    return np.abs(np.linalg.det(g)) <= _DET_RATIO * scale
+        pass
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +311,25 @@ class PointFrame:
 _LANE_FIELDS = tuple(f.name for f in fields(PointFrame))[2:]
 
 
-def frames(spec: MetricSpec, points: Sequence[Sequence[float]]) -> PointFrame:
+def frames(spec: MetricSpec, points: Sequence[Sequence[float]], jet=None) -> PointFrame:
     """The full curvature packet at a chunk of points, stacked.
 
-    Jets and their conditions are evaluated point by point, so an error
-    names its point; curvature, Ricci, scalar, Ricci-square and Weyl then
-    run once over the leading point axis.  Raises GeometryError naming
-    the first point where any of them is not finite.  Lane i equals what
-    frame(spec, points[i]) returns, bit for bit.  Every call computes new
-    arrays; callers must not mutate them.
+    jet is (g, dg, d2g) at the points, as jet_block reads it from the
+    jets of a program holding spec's components; a warped product's
+    base or fiber block is singular only where the product is
+    (Hadamard's inequality).  Without it metric_jets(spec, points) runs,
+    so an error names its point.  Curvature, Ricci, scalar, Ricci-square
+    and Weyl then run once over the leading point axis.  Raises
+    GeometryError naming the first point where any of them is not
+    finite.  Lane i equals what frame(spec, points[i]) returns, bit for
+    bit.  Every call computes new arrays; callers must not mutate them.
     """
     points = tuple(tuple(float(v) for v in point) for point in points)
     n = spec.dim
     for point in points:
         if len(point) != n:
             raise GeometryError(f"point has {len(point)} coordinates, chart has {n}")
-    g, dg, d2g = _metric_jets(spec, points)
+    g, dg, d2g = jet if jet is not None else jet_block(metric_jets(spec, points))
     ginv, gamma, riem = _curvature(g, dg, d2g)
 
     ricci = np.einsum("pad,paijd->pij", ginv, riem)
@@ -396,7 +409,7 @@ def second_bianchi_residual(base: PointFrame) -> float:
             pt = list(base.point)
             pt[l] += sign * step
             stencil.append(pt)
-    R = _curvature(*_metric_jets(spec, stencil, False))[2]
+    R = _curvature(*jet_block(metric_jets(spec, stencil, False)))[2]
     dR = (R[0::2] - R[1::2]) / (2 * step)
     gam = base.gamma
     R = base.riemann

@@ -12,20 +12,20 @@ All of its curvature concentrates in closed forms built from
     tr(T) = ĝ^{ab} T_ab
     Δ₁F   = ĝ^{ab} F_a F_b
 
-diagnostics(ws, frame, fiber_frame) evaluates these at every point of
-a stacked product frame (see geometry.frames) with the Ricci block
-factors μ₁, μ₂, the curvature block factors ρ₁, ρ₂, ρ₃ and the
-conformal-flatness scalar ρ₀ (the last six only for a 2-dimensional
-base).  The verify_* functions, t_proportionality_residual and
-conformal_flatness_test compare every closed form against the direct
-curvature of the assembled product, one residual per point: the
-engine's cross-check that the block formulas hold.
+diagnostics(ws, frame, fiber_frame, blocks) evaluates these at every
+point of a stacked product frame (see geometry.frames), from the
+product's jets, with the Ricci block factors μ₁, μ₂, the curvature
+block factors ρ₁, ρ₂, ρ₃ and the conformal-flatness scalar ρ₀ (the
+last six only for a 2-dimensional base).  The verify_* functions,
+t_proportionality_residual and conformal_flatness_test compare every
+closed form against the direct curvature of the assembled product,
+one residual per point: the engine's cross-check that the block
+formulas hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,14 +79,17 @@ class WarpedSpec:
     def dim(self) -> int:
         return self.base.dim + self.fiber.dim
 
-    @cached_property
-    def _warp_jet(self):
-        """The warp's 2-jet over the base chart, bound once per spec."""
-        return ex.jet((self.warp,), self.base.coords, self.base.bindings, 2)
-
     def split(self, point) -> tuple[tuple[float, ...], tuple[float, ...]]:
         p = tuple(float(v) for v in point)
         return p[: self.base.dim], p[self.base.dim :]
+
+    def blocks(self, jets) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The base's, fiber's and warp's jets, each along its own chart's
+        axes, read from the product's geo.metric_jets."""
+        n, p, m = self.dim, self.base_dim, self.fiber_dim
+        base, fiber = np.arange(n * n).reshape(n, n)[:p, :p], n * n + np.arange(m * m).reshape(m, m)
+        return (geo.jet_block(jets, base, slice(p)), geo.jet_block(jets, fiber, slice(p, n)),
+                geo.jet_block(jets, n * n + m * m, slice(p)))
 
 
 def assemble(base: geo.MetricSpec, fiber: geo.MetricSpec, warp) -> WarpedSpec:
@@ -123,7 +126,8 @@ def assemble(base: geo.MetricSpec, fiber: geo.MetricSpec, warp) -> WarpedSpec:
                 continue
             comps[p + al][p + be] = ex.mul(warp_expr, entry)
     conditions = base.conditions + fiber.conditions + ((warp_expr, "positive"),)
-    product = geo.MetricSpec(coords, tuple(tuple(r) for r in comps), bindings, conditions)
+    extras = tuple(e for row in fiber.components for e in row) + (warp_expr,)
+    product = geo.MetricSpec(coords, tuple(tuple(r) for r in comps), bindings, conditions, extras)
     return WarpedSpec(base, fiber, warp_expr, product)
 
 
@@ -174,20 +178,16 @@ class WarpedDiagnostics:
     mu2: np.ndarray | None
 
 
-def diagnostics(ws: WarpedSpec, frame: geo.PointFrame,
-                fiber_frame: geo.PointFrame) -> WarpedDiagnostics:
+def diagnostics(ws: WarpedSpec, frame: geo.PointFrame, fiber_frame: geo.PointFrame,
+                blocks) -> WarpedDiagnostics:
     """T, tr(T), Δ₁F and (for 2-D bases) the block factors at each point
     of a stacked product frame; fiber_frame is the fiber's stacked frame
     at those points' fiber coordinates (a family's source and image
-    share one).  The base frames come from one geo.frames call, and the
-    warp jets are evaluated point by point, as frames does with metric
-    jets; everything else runs once over the point axis."""
-    base_pts = [ws.split(point)[0] for point in frame.point]
-    bframe = geo.frames(ws.base, base_pts)
-    jets = [ws._warp_jet(point) for point in base_pts]
-    f_value = np.array([f[0] for f, _, _ in jets])
-    grad = np.array([g[:, 0] for _, g, _ in jets])
-    hess = np.array([h[:, :, 0] for _, _, h in jets])
+    share one), and blocks ws.blocks of the product's jets there, whose
+    base and warp jets give the base frame and F, ∇F and ∇²F.
+    Everything runs once over the point axis."""
+    base_jet, _, (f_value, grad, hess) = blocks
+    bframe = geo.frames(ws.base, [ws.split(point)[0] for point in frame.point], base_jet)
     if (f_value <= 0.0).any():
         point = frame.point[int(np.argmax(f_value <= 0.0))]
         raise geo.InadmissiblePointError(f"warping function non-positive at {tuple(point)}")

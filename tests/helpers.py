@@ -250,11 +250,13 @@ def frames_fits_and_products(fam, points):
 
 def diagnostics_at(ws, points):
     """Stacked warped diagnostics at a chunk of points (or at one point,
-    a chunk of one), from the product and fiber frames there."""
+    a chunk of one), from the product and fiber frames and the product's
+    jets there."""
     if np.ndim(points[0]) == 0:
         points = [points]
     fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1] for point in points])
-    return wp.diagnostics(ws, geo.frames(ws.product, points), fiber_frame)
+    blocks = ws.blocks(geo.metric_jets(ws.product, points))
+    return wp.diagnostics(ws, geo.frames(ws.product, points), fiber_frame, blocks)
 
 
 def member_diagnostics(fam, points):
@@ -322,7 +324,8 @@ class PointDiagnostics:
 def point_diagnostics(ws, frame, fiber_frame) -> PointDiagnostics:
     base_pt = ws.split(frame.point)[0]
     bframe = geo.frame(ws.base, base_pt)
-    f_value, grad, hess = ws._warp_jet(base_pt)
+    # The warp's own program, separate from the product's under test.
+    f_value, grad, hess = ex.jet((ws.warp,), ws.base.coords, ws.base.bindings, 2)(base_pt)
     f_value, grad, hess = float(f_value[0]), grad[:, 0], hess[:, :, 0]
     nabla_grad = hess - np.einsum("sab,s->ab", bframe.gamma, grad)
     t = nabla_grad - np.outer(grad, grad) / (2.0 * f_value)

@@ -645,7 +645,7 @@ class TestSharedEvaluation:
         target_points = {(r["target"], r["point_index"]) for r in records
                          if r["target"] in ("source", "image")}
         assert len(target_points) == 4
-        lanes = [(id(ws), point) for ws, frame, _ in diagnostics for point in frame.point]
+        lanes = [(id(ws), point) for ws, frame, *_ in diagnostics for point in frame.point]
         assert len(lanes) == len(set(lanes)) == len(target_points)
         assert len(fits) == 2
         assert sum(len(frame.g) for frame, in fits) == len(target_points)
@@ -688,25 +688,57 @@ class TestSharedEvaluation:
 
     def test_each_frame_computed_once(self, monkeypatch):
         # A target's Chunk owns its points' frames, one lane each of a
-        # geo.frames stack, and hands them to every helper.  The fiber
-        # frame that a family's source and image share is computed once,
-        # by the source, and read by the image.  geo.frame is a one-lane
-        # geo.frames, so the base frames of the diagnostics count too.
-        computed = Counter()
-        original = geo.frames
+        # geo.frames stack, and hands them to every helper.  The stack is
+        # built from the chunk's one checked geo.metric_jets call, which
+        # a warped target's base and fiber frames read too: no base or
+        # fiber program runs.  The fiber frame that a family's source and
+        # image share is built once, by the source, and read by the
+        # image.  geo.frame is a one-lane geo.frames, so every frame counts.
+        computed, evaluated = Counter(), Counter()
+        frames, metric_jets = geo.frames, geo.metric_jets
 
-        def counted(spec, points):
+        def counted(spec, points, *jet):
             for point in points:
                 computed[(spec, tuple(point))] += 1
-            return original(spec, points)
+            return frames(spec, points, *jet)
+
+        def counted_jets(spec, points, check=True):
+            if check:  # sampling and the Bianchi stencil run unchecked jets
+                for point in points:
+                    evaluated[(spec, tuple(point))] += 1
+            return metric_jets(spec, points, check)
 
         monkeypatch.setattr(geo, "frames", counted)
+        monkeypatch.setattr(geo, "metric_jets", counted_jets)
+        jobs = []
         for name in ("theorem41_n4", "surface_pair"):
             records, summary = cli.run_manifest(corpus_get(name), points=2)
             assert summary["ok"]
-        fiber = cli.build_job(corpus_get("theorem41_n4")["manifolds"][0]).family.source.fiber
-        assert max(computed.values()) == 1
+            jobs.append(cli.build_job(corpus_get(name)["manifolds"][0]))
+        fiber = jobs[0].family.source.fiber
+        assert max(computed.values()) == max(evaluated.values()) == 1
         assert sum(spec == fiber for spec, _ in computed) == 2  # one per point
+        targets = {target.spec for job in jobs for target in job.targets}
+        assert {spec for spec, _ in evaluated} == targets and len(evaluated) == 2 * len(targets)
+
+    @pytest.mark.parametrize("entry", [name for name in corpus_list()
+                                       if corpus_get(name)["manifolds"][0]["kind"]
+                                       in ("warped", "family")])
+    def test_warped_run_compiles_only_the_root_warp_jet(self, monkeypatch, entry):
+        # Sampling compiles each target's components program, which also
+        # yields the base, fiber and warp jets of a warped product.  So the
+        # run compiles no program over a base or fiber chart and none for
+        # the warp: only a family's sqrt(F) jet.
+        ex.jet.cache_clear()
+        manifest = corpus_get(entry)
+        jobs = [cli.build_job(mdef) for mdef in manifest["manifolds"]]
+        for index, job in enumerate(jobs):
+            cli.sample_points(job, 1, np.random.default_rng([manifest["seed"], index]))
+        compiled = count_calls(monkeypatch, ex, "compile_exprs")
+        records, summary = cli.run_manifest(manifest, points=2)
+        assert summary["ok"]
+        roots = [ex.fn("sqrt", job.family.source.warp) for job in jobs if job.family]
+        assert [exprs[0] for exprs, _, _ in compiled] == roots
 
     def test_bianchi_stencil_builds_no_frames(self, monkeypatch):
         # The second Bianchi check reads R at its 2n stencil points from
@@ -718,7 +750,34 @@ class TestSharedEvaluation:
         assert any(r["check"] == "second_bianchi" for r in records)
         target_points = {(r["target"], r["point_index"]) for r in records}
         assert len(target_points) == 3
-        assert sum(len(points) for _, points in frames) == len(target_points)
+        assert sum(len(points) for _, points, *_ in frames) == len(target_points)
+
+    def test_rejected_candidates_format_no_message(self, monkeypatch):
+        # Sampling asks whether a candidate is admissible and formats no
+        # error message for the ones it rejects; a frame at such a point
+        # still raises with the failing condition.  rn_lambda0 with Q =
+        # 0.5 and its r-box straddling the horizon r+ = 1 + sqrt(0.75).
+        manifest = corpus_get("rn_lambda0")
+        mdef = manifest["manifolds"][0]
+        del mdef["pinned_points"], mdef["expect"]["pinned_scalars"]
+        mdef["constants"]["Q"] = 0.5
+        mdef["box"]["r"] = [1.1, 5.6]
+        job, verdicts = cli.build_job(mdef), []
+        admissible = geo.admissible
+
+        def logged(spec, point):
+            verdicts.append((point, admissible(spec, point)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(geo, "admissible", logged)
+        texts = count_calls(monkeypatch, ex, "to_text")
+        cli.sample_points(job, 20, np.random.default_rng([manifest["seed"], 0]))
+        rejected = [point for point, ok in verdicts if not ok]
+        assert len(rejected) > 0 and texts == []
+        with pytest.raises(geo.InadmissiblePointError) as info:
+            geo.frames(job.targets[0].spec, [(0.0, 1.5, 1.0, 0.3)])
+        assert str(info.value) == ("condition '1.0 - 2.0*M/r + Q^2/r^2 - Lam*r^2/3.0' (positive) "
+                                   "fails at (0.0, 1.5, 1.0, 0.3): value -0.22222222222222215")
 
     def test_one_family_jet_per_point(self, monkeypatch):
         # The psi and image Ricci closed forms and the factor relations

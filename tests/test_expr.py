@@ -280,19 +280,15 @@ def _covariant_derivative_of_log():
     return geo.covariant_derivative_02(f, f.g, f.dg)
 
 
-def _root_warp_diagnostics_at_zero():
-    # The product frame comes from the product metric without its
-    # conditions, so it gets past warp > 0 and its jet reaches the
-    # warp's derivative.
+def _root_warp_jets_at_zero():
+    # The product's jets, unchecked, get past warp > 0 and reach the
+    # warp's derivative, which the product's one program yields.
     from curvcheck import geometry as geo
     from curvcheck import warped as wp
 
     base = geo.diagonal_metric(("u", "v"), [1.0, 1.0])
     ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
-    point = (0.0, 0.5, 0.1, 0.2)
-    fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]])
-    unchecked = dataclasses.replace(ws.product, conditions=())
-    return wp.diagnostics(ws, geo.frames(unchecked, [point]), fiber_frame)
+    return geo.metric_jets(ws.product, [(0.0, 0.5, 0.1, 0.2)], False)
 
 
 @pytest.mark.parametrize(
@@ -300,7 +296,7 @@ def _root_warp_diagnostics_at_zero():
     [
         (_psi_values_at_pole, "1.0/x"),
         (_covariant_derivative_of_log, "log(x1)"),
-        (_root_warp_diagnostics_at_zero, "1.0/(2.0*sqrt(u))"),
+        (_root_warp_jets_at_zero, "1.0/(2.0*sqrt(u))"),
     ],
     ids=["psi", "covariant_derivative_02", "warp"],
 )

@@ -209,7 +209,8 @@ class TestFirstKindKernel:
         # agrees to 1e-13 relative Frobenius.  Corpus charts have n = 2, 4, 5, 6.
         for name, spec, point in targets_at_first_point(entry):
             f = geo.frame(spec, point)
-            gamma, riemann = second_kind_curvature(*geo._metric_jet(spec, point))
+            jet = geo.jet_block(geo.metric_jets(spec, [point]))
+            gamma, riemann = second_kind_curvature(*(part[0] for part in jet))
             assert (f.gamma == gamma).all(), name
             assert np.linalg.norm(f.riemann - riemann) <= 1e-13 * np.linalg.norm(riemann), name
 
@@ -236,7 +237,8 @@ def test_the_kernels_build_three_checks_exactly(entry):
             assert np.array_equal(f.riemann, -np.swapaxes(f.riemann, 3, 4)), where
             ws = target.warped_spec
             if ws is not None:
-                d = wp.diagnostics(ws, f, geo.frames(ws.fiber, [ws.split(p)[1] for p in points]))
+                d = wp.diagnostics(ws, f, geo.frames(ws.fiber, [ws.split(p)[1] for p in points]),
+                                   ws.blocks(geo.metric_jets(ws.product, points)))
                 assert np.array_equal(d.tr_t, np.einsum("pab,pab->p", d.base_frame.ginv, d.t)), where
 
 

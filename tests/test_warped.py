@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from curvcheck import cli
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import roter
 from curvcheck import warped
+from curvcheck.corpus import corpus_get, corpus_list
 from curvcheck.curvops import rank_shift, unit_curvature
 from helpers import constant_curvature_2d, diagnostics_at, flat_metric, max_abs_residual, stack
 
@@ -107,10 +109,70 @@ class TestAssemble:
         ws = warped.assemble(base, fiber, "x1")
         point = (-1.0, 0.0, 0.1, 0.1)
         assert not geo.admissible(ws.product, point)
-        fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]])
-        unchecked = dataclasses.replace(ws.product, conditions=())
-        with pytest.raises(geo.GeometryError):
-            warped.diagnostics(ws, geo.frames(unchecked, [point]), fiber_frame)
+        # The product's jets, unchecked, get past warp > 0.
+        jets = geo.metric_jets(ws.product, [point], False)
+        frame, blocks = geo.frames(ws.product, [point], geo.jet_block(jets)), ws.blocks(jets)
+        fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]], blocks[1])
+        with pytest.raises(geo.InadmissiblePointError, match="warping function non-positive"):
+            warped.diagnostics(ws, frame, fiber_frame, blocks)
+
+
+WARPED_ENTRIES = [name for name in corpus_list()
+                  if corpus_get(name)["manifolds"][0]["kind"] in ("warped", "family")]
+
+
+def warped_targets(entry, count):
+    """(label, warped spec, the first count points run_manifest draws) of
+    each warped target of a corpus entry, both members of a family."""
+    manifest = corpus_get(entry)
+    job = cli.build_job(manifest["manifolds"][0])
+    points = cli.sample_points(job, count, np.random.default_rng([manifest["seed"], 0]))
+    return [(f"{entry}/{t.label}", t.warped_spec, points) for t in job.targets]
+
+
+class TestOneProgram:
+    """A warped product's components program is its only metric-level
+    program: it also yields its base, fiber and warp jets."""
+
+    @pytest.mark.parametrize("entry", WARPED_ENTRIES)
+    def test_factor_jets_equal_their_own_programs(self, entry):
+        # Base and fiber frames built from the product's jets equal those
+        # of the factors' own programs on every lane field, and F, dF and
+        # d2F equal a separately built warp jet, bit for bit.
+        for name, ws, points in warped_targets(entry, 6):
+            base_pts, fiber_pts = zip(*map(ws.split, points))
+            base_jet, fiber_jet, warp_jet = ws.blocks(geo.metric_jets(ws.product, points))
+            for spec, pts, jet in ((ws.base, base_pts, base_jet), (ws.fiber, fiber_pts, fiber_jet)):
+                shared, own = geo.frames(spec, pts, jet), geo.frames(spec, pts)
+                for field in dataclasses.fields(geo.PointFrame)[2:]:
+                    assert np.array_equal(getattr(shared, field.name), getattr(own, field.name)), \
+                        (name, spec.coords, field.name)
+            program = ex.jet((ws.warp,), ws.base.coords, ws.base.bindings, 2)
+            own = [np.array(part)[..., 0] for part in zip(*map(program, base_pts))]
+            for shared, alone in zip(warp_jet, own):
+                assert shared.flags.c_contiguous and np.array_equal(shared, alone), name
+
+    @pytest.mark.parametrize("entry", WARPED_ENTRIES)
+    def test_extras_add_no_program_line(self, monkeypatch, entry):
+        # The fiber components and the warp are subtrees of the product's
+        # components, and so are their derivatives in jet's diff memo:
+        # the program gains return values only.
+        compile_exprs, built = ex.compile_exprs, []
+
+        def recording(exprs, coords, consts):
+            program = compile_exprs(exprs, coords, consts)
+            built.append(program.source.splitlines())
+            return program
+
+        monkeypatch.setattr(ex, "compile_exprs", recording)
+        for name, ws, _ in warped_targets(entry, 1):
+            spec, built[:] = ws.product, []
+            components = tuple(e for row in spec.components for e in row)
+            for outputs in (components, components + spec.extras):
+                ex.jet.__wrapped__(outputs, spec.coords, spec.bindings, 2)  # bypass the cache
+            without, with_extras = built
+            assert with_extras[:-1] == without[:-1], name
+            assert len(with_extras[-1]) > len(without[-1]), name
 
 
 class TestConstantCurvatureFiber:
