@@ -13,7 +13,7 @@ Identical manifest and seed produce byte-identical records and summary
 with expectations, 1 at least one check off-expectation (an error at a
 sampled point is recorded as an off-expectation "error" check and the
 report is still written), 2 manifest, schema or out-of-range
---points / --tol-scale error.
+--points / --seed / --tol-scale error.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import platform
 import re
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -213,11 +214,14 @@ def _reject_constant(name):
     raise ManifestError(f"manifest is not valid JSON: {name} is not a JSON number")
 
 
-def _validate_overrides(points, tol_scale, tolerances=None) -> dict:
-    """Overrides obey the schema's bounds: points >= 1, and every tolerance times
-    tol_scale finite and positive (so tol_scale too); returns those tolerances."""
-    if points is not None and points < 1:
-        raise ManifestError(f"points must be at least 1, got {points}")
+def _validate_overrides(points, seed, tol_scale, tolerances=None) -> dict:
+    """Overrides obey the schema: points and seed integers of at least 1 and 0, every
+    tolerance times tol_scale finite and positive (so tol_scale too); returns those."""
+    for key, value in (("points", points), ("seed", seed)):
+        bound = MANIFEST_SCHEMA["properties"][key]
+        if value is not None and any(schema_errors(value, bound)):
+            raise ManifestError(f"{key} must be an integer of at least {bound['minimum']}, "
+                                f"got {value!r}")
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     for key, value in tol.items():  # an int past the float range scales to inf
         tol[key] = value * tol_scale if value <= sys.float_info.max else math.inf
@@ -467,12 +471,11 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 # Checks and records
 #
-# A suite is a generator over point i of a chunk, reading each target's
-# chunk pieces at i.  It yields each check as (check, residual,
-# tolerance_key) with optional extra record fields ({"scalars": ...} or
-# {"detail": ...}) and expect_fail; run_manifest turns every yielded
-# check into a record through _record, and a _POINT_ERRORS error the
-# suite raises (only the Bianchi stencil does) into an "error" one.
+# A suite's checks are a Chunk piece, whose entry i lists point i's checks
+# as (check, residual, tolerance_key) with optional extra record fields
+# ({"scalars": ...} or {"detail": ...}) and expect_fail.  run_manifest
+# turns each into a record through _record, and a _POINT_ERRORS error a
+# piece raises (a chunk's curvature that is not finite) into an "error" one.
 
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError)
 # The error detail in the psi-Ricci identity's place where R.R = 0 on the source.
@@ -492,25 +495,29 @@ def _per_point(checks, count: int) -> list:
              for check, res, key, *extra in lanes] for i in range(count)]
 
 
+def _scalars(check: str, scalars: dict, count: int) -> tuple:
+    """A check of residual 0 whose record at lane i holds lane i of scalars' arrays."""
+    lanes = zip(*(value.tolist() for value in scalars.values()))
+    return check, np.zeros(count), "strict", [{"scalars": dict(zip(scalars, v))} for v in lanes]
+
+
 class Chunk:
     """One target at a chunk of points, and the only owner of their frames.
 
     Each piece is computed for every point on first read, once over the
-    chunk's point axis, and suites read it at point i.  No piece fails at
-    a sampled point: Job.sample_ok admitted it by running the metric and
-    psi jets that the pieces run, and a warped product's conditions and
-    jet cover those of its base, fiber and warp.
+    chunk's point axis, and holds one entry per point; a suite's piece
+    holds its checks.  No piece fails at a sampled point: Job.sample_ok
+    ran the metric and psi jets that the pieces run (a warped product's
+    cover its base, fiber and warp), and the geometry piece records the
+    error of the Bianchi stencil, which steps off the point.  start is the
+    run's index of the first point.  stacked is the frame of all the
+    points; fiber_frames and diagnostics are stacked too, built from the
+    factor jets of stacked's geo.metric_jets call, which are not kept.  A
+    family's image reads the fiber frames of its peer, the source chunk."""
 
-    stacked is the frame of all the points, and frames[i] its lane i.
-    fiber_frames and diagnostics are stacked too, built from the factor
-    jets read from stacked's geo.metric_jets call, whose arrays are not
-    kept; a family's image reads the fiber frames of its peer, the
-    source chunk.  classifications[i] is point i's whole Roter verdict,
-    and product_checks builds the chunk's curvature products once."""
-
-    def __init__(self, job: Job, suites: set, target: Target, points: list, peer=None):
-        self.job, self.suites = job, suites
-        self.target, self.points, self.peer = target, points, peer
+    def __init__(self, job: Job, suites: set, target: Target, start: int, points: list, peer=None):
+        self.job, self.suites, self.target = job, suites, target
+        self.start, self.points, self.peer = start, points, peer
 
     @cached_property
     def evaluated(self) -> tuple:
@@ -523,9 +530,9 @@ class Chunk:
     def stacked(self) -> geo.PointFrame:
         return self.evaluated[0]
 
-    @cached_property
-    def frames(self) -> list:
-        return self.stacked.lanes()
+    def at(self, piece: str, i: int) -> list:
+        """Point i's checks of a suite's piece."""
+        return getattr(self, piece)[i]
 
     @cached_property
     def fiber_frames(self) -> geo.PointFrame:
@@ -535,10 +542,11 @@ class Chunk:
         return geo.frames(ws.fiber, [ws.split(p)[1] for p in self.points], self.evaluated[1][1])
 
     @cached_property
-    def geometry_residuals(self) -> list:
-        """The geometry suite's residual checks at each point, as
-        (check, residual, tolerance key), from one pass over stacked."""
-        f = self.stacked
+    def geometry(self) -> list:
+        """The geometry suite's checks at each point, from one pass over
+        stacked, and the second Bianchi check, finite-differenced, so only
+        at the run's first two points; its stencil's error takes its place."""
+        f, count = self.stacked, len(self.points)
         eye = np.broadcast_to(np.eye(f.dim), f.g.shape)
         checks = [
             ("metric_inverse", lane_max_abs_residuals(f.g @ f.ginv, eye), "strict"),
@@ -553,7 +561,68 @@ class Chunk:
         nabla_g = np.abs(geo.covariant_derivative_02(f, f.g, f.dg))
         scale = np.max(np.abs(f.g), axis=(1, 2)) + 1.0
         checks.append(("nabla_g", np.max(nabla_g, axis=(1, 2, 3)) / scale, "strict"))
-        return _per_point(checks, len(self.points))
+        scalars = {"kappa": f.scalar}
+        if f.dim == 2:
+            scalars["gauss"] = geo.gauss_curvature(f)
+            want = self.job.expect.get("scalars", {}).get("gauss")
+            if want is not None:
+                checks.append(("gauss_value", scalar_residual(scalars["gauss"], want), "geo"))
+        checks.append(_scalars("frame_scalars", scalars, count))
+        rows = _per_point(checks, count)
+        for i in range(min(2 - self.start, count)):
+            try:
+                res = geo.second_bianchi_residual(f.take([i]))
+                rows[i].append(("second_bianchi", res, "smoke"))
+            except _POINT_ERRORS as err:
+                rows[i].append(_flag("error", False, f"{type(err).__name__}: {err}"))
+        return rows
+
+    @cached_property
+    def theorem21(self) -> list:
+        """The theorem21 suite's checks at each point (none below dimension
+        2); the perturbed-Ricci control, expected to fail, draws its noise
+        from default_rng(12345) anew at each point."""
+        job, target = self.job, self.target
+        if target.spec.dim < 2:
+            return [[] for _ in self.points]
+        f, perturb, want = self.stacked, job.definition.get("perturb"), job.expect.get("classify")
+        l_r = job.expect.get("scalars", {}).get(
+            "L_R" if target.label in ("self", "source") else "L_R_image")
+        pins = job.expect.get("pinned_scalars", [])[self.start:]  # one per pinned point at most
+        rows = []
+        for i, (c, kappa) in enumerate(zip(self.classifications, f.scalar.tolist())):
+            # Source and image members of a family share the expected kind.
+            row = [_flag("classification", c.kind == want, detail=c.kind)] if want else []
+            scalars = {"classification": c.kind, "kappa": kappa,
+                       "in_US": c.in_US, "in_UC": c.in_UC, "in_UR": c.in_UR}
+            if c.kind == roter.ROTER:
+                fit = c.fit
+                scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
+                               L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
+                row.append(("fit_residual", fit.residual, "identity"))
+                row += _named(self.product_checks[i]["identities"], "identity")
+                row.append(_flag("rank_shift_grid", c.grid_rank_above_one))
+                if l_r is not None:
+                    row.append(("l_r_expected", scalar_residual(fit.L_R, l_r), "identity"))
+                if perturb and perturb["target"] == "ricci":
+                    noise = np.random.default_rng(12345).normal(size=f.ricci.shape[1:])
+                    bad = f.ricci[i] + perturb["epsilon"] * 0.5 * (noise + noise.T)
+                    res = lane_residuals([bad @ f.ginv[i] @ bad],
+                                         [fit.alpha1 * bad + fit.alpha2 * f.g[i]])
+                    row.append(("ricci_square_affine_perturbed", res[0], "identity", None, True))
+            if job.expect.get("ricci_pseudosymmetric"):
+                rp = self.product_checks[i]["ricci"]
+                row.append(("ricci_pseudosymmetry",
+                            rp.residual if rp.verdict != "vacuous" else 0.0, "identity"))
+                if rp.factor is not None:
+                    scalars["L_S"] = rp.factor
+            for key, value in (pins[i] if i < len(pins) else {}).items():
+                have = scalars.get(key)
+                res = scalar_residual(have, value) if have is not None else 1.0
+                row.append((f"pinned_{key}", res, "pinned"))
+            row.append(("fit_scalars", 0.0, "strict", {"scalars": scalars}))
+            rows.append(row)
+        return rows
 
     @cached_property
     def diagnostics(self) -> wp.WarpedDiagnostics:
@@ -562,8 +631,11 @@ class Chunk:
     @cached_property
     def warped(self) -> list:
         """The warped-diagnostics suite's checks at each point, from one
-        pass over diagnostics."""
-        job, ws, d = self.job, self.target.warped_spec, self.diagnostics
+        pass over diagnostics; none on a target that is not warped."""
+        job, ws, count = self.job, self.target.warped_spec, len(self.points)
+        if ws is None:
+            return [[] for _ in self.points]
+        d = self.diagnostics
         block_tols = {"riemann_zero": "geo", "ricci_mixed": "geo", "trace_t": "strict"}
         checks = [("product_christoffels", wp.verify_product_christoffels(d), "strict")]
         checks += [(name, res, block_tols.get(name, "identity"))
@@ -584,10 +656,8 @@ class Chunk:
             if self.target.label == "source":
                 res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
                 checks.append(("trace_t_scaled_warp", res, "identity"))
-        lanes = zip(*(value.tolist() for value in scalars.values()))
-        checks.append(("warp_scalars", np.zeros(len(self.points)), "strict",
-                       [{"scalars": dict(zip(scalars, lane))} for lane in lanes]))
-        return _per_point(checks, len(self.points))
+        checks.append(_scalars("warp_scalars", scalars, count))
+        return _per_point(checks, count)
 
     @cached_property
     def classifications(self) -> list:
@@ -635,10 +705,10 @@ class Chunk:
     @cached_property
     def geodesic(self) -> list:
         """On the image chunk of a mapped pair (peer its source), each point's
-        geodesic checks and (source, image) L_R pair, else None: the checks
-        that read no fit and, on a fitted family, the roter_fits flag with the
-        first rejection or the factor relations, each member's cor42 and the
-        psi-Ricci identity (an error flag where the source is semisymmetric)."""
+        geodesic checks: the checks that read no fit and, on a fitted family,
+        the roter_fits flag with the first rejection or the factor relations,
+        each member's cor42 and the psi-Ricci identity (an error flag where
+        the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
         psi = (job.pair or job.family).psi
         jets = tuple(np.array(part) for part in zip(*map(psi.jet, self.points)))
@@ -662,15 +732,14 @@ class Chunk:
             kg, kg_bar = gm.base_gauss_values(d, d_bar)
             checks += [("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"),
                        ("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")]
-        rows, pairs = [[] for _ in range(count)], [None] * count
+        rows, lanes = [[] for _ in range(count)], []
         members = zip(source.classifications, self.classifications) if job.fitted else ()
         for i, cs in enumerate(members):
             rejected = [c.fit_error for c in cs if c.fit is None]
             if rejected:
                 rows[i].append(_flag("roter_fits", False, detail=rejected[0]))
             else:
-                pairs[i] = tuple(c.fit.L_R for c in cs)
-        lanes = [i for i, pair in enumerate(pairs) if pair]
+                lanes.append(i)
         if lanes:
             frames = (source.stacked.take(lanes), self.stacked.take(lanes))
             fits = tuple([chunk.classifications[i].fit for i in lanes] for chunk in (source, self))
@@ -685,7 +754,7 @@ class Chunk:
                 if source.product_checks[i]["semisymmetric"]:
                     row[-1] = _flag("error", False, _SEMISYMMETRIC)
                 rows[i] += row
-        return list(zip((a + b for a, b in zip(_per_point(checks, count), rows)), pairs))
+        return [a + b for a, b in zip(_per_point(checks, count), rows)]
 
 
 def _flag(check, ok, detail=None):
@@ -714,119 +783,44 @@ def _record(job, target, index, point, suite, thresholds,
     return rec
 
 
-def geometry_checks(job: Job, chunk: Chunk, i, idx):
-    f = chunk.frames[i]
-    n = f.dim
-    yield from chunk.geometry_residuals[i]
-    if idx < 2:  # finite-differenced, so spot-check only
-        yield "second_bianchi", geo.second_bianchi_residual(f), "smoke"
-    scalars = {"kappa": f.scalar}
-    if n == 2:
-        scalars["gauss"] = float(geo.gauss_curvature(f))
-        expected = job.expect.get("scalars", {})
-        if "gauss" in expected:
-            yield "gauss_value", scalar_residual(scalars["gauss"], expected["gauss"]), "geo"
-    yield "frame_scalars", 0.0, "strict", {"scalars": scalars}
-
-
-def theorem21_checks(job: Job, chunk: Chunk, i, idx):
-    target = chunk.target
-    if target.spec.dim < 2:
-        return
-    f = chunk.frames[i]
-    perturb = job.definition.get("perturb")
-    c = chunk.classifications[i]
-    scalars = {"classification": c.kind, "kappa": f.scalar,
-               "in_US": c.in_US, "in_UC": c.in_UC, "in_UR": c.in_UR}
-    want = job.expect.get("classify")
-    if want:
-        # Source and image members of a family share the expected kind.
-        yield _flag("classification", c.kind == want, detail=c.kind)
-    if c.kind == roter.ROTER:
-        fit = c.fit
-        scalars.update(phi=fit.phi, mu=fit.mu, eta=fit.eta, L_R=fit.L_R,
-                       L_C=fit.L_C, L=fit.L, alpha1=fit.alpha1, alpha2=fit.alpha2)
-        yield "fit_residual", fit.residual, "identity"
-        for name, res in chunk.product_checks[i]["identities"].items():
-            yield name, res, "identity"
-        yield _flag("rank_shift_grid", c.grid_rank_above_one)
-        expected_scalar = job.expect.get("scalars", {})
-        key = "L_R" if target.label in ("self", "source") else "L_R_image"
-        if key in expected_scalar:
-            yield "l_r_expected", scalar_residual(fit.L_R, expected_scalar[key]), "identity"
-        if perturb and perturb["target"] == "ricci":
-            rng = np.random.default_rng(12345)
-            noise = rng.normal(size=f.ricci.shape)
-            bad = f.ricci + perturb["epsilon"] * 0.5 * (noise + noise.T)
-            res = lane_residuals([bad @ f.ginv @ bad], [fit.alpha1 * bad + fit.alpha2 * f.g])
-            yield "ricci_square_affine_perturbed", res[0], "identity", None, True  # expect_fail
-    if job.expect.get("ricci_pseudosymmetric"):
-        rp = chunk.product_checks[i]["ricci"]
-        yield "ricci_pseudosymmetry", rp.residual if rp.verdict != "vacuous" else 0.0, "identity"
-        if rp.factor is not None:
-            scalars["L_S"] = rp.factor
-    pins = job.expect.get("pinned_scalars", [])  # one per pinned point at most
-    if idx < len(pins):
-        for key, want_v in pins[idx].items():
-            have = scalars.get(key)
-            res = scalar_residual(have, want_v) if have is not None else 1.0
-            yield f"pinned_{key}", res, "pinned"
-    yield "fit_scalars", 0.0, "strict", {"scalars": scalars}
-
-
-def warped_checks(job: Job, chunk: Chunk, i, idx):
-    if chunk.target.warped_spec is not None:
-        yield from chunk.warped[i]
-
-
-def geodesic_checks(job: Job, chunks, i, idx, fits_log):
-    """The image chunk's geodesic checks at point i of a pair2d or family
-    manifold; the (source, image) L_R pair, where both have a fit, joins fits_log."""
-    if job.kind in ("pair2d", "family"):
-        checks, pair = chunks[1].geodesic[i]
-        if pair:
-            fits_log.append(pair)
-        yield from checks
-
-
-def family_checks(job: Job, fits_log):
-    """Aggregates over all points of a family (point index -1)."""
-    if job.kind != "family":
-        return
+def family_checks(job: Job, members):
+    """A family's aggregates (point index -1); members are its points' (source, image) verdicts."""
     yield "profile_invariant", gm.profile_invariant_residual(job.family), "strict"
-    if fits_log:
-        yield "l_r_constancy_source", constancy_residual([a for a, _ in fits_log]), "identity"
-        yield "l_r_constancy_image", constancy_residual([b for _, b in fits_log]), "identity"
+    pairs = [(a.fit.L_R, b.fit.L_R) for a, b in members if a.fit and b.fit]
+    if pairs:
+        yield "l_r_constancy_source", constancy_residual([a for a, _ in pairs]), "identity"
+        yield "l_r_constancy_image", constancy_residual([b for _, b in pairs]), "identity"
 
 
-TARGET_SUITES = (
-    ("geometry-symmetries", geometry_checks),
-    ("theorem21", theorem21_checks),
-    ("warped-diagnostics", warped_checks),
-)
+# The Chunk piece of each suite that runs on every target.
+TARGET_SUITES = {"geometry-symmetries": "geometry", "theorem21": "theorem21",
+                 "warped-diagnostics": "warped"}
 
 
 def _suite_runs(job: Job, points, suites):
-    """(suite, target label, point index, point, checks) in run order.
-
-    Points go in chunks of roter.chunk_size(n), n the chart dimension,
-    read through one Chunk per target; a mapped pair's image has peer."""
-    fits_log: list = []
+    """(suite, target label, point index, point, read) in run order, read()
+    giving the checks: a piece of one Chunk per target at the point, for
+    chunks of roter.chunk_size(n) points, n the chart dimension.  A mapped
+    pair's image has peer and holds the geodesic piece, and a family's
+    aggregates read the Roter verdicts of every chunk that did not fail."""
+    members: list = []
     size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):
         pts = points[start:start + size]
-        first = Chunk(job, suites, job.targets[0], pts)
-        chunks = [first] + [Chunk(job, suites, target, pts, first) for target in job.targets[1:]]
+        first = Chunk(job, suites, job.targets[0], start, pts)
+        chunks = [first] + [Chunk(job, suites, t, start, pts, first) for t in job.targets[1:]]
+        runs = [(suite, chunk.target.label, chunk, piece)
+                for suite, piece in TARGET_SUITES.items() if suite in suites for chunk in chunks]
+        if "geodesic" in suites and job.kind in ("pair2d", "family"):
+            runs.append(("geodesic", "pair", chunks[1], "geodesic"))
         for i, pt in enumerate(pts):
-            idx = start + i
-            for suite, checks in TARGET_SUITES:
-                if suite in suites:
-                    for chunk in chunks:
-                        yield suite, chunk.target.label, idx, pt, checks(job, chunk, i, idx)
-            if "geodesic" in suites:
-                yield "geodesic", "pair", idx, pt, geodesic_checks(job, chunks, i, idx, fits_log)
-    if "geodesic" in suites:
-        yield "geodesic", "pair", -1, (), family_checks(job, fits_log)
+            for suite, label, chunk, piece in runs:
+                yield suite, label, start + i, pt, partial(chunk.at, piece, i)
+        if "geodesic" in suites and job.fitted:
+            with suppress(*_POINT_ERRORS):  # a chunk that failed recorded it at each point
+                members += zip(first.classifications, chunks[1].classifications)
+    if "geodesic" in suites and job.kind == "family":
+        yield "geodesic", "pair", -1, (), partial(family_checks, job, members)
 
 
 def _expand_suites(names) -> set:
@@ -847,7 +841,7 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
         if isinstance(names, list) and all(isinstance(name, str) for name in names):
             _expand_suites(names)
     validate_manifest(manifest)  # then the schema, which every key read below relies on
-    tol = _validate_overrides(points, tol_scale, manifest.get("tolerances"))
+    tol = _validate_overrides(points, seed, tol_scale, manifest.get("tolerances"))
     selected = _expand_suites(suites or manifest.get("suites", ["all"]))
     thresholds = {**tol, "flag": 0.5}
     # Draft 7 takes 1.0 for an integer; the run needs an int.
@@ -860,10 +854,10 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)
-        for suite, label, idx, pt, checks in _suite_runs(job, pts, m_suites):
+        for suite, label, idx, pt, read in _suite_runs(job, pts, m_suites):
             site = (job, label, idx, [round(v, 12) for v in pt], suite, thresholds)
             try:
-                for check in checks:
+                for check in read():
                     records.append(_record(*site, *check))
             except _POINT_ERRORS as err:
                 error = _flag("error", False, f"{type(err).__name__}: {err}")
@@ -1023,7 +1017,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = load_manifest(args.manifest)
-        _validate_overrides(args.points, args.tol_scale, manifest.get("tolerances"))
+        _validate_overrides(args.points, args.seed, args.tol_scale, manifest.get("tolerances"))
     except ManifestError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

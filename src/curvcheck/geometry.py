@@ -33,11 +33,11 @@ stacked on a leading point axis, and jet_block reads (g, dg, d2g) from
 them; frames(spec, points, jet) then computes the curvature packet once
 over that axis: one PointFrame whose arrays carry it (g of shape
 (P, n, n)).  Each lane equals the same call on that point alone, bit
-for bit.  PointFrame.take cuts some lanes, and PointFrame.lanes() views
-each as its point's own frame for the per-point checks; frame(spec,
-point) is the lane of a one-point chunk.  Whoever asks for a frame owns
-it and passes it to the helpers below.  MetricSpec is immutable apart
-from its bound programs, and safe to share across threads.
+for bit.  PointFrame.take cuts some lanes (second_bianchi_residual reads
+a one-lane cut); PointFrame.lanes() views each as its point's own frame
+for frame(spec, point) alone, the lane of a one-point chunk.  Whoever
+asks for a frame owns it and passes it to the helpers below.
+MetricSpec is immutable apart from its bound programs, and thread-safe.
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # Smoke check: differential (second) Bianchi identity.  The cyclic sum
 # nabla_l R_hijk + nabla_j R_hikl + nabla_k R_hilj must vanish; the
 # derivative here is finite-differenced from R at 2n stencil points
-# around base's point (unchecked jets, one stacked curvature kernel, no
-# frames), so this is a coarse check only.
+# around the point of base, a one-lane stacked frame (unchecked jets,
+# one stacked curvature kernel, no frames), so this is a coarse check only.
 
 def second_bianchi_residual(base: PointFrame) -> float:
     spec, step = base.spec, 1e-5
@@ -406,13 +406,12 @@ def second_bianchi_residual(base: PointFrame) -> float:
     stencil = []
     for l in range(n):
         for sign in (1.0, -1.0):
-            pt = list(base.point)
+            pt = list(base.point[0])
             pt[l] += sign * step
             stencil.append(pt)
     R = _curvature(*jet_block(metric_jets(spec, stencil, False)))[2]
     dR = (R[0::2] - R[1::2]) / (2 * step)
-    gam = base.gamma
-    R = base.riemann
+    gam, R = base.gamma[0], base.riemann[0]
     nabla = (
         dR
         - np.einsum("slh,sijk->lhijk", gam, R)

@@ -371,6 +371,27 @@ class TestValidation:
         with pytest.raises(cli.ManifestError):
             cli.run_manifest(corpus_get("flat_space"), points=int(points))
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # It used to end in numpy's ValueError traceback, with exit 1.
+        proc = run_cli(["run", "flat_space", "--seed", "-1", "--out", str(tmp_path)], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be an integer of at least 0, got -1\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("override", [{"seed": -1}, {"seed": 1.5}, {"seed": True},
+                                          {"points": 2.5}, {"points": 0.0}])
+    def test_overrides_must_be_schema_integers(self, override):
+        # As the schema's seed and points: seed 1.5 used to run seed 1, and
+        # points 2.5 two points.
+        (key, _), = override.items()
+        with pytest.raises(cli.ManifestError, match=f"^{key} must be an integer of at least"):
+            cli.run_manifest(corpus_get("flat_space"), **override)
+
+    def test_integral_float_overrides_are_integers(self):
+        run = cli.run_manifest
+        assert run(corpus_get("flat_space"), points=2.0, seed=3.0) == \
+            run(corpus_get("flat_space"), points=2, seed=3)
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_scale_exits_2(self, tmp_path, scale, capsys):
         proc = run_cli(["run", "flat_space", "--tol-scale", scale, "--out", str(tmp_path)], capsys)
@@ -495,9 +516,11 @@ class TestRun:
 
     def test_point_error_becomes_record(self, tmp_path):
         # The finite-difference second_bianchi stencil around x = 1e-5
-        # steps onto x = 0, where d|x|/dx divides by zero.
+        # steps onto x = 0, where d|x|/dx divides by zero.  The pinned
+        # point and two sampled ones make one chunk: the error takes the
+        # place of the pinned point's second_bianchi record only.
         manifest = {
-            "name": "bad_point", "seed": 1, "points": 1, "suites": ["geometry-symmetries"],
+            "name": "bad_point", "seed": 1, "points": 2, "suites": ["geometry-symmetries"],
             "manifolds": [{
                 "name": "kink", "kind": "explicit", "coords": ["x", "y"],
                 "metric": [["1 + abs(x)", "0"], ["0", "1"]],
@@ -515,9 +538,12 @@ class TestRun:
             for line in (tmp_path / "out" / "bad_point.records.jsonl").read_text().splitlines()
         ]
         errors = [r for r in records if r["check"] == "error"]
-        assert len(errors) == 1
+        assert len(errors) == 1 and errors[0]["point_index"] == 0
         assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
         assert all(r["ok"] for r in records if r["check"] != "error")
+        checks = [{r["check"]: r for r in records if r["point_index"] == i} for i in range(3)]
+        assert "second_bianchi" not in checks[0] and "frame_scalars" in checks[0]
+        assert checks[1]["second_bianchi"]["pass"] and "second_bianchi" not in checks[2]
 
     @pytest.mark.parametrize("suite", ["theorem21", "geometry-symmetries"])
     def test_non_finite_curvature_is_an_error_record(self, tmp_path, suite):

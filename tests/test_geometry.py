@@ -371,10 +371,10 @@ class TestAdmissibility:
 
 class TestSmokeChecks:
     def test_second_bianchi_on_sphere(self):
-        assert geo.second_bianchi_residual(geo.frame(UNIT_SPHERE, (1.0, 0.3))) < 1e-4
+        assert geo.second_bianchi_residual(geo.frames(UNIT_SPHERE, [(1.0, 0.3)])) < 1e-4
 
     def test_second_bianchi_on_charged_metric(self):
-        assert geo.second_bianchi_residual(geo.frame(rn_metric(1.0, 1.0, 0.0), RN_POINT)) < 1e-4
+        assert geo.second_bianchi_residual(geo.frames(rn_metric(1.0, 1.0, 0.0), [RN_POINT])) < 1e-4
 
     def test_constant_curvature_scalar_is_twice_gauss(self):
         spec = constant_curvature_2d("x", 0.5, 4.0)

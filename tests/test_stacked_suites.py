@@ -184,7 +184,9 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
 
 
 @pytest.mark.parametrize("size", [1, 3])
-@pytest.mark.parametrize("name", ["theorem41_n4", "theorem41_c_pos_n5", "theorem41_c_neg_n6"])
+@pytest.mark.parametrize("name", ["theorem41_n4", "theorem41_c_pos_n5", "theorem41_c_neg_n6",
+                                  "rn_lambda0", "negative_control_perturbed", "surface_pair",
+                                  "unit_sphere"])
 def test_records_do_not_depend_on_the_chunking(monkeypatch, name, size):
     # At their declared points the families run as one chunk of 10 (n = 4)
     # or 8 (n = 5), or as chunks of 4 and 2 (n = 6); chunks of 1 or 3
