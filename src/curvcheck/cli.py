@@ -13,7 +13,7 @@ Identical manifest and seed produce byte-identical records and summary
 with expectations, 1 at least one check off-expectation (an error at a
 sampled point is recorded as an off-expectation "error" check and the
 report is still written), 2 manifest, schema or out-of-range
---points / --seed / --tol-scale error.
+--points / --seed / --tol-scale error, or an --out it cannot make.
 """
 
 from __future__ import annotations
@@ -508,12 +508,11 @@ class Chunk:
     chunk's point axis, and holds one entry per point; a suite's piece
     holds its checks.  No piece fails at a sampled point: Job.sample_ok
     ran the metric and psi jets that the pieces run (a warped product's
-    cover its base, fiber and warp), and the geometry piece records the
-    error of the Bianchi stencil, which steps off the point.  start is the
-    run's index of the first point.  stacked is the frame of all the
-    points; fiber_frames and diagnostics are stacked too, built from the
-    factor jets of stacked's geo.metric_jets call, which are not kept.  A
-    family's image reads the fiber frames of its peer, the source chunk."""
+    cover its base, fiber and warp).  start is the run's index of the
+    first point.  stacked is the frame of all the points; fiber_frames
+    and diagnostics are stacked too, built from the factor jets of
+    stacked's geo.metric_jets call, which are not kept.  A family's image
+    reads the fiber frames of its peer, the source chunk."""
 
     def __init__(self, job: Job, suites: set, target: Target, start: int, points: list, peer=None):
         self.job, self.suites, self.target = job, suites, target
@@ -544,8 +543,7 @@ class Chunk:
     @cached_property
     def geometry(self) -> list:
         """The geometry suite's checks at each point, from one pass over
-        stacked, and the second Bianchi check, finite-differenced, so only
-        at the run's first two points; its stencil's error takes its place."""
+        stacked, and the second Bianchi check at the run's first two points."""
         f, count = self.stacked, len(self.points)
         eye = np.broadcast_to(np.eye(f.dim), f.g.shape)
         checks = [
@@ -570,11 +568,7 @@ class Chunk:
         checks.append(_scalars("frame_scalars", scalars, count))
         rows = _per_point(checks, count)
         for i in range(min(2 - self.start, count)):
-            try:
-                res = geo.second_bianchi_residual(f.take([i]))
-                rows[i].append(("second_bianchi", res, "smoke"))
-            except _POINT_ERRORS as err:
-                rows[i].append(_flag("error", False, f"{type(err).__name__}: {err}"))
+            rows[i].append(("second_bianchi", geo.second_bianchi_residual(f.take([i])), "geo"))
         return rows
 
     @cached_property
@@ -1015,10 +1009,13 @@ def main(argv=None) -> int:
         print(json.dumps(entry, indent=2, sort_keys=True))
         return 0
 
+    out_dir = args.out or os.environ.get(OUT_ENV) or "reports"
+    fresh = not os.path.isdir(out_dir)  # a failed run leaves no directory
     try:
         manifest = load_manifest(args.manifest)
         _validate_overrides(args.points, args.seed, args.tol_scale, manifest.get("tolerances"))
-    except ManifestError as err:
+        os.makedirs(out_dir, exist_ok=True)
+    except (ManifestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
@@ -1027,9 +1024,10 @@ def main(argv=None) -> int:
             seed=args.seed, tol_scale=args.tol_scale,
         )
     except (*_POINT_ERRORS, ManifestError) as err:
+        if fresh:
+            os.rmdir(out_dir)
         print(f"error: {err}", file=sys.stderr)
         return 1
-    out_dir = args.out or os.environ.get(OUT_ENV) or "reports"
     paths = write_report(records, summary, out_dir)
     with open(paths["text"], encoding="utf-8") as fh:
         print(fh.read())

@@ -25,9 +25,11 @@ a first hash() store the same value, so the cache needs no lock.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import traceback
+import types
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -647,6 +649,10 @@ _COMPILE_NS = {
     "_pow": math.pow,
     "__builtins__": {},
 }
+# The complex twin's namespace: analytic continuations, abs by the real part's sign.
+_COMPLEX_NS = {
+    **{f"_{op}": getattr(cmath, op) for op in ("sin", "cos", "tan", "exp", "log", "sqrt")},
+    "_abs": lambda z: -z if z.real < 0 else z, "_pow": pow, "__builtins__": {}}
 
 # A failing program line raises the interpreter's native exception.
 # jet() names it by (operation of the line's node, exception type); an
@@ -681,7 +687,8 @@ def compile_exprs(
     refs>), assigned after its children on line K + 2, f.nodes[K] is its
     node and f.source is the generated text.  Temporaries are keyed by
     that operation text rather than by ==, because Num(0.0) == Num(-0.0)
-    while the two literals compute different signs.
+    while the two literals compute different signs.  f.complex runs the
+    same code on complex numbers, in _COMPLEX_NS.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
     temps: dict[str, str] = {}  # operation text -> temporary
@@ -730,9 +737,10 @@ def compile_exprs(
            + "".join(lines) + f"    return ({', '.join(outs)}{trailing})\n")
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
-    namespace["_compiled"].nodes = tuple(nodes)
-    namespace["_compiled"].source = src
-    return namespace["_compiled"]
+    program = namespace["_compiled"]
+    program.nodes, program.source = tuple(nodes), src
+    program.complex = types.FunctionType(program.__code__, _COMPLEX_NS)
+    return program
 
 
 @lru_cache(maxsize=None)
@@ -760,7 +768,8 @@ def jet(
     value, so equal specs rebuilt later reuse it.  A native domain
     failure raises a DomainError naming the node of the failing program
     line, with the message _DOMAIN_MESSAGES holds for that node's
-    operation and the exception.
+    operation and the exception.  run.complex(point) returns the
+    program's complex twin at a complex point, through the same indices.
     """
     if order not in (0, 1, 2):
         raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
@@ -792,9 +801,10 @@ def jet(
             node = program.nodes[traceback.extract_tb(err.__traceback__)[-1].lineno - 2]
             op = "^" if isinstance(node, IntPow) else node.op
             raise DomainError(_DOMAIN_MESSAGES[op, type(err)], to_text(node)) from err
-        flat = np.array(values, dtype=float)
-        return tuple(flat[index] for index in indices)
+        return tuple(map(np.array(values, dtype=float).__getitem__, indices))
 
+    run.complex = lambda point: tuple(
+        map(np.array(program.complex(*point), dtype=complex).__getitem__, indices))
     return run
 
 

@@ -23,10 +23,10 @@ Riemannian Geometry, 1926, section 8):
     R_hijk     = d_k Gamma_h,ij - d_j Gamma_h,ik + Gamma_a,hj Gamma^a_ik - Gamma_a,hk Gamma^a_ij
 
 g, dg and d2g come from exact symbolic derivatives of the component
-expressions, never from finite differences.  A MetricSpec binds its
-conditions program and its components program from ex.jet on first
-use, so no point's evaluation looks up ex.jet's cache; a warped
-product's also yields the jets of its fiber components and warp.
+expressions, and d R from a complex step through their program.  A
+MetricSpec binds its conditions and components programs from ex.jet
+on first use, so no point's evaluation looks up ex.jet's cache; a
+warped product's also yields the jets of its fiber components and warp.
 
 metric_jets(spec, points) evaluates conditions and jets point by point,
 stacked on a leading point axis, and jet_block reads (g, dg, d2g) from
@@ -394,23 +394,15 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Smoke check: differential (second) Bianchi identity.  The cyclic sum
-# nabla_l R_hijk + nabla_j R_hikl + nabla_k R_hilj must vanish; the
-# derivative here is finite-differenced from R at 2n stencil points
-# around the point of base, a one-lane stacked frame (unchecked jets,
-# one stacked curvature kernel, no frames), so this is a coarse check only.
+# Differential (second) Bianchi identity: nabla_l R_hijk + nabla_j R_hikl
+# + nabla_k R_hilj = 0.  d_l R is exact: Im R / h of one curvature kernel
+# over the components program's complex twin at x + ih e_l, l < n, x the
+# one lane of base (the complex step; Martins, Sturdza and Alonso, 2003).
 
 def second_bianchi_residual(base: PointFrame) -> float:
-    spec, step = base.spec, 1e-5
-    n = spec.dim
-    stencil = []
-    for l in range(n):
-        for sign in (1.0, -1.0):
-            pt = list(base.point[0])
-            pt[l] += sign * step
-            stencil.append(pt)
-    R = _curvature(*jet_block(metric_jets(spec, stencil, False)))[2]
-    dR = (R[0::2] - R[1::2]) / (2 * step)
+    spec, h = base.spec, 1e-30
+    lanes = map(spec._component_jet.complex, (base.point[0] + 1j * h * np.eye(spec.dim)).tolist())
+    dR = _curvature(*jet_block(tuple(map(np.array, zip(*lanes)))))[2].imag / h
     gam, R = base.gamma[0], base.riemann[0]
     nabla = (
         dR

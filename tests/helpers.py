@@ -166,6 +166,18 @@ def central_difference(e, point, name, h=1e-5):
     return (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
 
 
+def third_partials(spec, point):
+    """d3g[m, l, k, i, j] = d_m d_l d_k g_ij of spec's metric at a point,
+    from symbolic order-3 diff: the oracle for the complex step."""
+    n, coords = spec.dim, spec.coords
+    memos = {c: {} for c in coords}
+    d = lambda e, c: ex.diff(e, c, _memo=memos[c])
+    exprs = [d(d(d(e, k), l), m) for m in coords for l in coords for k in coords
+             for row in spec.components for e in row]
+    (values,) = ex.jet(tuple(exprs), coords, spec.bindings, 0)(point)
+    return values.reshape(n, n, n, n, n)
+
+
 # The second-kind curvature assembly: the oracle for geometry's
 # first-kind kernel.  It differentiates g^{-1} and Gamma^h_ij and
 # lowers R at the end.

@@ -378,6 +378,18 @@ class TestValidation:
         assert proc.stderr == "error: seed must be an integer of at least 0, got -1\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("out", ["taken", "taken/reports"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        # The report directory is made before the run: an --out that names
+        # a file (or lies under one) used to run the whole manifest, then
+        # end in a FileExistsError traceback with exit 1.
+        (tmp_path / "taken").write_text("")
+        runs = count_calls(monkeypatch, cli, "run_manifest")
+        proc = run_cli(["run", "flat_space", "--out", str(tmp_path / out)], capsys)
+        assert proc.returncode == 2 and not runs
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     @pytest.mark.parametrize("override", [{"seed": -1}, {"seed": 1.5}, {"seed": True},
                                           {"points": 2.5}, {"points": 0.0}])
     def test_overrides_must_be_schema_integers(self, override):
@@ -514,23 +526,27 @@ class TestRun:
             cli.run_manifest(manifest, suites=suites, points=1)
         assert all(suite in str(err.value) for suite in cli.SUITES)
 
-    def test_point_error_becomes_record(self, tmp_path):
-        # The finite-difference second_bianchi stencil around x = 1e-5
-        # steps onto x = 0, where d|x|/dx divides by zero.  The pinned
-        # point and two sampled ones make one chunk: the error takes the
-        # place of the pinned point's second_bianchi record only.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_point_error_becomes_record(self, tmp_path, monkeypatch, capsys):
+        # At the pinned x = 0.2 the metric's exp(+-460 ...) factors make
+        # its curvature overflow; at the sampled x >= 0.5 they are 1.  At
+        # one point per chunk, the error takes the pinned point's place
+        # only, and the report is still written.
+        bump = "460*exp(-1e4*(x - 0.2)^2)"
         manifest = {
             "name": "bad_point", "seed": 1, "points": 2, "suites": ["geometry-symmetries"],
             "manifolds": [{
-                "name": "kink", "kind": "explicit", "coords": ["x", "y"],
-                "metric": [["1 + abs(x)", "0"], ["0", "1"]],
-                "box": {"x": [0.5, 1.0], "y": [0.0, 1.0]},
-                "pinned_points": [{"x": 1e-5, "y": 0.5}],
+                "name": "bump", "kind": "explicit", "coords": ["t", "x", "y", "z"],
+                "metric": [[f"-(1 + x^2)*exp({bump})", "0", "0", "0"], ["0", "1", "0", "0"],
+                           ["0", "0", "1", "0"], ["0", "0", "0", f"(2 + y^2)*exp(-{bump})"]],
+                "box": {"t": [0, 1], "x": [0.5, 1.0], "y": [0, 1], "z": [0, 1]},
+                "pinned_points": [{"t": 0.5, "x": 0.2, "y": 0.5, "z": 0.5}],
             }],
         }
         path = tmp_path / "bad_point.json"
         path.write_text(json.dumps(manifest))
-        proc = run_module(["run", str(path), "--out", str(tmp_path / "out")])
+        monkeypatch.setattr(cli.roter, "chunk_size", lambda n: 1)
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         records = [
@@ -539,11 +555,28 @@ class TestRun:
         ]
         errors = [r for r in records if r["check"] == "error"]
         assert len(errors) == 1 and errors[0]["point_index"] == 0
-        assert not errors[0]["ok"] and "x/abs(x)" in errors[0]["detail"]
+        assert not errors[0]["ok"] and "curvature is not finite" in errors[0]["detail"]
         assert all(r["ok"] for r in records if r["check"] != "error")
         checks = [{r["check"]: r for r in records if r["point_index"] == i} for i in range(3)]
-        assert "second_bianchi" not in checks[0] and "frame_scalars" in checks[0]
         assert checks[1]["second_bianchi"]["pass"] and "second_bianchi" not in checks[2]
+
+    def test_bianchi_check_stays_at_the_point(self):
+        # d|x|/dx = x/abs(x) divides by zero at x = 0, one step of 1e-5
+        # from the pinned x = 1e-5.  The complex step keeps the real part
+        # at the point, so the check runs there, exactly.
+        manifest = {
+            "name": "kink", "seed": 1, "points": 2, "suites": ["geometry-symmetries"],
+            "manifolds": [{
+                "name": "kink", "kind": "explicit", "coords": ["x", "y"],
+                "metric": [["1 + abs(x)", "0"], ["0", "1"]],
+                "box": {"x": [0.5, 1.0], "y": [0.0, 1.0]},
+                "pinned_points": [{"x": 1e-5, "y": 0.5}],
+            }],
+        }
+        records, summary = cli.run_manifest(manifest)
+        assert summary["ok"] and not [r for r in records if r["check"] == "error"]
+        (pinned,) = [r for r in records if r["check"] == "second_bianchi" and r["point_index"] == 0]
+        assert pinned["pass"] and pinned["residual"] < 1e-13
 
     @pytest.mark.parametrize("suite", ["theorem21", "geometry-symmetries"])
     def test_non_finite_curvature_is_an_error_record(self, tmp_path, suite):
@@ -729,7 +762,7 @@ class TestSharedEvaluation:
             return frames(spec, points, *jet)
 
         def counted_jets(spec, points, check=True):
-            if check:  # sampling and the Bianchi stencil run unchecked jets
+            if check:  # sampling runs unchecked jets
                 for point in points:
                     evaluated[(spec, tuple(point))] += 1
             return metric_jets(spec, points, check)
@@ -767,9 +800,9 @@ class TestSharedEvaluation:
         assert [exprs[0] for exprs, _, _ in compiled] == roots
 
     def test_bianchi_stencil_builds_no_frames(self, monkeypatch):
-        # The second Bianchi check reads R at its 2n stencil points from
-        # unchecked jets, so the only frame lane per (target, point) is
-        # the one its Chunk builds.
+        # The second Bianchi check reads R at its n complex-step points
+        # from the components program's complex twin, so the only frame
+        # lane per (target, point) is the one its Chunk builds.
         frames = count_calls(monkeypatch, geo, "frames")
         records, summary = cli.run_manifest(corpus_get("rn_lambda0"), points=2)
         assert summary["ok"]
@@ -953,7 +986,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 # sha256 of the corpus's records files, in corpus_list order, as
 # write_report writes them at each entry's declared seed and points.  A
 # change that moves a residual updates it and says so.
-CORPUS_RECORDS_SHA256 = "1546203d057fce56071cb2bff1efb20a9b593f7a80c215549c33917d7b847532"
+CORPUS_RECORDS_SHA256 = "09786d3007c040a959b59500b49b6c96ab0a0924d7a33fcf2777217453d327c5"
 
 
 class TestWholeCorpus:
@@ -981,10 +1014,10 @@ class TestWholeCorpus:
 # horizon, at 60 points (chunks of 18, 18, 18 and 6; sampling rejects 14
 # candidates).  A change that moves a residual updates them and says so.
 SWEEP_RECORDS_SHA256 = {
-    "theorem41_n4": "1b2444b6cee102e5f205fcd634d0af4d6233bcd20f9d4c1deeca09f58748a7e6",
-    "theorem41_c_pos_n5": "d2459b4d0d8e4746a1616b54f38fd57240b074ed6ea60d39b2aa62bf3cd7e4ef",
-    "theorem41_c_neg_n6": "adab05a674d47d42fb744e0519e436d893bcdeeec9695cbd679ca742c9a094c5",
-    "rn_lambda0": "0a37ae5f59af0c0f3f102c7ee1dc681ca70c06e77dfc439cc42fbf83f9fd1d99",
+    "theorem41_n4": "dd320c155b4cb6374f7911473a4ed8ff069c2565fd3b8631d7c2451f44f464e8",
+    "theorem41_c_pos_n5": "80b760ce7405d6d1188144f06d7d9d69193f8c9b14b6f572f2f5068f9379d43a",
+    "theorem41_c_neg_n6": "aad6501e43b7d5bab41cfa6743cef5b04f1704595822882cfcc481e90bac4c64",
+    "rn_lambda0": "d76d600a2594845da9b034303de12a4b2837b00df5f32e6d00c9a0784651b6b6",
 }
 
 

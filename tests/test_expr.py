@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +263,20 @@ def test_compiled_matches_treewalk():
                 for l in range(k + 1):
                     want2 = evaluate(diff(dk, COORDS[l]), p)
                     assert second[l, k, i] == second[k, l, i] == want2
+
+
+def test_complex_twin_steps_to_the_first_derivatives():
+    # Im / h of the jet's complex twin at x + ih e_k is the exact d_k of
+    # each value: the order-1 jet's, to round-off (4000 derivatives).
+    rng, h = random.Random(28), 1e-30
+    exprs = tuple(random_expr(rng, rng.choice([1, 2, 3])) for _ in range(200))
+    program = ex.jet(exprs, COORDS, Bindings(), 1)
+    for _ in range(10):
+        x = list(random_point(rng).values())
+        _, first = program(x)
+        for k, step in enumerate((np.array(x) + 1j * h * np.eye(len(x))).tolist()):
+            twin = program.complex(step)[0].imag / h
+            assert np.all(np.abs(twin - first[k]) <= 1e-13 * (1.0 + np.abs(first[k])))
 
 
 def _psi_values_at_pole():

@@ -25,6 +25,7 @@ from helpers import (
     riemann_symmetry_residuals,
     second_kind_curvature,
     stack,
+    third_partials,
     trace_residual,
     zero_residual,
 )
@@ -374,7 +375,38 @@ class TestSmokeChecks:
         assert geo.second_bianchi_residual(geo.frames(UNIT_SPHERE, [(1.0, 0.3)])) < 1e-4
 
     def test_second_bianchi_on_charged_metric(self):
-        assert geo.second_bianchi_residual(geo.frames(rn_metric(1.0, 1.0, 0.0), [RN_POINT])) < 1e-4
+        # Exact d R: 1.7e-16 here, where a 1e-5 stencil read 4.8e-12.
+        assert geo.second_bianchi_residual(geo.frames(rn_metric(1.0, 1.0, 0.0), [RN_POINT])) < 1e-14
+
+    @pytest.mark.parametrize("name", ["theorem41_n4", "rn_desitter"])
+    def test_complex_step_gives_the_third_partials(self, name):
+        # Im / h of the components program's complex twin at x + ih e_m is
+        # d_m of its d2g: the symbolic third partials, to round-off.
+        h = 1e-30
+        job = cli.build_job(corpus_get(name)["manifolds"][0])
+        for point in cli.sample_points(job, 2, np.random.default_rng(7)):
+            for spec in (target.spec for target in job.targets):
+                n = spec.dim
+                want = third_partials(spec, point)
+                steps = (np.array(point) + 1j * h * np.eye(n)).tolist()
+                got = np.array([spec._component_jet.complex(x)[2][..., : n * n].imag / h
+                                for x in steps]).reshape(want.shape)
+                assert np.max(np.abs(got - want)) <= 1e-14 * (np.max(np.abs(want)) + 1.0)
+
+    def test_planted_defect_in_dR_fails_the_bianchi_check(self, monkeypatch):
+        # The complex lanes' Im R, scaled by 1 + 1e-6, is a defect of d R
+        # alone; the check must see it above the geo bound.
+        bound = cli.DEFAULT_TOLERANCES["geo"]
+        f = geo.frames(rn_metric(1.0, 1.0, 0.0), [RN_POINT])
+        assert geo.second_bianchi_residual(f) < bound
+        curvature = geo._curvature
+
+        def planted(g, dg, d2g):
+            ginv, gamma, R = curvature(g, dg, d2g)
+            return ginv, gamma, R.real + 1j * (1 + 1e-6) * R.imag
+
+        monkeypatch.setattr(geo, "_curvature", planted)
+        assert geo.second_bianchi_residual(f) > bound
 
     def test_constant_curvature_scalar_is_twice_gauss(self):
         spec = constant_curvature_2d("x", 0.5, 4.0)

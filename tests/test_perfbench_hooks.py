@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from curvcheck import cli, roter
+from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck.corpus import corpus_get
 
@@ -73,3 +74,16 @@ def test_roter_entries_take_a_stacked_frame(tracer):
         args = calls[attr]  # a new roter entry needs its chunk call here
         assert tracer["_frame_dim"](args) == 4
         assert len(getattr(roter, attr)(*args)) == len(points), attr
+
+
+def test_traced_programs_keep_their_complex_twin(tracer):
+    # install() wraps compile_exprs and, through _after_compile, each
+    # program it returns, with functools.wraps, which copies the program's
+    # attributes.  So the twin must come from compile_exprs itself: one
+    # built later from the program's __code__ would run the tracer's wrapper.
+    t = tracer["Tracer"]()
+    compile_exprs = t.wrap("expr.compile_exprs", ex.compile_exprs, after=t._after_compile)
+    program = compile_exprs([ex.parse("x^3", ["x"])], ["x"], {})
+    assert program.__wrapped__ is not program
+    assert program.complex.__code__ is program.__wrapped__.__code__
+    assert program.complex(2 + 1e-30j)[0].imag / 1e-30 == pytest.approx(12.0, rel=1e-15)
