@@ -13,7 +13,8 @@ Identical manifest and seed produce byte-identical records and summary
 with expectations, 1 at least one check off-expectation (an error at a
 sampled point is recorded as an off-expectation "error" check and the
 report is still written), 2 manifest, schema or out-of-range
---points / --seed / --tol-scale error, or an --out it cannot make.
+--points / --seed / --tol-scale error, or an --out it cannot make.  A
+run that writes no report removes the directories it made for one.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ DEFAULT_TOLERANCES = {
     "geo": 1e-9,
     "identity": 1e-8,
     "compound": 1e-7,
-    "smoke": 1e-4,
     "pinned": 1e-6,
 }
 
@@ -1010,25 +1010,33 @@ def main(argv=None) -> int:
         return 0
 
     out_dir = args.out or os.environ.get(OUT_ENV) or "reports"
-    fresh = not os.path.isdir(out_dir)  # a failed run leaves no directory
+    made = []  # the directories the run makes, deepest first
+    parent = os.path.abspath(out_dir)
+    while not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     try:
-        manifest = load_manifest(args.manifest)
-        _validate_overrides(args.points, args.seed, args.tol_scale, manifest.get("tolerances"))
-        os.makedirs(out_dir, exist_ok=True)
-    except (ManifestError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        records, summary = run_manifest(
-            manifest, suites=args.suite, points=args.points,
-            seed=args.seed, tol_scale=args.tol_scale,
-        )
-    except (*_POINT_ERRORS, ManifestError) as err:
-        if fresh:
-            os.rmdir(out_dir)
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    paths = write_report(records, summary, out_dir)
+        try:
+            manifest = load_manifest(args.manifest)
+            _validate_overrides(args.points, args.seed, args.tol_scale, manifest.get("tolerances"))
+            os.makedirs(out_dir, exist_ok=True)
+        except (ManifestError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        try:
+            records, summary = run_manifest(
+                manifest, suites=args.suite, points=args.points,
+                seed=args.seed, tol_scale=args.tol_scale,
+            )
+        except (*_POINT_ERRORS, ManifestError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        paths = write_report(records, summary, out_dir)
+        made.clear()
+    finally:  # a run that writes no report leaves no directory it made
+        for path in made:
+            with suppress(OSError):  # kept if another run has written into it
+                os.rmdir(path)
     with open(paths["text"], encoding="utf-8") as fh:
         print(fh.read())
     print(f"records : {paths['records']}")

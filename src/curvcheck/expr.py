@@ -652,7 +652,10 @@ _COMPILE_NS = {
 # The complex twin's namespace: analytic continuations, abs by the real part's sign.
 _COMPLEX_NS = {
     **{f"_{op}": getattr(cmath, op) for op in ("sin", "cos", "tan", "exp", "log", "sqrt")},
-    "_abs": lambda z: -z if z.real < 0 else z, "_pow": pow, "__builtins__": {}}
+    "_abs": lambda z: -z if z.real < 0 else z,
+    "_pow": pow,
+    "__builtins__": {},
+}
 
 # A failing program line raises the interpreter's native exception.
 # jet() names it by (operation of the line's node, exception type); an
@@ -738,7 +741,8 @@ def compile_exprs(
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
     program = namespace["_compiled"]
-    program.nodes, program.source = tuple(nodes), src
+    program.nodes = tuple(nodes)
+    program.source = src
     program.complex = types.FunctionType(program.__code__, _COMPLEX_NS)
     return program
 
@@ -801,10 +805,14 @@ def jet(
             node = program.nodes[traceback.extract_tb(err.__traceback__)[-1].lineno - 2]
             op = "^" if isinstance(node, IntPow) else node.op
             raise DomainError(_DOMAIN_MESSAGES[op, type(err)], to_text(node)) from err
-        return tuple(map(np.array(values, dtype=float).__getitem__, indices))
+        flat = np.array(values, dtype=float)
+        return tuple(flat[index] for index in indices)
 
-    run.complex = lambda point: tuple(
-        map(np.array(program.complex(*point), dtype=complex).__getitem__, indices))
+    def run_complex(point: Sequence[complex]) -> tuple[np.ndarray, ...]:
+        flat = np.array(program.complex(*point), dtype=complex)
+        return tuple(flat[index] for index in indices)
+
+    run.complex = run_complex
     return run
 
 

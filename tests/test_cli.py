@@ -390,6 +390,20 @@ class TestValidation:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    def test_smoke_tolerance_is_rejected(self, tmp_path, capsys):
+        # smoke bounded only the finite-difference Bianchi check, which is
+        # gone: a manifest that sets it is told so, not silently ignored.
+        manifest = corpus_get("flat_space")
+        manifest["tolerances"] = {"smoke": 1e-3}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "'smoke' was unexpected" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [{"seed": -1}, {"seed": 1.5}, {"seed": True},
                                           {"points": 2.5}, {"points": 0.0}])
     def test_overrides_must_be_schema_integers(self, override):
@@ -648,6 +662,43 @@ class TestRun:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "too deep" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [geo.GeometryError("refused"), KeyboardInterrupt()],
+                             ids=["run_error", "interrupt"])
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch, capsys,
+                                                        error):
+        # --out a/b with no a: a failed run used to leave an empty a, and an
+        # interrupted one both a and a/b.
+        out = tmp_path / "a" / "b"
+
+        def failing(*args, **kwargs):
+            assert out.is_dir()
+            raise error
+
+        monkeypatch.setattr(cli, "run_manifest", failing)
+        args = ["run", "flat_space", "--out", str(out)]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args)
+        else:
+            proc = run_cli(args, capsys)
+            assert proc.returncode == 1 and proc.stderr == "error: refused\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_failed_run_keeps_a_directory_another_run_wrote_into(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # A run sharing the default reports/ may write into it meanwhile:
+        # removing it used to end in an OSError traceback.
+        out = tmp_path / "reports"
+
+        def failing(*args, **kwargs):
+            (out / "other.records.jsonl").write_text("")
+            raise geo.GeometryError("refused")
+
+        monkeypatch.setattr(cli, "run_manifest", failing)
+        proc = run_cli(["run", "flat_space", "--out", str(out)], capsys)
+        assert proc.returncode == 1 and proc.stderr == "error: refused\n"
+        assert [p.name for p in out.iterdir()] == ["other.records.jsonl"]
 
 
 def count_calls(monkeypatch, module, name) -> list:
