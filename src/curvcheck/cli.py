@@ -9,12 +9,14 @@ writes a structured report:
     <name>.summary.txt     human-readable digest
 
 Identical manifest and seed produce byte-identical records and summary
-(modulo the summary timestamp field).  Exit codes: 0 all checks agree
-with expectations, 1 at least one check off-expectation (an error at a
-sampled point is recorded as an off-expectation "error" check and the
-report is still written), 2 manifest, schema or out-of-range
---points / --seed / --tol-scale error, or an --out it cannot make.  A
-run that writes no report removes the directories it made for one.
+(modulo the summary timestamp field).  Exit codes: 0 at least one check
+and every check agrees with its expectation; 1 a check off-expectation
+(an error at a sampled point is recorded as an off-expectation "error"
+check) or no check at all, with the report written, or a manifold that
+cannot be built or sampled, with one "error:" line and no report; 2
+manifest, schema or out-of-range --points / --seed / --tol-scale error,
+or an --out it cannot make.  A run that writes no report removes the
+directories it made for one.
 """
 
 from __future__ import annotations
@@ -310,7 +312,9 @@ def validate_manifest(data: dict) -> None:
     if errors:
         joined = "; ".join(f"{where}: {message}" for message, where in errors[:5])
         raise ManifestError(f"manifest schema violation: {joined}")
-    for mdef in data["manifolds"]:
+    for index, mdef in enumerate(data["manifolds"]):
+        if mdef["name"] in (other["name"] for other in data["manifolds"][:index]):
+            raise ManifestError(f"manifold name {mdef['name']!r} is used more than once")
         kind = mdef["kind"]
         for key in _KIND_KEYS[kind][0]:
             if key not in mdef:
@@ -379,19 +383,19 @@ class Job:
         return self.kind == "family" and self.expect.get("classify", "ROTER") == "ROTER"
 
     def sample_ok(self, point) -> bool:
-        """Admissible for every target and, on a mapped pair, with a psi
-        jet that evaluates: no chunk piece or psi jet can fail there."""
-        if self.family is not None:
-            ok = self.family.admissible_sample(point)
-        else:
-            ok = all(geo.admissible(t.spec, point) for t in self.targets)
+        """Admissible for every target, clear of a family's mapping guards and, on
+        a mapped pair, with a psi jet that evaluates: no chunk piece fails there."""
+        if not all(geo.admissible(t.spec, point) for t in self.targets):
+            return False
+        if self.family is not None and not self.family.guards_hold(point):
+            return False
         mapped = self.pair or self.family
-        if ok and mapped is not None:
+        if mapped is not None:
             try:
-                mapped.psi.jet(point)
+                mapped.psi(point)
             except _POINT_ERRORS:
                 return False
-        return ok
+        return True
 
 
 def _build_explicit(mdef) -> geo.MetricSpec:
@@ -705,7 +709,7 @@ class Chunk:
         the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
         psi = (job.pair or job.family).psi
-        jets = tuple(np.array(part) for part in zip(*map(psi.jet, self.points)))
+        jets = tuple(np.array(part) for part in zip(*map(psi, self.points)))
         frames = (source.stacked, self.stacked)
         checks = [
             ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),
@@ -879,7 +883,7 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
             "failed": failed,
             "off_expectation": off_expectation,
         },
-        "ok": off_expectation == 0,
+        "ok": off_expectation == 0 and bool(records),  # a run with no check shows nothing
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -22,8 +22,8 @@ spaces and are pseudosymmetric of constant type, with
 and the residual functions below certify every compatibility equation
 and closed form the construction promises, one residual per point of
 a chunk.  They evaluate no frame: they take the stacked (source,
-image) frames or WarpedDiagnostics, the fits, and the ψ jets, PsiField.jet
-at each point stacked as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).
+image) frames or WarpedDiagnostics, the fits, and the ψ jets, the psi
+program at each point stacked as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "GeodesicPair2D",
     "FamilyConfig",
     "Family",
-    "PsiField",
     "FamilyError",
     "geodesic_pair_2d",
     "build_family",
@@ -93,21 +92,7 @@ class FamilyError(geo.GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# ψ fields
-
-@dataclass(frozen=True)
-class PsiField:
-    """Mapping covector: component expressions over a common chart."""
-
-    coords: tuple[str, ...]
-    exprs: tuple[ex.Expr, ...]
-    bindings: ex.Bindings
-
-    @cached_property
-    def jet(self):
-        """point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per field."""
-        return ex.jet(self.exprs, self.coords, self.bindings, 1)
-
+# ψ jets
 
 def _second_form(frame: geo.PointFrame, jets) -> np.ndarray:
     """ψ_ij = ∂_j ψ_i - Γ^s_ij ψ_s - ψ_i ψ_j at each lane, Γ of frame."""
@@ -131,16 +116,17 @@ class GeodesicPair2D:
 
     source: geo.MetricSpec
     image: geo.MetricSpec
-    psi: PsiField
-    map_scale: float
+    psi: Callable  # point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per pair
     map_shift: float
 
 
-def _pair_components(a_expr, b_expr):
+def _pair_components(a_expr, b_expr, bp):
+    """1 + q𝔟, the image components 𝔞̄ and 𝔟̄, and ψ₁ = -(q𝔟'/2)/(1+q𝔟)."""
     one_plus_qb = ex.add(ex.num(1.0), ex.mul(ex.const("q"), b_expr))
     abar = ex.div(ex.mul(ex.const("p"), a_expr), ex.intpow(one_plus_qb, 2))
     bbar = ex.div(ex.mul(ex.const("p"), b_expr), one_plus_qb)
-    return one_plus_qb, abar, bbar
+    psi1 = ex.neg(ex.div(ex.mul(ex.const("q"), bp), ex.mul(ex.num(2.0), one_plus_qb)))
+    return one_plus_qb, abar, bbar, psi1
 
 
 def geodesic_pair_2d(a, b, map_scale: float, map_shift: float) -> GeodesicPair2D:
@@ -156,15 +142,14 @@ def geodesic_pair_2d(a, b, map_scale: float, map_shift: float) -> GeodesicPair2D
     a_expr = ex.parse(a, coords, names) if isinstance(a, str) else a
     b_expr = ex.parse(b, coords, names) if isinstance(b, str) else b
     bp = ex.diff(b_expr, coords[0])
-    one_plus_qb, abar, bbar = _pair_components(a_expr, b_expr)
+    one_plus_qb, abar, bbar, psi1 = _pair_components(a_expr, b_expr, bp)
     shared = ((a_expr, "nonzero"), (b_expr, "nonzero"), (bp, "nonzero"))
     source = geo.metric_spec(coords, [[a_expr, 0.0], [0.0, b_expr]], binds, shared)
     image = geo.metric_spec(
         coords, [[abar, 0.0], [0.0, bbar]], binds, shared + ((one_plus_qb, "nonzero"),)
     )
-    psi1 = ex.neg(ex.div(ex.mul(ex.const("q"), bp), ex.mul(ex.num(2.0), one_plus_qb)))
-    psi = PsiField(coords, (psi1, ex.Num(0.0)), binds)
-    return GeodesicPair2D(source, image, psi, float(map_scale), float(map_shift))
+    psi = ex.jet((psi1, ex.Num(0.0)), coords, binds, 1)
+    return GeodesicPair2D(source, image, psi, float(map_shift))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +189,7 @@ class Family:
     cfg: FamilyConfig
     source: wp.WarpedSpec
     image: wp.WarpedSpec
-    psi: PsiField
+    psi: Callable  # point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per family
     profile: ex.Expr
     profile_jet: Callable  # (B, B') on the (x, t) chart, bound once per family
     profile_invariant: float  # (B')^2 - c B^2, constant in t
@@ -231,11 +216,9 @@ class Family:
             4.0 * self.cfg.map_scale
         )
 
-    def admissible_sample(self, point) -> bool:
-        """Admissibility plus the near-singular-mapping guards."""
-        if not (geo.admissible(self.source.product, point)
-                and geo.admissible(self.image.product, point)):
-            return False
+    def guards_hold(self, point) -> bool:
+        """Whether 1 + q𝔟, D𝔟 - 4C, 𝔟' and B clear GUARD_FLOOR at point, so the
+        mapping is not near-singular there; admissibility is checked apart."""
         vals = family_values(self, [tuple(float(v) for v in point)])
         return all(abs(vals[key][0]) >= GUARD_FLOOR for key in ("one_plus_qb", "shape", "bp", "B"))
 
@@ -294,16 +277,15 @@ def build_family(cfg: FamilyConfig) -> Family:
             "no Roter decomposition on this chart",
         )
 
-    one_plus_qb, abar, bbar = _pair_components(a_expr, b_expr)
+    one_plus_qb, abar, bbar, psi1 = _pair_components(a_expr, b_expr, bp)
     guards = (
         (b_expr, "nonzero"),
         (bp, "nonzero"),
         (shape, "nonzero"),
         (one_plus_qb, "nonzero"),
-        (profile, "nonzero"),
     )
     base = geo.metric_spec(coords2, [[a_expr, 0.0], [0.0, b_expr]], binds, guards[:3])
-    base_bar = geo.metric_spec(coords2, [[abar, 0.0], [0.0, bbar]], binds, guards[:4])
+    base_bar = geo.metric_spec(coords2, [[abar, 0.0], [0.0, bbar]], binds, guards)
     fiber = wp.constant_curvature_fiber(cfg.fiber_dim, cfg.fiber_scalar)
 
     warp = ex.mul(b_expr, ex.intpow(profile, 2))
@@ -311,9 +293,7 @@ def build_family(cfg: FamilyConfig) -> Family:
     source = wp.assemble(base, fiber, warp)
     image = wp.assemble(base_bar, fiber, warp_bar)
 
-    chart = source.product.coords
-    psi1 = ex.neg(ex.div(ex.mul(ex.const("q"), bp), ex.mul(ex.num(2.0), one_plus_qb)))
-    psi = PsiField(chart, (psi1,) + (ex.Num(0.0),) * (n - 1), binds)
+    psi = ex.jet((psi1,) + (ex.Num(0.0),) * (n - 1), source.product.coords, binds, 1)
     return Family(cfg, source, image, psi, profile, profile_jet, invariant)
 
 

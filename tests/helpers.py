@@ -239,7 +239,7 @@ def constant_curvature_2d(b, gauss_curvature, energy, coords=("x", "y"), binding
 
 def psi_jets(psi, points):
     """The stacked psi jets (psi, dpsi) of a mapping at a chunk of points."""
-    jets = [psi.jet(point) for point in points]
+    jets = [psi(point) for point in points]
     return np.array([v for v, _ in jets]), np.array([d for _, d in jets])
 
 
@@ -454,12 +454,12 @@ def point_conformal_flatness(d) -> tuple:
 
 def point_second_form(psi, frame):
     """psi_ij = d_j psi_i - Gamma^s_ij psi_s - psi_i psi_j at frame's point."""
-    pv, dpsi = psi.jet(frame.point)
+    pv, dpsi = psi(frame.point)
     return dpsi.T - np.einsum("sij,s->ij", frame.gamma, pv) - np.outer(pv, pv)
 
 
 def point_gradient_residual(psi, point) -> float:
-    _, dpsi = psi.jet(point)
+    _, dpsi = psi(point)
     return float(np.max(np.abs(dpsi - dpsi.T)) / (np.max(np.abs(dpsi)) + 1.0))
 
 
@@ -473,14 +473,14 @@ def point_family_values(fam, point) -> dict:
 def point_geodesic_compatibility(frame, image_frame, psi) -> float:
     gbar = image_frame.g
     lhs = geo.covariant_derivative_02(frame, gbar, image_frame.dg)
-    pv = psi.jet(frame.point)[0]
+    pv = psi(frame.point)[0]
     rhs = (2.0 * np.einsum("k,ij->kij", pv, gbar) + np.einsum("i,jk->kij", pv, gbar)
            + np.einsum("j,ik->kij", pv, gbar))
     return max_abs_residual(lhs, rhs)
 
 
 def point_christoffel_shift(frame, image_frame, psi) -> float:
-    pv = psi.jet(frame.point)[0]
+    pv = psi(frame.point)[0]
     eye = np.eye(len(pv))
     shift = np.einsum("hi,j->hij", eye, pv) + np.einsum("hj,i->hij", eye, pv)
     return max_abs_residual(image_frame.gamma, frame.gamma + shift)
@@ -541,7 +541,7 @@ def point_family_image_ricci_forms(fam, d_bar, v) -> dict:
 
 def point_warp_compatibility(fam, d, d_bar) -> tuple:
     Fv, Fbv, grad, grad_bar = d.f_value, d_bar.f_value, d.grad, d_bar.grad
-    psi_v = fam.psi.jet(d.frame.point)[0][:2]
+    psi_v = fam.psi(d.frame.point)[0][:2]
     f_up = d.base_frame.ginv @ grad
     lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (d_bar.base_frame.g @ f_up)
     res_scale = max_abs_residual(lhs_scale, Fbv * psi_v)

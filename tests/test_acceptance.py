@@ -340,7 +340,8 @@ def family_points(fam, rng, count):
         base = [x, rng.uniform(-0.35, 0.6)]
         fib = [rng.uniform(-0.3, 0.3) for _ in range(fam.cfg.fiber_dim)]
         pt = tuple(base + fib)
-        if fam.admissible_sample(pt):
+        if (all(geo.admissible(m.product, pt) for m in (fam.source, fam.image))
+                and fam.guards_hold(pt)):
             pts.append(pt)
     return pts
 

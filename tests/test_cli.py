@@ -186,6 +186,19 @@ class TestValidation:
         assert all(repr(key) in err for key in foreign)
         assert not out.exists()
 
+    def test_repeated_manifold_name_exits_2(self, tmp_path, capsys):
+        # Records are keyed by manifold name: two manifolds named "m" used
+        # to run green, each pair of their records merged in the digest.
+        bad = self.good()
+        bad["manifolds"] = [dict(bad["manifolds"][0], name="m") for _ in range(2)]
+        with pytest.raises(cli.ManifestError, match="'m'"):
+            cli.validate_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "'m'" in proc.stderr
+
     def test_non_square_metric_rejected(self):
         bad = self.good()
         bad["manifolds"][0]["metric"] = [["1", "0"]]
@@ -524,6 +537,22 @@ class TestRun:
         assert {r["suite"] for r in records} == set(summary["suites"]) == {"geometry-symmetries"}
         records, _ = cli.run_manifest(manifest, points=1)
         assert {r["suite"] for r in records} == {"theorem21"}
+
+    @pytest.mark.parametrize("suite", ["geodesic", "warped-diagnostics"])
+    def test_run_with_no_check_is_not_ok(self, suite):
+        # flat_space is one explicit metric, which neither suite checks:
+        # a run that checks nothing shows nothing.
+        records, summary = cli.run_manifest(corpus_get("flat_space"), points=2, suites=[suite])
+        assert records == [] and summary["counts"]["checks"] == 0
+        assert not summary["ok"]
+
+    def test_run_with_no_check_exits_1(self, tmp_path, capsys):
+        proc = run_cli(["run", "flat_space", "--suite", "geodesic", "--out", str(tmp_path)],
+                       capsys)
+        assert proc.returncode == 1
+        assert "verdict  : FAIL" in proc.stdout
+        assert (tmp_path / "flat_space.records.jsonl").read_text() == ""
+        assert not json.loads((tmp_path / "flat_space.summary.json").read_text())["ok"]
 
     @pytest.mark.parametrize("where", ["argument", "manifest", "manifold"])
     def test_unknown_suite_is_a_manifest_error(self, where):
@@ -921,8 +950,8 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("entry", ["rn_lambda0", "theorem41_n4", "surface_pair"])
     def test_jet_lookups_do_not_grow_with_points(self, monkeypatch, entry):
         # Each chart binds its jet programs once per run (MetricSpec,
-        # WarpedSpec, PsiField, Family), so no point looks one up in the
-        # ex.jet cache, whose key compare walks the expression trees.
+        # WarpedSpec, GeodesicPair2D, Family), so no point looks one up in
+        # the ex.jet cache, whose key compare walks the expression trees.
         lookups = count_calls(monkeypatch, ex, "jet")
         counts = []
         for points in (2, 12):
@@ -1221,6 +1250,18 @@ class TestJob:
         del mdef["expect"]
         job = cli.build_job(mdef)
         assert job.expect == {} and job.fitted
+
+    def test_family_guard_rejects_a_near_singular_mapping(self):
+        # With q = -1 and b = x, 1 + qb is 3e-7 at the first point, below
+        # GUARD_FLOOR, where both members are admissible; 3e-5 clears it.
+        mdef = corpus_get("theorem41_n4")["manifolds"][0]
+        mdef["params"]["map_shift"] = -1.0
+        job = cli.build_job(mdef)
+        near, clear = (1 - 3e-7, 0.1, 0.05, -0.02), (1 - 3e-5, 0.1, 0.05, -0.02)
+        assert all(geo.admissible(t.spec, near) for t in job.targets)
+        assert abs(gm.family_values(job.family, [near])["one_plus_qb"][0]) < gm.GUARD_FLOOR
+        assert not job.sample_ok(near)
+        assert job.sample_ok(clear)
 
 
 class TestBenchmarkCalls:

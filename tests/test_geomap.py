@@ -52,7 +52,8 @@ def sample(fam, rng, count=3):
             base[0] = rng.uniform(1.3, 2.4)  # keep D*b - 4C away from zero
         fib = [rng.uniform(-0.3, 0.3) for _ in range(fam.cfg.fiber_dim)]
         pt = tuple(base + fib)
-        if fam.admissible_sample(pt):
+        if (all(geo.admissible(m.product, pt) for m in (fam.source, fam.image))
+                and fam.guards_hold(pt)):
             pts.append(pt)
     return pts
 
@@ -61,7 +62,7 @@ class TestSurfacePair:
     def test_psi_value_and_compatibility(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
         pt = (1.0, 0.2)
-        assert pair.psi.jet(pt)[0][0] == pytest.approx(-0.25, rel=1e-14)
+        assert pair.psi(pt)[0][0] == pytest.approx(-0.25, rel=1e-14)
         frames = pair_frames(pair, [pt])
         assert gm.geodesic_compatibility_residual(*frames, psi_jets(pair.psi, [pt])) < 1e-9
 
@@ -77,7 +78,7 @@ class TestSurfacePair:
     def test_trivial_mapping_identity(self):
         # psi = 0 and identical metrics satisfy the equation exactly.
         spec = geo.diagonal_metric(("x", "y"), ["1 + x^2", "2 + sin(x)"])
-        psi = gm.PsiField(("x", "y"), (ex.Num(0.0), ex.Num(0.0)), ex.Bindings())
+        psi = ex.jet((ex.Num(0.0), ex.Num(0.0)), ("x", "y"), ex.Bindings(), 1)
         f = geo.frames(spec, [(0.4, 0.1)])
         jets = psi_jets(psi, f.point)
         assert gm.geodesic_compatibility_residual(f, f, jets) < 1e-14
@@ -337,7 +338,8 @@ class TestIndefiniteBase:
         # requires nondegeneracy and every relation is signature-blind.
         fam = gm.build_family(gm.FamilyConfig(c=0.0, d=-2.0, c1=2.0, c2=1.0))
         pt = (1.1, 0.2, 0.1, -0.15)
-        assert fam.admissible_sample(pt)
+        assert geo.admissible(fam.source.product, pt) and geo.admissible(fam.image.product, pt)
+        assert fam.guards_hold(pt)
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
         assert roter.classify(stack([f]))[0].kind == roter.ROTER

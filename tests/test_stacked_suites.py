@@ -9,6 +9,8 @@ whose psi jet fails, and the semisymmetry guard or a rejected fit at
 one point fails that point only.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,18 +237,18 @@ def test_a_candidate_whose_psi_jet_fails_is_not_sampled(monkeypatch):
 
     clean = sampled()
     bad = clean[3]
-    bound = gm.PsiField.jet.func
+    build_family = gm.build_family
 
-    def jet(self):
-        run = bound(self)
+    def planting(cfg):
+        family = build_family(cfg)
 
         def planted(point):
             if tuple(point) == bad:
                 raise ex.DomainError("planted", "psi")
-            return run(point)
-        return planted
+            return family.psi(point)
+        return dataclasses.replace(family, psi=planted)
 
-    monkeypatch.setattr(gm.PsiField, "jet", property(jet))
+    monkeypatch.setattr(gm, "build_family", planting)
     points = sampled()
     assert bad not in points and points[:3] == clean[:3] and points[3:15] == clean[4:]
     records, summary = cli.run_manifest(manifest, points=16)
