@@ -512,22 +512,36 @@ class Chunk:
     chunk's point axis, and holds one entry per point; a suite's piece
     holds its checks.  No piece fails at a sampled point: Job.sample_ok
     ran the metric and psi jets that the pieces run (a warped product's
-    cover its base, fiber and warp).  start is the run's index of the
-    first point.  stacked is the frame of all the points; fiber_frames
-    and diagnostics are stacked too, built from the factor jets of
-    stacked's geo.metric_jets call, which are not kept.  A family's image
-    reads the fiber frames of its peer, the source chunk."""
+    cover its base, fiber and warp).  Only curvature can still fail, by
+    overflow: evaluated then raises its one error at every read.  start
+    is the run's index of the first point.  stacked is the frame of all
+    the points; fiber_frames and diagnostics are stacked too, built from
+    the factor jets of stacked's geo.metric_jets call, which are not
+    kept.  A family's image reads the fiber frames of its peer, the
+    source chunk."""
 
     def __init__(self, job: Job, suites: set, target: Target, start: int, points: list, peer=None):
         self.job, self.suites, self.target = job, suites, target
         self.start, self.points, self.peer = start, points, peer
 
     @cached_property
-    def evaluated(self) -> tuple:
-        """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks)."""
+    def _evaluated(self):
+        """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks),
+        or the geo.GeometryError that stopped them, kept without its traceback."""
         spec, ws = self.target.spec, self.target.warped_spec
-        jets = geo.metric_jets(spec, self.points)
-        return geo.frames(spec, self.points, geo.jet_block(jets)), ws and ws.blocks(jets)
+        try:
+            jets = geo.metric_jets(spec, self.points)
+            return geo.frames(spec, self.points, geo.jet_block(jets)), ws and ws.blocks(jets)
+        except geo.GeometryError as err:
+            return err.with_traceback(None)
+
+    @property
+    def evaluated(self) -> tuple:
+        """_evaluated, computed once: a kept error is raised anew at each read,
+        as a copy, so that no traceback ties the chunk into a cycle."""
+        if isinstance(self._evaluated, geo.GeometryError):
+            raise type(self._evaluated)(*self._evaluated.args)
+        return self._evaluated
 
     @property
     def stacked(self) -> geo.PointFrame:

@@ -211,7 +211,9 @@ def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool
     jets = tuple(np.array(part) for part in zip(*jets))
     n = spec.dim
     g = np.ascontiguousarray(jets[0][:, : n * n].reshape(-1, n, n))
-    scale = np.prod(np.linalg.norm(g, axis=-1), axis=-1) + 1e-300
+    # Row norms that overflow and underflow make a NaN scale: not singular.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.prod(np.linalg.norm(g, axis=-1), axis=-1) + 1e-300
     singular = np.abs(np.linalg.det(g)) <= _DET_RATIO * scale
     if singular.any():
         raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
@@ -330,20 +332,21 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]], jet=None) -> Poi
         if len(point) != n:
             raise GeometryError(f"point has {len(point)} coordinates, chart has {n}")
     g, dg, d2g = jet if jet is not None else jet_block(metric_jets(spec, points))
-    ginv, gamma, riem = _curvature(g, dg, d2g)
+    with np.errstate(over="ignore", invalid="ignore"):  # every output is checked below
+        ginv, gamma, riem = _curvature(g, dg, d2g)
 
-    ricci = np.einsum("pad,paijd->pij", ginv, riem)
-    scalar = np.einsum("pij,pij->p", ginv, ricci)
-    ricci_sq = ricci @ ginv @ ricci
+        ricci = np.einsum("pad,paijd->pij", ginv, riem)
+        scalar = np.einsum("pij,pij->p", ginv, ricci)
+        ricci_sq = ricci @ ginv @ ricci
 
-    if n >= 4:
-        weyl = (
-            riem
-            - kulkarni_nomizu(g, ricci) / (n - 2)
-            + scalar[:, None, None, None, None] * unit_curvature(g) / ((n - 2) * (n - 1))
-        )
-    else:
-        weyl = np.zeros_like(riem)
+        if n >= 4:
+            weyl = (
+                riem
+                - kulkarni_nomizu(g, ricci) / (n - 2)
+                + scalar[:, None, None, None, None] * unit_curvature(g) / ((n - 2) * (n - 1))
+            )
+        else:
+            weyl = np.zeros_like(riem)
 
     f = PointFrame(spec, points, g, ginv, dg, gamma, riem, ricci, ricci_sq, scalar, weyl)
     finite = np.ones(len(points), dtype=bool)

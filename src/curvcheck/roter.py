@@ -43,10 +43,10 @@ lane's whole verdict: its kind, membership, fit or rejection message
 and rank-grid flag, from one fit_roter and one rank_grid_exceeds_one
 call over the chunk.
 
-A caller runs every entry once per chunk of chunk_size(n) points: at
-most 18, and at n >= 5 as many as keep one stacked order-6 product,
-m**3 floats per point for m = n(n-1)/2, within CHUNK_BYTES = 128 KB.
-That is 18 points at n <= 4, 16 at n = 5, 4 at n = 6 and 1 at n = 7.
+A caller runs every entry once per chunk of chunk_size(n) points, as
+many as keep m**3 or n**4 floats a point (order-6 product, order-4
+curvature; m = n(n-1)/2) within CHUNK_BYTES = 128 KB: 1024 at n = 2,
+202 at n = 3, 64 at n = 4, 16 at n = 5, 4 at n = 6 and 1 at n = 7.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ FIT_RESIDUAL_LIMIT = 1e-8
 # genuinely collapsing (near-Einstein Ricci).
 GRAM_CONDITION_LIMIT = 1e14
 
-# Bytes of one chunk's stacked order-6 product (see chunk_size).
+# Bytes of a chunk's largest stacked array (see chunk_size).
 CHUNK_BYTES = 128 * 1024
 # The alpha grid of rank_grid_exceeds_one, in units of 10|kappa| + 1.
 _UNIT_GRID = np.linspace(-1.0, 1.0, 21)
@@ -136,11 +136,11 @@ class RoterFit:
 
 
 def chunk_size(n: int) -> int:
-    """Points per chunk at chart dimension n: at most 18, as many as keep
-    one stacked order-6 product, m**3 floats a point for m = n(n-1)/2,
-    within CHUNK_BYTES, and at least one."""
-    m = max(n * (n - 1) // 2, 1)
-    return max(1, min(18, CHUNK_BYTES // (8 * m ** 3)))
+    """Points per chunk at chart dimension n: at least one, and as many as
+    keep a point's larger array, its order-6 product (m**3 floats for
+    m = n(n-1)/2) or an order-4 curvature array (n**4), within CHUNK_BYTES."""
+    m = n * (n - 1) // 2
+    return max(1, CHUNK_BYTES // (8 * max(m ** 3, n ** 4)))
 
 
 def in_us(frame: PointFrame) -> np.ndarray:

@@ -20,9 +20,11 @@ from curvcheck.corpus import corpus_get, corpus_list
 from helpers import stack
 from test_roter import RN_POINT, family_n4, rn_metric
 
+# Chunk sizes tried on the corpus targets; the largest, 18, takes every
+# sampled point of a target as one chunk.  Chunks at roter.chunk_size(4)
+# = 64 run in test_stacked_suites.py, as 60-point runs of a charged chart.
 CHUNK_SIZES = (1, 2, 18)
-# Sampled points per target: a full chunk of 18 at n = 4, fewer where
-# each point costs more.
+# Sampled points per target: 18 at n = 4, fewer where each point costs more.
 POINTS = {4: 18, 5: 6, 6: 3}
 TOL = 1e-14
 PRODUCTS = sorted(roter._PRODUCTS)
@@ -120,13 +122,14 @@ def corpus_targets():
 
 
 def test_chunk_size_follows_the_bivector_count():
-    # At most 18 points, and one stacked order-6 product, m**3 floats a
-    # point, stays within 128 KB.
+    # As many points as keep the larger per-point array, the stacked
+    # order-6 product (m**3 floats) or an order-4 curvature array (n**4
+    # floats), within 128 KB.
     assert roter.CHUNK_BYTES == 128 * 1024
-    assert [roter.chunk_size(n) for n in (2, 3, 4, 5, 6, 7)] == [18, 18, 18, 16, 4, 1]
+    assert [roter.chunk_size(n) for n in (2, 3, 4, 5, 6, 7)] == [1024, 202, 64, 16, 4, 1]
     for n in (2, 3, 4, 5, 6, 7):
         m = n * (n - 1) // 2
-        assert roter.chunk_size(n) * m ** 3 * 8 <= roter.CHUNK_BYTES
+        assert roter.chunk_size(n) * 8 * max(m ** 3, n ** 4) <= roter.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)

@@ -621,13 +621,11 @@ class TestRun:
         (pinned,) = [r for r in records if r["check"] == "second_bianchi" and r["point_index"] == 0]
         assert pinned["pass"] and pinned["residual"] < 1e-13
 
-    @pytest.mark.parametrize("suite", ["theorem21", "geometry-symmetries"])
-    def test_non_finite_curvature_is_an_error_record(self, tmp_path, suite):
-        # Every sampled point passes sampling, but its curvature overflows:
-        # theorem21 used to die in classify's eigvals with a traceback and
-        # no report, and the geometry suite wrote NaN residuals and kappa.
-        manifest = {
-            "name": "overflow", "seed": 1, "points": 2, "suites": [suite],
+    @staticmethod
+    def overflow_manifest(suites, points=2) -> dict:
+        """A chart whose every sampled point passes sampling, but whose curvature overflows."""
+        return {
+            "name": "overflow", "seed": 1, "points": points, "suites": suites,
             "manifolds": [{
                 "name": "huge", "kind": "explicit", "coords": ["t", "x", "y", "z"],
                 "metric": [["-1e200*(1 + x^2)", "0", "0", "0"], ["0", "1", "0", "0"],
@@ -635,17 +633,43 @@ class TestRun:
                 "box": {"t": [0, 1], "x": [0.1, 1], "y": [0.1, 1], "z": [0, 1]},
             }],
         }
+
+    @pytest.mark.parametrize("suite", ["theorem21", "geometry-symmetries"])
+    def test_non_finite_curvature_is_an_error_record(self, tmp_path, suite):
+        # theorem21 used to die in classify's eigvals with a traceback and
+        # no report, and the geometry suite wrote NaN residuals and kappa.
+        # The overflow is an error record, not a numpy warning on stderr.
+        manifest = self.overflow_manifest([suite])
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(manifest))
         proc = run_module(["run", str(path), "--out", str(tmp_path / "out")])
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
         text = (tmp_path / "out" / "overflow.records.jsonl").read_text()
         assert "NaN" not in text
         records = [json.loads(line) for line in text.splitlines()]
         assert [(r["point_index"], r["check"]) for r in records] == [(0, "error"), (1, "error")]
         assert all("curvature is not finite" in r["detail"] for r in records)
         assert (tmp_path / "out" / "overflow.summary.json").exists()
+        # In process, where every RuntimeWarning is an error, the same records.
+        assert cli.run_manifest(manifest)[0] == records
+
+    def test_a_failing_chunk_is_evaluated_once(self, monkeypatch):
+        # The chunk keeps the GeometryError of its one chunk-wide
+        # metric_jets call and raises it again at every (suite, point)
+        # site; sampling's calls are of one point each.
+        suites = ["geometry-symmetries", "theorem21"]
+        calls, metric_jets = [], geo.metric_jets
+        monkeypatch.setattr(geo, "metric_jets",
+                            lambda spec, points, *rest: calls.append(len(points))
+                            or metric_jets(spec, points, *rest))
+        records, _ = cli.run_manifest(self.overflow_manifest(suites, 40))
+        assert [count for count in calls if count > 1] == [40]
+        assert [(r["point_index"], r["suite"], r["check"]) for r in records] == [
+            (i, suite, "error") for i in range(40) for suite in suites]
+        assert all(r["detail"] == records[0]["detail"] for r in records)
+        assert records[0]["detail"].startswith("GeometryError: curvature is not finite at (")
 
     @staticmethod
     def run_formula(tmp_path, g_xx, capsys):
@@ -1010,30 +1034,32 @@ class TestSharedEvaluation:
         assert all(len(ginv) == 4 for _, _, ginv in derivations)
 
     def test_refused_frame_fails_its_whole_chunk(self, monkeypatch, tmp_path, capsys):
-        # Sampling admits no point whose frame can fail, so a chunk keeps
-        # no frame error: if one raised anyway, every suite reading the
-        # chunk's frames records it at each of its points.  rn_lambda0's
-        # pinned point and 20 sampled ones make chunks of 18 and 3 at n = 4.
-        bad = sampled(corpus_get("rn_lambda0"), 20)[5]
+        # Sampling admits no point whose frame can fail: if one raised
+        # anyway, every suite reading the chunk's frames records it at
+        # each of its points.  rn_lambda0's pinned point and size sampled
+        # ones make a full chunk and a chunk of one at n = 4.
+        size = roter.chunk_size(4)
+        bad = sampled(corpus_get("rn_lambda0"), size)[5]
         refuse_at(monkeypatch, geo, "frames", bad)
-        proc = run_cli(["run", "rn_lambda0", "--points", "20", "--out", str(tmp_path)], capsys)
+        proc = run_cli(["run", "rn_lambda0", "--points", str(size), "--out", str(tmp_path)],
+                       capsys)
         assert proc.returncode == 1, proc.stderr
         lines = (tmp_path / "rn_lambda0.records.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         errors = [(r["point_index"], r["suite"]) for r in records if r["check"] == "error"]
-        assert sorted(errors) == [(i, suite) for i in range(18)
+        assert sorted(errors) == [(i, suite) for i in range(size)
                                   for suite in ("geometry-symmetries", "theorem21")]
         assert all("frames refused" in r["detail"] for r in records if r["check"] == "error")
-        later = [r for r in records if r["point_index"] >= 18]
-        assert {r["point_index"] for r in later} == {18, 19, 20} and all(r["ok"] for r in later)
+        later = [r for r in records if r["point_index"] >= size]
+        assert {r["point_index"] for r in later} == {size} and all(r["ok"] for r in later)
         assert (tmp_path / "rn_lambda0.summary.json").exists()
 
     @pytest.mark.parametrize("refused", [None, "frames", "diagnostics"],
                              ids=["clean", "frame_refused", "diagnostics_refused"])
     def test_no_chunk_outlives_its_run(self, monkeypatch, refused):
-        # A Chunk forms no reference cycle and keeps no error, whose
-        # traceback would hold it, so no chunk is left after the run, even
-        # with the cycle collector off.
+        # A Chunk forms no reference cycle, and the error it keeps has no
+        # traceback, which would hold it, so no chunk is left after the
+        # run, even with the cycle collector off.
         manifest = corpus_get("theorem41_n4")
         if refused:
             module = geo if refused == "frames" else wp
@@ -1091,8 +1117,8 @@ class TestWholeCorpus:
 # declared seed, as write_report writes them: the theorem41 families at
 # 16 points (n = 4 and n = 5 in one chunk, n = 6 in four chunks of 4), and
 # rn_lambda0 with Q = 0.5, its pins dropped and its r-box straddling the
-# horizon, at 60 points (chunks of 18, 18, 18 and 6; sampling rejects 14
-# candidates).  A change that moves a residual updates them and says so.
+# horizon, at 60 points (one chunk; sampling rejects 14 candidates).  A
+# change that moves a residual updates them and says so.
 SWEEP_RECORDS_SHA256 = {
     "theorem41_n4": "dd320c155b4cb6374f7911473a4ed8ff069c2565fd3b8631d7c2451f44f464e8",
     "theorem41_c_pos_n5": "80b760ce7405d6d1188144f06d7d9d69193f8c9b14b6f572f2f5068f9379d43a",

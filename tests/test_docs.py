@@ -1,4 +1,5 @@
-"""The user docs name only what exists.
+"""The user docs name only what exists, and quote the chunk sizes that
+roter.chunk_size gives.
 
 Each backticked dotted reference in README.md and docs/*.md whose head
 is a curvcheck module (or the package itself), one of the aliases the
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import curvcheck
+from curvcheck import roter
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
@@ -62,3 +64,11 @@ def test_reference_resolves(where, ref):
     for name in names:
         assert hasattr(obj, name), f"{where}: `{ref}`: {name} not found"
         obj = getattr(obj, name)
+
+
+@pytest.mark.parametrize("where", ["README.md", "docs/report-format.md"])
+def test_quoted_chunk_sizes_are_the_rule(where):
+    # Each doc quotes the chunk size at n = 4 to 7 as "<points> at n = <n>".
+    text = " ".join((ROOT / where).read_text(encoding="utf-8").split())
+    quoted = {int(n): int(size) for size, n in re.findall(r"(\d+) at n = (\d+)", text)}
+    assert quoted == {n: roter.chunk_size(n) for n in range(4, 8)}

@@ -201,6 +201,31 @@ def test_records_do_not_depend_on_the_chunking(monkeypatch, name, size):
     assert chunked == default
 
 
+def test_a_60_point_charged_chart_is_one_chunk(monkeypatch):
+    # A charged chart as the benchmark's charged sweep draws one: no pinned
+    # point, and an r-box that straddles the outer horizon, so sampling
+    # rejects candidates.  Its 60 points run as one classify call of 60
+    # lanes, and chunks of 18 or 1 write the same records.
+    manifest = corpus_get("rn_lambda0")
+    mdef = manifest["manifolds"][0]
+    del mdef["pinned_points"], mdef["expect"]["pinned_scalars"]
+    mass, charge = 1.3, 0.8
+    r_plus = mass + np.sqrt(mass ** 2 - charge ** 2)
+    mdef["constants"] = {"M": mass, "Q": charge, "Lam": 0.0}
+    mdef["box"]["r"] = [0.6 * r_plus, 3.0 * r_plus]
+    manifest.update(points=60, suites=["geometry-symmetries", "theorem21"])
+    lanes, classify = [], roter.classify
+    monkeypatch.setattr(roter, "classify",
+                        lambda frame, *rest: lanes.append(len(frame.g)) or classify(frame, *rest))
+    default, summary = cli.run_manifest(manifest)
+    assert summary["ok"] and lanes == [60]
+    assert {r["point_index"] for r in default} == set(range(60))
+    for size in (18, 1):
+        monkeypatch.setattr(roter, "chunk_size", lambda n: size)
+        chunked, _ = cli.run_manifest(manifest)
+        assert chunked == default, size
+
+
 def failing_point_run(monkeypatch, plant):
     """Records of theorem41_c_neg_n6 at 16 points with and without a
     failure planted by plant(monkeypatch, bad) at point 3, and index 3."""
