@@ -392,7 +392,7 @@ class Job:
         mapped = self.pair or self.family
         if mapped is not None:
             try:
-                mapped.psi(point)
+                mapped.psi([point])
             except _POINT_ERRORS:
                 return False
         return True
@@ -478,8 +478,9 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # A suite's checks are a Chunk piece, whose entry i lists point i's checks
 # as (check, residual, tolerance_key) with optional extra record fields
 # ({"scalars": ...} or {"detail": ...}) and expect_fail.  run_manifest
-# turns each into a record through _record, and a _POINT_ERRORS error a
-# piece raises (a chunk's curvature that is not finite) into an "error" one.
+# reads each piece once, turns each check into a record through _record,
+# and a _POINT_ERRORS error the piece raises (a chunk's curvature that is
+# not finite) into an "error" record at each point of the chunk.
 
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError)
 # The error detail in the psi-Ricci identity's place where R.R = 0 on the source.
@@ -547,10 +548,6 @@ class Chunk:
     def stacked(self) -> geo.PointFrame:
         return self.evaluated[0]
 
-    def at(self, piece: str, i: int) -> list:
-        """Point i's checks of a suite's piece."""
-        return getattr(self, piece)[i]
-
     @cached_property
     def fiber_frames(self) -> geo.PointFrame:
         if self.job.family is not None and self.peer is not None:
@@ -585,8 +582,10 @@ class Chunk:
                 checks.append(("gauss_value", scalar_residual(scalars["gauss"], want), "geo"))
         checks.append(_scalars("frame_scalars", scalars, count))
         rows = _per_point(checks, count)
-        for i in range(min(2 - self.start, count)):
-            rows[i].append(("second_bianchi", geo.second_bianchi_residual(f.take([i])), "geo"))
+        if self.start < 2:
+            bianchi = geo.second_bianchi_residual(f.take(range(min(2 - self.start, count))))
+            for row, res in zip(rows, bianchi.tolist()):
+                row.append(("second_bianchi", res, "geo"))
         return rows
 
     @cached_property
@@ -722,8 +721,7 @@ class Chunk:
         each member's cor42 and the psi-Ricci identity (an error flag where
         the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
-        psi = (job.pair or job.family).psi
-        jets = tuple(np.array(part) for part in zip(*map(psi, self.points)))
+        jets = (job.pair or job.family).psi(self.points)
         frames = (source.stacked, self.stacked)
         checks = [
             ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),
@@ -810,11 +808,12 @@ TARGET_SUITES = {"geometry-symmetries": "geometry", "theorem21": "theorem21",
 
 
 def _suite_runs(job: Job, points, suites):
-    """(suite, target label, point index, point, read) in run order, read()
-    giving the checks: a piece of one Chunk per target at the point, for
-    chunks of roter.chunk_size(n) points, n the chart dimension.  A mapped
-    pair's image has peer and holds the geodesic piece, and a family's
-    aggregates read the Roter verdicts of every chunk that did not fail."""
+    """(suite, target label, start, points, read) in run order, read()
+    giving the checks at each of the points, which run from index start:
+    a piece of one Chunk per target, for chunks of roter.chunk_size(n)
+    points, n the chart dimension.  A mapped pair's image has peer and
+    holds the geodesic piece, and a family's aggregates (index -1) read
+    the Roter verdicts of every chunk that did not fail."""
     members: list = []
     size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):
@@ -825,14 +824,13 @@ def _suite_runs(job: Job, points, suites):
                 for suite, piece in TARGET_SUITES.items() if suite in suites for chunk in chunks]
         if "geodesic" in suites and job.kind in ("pair2d", "family"):
             runs.append(("geodesic", "pair", chunks[1], "geodesic"))
-        for i, pt in enumerate(pts):
-            for suite, label, chunk, piece in runs:
-                yield suite, label, start + i, pt, partial(chunk.at, piece, i)
+        for suite, label, chunk, piece in runs:
+            yield suite, label, start, pts, partial(getattr, chunk, piece)
         if "geodesic" in suites and job.fitted:
             with suppress(*_POINT_ERRORS):  # a chunk that failed recorded it at each point
                 members += zip(first.classifications, chunks[1].classifications)
     if "geodesic" in suites and job.kind == "family":
-        yield "geodesic", "pair", -1, (), partial(family_checks, job, members)
+        yield "geodesic", "pair", -1, [()], lambda: [list(family_checks(job, members))]
 
 
 def _expand_suites(names) -> set:
@@ -866,14 +864,14 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)
-        for suite, label, idx, pt, read in _suite_runs(job, pts, m_suites):
-            site = (job, label, idx, [round(v, 12) for v in pt], suite, thresholds)
+        for suite, label, start, chunk_pts, read in _suite_runs(job, pts, m_suites):
             try:
-                for check in read():
-                    records.append(_record(*site, *check))
+                rows = read()
             except _POINT_ERRORS as err:
-                error = _flag("error", False, f"{type(err).__name__}: {err}")
-                records.append(_record(*site, *error))
+                rows = [[_flag("error", False, f"{type(err).__name__}: {err}")]] * len(chunk_pts)
+            for i, (pt, row) in enumerate(zip(chunk_pts, rows)):
+                site = (job, label, start + i, [round(v, 12) for v in pt], suite, thresholds)
+                records.extend(_record(*site, *check) for check in row)
 
     records.sort(key=lambda r: (r["manifold"], r["target"], r["point_index"],
                                 r["suite"], r["check"]))

@@ -753,27 +753,27 @@ def jet(
     coords: tuple[str, ...],
     bindings: Bindings,
     order: int,
-) -> Callable[[Sequence[float]], tuple[np.ndarray, ...]]:
+) -> Callable[[Sequence[Sequence[float]]], tuple[np.ndarray, ...]]:
     """Compile the values and exact derivatives of exprs up to order 2.
 
-    Returns program(point) -> (values,) for order 0, (values, first) for
-    order 1 and (values, first, second) for order 2, with arrays of
-    shape (m,), (n, m) and (n, n, m) for m expressions over n
-    coordinates: first[k, e] = d_k exprs[e] and second[l, k, e] =
-    d_l d_k exprs[e].  Each second partial is built once, as
-    diff(diff(e, c_k), c_l) with l <= k, and mirrored, so second is
-    exactly symmetric in its two derivative slots.  Every diff by one
-    coordinate shares one memo, so each distinct subtree object is
-    differentiated once per coordinate.  Every value equals a tree walk
-    of the same derivative bit for bit.
+    Returns program(points) -> (values,) for order 0, (values, first)
+    for order 1 and (values, first, second) for order 2, with arrays of
+    shape (P, m), (P, n, m) and (P, n, n, m) for P points and m
+    expressions over n coordinates: first[p, k, e] = d_k exprs[e] and
+    second[p, l, k, e] = d_l d_k exprs[e] at points[p].  Each second
+    partial is built once, as diff(diff(e, c_k), c_l) with l <= k, and
+    mirrored, so second is exactly symmetric in its two derivative
+    slots.  Every diff by one coordinate shares one memo, so each
+    distinct subtree object is differentiated once per coordinate.
+    Every value equals a tree walk of the same derivative bit for bit.
 
     Structurally equal expressions share one compiled output.  The
     program is built once per distinct (exprs, coords, bindings, order)
     value, so equal specs rebuilt later reuse it.  A native domain
-    failure raises a DomainError naming the node of the failing program
-    line, with the message _DOMAIN_MESSAGES holds for that node's
-    operation and the exception.  run.complex(point) returns the
-    program's complex twin at a complex point, through the same indices.
+    failure at the first failing point raises a DomainError naming the
+    node of the failing program line, with the message _DOMAIN_MESSAGES
+    holds for its operation and the exception.  run.complex(points) runs
+    the program's complex twin at complex points, through the same indices.
     """
     if order not in (0, 1, 2):
         raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
@@ -797,20 +797,20 @@ def jet(
         indices.append(offset[:, :, None] + cols)
     program = compile_exprs(ordered, coords, bindings)
 
-    def run(point: Sequence[float]) -> tuple[np.ndarray, ...]:
+    def run(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, ...]:
         try:
-            values = program(*point)
+            rows = [program(*point) for point in points]
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             # The program's own frame is the innermost one: builtins add none.
             node = program.nodes[traceback.extract_tb(err.__traceback__)[-1].lineno - 2]
             op = "^" if isinstance(node, IntPow) else node.op
             raise DomainError(_DOMAIN_MESSAGES[op, type(err)], to_text(node)) from err
-        flat = np.array(values, dtype=float)
-        return tuple(flat[index] for index in indices)
+        flat = np.array(rows, dtype=float)
+        return tuple(flat.take(index, axis=1) for index in indices)
 
-    def run_complex(point: Sequence[complex]) -> tuple[np.ndarray, ...]:
-        flat = np.array(program.complex(*point), dtype=complex)
-        return tuple(flat[index] for index in indices)
+    def run_complex(points: Sequence[Sequence[complex]]) -> tuple[np.ndarray, ...]:
+        flat = np.array([program.complex(*point) for point in points], dtype=complex)
+        return tuple(flat.take(index, axis=1) for index in indices)
 
     run.complex = run_complex
     return run
@@ -824,5 +824,5 @@ def evaluate(e: Expr, point: Mapping[str, float], consts: Mapping[str, float] | 
     function of an infinity) raise DomainError naming the offending
     subexpression; a symbol without a value raises UnboundSymbolError.
     """
-    (values,) = jet((e,), tuple(point), Bindings(consts), 0)(tuple(map(float, point.values())))
-    return float(values[0])
+    (values,) = jet((e,), tuple(point), Bindings(consts), 0)([tuple(map(float, point.values()))])
+    return float(values[0, 0])

@@ -116,7 +116,7 @@ class GeodesicPair2D:
 
     source: geo.MetricSpec
     image: geo.MetricSpec
-    psi: Callable  # point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per pair
+    psi: Callable  # points -> (psi, dpsi), dpsi[p,j,i] = ∂_j ψ_i at points[p]; bound once per pair
     map_shift: float
 
 
@@ -189,7 +189,7 @@ class Family:
     cfg: FamilyConfig
     source: wp.WarpedSpec
     image: wp.WarpedSpec
-    psi: Callable  # point -> (ψ_i, dpsi) with dpsi[j,i] = ∂_j ψ_i, bound once per family
+    psi: Callable  # points -> (psi, dpsi), dpsi[p,j,i] = ∂_j ψ_i at points[p]; bound once per family
     profile: ex.Expr
     profile_jet: Callable  # (B, B') on the (x, t) chart, bound once per family
     profile_invariant: float  # (B')^2 - c B^2, constant in t
@@ -264,8 +264,8 @@ def build_family(cfg: FamilyConfig) -> Family:
 
     profile = profile_expr(cfg)
     profile_jet = ex.jet((profile,), coords2, binds, 1)
-    B, dB = profile_jet((0.0, 0.0))
-    invariant = float(dB[1, 0]) ** 2 - cfg.c * float(B[0]) ** 2
+    B, dB = profile_jet([(0.0, 0.0)])
+    invariant = float(dB[0, 1, 0]) ** 2 - cfg.c * float(B[0, 0]) ** 2
 
     n = cfg.n
     cflat_value = cfg.fiber_scalar / ((n - 3) * (n - 2))
@@ -299,10 +299,9 @@ def build_family(cfg: FamilyConfig) -> Family:
 
 def family_values(fam: Family, points) -> dict[str, np.ndarray]:
     """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at a chunk of points,
-    from one jet per point: one array per key."""
-    jets = [fam._values_jet(point[:2]) for point in points]
-    (b, B), cfg = np.array([values for values, _ in jets]).T, fam.cfg
-    grads = np.array([grads for _, grads in jets])
+    from one jet program run: one array per key."""
+    (values, grads), cfg = fam._values_jet([point[:2] for point in points]), fam.cfg
+    b, B = values.T
     return {
         "b": b,
         "bp": grads[:, 0, 0],
@@ -315,12 +314,9 @@ def family_values(fam: Family, points) -> dict[str, np.ndarray]:
 
 def profile_invariant_residual(fam: Family) -> float:
     """Constancy of (B')^2 - c B^2 across 24 values of t in [-1, 1.5]."""
-    vals = []
-    for t in np.linspace(-1.0, 1.5, 24):
-        B, dB = fam.profile_jet((0.0, float(t)))
-        B, Bp = float(B[0]), float(dB[1, 0])
-        vals.append(Bp * Bp - fam.cfg.c * B * B)
-    return constancy_residual(vals)
+    B, dB = fam.profile_jet([(0.0, t) for t in np.linspace(-1.0, 1.5, 24).tolist()])
+    B, Bp = B[:, 0], dB[:, 1, 0]
+    return constancy_residual(Bp * Bp - fam.cfg.c * B * B)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +567,11 @@ def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str
 
     T₁₂ = 0 and 𝔟 T₁₁ = 𝔞 T₂₂, plus the square-root-warp reductions
     f₁₂ = f₂ 𝔟'/(2𝔟) and f₁₁ - (𝔞/𝔟) f₂₂ = f₁ (𝔞𝔟)'/(2𝔞𝔟) for f = √F,
-    read from the source member's diagnostics; the jets of f are
-    evaluated point by point.
+    read from the source member's diagnostics, and the jets of f at the
+    base frame's points.
     """
     bframe = d.base_frame
-    jets = tuple(np.array(part) for part in zip(*map(fam._warp_root_jet, bframe.point)))
-    _, df, d2f = geo.jet_block(jets, 0)
+    _, df, d2f = geo.jet_block(fam._warp_root_jet(bframe.point), 0)
     a_v, b_v = bframe.g[:, 0, 0], bframe.g[:, 1, 1]
     out = {
         "t_offdiag": lane_zero_residuals(d.t[:, 0, 1], d.t),

@@ -28,14 +28,14 @@ MetricSpec binds its conditions and components programs from ex.jet
 on first use, so no point's evaluation looks up ex.jet's cache; a
 warped product's also yields the jets of its fiber components and warp.
 
-metric_jets(spec, points) evaluates conditions and jets point by point,
-stacked on a leading point axis, and jet_block reads (g, dg, d2g) from
-them; frames(spec, points, jet) then computes the curvature packet once
-over that axis: one PointFrame whose arrays carry it (g of shape
-(P, n, n)).  Each lane equals the same call on that point alone, bit
-for bit.  PointFrame.take cuts some lanes (second_bianchi_residual reads
-a one-lane cut); PointFrame.lanes() views each as its point's own frame
-for frame(spec, point) alone, the lane of a one-point chunk.  Whoever
+metric_jets(spec, points) checks conditions and runs the components
+program over the points, with a leading point axis, and jet_block reads
+(g, dg, d2g) from it; frames(spec, points, jet) then computes the
+curvature packet once over that axis: one PointFrame whose arrays carry
+it (g of shape (P, n, n)).  Each lane of it, and of
+second_bianchi_residual, equals the same call on that point alone, bit
+for bit.  PointFrame.take cuts some lanes; PointFrame.lanes() views each
+as its point's own frame for frame(spec, point) alone.  Whoever
 asks for a frame owns it and passes it to the helpers below.
 MetricSpec is immutable apart from its bound programs, and thread-safe.
 """
@@ -189,32 +189,34 @@ def diagonal_metric(coords, diagonal, bindings=None, conditions=()) -> MetricSpe
 def _failed_condition(spec: MetricSpec, point: Sequence[float]):
     """(expression, kind, value) of the first condition failing at a point, or None."""
     if spec.conditions:
-        (values,) = spec._condition_jet(point)
-        for v, (cond, kind) in zip(values.tolist(), spec.conditions):
+        (values,) = spec._condition_jet([point])
+        for v, (cond, kind) in zip(values[0].tolist(), spec.conditions):
             if not (v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR):
                 return cond, kind, v
 
 
 def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True):
-    """The jets of spec's components program at each point, as ex.jet's
-    with a leading point axis.  Raises the error of the first point
-    whose conditions (if check is set) or jet fail; otherwise
+    """The jets of spec's components program at the points, as ex.jet's.
+    Raises the error of the first point whose conditions fail (if check
+    is set), then of the first whose jet fails; otherwise
     SingularMetricError at the first point where g does not invert."""
-    jets = []
     for point in points:
         failed = check and _failed_condition(spec, point)
         if failed:
             cond, kind, v = failed
             raise InadmissiblePointError(f"condition {ex.to_text(cond)!r} ({kind}) fails at "
                                          f"{tuple(point)}: value {v!r}")
-        jets.append(spec._component_jet(point))
-    jets = tuple(np.array(part) for part in zip(*jets))
+    jets = spec._component_jet(points)
     n = spec.dim
     g = np.ascontiguousarray(jets[0][:, : n * n].reshape(-1, n, n))
-    # Row norms that overflow and underflow make a NaN scale: not singular.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.prod(np.linalg.norm(g, axis=-1), axis=-1) + 1e-300
-    singular = np.abs(np.linalg.det(g)) <= _DET_RATIO * scale
+    # |det g| over the product of g's row norms, from g's rows over their
+    # largest |entry|: the same ratio, but no norm overflows.  A zero row,
+    # or a g that is not finite (so neither is det), reads as singular.
+    with np.errstate(invalid="ignore"):
+        top = np.max(np.abs(g), axis=-1, keepdims=True)
+        unit = g / np.where(top > 0.0, top, 1.0)
+        det = np.abs(np.linalg.det(unit))
+    singular = ~(det > _DET_RATIO * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
     if singular.any():
         raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
     return jets
@@ -399,24 +401,27 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # Differential (second) Bianchi identity: nabla_l R_hijk + nabla_j R_hikl
 # + nabla_k R_hilj = 0.  d_l R is exact: Im R / h of one curvature kernel
-# over the components program's complex twin at x + ih e_l, l < n, x the
-# one lane of base (the complex step; Martins, Sturdza and Alonso, 2003).
+# over the components program's complex twin at x_p + ih e_l, l < n, for
+# each lane p (the complex step; Martins, Sturdza and Alonso, 2003).
 
-def second_bianchi_residual(base: PointFrame) -> float:
-    spec, h = base.spec, 1e-30
-    lanes = map(spec._component_jet.complex, (base.point[0] + 1j * h * np.eye(spec.dim)).tolist())
-    dR = _curvature(*jet_block(tuple(map(np.array, zip(*lanes)))))[2].imag / h
-    gam, R = base.gamma[0], base.riemann[0]
+def second_bianchi_residual(frame: PointFrame) -> np.ndarray:
+    """The identity's max-abs residual over (1 + max |R|), one per lane
+    of a stacked frame, each equal to the call on that lane alone."""
+    spec, h, n = frame.spec, 1e-30, frame.dim
+    steps = (np.array(frame.point)[:, None] + 1j * h * np.eye(n)).reshape(-1, n)
+    lanes = spec._component_jet.complex(steps.tolist())
+    dR = (_curvature(*jet_block(lanes))[2].imag / h).reshape(-1, n, n, n, n, n)
+    gam, R = frame.gamma, frame.riemann
     nabla = (
         dR
-        - np.einsum("slh,sijk->lhijk", gam, R)
-        - np.einsum("sli,hsjk->lhijk", gam, R)
-        - np.einsum("slj,hisk->lhijk", gam, R)
-        - np.einsum("slk,hijs->lhijk", gam, R)
+        - np.einsum("pslh,psijk->plhijk", gam, R)
+        - np.einsum("psli,phsjk->plhijk", gam, R)
+        - np.einsum("pslj,phisk->plhijk", gam, R)
+        - np.einsum("pslk,phijs->plhijk", gam, R)
     )
     cyc = (
         nabla
-        + np.transpose(nabla, (3, 1, 2, 4, 0))
-        + np.transpose(nabla, (4, 1, 2, 0, 3))
+        + np.transpose(nabla, (0, 4, 2, 3, 5, 1))
+        + np.transpose(nabla, (0, 5, 2, 3, 1, 4))
     )
-    return float(np.max(np.abs(cyc)) / (np.max(np.abs(R)) + 1.0))
+    return np.max(np.abs(cyc), axis=(1, 2, 3, 4, 5)) / (np.max(np.abs(R), axis=(1, 2, 3, 4)) + 1.0)

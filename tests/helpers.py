@@ -174,7 +174,7 @@ def third_partials(spec, point):
     d = lambda e, c: ex.diff(e, c, _memo=memos[c])
     exprs = [d(d(d(e, k), l), m) for m in coords for l in coords for k in coords
              for row in spec.components for e in row]
-    (values,) = ex.jet(tuple(exprs), coords, spec.bindings, 0)(point)
+    (values,) = at(ex.jet(tuple(exprs), coords, spec.bindings, 0), point)
     return values.reshape(n, n, n, n, n)
 
 
@@ -237,9 +237,15 @@ def constant_curvature_2d(b, gauss_curvature, energy, coords=("x", "y"), binding
     return geo.metric_spec(coords, [[a_expr, 0.0], [0.0, b_expr]], bmap, conds)
 
 
+def at(program, point):
+    """A jet program's outputs at one point: the one lane of program([point])."""
+    return tuple(part[0] for part in program([point]))
+
+
 def psi_jets(psi, points):
-    """The stacked psi jets (psi, dpsi) of a mapping at a chunk of points."""
-    jets = [psi(point) for point in points]
+    """The stacked psi jets (psi, dpsi) of a mapping at a chunk of points,
+    each point's from its own call."""
+    jets = [at(psi, point) for point in points]
     return np.array([v for v, _ in jets]), np.array([d for _, d in jets])
 
 
@@ -337,7 +343,7 @@ def point_diagnostics(ws, frame, fiber_frame) -> PointDiagnostics:
     base_pt = ws.split(frame.point)[0]
     bframe = geo.frame(ws.base, base_pt)
     # The warp's own program, separate from the product's under test.
-    f_value, grad, hess = ex.jet((ws.warp,), ws.base.coords, ws.base.bindings, 2)(base_pt)
+    f_value, grad, hess = at(ex.jet((ws.warp,), ws.base.coords, ws.base.bindings, 2), base_pt)
     f_value, grad, hess = float(f_value[0]), grad[:, 0], hess[:, :, 0]
     nabla_grad = hess - np.einsum("sab,s->ab", bframe.gamma, grad)
     t = nabla_grad - np.outer(grad, grad) / (2.0 * f_value)
@@ -454,17 +460,17 @@ def point_conformal_flatness(d) -> tuple:
 
 def point_second_form(psi, frame):
     """psi_ij = d_j psi_i - Gamma^s_ij psi_s - psi_i psi_j at frame's point."""
-    pv, dpsi = psi(frame.point)
+    pv, dpsi = at(psi, frame.point)
     return dpsi.T - np.einsum("sij,s->ij", frame.gamma, pv) - np.outer(pv, pv)
 
 
 def point_gradient_residual(psi, point) -> float:
-    _, dpsi = psi(point)
+    _, dpsi = at(psi, point)
     return float(np.max(np.abs(dpsi - dpsi.T)) / (np.max(np.abs(dpsi)) + 1.0))
 
 
 def point_family_values(fam, point) -> dict:
-    values, grads = fam._values_jet(point[:2])
+    values, grads = at(fam._values_jet, point[:2])
     (b, B), cfg = values.tolist(), fam.cfg
     return {"b": b, "bp": float(grads[0, 0]), "B": B, "Bp": float(grads[1, 1]),
             "one_plus_qb": 1.0 + cfg.map_shift * b, "shape": cfg.d * b - 4.0 * cfg.c}
@@ -473,14 +479,14 @@ def point_family_values(fam, point) -> dict:
 def point_geodesic_compatibility(frame, image_frame, psi) -> float:
     gbar = image_frame.g
     lhs = geo.covariant_derivative_02(frame, gbar, image_frame.dg)
-    pv = psi(frame.point)[0]
+    pv = at(psi, frame.point)[0]
     rhs = (2.0 * np.einsum("k,ij->kij", pv, gbar) + np.einsum("i,jk->kij", pv, gbar)
            + np.einsum("j,ik->kij", pv, gbar))
     return max_abs_residual(lhs, rhs)
 
 
 def point_christoffel_shift(frame, image_frame, psi) -> float:
-    pv = psi(frame.point)[0]
+    pv = at(psi, frame.point)[0]
     eye = np.eye(len(pv))
     shift = np.einsum("hi,j->hij", eye, pv) + np.einsum("hj,i->hij", eye, pv)
     return max_abs_residual(image_frame.gamma, frame.gamma + shift)
@@ -541,7 +547,7 @@ def point_family_image_ricci_forms(fam, d_bar, v) -> dict:
 
 def point_warp_compatibility(fam, d, d_bar) -> tuple:
     Fv, Fbv, grad, grad_bar = d.f_value, d_bar.f_value, d.grad, d_bar.grad
-    psi_v = fam.psi(d.frame.point)[0][:2]
+    psi_v = at(fam.psi, d.frame.point)[0][:2]
     f_up = d.base_frame.ginv @ grad
     lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (d_bar.base_frame.g @ f_up)
     res_scale = max_abs_residual(lhs_scale, Fbv * psi_v)
@@ -608,7 +614,7 @@ def point_warp_profile_pde(fam, d) -> dict:
         "t_offdiag": zero_residual(d.t[0, 1], d.t),
         "t_balance": scalar_residual(b_v * d.t[0, 0], a_v * d.t[1, 1]),
     }
-    _, df, d2f = fam._warp_root_jet(bframe.point)
+    _, df, d2f = at(fam._warp_root_jet, bframe.point)
     f1, f2 = df[:, 0]
     f11, f12, f22 = d2f[0, 0, 0], d2f[0, 1, 0], d2f[1, 1, 0]
     ap, bp = bframe.dg[0, 0, 0], bframe.dg[0, 1, 1]

@@ -603,6 +603,38 @@ class TestRun:
         checks = [{r["check"]: r for r in records if r["point_index"] == i} for i in range(3)]
         assert checks[1]["second_bianchi"]["pass"] and "second_bianchi" not in checks[2]
 
+    def test_the_bianchi_check_runs_once_per_chunk_that_holds_index_0_or_1(self, monkeypatch):
+        # theorem41_c_neg_n6 at 6 points runs as chunks of 4 and 2 points:
+        # one stacked call per target reads run indices 0 and 1, and the
+        # chunk that starts at index 4 has no second_bianchi record.
+        calls, bianchi = [], geo.second_bianchi_residual
+        monkeypatch.setattr(geo, "second_bianchi_residual",
+                            lambda f: calls.append(len(f.point)) or bianchi(f))
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=6)
+        assert summary["ok"] and roter.chunk_size(6) == 4 and calls == [2, 2]
+        sites = {(r["target"], r["point_index"]) for r in records if r["check"] == "second_bianchi"}
+        assert sites == {(target, i) for target in ("source", "image") for i in (0, 1)}
+
+    def test_a_metric_singular_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # One row's norm overflows to inf and the other row is 0.  Their
+        # product, NaN, used to read as "not singular": sampling passed
+        # and frames' inv raised LinAlgError, with no report.
+        manifest = {
+            "name": "singular", "seed": 1, "points": 1,
+            "manifolds": [{
+                "name": "m", "kind": "explicit", "coords": ["x", "y"],
+                "metric": [["1e200*(1 + x^2)", "0"], ["0", "0*y"]],
+                "box": {"x": [0.0, 1.0], "y": [0.0, 1.0]},
+            }],
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot sample admissible points for 'm'\n"
+        assert not out.exists()
+
     def test_bianchi_check_stays_at_the_point(self):
         # d|x|/dx = x/abs(x) divides by zero at x = 0, one step of 1e-5
         # from the pinned x = 1e-5.  The complex step keeps the real part
@@ -657,8 +689,9 @@ class TestRun:
 
     def test_a_failing_chunk_is_evaluated_once(self, monkeypatch):
         # The chunk keeps the GeometryError of its one chunk-wide
-        # metric_jets call and raises it again at every (suite, point)
-        # site; sampling's calls are of one point each.
+        # metric_jets call and raises it again at each suite's piece,
+        # which records it at every point; sampling's calls are of one
+        # point each.
         suites = ["geometry-symmetries", "theorem21"]
         calls, metric_jets = [], geo.metric_jets
         monkeypatch.setattr(geo, "metric_jets",

@@ -28,7 +28,7 @@ from curvcheck.expr import (
 )
 # evaluate is the tests' tree walker: the oracle that ex.evaluate, jet and
 # compile_exprs must match bit for bit.
-from helpers import COORDS, central_difference, evaluate, random_expr, random_point
+from helpers import COORDS, at, central_difference, evaluate, random_expr, random_point
 
 
 def ev(src, coords=("x",), consts=(), point=None, values=None):
@@ -254,7 +254,7 @@ def test_compiled_matches_treewalk():
         got = f(p["x"], p["y"])
         want = tuple(evaluate(e, p) for e in exprs)
         assert got == want
-        values, first, second = program((p["x"], p["y"]))
+        values, first, second = at(program, (p["x"], p["y"]))
         assert tuple(values.tolist()) == want
         for k, ck in enumerate(COORDS):
             for i, e in enumerate(exprs):
@@ -273,15 +273,43 @@ def test_complex_twin_steps_to_the_first_derivatives():
     program = ex.jet(exprs, COORDS, Bindings(), 1)
     for _ in range(10):
         x = list(random_point(rng).values())
-        _, first = program(x)
+        _, first = at(program, x)
         for k, step in enumerate((np.array(x) + 1j * h * np.eye(len(x))).tolist()):
-            twin = program.complex(step)[0].imag / h
+            twin = at(program.complex, step)[0].imag / h
             assert np.all(np.abs(twin - first[k]) <= 1e-13 * (1.0 + np.abs(first[k])))
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_a_jet_program_runs_a_chunk_as_its_points_alone(count):
+    # run(points), and its complex twin's, stack each point's own run bit
+    # for bit, with the point axis first.
+    rng = random.Random(31 + count)
+    exprs = tuple(random_expr(rng, 3) for _ in range(12))
+    program = ex.jet(exprs, COORDS, Bindings(), 2)
+    points = [tuple(random_point(rng).values()) for _ in range(count)]
+    steps = [(x + 1e-30j, y - 1e-30j) for x, y in points]
+    for run, pts in ((program, points), (program.complex, steps)):
+        chunk = run(pts)
+        assert [part.shape for part in chunk] == [(count, 12), (count, 2, 12), (count, 2, 2, 12)]
+        for part, lanes in zip(chunk, zip(*(at(run, point) for point in pts))):
+            assert part.tobytes() == np.array(lanes).tobytes()
+
+
+@pytest.mark.parametrize("lane, bad", [(0, (-1.0, 1.0)), (2, (1.0, 0.0)), (3, (0.0, 0.0))])
+def test_a_failing_lane_raises_the_error_of_its_point_alone(lane, bad):
+    program = ex.jet((parse("log(x)", COORDS), parse("1/y", COORDS)), COORDS, Bindings(), 1)
+    points = [(1.0, 2.0), (0.5, -1.0), (3.0, 1.5), (2.0, 0.5)]
+    points[lane] = bad
+    with pytest.raises(DomainError) as chunk:
+        program(points)
+    with pytest.raises(DomainError) as alone:
+        program([points[lane]])
+    assert (str(chunk.value), chunk.value.subexpr) == (str(alone.value), alone.value.subexpr)
 
 
 def _psi_values_at_pole():
     psi = ex.jet((parse("1/x", ("x", "y")), Num(0.0)), ("x", "y"), Bindings(), 1)
-    return psi((0.0, 1.0))[0]
+    return psi([(0.0, 1.0)])[0]
 
 
 def _covariant_derivative_of_log():
@@ -381,7 +409,7 @@ def test_dag_program_matches_treewalk(seed):
         p = random_point(rng)
         want = [evaluate(e, p) for e in exprs]
         assert _bits(f(p["x"], p["y"])) == _bits(want)
-        values, first, second = program((p["x"], p["y"]))
+        values, first, second = at(program, (p["x"], p["y"]))
         assert values.tolist() == want
         for k, ck in enumerate(COORDS):
             for i, e in enumerate(exprs):
@@ -398,7 +426,7 @@ def test_shared_failing_node_keeps_its_attribution():
     with pytest.raises(DomainError) as direct:
         evaluate(exprs[0], point)
     with pytest.raises(DomainError) as compiled:
-        ex.jet(exprs, COORDS, Bindings(), 2)((point["x"], point["y"]))
+        ex.jet(exprs, COORDS, Bindings(), 2)([(point["x"], point["y"])])
     assert compiled.value.subexpr == direct.value.subexpr == "log(x)"
 
 
@@ -422,7 +450,7 @@ def test_jet_failure_re_evaluates_only_the_failing_node(monkeypatch):
 
     monkeypatch.setattr(ex, "evaluate", counting)
     with pytest.raises(DomainError) as compiled:
-        ex.jet(tuple(exprs), COORDS, Bindings(), 2)((point["x"], point["y"]))
+        ex.jet(tuple(exprs), COORDS, Bindings(), 2)([(point["x"], point["y"])])
     assert len(calls) == 0
     assert compiled.value.subexpr == direct.value.subexpr
     assert str(compiled.value) == str(direct.value)
@@ -456,7 +484,7 @@ def test_domain_errors_match_the_oracle(src, point):
     for call in (
         lambda: evaluate(e, pmap),
         lambda: ex.evaluate(e, pmap),
-        lambda: ex.jet((e,), COORDS, Bindings(), 0)(point),
+        lambda: ex.jet((e,), COORDS, Bindings(), 0)([point]),
     ):
         with pytest.raises(DomainError) as info:
             call()

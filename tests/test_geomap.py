@@ -62,7 +62,7 @@ class TestSurfacePair:
     def test_psi_value_and_compatibility(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
         pt = (1.0, 0.2)
-        assert pair.psi(pt)[0][0] == pytest.approx(-0.25, rel=1e-14)
+        assert pair.psi([pt])[0][0, 0] == pytest.approx(-0.25, rel=1e-14)
         frames = pair_frames(pair, [pt])
         assert gm.geodesic_compatibility_residual(*frames, psi_jets(pair.psi, [pt])) < 1e-9
 

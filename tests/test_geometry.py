@@ -389,24 +389,40 @@ class TestSmokeChecks:
                 n = spec.dim
                 want = third_partials(spec, point)
                 steps = (np.array(point) + 1j * h * np.eye(n)).tolist()
-                got = np.array([spec._component_jet.complex(x)[2][..., : n * n].imag / h
-                                for x in steps]).reshape(want.shape)
+                got = spec._component_jet.complex(steps)[2][..., : n * n].imag / h
+                got = got.reshape(want.shape)
                 assert np.max(np.abs(got - want)) <= 1e-14 * (np.max(np.abs(want)) + 1.0)
 
     def test_planted_defect_in_dR_fails_the_bianchi_check(self, monkeypatch):
-        # The complex lanes' Im R, scaled by 1 + 1e-6, is a defect of d R
-        # alone; the check must see it above the geo bound.
+        # The complex rows of lane 1 (rows n..2n-1 of the one kernel call),
+        # their Im R scaled by 1 + 1e-6, are a defect of that lane's d R
+        # alone; the check must see it above the geo bound there only.
         bound = cli.DEFAULT_TOLERANCES["geo"]
-        f = geo.frames(rn_metric(1.0, 1.0, 0.0), [RN_POINT])
-        assert geo.second_bianchi_residual(f) < bound
-        curvature = geo._curvature
+        points = [RN_POINT, (0.0, 3.5, 1.0, 0.2), (0.0, 4.0, 0.8, 0.1)]
+        f = geo.frames(rn_metric(1.0, 1.0, 0.0), points)
+        assert np.all(geo.second_bianchi_residual(f) < bound)
+        curvature, n = geo._curvature, f.dim
 
         def planted(g, dg, d2g):
             ginv, gamma, R = curvature(g, dg, d2g)
-            return ginv, gamma, R.real + 1j * (1 + 1e-6) * R.imag
+            R[n:2 * n] = R[n:2 * n].real + 1j * (1 + 1e-6) * R[n:2 * n].imag
+            return ginv, gamma, R
 
         monkeypatch.setattr(geo, "_curvature", planted)
-        assert geo.second_bianchi_residual(f) > bound
+        assert (geo.second_bianchi_residual(f) > bound).tolist() == [False, True, False]
+
+    # Every corpus target but the surfaces' is at n = 4, 5 or 6.
+    @pytest.mark.parametrize("name", sorted(set(corpus_list()) - {"surface_pair", "unit_sphere"}))
+    def test_a_stacked_bianchi_call_equals_its_one_lane_calls(self, name):
+        job = cli.build_job(corpus_get(name)["manifolds"][0])
+        points = cli.sample_points(job, 4, np.random.default_rng(13))[:4]
+        for spec in (target.spec for target in job.targets):
+            assert spec.dim in (4, 5, 6)
+            f = geo.frames(spec, points)
+            stacked = geo.second_bianchi_residual(f)
+            lanes = [geo.second_bianchi_residual(f.take([i])) for i in range(4)]
+            assert stacked.shape == (4,) and all(lane.shape == (1,) for lane in lanes)
+            assert stacked.tobytes() == np.concatenate(lanes).tobytes(), spec.coords
 
     def test_constant_curvature_scalar_is_twice_gauss(self):
         spec = constant_curvature_2d("x", 0.5, 4.0)

@@ -76,6 +76,19 @@ def test_roter_entries_take_a_stacked_frame(tracer):
         assert len(getattr(roter, attr)(*args)) == len(points), attr
 
 
+def test_the_bianchi_check_takes_a_stacked_frame(tracer):
+    # geometry.second_bianchi_residual.calls counts one call per chunk that
+    # holds run index 0 or 1: the call takes that chunk's stacked frame
+    # first and returns one residual per lane.
+    assert ("geometry.second_bianchi_residual", "geometry",
+            "second_bianchi_residual") in tracer["WRAPPED"]
+    assert list(inspect.signature(geo.second_bianchi_residual).parameters)[0] == "frame"
+    job = cli.build_job(corpus_get("rn_lambda0")["manifolds"][0])
+    points = cli.sample_points(job, 3, np.random.default_rng(0))
+    residuals = geo.second_bianchi_residual(geo.frames(job.targets[0].spec, points))
+    assert residuals.shape == (len(points),)
+
+
 def test_traced_programs_keep_their_complex_twin(tracer):
     # install() wraps compile_exprs and, through _after_compile, each
     # program it returns, with functools.wraps, which copies the program's

@@ -267,10 +267,10 @@ def test_a_candidate_whose_psi_jet_fails_is_not_sampled(monkeypatch):
     def planting(cfg):
         family = build_family(cfg)
 
-        def planted(point):
-            if tuple(point) == bad:
+        def planted(points):
+            if bad in map(tuple, points):
                 raise ex.DomainError("planted", "psi")
-            return family.psi(point)
+            return family.psi(points)
         return dataclasses.replace(family, psi=planted)
 
     monkeypatch.setattr(gm, "build_family", planting)
