@@ -360,6 +360,7 @@ class Target:
     label: str  # "self" | "source" | "image"
     spec: geo.MetricSpec
     warped_spec: wp.WarpedSpec | None = None
+    at: int = 0  # the column of its first output in the first target's components program
 
 
 @dataclass
@@ -383,19 +384,16 @@ class Job:
         return self.kind == "family" and self.expect.get("classify", "ROTER") == "ROTER"
 
     def sample_ok(self, point) -> bool:
-        """Admissible for every target, clear of a family's mapping guards and, on
-        a mapped pair, with a psi jet that evaluates: no chunk piece fails there."""
-        if not all(geo.admissible(t.spec, point) for t in self.targets):
+        """Every target's conditions hold and the first target's components program
+        (a mapped pair's holds both) runs at point, each target's metric invertible
+        and a family clear of its mapping guards: no chunk piece fails there."""
+        if not all(geo.admissible(t.spec, point, ()) for t in self.targets):
             return False
-        if self.family is not None and not self.family.guards_hold(point):
+        try:
+            jets = geo.metric_jets(self.targets[0].spec, [point], False, [t.at for t in self.targets])
+        except _POINT_ERRORS:
             return False
-        mapped = self.pair or self.family
-        if mapped is not None:
-            try:
-                mapped.psi([point])
-            except _POINT_ERRORS:
-                return False
-        return True
+        return self.family is None or self.family.guards_hold(jets)
 
 
 def _build_explicit(mdef) -> geo.MetricSpec:
@@ -429,14 +427,14 @@ def build_job(mdef: dict) -> Job:
         family = gm.build_family(gm.FamilyConfig(**params))
         targets = [
             Target("source", family.source.product, family.source),
-            Target("image", family.image.product, family.image),
+            Target("image", family.image.product, family.image, family.image_at),
         ]
     else:  # pair2d
         pdef = mdef["pair"]
         pair = gm.geodesic_pair_2d(
             pdef["a"], pdef["b"], pdef["map_scale"], pdef["map_shift"]
         )
-        targets = [Target("source", pair.source), Target("image", pair.image)]
+        targets = [Target("source", pair.source), Target("image", pair.image, None, pair.image_at)]
     return Job(
         mdef["name"], kind, mdef, targets, family, pair,
         mdef["box"], mdef.get("pinned_points", []),
@@ -512,27 +510,36 @@ class Chunk:
     Each piece is computed for every point on first read, once over the
     chunk's point axis, and holds one entry per point; a suite's piece
     holds its checks.  No piece fails at a sampled point: Job.sample_ok
-    ran the metric and psi jets that the pieces run (a warped product's
-    cover its base, fiber and warp).  Only curvature can still fail, by
-    overflow: evaluated then raises its one error at every read.  start
-    is the run's index of the first point.  stacked is the frame of all
-    the points; fiber_frames and diagnostics are stacked too, built from
-    the factor jets of stacked's geo.metric_jets call, which are not
-    kept.  A family's image reads the fiber frames of its peer, the
-    source chunk."""
+    ran the one program the pieces read (a warped product's covers its
+    base, fiber and warp, a mapped pair's both members and ψ).  Only
+    curvature can still fail, by overflow: evaluated then raises its one
+    error at every read.  start is the run's index of the first point.
+    stacked is the frame of all the points; fiber_frames and diagnostics
+    are stacked too, built from the factor jets of the program's run.  A
+    mapped pair's image reads its jets and a family's fiber frames from
+    its peer, the source chunk."""
 
     def __init__(self, job: Job, suites: set, target: Target, start: int, points: list, peer=None):
         self.job, self.suites, self.target = job, suites, target
         self.start, self.points, self.peer = start, points, peer
 
     @cached_property
+    def _jets(self) -> dict:
+        """Per target label, its (g, dg, d2g) and factor jets (wp.WarpedSpec.blocks), each
+        taken once, and a mapped pair's gm.mapped_jets, from one geo.metric_jets call."""
+        targets, mapped = self.job.targets, self.job.pair or self.job.family
+        jets = geo.metric_jets(self.target.spec, self.points, True, [t.at for t in targets])
+        return {"mapped": mapped and gm.mapped_jets(mapped, jets),
+                **{t.label: (geo.jet_block(jets, at=t.at), t.warped_spec
+                             and t.warped_spec.blocks(jets, t.at)) for t in targets}}
+
+    @cached_property
     def _evaluated(self):
         """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks),
         or the geo.GeometryError that stopped them, kept without its traceback."""
-        spec, ws = self.target.spec, self.target.warped_spec
         try:
-            jets = geo.metric_jets(spec, self.points)
-            return geo.frames(spec, self.points, geo.jet_block(jets)), ws and ws.blocks(jets)
+            jet, blocks = (self.peer or self)._jets.pop(self.target.label)
+            return geo.frames(self.target.spec, self.points, jet), blocks
         except geo.GeometryError as err:
             return err.with_traceback(None)
 
@@ -583,7 +590,8 @@ class Chunk:
         checks.append(_scalars("frame_scalars", scalars, count))
         rows = _per_point(checks, count)
         if self.start < 2:
-            bianchi = geo.second_bianchi_residual(f.take(range(min(2 - self.start, count))))
+            bianchi = geo.second_bianchi_residual(f.take(range(min(2 - self.start, count))),
+                                                  self.job.targets[0].spec, self.target.at)
             for row, res in zip(rows, bianchi.tolist()):
                 row.append(("second_bianchi", res, "geo"))
         return rows
@@ -721,7 +729,7 @@ class Chunk:
         each member's cor42 and the psi-Ricci identity (an error flag where
         the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
-        jets = (job.pair or job.family).psi(self.points)
+        jets, values, root = source._jets["mapped"]
         frames = (source.stacked, self.stacked)
         checks = [
             ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),
@@ -732,13 +740,12 @@ class Chunk:
         if job.kind == "pair2d":
             checks += _named(gm.pair_christoffel_closed_forms(job.pair, *frames), "geo")
         else:
-            fam, values = job.family, gm.family_values(job.family, self.points)
-            d, d_bar = source.diagnostics, self.diagnostics
+            fam, d, d_bar = job.family, source.diagnostics, self.diagnostics
             r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
             checks += [("warp_scale_equation", r4, "geo"), ("warp_log_equation", r5, "geo")]
             checks += _named(gm.family_psi_closed_forms(fam, d, values, jets), "geo")
             checks += _named(gm.family_image_ricci_forms(fam, d_bar, values), "identity")
-            checks += _named(gm.warp_profile_pde_residuals(fam, d), "geo")
+            checks += _named(gm.warp_profile_pde_residuals(d, root), "geo")
             kg, kg_bar = gm.base_gauss_values(d, d_bar)
             checks += [("base_gauss_source", scalar_residual(kg, fam.l_r_expected), "geo"),
                        ("base_gauss_image", scalar_residual(kg_bar, fam.l_r_image_expected), "geo")]

@@ -647,6 +647,7 @@ _COMPILE_NS = {
     "_sqrt": math.sqrt,
     "_abs": abs,
     "_pow": math.pow,
+    "inf": math.inf, "nan": math.nan,  # the reprs of infinite and NaN literals
     "__builtins__": {},
 }
 # The complex twin's namespace: analytic continuations, abs by the real part's sign.
@@ -654,6 +655,7 @@ _COMPLEX_NS = {
     **{f"_{op}": getattr(cmath, op) for op in ("sin", "cos", "tan", "exp", "log", "sqrt")},
     "_abs": lambda z: -z if z.real < 0 else z,
     "_pow": pow,
+    "inf": math.inf, "nan": math.nan,
     "__builtins__": {},
 }
 
@@ -772,8 +774,9 @@ def jet(
     value, so equal specs rebuilt later reuse it.  A native domain
     failure at the first failing point raises a DomainError naming the
     node of the failing program line, with the message _DOMAIN_MESSAGES
-    holds for its operation and the exception.  run.complex(points) runs
-    the program's complex twin at complex points, through the same indices.
+    holds for its operation and the exception.  run.complex(points,
+    columns) runs the program's complex twin at complex points, through
+    the same indices, of the outputs at columns (an index array) alone.
     """
     if order not in (0, 1, 2):
         raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
@@ -808,9 +811,9 @@ def jet(
         flat = np.array(rows, dtype=float)
         return tuple(flat.take(index, axis=1) for index in indices)
 
-    def run_complex(points: Sequence[Sequence[complex]]) -> tuple[np.ndarray, ...]:
+    def run_complex(points: Sequence[Sequence[complex]], columns=slice(None)):
         flat = np.array([program.complex(*point) for point in points], dtype=complex)
-        return tuple(flat.take(index, axis=1) for index in indices)
+        return tuple(flat.take(index[..., columns], axis=1) for index in indices)
 
     run.complex = run_complex
     return run

@@ -22,15 +22,16 @@ spaces and are pseudosymmetric of constant type, with
 and the residual functions below certify every compatibility equation
 and closed form the construction promises, one residual per point of
 a chunk.  They evaluate no frame: they take the stacked (source,
-image) frames or WarpedDiagnostics, the fits, and the ψ jets, the psi
-program at each point stacked as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).
+image) frames or WarpedDiagnostics, the fits, and the ψ jets, stacked
+as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).  A mapped pair has one
+program, its source's components program: its outputs go on with the
+image's, ψ and, on a family, 𝔟, B and √F (see mapped_jets).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "FamilyError",
     "geodesic_pair_2d",
     "build_family",
+    "mapped_jets",
     "family_values",
     "profile_expr",
     "profile_invariant_residual",
@@ -114,10 +116,11 @@ def psi_gradient_residual(jets) -> np.ndarray:
 class GeodesicPair2D:
     """diag(𝔞, 𝔟) and its geodesic image on a common (x, y) chart."""
 
-    source: geo.MetricSpec
+    source: geo.MetricSpec  # its components program is the pair's one program
     image: geo.MetricSpec
-    psi: Callable  # points -> (psi, dpsi), dpsi[p,j,i] = ∂_j ψ_i at points[p]; bound once per pair
     map_shift: float
+    image_at: int  # the program's column of the image's first output
+    psi_at: int  # and of ψ₁
 
 
 def _pair_components(a_expr, b_expr, bp):
@@ -127,6 +130,15 @@ def _pair_components(a_expr, b_expr, bp):
     bbar = ex.div(ex.mul(ex.const("p"), b_expr), one_plus_qb)
     psi1 = ex.neg(ex.div(ex.mul(ex.const("q"), bp), ex.mul(ex.num(2.0), one_plus_qb)))
     return one_plus_qb, abar, bbar, psi1
+
+
+def _one_program(source: geo.MetricSpec, image: geo.MetricSpec, tail: tuple) -> tuple:
+    """source, whose outputs go on with image's and tail, and the columns
+    of image's first output and of tail's."""
+    image_at = source.dim ** 2 + len(source.extras)
+    outputs = tuple(e for row in image.components for e in row) + image.extras
+    spec = replace(source, extras=source.extras + outputs + tail)
+    return spec, image_at, image_at + len(outputs)
 
 
 def geodesic_pair_2d(a, b, map_scale: float, map_shift: float) -> GeodesicPair2D:
@@ -148,8 +160,8 @@ def geodesic_pair_2d(a, b, map_scale: float, map_shift: float) -> GeodesicPair2D
     image = geo.metric_spec(
         coords, [[abar, 0.0], [0.0, bbar]], binds, shared + ((one_plus_qb, "nonzero"),)
     )
-    psi = ex.jet((psi1, ex.Num(0.0)), coords, binds, 1)
-    return GeodesicPair2D(source, image, psi, float(map_shift))
+    source, image_at, psi_at = _one_program(source, image, (psi1, ex.Num(0.0)))
+    return GeodesicPair2D(source, image, float(map_shift), image_at, psi_at)
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +199,13 @@ class Family:
     """Source and image warped products plus the mapping covector."""
 
     cfg: FamilyConfig
-    source: wp.WarpedSpec
+    source: wp.WarpedSpec  # its product's components program is the family's one program
     image: wp.WarpedSpec
-    psi: Callable  # points -> (psi, dpsi), dpsi[p,j,i] = ∂_j ψ_i at points[p]; bound once per family
+    image_at: int  # the program's column of the image's first output
+    psi_at: int  # and of ψ₁, which 𝔟, B and √F follow
     profile: ex.Expr
     profile_jet: Callable  # (B, B') on the (x, t) chart, bound once per family
     profile_invariant: float  # (B')^2 - c B^2, constant in t
-
-    # The base jets of family_values and warp_profile_pde_residuals,
-    # bound once per family.
-    @cached_property
-    def _values_jet(self):
-        base = self.source.base
-        return ex.jet((base.components[1][1], self.profile), base.coords, base.bindings, 1)
-
-    @cached_property
-    def _warp_root_jet(self):
-        base = self.source.base
-        return ex.jet((ex.fn("sqrt", self.source.warp),), base.coords, base.bindings, 2)
 
     @property
     def l_r_expected(self) -> float:
@@ -216,11 +217,12 @@ class Family:
             4.0 * self.cfg.map_scale
         )
 
-    def guards_hold(self, point) -> bool:
-        """Whether 1 + q𝔟, D𝔟 - 4C, 𝔟' and B clear GUARD_FLOOR at point, so the
-        mapping is not near-singular there; admissibility is checked apart."""
-        vals = family_values(self, [tuple(float(v) for v in point)])
-        return all(abs(vals[key][0]) >= GUARD_FLOOR for key in ("one_plus_qb", "shape", "bp", "B"))
+    def guards_hold(self, jets) -> bool:
+        """Whether 1 + q𝔟, D𝔟 - 4C, 𝔟' and B clear GUARD_FLOOR at each point of
+        jets, the family's program run, so the mapping is not near-singular
+        there; admissibility is checked apart."""
+        vals = family_values(self, jets)
+        return all((abs(vals[key]) >= GUARD_FLOOR).all() for key in ("one_plus_qb", "shape", "bp", "B"))
 
 
 def profile_expr(cfg: FamilyConfig) -> ex.Expr:
@@ -293,14 +295,27 @@ def build_family(cfg: FamilyConfig) -> Family:
     source = wp.assemble(base, fiber, warp)
     image = wp.assemble(base_bar, fiber, warp_bar)
 
-    psi = ex.jet((psi1,) + (ex.Num(0.0),) * (n - 1), source.product.coords, binds, 1)
-    return Family(cfg, source, image, psi, profile, profile_jet, invariant)
+    tail = (psi1,) + (ex.Num(0.0),) * (n - 1) + (b_expr, profile, ex.fn("sqrt", warp))
+    product, image_at, psi_at = _one_program(source.product, image.product, tail)
+    source = replace(source, product=product)
+    return Family(cfg, source, image, image_at, psi_at, profile, profile_jet, invariant)
 
 
-def family_values(fam: Family, points) -> dict[str, np.ndarray]:
-    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at a chunk of points,
-    from one jet program run: one array per key."""
-    (values, grads), cfg = fam._values_jet([point[:2] for point in points]), fam.cfg
+def mapped_jets(mapped: GeodesicPair2D | Family, jets) -> tuple:
+    """The ψ jets, family_values and (f, df, d2f) of f = √F along the base
+    axes at P points (on a pair, None and None), read from jets, the
+    mapped pair's program run there (geometry.metric_jets of its source)."""
+    n = jets[1].shape[1]
+    psi = geo.jet_block(jets, np.arange(n), at=mapped.psi_at)[:2]
+    if not isinstance(mapped, Family):
+        return psi, None, None
+    return psi, family_values(mapped, jets), geo.jet_block(jets, n + 2, slice(2), mapped.psi_at)
+
+
+def family_values(fam: Family, jets) -> dict[str, np.ndarray]:
+    """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at P points, one
+    array per key, read from jets as mapped_jets reads them."""
+    (values, grads, _), cfg = geo.jet_block(jets, np.arange(2), at=fam.psi_at + fam.cfg.n), fam.cfg
     b, B = values.T
     return {
         "b": b,
@@ -562,16 +577,16 @@ def psi_ricci_identity_residual(
     return lane_norms(total) / scale
 
 
-def warp_profile_pde_residuals(fam: Family, d: wp.WarpedDiagnostics) -> dict[str, np.ndarray]:
+def warp_profile_pde_residuals(d: wp.WarpedDiagnostics, root) -> dict[str, np.ndarray]:
     """Shape constraints that make T proportional to the base metric.
 
     T₁₂ = 0 and 𝔟 T₁₁ = 𝔞 T₂₂, plus the square-root-warp reductions
     f₁₂ = f₂ 𝔟'/(2𝔟) and f₁₁ - (𝔞/𝔟) f₂₂ = f₁ (𝔞𝔟)'/(2𝔞𝔟) for f = √F,
-    read from the source member's diagnostics, and the jets of f at the
-    base frame's points.
+    read from the source member's diagnostics and root, the jets of f
+    at its points (mapped_jets).
     """
     bframe = d.base_frame
-    _, df, d2f = geo.jet_block(fam._warp_root_jet(bframe.point), 0)
+    _, df, d2f = root
     a_v, b_v = bframe.g[:, 0, 0], bframe.g[:, 1, 1]
     out = {
         "t_offdiag": lane_zero_residuals(d.t[:, 0, 1], d.t),

@@ -26,7 +26,8 @@ g, dg and d2g come from exact symbolic derivatives of the component
 expressions, and d R from a complex step through their program.  A
 MetricSpec binds its conditions and components programs from ex.jet
 on first use, so no point's evaluation looks up ex.jet's cache; a
-warped product's also yields the jets of its fiber components and warp.
+warped product's also yields the jets of its fiber components and warp,
+and a mapped pair's source's the image's, ψ and more (geomap).
 
 metric_jets(spec, points) checks conditions and runs the components
 program over the points, with a leading point axis, and jet_block reads
@@ -195,11 +196,13 @@ def _failed_condition(spec: MetricSpec, point: Sequence[float]):
                 return cond, kind, v
 
 
-def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True):
+def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True,
+                metrics_at: Sequence[int] = (0,)):
     """The jets of spec's components program at the points, as ex.jet's.
     Raises the error of the first point whose conditions fail (if check
     is set), then of the first whose jet fails; otherwise
-    SingularMetricError at the first point where g does not invert."""
+    SingularMetricError at the first point where a metric does not
+    invert, each read from the n x n outputs from a column of metrics_at."""
     for point in points:
         failed = check and _failed_condition(spec, point)
         if failed:
@@ -208,36 +211,39 @@ def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool
                                          f"{tuple(point)}: value {v!r}")
     jets = spec._component_jet(points)
     n = spec.dim
-    g = np.ascontiguousarray(jets[0][:, : n * n].reshape(-1, n, n))
-    # |det g| over the product of g's row norms, from g's rows over their
-    # largest |entry|: the same ratio, but no norm overflows.  A zero row,
-    # or a g that is not finite (so neither is det), reads as singular.
-    with np.errstate(invalid="ignore"):
-        top = np.max(np.abs(g), axis=-1, keepdims=True)
-        unit = g / np.where(top > 0.0, top, 1.0)
-        det = np.abs(np.linalg.det(unit))
-    singular = ~(det > _DET_RATIO * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
-    if singular.any():
-        raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
+    for at in metrics_at:
+        g = np.ascontiguousarray(jets[0][:, at:at + n * n].reshape(-1, n, n))
+        # |det g| over the product of g's row norms, from g's rows over their
+        # largest |entry|: the same ratio, but no norm overflows.  A zero row,
+        # or a g that is not finite (so neither is det), reads as singular.
+        with np.errstate(invalid="ignore"):
+            top = np.max(np.abs(g), axis=-1, keepdims=True)
+            unit = g / np.where(top > 0.0, top, 1.0)
+            det = np.abs(np.linalg.det(unit))
+        singular = ~(det > _DET_RATIO * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
+        if singular.any():
+            raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
     return jets
 
 
-def jet_block(jets, columns=None, axes=slice(None)) -> tuple[np.ndarray, ...]:
+def jet_block(jets, columns=None, axes=slice(None), at: int = 0) -> tuple[np.ndarray, ...]:
     """Contiguous (values, first, second) of metric_jets's outputs at
-    columns, an index array shaping each lane (by default the program's
-    own n x n metric), differentiated along the chart axes axes only."""
+    columns + at, columns an index array shaping each lane (by default
+    an n x n metric), differentiated along the chart axes axes only."""
     values, first, second = jets
     n = first.shape[1]
-    columns = np.arange(n * n).reshape(n, n) if columns is None else columns
+    columns = at + (np.arange(n * n).reshape(n, n) if columns is None else columns)
     parts = (values, first[:, axes], second[:, axes, axes])
     return tuple(np.ascontiguousarray(part[..., columns]) for part in parts)
 
 
-def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
-    """True when all declared conditions hold and the metric inverts."""
+def admissible(spec: MetricSpec, point: Sequence[float], metrics_at: Sequence[int] = (0,)) -> bool:
+    """True when all declared conditions hold and each metric of metrics_at
+    (see metric_jets; none: the conditions alone) inverts."""
     try:
         if _failed_condition(spec, point) is None:
-            metric_jets(spec, [point], False)
+            if metrics_at:
+                metric_jets(spec, [point], False, metrics_at)
             return True
     except (GeometryError, ex.ExprError):
         pass
@@ -404,13 +410,15 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # over the components program's complex twin at x_p + ih e_l, l < n, for
 # each lane p (the complex step; Martins, Sturdza and Alonso, 2003).
 
-def second_bianchi_residual(frame: PointFrame) -> np.ndarray:
+def second_bianchi_residual(frame: PointFrame, spec=None, at: int = 0) -> np.ndarray:
     """The identity's max-abs residual over (1 + max |R|), one per lane
-    of a stacked frame, each equal to the call on that lane alone."""
-    spec, h, n = frame.spec, 1e-30, frame.dim
+    of a stacked frame, each equal to the call on that lane alone.  The
+    twin is spec's (by default frame.spec's), whose outputs hold frame's
+    components from column at."""
+    spec, h, n = spec or frame.spec, 1e-30, frame.dim
     steps = (np.array(frame.point)[:, None] + 1j * h * np.eye(n)).reshape(-1, n)
-    lanes = spec._component_jet.complex(steps.tolist())
-    dR = (_curvature(*jet_block(lanes))[2].imag / h).reshape(-1, n, n, n, n, n)
+    jet = spec._component_jet.complex(steps.tolist(), at + np.arange(n * n).reshape(n, n))
+    dR = (_curvature(*jet)[2].imag / h).reshape(-1, n, n, n, n, n)
     gam, R = frame.gamma, frame.riemann
     nabla = (
         dR

@@ -83,13 +83,13 @@ class WarpedSpec:
         p = tuple(float(v) for v in point)
         return p[: self.base.dim], p[self.base.dim :]
 
-    def blocks(self, jets) -> tuple[tuple[np.ndarray, ...], ...]:
+    def blocks(self, jets, at: int = 0) -> tuple[tuple[np.ndarray, ...], ...]:
         """The base's, fiber's and warp's jets, each along its own chart's
-        axes, read from the product's geo.metric_jets."""
+        axes, read from the product's outputs, from column at, of geo.metric_jets."""
         n, p, m = self.dim, self.base_dim, self.fiber_dim
         base, fiber = np.arange(n * n).reshape(n, n)[:p, :p], n * n + np.arange(m * m).reshape(m, m)
-        return (geo.jet_block(jets, base, slice(p)), geo.jet_block(jets, fiber, slice(p, n)),
-                geo.jet_block(jets, n * n + m * m, slice(p)))
+        return (geo.jet_block(jets, base, slice(p), at), geo.jet_block(jets, fiber, slice(p, n), at),
+                geo.jet_block(jets, n * n + m * m, slice(p), at))
 
 
 def assemble(base: geo.MetricSpec, fiber: geo.MetricSpec, warp) -> WarpedSpec:

@@ -244,9 +244,74 @@ def at(program, point):
 
 def psi_jets(psi, points):
     """The stacked psi jets (psi, dpsi) of a mapping at a chunk of points,
-    each point's from its own call."""
+    each point's from its own call of psi, a program as psi_program's."""
     jets = [at(psi, point) for point in points]
     return np.array([v for v, _ in jets]), np.array([d for _, d in jets])
+
+
+# A mapped pair's one program, and the program of each of its blocks
+# alone: the oracles of the blocks it reads.
+
+def program_spec(mapped) -> geo.MetricSpec:
+    """The MetricSpec whose components program is a mapped pair's one program."""
+    return getattr(mapped.source, "product", mapped.source)
+
+
+def program_blocks(mapped) -> dict:
+    """The outputs of a mapped pair's one program, split into its blocks:
+    source and image (components, then extras), psi and, on a family,
+    values (b, B) and root (sqrt F)."""
+    spec = program_spec(mapped)
+    outputs = tuple(e for row in spec.components for e in row) + spec.extras
+    n, psi = spec.dim, mapped.psi_at
+    cuts = {"source": (0, mapped.image_at), "image": (mapped.image_at, psi), "psi": (psi, psi + n)}
+    if isinstance(mapped, gm.Family):
+        cuts.update(values=(psi + n, psi + n + 2), root=(psi + n + 2, psi + n + 3))
+    assert max(stop for _, stop in cuts.values()) == len(outputs)
+    return {name: outputs[start:stop] for name, (start, stop) in cuts.items()}
+
+
+def block_program(mapped, name, order=2, coords=None):
+    """ex.jet of one block of a mapped pair's program alone, over the
+    program's chart or coords."""
+    spec = program_spec(mapped)
+    return ex.jet(program_blocks(mapped)[name], coords or spec.coords, spec.bindings, order)
+
+
+def psi_program(mapped):
+    """A mapped pair's psi jet alone: points -> (psi, dpsi) at order 1."""
+    return block_program(mapped, "psi", 1)
+
+
+def program_jets(mapped, points):
+    """A mapped pair's one program run at a chunk of points, as geo.metric_jets's."""
+    return geo.metric_jets(program_spec(mapped), points)
+
+
+def values_at(fam, points) -> dict:
+    """gm.family_values of a family at a chunk of points."""
+    return gm.family_values(fam, program_jets(fam, points))
+
+
+def mapped_point_ok(mapped, point) -> bool:
+    """cli.Job.sample_ok's oracle on a mapped pair, from a program per
+    part: each member admissible on its own components program, a
+    family's mapping guards clear on its values program alone, and the
+    psi program evaluating."""
+    spec = program_spec(mapped)
+    own = dataclasses.replace(spec, extras=program_blocks(mapped)["source"][spec.dim ** 2:])
+    image = getattr(mapped.image, "product", mapped.image)
+    if not (geo.admissible(own, point) and geo.admissible(image, point)):
+        return False
+    if isinstance(mapped, gm.Family):
+        values = point_family_values(mapped, point)
+        if any(abs(values[key]) < gm.GUARD_FLOOR for key in ("one_plus_qb", "shape", "bp", "B")):
+            return False
+    try:
+        psi_program(mapped)([point])
+    except ExprError:
+        return False
+    return True
 
 
 def member_frames(fam, points):
@@ -470,7 +535,7 @@ def point_gradient_residual(psi, point) -> float:
 
 
 def point_family_values(fam, point) -> dict:
-    values, grads = at(fam._values_jet, point[:2])
+    values, grads = at(block_program(fam, "values", 1), point)
     (b, B), cfg = values.tolist(), fam.cfg
     return {"b": b, "bp": float(grads[0, 0]), "B": B, "Bp": float(grads[1, 1]),
             "one_plus_qb": 1.0 + cfg.map_shift * b, "shape": cfg.d * b - 4.0 * cfg.c}
@@ -514,7 +579,7 @@ def point_family_psi_closed_forms(fam, d, v) -> dict:
     cfg = fam.cfg
     q, b, bp, B = cfg.map_shift, v["b"], v["bp"], v["B"]
     opq, shape = v["one_plus_qb"], v["shape"]
-    psi2 = point_second_form(fam.psi, d.frame)
+    psi2 = point_second_form(psi_program(fam), d.frame)
     want11 = (q * bp * bp * (4 * cfg.c - q * cfg.d * b * b - 2 * cfg.d * b)
               / (4 * b * opq * opq * shape))
     want22 = -q * b * shape / (4 * opq)
@@ -547,7 +612,7 @@ def point_family_image_ricci_forms(fam, d_bar, v) -> dict:
 
 def point_warp_compatibility(fam, d, d_bar) -> tuple:
     Fv, Fbv, grad, grad_bar = d.f_value, d_bar.f_value, d.grad, d_bar.grad
-    psi_v = at(fam.psi, d.frame.point)[0][:2]
+    psi_v = at(psi_program(fam), d.frame.point)[0][:2]
     f_up = d.base_frame.ginv @ grad
     lhs_scale = -(Fbv / (2.0 * Fv)) * grad + 0.5 * (d_bar.base_frame.g @ f_up)
     res_scale = max_abs_residual(lhs_scale, Fbv * psi_v)
@@ -593,7 +658,7 @@ def point_psi_ricci_identity(fam, frames, fits, products) -> float:
     ifit = fits[1]
     phi_b, mu_b, eta_b, lr_b = ifit.phi, ifit.mu, ifit.eta, ifit.L_R
     kappa_b, gbar_inv = iframe.scalar, iframe.ginv
-    psi2 = point_second_form(fam.psi, sframe)
+    psi2 = point_second_form(psi_program(fam), sframe)
     Bmk = psi2 @ gbar_inv @ iframe.ricci
     tr_b = float(np.einsum("mk,mk->", gbar_inv, Bmk))
     tr_psi = float(np.einsum("mk,mk->", gbar_inv, psi2))
@@ -614,7 +679,7 @@ def point_warp_profile_pde(fam, d) -> dict:
         "t_offdiag": zero_residual(d.t[0, 1], d.t),
         "t_balance": scalar_residual(b_v * d.t[0, 0], a_v * d.t[1, 1]),
     }
-    _, df, d2f = at(fam._warp_root_jet, bframe.point)
+    _, df, d2f = at(block_program(fam, "root", 2, bframe.spec.coords), bframe.point)
     f1, f2 = df[:, 0]
     f11, f12, f22 = d2f[0, 0, 0], d2f[0, 1, 0], d2f[1, 1, 0]
     ap, bp = bframe.dg[0, 0, 0], bframe.dg[0, 1, 1]

@@ -42,14 +42,17 @@ from helpers import (
     constant_curvature_2d,
     diagnostics_at,
     frames_fits_and_products,
+    mapped_point_ok,
     max_abs_residual,
     member_diagnostics,
     psi_jets,
+    psi_program,
     random_expr,
     random_point,
     riemann_symmetry_residuals,
     stack,
     tensor_residual,
+    values_at,
 )
 
 RNG_SEED = 20240817
@@ -340,8 +343,7 @@ def family_points(fam, rng, count):
         base = [x, rng.uniform(-0.35, 0.6)]
         fib = [rng.uniform(-0.3, 0.3) for _ in range(fam.cfg.fiber_dim)]
         pt = tuple(base + fib)
-        if (all(geo.admissible(m.product, pt) for m in (fam.source, fam.image))
-                and fam.guards_hold(pt)):
+        if mapped_point_ok(fam, pt):
             pts.append(pt)
     return pts
 
@@ -361,7 +363,7 @@ def test_criterion_4_family_end_to_end():
             rng = np.random.default_rng([RNG_SEED, n, hash(branch) % 2**31])
             points = family_points(fam, rng, 20)
             d, d_bar = member_diagnostics(fam, points)
-            frames, jets = (d.frame, d_bar.frame), psi_jets(fam.psi, points)
+            frames, jets = (d.frame, d_bar.frame), psi_jets(psi_program(fam), points)
             r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
             mapping = {
                 "geo": gm.geodesic_compatibility_residual(*frames, jets),
@@ -378,7 +380,7 @@ def test_criterion_4_family_end_to_end():
             frames, fits, products = frames_fits_and_products(fam, points)
             lr_src = [fit.L_R for fit in fits[0]]
             lr_img = [fit.L_R for fit in fits[1]]
-            relations = gm.factor_relations(fam, frames, fits, gm.family_values(fam, points))
+            relations = gm.factor_relations(fam, frames, fits, values_at(fam, points))
             for tag, member_fits, P in zip(("cor42_source", "cor42_image"), fits, products):
                 relations[tag] = gm.corollary42_residual(n, member_fits, P)
             for check in ("l_r_value", "l_r_image_value", "lkappa",
@@ -547,7 +549,7 @@ def test_criterion_7_psi_ricci_identity():
         rng = np.random.default_rng([RNG_SEED, hash(branch) % 2**31])
         pt = family_points(fam, rng, 1)[0]
         frames, ((sfit,), (ifit,)), _ = frames_fits_and_products(fam, [pt])
-        jets = psi_jets(fam.psi, [pt])
+        jets = psi_jets(psi_program(fam), [pt])
         perturbed = ([sfit], [dataclasses.replace(ifit, phi=1.01 * ifit.phi)])
         (res,) = gm.psi_ricci_identity_residual(fam, frames, ([sfit], [ifit]), jets)
         worst = max(worst, res)

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -609,7 +610,7 @@ class TestRun:
         # chunk that starts at index 4 has no second_bianchi record.
         calls, bianchi = [], geo.second_bianchi_residual
         monkeypatch.setattr(geo, "second_bianchi_residual",
-                            lambda f: calls.append(len(f.point)) or bianchi(f))
+                            lambda f, *rest: calls.append(len(f.point)) or bianchi(f, *rest))
         records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=6)
         assert summary["ok"] and roter.chunk_size(6) == 4 and calls == [2, 2]
         sites = {(r["target"], r["point_index"]) for r in records if r["check"] == "second_bianchi"}
@@ -634,6 +635,27 @@ class TestRun:
         assert proc.returncode == 1
         assert proc.stderr == "error: cannot sample admissible points for 'm'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("g_xx", ["1e300*x*1e300", "1e400*x"])
+    def test_an_infinite_component_exits_1(self, tmp_path, capsys, g_xx):
+        # diff folds 1e300*1e300 to an infinite literal, and 1e400 parses
+        # as one.  The program binds inf, so it runs; the metric is not
+        # finite, so no point is admissible, and no numpy warning is raised.
+        manifest = {
+            "name": "infinite", "seed": 1, "points": 1,
+            "manifolds": [{
+                "name": "m", "kind": "explicit", "coords": ["x", "y"],
+                "metric": [[g_xx, "0"], ["0", "1"]],
+                "box": {"x": [0.0, 1.0], "y": [0.0, 1.0]},
+            }],
+        }
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(manifest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot sample admissible points for 'm'\n"
 
     def test_bianchi_check_stays_at_the_point(self):
         # d|x|/dx = x/abs(x) divides by zero at x = 0, one step of 1e-5
@@ -887,7 +909,9 @@ class TestSharedEvaluation:
         # geo.frames stack, and hands them to every helper.  The stack is
         # built from the chunk's one checked geo.metric_jets call, which
         # a warped target's base and fiber frames read too: no base or
-        # fiber program runs.  The fiber frame that a family's source and
+        # fiber program runs.  On a mapped pair that call runs the first
+        # target's program, which holds the image's components too: the
+        # image runs none.  The fiber frame that a family's source and
         # image share is built once, by the source, and read by the
         # image.  geo.frame is a one-lane geo.frames, so every frame counts.
         computed, evaluated = Counter(), Counter()
@@ -898,11 +922,11 @@ class TestSharedEvaluation:
                 computed[(spec, tuple(point))] += 1
             return frames(spec, points, *jet)
 
-        def counted_jets(spec, points, check=True):
+        def counted_jets(spec, points, check=True, *rest):
             if check:  # sampling runs unchecked jets
                 for point in points:
                     evaluated[(spec, tuple(point))] += 1
-            return metric_jets(spec, points, check)
+            return metric_jets(spec, points, check, *rest)
 
         monkeypatch.setattr(geo, "frames", counted)
         monkeypatch.setattr(geo, "metric_jets", counted_jets)
@@ -914,17 +938,16 @@ class TestSharedEvaluation:
         fiber = jobs[0].family.source.fiber
         assert max(computed.values()) == max(evaluated.values()) == 1
         assert sum(spec == fiber for spec, _ in computed) == 2  # one per point
-        targets = {target.spec for job in jobs for target in job.targets}
-        assert {spec for spec, _ in evaluated} == targets and len(evaluated) == 2 * len(targets)
+        firsts = {job.targets[0].spec for job in jobs}
+        assert {spec for spec, _ in evaluated} == firsts and len(evaluated) == 2 * len(firsts)
 
-    @pytest.mark.parametrize("entry", [name for name in corpus_list()
-                                       if corpus_get(name)["manifolds"][0]["kind"]
-                                       in ("warped", "family")])
-    def test_warped_run_compiles_only_the_root_warp_jet(self, monkeypatch, entry):
-        # Sampling compiles each target's components program, which also
-        # yields the base, fiber and warp jets of a warped product.  So the
-        # run compiles no program over a base or fiber chart and none for
-        # the warp: only a family's sqrt(F) jet.
+    @pytest.mark.parametrize("entry", corpus_list())
+    def test_run_compiles_no_program(self, monkeypatch, entry):
+        # Building each job and sampling one point compiles every program
+        # the run reads: each target's conditions program, the first
+        # target's components program (a warped product's also yields its
+        # base, fiber and warp jets, a mapped pair's both members, psi, the
+        # family values and sqrt(F)) and a family's profile jet.
         ex.jet.cache_clear()
         manifest = corpus_get(entry)
         jobs = [cli.build_job(mdef) for mdef in manifest["manifolds"]]
@@ -932,9 +955,27 @@ class TestSharedEvaluation:
             cli.sample_points(job, 1, np.random.default_rng([manifest["seed"], index]))
         compiled = count_calls(monkeypatch, ex, "compile_exprs")
         records, summary = cli.run_manifest(manifest, points=2)
-        assert summary["ok"]
-        roots = [ex.fn("sqrt", job.family.source.warp) for job in jobs if job.family]
-        assert [exprs[0] for exprs, _, _ in compiled] == roots
+        assert summary["ok"] and compiled == []
+
+    @pytest.mark.parametrize("entry, programs", [("theorem41_n4", 4), ("surface_pair", 3)])
+    def test_a_mapped_job_compiles_one_metric_level_program(self, monkeypatch, entry, programs):
+        # Building a mapped job and sampling one point compiles each
+        # target's conditions program, the job's one program (the
+        # source's components program, which holds the image's) and a
+        # family's profile jet, and nothing else.
+        ex.jet.cache_clear()
+        compiled = count_calls(monkeypatch, ex, "compile_exprs")
+        manifest = corpus_get(entry)
+        job = cli.build_job(manifest["manifolds"][0])
+        cli.sample_points(job, 1, np.random.default_rng([manifest["seed"], 0]))
+        spec = job.targets[0].spec
+        wants = [[job.family.profile]] if job.family else []  # in the order they compile
+        wants += [[c for c, _ in target.spec.conditions] for target in job.targets]
+        wants.append([e for row in spec.components for e in row] + list(spec.extras))
+        assert len(compiled) == len(wants) == programs
+        for (exprs, _, _), want in zip(compiled, wants):
+            want = list(dict.fromkeys(want))  # each distinct output, then its partials
+            assert list(exprs[:len(want)]) == want
 
     def test_bianchi_stencil_builds_no_frames(self, monkeypatch):
         # The second Bianchi check reads R at its n complex-step points
@@ -961,8 +1002,8 @@ class TestSharedEvaluation:
         job, verdicts = cli.build_job(mdef), []
         admissible = geo.admissible
 
-        def logged(spec, point):
-            verdicts.append((point, admissible(spec, point)))
+        def logged(spec, point, *rest):
+            verdicts.append((point, admissible(spec, point, *rest)))
             return verdicts[-1][1]
 
         monkeypatch.setattr(geo, "admissible", logged)
@@ -977,8 +1018,9 @@ class TestSharedEvaluation:
 
     def test_one_family_jet_per_point(self, monkeypatch):
         # The psi and image Ricci closed forms and the factor relations
-        # read one family_values lane per point.  Sampling's guards make
-        # their own calls, which are not counted.
+        # read one family_values lane per point, from the chunk's one
+        # program run.  Sampling's guards make their own calls, which are
+        # not counted.
         sampling, run_calls = [], []
         sample_points, family_values = cli.sample_points, gm.family_values
 
@@ -989,10 +1031,10 @@ class TestSharedEvaluation:
             finally:
                 sampling.pop()
 
-        def counted(fam, points):
+        def counted(fam, jets):
             if not sampling:
-                run_calls.extend(tuple(point) for point in points)
-            return family_values(fam, points)
+                run_calls.append(len(jets[0]))
+            return family_values(fam, jets)
 
         monkeypatch.setattr(cli, "sample_points", flagged)
         monkeypatch.setattr(gm, "family_values", counted)
@@ -1001,8 +1043,7 @@ class TestSharedEvaluation:
         checks = {r["check"] for r in records}
         assert {"psi_11", "ricci_base_bar", "cor42_source"} <= checks
         points = {r["point_index"] for r in records if r["suite"] == "geodesic"} - {-1}
-        assert len(points) == 2
-        assert len(run_calls) == len(set(run_calls)) == len(points)
+        assert len(points) == 2 and run_calls == [len(points)]
 
     @pytest.mark.parametrize("entry", ["rn_lambda0", "theorem41_n4", "surface_pair"])
     def test_jet_lookups_do_not_grow_with_points(self, monkeypatch, entry):
@@ -1318,7 +1359,8 @@ class TestJob:
         job = cli.build_job(mdef)
         near, clear = (1 - 3e-7, 0.1, 0.05, -0.02), (1 - 3e-5, 0.1, 0.05, -0.02)
         assert all(geo.admissible(t.spec, near) for t in job.targets)
-        assert abs(gm.family_values(job.family, [near])["one_plus_qb"][0]) < gm.GUARD_FLOOR
+        values = gm.family_values(job.family, geo.metric_jets(job.targets[0].spec, [near]))
+        assert abs(values["one_plus_qb"][0]) < gm.GUARD_FLOOR
         assert not job.sample_ok(near)
         assert job.sample_ok(clear)
 

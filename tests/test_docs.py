@@ -1,5 +1,5 @@
 """The user docs name only what exists, and quote the chunk sizes that
-roter.chunk_size gives.
+roter.chunk_size gives and the program sizes that expr.jet builds.
 
 Each backticked dotted reference in README.md and docs/*.md whose head
 is a curvcheck module (or the package itself), one of the aliases the
@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import curvcheck
-from curvcheck import roter
+from curvcheck import cli, roter
+from curvcheck import expr as ex
+from curvcheck.corpus import corpus_get
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
@@ -72,3 +74,36 @@ def test_quoted_chunk_sizes_are_the_rule(where):
     text = " ".join((ROOT / where).read_text(encoding="utf-8").split())
     quoted = {int(n): int(size) for size, n in re.findall(r"(\d+) at n = (\d+)", text)}
     assert quoted == {n: roter.chunk_size(n) for n in range(4, 8)}
+
+
+def _tree_nodes(exprs) -> int:
+    """Nodes of the expression trees, a shared subtree counted once per occurrence."""
+    size: dict = {}
+
+    def count(e) -> int:
+        if id(e) not in size:
+            children = [getattr(e, f) for f in ("arg", "lhs", "rhs", "base") if hasattr(e, f)]
+            size[id(e)] = 1 + sum(map(count, children))
+        return size[id(e)]
+    return sum(map(count, exprs))
+
+
+def test_quoted_program_size_is_the_program(monkeypatch):
+    # docs/expr-grammar.md quotes the tree nodes and temporaries of
+    # theorem41_c_neg_n6's one program, and the temporaries of the
+    # members' own programs, each built anew past expr.jet's cache.
+    text = " ".join((ROOT / "docs" / "expr-grammar.md").read_text(encoding="utf-8").split())
+    quoted = re.search(r"has ([\d,]+) tree nodes and compiles to (\d+) temporaries, where the "
+                       r"two members' own programs compile to (\d+)", text)
+    job = cli.build_job(corpus_get("theorem41_c_neg_n6")["manifolds"][0])
+    built, compile_exprs = [], ex.compile_exprs
+    monkeypatch.setattr(ex, "compile_exprs", lambda exprs, *rest:
+                        built.append((exprs, compile_exprs(exprs, *rest))) or built[-1][1])
+    source, image = (target.spec for target in job.targets)
+    own = image.dim ** 2 + len(image.extras)
+    for spec, count in ((source, None), (source, own), (image, own)):
+        outputs = (tuple(e for row in spec.components for e in row) + spec.extras)[:count]
+        ex.jet.__wrapped__(outputs, spec.coords, spec.bindings, 2)
+    (merged, program), *members = built
+    assert quoted.groups() == (f"{_tree_nodes(merged):,}", str(len(program.nodes)),
+                               str(sum(len(p.nodes) for _, p in members)))

@@ -265,6 +265,25 @@ def test_compiled_matches_treewalk():
                     assert second[l, k, i] == second[k, l, i] == want2
 
 
+def test_infinite_literals_match_treewalk():
+    # repr writes an infinite or NaN literal as inf or nan, names that the
+    # programs bind: a literal and one diff folds (1e300*1e300) evaluate as
+    # the tree walk does, in the program and in its complex twin.
+    x = Var("x")
+    exprs = (Num(math.inf), Bin("*", Num(-math.inf), x), Bin("+", Num(math.nan), x),
+             Bin("*", Bin("*", Num(1e300), x), Num(1e300)))
+    program = ex.jet(exprs, ("x",), Bindings(), 1)
+    assert "inf" in to_text(diff(exprs[3], "x"))
+    for point in (0.5, -2.0):
+        values, first = at(program, (point,))
+        want = [evaluate(e, {"x": point}) for e in exprs]
+        want_first = [evaluate(diff(e, "x"), {"x": point}) for e in exprs]
+        assert np.array_equal(values, want, equal_nan=True)
+        assert np.array_equal(first[0], want_first, equal_nan=True)
+        twin = at(program.complex, (complex(point),))[0].real
+        assert np.array_equal(twin, want, equal_nan=True)
+
+
 def test_complex_twin_steps_to_the_first_derivatives():
     # Im / h of the jet's complex twin at x + ih e_k is the exact d_k of
     # each value: the order-1 jet's, to round-off (4000 derivatives).

@@ -5,19 +5,28 @@ import dataclasses
 import numpy as np
 import pytest
 
+from curvcheck import cli
 from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import geomap as gm
 from curvcheck import roter
 from curvcheck import warped as wp
+from curvcheck.corpus import corpus_get, corpus_list
 from curvcheck.curvops import constancy_residual, scalar_residual
 from helpers import (
     constant_curvature_2d,
     diagnostics_at,
     frames_fits_and_products,
+    mapped_point_ok,
     member_diagnostics,
+    point_family_values,
+    program_blocks,
+    program_jets,
+    program_spec,
     psi_jets,
+    psi_program,
     stack,
+    values_at,
 )
 
 
@@ -52,8 +61,7 @@ def sample(fam, rng, count=3):
             base[0] = rng.uniform(1.3, 2.4)  # keep D*b - 4C away from zero
         fib = [rng.uniform(-0.3, 0.3) for _ in range(fam.cfg.fiber_dim)]
         pt = tuple(base + fib)
-        if (all(geo.admissible(m.product, pt) for m in (fam.source, fam.image))
-                and fam.guards_hold(pt)):
+        if mapped_point_ok(fam, pt):
             pts.append(pt)
     return pts
 
@@ -62,9 +70,10 @@ class TestSurfacePair:
     def test_psi_value_and_compatibility(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
         pt = (1.0, 0.2)
-        assert pair.psi([pt])[0][0, 0] == pytest.approx(-0.25, rel=1e-14)
+        psi, values, root = gm.mapped_jets(pair, program_jets(pair, [pt]))
+        assert psi[0][0, 0] == pytest.approx(-0.25, rel=1e-14) and values is root is None
         frames = pair_frames(pair, [pt])
-        assert gm.geodesic_compatibility_residual(*frames, psi_jets(pair.psi, [pt])) < 1e-9
+        assert gm.geodesic_compatibility_residual(*frames, psi_jets(psi_program(pair), [pt])) < 1e-9
 
     def test_image_connection_closed_forms(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
@@ -94,14 +103,14 @@ class TestSurfacePair:
     def test_curved_pair_ricci_shift(self):
         pair = gm.geodesic_pair_2d("1 + x^2", "2 + sin(x)", 1.5, 0.7)
         points = [(0.3, 0.1), (0.9, -0.4)]
-        frames, jets = pair_frames(pair, points), psi_jets(pair.psi, points)
+        frames, jets = pair_frames(pair, points), psi_jets(psi_program(pair), points)
         assert np.all(gm.geodesic_compatibility_residual(*frames, jets) < 1e-9)
         assert np.all(gm.christoffel_shift_residual(*frames, jets) < 1e-9)
         assert np.all(gm.ricci_shift_residual(*frames, jets) < 1e-8)
 
     def test_psi_is_gradient(self):
         pair = gm.geodesic_pair_2d("1 + x^2", "2 + sin(x)", 1.5, 0.7)
-        assert gm.psi_gradient_residual(psi_jets(pair.psi, [(0.5, 0.2)])) < 1e-12
+        assert gm.psi_gradient_residual(psi_jets(psi_program(pair), [(0.5, 0.2)])) < 1e-12
 
 
 class TestProfile:
@@ -191,7 +200,7 @@ class TestFamilyCompatibility:
         rng = np.random.default_rng(hash((branch, n)) % 2**32)
         points = sample(fam, rng, 2)
         d, d_bar = member_diagnostics(fam, points)
-        frames, jets = (d.frame, d_bar.frame), psi_jets(fam.psi, points)
+        frames, jets = (d.frame, d_bar.frame), psi_jets(psi_program(fam), points)
         assert np.all(gm.geodesic_compatibility_residual(*frames, jets) < 1e-9)
         assert np.all(gm.christoffel_shift_residual(*frames, jets) < 1e-9)
         assert np.all(gm.ricci_shift_residual(*frames, jets) < 1e-8)
@@ -207,7 +216,7 @@ class TestFamilyCompatibility:
         broken = dataclasses.replace(fam, image=doubled)
         pt = (1.0, 0.1, 0.05, -0.1)
         r4, r5 = gm.warp_compatibility_residuals(broken, *member_diagnostics(broken, pt),
-                                                 psi_jets(broken.psi, [pt]))
+                                                 psi_jets(psi_program(broken), [pt]))
         assert r5 < 1e-12
         assert r4 > 1e-3
 
@@ -217,7 +226,7 @@ class TestFamilyCompatibility:
             rng = np.random.default_rng(5)
             points = sample(fam, rng, 2)
             d = member_diagnostics(fam, points)[0]
-            v, jets = gm.family_values(fam, points), psi_jets(fam.psi, points)
+            v, jets = values_at(fam, points), psi_jets(psi_program(fam), points)
             for name, res in gm.family_psi_closed_forms(fam, d, v, jets).items():
                 assert np.all(res < 1e-9), (branch, name, res)
 
@@ -227,14 +236,15 @@ class TestFamilyCompatibility:
             rng = np.random.default_rng(6)
             points = sample(fam, rng, 2)
             d_bar = diagnostics_at(fam.image, points)
-            v = gm.family_values(fam, points)
+            v = values_at(fam, points)
             for name, res in gm.family_image_ricci_forms(fam, d_bar, v).items():
                 assert np.all(res < 1e-8), (branch, name, res)
 
     def test_warp_profile_pde(self):
         fam = family_for("trigonometric")
-        d = diagnostics_at(fam.source, sample(fam, np.random.default_rng(8), 2))
-        for name, res in gm.warp_profile_pde_residuals(fam, d).items():
+        points = sample(fam, np.random.default_rng(8), 2)
+        d, root = diagnostics_at(fam.source, points), gm.mapped_jets(fam, program_jets(fam, points))[2]
+        for name, res in gm.warp_profile_pde_residuals(d, root).items():
             assert np.all(res < 1e-9), (name, res)
 
 
@@ -245,7 +255,7 @@ class TestFactorRelations:
         rng = np.random.default_rng(hash(branch) % 2**32)
         points = sample(fam, rng, 2)
         frames, fits, products = frames_fits_and_products(fam, points)
-        relations = gm.factor_relations(fam, frames, fits, gm.family_values(fam, points))
+        relations = gm.factor_relations(fam, frames, fits, values_at(fam, points))
         for tag, member_fits, P in zip(("cor42_source", "cor42_image"), fits, products):
             relations[tag] = gm.corollary42_residual(fam.cfg.n, member_fits, P)
         for name, res in relations.items():
@@ -284,7 +294,7 @@ class TestPsiRicciIdentity:
         fam = family_for(branch)
         pt = sample(fam, np.random.default_rng(4), 1)[0]
         frames, fits, _ = frames_fits_and_products(fam, [pt])
-        assert gm.psi_ricci_identity_residual(fam, frames, fits, psi_jets(fam.psi, [pt])) <= 1e-7
+        assert gm.psi_ricci_identity_residual(fam, frames, fits, psi_jets(psi_program(fam), [pt])) <= 1e-7
 
     def test_perturbation_control(self):
         fam = family_for("affine")
@@ -292,7 +302,7 @@ class TestPsiRicciIdentity:
         frames, ((sfit,), (ifit,)), _ = frames_fits_and_products(fam, [pt])
         perturbed = ([sfit], [dataclasses.replace(ifit, phi=1.01 * ifit.phi)])
         assert gm.psi_ricci_identity_residual(fam, frames, perturbed,
-                                              psi_jets(fam.psi, [pt])) > 1e-4
+                                              psi_jets(psi_program(fam), [pt])) > 1e-4
 
     def test_semisymmetric_source_rejected(self):
         # d = 0 gives both members a Roter fit, the source with L_R = 0,
@@ -339,14 +349,14 @@ class TestIndefiniteBase:
         fam = gm.build_family(gm.FamilyConfig(c=0.0, d=-2.0, c1=2.0, c2=1.0))
         pt = (1.1, 0.2, 0.1, -0.15)
         assert geo.admissible(fam.source.product, pt) and geo.admissible(fam.image.product, pt)
-        assert fam.guards_hold(pt)
+        assert fam.guards_hold(program_jets(fam, [pt]))
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
         assert roter.classify(stack([f]))[0].kind == roter.ROTER
         frames, fits, products = frames_fits_and_products(fam, [pt])
-        jets = psi_jets(fam.psi, [pt])
+        jets = psi_jets(psi_program(fam), [pt])
         assert gm.geodesic_compatibility_residual(*frames, jets) < 1e-9
-        relations = gm.factor_relations(fam, frames, fits, gm.family_values(fam, [pt]))
+        relations = gm.factor_relations(fam, frames, fits, values_at(fam, [pt]))
         for tag, member_fits, P in zip(("cor42_source", "cor42_image"), fits, products):
             relations[tag] = gm.corollary42_residual(fam.cfg.n, member_fits, P)
         for name, res in relations.items():
@@ -354,3 +364,64 @@ class TestIndefiniteBase:
         kg, kg_bar = gm.base_gauss_values(*member_diagnostics(fam, pt))
         assert kg == pytest.approx(0.5, abs=1e-10)       # -d/4
         assert kg_bar == pytest.approx(0.25, abs=1e-10)  # -(d+4qc)/(4p)
+
+
+class TestOneProgram:
+    """A mapped pair's one program: each block reads as its own program
+    would, and sampling on it admits what a program per part admits."""
+
+    @pytest.mark.parametrize("entry", [name for name in corpus_list()
+                                       if corpus_get(name)["manifolds"][0]["kind"]
+                                       in ("family", "pair2d")])
+    def test_each_block_equals_its_own_program(self, entry):
+        # Source, image, psi and a family's values and sqrt(F), each
+        # against ex.jet of that block alone at 5 seeded points, bit for
+        # bit: the float run and the complex twin at the Bianchi steps.
+        manifest = corpus_get(entry)
+        job = cli.build_job(manifest["manifolds"][0])
+        mapped, spec = job.pair or job.family, job.targets[0].spec
+        points = cli.sample_points(job, 5, np.random.default_rng([32, 5]))
+        steps = (np.array(points)[:, None] + 1j * 1e-30 * np.eye(spec.dim)).reshape(-1, spec.dim)
+        program = spec._component_jet
+        runs = ((program, points), (program.complex, steps.tolist()))
+        merged = [run(pts) for run, pts in runs]
+        start, blocks = 0, program_blocks(mapped)
+        assert spec is program_spec(mapped) and list(blocks)[:3] == ["source", "image", "psi"]
+        for name, exprs in blocks.items():
+            alone = ex.jet(exprs, spec.coords, spec.bindings, 2)
+            columns = np.arange(start, start + len(exprs))
+            for jets, (run, pts) in zip(merged, ((alone, points), (alone.complex, steps.tolist()))):
+                for got, want in zip(jets, run(pts)):
+                    assert got[..., columns].tobytes() == want.tobytes(), (entry, name)
+            start += len(exprs)
+        assert start == merged[0][0].shape[1]
+
+    @pytest.mark.parametrize("entry, box", [
+        ("theorem41_n4", {"x": [-0.5, 1.5], "t": [-1.0, 1.0]}),
+        ("surface_pair", {"x": [-1.0, 1.0], "y": [0.0, 2.0]}),
+    ])
+    def test_sampling_agrees_with_a_program_per_part(self, entry, box):
+        # With 𝔟 = x^9 and a box widened past the corpus's, the members'
+        # conditions reject candidates (𝔟 = 0 and a warp F = 𝔟B² < 0
+        # below x = 0.05) and, on the family, the guards do (D𝔟 - 4C =
+        # 4x^9 below GUARD_FLOOR up to x = 0.21).  psi's operations are
+        # those of the members' 2-jets, so psi rejects no candidate they
+        # admit.
+        mdef = corpus_get(entry)["manifolds"][0]
+        mdef["params" if "params" in mdef else "pair"]["b"] = "x^9"
+        job, rng = cli.build_job(mdef), np.random.default_rng(32)
+        mapped = job.pair or job.family
+        coords = job.targets[0].spec.coords
+        candidates = [tuple(float(rng.uniform(*box.get(c, [-0.3, 0.3]))) for c in coords)
+                      for _ in range(300)]
+        verdicts = [mapped_point_ok(mapped, pt) for pt in candidates]
+        assert [job.sample_ok(pt) for pt in candidates] == verdicts
+        rejected = [pt for pt, ok in zip(candidates, verdicts) if not ok]
+        by_conditions = [pt for pt in rejected
+                         if not all(geo.admissible(t.spec, pt, ()) for t in job.targets)]
+        assert 0 < len(by_conditions) and len(rejected) < len(candidates)
+        guarded = [pt for pt in rejected if pt not in by_conditions]
+        assert bool(guarded) == bool(job.family)
+        for pt in guarded:
+            values = point_family_values(mapped, pt)
+            assert min(abs(values[key]) for key in ("one_plus_qb", "shape", "bp", "B")) < gm.GUARD_FLOOR

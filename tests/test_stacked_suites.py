@@ -9,8 +9,6 @@ whose psi jet fails, and the semisymmetry guard or a rejected fit at
 one point fails that point only.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -43,7 +41,9 @@ from helpers import (
     point_warp_compatibility,
     point_warp_profile_pde,
     point_weyl_blocks,
+    program_jets,
     psi_jets,
+    psi_program,
 )
 
 POINTS = 18
@@ -121,10 +121,13 @@ def test_warped_lanes_equal_the_one_point_forms(name):
 def test_geodesic_lanes_equal_the_one_point_forms(name):
     job, points = job_and_points(name)
     source, image = job.targets
-    psi = job.pair.psi if job.kind == "pair2d" else job.family.psi
+    mapped = job.pair or job.family
+    psi, run = psi_program(mapped), program_jets(mapped, points)
     frames = (geo.frames(source.spec, points), geo.frames(image.spec, points))
     lanes = list(zip(frames[0].lanes(), frames[1].lanes()))
-    jets = psi_jets(psi, points)
+    jets, values, root = gm.mapped_jets(mapped, run)
+    for got, want in zip(jets, psi_jets(psi, points)):
+        same(got, want, f"{name}.psi_jets")
     for fn, oracle in ((gm.geodesic_compatibility_residual, point_geodesic_compatibility),
                        (gm.christoffel_shift_residual, point_christoffel_shift),
                        (gm.ricci_shift_residual, point_ricci_shift)):
@@ -141,7 +144,6 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
                 for ws, frame in zip((fam.source, fam.image), frames))
     ones = [tuple(point_diagnostics(ws, f, geo.frame(ws.fiber, ws.split(f.point)[1]))
                   for ws, f in zip((fam.source, fam.image), pair)) for pair in lanes]
-    values = gm.family_values(fam, points)
     vs = [point_family_values(fam, pt) for pt in points]
     same_lanes(values, vs, f"{name}.family_values")
     r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
@@ -152,7 +154,7 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
                [point_family_psi_closed_forms(fam, one[0], v) for one, v in zip(ones, vs)], name)
     same_lanes(gm.family_image_ricci_forms(fam, d_bar, values),
                [point_family_image_ricci_forms(fam, one[1], v) for one, v in zip(ones, vs)], name)
-    same_lanes(gm.warp_profile_pde_residuals(fam, d),
+    same_lanes(gm.warp_profile_pde_residuals(d, root),
                [point_warp_profile_pde(fam, one[0]) for one in ones], name)
     for got, member in zip(gm.base_gauss_values(d, d_bar), (0, 1)):
         same(got, [point_gauss_curvature(one[member].base_frame) for one in ones],
@@ -251,8 +253,9 @@ def failing_point_run(monkeypatch, plant):
 
 
 def test_a_candidate_whose_psi_jet_fails_is_not_sampled(monkeypatch):
-    # Sampling runs each candidate's psi jet, so no suite meets one that
-    # raises: the candidate is skipped and the next one takes its place.
+    # Sampling runs each candidate's one program, psi jet included, so no
+    # suite meets one that raises: the candidate is skipped and the next
+    # one takes its place.
     manifest = corpus_get("theorem41_c_neg_n6")
     mdef = manifest["manifolds"][0]
 
@@ -266,12 +269,16 @@ def test_a_candidate_whose_psi_jet_fails_is_not_sampled(monkeypatch):
 
     def planting(cfg):
         family = build_family(cfg)
+        spec = family.source.product
+        program = spec._component_jet
 
         def planted(points):
             if bad in map(tuple, points):
                 raise ex.DomainError("planted", "psi")
-            return family.psi(points)
-        return dataclasses.replace(family, psi=planted)
+            return program(points)
+        planted.complex = program.complex
+        spec.__dict__["_component_jet"] = planted  # where the cached_property keeps it
+        return family
 
     monkeypatch.setattr(gm, "build_family", planting)
     points = sampled()

@@ -156,7 +156,8 @@ class TestOneProgram:
     def test_extras_add_no_program_line(self, monkeypatch, entry):
         # The fiber components and the warp are subtrees of the product's
         # components, and so are their derivatives in jet's diff memo:
-        # the program gains return values only.
+        # the program gains return values only.  (A family's source
+        # program goes on with its image's outputs, after its own.)
         compile_exprs, built = ex.compile_exprs, []
 
         def recording(exprs, coords, consts):
@@ -168,7 +169,8 @@ class TestOneProgram:
         for name, ws, _ in warped_targets(entry, 1):
             spec, built[:] = ws.product, []
             components = tuple(e for row in spec.components for e in row)
-            for outputs in (components, components + spec.extras):
+            own = spec.extras[:ws.fiber_dim ** 2 + 1]
+            for outputs in (components, components + own):
                 ex.jet.__wrapped__(outputs, spec.coords, spec.bindings, 2)  # bypass the cache
             without, with_extras = built
             assert with_extras[:-1] == without[:-1], name
