@@ -360,7 +360,6 @@ class Target:
     label: str  # "self" | "source" | "image"
     spec: geo.MetricSpec
     warped_spec: wp.WarpedSpec | None = None
-    at: int = 0  # the column of its first output in the first target's components program
 
 
 @dataclass
@@ -384,16 +383,19 @@ class Job:
         return self.kind == "family" and self.expect.get("classify", "ROTER") == "ROTER"
 
     def sample_ok(self, point) -> bool:
-        """Every target's conditions hold and the first target's components program
-        (a mapped pair's holds both) runs at point, each target's metric invertible
-        and a family clear of its mapping guards: no chunk piece fails there."""
-        if not all(geo.admissible(t.spec, point, ()) for t in self.targets):
+        """The first target's conditions (on a mapped pair, both members') hold at
+        point, its program runs there, each target's metric is invertible and a
+        family clears its mapping guards: no chunk piece fails there."""
+        spec, mapped = self.targets[0].spec, self.pair or self.family
+        if not geo.admissible(spec, point):
             return False
         try:
-            jets = geo.metric_jets(self.targets[0].spec, [point], False, [t.at for t in self.targets])
+            jets = geo.metric_jets(spec, [point])
         except _POINT_ERRORS:
             return False
-        return self.family is None or self.family.guards_hold(jets)
+        cut = gm.cut(mapped, jets, tail=False) if mapped else {self.targets[0].label: jets}
+        return (all(geo.invertible(cut[t.label])[0] for t in self.targets)
+                and (self.family is None or self.family.guards_hold(cut["values"])))
 
 
 def _build_explicit(mdef) -> geo.MetricSpec:
@@ -427,14 +429,14 @@ def build_job(mdef: dict) -> Job:
         family = gm.build_family(gm.FamilyConfig(**params))
         targets = [
             Target("source", family.source.product, family.source),
-            Target("image", family.image.product, family.image, family.image_at),
+            Target("image", family.image.product, family.image),
         ]
     else:  # pair2d
         pdef = mdef["pair"]
         pair = gm.geodesic_pair_2d(
             pdef["a"], pdef["b"], pdef["map_scale"], pdef["map_shift"]
         )
-        targets = [Target("source", pair.source), Target("image", pair.image, None, pair.image_at)]
+        targets = [Target("source", pair.source), Target("image", pair.image)]
     return Job(
         mdef["name"], kind, mdef, targets, family, pair,
         mdef["box"], mdef.get("pinned_points", []),
@@ -509,15 +511,15 @@ class Chunk:
 
     Each piece is computed for every point on first read, once over the
     chunk's point axis, and holds one entry per point; a suite's piece
-    holds its checks.  No piece fails at a sampled point: Job.sample_ok
-    ran the one program the pieces read (a warped product's covers its
-    base, fiber and warp, a mapped pair's both members and ψ).  Only
-    curvature can still fail, by overflow: evaluated then raises its one
-    error at every read.  start is the run's index of the first point.
-    stacked is the frame of all the points; fiber_frames and diagnostics
-    are stacked too, built from the factor jets of the program's run.  A
-    mapped pair's image reads its jets and a family's fiber frames from
-    its peer, the source chunk."""
+    holds its checks.  No piece fails at a sampled point: the chunk runs,
+    unchecked, the one program that Job.sample_ok, the only gate, ran (a
+    warped product's covers its base, fiber and warp, a mapped pair's
+    both members and ψ).  Only curvature can still fail, by overflow:
+    evaluated then raises its one error at every read.  start is the
+    run's index of the first point.  stacked is the frame of all the
+    points; fiber_frames and diagnostics are stacked too, built from the
+    factor jets of the program's run.  A mapped pair's image reads its
+    jets and a family's fiber frames from its peer, the source chunk."""
 
     def __init__(self, job: Job, suites: set, target: Target, start: int, points: list, peer=None):
         self.job, self.suites, self.target = job, suites, target
@@ -525,13 +527,13 @@ class Chunk:
 
     @cached_property
     def _jets(self) -> dict:
-        """Per target label, its (g, dg, d2g) and factor jets (wp.WarpedSpec.blocks), each
-        taken once, and a mapped pair's gm.mapped_jets, from one geo.metric_jets call."""
-        targets, mapped = self.job.targets, self.job.pair or self.job.family
-        jets = geo.metric_jets(self.target.spec, self.points, True, [t.at for t in targets])
-        return {"mapped": mapped and gm.mapped_jets(mapped, jets),
-                **{t.label: (geo.jet_block(jets, at=t.at), t.warped_spec
-                             and t.warped_spec.blocks(jets, t.at)) for t in targets}}
+        """Per target label its (g, dg, d2g) and factor jets (wp.WarpedSpec.blocks), each
+        taken once, and the rest of a mapped pair's gm.cut, from one run of its program."""
+        jets, mapped = geo.metric_jets(self.target.spec, self.points), self.job.pair or self.job.family
+        cut = gm.cut(mapped, jets) if mapped else {self.target.label: jets}
+        for t in self.job.targets:
+            cut[t.label] = geo.jet_block(cut[t.label]), t.warped_spec and t.warped_spec.blocks(cut[t.label])
+        return cut
 
     @cached_property
     def _evaluated(self):
@@ -590,8 +592,8 @@ class Chunk:
         checks.append(_scalars("frame_scalars", scalars, count))
         rows = _per_point(checks, count)
         if self.start < 2:
-            bianchi = geo.second_bianchi_residual(f.take(range(min(2 - self.start, count))),
-                                                  self.job.targets[0].spec, self.target.at)
+            twin = self.peer and gm.image_twin(self.job.pair or self.job.family)
+            bianchi = geo.second_bianchi_residual(f.take(range(min(2 - self.start, count))), twin)
             for row, res in zip(rows, bianchi.tolist()):
                 row.append(("second_bianchi", res, "geo"))
         return rows
@@ -729,7 +731,7 @@ class Chunk:
         each member's cor42 and the psi-Ricci identity (an error flag where
         the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
-        jets, values, root = source._jets["mapped"]
+        jets, values, root = (source._jets[key] for key in ("psi", "values", "root"))
         frames = (source.stacked, self.stacked)
         checks = [
             ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),

@@ -24,8 +24,8 @@ and closed form the construction promises, one residual per point of
 a chunk.  They evaluate no frame: they take the stacked (source,
 image) frames or WarpedDiagnostics, the fits, and the ψ jets, stacked
 as (ψ_i of shape (P, n), dpsi[p,j,i] = ∂_j ψ_i).  A mapped pair has one
-program, its source's components program: its outputs go on with the
-image's, ψ and, on a family, 𝔟, B and √F (see mapped_jets).
+program, its source's: its outputs go on with the image's, ψ and, on a
+family, 𝔟, B and √F (see cut), and its conditions with the image's.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ __all__ = [
     "FamilyError",
     "geodesic_pair_2d",
     "build_family",
-    "mapped_jets",
+    "cut",
+    "image_twin",
     "family_values",
     "profile_expr",
     "profile_invariant_residual",
@@ -119,7 +120,7 @@ class GeodesicPair2D:
     source: geo.MetricSpec  # its components program is the pair's one program
     image: geo.MetricSpec
     map_shift: float
-    image_at: int  # the program's column of the image's first output
+    image_at: int  # the program's column of the image's first output (see cut)
     psi_at: int  # and of ψ₁
 
 
@@ -133,11 +134,12 @@ def _pair_components(a_expr, b_expr, bp):
 
 
 def _one_program(source: geo.MetricSpec, image: geo.MetricSpec, tail: tuple) -> tuple:
-    """source, whose outputs go on with image's and tail, and the columns
-    of image's first output and of tail's."""
+    """source, its conditions followed by those of image's that it lacks and its
+    outputs by image's and tail, and the columns of image's first output and tail's."""
     image_at = source.dim ** 2 + len(source.extras)
     outputs = tuple(e for row in image.components for e in row) + image.extras
-    spec = replace(source, extras=source.extras + outputs + tail)
+    conditions = source.conditions + tuple(c for c in image.conditions if c not in source.conditions)
+    spec = replace(source, extras=source.extras + outputs + tail, conditions=conditions)
     return spec, image_at, image_at + len(outputs)
 
 
@@ -217,12 +219,10 @@ class Family:
             4.0 * self.cfg.map_scale
         )
 
-    def guards_hold(self, jets) -> bool:
+    def guards_hold(self, values) -> bool:
         """Whether 1 + q𝔟, D𝔟 - 4C, 𝔟' and B clear GUARD_FLOOR at each point of
-        jets, the family's program run, so the mapping is not near-singular
-        there; admissibility is checked apart."""
-        vals = family_values(self, jets)
-        return all((abs(vals[key]) >= GUARD_FLOOR).all() for key in ("one_plus_qb", "shape", "bp", "B"))
+        values (family_values), so the mapping is not near-singular there."""
+        return all((abs(values[key]) >= GUARD_FLOOR).all() for key in ("one_plus_qb", "shape", "bp", "B"))
 
 
 def profile_expr(cfg: FamilyConfig) -> ex.Expr:
@@ -301,21 +301,33 @@ def build_family(cfg: FamilyConfig) -> Family:
     return Family(cfg, source, image, image_at, psi_at, profile, profile_jet, invariant)
 
 
-def mapped_jets(mapped: GeodesicPair2D | Family, jets) -> tuple:
-    """The ψ jets, family_values and (f, df, d2f) of f = √F along the base
-    axes at P points (on a pair, None and None), read from jets, the
-    mapped pair's program run there (geometry.metric_jets of its source)."""
-    n = jets[1].shape[1]
-    psi = geo.jet_block(jets, np.arange(n), at=mapped.psi_at)[:2]
-    if not isinstance(mapped, Family):
-        return psi, None, None
-    return psi, family_values(mapped, jets), geo.jet_block(jets, n + 2, slice(2), mapped.psi_at)
+def cut(mapped: GeodesicPair2D | Family, jets, tail: bool = True) -> dict:
+    """jets, the mapped pair's program run at P points (geometry.metric_jets
+    of its source), as "source" and "image", each member's jets from column
+    0 (views), and "values", family_values; with tail also "psi", the ψ jets,
+    and "root", the (f, df, d2f) jets of f = √F along the base axes."""
+    n, family, image, at = jets[1].shape[1], isinstance(mapped, Family), mapped.image_at, mapped.psi_at
+    out = {"source": tuple(part[..., :image] for part in jets),
+           "image": tuple(part[..., image:at] for part in jets),
+           "values": family_values(mapped, jets) if family else None}  # None on a pair, as root
+    if tail:
+        out["psi"] = geo.jet_block(jets, at + np.arange(n))[:2]
+        out["root"] = geo.jet_block(jets, at + n + 2, slice(2)) if family else None
+    return out
+
+
+def image_twin(mapped: GeodesicPair2D | Family) -> Callable:
+    """The image's (g, dg, d2g) at complex points, from the complex twin of
+    the mapped pair's program (geometry.second_bianchi_residual's twin)."""
+    n, program = mapped.image.dim, getattr(mapped.source, "product", mapped.source)._component_jet
+    return lambda points: program.complex(points, mapped.image_at + np.arange(n * n).reshape(n, n))
 
 
 def family_values(fam: Family, jets) -> dict[str, np.ndarray]:
     """𝔟, B, their derivatives, 1 + q𝔟 and D𝔟 - 4C at P points, one
-    array per key, read from jets as mapped_jets reads them."""
-    (values, grads, _), cfg = geo.jet_block(jets, np.arange(2), at=fam.psi_at + fam.cfg.n), fam.cfg
+    array per key, read from jets, the family's program run there."""
+    cfg = fam.cfg
+    values, grads, _ = geo.jet_block(jets, fam.psi_at + cfg.n + np.arange(2))
     b, B = values.T
     return {
         "b": b,
@@ -583,7 +595,7 @@ def warp_profile_pde_residuals(d: wp.WarpedDiagnostics, root) -> dict[str, np.nd
     T₁₂ = 0 and 𝔟 T₁₁ = 𝔞 T₂₂, plus the square-root-warp reductions
     f₁₂ = f₂ 𝔟'/(2𝔟) and f₁₁ - (𝔞/𝔟) f₂₂ = f₁ (𝔞𝔟)'/(2𝔞𝔟) for f = √F,
     read from the source member's diagnostics and root, the jets of f
-    at its points (mapped_jets).
+    at its points (cut).
     """
     bframe = d.base_frame
     _, df, d2f = root

@@ -26,25 +26,25 @@ g, dg and d2g come from exact symbolic derivatives of the component
 expressions, and d R from a complex step through their program.  A
 MetricSpec binds its conditions and components programs from ex.jet
 on first use, so no point's evaluation looks up ex.jet's cache; a
-warped product's also yields the jets of its fiber components and warp,
-and a mapped pair's source's the image's, ψ and more (geomap).
+warped product's also yields the jets of its fiber components and warp.
 
-metric_jets(spec, points) checks conditions and runs the components
-program over the points, with a leading point axis, and jet_block reads
-(g, dg, d2g) from it; frames(spec, points, jet) then computes the
-curvature packet once over that axis: one PointFrame whose arrays carry
-it (g of shape (P, n, n)).  Each lane of it, and of
-second_bianchi_residual, equals the same call on that point alone, bit
-for bit.  PointFrame.take cuts some lanes; PointFrame.lanes() views each
-as its point's own frame for frame(spec, point) alone.  Whoever
-asks for a frame owns it and passes it to the helpers below.
+admissible(spec, point) checks the conditions and invertible(jets) the
+metric.  metric_jets(spec, points) runs the components program over the
+points, with a leading point axis, and jet_block reads (g, dg, d2g)
+from it; frames(spec, points, jet) then computes the curvature packet
+once over that axis: one PointFrame whose arrays carry it (g of shape
+(P, n, n)).  Each lane of it, and of second_bianchi_residual, equals
+the same call on that point alone, bit for bit.  PointFrame.take cuts
+some lanes; PointFrame.lanes() views each as its point's own frame for
+frame(spec, point) alone.  Whoever asks for a frame owns it and passes
+it to the helpers below.
 MetricSpec is immutable apart from its bound programs, and thread-safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,6 +62,7 @@ __all__ = [
     "diagonal_metric",
     "admissible",
     "metric_jets",
+    "invertible",
     "jet_block",
     "frame",
     "frames",
@@ -97,8 +98,8 @@ class MetricSpec:
 
     components is symmetric with shared AST references (the [i][j] and
     [j][i] entries are the same object).  conditions lists expressions
-    required positive or nonzero for a point to be admissible; the
-    determinant check is automatic and always on.  extras are outputs
+    required positive or nonzero for a point to be admissible, and
+    invertible tests the metric itself.  extras are outputs
     of the components program after the n x n components, row-major.
     """
 
@@ -185,7 +186,7 @@ def diagonal_metric(coords, diagonal, bindings=None, conditions=()) -> MetricSpe
 
 # ---------------------------------------------------------------------------
 # g, dg and d2g come from one derivative jet of the components; the
-# admissibility checks run on the same evaluation.
+# conditions and the metric's invertibility are checked apart.
 
 def _failed_condition(spec: MetricSpec, point: Sequence[float]):
     """(expression, kind, value) of the first condition failing at a point, or None."""
@@ -196,58 +197,42 @@ def _failed_condition(spec: MetricSpec, point: Sequence[float]):
                 return cond, kind, v
 
 
-def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]], check: bool = True,
-                metrics_at: Sequence[int] = (0,)):
-    """The jets of spec's components program at the points, as ex.jet's.
-    Raises the error of the first point whose conditions fail (if check
-    is set), then of the first whose jet fails; otherwise
-    SingularMetricError at the first point where a metric does not
-    invert, each read from the n x n outputs from a column of metrics_at."""
-    for point in points:
-        failed = check and _failed_condition(spec, point)
-        if failed:
-            cond, kind, v = failed
-            raise InadmissiblePointError(f"condition {ex.to_text(cond)!r} ({kind}) fails at "
-                                         f"{tuple(point)}: value {v!r}")
-    jets = spec._component_jet(points)
-    n = spec.dim
-    for at in metrics_at:
-        g = np.ascontiguousarray(jets[0][:, at:at + n * n].reshape(-1, n, n))
-        # |det g| over the product of g's row norms, from g's rows over their
-        # largest |entry|: the same ratio, but no norm overflows.  A zero row,
-        # or a g that is not finite (so neither is det), reads as singular.
-        with np.errstate(invalid="ignore"):
-            top = np.max(np.abs(g), axis=-1, keepdims=True)
-            unit = g / np.where(top > 0.0, top, 1.0)
-            det = np.abs(np.linalg.det(unit))
-        singular = ~(det > _DET_RATIO * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
-        if singular.any():
-            raise SingularMetricError(f"metric is singular at {tuple(points[singular.argmax()])}")
-    return jets
+def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]]):
+    """The jets of spec's components program at the points, as ex.jet's."""
+    return spec._component_jet(points)
 
 
-def jet_block(jets, columns=None, axes=slice(None), at: int = 0) -> tuple[np.ndarray, ...]:
+def invertible(jets) -> np.ndarray:
+    """Whether the metric of jets' first n x n outputs inverts, at each point."""
+    n = jets[1].shape[1]
+    g = np.ascontiguousarray(jets[0][:, :n * n].reshape(-1, n, n))
+    # |det g| over the product of g's row norms, from g's rows over their
+    # largest |entry|: the same ratio, but no norm overflows.  A zero row,
+    # or a g that is not finite (so neither is det), reads as singular.
+    with np.errstate(invalid="ignore"):
+        top = np.max(np.abs(g), axis=-1, keepdims=True)
+        unit = g / np.where(top > 0.0, top, 1.0)
+        det = np.abs(np.linalg.det(unit))
+    return det > _DET_RATIO * np.prod(np.linalg.norm(unit, axis=-1), axis=-1)
+
+
+def jet_block(jets, columns=None, axes=slice(None)) -> tuple[np.ndarray, ...]:
     """Contiguous (values, first, second) of metric_jets's outputs at
-    columns + at, columns an index array shaping each lane (by default
-    an n x n metric), differentiated along the chart axes axes only."""
+    columns, an index array shaping each lane (by default an n x n
+    metric), differentiated along the chart axes axes only."""
     values, first, second = jets
     n = first.shape[1]
-    columns = at + (np.arange(n * n).reshape(n, n) if columns is None else columns)
+    columns = np.arange(n * n).reshape(n, n) if columns is None else columns
     parts = (values, first[:, axes], second[:, axes, axes])
     return tuple(np.ascontiguousarray(part[..., columns]) for part in parts)
 
 
-def admissible(spec: MetricSpec, point: Sequence[float], metrics_at: Sequence[int] = (0,)) -> bool:
-    """True when all declared conditions hold and each metric of metrics_at
-    (see metric_jets; none: the conditions alone) inverts."""
+def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
+    """True when all of spec's declared conditions hold at point."""
     try:
-        if _failed_condition(spec, point) is None:
-            if metrics_at:
-                metric_jets(spec, [point], False, metrics_at)
-            return True
-    except (GeometryError, ex.ExprError):
-        pass
-    return False
+        return _failed_condition(spec, point) is None
+    except ex.ExprError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +312,9 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]], jet=None) -> Poi
     jet is (g, dg, d2g) at the points, as jet_block reads it from the
     jets of a program holding spec's components; a warped product's
     base or fiber block is singular only where the product is
-    (Hadamard's inequality).  Without it metric_jets(spec, points) runs,
-    so an error names its point.  Curvature, Ricci, scalar, Ricci-square
+    (Hadamard's inequality).  Without it frames checks each point's
+    conditions, runs metric_jets(spec, points) and tests invertible, so
+    an error names its point.  Curvature, Ricci, scalar, Ricci-square
     and Weyl then run once over the leading point axis.  Raises
     GeometryError naming the first point where any of them is not
     finite.  Lane i equals what frame(spec, points[i]) returns, bit for
@@ -339,7 +325,17 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]], jet=None) -> Poi
     for point in points:
         if len(point) != n:
             raise GeometryError(f"point has {len(point)} coordinates, chart has {n}")
-    g, dg, d2g = jet if jet is not None else jet_block(metric_jets(spec, points))
+        if jet is None and (failed := _failed_condition(spec, point)):
+            cond, kind, v = failed
+            raise InadmissiblePointError(f"condition {ex.to_text(cond)!r} ({kind}) fails at "
+                                         f"{point}: value {v!r}")
+    if jet is None:
+        jets = metric_jets(spec, points)
+        singular = ~invertible(jets)
+        if singular.any():
+            raise SingularMetricError(f"metric is singular at {points[singular.argmax()]}")
+        jet = jet_block(jets)
+    g, dg, d2g = jet
     with np.errstate(over="ignore", invalid="ignore"):  # every output is checked below
         ginv, gamma, riem = _curvature(g, dg, d2g)
 
@@ -410,15 +406,15 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
 # over the components program's complex twin at x_p + ih e_l, l < n, for
 # each lane p (the complex step; Martins, Sturdza and Alonso, 2003).
 
-def second_bianchi_residual(frame: PointFrame, spec=None, at: int = 0) -> np.ndarray:
+def second_bianchi_residual(frame: PointFrame, twin=None) -> np.ndarray:
     """The identity's max-abs residual over (1 + max |R|), one per lane
-    of a stacked frame, each equal to the call on that lane alone.  The
-    twin is spec's (by default frame.spec's), whose outputs hold frame's
-    components from column at."""
-    spec, h, n = spec or frame.spec, 1e-30, frame.dim
+    of a stacked frame, each equal to the call on that lane alone.
+    twin(points) is (g, dg, d2g) of frame's metric at complex points, by
+    default from the complex twin of frame.spec's components program."""
+    h, n = 1e-30, frame.dim
+    twin = twin or partial(frame.spec._component_jet.complex, columns=np.arange(n * n).reshape(n, n))
     steps = (np.array(frame.point)[:, None] + 1j * h * np.eye(n)).reshape(-1, n)
-    jet = spec._component_jet.complex(steps.tolist(), at + np.arange(n * n).reshape(n, n))
-    dR = (_curvature(*jet)[2].imag / h).reshape(-1, n, n, n, n, n)
+    dR = (_curvature(*twin(steps.tolist()))[2].imag / h).reshape(-1, n, n, n, n, n)
     gam, R = frame.gamma, frame.riemann
     nabla = (
         dR

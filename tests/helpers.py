@@ -260,15 +260,19 @@ def program_spec(mapped) -> geo.MetricSpec:
 def program_blocks(mapped) -> dict:
     """The outputs of a mapped pair's one program, split into its blocks:
     source and image (components, then extras), psi and, on a family,
-    values (b, B) and root (sqrt F)."""
-    spec = program_spec(mapped)
+    values (b, B) and root (sqrt F), each sized from the image's spec
+    and the chart, not from the columns geomap records."""
+    spec, image = program_spec(mapped), getattr(mapped.image, "product", mapped.image)
     outputs = tuple(e for row in spec.components for e in row) + spec.extras
-    n, psi = spec.dim, mapped.psi_at
-    cuts = {"source": (0, mapped.image_at), "image": (mapped.image_at, psi), "psi": (psi, psi + n)}
+    member = image.dim ** 2 + len(image.extras)  # the source yields as many outputs
+    sizes = {"source": member, "image": member, "psi": spec.dim}
     if isinstance(mapped, gm.Family):
-        cuts.update(values=(psi + n, psi + n + 2), root=(psi + n + 2, psi + n + 3))
-    assert max(stop for _, stop in cuts.values()) == len(outputs)
-    return {name: outputs[start:stop] for name, (start, stop) in cuts.items()}
+        sizes.update(values=2, root=1)
+    assert sum(sizes.values()) == len(outputs)
+    blocks, start = {}, 0
+    for name, size in sizes.items():
+        blocks[name], start = outputs[start:start + size], start + size
+    return blocks
 
 
 def block_program(mapped, name, order=2, coords=None):

@@ -809,6 +809,21 @@ class TestRun:
         assert [p.name for p in out.iterdir()] == ["other.records.jsonl"]
 
 
+def flag_sampling(monkeypatch) -> list:
+    """Wrap cli.sample_points; the returned list is not empty while it runs."""
+    sampling, sample_points = [], cli.sample_points
+
+    def flagged(*args, **kwargs):
+        sampling.append(True)
+        try:
+            return sample_points(*args, **kwargs)
+        finally:
+            sampling.pop()
+
+    monkeypatch.setattr(cli, "sample_points", flagged)
+    return sampling
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Wrap module.name wherever curvcheck binds it; returns the call log."""
     original = getattr(module, name)
@@ -907,26 +922,27 @@ class TestSharedEvaluation:
     def test_each_frame_computed_once(self, monkeypatch):
         # A target's Chunk owns its points' frames, one lane each of a
         # geo.frames stack, and hands them to every helper.  The stack is
-        # built from the chunk's one checked geo.metric_jets call, which
-        # a warped target's base and fiber frames read too: no base or
-        # fiber program runs.  On a mapped pair that call runs the first
+        # built from the chunk's one geo.metric_jets call, which a warped
+        # target's base and fiber frames read too: no base or fiber
+        # program runs.  On a mapped pair that call runs the first
         # target's program, which holds the image's components too: the
         # image runs none.  The fiber frame that a family's source and
         # image share is built once, by the source, and read by the
         # image.  geo.frame is a one-lane geo.frames, so every frame counts.
         computed, evaluated = Counter(), Counter()
         frames, metric_jets = geo.frames, geo.metric_jets
+        sampling = flag_sampling(monkeypatch)
 
         def counted(spec, points, *jet):
             for point in points:
                 computed[(spec, tuple(point))] += 1
             return frames(spec, points, *jet)
 
-        def counted_jets(spec, points, check=True, *rest):
-            if check:  # sampling runs unchecked jets
+        def counted_jets(spec, points):
+            if not sampling:  # sampling runs the program at each candidate
                 for point in points:
                     evaluated[(spec, tuple(point))] += 1
-            return metric_jets(spec, points, check, *rest)
+            return metric_jets(spec, points)
 
         monkeypatch.setattr(geo, "frames", counted)
         monkeypatch.setattr(geo, "metric_jets", counted_jets)
@@ -957,20 +973,21 @@ class TestSharedEvaluation:
         records, summary = cli.run_manifest(manifest, points=2)
         assert summary["ok"] and compiled == []
 
-    @pytest.mark.parametrize("entry, programs", [("theorem41_n4", 4), ("surface_pair", 3)])
+    @pytest.mark.parametrize("entry, programs", [("theorem41_n4", 3), ("surface_pair", 2)])
     def test_a_mapped_job_compiles_one_metric_level_program(self, monkeypatch, entry, programs):
-        # Building a mapped job and sampling one point compiles each
-        # target's conditions program, the job's one program (the
-        # source's components program, which holds the image's) and a
-        # family's profile jet, and nothing else.
+        # Building a mapped job and sampling one point compiles the job's
+        # one conditions program and one components program (the
+        # source's, which hold the image's conditions and components) and
+        # a family's profile jet, and nothing else.
         ex.jet.cache_clear()
         compiled = count_calls(monkeypatch, ex, "compile_exprs")
         manifest = corpus_get(entry)
         job = cli.build_job(manifest["manifolds"][0])
         cli.sample_points(job, 1, np.random.default_rng([manifest["seed"], 0]))
-        spec = job.targets[0].spec
+        spec, image = job.targets[0].spec, job.targets[1].spec
+        assert set(image.conditions) <= set(spec.conditions)
         wants = [[job.family.profile]] if job.family else []  # in the order they compile
-        wants += [[c for c, _ in target.spec.conditions] for target in job.targets]
+        wants.append([c for c, _ in spec.conditions])
         wants.append([e for row in spec.components for e in row] + list(spec.extras))
         assert len(compiled) == len(wants) == programs
         for (exprs, _, _), want in zip(compiled, wants):
@@ -988,6 +1005,34 @@ class TestSharedEvaluation:
         target_points = {(r["target"], r["point_index"]) for r in records}
         assert len(target_points) == 3
         assert sum(len(points) for _, points, *_ in frames) == len(target_points)
+
+    def test_a_run_checks_no_condition_past_sampling(self, monkeypatch):
+        # Sampling is the only gate: once it has admitted the points, no
+        # chunk runs a conditions program again.
+        sampling, runs, bound = flag_sampling(monkeypatch), [], geo.MetricSpec._condition_jet
+
+        def logged(spec):
+            program = bound.func(spec)
+            return lambda points: runs.append(bool(sampling)) or program(points)
+
+        monkeypatch.setattr(geo.MetricSpec, "_condition_jet", property(logged))
+        for entry in ("rn_lambda0", "theorem41_n4", "surface_pair"):
+            records, summary = cli.run_manifest(corpus_get(entry), points=3)
+            assert summary["ok"]
+        assert runs and all(runs)
+
+    @pytest.mark.parametrize("entry", ["theorem41_n4", "surface_pair"])
+    def test_sampling_a_mapped_job_checks_conditions_once_per_candidate(self, monkeypatch, entry):
+        # The source's conditions hold the image's, so each candidate
+        # makes one geo.admissible call, on the first target.
+        manifest = corpus_get(entry)
+        job, tried = cli.build_job(manifest["manifolds"][0]), []
+        sample_ok = job.sample_ok
+        monkeypatch.setattr(job, "sample_ok", lambda point: tried.append(point) or sample_ok(point))
+        calls = count_calls(monkeypatch, geo, "admissible")
+        cli.sample_points(job, 4, np.random.default_rng([manifest["seed"], 0]))
+        assert len(tried) >= 4 and [point for _, point, *_ in calls] == tried
+        assert all(spec is job.targets[0].spec for spec, *_ in calls)
 
     def test_rejected_candidates_format_no_message(self, monkeypatch):
         # Sampling asks whether a candidate is admissible and formats no
@@ -1021,22 +1066,14 @@ class TestSharedEvaluation:
         # read one family_values lane per point, from the chunk's one
         # program run.  Sampling's guards make their own calls, which are
         # not counted.
-        sampling, run_calls = [], []
-        sample_points, family_values = cli.sample_points, gm.family_values
-
-        def flagged(*args, **kwargs):
-            sampling.append(True)
-            try:
-                return sample_points(*args, **kwargs)
-            finally:
-                sampling.pop()
+        run_calls, family_values = [], gm.family_values
+        sampling = flag_sampling(monkeypatch)
 
         def counted(fam, jets):
             if not sampling:
                 run_calls.append(len(jets[0]))
             return family_values(fam, jets)
 
-        monkeypatch.setattr(cli, "sample_points", flagged)
         monkeypatch.setattr(gm, "family_values", counted)
         records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=2)
         assert summary["ok"]

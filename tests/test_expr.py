@@ -341,14 +341,14 @@ def _covariant_derivative_of_log():
 
 
 def _root_warp_jets_at_zero():
-    # The product's jets, unchecked, get past warp > 0 and reach the
-    # warp's derivative, which the product's one program yields.
+    # The product's jets (metric_jets checks nothing) get past warp > 0
+    # and reach the warp's derivative, which the product's one program yields.
     from curvcheck import geometry as geo
     from curvcheck import warped as wp
 
     base = geo.diagonal_metric(("u", "v"), [1.0, 1.0])
     ws = wp.assemble(base, wp.constant_curvature_fiber(2, 2.0), "sqrt(u)")
-    return geo.metric_jets(ws.product, [(0.0, 0.5, 0.1, 0.2)], False)
+    return geo.metric_jets(ws.product, [(0.0, 0.5, 0.1, 0.2)])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """Geodesic pair and warped-family mapping tests."""
 
 import dataclasses
+import inspect
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -70,7 +73,8 @@ class TestSurfacePair:
     def test_psi_value_and_compatibility(self):
         pair = gm.geodesic_pair_2d("1", "x", 2.0, 1.0)
         pt = (1.0, 0.2)
-        psi, values, root = gm.mapped_jets(pair, program_jets(pair, [pt]))
+        cut = gm.cut(pair, program_jets(pair, [pt]))
+        psi, values, root = cut["psi"], cut["values"], cut["root"]
         assert psi[0][0, 0] == pytest.approx(-0.25, rel=1e-14) and values is root is None
         frames = pair_frames(pair, [pt])
         assert gm.geodesic_compatibility_residual(*frames, psi_jets(psi_program(pair), [pt])) < 1e-9
@@ -243,7 +247,7 @@ class TestFamilyCompatibility:
     def test_warp_profile_pde(self):
         fam = family_for("trigonometric")
         points = sample(fam, np.random.default_rng(8), 2)
-        d, root = diagnostics_at(fam.source, points), gm.mapped_jets(fam, program_jets(fam, points))[2]
+        d, root = diagnostics_at(fam.source, points), gm.cut(fam, program_jets(fam, points))["root"]
         for name, res in gm.warp_profile_pde_residuals(d, root).items():
             assert np.all(res < 1e-9), (name, res)
 
@@ -349,7 +353,7 @@ class TestIndefiniteBase:
         fam = gm.build_family(gm.FamilyConfig(c=0.0, d=-2.0, c1=2.0, c2=1.0))
         pt = (1.1, 0.2, 0.1, -0.15)
         assert geo.admissible(fam.source.product, pt) and geo.admissible(fam.image.product, pt)
-        assert fam.guards_hold(program_jets(fam, [pt]))
+        assert fam.guards_hold(values_at(fam, [pt]))
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
         assert roter.classify(stack([f]))[0].kind == roter.ROTER
@@ -418,10 +422,25 @@ class TestOneProgram:
         assert [job.sample_ok(pt) for pt in candidates] == verdicts
         rejected = [pt for pt, ok in zip(candidates, verdicts) if not ok]
         by_conditions = [pt for pt in rejected
-                         if not all(geo.admissible(t.spec, pt, ()) for t in job.targets)]
+                         if not all(geo.admissible(t.spec, pt) for t in job.targets)]
         assert 0 < len(by_conditions) and len(rejected) < len(candidates)
         guarded = [pt for pt in rejected if pt not in by_conditions]
         assert bool(guarded) == bool(job.family)
         for pt in guarded:
             values = point_family_values(mapped, pt)
             assert min(abs(values[key]) for key in ("one_plus_qb", "shape", "bp", "B")) < gm.GUARD_FLOOR
+
+
+def test_only_geomap_knows_the_program_layout():
+    # Where each block sits in a mapped pair's program is geomap's
+    # alone: no other module reads the columns image_at and psi_at, and
+    # geometry and warped take no column offset (jet_block's columns
+    # index the jets it is given).
+    src = pathlib.Path(gm.__file__).parent
+    readers = {path.name for path in src.glob("*.py")
+               if re.search(r"\b(image_at|psi_at)\b", path.read_text(encoding="utf-8"))}
+    assert readers == {"geomap.py"}
+    for fn, params in ((geo.metric_jets, ["spec", "points"]), (geo.admissible, ["spec", "point"]),
+                       (geo.jet_block, ["jets", "columns", "axes"]),
+                       (wp.WarpedSpec.blocks, ["self", "jets"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__

@@ -365,9 +365,10 @@ class TestAdmissibility:
             geo.frame(spec, (0.0, 3.0, 0.0, 0.3))  # sin(th) = 0
 
     def test_determinant_guard(self):
+        # admissible checks the declared conditions; invertible the metric.
         spec = geo.diagonal_metric(("x", "y"), ["x", "1"])
-        assert not geo.admissible(spec, (0.0, 0.5))
-        assert geo.admissible(spec, (2.0, 0.5))
+        assert geo.admissible(spec, (0.0, 0.5))
+        assert geo.invertible(geo.metric_jets(spec, [(0.0, 0.5), (2.0, 0.5)])).tolist() == [False, True]
 
 
 class TestSmokeChecks:

@@ -109,8 +109,8 @@ class TestAssemble:
         ws = warped.assemble(base, fiber, "x1")
         point = (-1.0, 0.0, 0.1, 0.1)
         assert not geo.admissible(ws.product, point)
-        # The product's jets, unchecked, get past warp > 0.
-        jets = geo.metric_jets(ws.product, [point], False)
+        # The product's jets (metric_jets checks nothing) get past warp > 0.
+        jets = geo.metric_jets(ws.product, [point])
         frame, blocks = geo.frames(ws.product, [point], geo.jet_block(jets)), ws.blocks(jets)
         fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]], blocks[1])
         with pytest.raises(geo.InadmissiblePointError, match="warping function non-positive"):
