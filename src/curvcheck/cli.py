@@ -386,16 +386,19 @@ class Job:
         """The first target's conditions (on a mapped pair, both members') hold at
         point, its program runs there, each target's metric is invertible and a
         family clears its mapping guards: no chunk piece fails there."""
-        spec, mapped = self.targets[0].spec, self.pair or self.family
-        if not geo.admissible(spec, point):
+        if not geo.admissible(self.targets[0].spec, point):
             return False
         try:
-            jets = geo.metric_jets(spec, [point])
+            cut = self.cut(geo.metric_jets(self.targets[0].spec, [point]))
         except _POINT_ERRORS:
             return False
-        cut = gm.cut(mapped, jets, tail=False) if mapped else {self.targets[0].label: jets}
         return (all(geo.invertible(cut[t.label])[0] for t in self.targets)
                 and (self.family is None or self.family.guards_hold(cut["values"])))
+
+    def cut(self, jets) -> dict:
+        """jets, a run of the first target's program, per target label (gm.cut's on a mapped pair)."""
+        mapped = self.pair or self.family
+        return gm.cut(mapped, jets) if mapped else {self.targets[0].label: jets}
 
 
 def _build_explicit(mdef) -> geo.MetricSpec:
@@ -529,8 +532,7 @@ class Chunk:
     def _jets(self) -> dict:
         """Per target label its (g, dg, d2g) and factor jets (wp.WarpedSpec.blocks), each
         taken once, and the rest of a mapped pair's gm.cut, from one run of its program."""
-        jets, mapped = geo.metric_jets(self.target.spec, self.points), self.job.pair or self.job.family
-        cut = gm.cut(mapped, jets) if mapped else {self.target.label: jets}
+        cut = self.job.cut(geo.metric_jets(self.target.spec, self.points))
         for t in self.job.targets:
             cut[t.label] = geo.jet_block(cut[t.label]), t.warped_spec and t.warped_spec.blocks(cut[t.label])
         return cut

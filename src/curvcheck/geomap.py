@@ -301,19 +301,17 @@ def build_family(cfg: FamilyConfig) -> Family:
     return Family(cfg, source, image, image_at, psi_at, profile, profile_jet, invariant)
 
 
-def cut(mapped: GeodesicPair2D | Family, jets, tail: bool = True) -> dict:
+def cut(mapped: GeodesicPair2D | Family, jets) -> dict:
     """jets, the mapped pair's program run at P points (geometry.metric_jets
     of its source), as "source" and "image", each member's jets from column
-    0 (views), and "values", family_values; with tail also "psi", the ψ jets,
-    and "root", the (f, df, d2f) jets of f = √F along the base axes."""
+    0 (views), "psi", the ψ jets, and "values", family_values, and "root",
+    the (f, df, d2f) jets of f = √F along the base axes (None on a pair)."""
     n, family, image, at = jets[1].shape[1], isinstance(mapped, Family), mapped.image_at, mapped.psi_at
-    out = {"source": tuple(part[..., :image] for part in jets),
-           "image": tuple(part[..., image:at] for part in jets),
-           "values": family_values(mapped, jets) if family else None}  # None on a pair, as root
-    if tail:
-        out["psi"] = geo.jet_block(jets, at + np.arange(n))[:2]
-        out["root"] = geo.jet_block(jets, at + n + 2, slice(2)) if family else None
-    return out
+    return {"source": tuple(part[..., :image] for part in jets),
+            "image": tuple(part[..., image:at] for part in jets),
+            "psi": geo.jet_block(jets, at + np.arange(n))[:2],
+            "values": family_values(mapped, jets) if family else None,
+            "root": geo.jet_block(jets, at + n + 2, slice(2)) if family else None}
 
 
 def image_twin(mapped: GeodesicPair2D | Family) -> Callable:

@@ -297,15 +297,26 @@ def values_at(fam, points) -> dict:
     return gm.family_values(fam, program_jets(fam, points))
 
 
+def member_ok(spec, point) -> bool:
+    """spec's conditions hold at point, its own components program runs
+    there and its metric inverts."""
+    if not geo.admissible(spec, point):
+        return False
+    try:
+        return bool(geo.invertible(geo.metric_jets(spec, [point]))[0])
+    except ExprError:
+        return False
+
+
 def mapped_point_ok(mapped, point) -> bool:
     """cli.Job.sample_ok's oracle on a mapped pair, from a program per
-    part: each member admissible on its own components program, a
-    family's mapping guards clear on its values program alone, and the
-    psi program evaluating."""
+    part: each member's conditions holding, its own components program
+    running and its metric inverting, a family's mapping guards clear on
+    its values program alone, and the psi program evaluating."""
     spec = program_spec(mapped)
     own = dataclasses.replace(spec, extras=program_blocks(mapped)["source"][spec.dim ** 2:])
     image = getattr(mapped.image, "product", mapped.image)
-    if not (geo.admissible(own, point) and geo.admissible(image, point)):
+    if not (member_ok(own, point) and member_ok(image, point)):
         return False
     if isinstance(mapped, gm.Family):
         values = point_family_values(mapped, point)

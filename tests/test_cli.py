@@ -20,7 +20,7 @@ from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
-from helpers import json_lines
+from helpers import json_lines, member_ok
 
 
 def run_module(args, **kw):
@@ -1390,12 +1390,13 @@ class TestJob:
 
     def test_family_guard_rejects_a_near_singular_mapping(self):
         # With q = -1 and b = x, 1 + qb is 3e-7 at the first point, below
-        # GUARD_FLOOR, where both members are admissible; 3e-5 clears it.
+        # GUARD_FLOOR, where both members are admissible and their metrics
+        # invert; 3e-5 clears it.
         mdef = corpus_get("theorem41_n4")["manifolds"][0]
         mdef["params"]["map_shift"] = -1.0
         job = cli.build_job(mdef)
         near, clear = (1 - 3e-7, 0.1, 0.05, -0.02), (1 - 3e-5, 0.1, 0.05, -0.02)
-        assert all(geo.admissible(t.spec, near) for t in job.targets)
+        assert all(member_ok(t.spec, near) for t in job.targets)
         values = gm.family_values(job.family, geo.metric_jets(job.targets[0].spec, [near]))
         assert abs(values["one_plus_qb"][0]) < gm.GUARD_FLOOR
         assert not job.sample_ok(near)

@@ -22,6 +22,7 @@ from helpers import (
     frames_fits_and_products,
     mapped_point_ok,
     member_diagnostics,
+    member_ok,
     point_family_values,
     program_blocks,
     program_jets,
@@ -352,7 +353,7 @@ class TestIndefiniteBase:
         # requires nondegeneracy and every relation is signature-blind.
         fam = gm.build_family(gm.FamilyConfig(c=0.0, d=-2.0, c1=2.0, c2=1.0))
         pt = (1.1, 0.2, 0.1, -0.15)
-        assert geo.admissible(fam.source.product, pt) and geo.admissible(fam.image.product, pt)
+        assert member_ok(fam.source.product, pt) and member_ok(fam.image.product, pt)
         assert fam.guards_hold(values_at(fam, [pt]))
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
