@@ -514,11 +514,12 @@ class Chunk:
 
     Each piece is computed for every point on first read, once over the
     chunk's point axis, and holds one entry per point; a suite's piece
-    holds its checks.  No piece fails at a sampled point: the chunk runs,
-    unchecked, the one program that Job.sample_ok, the only gate, ran (a
-    warped product's covers its base, fiber and warp, a mapped pair's
-    both members and ψ).  Only curvature can still fail, by overflow:
-    evaluated then raises its one error at every read.  start is the
+    holds its checks.  No piece fails at a sampled point: Job.sample_ok
+    is the only gate, and the chunk runs the one program it ran (a warped
+    product's covers its base, fiber and warp, a mapped pair's both
+    members and ψ), whose jets geo.frames and wp.diagnostics take as
+    handed.  Only curvature can still fail, by overflow: evaluated then
+    raises its one error at every read.  start is the
     run's index of the first point.  stacked is the frame of all the
     points; fiber_frames and diagnostics are stacked too, built from the
     factor jets of the program's run.  A mapped pair's image reads its

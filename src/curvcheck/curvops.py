@@ -76,15 +76,11 @@ def _asarray(t) -> np.ndarray:
 
 
 def _rows(*ts: np.ndarray) -> list[np.ndarray]:
-    # Each lane of each t's leading point axis as one row, the entries of
-    # every t in the memory order of the first t's lanes, as
-    # ravel(order="K") flattens one array: views for stacked frames and
-    # products, and the same order whatever chunk a lane sits in.
+    # Each lane of each t's leading point axis as one row, in C order:
+    # views for stacked frames and products, whose lanes are contiguous,
+    # and the same order whatever chunk a lane sits in.
     first = ts[0]
     width = first.size // len(first) if len(first) else 0
-    if not first.flags.c_contiguous:
-        order = (0, *sorted(range(1, first.ndim), key=lambda k: -abs(first.strides[k])))
-        ts = [t.transpose(order) for t in ts]
     return [t.reshape(len(t), width) for t in ts]
 
 

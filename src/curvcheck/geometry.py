@@ -28,16 +28,16 @@ MetricSpec binds its conditions and components programs from ex.jet
 on first use, so no point's evaluation looks up ex.jet's cache; a
 warped product's also yields the jets of its fiber components and warp.
 
-admissible(spec, point) checks the conditions and invertible(jets) the
-metric.  metric_jets(spec, points) runs the components program over the
-points, with a leading point axis, and jet_block reads (g, dg, d2g)
-from it; frames(spec, points, jet) then computes the curvature packet
-once over that axis: one PointFrame whose arrays carry it (g of shape
-(P, n, n)).  Each lane of it, and of second_bianchi_residual, equals
-the same call on that point alone, bit for bit.  PointFrame.take cuts
-some lanes; PointFrame.lanes() views each as its point's own frame for
-frame(spec, point) alone.  Whoever asks for a frame owns it and passes
-it to the helpers below.
+admissible(spec, point) tests the conditions and invertible(jets) the
+metric; only a run's sampling calls them, and the frames below are
+built from whatever they are handed.  metric_jets(spec, points) runs the
+components program over the points, with a leading point axis, and
+jet_block reads (g, dg, d2g) from it; frames(spec, points, jet) then
+computes the curvature packet once over that axis: one PointFrame whose
+arrays carry it (g of shape (P, n, n)).  Each lane of it, and of
+second_bianchi_residual, equals the same call on that point alone, bit
+for bit.  PointFrame.take cuts some lanes.  Whoever asks for a frame
+owns it and passes it to the helpers below.
 MetricSpec is immutable apart from its bound programs, and thread-safe.
 """
 
@@ -54,8 +54,6 @@ from .curvops import kulkarni_nomizu, unit_curvature
 
 __all__ = [
     "GeometryError",
-    "SingularMetricError",
-    "InadmissiblePointError",
     "MetricSpec",
     "PointFrame",
     "metric_spec",
@@ -78,14 +76,6 @@ _NONZERO_FLOOR = 1e-12
 
 
 class GeometryError(ValueError):
-    pass
-
-
-class SingularMetricError(GeometryError):
-    pass
-
-
-class InadmissiblePointError(GeometryError):
     pass
 
 
@@ -188,15 +178,6 @@ def diagonal_metric(coords, diagonal, bindings=None, conditions=()) -> MetricSpe
 # g, dg and d2g come from one derivative jet of the components; the
 # conditions and the metric's invertibility are checked apart.
 
-def _failed_condition(spec: MetricSpec, point: Sequence[float]):
-    """(expression, kind, value) of the first condition failing at a point, or None."""
-    if spec.conditions:
-        (values,) = spec._condition_jet([point])
-        for v, (cond, kind) in zip(values[0].tolist(), spec.conditions):
-            if not (v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR):
-                return cond, kind, v
-
-
 def metric_jets(spec: MetricSpec, points: Sequence[Sequence[float]]):
     """The jets of spec's components program at the points, as ex.jet's."""
     return spec._component_jet(points)
@@ -229,10 +210,14 @@ def jet_block(jets, columns=None, axes=slice(None)) -> tuple[np.ndarray, ...]:
 
 def admissible(spec: MetricSpec, point: Sequence[float]) -> bool:
     """True when all of spec's declared conditions hold at point."""
+    if not spec.conditions:
+        return True
     try:
-        return _failed_condition(spec, point) is None
+        (values,) = spec._condition_jet([point])
     except ex.ExprError:
         return False
+    return all(v > 0.0 if kind == "positive" else abs(v) > _NONZERO_FLOOR
+               for v, (_, kind) in zip(values[0].tolist(), spec.conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +274,6 @@ class PointFrame:
         return PointFrame(self.spec, tuple(self.point[i] for i in lanes),
                           *(getattr(self, name)[lanes] for name in _LANE_FIELDS))
 
-    def lanes(self) -> list[PointFrame]:
-        """Each lane of a stacked frame as its point's own frame, whose
-        arrays are views of the stack's."""
-        columns = [getattr(self, name) for name in _LANE_FIELDS]
-        scalar = _LANE_FIELDS.index("scalar")
-        out = []
-        for i, point in enumerate(self.point):
-            values = [column[i] for column in columns]
-            values[scalar] = float(values[scalar])
-            out.append(PointFrame(self.spec, point, *values))
-        return out
-
 
 # The fields that gain the point axis in a stacked frame.
 _LANE_FIELDS = tuple(f.name for f in fields(PointFrame))[2:]
@@ -310,32 +283,23 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]], jet=None) -> Poi
     """The full curvature packet at a chunk of points, stacked.
 
     jet is (g, dg, d2g) at the points, as jet_block reads it from the
-    jets of a program holding spec's components; a warped product's
-    base or fiber block is singular only where the product is
-    (Hadamard's inequality).  Without it frames checks each point's
-    conditions, runs metric_jets(spec, points) and tests invertible, so
-    an error names its point.  Curvature, Ricci, scalar, Ricci-square
-    and Weyl then run once over the leading point axis.  Raises
-    GeometryError naming the first point where any of them is not
-    finite.  Lane i equals what frame(spec, points[i]) returns, bit for
-    bit.  Every call computes new arrays; callers must not mutate them.
+    jets of a program holding spec's components (a warped product's
+    base or fiber block is singular only where the product is, by
+    Hadamard's inequality); by default from metric_jets(spec, points).
+    Nothing here tests the points' conditions or g's invertibility:
+    whoever hands the points over has admitted them.  Curvature, Ricci,
+    scalar, Ricci-square and Weyl run once over the leading point axis.
+    Raises GeometryError naming the first point where any of them is
+    not finite.  Lane i equals what frame(spec, points[i]) returns, bit
+    for bit.  Every call computes new arrays; callers must not mutate
+    them.
     """
     points = tuple(tuple(float(v) for v in point) for point in points)
     n = spec.dim
     for point in points:
         if len(point) != n:
             raise GeometryError(f"point has {len(point)} coordinates, chart has {n}")
-        if jet is None and (failed := _failed_condition(spec, point)):
-            cond, kind, v = failed
-            raise InadmissiblePointError(f"condition {ex.to_text(cond)!r} ({kind}) fails at "
-                                         f"{point}: value {v!r}")
-    if jet is None:
-        jets = metric_jets(spec, points)
-        singular = ~invertible(jets)
-        if singular.any():
-            raise SingularMetricError(f"metric is singular at {points[singular.argmax()]}")
-        jet = jet_block(jets)
-    g, dg, d2g = jet
+    g, dg, d2g = jet or jet_block(metric_jets(spec, points))
     with np.errstate(over="ignore", invalid="ignore"):  # every output is checked below
         ginv, gamma, riem = _curvature(g, dg, d2g)
 
@@ -363,13 +327,15 @@ def frames(spec: MetricSpec, points: Sequence[Sequence[float]], jet=None) -> Poi
 
 def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:
     """The full curvature packet at one point: the one lane of
-    frames(spec, [point]).
+    frames(spec, [point]), its arrays views of that frame's.
 
     Every call computes a new frame; callers that need it more than
     once keep it.  Callers must not mutate the returned arrays.
     """
-    (f,) = frames(spec, [point]).lanes()
-    return f
+    f = frames(spec, [point])
+    lane = [getattr(f, name)[0] for name in _LANE_FIELDS]
+    lane[_LANE_FIELDS.index("scalar")] = float(f.scalar[0])
+    return PointFrame(spec, f.point[0], *lane)
 
 
 def gauss_curvature(f: PointFrame):

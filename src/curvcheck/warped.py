@@ -188,9 +188,6 @@ def diagnostics(ws: WarpedSpec, frame: geo.PointFrame, fiber_frame: geo.PointFra
     Everything runs once over the point axis."""
     base_jet, _, (f_value, grad, hess) = blocks
     bframe = geo.frames(ws.base, [ws.split(point)[0] for point in frame.point], base_jet)
-    if (f_value <= 0.0).any():
-        point = frame.point[int(np.argmax(f_value <= 0.0))]
-        raise geo.InadmissiblePointError(f"warping function non-positive at {tuple(point)}")
     nabla_grad = hess - np.einsum("psab,ps->pab", bframe.gamma, grad)
     t = nabla_grad - grad[:, :, None] * grad[:, None, :] / per_lane(2.0 * f_value, 2)
     ginv_base = bframe.ginv

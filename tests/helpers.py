@@ -203,16 +203,29 @@ def second_kind_curvature(g, dg, d2g):
     return gamma, np.einsum("hs,sijk->hijk", g, rup)
 
 
+# The PointFrame fields that gain the point axis in a stacked frame.
+LANE_FIELDS = [f.name for f in dataclasses.fields(geo.PointFrame)][2:]
+
+
 def stack(frames):
     """One frame for a chunk of points of one chart: each array gains a
     leading point axis, lane i holding frames[i]'s, and point becomes
     the tuple of the frames' points.  One frame's arrays are views."""
-    names = [f.name for f in dataclasses.fields(geo.PointFrame)][2:]
     if len(frames) == 1:  # views of the one frame's arrays
-        lanes = (np.asarray(getattr(frames[0], name))[None] for name in names)
+        lanes = (np.asarray(getattr(frames[0], name))[None] for name in LANE_FIELDS)
     else:
-        lanes = (np.array([getattr(f, name) for f in frames]) for name in names)
+        lanes = (np.array([getattr(f, name) for f in frames]) for name in LANE_FIELDS)
     return geo.PointFrame(frames[0].spec, tuple(f.point for f in frames), *lanes)
+
+
+def lanes(frame):
+    """stack's inverse: each lane of a stacked frame as its point's own
+    frame, whose arrays are views of the stack's."""
+    out = []
+    for i, point in enumerate(frame.point):
+        lane = {name: getattr(frame, name)[i] for name in LANE_FIELDS}
+        out.append(geo.PointFrame(frame.spec, point, **{**lane, "scalar": float(lane["scalar"])}))
+    return out
 
 
 def flat_metric(dim: int, prefix: str = "x") -> geo.MetricSpec:

@@ -20,6 +20,7 @@ from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
 from curvcheck.curvops import constancy_residual
 
+import helpers
 from helpers import (
     point_christoffel_shift,
     point_conformal_flatness,
@@ -90,7 +91,8 @@ def test_warped_lanes_equal_the_one_point_forms(name):
         frame = geo.frames(ws.product, points)
         fiber = geo.frames(ws.fiber, [ws.split(point)[1] for point in points])
         d = wp.diagnostics(ws, frame, fiber, ws.blocks(geo.metric_jets(ws.product, points)))
-        alone = [point_diagnostics(ws, f, g) for f, g in zip(frame.lanes(), fiber.lanes())]
+        alone = [point_diagnostics(ws, f, g)
+                 for f, g in zip(helpers.lanes(frame), helpers.lanes(fiber))]
         where = f"{name}/{target.label}"
         for i, one in enumerate(alone):
             for field in ("f_value", "grad", "t", "tr_t", "delta1",
@@ -124,7 +126,7 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
     mapped = job.pair or job.family
     psi, run = psi_program(mapped), program_jets(mapped, points)
     frames = (geo.frames(source.spec, points), geo.frames(image.spec, points))
-    lanes = list(zip(frames[0].lanes(), frames[1].lanes()))
+    lanes = list(zip(*map(helpers.lanes, frames)))
     cut = gm.cut(mapped, run)
     jets, values, root = cut["psi"], cut["values"], cut["root"]
     for got, want in zip(jets, psi_jets(psi, points)):
@@ -174,7 +176,7 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
     identity = gm.psi_ricci_identity_residual(fam, frames, fits, tuple(j[keep] for j in jets))
     semisymmetric = gm.semisymmetric(products[0]["RR"], frames[0])
     for lane, i in enumerate(keep):
-        pair = tuple(frame.lanes()[lane] for frame in frames)
+        pair = tuple(helpers.lanes(frame)[lane] for frame in frames)
         fit = tuple(f[lane] for f in fits)
         alone = tuple(roter.curvature_products(f) for f in pair)
         want = point_factor_relations(fam, pair, fit, alone, vs[i])

