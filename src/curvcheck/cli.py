@@ -306,6 +306,18 @@ def schema_errors(instance, schema: dict, path: tuple = ()):
                          f"{schema['exclusiveMinimum']!r}")
 
 
+def _numbers(value, path: tuple = ()):
+    """Yield (path, number) for each JSON number in value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _numbers(item, path + (index,))
+    elif _JSON_TYPES["number"](value):
+        yield path, value
+
+
 def validate_manifest(data: dict) -> None:
     errors = sorted((message, "/".join(map(str, path)) or "<root>")
                     for path, message in schema_errors(data, MANIFEST_SCHEMA))
@@ -335,6 +347,10 @@ def validate_manifest(data: dict) -> None:
             if not (-big <= lo <= hi <= big and hi - lo <= big):
                 raise ManifestError(f"manifold {mdef['name']!r}: box {key!r} needs float "
                                     f"bounds lo <= hi and a finite width, got {[lo, hi]}")
+        for path, value in _numbers(mdef):
+            if not -big <= value <= big:
+                raise ManifestError(f"manifold {mdef['name']!r}: {'/'.join(map(str, path))} "
+                                    f"is outside the float range +-{big!r}")
         pins = len(mdef.get("expect", {}).get("pinned_scalars", ()))
         if pins > len(mdef.get("pinned_points", ())):
             raise ManifestError(f"manifold {mdef['name']!r}: {pins} pinned_scalars entries, "

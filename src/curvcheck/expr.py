@@ -682,22 +682,28 @@ def compile_exprs(
 ) -> Callable[..., tuple[float, ...]]:
     """Compile expressions into one positional function of the coordinates.
 
-    f(*point) returns one double per expression.  Constants are inlined
-    at compile time.  Domain failures raise the interpreter's native
-    ValueError / ZeroDivisionError / OverflowError; jet() turns them into
-    an attributed DomainError.
+    f(*point) returns one double per expression.  Each constant is a
+    trailing parameter, in sorted name order, whose default is its value
+    in consts, so f(*point, *values) runs the same code at other values.
+    Domain failures raise the interpreter's native ValueError /
+    ZeroDivisionError / OverflowError; jet() turns them into an
+    attributed DomainError.
 
-    The function is straight-line code: leaves are inlined, and every
-    distinct interior node becomes one temporary, _tK = <op>(<child
-    refs>), assigned after its children on line K + 2, f.nodes[K] is its
-    node and f.source is the generated text.  Temporaries are keyed by
-    that operation text rather than by ==, because Num(0.0) == Num(-0.0)
-    while the two literals compute different signs.  f.complex runs the
-    same code on complex numbers, in _COMPLEX_NS.
+    The function is straight-line code: every distinct interior node
+    becomes one temporary, _tK = <op> over atoms (parameters, earlier
+    temporaries and literal reprs), assigned after its children on line
+    K + 2, f.nodes[K] is its node and f.source is the generated text.
+    Only a negative literal as a ** base keeps parentheses.  Temporaries
+    are keyed by that operation text rather than by ==, because
+    Num(0.0) == Num(-0.0) while the two literals compute different
+    signs.  f.complex runs the same code on complex numbers, in
+    _COMPLEX_NS.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
+    names = sorted(consts)
+    constnames = {name: f"_k{i}" for i, name in enumerate(names)}
     temps: dict[str, str] = {}  # operation text -> temporary
-    refs: dict[int, str] = {}  # id(node) -> inlined leaf or temporary
+    refs: dict[int, str] = {}  # id(node) -> atom: parameter, literal or temporary
     lines = []
     nodes = []
 
@@ -706,7 +712,7 @@ def compile_exprs(
         if r is not None:
             return r
         if isinstance(e, Num):
-            r = f"({e.value!r})"
+            r = repr(e.value)
         elif isinstance(e, Var):
             try:
                 r = argnames[e.name]
@@ -714,18 +720,19 @@ def compile_exprs(
                 raise UnboundSymbolError(f"coordinate {e.name!r} is not in the chart") from None
         elif isinstance(e, Const):
             try:
-                r = f"({float(consts[e.name])!r})"
+                r = constnames[e.name]
             except KeyError:
                 raise UnboundSymbolError(f"constant {e.name!r} is not bound") from None
         else:
             if isinstance(e, Unary):
                 a = ref(e.arg)
-                text = f"(-{a})" if e.op == "neg" else f"_{e.op}({a})"
+                text = f"-{a}" if e.op == "neg" else f"_{e.op}({a})"
             elif isinstance(e, Bin):
                 a, b = ref(e.lhs), ref(e.rhs)
-                text = f"_pow({a}, {b})" if e.op == "pow" else f"({a} {e.op} {b})"
+                text = f"_pow({a}, {b})" if e.op == "pow" else f"{a} {e.op} {b}"
             elif isinstance(e, IntPow):
-                text = f"({ref(e.base)} ** ({e.power}))"
+                base = ref(e.base)  # -x ** k would be -(x ** k)
+                text = f"({base}) ** {e.power}" if base[0] == "-" else f"{base} ** {e.power}"
             else:
                 raise ExprError(f"not an expression node: {e!r}")
             r = temps.get(text)
@@ -738,45 +745,33 @@ def compile_exprs(
 
     outs = [ref(e) for e in exprs]
     trailing = "," if len(exprs) == 1 else ""
-    src = (f"def _compiled({', '.join(argnames.values())}):\n"
-           + "".join(lines) + f"    return ({', '.join(outs)}{trailing})\n")
+    params = [*argnames.values(), *constnames.values()]
+    src = (f"def _compiled({', '.join(params)}):\n"
+           + "".join(lines) + f"    return {', '.join(outs)}{trailing}\n")
     namespace = dict(_COMPILE_NS)
     exec(compile(src, "<curvcheck-expr>", "exec"), namespace)
     program = namespace["_compiled"]
+    program.__defaults__ = tuple(float(consts[name]) for name in names) or None
     program.nodes = tuple(nodes)
     program.source = src
-    program.complex = types.FunctionType(program.__code__, _COMPLEX_NS)
+    program.complex = types.FunctionType(program.__code__, _COMPLEX_NS, None,
+                                         program.__defaults__)
     return program
 
 
 @lru_cache(maxsize=None)
-def jet(
+def _jet_build(
     exprs: tuple[Expr, ...],
     coords: tuple[str, ...],
-    bindings: Bindings,
+    names: tuple[str, ...],
     order: int,
-) -> Callable[[Sequence[Sequence[float]]], tuple[np.ndarray, ...]]:
-    """Compile the values and exact derivatives of exprs up to order 2.
+) -> tuple[Callable[..., tuple[float, ...]], tuple[np.ndarray, ...]]:
+    """jet()'s program and output indices, built once per formula.
 
-    Returns program(points) -> (values,) for order 0, (values, first)
-    for order 1 and (values, first, second) for order 2, with arrays of
-    shape (P, m), (P, n, m) and (P, n, n, m) for P points and m
-    expressions over n coordinates: first[p, k, e] = d_k exprs[e] and
-    second[p, l, k, e] = d_l d_k exprs[e] at points[p].  Each second
-    partial is built once, as diff(diff(e, c_k), c_l) with l <= k, and
-    mirrored, so second is exactly symmetric in its two derivative
-    slots.  Every diff by one coordinate shares one memo, so each
-    distinct subtree object is differentiated once per coordinate.
-    Every value equals a tree walk of the same derivative bit for bit.
-
-    Structurally equal expressions share one compiled output.  The
-    program is built once per distinct (exprs, coords, bindings, order)
-    value, so equal specs rebuilt later reuse it.  A native domain
-    failure at the first failing point raises a DomainError naming the
-    node of the failing program line, with the message _DOMAIN_MESSAGES
-    holds for its operation and the exception.  run.complex(points,
-    columns) runs the program's complex twin at complex points, through
-    the same indices, of the outputs at columns (an index array) alone.
+    The key holds the constants' names, not their values: the program
+    takes them as trailing parameters, so every chart of one formula
+    shares one diff, one code generation and one compile().  The
+    program's defaults are NaN; jet() passes each chart's values.
     """
     if order not in (0, 1, 2):
         raise ExprError(f"jet order must be 0, 1 or 2, got {order!r}")
@@ -798,11 +793,45 @@ def jet(
                 offset[l, k] = offset[k, l] = len(ordered)
                 ordered += [diff(d, coords[l], _memo=memos[coords[l]]) for d in first[k]]
         indices.append(offset[:, :, None] + cols)
-    program = compile_exprs(ordered, coords, bindings)
+    return compile_exprs(ordered, coords, dict.fromkeys(names, math.nan)), tuple(indices)
+
+
+def jet(
+    exprs: tuple[Expr, ...],
+    coords: tuple[str, ...],
+    bindings: Mapping[str, float],
+    order: int,
+) -> Callable[[Sequence[Sequence[float]]], tuple[np.ndarray, ...]]:
+    """Compile the values and exact derivatives of exprs up to order 2.
+
+    Returns program(points) -> (values,) for order 0, (values, first)
+    for order 1 and (values, first, second) for order 2, with arrays of
+    shape (P, m), (P, n, m) and (P, n, n, m) for P points and m
+    expressions over n coordinates: first[p, k, e] = d_k exprs[e] and
+    second[p, l, k, e] = d_l d_k exprs[e] at points[p].  Each second
+    partial is built once, as diff(diff(e, c_k), c_l) with l <= k, and
+    mirrored, so second is exactly symmetric in its two derivative
+    slots.  Every diff by one coordinate shares one memo, so each
+    distinct subtree object is differentiated once per coordinate.
+    Every value equals a tree walk of the same derivative bit for bit.
+
+    Structurally equal expressions share one compiled output.  The
+    program is built once per distinct (exprs, coords, constant names,
+    order) value (_jet_build), whatever the constants' values: every
+    run passes bindings' values to it.  A native domain failure at the
+    first failing point raises a DomainError naming the node of the
+    failing program line, with the message _DOMAIN_MESSAGES holds for
+    its operation and the exception.  run.complex(points, columns) runs
+    the program's complex twin at complex points, through the same
+    indices, of the outputs at columns (an index array) alone.
+    """
+    names = tuple(sorted(bindings))
+    program, indices = _jet_build(exprs, coords, names, order)
+    values = tuple(float(bindings[name]) for name in names)
 
     def run(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, ...]:
         try:
-            rows = [program(*point) for point in points]
+            rows = [program(*point, *values) for point in points]
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             # The program's own frame is the innermost one: builtins add none.
             node = program.nodes[traceback.extract_tb(err.__traceback__)[-1].lineno - 2]
@@ -812,7 +841,7 @@ def jet(
         return tuple(flat.take(index, axis=1) for index in indices)
 
     def run_complex(points: Sequence[Sequence[complex]], columns=slice(None)):
-        flat = np.array([program.complex(*point) for point in points], dtype=complex)
+        flat = np.array([program.complex(*point, *values) for point in points], dtype=complex)
         return tuple(flat.take(index[..., columns], axis=1) for index in indices)
 
     run.complex = run_complex

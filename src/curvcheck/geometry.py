@@ -25,7 +25,7 @@ Riemannian Geometry, 1926, section 8):
 g, dg and d2g come from exact symbolic derivatives of the component
 expressions, and d R from a complex step through their program.  A
 MetricSpec binds its conditions and components programs from ex.jet
-on first use, so no point's evaluation looks up ex.jet's cache; a
+on first use, so no point's evaluation looks up ex.jet's build cache; a
 warped product's also yields the jets of its fiber components and warp.
 
 admissible(spec, point) tests the conditions and invertible(jets) the
@@ -104,8 +104,8 @@ class MetricSpec:
         return len(self.coords)
 
     # The chart's jet programs, bound on first use, so that a point's
-    # evaluation looks up no ex.jet cache entry (whose key compare walks
-    # the expression trees of a rebuilt spec).
+    # evaluation looks up no build cache entry of ex.jet (whose key
+    # compare walks the expression trees of a rebuilt spec).
     @cached_property
     def _condition_jet(self):
         return ex.jet(tuple(c for c, _ in self.conditions), self.coords, self.bindings, 0)

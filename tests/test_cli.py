@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,7 @@ from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
-from helpers import json_lines, member_ok
+from helpers import evaluate, json_lines, member_ok
 
 
 def run_module(args, **kw):
@@ -319,6 +320,32 @@ class TestValidation:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "'flat'" in proc.stderr
+
+    @pytest.mark.parametrize("entry, keys", [
+        ("rn_lambda0", ("constants", "M")),
+        ("theorem41_n4", ("params", "c")),
+        ("rn_lambda0", ("pinned_points", 0, "r")),
+        ("surface_pair", ("pair", "map_scale")),
+    ])
+    def test_a_number_past_the_float_range_exits_2(self, tmp_path, entry, keys, capsys):
+        # A 401-digit integer here used to end the run in "OverflowError:
+        # int too large to convert to float", exit 1, with no report.
+        bad = corpus_get(entry)
+        *parents, last = keys
+        mdef = block = bad["manifolds"][0]
+        for key in parents:
+            block = block[key]
+        block[last] = 10 ** 400
+        where = f"manifold {mdef['name']!r}: {'/'.join(map(str, keys))} is outside the float range"
+        with pytest.raises(cli.ManifestError, match=f"^{re.escape(where)}"):
+            cli.validate_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {where} +-{sys.float_info.max!r}\n"
+        assert not out.exists()
 
     def test_pinned_scalars_beyond_the_pinned_points_exit_2(self, tmp_path, capsys):
         # A pinned_scalars entry with no pinned point was never checked:
@@ -965,7 +992,7 @@ class TestSharedEvaluation:
         # target's components program (a warped product's also yields its
         # base, fiber and warp jets, a mapped pair's both members, psi, the
         # family values and sqrt(F)) and a family's profile jet.
-        ex.jet.cache_clear()
+        ex._jet_build.cache_clear()
         manifest = corpus_get(entry)
         jobs = [cli.build_job(mdef) for mdef in manifest["manifolds"]]
         for index, job in enumerate(jobs):
@@ -974,13 +1001,55 @@ class TestSharedEvaluation:
         records, summary = cli.run_manifest(manifest, points=2)
         assert summary["ok"] and compiled == []
 
+    def test_charts_differing_only_in_constants_share_one_program(self, monkeypatch):
+        # Two rn_lambda0 charts at other (M, Q), as the charged sweep of
+        # perfbench/run.py builds them: the build keys on the constants'
+        # names, and each run passes its chart's values.
+        def chart(mass, charge):
+            mdef = corpus_get("rn_lambda0")["manifolds"][0]
+            mdef.pop("pinned_points")
+            mdef["constants"] = {"M": mass, "Q": charge, "Lam": 0.0}
+            r_plus = mass + math.sqrt(mass * mass - charge * charge)
+            mdef["box"]["r"] = [0.6 * r_plus, 3.0 * r_plus]
+            return mdef
+
+        def same_bits(a, b):
+            return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+        ex._jet_build.cache_clear()
+        compiled = count_calls(monkeypatch, ex, "compile_exprs")
+        jobs = [cli.build_job(chart(1.3, 0.6)), cli.build_job(chart(0.7, 0.5))]
+        chunks = [cli.sample_points(job, 3, np.random.default_rng(k)) for k, job in enumerate(jobs)]
+        assert len(compiled) == 2  # the conditions program and the components program
+        specs = [job.targets[0].spec for job in jobs]
+        assert specs[0].bindings != specs[1].bindings
+        bad = [(0.0, 0.0, 1.2, 0.3)]  # r = 0: 2*M/r divides by zero
+        with pytest.raises(ex.DomainError) as shared_error:
+            geo.metric_jets(specs[1], bad)
+        for spec, points in zip(specs, chunks):
+            steps = [(p[0], p[1] + 1e-30j, p[2], p[3]) for p in points]
+            shared = geo.metric_jets(spec, points), spec._component_jet.complex(steps)
+            assert all(np.isfinite(part).all() for part in shared[0] + shared[1])
+            ex._jet_build.cache_clear()
+            outputs = tuple(e for row in spec.components for e in row) + spec.extras
+            own = ex.jet(outputs, spec.coords, spec.bindings, 2)
+            assert shared[0][0].tolist() == [  # the chart's own values, by the tree walk
+                [evaluate(e, dict(zip(spec.coords, p)), spec.bindings) for e in outputs]
+                for p in points]
+            assert same_bits(shared[0], own(points)) and same_bits(shared[1], own.complex(steps))
+        assert len(compiled) == 4  # one more program per chart, for its constants alone
+        with pytest.raises(ex.DomainError) as own_error:
+            own(bad)
+        assert str(shared_error.value) == str(own_error.value)
+        assert shared_error.value.subexpr == own_error.value.subexpr
+
     @pytest.mark.parametrize("entry, programs", [("theorem41_n4", 3), ("surface_pair", 2)])
     def test_a_mapped_job_compiles_one_metric_level_program(self, monkeypatch, entry, programs):
         # Building a mapped job and sampling one point compiles the job's
         # one conditions program and one components program (the
         # source's, which hold the image's conditions and components) and
         # a family's profile jet, and nothing else.
-        ex.jet.cache_clear()
+        ex._jet_build.cache_clear()
         compiled = count_calls(monkeypatch, ex, "compile_exprs")
         manifest = corpus_get(entry)
         job = cli.build_job(manifest["manifolds"][0])

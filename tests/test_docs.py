@@ -91,7 +91,7 @@ def _tree_nodes(exprs) -> int:
 def test_quoted_program_size_is_the_program(monkeypatch):
     # docs/expr-grammar.md quotes the tree nodes and temporaries of
     # theorem41_c_neg_n6's one program, and the temporaries of the
-    # members' own programs, each built anew past expr.jet's cache.
+    # members' own programs, each built anew past expr._jet_build's cache.
     text = " ".join((ROOT / "docs" / "expr-grammar.md").read_text(encoding="utf-8").split())
     quoted = re.search(r"has ([\d,]+) tree nodes and compiles to (\d+) temporaries, where the "
                        r"two members' own programs compile to (\d+)", text)
@@ -103,7 +103,7 @@ def test_quoted_program_size_is_the_program(monkeypatch):
     own = image.dim ** 2 + len(image.extras)
     for spec, count in ((source, None), (source, own), (image, own)):
         outputs = (tuple(e for row in spec.components for e in row) + spec.extras)[:count]
-        ex.jet.__wrapped__(outputs, spec.coords, spec.bindings, 2)
+        ex._jet_build.__wrapped__(outputs, spec.coords, tuple(sorted(spec.bindings)), 2)
     (merged, program), *members = built
     assert quoted.groups() == (f"{_tree_nodes(merged):,}", str(len(program.nodes)),
                                str(sum(len(p.nodes) for _, p in members)))

@@ -392,6 +392,61 @@ def test_long_sum_compiles_bit_for_bit():
         assert _bits(f(point["x"], point["y"])) == _bits(want)
 
 
+def test_program_text_is_lean():
+    # Each line is one bare operation over atoms; only a negative literal
+    # as a ** base keeps its parentheses, since -2.0 ** 3 is -(2.0 ** 3).
+    x, y = Var("x"), Var("y")
+    exprs = [Bin("*", Unary("log", x), ex.Const("M")), IntPow(Num(-2.0), 3), Unary("neg", y),
+             Bin("-", x, Num(-0.5)), IntPow(x, -2)]
+    f = compile_exprs(exprs, COORDS, {"M": 0.5})
+    assert f.source == ("def _compiled(_c0, _c1, _k0):\n"
+                        "    _t0 = _log(_c0)\n"
+                        "    _t1 = _t0 * _k0\n"
+                        "    _t2 = (-2.0) ** 3\n"
+                        "    _t3 = -_c1\n"
+                        "    _t4 = _c0 - -0.5\n"
+                        "    _t5 = _c0 ** -2\n"
+                        "    return _t1, _t2, _t3, _t4, _t5\n")
+    assert f.__defaults__ == f.complex.__defaults__ == (0.5,)
+
+
+_x, _y, _C = Var("x"), Var("y"), ex.Const("C")
+# Operand forms of the lean program text: (expressions, constants).
+_LEAN_FORMS = {
+    "negative literal as ^ base": ([IntPow(Num(-2.0), 3), Bin("*", IntPow(Num(-1.5), 2), _x),
+                                    IntPow(Num(-0.0), 3), Bin("+", IntPow(Num(-2.0), -3), _y)], {}),
+    "negative exponent": ([IntPow(_x, -2), IntPow(Unary("neg", _y), -3),
+                           Bin("*", IntPow(Bin("-", _x, _y), -1), _x)], {}),
+    "negation of a negative literal": ([Unary("neg", Num(-2.0)), Bin("-", _x, Num(-2.0)),
+                                        Bin("*", Unary("neg", Num(-0.0)), _y)], {}),
+    "-0.0 against 0.0": ([Bin("*", Num(-0.0), _x), Bin("*", Num(0.0), _x),
+                          Bin("+", Bin("*", Num(0.0), _x), Num(-0.0)),
+                          Bin("+", Bin("*", Num(0.0), _x), Num(0.0)),
+                          Bin("-", Num(-0.0), Num(0.0)), Bin("-", Num(0.0), Num(-0.0))], {}),
+    "inf and nan literals": ([Num(math.inf), Num(-math.inf), Bin("*", Num(-math.inf), _x),
+                              Bin("-", _y, Num(math.inf)), Unary("neg", Num(-math.inf)),
+                              Bin("+", Num(math.nan), _x)], {}),
+    "negative constant as ^ base": ([IntPow(_C, 3), IntPow(_C, -2), Bin("pow", _C, Num(2.0)),
+                                     Bin("*", IntPow(_C, 2), _x)], {"C": -1.5}),
+    "300-term sum": ([parse(" + ".join(f"{0.25 * (k + 1)}*x^{k % 5}*{'yC'[k % 2]}"
+                                       for k in range(300)), COORDS, ["C"])], {"C": -0.75}),
+}
+
+
+@pytest.mark.parametrize("form", _LEAN_FORMS)
+def test_lean_operand_forms_match_treewalk(form):
+    # Dyadic points keep every power exact: the complex twin's ** multiplies
+    # where the float ** rounds once, so only then do their bits agree.
+    exprs, consts = _LEAN_FORMS[form]
+    exprs = exprs + [diff(e, "x") for e in exprs]
+    f = compile_exprs(exprs, COORDS, consts)
+    for point in ((-1.25, 0.75), (0.5, -2.0)):
+        p = dict(zip(COORDS, point))
+        want = _bits(evaluate(e, p, consts) for e in exprs)
+        assert _bits(f(*point)) == want
+        assert _bits(v.real for v in f.complex(*map(complex, point))) == want
+
+
 def _shared_dag(rng: random.Random) -> list:
     """Expressions that reuse subtree objects and hold equal copies of them.
 
@@ -511,9 +566,9 @@ def test_domain_errors_match_the_oracle(src, point):
     assert raised[0] == raised[1] == raised[2]
 
 
-def _distinct_interior_nodes(exprs, consts) -> int:
+def _distinct_interior_nodes(exprs) -> int:
     """Structurally distinct interior nodes of exprs.  A leaf is keyed by
-    the value it stands for: a constant is inlined as its bound value."""
+    the atom it compiles to: a constant is its parameter."""
     interned: dict[tuple, int] = {}
     memo: dict[int, int] = {}
 
@@ -522,7 +577,7 @@ def _distinct_interior_nodes(exprs, consts) -> int:
             if isinstance(e, Num):
                 k = ("leaf", repr(e.value))
             elif isinstance(e, ex.Const):
-                k = ("leaf", repr(float(consts[e.name])))
+                k = ("leaf", "const", e.name)
             elif isinstance(e, Var):
                 k = ("leaf", e.name)
             elif isinstance(e, Unary):
@@ -554,10 +609,11 @@ def test_n6_jet_has_one_temporary_per_distinct_node(monkeypatch):
 
     monkeypatch.setattr(ex, "compile_exprs", recording)
     components = tuple(e for row in spec.components for e in row)
-    ex.jet.__wrapped__(components, spec.coords, spec.bindings, 2)  # bypass the cache
+    names = tuple(sorted(spec.bindings))
+    ex._jet_build.__wrapped__(components, spec.coords, names, 2)  # bypass the cache
     ((ordered, program),) = built
-    temporaries = program.__code__.co_nlocals - len(spec.coords)
-    assert temporaries == _distinct_interior_nodes(ordered, spec.bindings)
+    temporaries = program.__code__.co_nlocals - len(spec.coords) - len(names)
+    assert temporaries == _distinct_interior_nodes(ordered)
 
 
 def _node_objects(e) -> int:
@@ -602,7 +658,8 @@ def test_shared_memo_leaves_the_n6_program_unchanged(monkeypatch):
 
     monkeypatch.setattr(ex, "compile_exprs", recording)
     components = tuple(e for row in spec.components for e in row)
-    ex.jet.__wrapped__(components, spec.coords, spec.bindings, 2)  # bypass the cache
+    names = tuple(sorted(spec.bindings))
+    ex._jet_build.__wrapped__(components, spec.coords, names, 2)  # bypass the cache
     (program,) = built
     coords, unique = spec.coords, list(dict.fromkeys(components))
     first = [[diff(e, c) for e in unique] for c in coords]

@@ -100,3 +100,34 @@ def test_traced_programs_keep_their_complex_twin(tracer):
     assert program.__wrapped__ is not program
     assert program.complex.__code__ is program.__wrapped__.__code__
     assert program.complex(2 + 1e-30j)[0].imag / 1e-30 == pytest.approx(12.0, rel=1e-15)
+
+
+def test_traced_jets_with_constants_run_the_wrapped_program(tracer, monkeypatch):
+    # jet must call the very program compile_exprs returned, constants
+    # passed as arguments, and that program's complex twin: a program
+    # rebuilt from its __code__ would escape the tracer.  The twin is
+    # wrapped here too, so that its calls are seen.
+    exprs, bindings = (ex.parse("M*x^3 + Q/x", ["x"], ["M", "Q"]),), ex.Bindings(M=0.5, Q=-2.0)
+    points, steps = [(1.5,), (-0.25,)], [(1.5 + 1e-30j,), (-0.25 + 1e-30j,)]
+    ex._jet_build.cache_clear()
+    plain = ex.jet(exprs, ("x",), bindings, 1)
+    want = plain(points) + plain.complex(steps)
+    t = tracer["Tracer"]()
+
+    def after(args, kwargs, program):
+        traced = t._after_compile(args, kwargs, program)
+        traced.complex = t.wrap("expr.program.complex", traced.complex)
+        return traced
+
+    monkeypatch.setattr(ex, "compile_exprs", t.wrap("expr.compile_exprs", ex.compile_exprs,
+                                                     after=after))
+    ex._jet_build.cache_clear()
+    try:
+        run = ex.jet(exprs, ("x",), bindings, 1)
+        got = run(points) + run.complex(steps)
+    finally:
+        ex._jet_build.cache_clear()  # no traced program outlives the test
+    names = [span[0] for span in t.spans]
+    assert names.count("expr.compile_exprs") == 1
+    assert names.count("expr.program") == names.count("expr.program.complex") == len(points)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
