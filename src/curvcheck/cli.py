@@ -47,8 +47,7 @@ from .curvops import (
     constancy_residual,
     lane_max_abs_residuals,
     lane_residuals,
-    lane_riemann_symmetry_residuals,
-    lane_trace_residuals,
+    lane_zero_residuals,
     scalar_residual,
 )
 
@@ -535,7 +534,7 @@ class Chunk:
     product's covers its base, fiber and warp, a mapped pair's both
     members and ψ), whose jets geo.frames and wp.diagnostics take as
     handed.  Only curvature can still fail, by overflow: evaluated then
-    raises its one error at every read.  start is the
+    raises the same error at every read.  start is the
     run's index of the first point.  stacked is the frame of all the
     points; fiber_frames and diagnostics are stacked too, built from the
     factor jets of the program's run.  A mapped pair's image reads its
@@ -555,22 +554,15 @@ class Chunk:
         return cut
 
     @cached_property
-    def _evaluated(self):
-        """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks),
-        or the geo.GeometryError that stopped them, kept without its traceback."""
-        try:
-            jet, blocks = (self.peer or self)._jets.pop(self.target.label)
-            return geo.frames(self.target.spec, self.points, jet), blocks
-        except geo.GeometryError as err:
-            return err.with_traceback(None)
-
-    @property
     def evaluated(self) -> tuple:
-        """_evaluated, computed once: a kept error is raised anew at each read,
-        as a copy, so that no traceback ties the chunk into a cycle."""
-        if isinstance(self._evaluated, geo.GeometryError):
-            raise type(self._evaluated)(*self._evaluated.args)
-        return self._evaluated
+        """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks).
+        The jets leave _jets only once the frames are built, so curvature
+        that is not finite raises the same geo.GeometryError at every read."""
+        jets = (self.peer or self)._jets
+        jet, blocks = jets[self.target.label]
+        out = geo.frames(self.target.spec, self.points, jet), blocks
+        del jets[self.target.label]
+        return out
 
     @property
     def stacked(self) -> geo.PointFrame:
@@ -587,21 +579,28 @@ class Chunk:
     def geometry(self) -> list:
         """The geometry suite's checks at each point, from one pass over
         stacked, and the second Bianchi check at the run's first two points."""
-        f, count = self.stacked, len(self.points)
+        f, count, R = self.stacked, len(self.points), self.stacked.riemann
         eye = np.broadcast_to(np.eye(f.dim), f.g.shape)
         checks = [
             ("metric_inverse", lane_max_abs_residuals(f.g @ f.ginv, eye), "strict"),
             ("gamma_lower_symmetry",
              lane_max_abs_residuals(f.gamma, np.swapaxes(f.gamma, 2, 3)), "strict"),
-            *((f"riemann_{name}", res, "geo")
-              for name, res in lane_riemann_symmetry_residuals(f.riemann).items()),
+            ("riemann_skew_first_pair", lane_zero_residuals(R + np.swapaxes(R, 1, 2), R), "geo"),
+            ("riemann_skew_last_pair", lane_zero_residuals(R + np.swapaxes(R, 3, 4), R), "geo"),
+            ("riemann_pair_exchange",
+             lane_zero_residuals(R - np.transpose(R, (0, 3, 4, 1, 2)), R), "geo"),
+            ("riemann_first_cyclic", lane_zero_residuals(
+                R + np.transpose(R, (0, 3, 1, 2, 4)) + np.transpose(R, (0, 2, 3, 1, 4)), R), "geo"),
             ("ricci_symmetric", lane_max_abs_residuals(f.ricci, np.swapaxes(f.ricci, 1, 2)), "geo"),
         ]
         if f.dim >= 4:
-            checks.append(("weyl_trace_free", lane_trace_residuals(f.weyl, f.ginv), "geo"))
-        nabla_g = np.abs(geo.covariant_derivative_02(f, f.g, f.dg))
-        scale = np.max(np.abs(f.g), axis=(1, 2)) + 1.0
-        checks.append(("nabla_g", np.max(nabla_g, axis=(1, 2, 3)) / scale, "strict"))
+            # The Weyl tensor's metric trace over each of its six slot pairs.
+            traces = [np.einsum(subs, f.ginv, f.weyl) for subs in (
+                "pab,pabcd->pcd", "pac,pabcd->pbd", "pad,pabcd->pbc",
+                "pbc,pabcd->pad", "pbd,pabcd->pac", "pcd,pabcd->pab")]
+            checks.append(("weyl_trace_free", lane_zero_residuals(np.stack(traces, 1), f.weyl), "geo"))
+        checks.append(("nabla_g", lane_zero_residuals(
+            geo.covariant_derivative_02(f, f.g, f.dg), f.g), "strict"))
         scalars = {"kappa": f.scalar}
         if f.dim == 2:
             scalars["gauss"] = geo.gauss_curvature(f)
@@ -657,8 +656,9 @@ class Chunk:
                 if rp.factor is not None:
                     scalars["L_S"] = rp.factor
             for key, value in (pins[i] if i < len(pins) else {}).items():
+                # A pin on a scalar the target lacks, or holds as a name, fails.
                 have = scalars.get(key)
-                res = scalar_residual(have, value) if have is not None else 1.0
+                res = scalar_residual(have, value) if isinstance(have, (int, float)) else 1.0
                 row.append((f"pinned_{key}", res, "pinned"))
             row.append(("fit_scalars", 0.0, "strict", {"scalars": scalars}))
             rows.append(row)

@@ -22,8 +22,8 @@ E(X) acts on packed 2-forms by an m x m matrix K_X, one table product
 away from E's rows, and maps a packed order-4 T^ to -(K_X T^ + T^ K_X^T).
 At n = 6 an order-6 product is a (15, 15, 15) array of 27 KB, not a
 6**6 array of 373 KB, and a point's twelve products take about 0.26 MB.
-The geometry suite's lane_riemann_symmetry_residuals check, on the dense
-frame, the antisymmetries the packing drops.
+The geometry suite checks the antisymmetries the packing drops on the
+dense frame, each as lane_zero_residuals of R plus its transposes.
 
 Dense component arrays are indexed in direct slot order, T[a,b,c,d] =
 T(e_a, e_b, e_c, e_d).  For tensors with the curvature pair symmetries
@@ -65,9 +65,8 @@ __all__ = [
     "per_lane",
     "lane_max_abs_residuals",
     "lane_zero_residuals",
+    "lane_sum_residuals",
     "constancy_residual",
-    "lane_riemann_symmetry_residuals",
-    "lane_trace_residuals",
 ]
 
 
@@ -99,22 +98,33 @@ def lane_norms(t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Residual conventions.  Tensor and scalar residuals are normalized by
-# (|lhs| + |rhs| + 1): relative for O(1)-or-larger quantities, absolute
-# near zero, and never spuriously large when both sides vanish.
+# Residual conventions.  A residual is a difference over (scale + 1),
+# divided in _normalized alone: relative for O(1)-or-larger quantities,
+# absolute near zero, never spuriously large when both sides vanish.
+# Callers pass the scale summed: (a + b) + 1.0 adds as a + b + 1.0 does.
+
+def _normalized(difference, scale):
+    return difference / (scale + 1.0)
+
 
 def lane_residuals(lhs, rhs) -> np.ndarray:
     """Frobenius residual of each lane of lhs == rhs, the first axis
     indexing points, sum-plus-one normalized."""
     ra, rb = _rows(_asarray(lhs), _asarray(rhs))
     rd = ra - rb
-    scale = np.sqrt(np.vecdot(ra, ra)) + np.sqrt(np.vecdot(rb, rb)) + 1.0
-    return np.sqrt(np.vecdot(rd, rd)) / scale
+    return _normalized(np.sqrt(np.vecdot(rd, rd)),
+                       np.sqrt(np.vecdot(ra, ra)) + np.sqrt(np.vecdot(rb, rb)))
+
+
+def lane_sum_residuals(terms) -> np.ndarray:
+    """Frobenius norm of each lane of sum(terms) == 0, the first axis
+    indexing points, over the sum of the terms' norms plus one."""
+    return _normalized(lane_norms(sum(terms)), sum(lane_norms(t) for t in terms))
 
 
 def scalar_residual(lhs, rhs):
     """|lhs - rhs| / (|lhs| + |rhs| + 1); broadcasts over arrays."""
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
+    return _normalized(abs(lhs - rhs), abs(lhs) + abs(rhs))
 
 
 def _lane_max_abs(t: np.ndarray) -> np.ndarray:
@@ -127,19 +137,19 @@ def lane_max_abs_residuals(lhs, rhs) -> np.ndarray:
     """Componentwise max-abs residual of each lane of lhs == rhs, the
     first axis indexing points, sum-plus-one normalized."""
     a, b = _asarray(lhs), _asarray(rhs)
-    return _lane_max_abs(a - b) / (_lane_max_abs(a) + _lane_max_abs(b) + 1.0)
+    return _normalized(_lane_max_abs(a - b), _lane_max_abs(a) + _lane_max_abs(b))
 
 
 def lane_zero_residuals(t, reference) -> np.ndarray:
     """Max-abs of each lane of t, normalized by the scale (max-abs + 1)
     of the same lane of a reference tensor."""
-    return _lane_max_abs(_asarray(t)) / (_lane_max_abs(_asarray(reference)) + 1.0)
+    return _normalized(_lane_max_abs(_asarray(t)), _lane_max_abs(_asarray(reference)))
 
 
 def constancy_residual(values) -> float:
     """Standard deviation of a sample, normalized by (1 + |mean|)."""
     v = np.asarray(values, dtype=float)
-    return float(np.std(v) / (1.0 + abs(float(np.mean(v)))))
+    return float(_normalized(np.std(v), abs(float(np.mean(v)))))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +317,7 @@ def proportionality(lhs, rhs, dim: int) -> list[ProportionalityResult]:
         ra, rb, nb2 = ra[live], rb[live], nb2[live]
     factors = np.vecdot(rb, ra) / nb2
     gap = ra - factors[:, None] * rb
-    residuals = np.sqrt(np.vecdot(gap, gap)) / (na[live] + nb[live] + 1.0)
+    residuals = _normalized(np.sqrt(np.vecdot(gap, gap)), na[live] + nb[live])
     fits = iter(zip(factors.tolist(), residuals.tolist()))
     out = []
     for na_i, nb_i, fit in zip(na.tolist(), nb.tolist(), live.tolist()):
@@ -317,7 +327,7 @@ def proportionality(lhs, rhs, dim: int) -> list[ProportionalityResult]:
         elif na_i <= floor:
             out.append(ProportionalityResult(None, 0.0, True, "vacuous"))
         else:
-            residual = na_i / (na_i + nb_i + 1.0)
+            residual = _normalized(na_i, na_i + nb_i)
             out.append(ProportionalityResult(None, residual, True, "inconsistent"))
     return out
 
@@ -335,36 +345,3 @@ def rank_shift(S, g, alpha) -> np.ndarray:
     M = _asarray(S) - alphas[..., None, None] * _asarray(g)
     sigma = np.linalg.svd(M, compute_uv=False)
     return np.count_nonzero(sigma > 1e-9 * sigma[..., :1], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Symmetry suites
-
-def lane_riemann_symmetry_residuals(R) -> dict[str, np.ndarray]:
-    """Max-abs residuals of the algebraic curvature symmetries of each
-    lane of R, the first axis indexing points: one array of lane
-    residuals per key (skew_first_pair, skew_last_pair, pair_exchange,
-    first_cyclic), each normalized by (max|R| + 1)."""
-    R = _asarray(R)
-    scale = _lane_max_abs(R) + 1.0
-    return {
-        "skew_first_pair": _lane_max_abs(R + np.swapaxes(R, 1, 2)) / scale,
-        "skew_last_pair": _lane_max_abs(R + np.swapaxes(R, 3, 4)) / scale,
-        "pair_exchange": _lane_max_abs(R - np.transpose(R, (0, 3, 4, 1, 2))) / scale,
-        "first_cyclic": _lane_max_abs(
-            R + np.transpose(R, (0, 3, 1, 2, 4)) + np.transpose(R, (0, 2, 3, 1, 4))
-        ) / scale,
-    }
-
-
-def lane_trace_residuals(C, ginv) -> np.ndarray:
-    """Largest metric trace of each lane of a (0,4) tensor over all slot
-    pairs, against the same lane of ginv, the first axis indexing
-    points.  Zero (to tolerance) exactly when the lane is totally
-    trace-free, as the Weyl tensor must be.  Normalized by (max|C| + 1)."""
-    C, ginv = _asarray(C), _asarray(ginv)
-    worst = np.zeros(len(C))
-    for subs in ("pab,pabcd->pcd", "pac,pabcd->pbd", "pad,pabcd->pbc",
-                 "pbc,pabcd->pad", "pbd,pabcd->pac", "pcd,pabcd->pab"):
-        worst = np.maximum(worst, _lane_max_abs(np.einsum(subs, ginv, C)))
-    return worst / (_lane_max_abs(C) + 1.0)

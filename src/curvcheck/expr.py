@@ -117,6 +117,10 @@ class Num:
     value: float
     __hash__ = _cached_hash
 
+    def __eq__(self, other):  # 0.0 == -0.0, but the two literals compute different signs
+        sign = math.copysign
+        return type(other) is Num and (self.value, sign(1, self.value)) == (other.value, sign(1, other.value))
+
 
 @dataclass(frozen=True)
 class Const:
@@ -694,10 +698,8 @@ def compile_exprs(
     temporaries and literal reprs), assigned after its children on line
     K + 2, f.nodes[K] is its node and f.source is the generated text.
     Only a negative literal as a ** base keeps parentheses.  Temporaries
-    are keyed by that operation text rather than by ==, because
-    Num(0.0) == Num(-0.0) while the two literals compute different
-    signs.  f.complex runs the same code on complex numbers, in
-    _COMPLEX_NS.
+    are keyed by that operation text, so equal operations share one.
+    f.complex runs the same code on complex numbers, in _COMPLEX_NS.
     """
     argnames = {name: f"_c{i}" for i, name in enumerate(coords)}
     names = sorted(consts)

@@ -41,8 +41,8 @@ from . import warped as wp
 from .curvops import (
     constancy_residual,
     lane_max_abs_residuals,
-    lane_norms,
     lane_residuals,
+    lane_sum_residuals,
     lane_zero_residuals,
     per_lane,
     scalar_residual,
@@ -582,9 +582,7 @@ def psi_ricci_identity_residual(
         per_lane(kappa_b * mu_b - n * (lr_b - eta_b), 2) * psi2,
         per_lane(tr_psi * (lr_b - eta_b) - tr_b * mu_b, 2) * iframe.g,
     ]
-    total = sum(terms)
-    scale = sum(lane_norms(t) for t in terms) + 1.0
-    return lane_norms(total) / scale
+    return lane_sum_residuals(terms)
 
 
 def warp_profile_pde_residuals(d: wp.WarpedDiagnostics, root) -> dict[str, np.ndarray]:

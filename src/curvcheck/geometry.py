@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .curvops import kulkarni_nomizu, unit_curvature
+from .curvops import kulkarni_nomizu, lane_zero_residuals, unit_curvature
 
 __all__ = [
     "GeometryError",
@@ -394,4 +394,4 @@ def second_bianchi_residual(frame: PointFrame, twin=None) -> np.ndarray:
         + np.transpose(nabla, (0, 4, 2, 3, 5, 1))
         + np.transpose(nabla, (0, 5, 2, 3, 1, 4))
     )
-    return np.max(np.abs(cyc), axis=(1, 2, 3, 4, 5)) / (np.max(np.abs(R), axis=(1, 2, 3, 4)) + 1.0)
+    return lane_zero_residuals(cyc, R)

@@ -220,6 +220,7 @@ def _decompose(f: PointFrame) -> list:
     y = (R[:, None, :] @ U)[:, 0, :] / s
     coeffs = (y[:, None, :] @ Vt)[:, 0, :] / scales
     misfit = R - (coeffs[:, None, :] @ B)[:, 0, :]
+    # Relative, not curvops' (scale + 1) form: FIT_RESIDUAL_LIMIT gates on it.
     residual = lane_norms(misfit) / (lane_norms(R) + 1e-300)
     phi, mu, eta = coeffs.T
     kappa = f.scalar[live]

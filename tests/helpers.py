@@ -16,8 +16,6 @@ from curvcheck import warped as wp
 from curvcheck.curvops import (
     lane_max_abs_residuals,
     lane_residuals,
-    lane_riemann_symmetry_residuals,
-    lane_trace_residuals,
     scalar_residual,
     unit_curvature,
 )
@@ -395,6 +393,40 @@ def zero_residual(t, reference=None) -> float:
     a = np.asarray(t, dtype=float)
     scale = 1.0 if reference is None else float(np.max(np.abs(np.asarray(reference, float))) + 1.0)
     return float(np.max(np.abs(a)) / scale)
+
+
+def _lane_max_abs(t) -> np.ndarray:
+    return np.max(np.abs(t), axis=tuple(range(1, t.ndim)))
+
+
+def lane_riemann_symmetry_residuals(R) -> dict:
+    """Max-abs residuals of the algebraic curvature symmetries of each
+    lane of R, the first axis indexing points: one array of lane
+    residuals per key (skew_first_pair, skew_last_pair, pair_exchange,
+    first_cyclic), each normalized by (max|R| + 1)."""
+    R = np.asarray(R, float)
+    scale = _lane_max_abs(R) + 1.0
+    return {
+        "skew_first_pair": _lane_max_abs(R + np.swapaxes(R, 1, 2)) / scale,
+        "skew_last_pair": _lane_max_abs(R + np.swapaxes(R, 3, 4)) / scale,
+        "pair_exchange": _lane_max_abs(R - np.transpose(R, (0, 3, 4, 1, 2))) / scale,
+        "first_cyclic": _lane_max_abs(
+            R + np.transpose(R, (0, 3, 1, 2, 4)) + np.transpose(R, (0, 2, 3, 1, 4))
+        ) / scale,
+    }
+
+
+def lane_trace_residuals(C, ginv) -> np.ndarray:
+    """Largest metric trace of each lane of a (0,4) tensor over all slot
+    pairs, against the same lane of ginv, the first axis indexing
+    points, normalized by (max|C| + 1): zero exactly when the lane is
+    totally trace-free, as the Weyl tensor must be."""
+    C, ginv = np.asarray(C, float), np.asarray(ginv, float)
+    worst = np.zeros(len(C))
+    for subs in ("pab,pabcd->pcd", "pac,pabcd->pbd", "pad,pabcd->pbc",
+                 "pbc,pabcd->pad", "pbd,pabcd->pac", "pcd,pabcd->pab"):
+        worst = np.maximum(worst, _lane_max_abs(np.einsum(subs, ginv, C)))
+    return worst / (_lane_max_abs(C) + 1.0)
 
 
 def riemann_symmetry_residuals(R) -> dict:

@@ -519,6 +519,16 @@ class TestRun:
         assert scalars["phi"] == pytest.approx(243.0, rel=1e-9)
         assert scalars["classification"] == "ROTER"
 
+    @pytest.mark.parametrize("key", ["classification", "no_such_scalar"])
+    def test_a_pin_on_no_number_is_a_failing_record(self, key):
+        # The target produces no such scalar, or produces it as a name:
+        # the pin's record fails with residual 1, and the run goes on.
+        manifest = corpus_get("rn_lambda0")
+        manifest["manifolds"][0]["expect"]["pinned_scalars"] = [{key: 1.0}]
+        records, summary = cli.run_manifest(manifest, points=2)
+        (pin,) = [r for r in records if r["check"] == f"pinned_{key}"]
+        assert (pin["residual"], pin["pass"], summary["ok"]) == (1.0, False, False)
+
     def test_negative_control_fails_as_designed(self):
         records, summary = cli.run_manifest(
             corpus_get("negative_control_perturbed"), points=2
@@ -738,10 +748,10 @@ class TestRun:
         assert cli.run_manifest(manifest)[0] == records
 
     def test_a_failing_chunk_is_evaluated_once(self, monkeypatch):
-        # The chunk keeps the GeometryError of its one chunk-wide
-        # metric_jets call and raises it again at each suite's piece,
-        # which records it at every point; sampling's calls are of one
-        # point each.
+        # The chunk keeps the jets of its one chunk-wide metric_jets call
+        # until its frames are built, so each suite's piece raises the
+        # same GeometryError and records it at every point; sampling's
+        # calls are of one point each.
         suites = ["geometry-symmetries", "theorem21"]
         calls, metric_jets = [], geo.metric_jets
         monkeypatch.setattr(geo, "metric_jets",
@@ -1287,6 +1297,27 @@ class TestWholeCorpus:
         if np.__version__ != "2.4.6":
             pytest.skip(f"records pinned on numpy 2.4.6, not {np.__version__}")
         assert digest.hexdigest() == CORPUS_RECORDS_SHA256
+
+
+def test_one_kernel_divides_every_residual(monkeypatch):
+    # curvops._normalized is the one place a difference becomes a residual:
+    # moving its "+ 1" moves every nonzero residual of every suite, but
+    # fit_residual's (relative to |R|) and a flag's (0 or 1).
+    def run():
+        return [r for name in ("theorem41_n4", "surface_pair", "rn_lambda0")
+                for r in cli.run_manifest(corpus_get(name), points=2)[0]]
+
+    base = run()
+    monkeypatch.setattr(curvops, "_normalized", lambda difference, scale: difference / (scale + 2.0))
+    moved = run()
+    assert {r["suite"] for r in base} == set(cli.SUITES) - {"all"}
+    assert {"second_bianchi", "psi_ricci_identity"} <= {r["check"] for r in base}
+    assert [(r["check"], r["point_index"]) for r in base] == [
+        (r["check"], r["point_index"]) for r in moved]
+    kept = [a["check"] for a, b in zip(base, moved)
+            if a["residual"] != 0.0 and a["residual"] == b["residual"]
+            and a["threshold"] != 0.5 and a["check"] != "fit_residual"]
+    assert kept == []
 
 
 # sha256 of the records files of sweep-shaped runs at each entry's

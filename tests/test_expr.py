@@ -419,7 +419,7 @@ _LEAN_FORMS = {
                            Bin("*", IntPow(Bin("-", _x, _y), -1), _x)], {}),
     "negation of a negative literal": ([Unary("neg", Num(-2.0)), Bin("-", _x, Num(-2.0)),
                                         Bin("*", Unary("neg", Num(-0.0)), _y)], {}),
-    "-0.0 against 0.0": ([Bin("*", Num(-0.0), _x), Bin("*", Num(0.0), _x),
+    "-0.0 against 0.0": ([Num(0.0), Num(-0.0), Bin("*", Num(-0.0), _x), Bin("*", Num(0.0), _x),
                           Bin("+", Bin("*", Num(0.0), _x), Num(-0.0)),
                           Bin("+", Bin("*", Num(0.0), _x), Num(0.0)),
                           Bin("-", Num(-0.0), Num(0.0)), Bin("-", Num(0.0), Num(-0.0))], {}),
@@ -437,21 +437,26 @@ _LEAN_FORMS = {
 def test_lean_operand_forms_match_treewalk(form):
     # Dyadic points keep every power exact: the complex twin's ** multiplies
     # where the float ** rounds once, so only then do their bits agree.
+    # jet merges equal outputs into one column, so it must not merge two
+    # that differ only in a zero's sign.
     exprs, consts = _LEAN_FORMS[form]
     exprs = exprs + [diff(e, "x") for e in exprs]
     f = compile_exprs(exprs, COORDS, consts)
-    for point in ((-1.25, 0.75), (0.5, -2.0)):
+    points = ((-1.25, 0.75), (0.5, -2.0))
+    (values,) = ex.jet(tuple(exprs), COORDS, Bindings(consts), 0)(points)
+    for point, row in zip(points, values):
         p = dict(zip(COORDS, point))
         want = _bits(evaluate(e, p, consts) for e in exprs)
         assert _bits(f(*point)) == want
         assert _bits(v.real for v in f.complex(*map(complex, point))) == want
+        assert _bits(row) == want
 
 
 def _shared_dag(rng: random.Random) -> list:
     """Expressions that reuse subtree objects and hold equal copies of them.
 
     Every combination keeps magnitudes bounded, and Num(0.0) sits beside
-    Num(-0.0), which == equates but which multiply to different signs.
+    Num(-0.0), which multiply to different signs.
     """
     pool = [Var("x"), Var("y"), Num(0.0), Num(-0.0), Num(1.5)]
     for _ in range(rng.randint(4, 24)):

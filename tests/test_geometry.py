@@ -11,17 +11,14 @@ from curvcheck import expr as ex
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
-from curvcheck.curvops import (
-    lane_max_abs_residuals,
-    lane_riemann_symmetry_residuals,
-    lane_trace_residuals,
-    unit_curvature,
-)
+from curvcheck.curvops import lane_max_abs_residuals, unit_curvature
 
 import helpers
 from helpers import (
     constant_curvature_2d,
     flat_metric,
+    lane_riemann_symmetry_residuals,
+    lane_trace_residuals,
     max_abs_residual,
     riemann_symmetry_residuals,
     second_kind_curvature,
@@ -193,6 +190,24 @@ class TestStackedFrames:
                 }
                 assert {key: lanes[key][i] for key in alone} == alone, (name, i)
                 assert same_bits(nabla[i], geo.covariant_derivative_02(f, f.g, f.dg)), (name, i)
+
+    @pytest.mark.parametrize("entry", ["theorem41_n4", "rn_lambda0", "surface_pair"])
+    def test_geometry_piece_matches_the_lane_oracles(self, entry):
+        # The geometry piece builds its curvature symmetry and Weyl trace
+        # checks from lane_zero_residuals; each equals the oracle, bit for bit.
+        job = cli.build_job(corpus_get(entry)["manifolds"][0])
+        points = cli.sample_points(job, 3, np.random.default_rng(7))
+        first = cli.Chunk(job, {"geometry-symmetries"}, job.targets[0], 0, points)
+        for target in job.targets:
+            chunk = first if target is job.targets[0] else cli.Chunk(
+                job, {"geometry-symmetries"}, target, 0, points, first)
+            F = chunk.stacked
+            want = {f"riemann_{key}": res for key, res in lane_riemann_symmetry_residuals(F.riemann).items()}
+            if F.dim >= 4:
+                want["weyl_trace_free"] = lane_trace_residuals(F.weyl, F.ginv)
+            for i, row in enumerate(chunk.geometry):
+                have = {check: res for check, res, *_ in row if check in want}
+                assert have == {key: res[i] for key, res in want.items()}, (entry, target.label, i)
 
     def test_frames_name_the_failing_point(self):
         # frames tests neither conditions nor invertibility (sampling
