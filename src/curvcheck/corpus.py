@@ -28,17 +28,14 @@ _CHARGED_METRIC = {
 }
 
 
-def _charged(name, M, Q, Lam, r_box, description, pinned=None, expect_extra=None):
-    expect = {"classify": "ROTER", "ricci_pseudosymmetric": True}
-    if expect_extra:
-        expect.update(expect_extra)
+def _charged(name, M, Q, Lam, r_box, description, pinned=None):
     manifold = {
         "name": name,
         "kind": "explicit",
         **_CHARGED_METRIC,
         "constants": {"M": M, "Q": Q, "Lam": Lam},
         "box": {"t": [0.0, 1.0], "r": r_box, "th": [0.7, 2.4], "ph": [0.0, 1.0]},
-        "expect": expect,
+        "expect": {"classify": "ROTER", "ricci_pseudosymmetric": True},
     }
     if pinned:
         manifold["pinned_points"] = [pinned[0]]
@@ -53,7 +50,7 @@ def _charged(name, M, Q, Lam, r_box, description, pinned=None, expect_extra=None
     }
 
 
-def _family(name, description, params, box=None, points=10, suites=None, expect=None):
+def _family(name, description, params, box=None, points=10, expect=None):
     manifold = {
         "name": name,
         "kind": "family",
@@ -67,7 +64,7 @@ def _family(name, description, params, box=None, points=10, suites=None, expect=
         "description": description,
         "seed": 20240817,
         "points": points,
-        "suites": suites or ["all"],
+        "suites": ["all"],
         "manifolds": [manifold],
     }
 

@@ -51,24 +51,6 @@ from functools import cache
 
 import numpy as np
 
-__all__ = [
-    "ProportionalityResult",
-    "unit_curvature",
-    "kulkarni_nomizu",
-    "derivation_apply",
-    "tachibana",
-    "proportionality",
-    "rank_shift",
-    "lane_residuals",
-    "scalar_residual",
-    "lane_norms",
-    "per_lane",
-    "lane_max_abs_residuals",
-    "lane_zero_residuals",
-    "lane_sum_residuals",
-    "constancy_residual",
-]
-
 
 def _asarray(t) -> np.ndarray:
     return np.asarray(t, dtype=float)
@@ -289,7 +271,6 @@ class ProportionalityResult:
 
     factor: float | None
     residual: float
-    degenerate: bool
     verdict: str
 
 
@@ -323,12 +304,12 @@ def proportionality(lhs, rhs, dim: int) -> list[ProportionalityResult]:
     for na_i, nb_i, fit in zip(na.tolist(), nb.tolist(), live.tolist()):
         if fit:
             factor, residual = next(fits)
-            out.append(ProportionalityResult(factor, residual, False, "fit"))
+            out.append(ProportionalityResult(factor, residual, "fit"))
         elif na_i <= floor:
-            out.append(ProportionalityResult(None, 0.0, True, "vacuous"))
+            out.append(ProportionalityResult(None, 0.0, "vacuous"))
         else:
             residual = _normalized(na_i, na_i + nb_i)
-            out.append(ProportionalityResult(None, residual, True, "inconsistent"))
+            out.append(ProportionalityResult(None, residual, "inconsistent"))
     return out
 
 

@@ -36,38 +36,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "Expr",
-    "Num",
-    "Const",
-    "Var",
-    "Unary",
-    "Bin",
-    "IntPow",
-    "Bindings",
-    "ExprError",
-    "ParseError",
-    "UndeclaredSymbolError",
-    "UnboundSymbolError",
-    "DomainError",
-    "parse",
-    "evaluate",
-    "diff",
-    "to_text",
-    "free_symbols",
-    "compile_exprs",
-    "jet",
-    "num",
-    "const",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "intpow",
-    "fn",
-]
-
 
 class ExprError(ValueError):
     """Base class for expression failures."""

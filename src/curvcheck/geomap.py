@@ -54,34 +54,6 @@ from .roter import RoterFit
 from .curvops import derivation_apply, tachibana  # noqa: F401
 from .roter import fit_roter  # noqa: F401
 
-__all__ = [
-    "GeodesicPair2D",
-    "FamilyConfig",
-    "Family",
-    "FamilyError",
-    "geodesic_pair_2d",
-    "build_family",
-    "cut",
-    "image_twin",
-    "family_values",
-    "profile_expr",
-    "profile_invariant_residual",
-    "geodesic_compatibility_residual",
-    "christoffel_shift_residual",
-    "pair_christoffel_closed_forms",
-    "psi_gradient_residual",
-    "ricci_shift_residual",
-    "family_psi_closed_forms",
-    "family_image_ricci_forms",
-    "warp_compatibility_residuals",
-    "factor_relations",
-    "corollary42_residual",
-    "semisymmetric",
-    "psi_ricci_identity_residual",
-    "warp_profile_pde_residuals",
-    "base_gauss_values",
-]
-
 # Sampling guard: mapping quantities this close to zero are rejected.
 GUARD_FLOOR = 1e-6
 
@@ -205,7 +177,6 @@ class Family:
     image: wp.WarpedSpec
     image_at: int  # the program's column of the image's first output
     psi_at: int  # and of ψ₁, which 𝔟, B and √F follow
-    profile: ex.Expr
     profile_jet: Callable  # (B, B') on the (x, t) chart, bound once per family
     profile_invariant: float  # (B')^2 - c B^2, constant in t
 
@@ -298,7 +269,7 @@ def build_family(cfg: FamilyConfig) -> Family:
     tail = (psi1,) + (ex.Num(0.0),) * (n - 1) + (b_expr, profile, ex.fn("sqrt", warp))
     product, image_at, psi_at = _one_program(source.product, image.product, tail)
     source = replace(source, product=product)
-    return Family(cfg, source, image, image_at, psi_at, profile, profile_jet, invariant)
+    return Family(cfg, source, image, image_at, psi_at, profile_jet, invariant)
 
 
 def cut(mapped: GeodesicPair2D | Family, jets) -> dict:

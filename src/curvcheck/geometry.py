@@ -52,23 +52,6 @@ import numpy as np
 from . import expr as ex
 from .curvops import kulkarni_nomizu, lane_zero_residuals, unit_curvature
 
-__all__ = [
-    "GeometryError",
-    "MetricSpec",
-    "PointFrame",
-    "metric_spec",
-    "diagonal_metric",
-    "admissible",
-    "metric_jets",
-    "invertible",
-    "jet_block",
-    "frame",
-    "frames",
-    "gauss_curvature",
-    "covariant_derivative_02",
-    "second_bianchi_residual",
-]
-
 # Below this determinant-to-scale ratio the metric counts as singular.
 _DET_RATIO = 1e-12
 # "nonzero" admissibility conditions use this absolute floor.

@@ -68,24 +68,6 @@ from .curvops import (
 )
 from .geometry import PointFrame
 
-__all__ = [
-    "RoterFit",
-    "RoterFitError",
-    "Classification",
-    "chunk_size",
-    "fit_roter",
-    "curvature_products",
-    "in_us",
-    "in_uc",
-    "in_ur",
-    "identity_suite",
-    "pseudosymmetry_factors",
-    "ricci_pseudosymmetry",
-    "classify",
-    "rank_grid_exceeds_one",
-    "IDENTITY_NAMES",
-]
-
 # Relative thresholds for membership in the open sets where the
 # decomposition is defined (engine decision, reported not assumed).
 US_THRESHOLD = 1e-9
@@ -241,23 +223,6 @@ def _decompose(f: PointFrame) -> list:
 
 # ---------------------------------------------------------------------------
 # Identity suite
-
-IDENTITY_NAMES = (
-    "ricci_square_affine",      # S^2 = alpha1 S + alpha2 g
-    "rr_vs_qgr",                # R.R = L_R Q(g,R)
-    "rc_vs_qgc",                # R.C = L_R Q(g,C)
-    "rs_vs_qgs",                # R.S = L_R Q(g,S)
-    "rr_vs_qsr_plus_qgc",       # R.R = Q(S,R) + L Q(g,C)
-    "cc_vs_qgc",                # C.C = L_C Q(g,C)
-    "cr_vs_qgr",                # C.R = L_C Q(g,R)
-    "cs_vs_qgs",                # C.S = L_C Q(g,S)
-    "commutator_vs_qgr_qsg",    # R.C - C.R in terms of Q(g,R), Q(S,G)
-    "commutator_vs_qsc_qgc",    # C.R - R.C = Q(S,C) - kappa/(n-1) Q(g,C)
-    "lr_closed_vs_measured",    # L_R vs the fitted factor of R.R on Q(g,R)
-    "lc_closed_vs_measured",    # L_C vs the fitted factor of C.C on Q(g,C)
-    "l_closed_vs_measured",     # L vs the fitted factor of R.R - Q(S,R) on Q(g,C)
-)
-
 
 # Each product from the frame, as the identities compare them.
 _PRODUCTS = {

@@ -39,20 +39,6 @@ from .curvops import (
     unit_curvature,
 )
 
-__all__ = [
-    "WarpedSpec",
-    "WarpedDiagnostics",
-    "assemble",
-    "constant_curvature_fiber",
-    "diagnostics",
-    "t_proportionality_residual",
-    "verify_product_christoffels",
-    "verify_curvature_blocks",
-    "verify_weyl_blocks",
-    "verify_proportional_blocks",
-    "conformal_flatness_test",
-]
-
 
 @dataclass(frozen=True)
 class WarpedSpec:

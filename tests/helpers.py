@@ -35,6 +35,23 @@ from curvcheck.expr import (
 
 COORDS = ("x", "y")
 
+# roter.identity_suite's keys, with the identity each compares.
+IDENTITY_NAMES = (
+    "ricci_square_affine",      # S^2 = alpha1 S + alpha2 g
+    "rr_vs_qgr",                # R.R = L_R Q(g,R)
+    "rc_vs_qgc",                # R.C = L_R Q(g,C)
+    "rs_vs_qgs",                # R.S = L_R Q(g,S)
+    "rr_vs_qsr_plus_qgc",       # R.R = Q(S,R) + L Q(g,C)
+    "cc_vs_qgc",                # C.C = L_C Q(g,C)
+    "cr_vs_qgr",                # C.R = L_C Q(g,R)
+    "cs_vs_qgs",                # C.S = L_C Q(g,S)
+    "commutator_vs_qgr_qsg",    # R.C - C.R in terms of Q(g,R), Q(S,G)
+    "commutator_vs_qsc_qgc",    # C.R - R.C = Q(S,C) - kappa/(n-1) Q(g,C)
+    "lr_closed_vs_measured",    # L_R vs the fitted factor of R.R on Q(g,R)
+    "lc_closed_vs_measured",    # L_C vs the fitted factor of C.C on Q(g,C)
+    "l_closed_vs_measured",     # L vs the fitted factor of R.R - Q(S,R) on Q(g,C)
+)
+
 
 def random_expr(rng: random.Random, depth: int) -> ex.Expr:
     """Small composite expression whose log/sqrt/div arguments are forced

@@ -38,6 +38,7 @@ from curvcheck.curvops import (
     unit_curvature,
 )
 from helpers import (
+    IDENTITY_NAMES,
     central_difference,
     constant_curvature_2d,
     diagnostics_at,
@@ -290,7 +291,7 @@ def test_criterion_2_supplement_sympy_oracle():
 # ---------------------------------------------------------------------------
 # 3. Identity suite at every Roter-certified corpus point
 
-IDENTITY_CHECKS = set(roter.IDENTITY_NAMES) | {
+IDENTITY_CHECKS = set(IDENTITY_NAMES) | {
     "fit_residual", "lr_closed_vs_measured", "lc_closed_vs_measured",
     "l_closed_vs_measured",
 }

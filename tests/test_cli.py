@@ -1066,7 +1066,7 @@ class TestSharedEvaluation:
         cli.sample_points(job, 1, np.random.default_rng([manifest["seed"], 0]))
         spec, image = job.targets[0].spec, job.targets[1].spec
         assert set(image.conditions) <= set(spec.conditions)
-        wants = [[job.family.profile]] if job.family else []  # in the order they compile
+        wants = [[gm.profile_expr(job.family.cfg)]] if job.family else []  # in the order they compile
         wants.append([c for c, _ in spec.conditions])
         wants.append([e for row in spec.components for e in row] + list(spec.extras))
         assert len(compiled) == len(wants) == programs

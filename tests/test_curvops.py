@@ -226,13 +226,13 @@ class TestProportionality:
     def test_vacuous_when_both_vanish(self):
         z = np.zeros((4, 4, 4, 4))
         res = one_lane(z, z, 4)
-        assert res.degenerate and res.verdict == "vacuous"
+        assert res.verdict == "vacuous"
         assert res.factor is None and res.residual == 0.0
 
     def test_inconsistent_when_only_rhs_vanishes(self):
         lhs = unit_curvature(np.eye(4))
         res = one_lane(lhs, np.zeros_like(lhs), 4)
-        assert res.degenerate and res.verdict == "inconsistent"
+        assert res.verdict == "inconsistent"
         assert res.factor is None and res.residual > 0.1
 
     def test_shape_mismatch(self):

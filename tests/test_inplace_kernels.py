@@ -18,7 +18,7 @@ import pytest
 from curvcheck import cli, curvops, geomap as gm, geometry as geo, roter
 from curvcheck.corpus import corpus_get
 
-from helpers import dense_derivation, dense_tachibana, pack, psi_jets, stack
+from helpers import IDENTITY_NAMES, dense_derivation, dense_tachibana, pack, psi_jets, stack
 
 # One family per chart dimension n = 4, 5, 6.
 FAMILIES = {4: "theorem41_n4", 5: "theorem41_c_pos_n5", 6: "theorem41_c_neg_n6"}
@@ -115,7 +115,7 @@ class TestPackedReadsAsDense:
             F = stack([f])
             got = roter.identity_suite(F, [fit], as_chunk(P))[0]
             want = roter.identity_suite(F, [fit], as_chunk(dense_products(f)))[0]
-            for name in roter.IDENTITY_NAMES:
+            for name in IDENTITY_NAMES:
                 assert abs(got[name] - want[name]) <= 1e-14, name
 
     def test_pseudosymmetry_factors(self, member_state):
