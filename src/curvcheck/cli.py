@@ -200,15 +200,20 @@ def load_manifest(source: str) -> dict:
         except (OSError, UnicodeDecodeError) as err:
             raise ManifestError(f"cannot read manifest {source!r}: {err}") from None
     else:
-        try:
-            data = corpus_mod.corpus_get(source)
-        except KeyError:
-            raise ManifestError(
-                f"{source!r} is neither a file nor a corpus entry; "
-                f"known entries: {', '.join(corpus_mod.corpus_list())}"
-            ) from None
+        data = _corpus_entry(source)
     validate_manifest(data)
     return data
+
+
+def _corpus_entry(name: str) -> dict:
+    """corpus_get(name), or a ManifestError that lists the known entries."""
+    try:
+        return corpus_mod.corpus_get(name)
+    except KeyError:
+        raise ManifestError(
+            f"{name!r} is neither a file nor a corpus entry; "
+            f"known entries: {', '.join(corpus_mod.corpus_list())}"
+        ) from None
 
 
 def _reject_constant(name):
@@ -1046,9 +1051,9 @@ def main(argv=None) -> int:
 
     if args.command == "describe":
         try:
-            entry = corpus_mod.corpus_get(args.name)
-        except KeyError as err:
-            print(err, file=sys.stderr)
+            entry = _corpus_entry(args.name)
+        except ManifestError as err:
+            print(f"error: {err}", file=sys.stderr)
             return 2
         print(json.dumps(entry, indent=2, sort_keys=True))
         return 0

@@ -1578,6 +1578,13 @@ class TestDescribe:
     def test_describe_unknown_exits_2(self, capsys):
         proc = run_cli(["describe", "nope"], capsys)
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error: 'nope' is neither a file nor a corpus entry")
+        assert "theorem41_n4" in proc.stderr
+
+    def test_describe_and_run_name_an_unknown_entry_alike(self, capsys, tmp_path):
+        described = run_cli(["describe", "nope"], capsys)
+        ran = run_cli(["run", "nope", "--out", str(tmp_path / "out")], capsys)
+        assert (described.returncode, described.stderr) == (ran.returncode, ran.stderr)
 
     def test_list_contains_required(self, capsys):
         proc = run_cli(["list"], capsys)
