@@ -472,9 +472,11 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
         for key in keys:
             if key not in coords:
                 raise ManifestError(f"{what} of {job.name!r}: {key!r} is not in the chart {coords}")
-    box = dict(job.box)
-    for c in coords:
-        box.setdefault(c, [-0.3, 0.3])  # default window for fiber coordinates
+    ws = job.targets[0].warped_spec  # only a fiber's coordinates have a default window
+    box = {**dict.fromkeys(ws.fiber.coords if ws else (), [-0.3, 0.3]), **job.box}
+    missing = ", ".join(repr(c) for c in coords if c not in box)
+    if missing:
+        raise ManifestError(f"box of {job.name!r} leaves out {missing}")
     points = []
     for pin in job.pinned:
         missing = ", ".join(repr(c) for c in coords if c not in pin)

@@ -271,6 +271,38 @@ class TestValidation:
         assert "'theta'" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, box, missing", [
+        ("explicit", {"x": [0.3, 2.8]}, "'y'"),
+        ("explicit", {}, "'x', 'y'"),
+        ("warped", {"theta": [0.1, 0.2]}, "'u'"),
+    ])
+    def test_box_missing_a_chart_coordinate_exits_1(self, tmp_path, kind, box, missing, capsys):
+        # A left-out coordinate other than a fiber's used to be sampled in
+        # the fiber window [-0.3, 0.3] without a word.
+        bad = self.good() if kind == "explicit" else self.warped(
+            {"coords": ["theta", "phi"], "metric": [["1", "0"], ["0", "1"]]})
+        bad["manifolds"][0]["box"] = box
+        name = bad["manifolds"][0]["name"]
+        with pytest.raises(cli.ManifestError, match=f"box of '{name}' leaves out {missing}$"):
+            cli.run_manifest(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)], capsys)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: box of '{name}' leaves out {missing}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fiber", [
+        {"dim": 2, "scalar_curvature": 2.0},
+        {"coords": ["theta", "phi"], "metric": [["1", "0"], ["0", "1"]]},
+    ])
+    def test_a_fiber_coordinate_left_out_of_the_box_takes_the_fiber_window(self, fiber):
+        job = cli.build_job(self.warped(fiber)["manifolds"][0])
+        points = np.array(cli.sample_points(job, 8, np.random.default_rng(0)))
+        assert ((0.3 <= points[:, 0]) & (points[:, 0] <= 1.5)).all()
+        assert (np.abs(points[:, 1:]) <= 0.3).all()
+
     @pytest.mark.parametrize("pin, missing", [({"th": 1.0}, "'ph'"), ({"ph": 0.5}, "'th'")])
     def test_pinned_point_missing_a_coordinate_exits_1(self, tmp_path, pin, missing, capsys):
         # A left-out coordinate used to be placed at 0.0: {"th": 1.0} ran
