@@ -88,7 +88,8 @@ _expect_schema = {
         "classify": {"enum": ["EINSTEIN", "QUASI_EINSTEIN", "ROTER", "OTHER"]},
         "ricci_pseudosymmetric": {"type": "boolean"},
         "conformally_flat": {"type": "boolean"},
-        "scalars": {"type": "object", "additionalProperties": _number},
+        "scalars": {"type": "object", "additionalProperties": False,  # the keys the suites read
+                    "properties": dict.fromkeys(("L_R", "L_R_image", "gauss"), _number)},
         "pinned_scalars": {
             "type": "array",
             "items": {"type": "object", "additionalProperties": _number},

@@ -82,6 +82,8 @@ VIOLATIONS = [
     ("additional_properties_false", lambda: edited(good, lambda m, f: m.update(surprise=1))),
     ("additional_properties_false_nested", lambda: edited(
         good, lambda m, f: f["expect"].update(fail_checks=["nabla_g"], other=1))),
+    ("additional_properties_false_scalars", lambda: edited(
+        family, lambda m, f: f["expect"]["scalars"].update(L_r=123.0))),
     ("additional_properties_schema", lambda: edited(
         good, lambda m, f: f["constants"].update(Q="one"))),
     ("additional_properties_schema_deep", lambda: edited(
