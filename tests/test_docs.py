@@ -1,5 +1,6 @@
 """The user docs name only what exists, and quote the chunk sizes that
-roter.chunk_size gives and the program sizes that expr.jet builds.
+roter.chunk_size gives and the program sizes that expr.jet builds; the
+modules read only each other's public names.
 
 Each backticked dotted reference in README.md and docs/*.md whose head
 is a curvcheck module (or the package itself), one of the aliases the
@@ -8,6 +9,7 @@ resolves by getattr.  ROADMAP.md and CHANGES.md are history and are not
 read.
 """
 
+import ast
 import importlib
 import inspect
 import re
@@ -107,3 +109,44 @@ def test_quoted_program_size_is_the_program(monkeypatch):
     (merged, program), *members = built
     assert quoted.groups() == (f"{_tree_nodes(merged):,}", str(len(program.nodes)),
                                str(sum(len(p.nodes) for _, p in members)))
+
+
+def _private_sibling_reads(path: Path) -> list:
+    """(line, module.name) for each underscore name path reads from a sibling module.
+
+    A module's public surface is every name without a leading underscore
+    (dunders aside): a read through an import alias (geo.frame) or a
+    from-import (from .curvops import x) must name a public one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module == "curvcheck"):
+            for name in node.names:
+                if node.module is None or node.module == "curvcheck":
+                    aliases[name.asname or name.name] = name.name
+                else:
+                    reads.append((node.lineno, node.module, name.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            reads.append((node.lineno, aliases[node.value.id], node.attr))
+    return [(line, f"{module}.{name}") for line, module, name in reads
+            if name.startswith("_") and not name.endswith("__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_read_no_private_sibling_name(name):
+    private = _private_sibling_reads(ROOT / "src" / "curvcheck" / f"{name}.py")
+    assert private == [], f"{name}.py reads private names of other modules"
+
+
+@pytest.mark.parametrize("source, private", [
+    ("from . import geometry as geo\ngeo._DET_RATIO\n", [(2, "geometry._DET_RATIO")]),
+    ("from .curvops import _normalized, lane_norms\n", [(1, "curvops._normalized")]),
+    ("from curvcheck import expr\nexpr._jet_build\n", [(2, "expr._jet_build")]),
+    ("from . import expr as ex\nex.jet\nex.__name__\n", []),
+])
+def test_private_sibling_reads_are_seen(tmp_path, source, private):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert _private_sibling_reads(path) == private
