@@ -201,20 +201,15 @@ def load_manifest(source: str) -> dict:
         except (OSError, UnicodeDecodeError) as err:
             raise ManifestError(f"cannot read manifest {source!r}: {err}") from None
     else:
-        data = _corpus_entry(source)
+        try:
+            data = corpus_mod.corpus_get(source)
+        except KeyError:
+            raise ManifestError(
+                f"{source!r} is neither a file nor a corpus entry; "
+                f"known entries: {', '.join(corpus_mod.corpus_list())}"
+            ) from None
     validate_manifest(data)
     return data
-
-
-def _corpus_entry(name: str) -> dict:
-    """corpus_get(name), or a ManifestError that lists the known entries."""
-    try:
-        return corpus_mod.corpus_get(name)
-    except KeyError:
-        raise ManifestError(
-            f"{name!r} is neither a file nor a corpus entry; "
-            f"known entries: {', '.join(corpus_mod.corpus_list())}"
-        ) from None
 
 
 def _reject_constant(name):
@@ -1042,7 +1037,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list corpus entries")
 
-    p_desc = sub.add_parser("describe", help="print a corpus manifest")
+    p_desc = sub.add_parser("describe", help="print a manifest file or corpus entry")
     p_desc.add_argument("name")
 
     args = parser.parse_args(argv)
@@ -1054,7 +1049,7 @@ def main(argv=None) -> int:
 
     if args.command == "describe":
         try:
-            entry = _corpus_entry(args.name)
+            entry = load_manifest(args.name)
         except ManifestError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

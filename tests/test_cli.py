@@ -1613,6 +1613,13 @@ class TestDescribe:
         assert proc.stderr.startswith("error: 'nope' is neither a file nor a corpus entry")
         assert "theorem41_n4" in proc.stderr
 
+    def test_describe_reads_a_manifest_file_as_run_does(self, capsys, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(corpus_get("theorem41_n4")))
+        proc = run_cli(["describe", str(path)], capsys)
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(["describe", "theorem41_n4"], capsys).stdout
+
     def test_describe_and_run_name_an_unknown_entry_alike(self, capsys, tmp_path):
         described = run_cli(["describe", "nope"], capsys)
         ran = run_cli(["run", "nope", "--out", str(tmp_path / "out")], capsys)
