@@ -1607,11 +1607,13 @@ class TestDescribe:
         data = json.loads(proc.stdout)
         assert data["name"] == "einstein_cflat"
 
-    def test_describe_unknown_exits_2(self, capsys):
+    def test_describe_unknown_exits_2(self, capsys, tmp_path):
         proc = run_cli(["describe", "nope"], capsys)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: 'nope' is neither a file nor a corpus entry")
         assert "theorem41_n4" in proc.stderr
+        ran = run_cli(["run", "nope", "--out", str(tmp_path / "out")], capsys)
+        assert (ran.returncode, ran.stderr) == (proc.returncode, proc.stderr)
 
     def test_describe_reads_a_manifest_file_as_run_does(self, capsys, tmp_path):
         path = tmp_path / "entry.json"
@@ -1619,11 +1621,6 @@ class TestDescribe:
         proc = run_cli(["describe", str(path)], capsys)
         assert proc.returncode == 0
         assert proc.stdout == run_cli(["describe", "theorem41_n4"], capsys).stdout
-
-    def test_describe_and_run_name_an_unknown_entry_alike(self, capsys, tmp_path):
-        described = run_cli(["describe", "nope"], capsys)
-        ran = run_cli(["run", "nope", "--out", str(tmp_path / "out")], capsys)
-        assert (described.returncode, described.stderr) == (ran.returncode, ran.stderr)
 
     def test_list_contains_required(self, capsys):
         proc = run_cli(["list"], capsys)

@@ -120,12 +120,15 @@ def _private_sibling_reads(path: Path) -> list:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     aliases, reads = {}, []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module == "curvcheck"):
-            for name in node.names:
-                if node.module is None or node.module == "curvcheck":
-                    aliases[name.asname or name.name] = name.name
-                else:
-                    reads.append((node.lineno, node.module, name.name))
+        if isinstance(node, ast.Import):  # import curvcheck.geometry as geo
+            aliases.update((a.asname, a.name.split(".")[-1]) for a in node.names
+                           if a.asname and a.name.startswith("curvcheck."))
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "curvcheck"):  # from . import geometry as geo
+                aliases.update((a.asname or a.name, a.name) for a in node.names)
+            elif module.startswith((".", "curvcheck.")):  # from .curvops import x
+                reads += [(node.lineno, module.split(".")[-1], a.name) for a in node.names]
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
@@ -144,6 +147,8 @@ def test_modules_read_no_private_sibling_name(name):
     ("from . import geometry as geo\ngeo._DET_RATIO\n", [(2, "geometry._DET_RATIO")]),
     ("from .curvops import _normalized, lane_norms\n", [(1, "curvops._normalized")]),
     ("from curvcheck import expr\nexpr._jet_build\n", [(2, "expr._jet_build")]),
+    ("import curvcheck.roter as r\nr._PRODUCTS\n", [(2, "roter._PRODUCTS")]),
+    ("from curvcheck.cli import _record\n", [(1, "cli._record")]),
     ("from . import expr as ex\nex.jet\nex.__name__\n", []),
 ])
 def test_private_sibling_reads_are_seen(tmp_path, source, private):
