@@ -398,18 +398,21 @@ class Job:
         """A family expected ROTER (the default), whose fits the geodesic suite reads."""
         return self.kind == "family" and self.expect.get("classify", "ROTER") == "ROTER"
 
-    def sample_ok(self, point) -> bool:
-        """The first target's conditions (on a mapped pair, both members') hold at
-        point, its program runs there, each target's metric is invertible and a
-        family clears its mapping guards: no chunk piece fails there."""
-        if not geo.admissible(self.targets[0].spec, point):
-            return False
-        try:
-            cut = self.cut(geo.metric_jets(self.targets[0].spec, [point]))
-        except _POINT_ERRORS:
-            return False
-        return (all(geo.invertible(cut[t.label])[0] for t in self.targets)
-                and (self.family is None or self.family.guards_hold(cut["values"])))
+    def sample_ok(self, points) -> list[bool]:
+        """Per point, whether the first target's conditions (on a mapped pair, both members')
+        hold, its program runs, each target's metric inverts and a family clears its mapping
+        guards: no chunk piece fails there.  The program runs once, over the points whose
+        conditions hold; if it raises, each point is decided alone, and one that raises fails."""
+        spec = self.targets[0].spec
+        ok = geo.admissible(spec, points)
+        if ok.any():
+            try:
+                cut = self.cut(geo.metric_jets(spec, [pt for pt, held in zip(points, ok) if held]))
+            except _POINT_ERRORS:
+                return [len(points) > 1 and self.sample_ok([pt])[0] for pt in points]
+            passed = np.all([geo.invertible(cut[t.label]) for t in self.targets], axis=0)
+            ok[ok] = passed & (self.family is None or self.family.guards_hold(cut["values"]))
+        return ok.tolist()
 
     def cut(self, jets) -> dict:
         """jets, a run of the first target's program, per target label (gm.cut's on a mapped pair)."""
@@ -479,17 +482,19 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
         if missing:
             raise ManifestError(f"pinned point {pin} of {job.name!r} leaves out {missing}")
         pt = tuple(float(pin[c]) for c in coords)
-        if not job.sample_ok(pt):
+        if not job.sample_ok([pt])[0]:
             raise ManifestError(f"pinned point {pin} of {job.name!r} is inadmissible")
         points.append(pt)
-    tries = 0
+    # Rounds of at most a chunk, none past the last point needed: one-at-a-time's draws.
+    lo, hi = np.array([box[c] for c in coords], dtype=float).T
+    tries, cap = 0, 1000 * count + 1
     while len(points) < count + len(job.pinned):
-        if tries > 1000 * count:
+        if tries == cap:
             raise ManifestError(f"cannot sample admissible points for {job.name!r}")
-        tries += 1
-        pt = tuple(float(rng.uniform(*box[c])) for c in coords)
-        if job.sample_ok(pt):
-            points.append(pt)
+        k = min(count + len(job.pinned) - len(points), roter.chunk_size(len(coords)), cap - tries)
+        batch = [tuple(row) for row in rng.uniform(lo, hi, size=(k, len(coords))).tolist()]
+        tries += k
+        points += [pt for pt, ok in zip(batch, job.sample_ok(batch)) if ok]
     return points
 
 
@@ -532,13 +537,13 @@ class Chunk:
 
     Each piece is computed for every point on first read, once over the
     chunk's point axis, and holds one entry per point; a suite's piece
-    holds its checks.  No piece fails at a sampled point: Job.sample_ok
-    is the only gate, and the chunk runs the one program it ran (a warped
-    product's covers its base, fiber and warp, a mapped pair's both
-    members and ψ), whose jets geo.frames and wp.diagnostics take as
-    handed.  Only curvature can still fail, by overflow: evaluated then
-    raises the same error at every read.  start is the
-    run's index of the first point.  stacked is the frame of all the
+    holds its checks.  No piece fails at a sampled point: Job.sample_ok(points),
+    one bool per point, is the only gate, and the chunk runs the one program
+    it ran over them (a warped product's covers its base, fiber and warp, a
+    mapped pair's both members and ψ), whose jets geo.frames and
+    wp.diagnostics take as handed.  Only curvature can still fail, by
+    overflow: evaluated then raises the same error at every read.  start is
+    the run's index of the first point.  stacked is the frame of all the
     points; fiber_frames and diagnostics are stacked too, built from the
     factor jets of the program's run.  A mapped pair's image reads its
     jets and a family's fiber frames from its peer, the source chunk."""

@@ -190,10 +190,10 @@ class Family:
             4.0 * self.cfg.map_scale
         )
 
-    def guards_hold(self, values) -> bool:
-        """Whether 1 + q𝔟, D𝔟 - 4C, 𝔟' and B clear GUARD_FLOOR at each point of
+    def guards_hold(self, values) -> np.ndarray:
+        """Whether 1 + q𝔟, D𝔟 - 4C, 𝔟' and B clear GUARD_FLOOR, at each point of
         values (family_values), so the mapping is not near-singular there."""
-        return all((abs(values[key]) >= GUARD_FLOOR).all() for key in ("one_plus_qb", "shape", "bp", "B"))
+        return np.all([abs(values[key]) >= GUARD_FLOOR for key in ("one_plus_qb", "shape", "bp", "B")], axis=0)
 
 
 def profile_expr(cfg: FamilyConfig) -> ex.Expr:

@@ -8,6 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
+from curvcheck import cli
 from curvcheck import expr as ex
 from curvcheck import geomap as gm
 from curvcheck import geometry as geo
@@ -328,7 +329,7 @@ def values_at(fam, points) -> dict:
 def member_ok(spec, point) -> bool:
     """spec's conditions hold at point, its own components program runs
     there and its metric inverts."""
-    if not geo.admissible(spec, point):
+    if not geo.admissible(spec, [point])[0]:
         return False
     try:
         return bool(geo.invertible(geo.metric_jets(spec, [point]))[0])
@@ -355,6 +356,30 @@ def mapped_point_ok(mapped, point) -> bool:
     except ExprError:
         return False
     return True
+
+
+def sample_one_at_a_time(job, count: int, rng) -> list:
+    """cli.sample_points's oracle: each pin, then each candidate, drawn
+    coordinate by coordinate, decided by a one-point Job.sample_ok call,
+    until count candidates are admitted or 1000 * count + 1 are tried."""
+    coords = job.targets[0].spec.coords
+    ws = job.targets[0].warped_spec
+    box = {**dict.fromkeys(ws.fiber.coords if ws else (), [-0.3, 0.3]), **job.box}
+    points = []
+    for pin in job.pinned:
+        pt = tuple(float(pin[c]) for c in coords)
+        if not job.sample_ok([pt])[0]:
+            raise cli.ManifestError(f"pinned point {pin} of {job.name!r} is inadmissible")
+        points.append(pt)
+    tries = 0
+    while len(points) < count + len(job.pinned):
+        if tries > 1000 * count:
+            raise cli.ManifestError(f"cannot sample admissible points for {job.name!r}")
+        tries += 1
+        pt = tuple(float(rng.uniform(*box[c])) for c in coords)
+        if job.sample_ok([pt])[0]:
+            points.append(pt)
+    return points
 
 
 def member_frames(fam, points):

@@ -94,7 +94,7 @@ def test_criterion_1_gauss_curvature_law():
                         or abs(d_const * b_v - 4 * c_const) < 0.05):
                     continue
                 pt = (x, rng.uniform(-1.0, 1.0))
-                if not geo.admissible(spec, pt):
+                if not geo.admissible(spec, [pt])[0]:
                     continue
                 worst = max(worst, abs(geo.gauss_curvature(geo.frame(spec, pt)) + d_const / 4.0))
                 checked += 1
@@ -156,7 +156,7 @@ def collect_charged_fits(signature=ENGINE_CHART):
         spec = charged_spec(M, Q, Lam, signature)
         for r in radii:
             pt = (0.0, r, 1.2, 0.3)
-            assert geo.admissible(spec, pt), (M, Q, Lam, r)
+            assert geo.admissible(spec, [pt])[0], (M, Q, Lam, r)
             f = geo.frame(spec, pt)
             out.append(((M, Q, Lam, r), f, roter.fit_roter(stack([f]))[0],
                         published_closed_forms(M, Q, Lam, r)))
@@ -494,7 +494,7 @@ def test_criterion_6_property_suites():
         else:
             pt = (nrng.uniform(0.6, 2.0), nrng.uniform(-0.3, 0.6),
                   nrng.uniform(-0.3, 0.3), nrng.uniform(-0.3, 0.3))
-        if not geo.admissible(spec, pt):
+        if not geo.admissible(spec, [pt])[0]:
             continue
         f = geo.frame(spec, pt)
         worst_sym = max(worst_sym, *riemann_symmetry_residuals(f.riemann).values())

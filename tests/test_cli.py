@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from curvcheck import geomap as gm
 from curvcheck import geometry as geo
 from curvcheck import warped as wp
 from curvcheck.corpus import corpus_get, corpus_list
-from helpers import evaluate, json_lines, member_ok
+from helpers import evaluate, json_lines, mapped_point_ok, member_ok, sample_one_at_a_time
 
 
 def run_module(args, **kw):
@@ -782,15 +783,15 @@ class TestRun:
     def test_a_failing_chunk_is_evaluated_once(self, monkeypatch):
         # The chunk keeps the jets of its one chunk-wide metric_jets call
         # until its frames are built, so each suite's piece raises the
-        # same GeometryError and records it at every point; sampling's
-        # calls are of one point each.
+        # same GeometryError and records it at every point; sampling
+        # admits all 40 points in one round, one chunk's worth.
         suites = ["geometry-symmetries", "theorem21"]
         calls, metric_jets = [], geo.metric_jets
         monkeypatch.setattr(geo, "metric_jets",
                             lambda spec, points, *rest: calls.append(len(points))
                             or metric_jets(spec, points, *rest))
         records, _ = cli.run_manifest(self.overflow_manifest(suites, 40))
-        assert [count for count in calls if count > 1] == [40]
+        assert calls == [40, 40]
         assert [(r["point_index"], r["suite"], r["check"]) for r in records] == [
             (i, suite, "error") for i in range(40) for suite in suites]
         assert all(r["detail"] == records[0]["detail"] for r in records)
@@ -1136,14 +1137,14 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("entry", ["theorem41_n4", "surface_pair"])
     def test_sampling_a_mapped_job_checks_conditions_once_per_candidate(self, monkeypatch, entry):
         # The source's conditions hold the image's, so each candidate
-        # makes one geo.admissible call, on the first target.
+        # is a lane of exactly one geo.admissible call, on the first target.
         manifest = corpus_get(entry)
         job, tried = cli.build_job(manifest["manifolds"][0]), []
         sample_ok = job.sample_ok
-        monkeypatch.setattr(job, "sample_ok", lambda point: tried.append(point) or sample_ok(point))
+        monkeypatch.setattr(job, "sample_ok", lambda points: tried.extend(points) or sample_ok(points))
         calls = count_calls(monkeypatch, geo, "admissible")
         cli.sample_points(job, 4, np.random.default_rng([manifest["seed"], 0]))
-        assert len(tried) >= 4 and [point for _, point, *_ in calls] == tried
+        assert len(tried) >= 4 and [point for _, points, *_ in calls for point in points] == tried
         assert all(spec is job.targets[0].spec for spec, *_ in calls)
 
     def test_rejected_candidates_format_no_message(self, monkeypatch):
@@ -1158,9 +1159,10 @@ class TestSharedEvaluation:
         job, verdicts = cli.build_job(mdef), []
         admissible = geo.admissible
 
-        def logged(spec, point, *rest):
-            verdicts.append((point, admissible(spec, point, *rest)))
-            return verdicts[-1][1]
+        def logged(spec, points, *rest):
+            held = admissible(spec, points, *rest)
+            verdicts.extend(zip(points, held))
+            return held
 
         monkeypatch.setattr(geo, "admissible", logged)
         texts = count_calls(monkeypatch, ex, "to_text")
@@ -1527,8 +1529,7 @@ class TestJob:
         assert all(member_ok(t.spec, near) for t in job.targets)
         values = gm.family_values(job.family, geo.metric_jets(job.targets[0].spec, [near]))
         assert abs(values["one_plus_qb"][0]) < gm.GUARD_FLOOR
-        assert not job.sample_ok(near)
-        assert job.sample_ok(clear)
+        assert job.sample_ok([near, clear]) == [False, True]
 
     @pytest.mark.parametrize("name", ["surface_pair", "theorem41_n4"])
     def test_a_singular_image_is_not_sampled(self, monkeypatch, name):
@@ -1537,7 +1538,7 @@ class TestJob:
         # a point that is otherwise admitted is turned away.
         job = cli.build_job(corpus_get(name)["manifolds"][0])
         point = cli.sample_points(job, 1, np.random.default_rng(0))[0]
-        assert job.sample_ok(point)
+        assert job.sample_ok([point]) == [True]
         cut = gm.cut
 
         def singular_image(mapped, jets):
@@ -1549,7 +1550,7 @@ class TestJob:
         monkeypatch.setattr(gm, "cut", singular_image)
         jets = job.cut(geo.metric_jets(job.targets[0].spec, [point]))
         assert geo.invertible(jets["source"])[0] and not geo.invertible(jets["image"])[0]
-        assert not job.sample_ok(point)
+        assert job.sample_ok([point]) == [False]
 
     def test_sampling_is_the_only_gate(self):
         # Which points a run certifies is decided in one place: the
@@ -1571,6 +1572,135 @@ class TestJob:
         for path in Path(cli.__file__).parent.glob("*.py"):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert calls == {("cli.Job.sample_ok", name) for name in gates}
+
+
+def straddling_rn(points: int) -> dict:
+    """rn_lambda0 at Q = 0.5 without pins, its r-box straddling the horizon r+ = 1 + sqrt(0.75)."""
+    manifest = corpus_get("rn_lambda0")
+    manifest["points"], mdef = points, manifest["manifolds"][0]
+    del mdef["pinned_points"], mdef["expect"]["pinned_scalars"]
+    mdef["constants"]["Q"] = 0.5
+    mdef["box"]["r"] = [1.1, 5.6]
+    return manifest
+
+
+def shuffles(batch, count=4):
+    """batch and count seeded shuffles of it."""
+    out = [list(batch)]
+    for seed in range(count):
+        out.append(list(batch))
+        random.Random(seed).shuffle(out[-1])
+    return out
+
+
+class TestSampling:
+    # An explicit chart whose lanes fail in each way but the mapped ones:
+    # log(x) raises at x <= 0, y + 0.5 fails below y = -0.5, and the
+    # components program's sqrt(0.5 - y) raises above y = 0.5.
+    EXPLICIT = {
+        "name": "lanes", "kind": "explicit", "coords": ["x", "y"],
+        "metric": [["1 + x^2", "0"], ["0", "sqrt(0.5 - y)"]],
+        "conditions": [["log(x)", "nonzero"], ["y + 0.5", "positive"]],
+        "box": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]},
+    }
+
+    def test_explicit_lanes_are_decided_alone(self):
+        job = cli.build_job(self.EXPLICIT)
+        admitted, raising = [(0.5, 0.0), (0.25, 0.3), (0.9, -0.4)], [(-0.5, 0.0), (0.0, 0.2)]
+        batch = [*admitted, *raising, (0.5, -0.8), (0.5, 0.8), (0.7, 0.9)]
+        verdicts = dict(zip(batch, [True] * 3 + [False] * 5))
+        assert all(member_ok(job.targets[0].spec, pt) == ok for pt, ok in verdicts.items())
+        for points in shuffles(batch):
+            assert job.sample_ok(points) == [job.sample_ok([pt])[0] for pt in points]
+            assert job.sample_ok(points) == [verdicts[pt] for pt in points]
+
+    def test_mapped_lanes_are_decided_alone(self, monkeypatch):
+        # theorem41_n4 at q = -1: near fails the family guard (as in
+        # test_family_guard_rejects_a_near_singular_mapping), x < 0 fails
+        # the warp's condition, and the singular lanes get a zero first row
+        # in the image's g (as in test_a_singular_image_is_not_sampled),
+        # picked by the source's g_00 there.
+        mdef = corpus_get("theorem41_n4")["manifolds"][0]
+        mdef["params"]["map_shift"] = -1.0
+        job = cli.build_job(mdef)
+        spec = job.targets[0].spec
+        near, clear = (1 - 3e-7, 0.1, 0.05, -0.02), (1 - 3e-5, 0.1, 0.05, -0.02)
+        admitted = cli.sample_points(job, 4, np.random.default_rng(5))
+        singular = admitted[2:]
+        batch = [*admitted, near, clear, (-0.3, 0.1, 0.0, 0.1), (-1.0, 0.2, 0.1, 0.0)]
+        marks = geo.metric_jets(spec, singular)[0][:, 0]
+        cut = gm.cut
+
+        def singular_image(mapped, jets):
+            out = cut(mapped, jets)
+            values, first, second = (part.copy() for part in out["image"])
+            values[np.isin(out["source"][0][:, 0], marks), :first.shape[1]] = 0.0
+            return {**out, "image": (values, first, second)}
+
+        monkeypatch.setattr(gm, "cut", singular_image)
+        verdicts = {pt: mapped_point_ok(job.family, pt) and pt not in singular for pt in batch}
+        assert list(verdicts.values()) == [True, True, False, False, False, True, False, False]
+        for points in shuffles(batch):
+            assert job.sample_ok(points) == [job.sample_ok([pt])[0] for pt in points]
+            assert job.sample_ok(points) == [verdicts[pt] for pt in points]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("entry", [*corpus_list(), "straddling_rn"])
+    def test_rounds_draw_what_one_at_a_time_draws(self, entry, seed):
+        # Rounds of candidates admit the points, in their order, that one
+        # candidate at a time does, and leave the rng in the same state.
+        manifest = straddling_rn(20) if entry == "straddling_rn" else corpus_get(entry)
+        for index, mdef in enumerate(manifest["manifolds"]):
+            job = cli.build_job(mdef)
+            rounds, alone = (np.random.default_rng([seed, index]) for _ in range(2))
+            assert cli.sample_points(job, 20, rounds) == sample_one_at_a_time(job, 20, alone)
+            assert rounds.bit_generator.state == alone.bit_generator.state
+
+    def test_the_cap_counts_candidates(self, monkeypatch):
+        # With the r-box inside the horizon nothing is admitted: both
+        # samplers give up after 1000 * count + 1 candidates, at one rng state.
+        mdef = straddling_rn(2)["manifolds"][0]
+        mdef["box"]["r"] = [0.5, 1.5]
+        job, tried = cli.build_job(mdef), []
+        sample_ok = job.sample_ok
+        monkeypatch.setattr(job, "sample_ok", lambda points: tried.append(len(points)) or sample_ok(points))
+        rounds, alone = np.random.default_rng(7), np.random.default_rng(7)
+        for sampler, rng in ((cli.sample_points, rounds), (sample_one_at_a_time, alone)):
+            with pytest.raises(cli.ManifestError, match="cannot sample admissible points for 'rn_lambda0'"):
+                sampler(job, 2, rng)
+            assert sum(tried) == 2001
+            tried.clear()
+        assert rounds.bit_generator.state == alone.bit_generator.state
+
+    def test_the_first_inadmissible_pin_is_named(self):
+        mdef = corpus_get("rn_lambda0")["manifolds"][0]
+        good = mdef["pinned_points"][0]
+        mdef["pinned_points"] = [good, {**good, "r": 1.0}, {**good, "th": 0.0}]
+        job = cli.build_job(mdef)
+        for sampler in (cli.sample_points, sample_one_at_a_time):
+            with pytest.raises(cli.ManifestError) as err:
+                sampler(job, 3, np.random.default_rng(0))
+            assert str(err.value) == f"pinned point {mdef['pinned_points'][1]} of 'rn_lambda0' is inadmissible"
+
+    def test_sampling_runs_a_handful_of_rounds(self, monkeypatch):
+        # The 60 points of a horizon-straddling chart take three rounds:
+        # one conditions run over each round's candidates and one
+        # components run over those that pass, not one run per candidate.
+        # At n = 6 no round exceeds a chunk.
+        sampling, lanes = flag_sampling(monkeypatch), {"admissible": [], "metric_jets": []}
+        for name, log in lanes.items():
+            def logged(spec, points, run=getattr(geo, name), log=log):
+                if sampling:
+                    log.append(len(points))
+                return run(spec, points)
+            monkeypatch.setattr(geo, name, logged)
+        records, summary = cli.run_manifest(straddling_rn(60))
+        assert summary["ok"] and lanes == {"admissible": [60, 11, 3], "metric_jets": [49, 8, 3]}
+        for log in lanes.values():
+            log.clear()
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=20)
+        assert summary["ok"] and max(lanes["admissible"]) == roter.chunk_size(6) == 4
+        assert len(lanes["admissible"]) == 5 and lanes["admissible"] == lanes["metric_jets"]
 
 
 class TestBenchmarkCalls:

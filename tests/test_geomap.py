@@ -354,7 +354,7 @@ class TestIndefiniteBase:
         fam = gm.build_family(gm.FamilyConfig(c=0.0, d=-2.0, c1=2.0, c2=1.0))
         pt = (1.1, 0.2, 0.1, -0.15)
         assert member_ok(fam.source.product, pt) and member_ok(fam.image.product, pt)
-        assert fam.guards_hold(values_at(fam, [pt]))
+        assert fam.guards_hold(values_at(fam, [pt]))[0]
         f = geo.frame(fam.source.product, pt)
         assert f.g[0, 0] < 0 < f.g[1, 1]
         assert roter.classify(stack([f]))[0].kind == roter.ROTER
@@ -420,10 +420,10 @@ class TestOneProgram:
         candidates = [tuple(float(rng.uniform(*box.get(c, [-0.3, 0.3]))) for c in coords)
                       for _ in range(300)]
         verdicts = [mapped_point_ok(mapped, pt) for pt in candidates]
-        assert [job.sample_ok(pt) for pt in candidates] == verdicts
+        assert job.sample_ok(candidates) == verdicts
         rejected = [pt for pt, ok in zip(candidates, verdicts) if not ok]
         by_conditions = [pt for pt in rejected
-                         if not all(geo.admissible(t.spec, pt) for t in job.targets)]
+                         if not all(geo.admissible(t.spec, [pt])[0] for t in job.targets)]
         assert 0 < len(by_conditions) and len(rejected) < len(candidates)
         guarded = [pt for pt in rejected if pt not in by_conditions]
         assert bool(guarded) == bool(job.family)
@@ -441,7 +441,7 @@ def test_only_geomap_knows_the_program_layout():
     readers = {path.name for path in src.glob("*.py")
                if re.search(r"\b(image_at|psi_at)\b", path.read_text(encoding="utf-8"))}
     assert readers == {"geomap.py"}
-    for fn, params in ((geo.metric_jets, ["spec", "points"]), (geo.admissible, ["spec", "point"]),
+    for fn, params in ((geo.metric_jets, ["spec", "points"]), (geo.admissible, ["spec", "points"]),
                        (geo.jet_block, ["jets", "columns", "axes"]),
                        (wp.WarpedSpec.blocks, ["self", "jets"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__

@@ -370,22 +370,21 @@ class TestCovariantDerivative:
 class TestAdmissibility:
     def test_positive_condition(self):
         spec = rn_metric(1.0, 1.0, 0.0)
-        assert geo.admissible(spec, RN_POINT)
-        assert not geo.admissible(spec, (0.0, -3.0, 1.2, 0.3))
+        assert geo.admissible(spec, [RN_POINT, (0.0, -3.0, 1.2, 0.3)]).tolist() == [True, False]
 
     def test_horizon_rejected(self):
         spec = rn_metric(1.0, 1.0, 0.0)  # h(r) = (1 - 1/r)^2 vanishes at r=1
-        assert not geo.admissible(spec, (0.0, 1.0, 1.2, 0.3))
+        assert not geo.admissible(spec, [(0.0, 1.0, 1.2, 0.3)])[0]
 
     def test_inadmissible_frame_raises_with_condition(self):
         # Sampling's admissible test, not frame, turns the point away.
         spec = rn_metric(1.0, 1.0, 0.0)
-        assert not geo.admissible(spec, (0.0, 3.0, 0.0, 0.3))  # sin(th) = 0
+        assert not geo.admissible(spec, [(0.0, 3.0, 0.0, 0.3)])[0]  # sin(th) = 0
 
     def test_determinant_guard(self):
         # admissible checks the declared conditions; invertible the metric.
         spec = geo.diagonal_metric(("x", "y"), ["x", "1"])
-        assert geo.admissible(spec, (0.0, 0.5))
+        assert geo.admissible(spec, [(0.0, 0.5)])[0]
         assert geo.invertible(geo.metric_jets(spec, [(0.0, 0.5), (2.0, 0.5)])).tolist() == [False, True]
 
 

@@ -32,7 +32,7 @@ def sample_points(ws, rng, count=4):
         base = [rng.uniform(0.6, 2.0), rng.uniform(-0.3, 0.6)]
         fib = [rng.uniform(-0.3, 0.3) for _ in range(ws.fiber_dim)]
         pt = tuple(base + fib)
-        if geo.admissible(ws.product, pt):
+        if geo.admissible(ws.product, [pt])[0]:
             pts.append(pt)
     return pts
 
@@ -110,7 +110,7 @@ class TestAssemble:
         point = (-1.0, 0.0, 0.1, 0.1)
         # warp > 0 is one of the product's conditions, so sampling's
         # admissible test turns the point away; diagnostics does not test it.
-        assert not geo.admissible(ws.product, point)
+        assert not geo.admissible(ws.product, [point])[0]
 
 
 WARPED_ENTRIES = [name for name in corpus_list()
