@@ -504,9 +504,9 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
 # A suite's checks are a Chunk piece, whose entry i lists point i's checks
 # as (check, residual, tolerance_key) with optional extra record fields
 # ({"scalars": ...} or {"detail": ...}) and expect_fail.  run_manifest
-# reads each piece once, turns each check into a record through _record,
-# and a _POINT_ERRORS error the piece raises (a chunk's curvature that is
-# not finite) into an "error" record at each point of the chunk.
+# reads each piece once, turns each check into a record dict in its site
+# loop, and a _POINT_ERRORS error the piece raises (a chunk's curvature
+# that is not finite) into an "error" record at each point of the chunk.
 
 _POINT_ERRORS = (geo.GeometryError, ex.ExprError)
 # The error detail in the psi-Ricci identity's place where R.R = 0 on the source.
@@ -521,9 +521,12 @@ def _named(residuals: dict, key: str) -> list:
 def _per_point(checks, count: int) -> list:
     """Checks of one residual per lane, (check, residuals, tolerance key)
     and maybe extra record fields per lane, as a list per point."""
-    lanes = [(check, np.asarray(res).tolist(), key, *extra) for check, res, key, *extra in checks]
-    return [[(check, res[i], key, *(fields[i] for fields in extra))
-             for check, res, key, *extra in lanes] for i in range(count)]
+    lanes = []
+    for check, res, key, *extra in checks:
+        res = np.asarray(res).tolist()
+        lanes.append([(check, r, key, *fields) for r, *fields in zip(res, *extra, strict=True)]
+                     if extra else [(check, r, key) for r in res])
+    return [list(row) for row in zip(*lanes, strict=True)] if lanes else [[] for _ in range(count)]
 
 
 def _scalars(check: str, scalars: dict, count: int) -> tuple:
@@ -808,27 +811,6 @@ def _flag(check, ok, detail=None):
     return check, 0.0 if ok else 1.0, "flag", None if detail is None else {"detail": detail}
 
 
-def _record(job, target, index, point, suite, thresholds,
-            check, residual, tol_key, extra=None, expect_fail=False) -> dict:
-    threshold = thresholds[tol_key]
-    passed = bool(residual <= threshold)
-    rec = {
-        "manifold": job.name,
-        "target": target,
-        "point_index": index,
-        "point": point,
-        "suite": suite,
-        "check": check,
-        "residual": float(residual),
-        "threshold": threshold,
-        "pass": passed,
-        "expect_fail": expect_fail,
-        "ok": passed != expect_fail,
-    }
-    rec.update(extra or {})  # scalars hold Python numbers (see the suites)
-    return rec
-
-
 def family_checks(job: Job, members):
     """A family's aggregates (point index -1); members are its points' (source, image) verdicts."""
     yield "profile_invariant", gm.profile_invariant_residual(job.family), "strict"
@@ -905,12 +887,21 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
                 rows = read()
             except _POINT_ERRORS as err:
                 rows = [[_flag("error", False, f"{type(err).__name__}: {err}")]] * len(chunk_pts)
-            for i, (pt, row) in enumerate(zip(chunk_pts, rows)):
-                site = (job, label, start + i, [round(v, 12) for v in pt], suite, thresholds)
-                records.extend(_record(*site, *check) for check in row)
+            for index, (pt, row) in enumerate(zip(chunk_pts, rows), start):
+                point = [round(v, 12) for v in pt]
+                for check in row:
+                    threshold = thresholds[check[2]]
+                    passed = bool(check[1] <= threshold)
+                    expect_fail = len(check) > 4 and check[4]
+                    rec = {"manifold": job.name, "target": label, "point_index": index,
+                           "point": point, "suite": suite, "check": check[0],
+                           "residual": float(check[1]), "threshold": threshold, "pass": passed,
+                           "expect_fail": expect_fail, "ok": passed != expect_fail}
+                    if len(check) > 3 and check[3]:
+                        rec.update(check[3])  # scalars hold Python numbers (see the suites)
+                    records.append(rec)
 
-    records.sort(key=lambda r: (r["manifold"], r["target"], r["point_index"],
-                                r["suite"], r["check"]))
+    records.sort(key=operator.itemgetter("manifold", "target", "point_index", "suite", "check"))
     failed = sum(not r["pass"] for r in records)
     off_expectation = sum(not r["ok"] for r in records)
     summary = {
@@ -970,28 +961,43 @@ _RECORD_FIELDS = operator.itemgetter("check", "expect_fail", "manifold", "ok", "
 
 def record_lines(records):
     """Each record as json.dumps(rec, sort_keys=True) + "\\n": a sorted-key template that encodes
-    a site's fields once per run of its records; a record it does not fit is encoded whole."""
+    a site's fields once per run of its records, and each str check name and nonzero threshold
+    once per call; a record it does not fit is encoded whole."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    site = None
+    names, limits = {}, {}  # 0.0 == -0.0, so a zero threshold is not cached
+    sm = st = sp = si = ss = object()  # the site fields, which no record holds at first
     for rec in records:
+        size = len(rec)
         try:
             check, ef, m, ok, ps, p, i, res, s, t, thr = _RECORD_FIELDS(rec)
-            extra = len(rec) - 11 - ("detail" in rec) - ("scalars" in rec)
+            extra = size > 11 and size - 11 - ("detail" in rec) - ("scalars" in rec)
         except KeyError:
             extra = 1
-        if extra or not (type(ef) is type(ok) is type(ps) is bool and type(res) is type(thr) is float
+        if extra or not (type(check) is str and type(ef) is type(ok) is type(ps) is bool
+                         and type(res) is type(thr) is float
                          and math.isfinite(res) and math.isfinite(thr)):
             yield encode(rec) + "\n"
             continue
-        if site is None or any(map(operator.is_not, site, (m, t, p, i, s))):
-            site, (em, et, ep, ei, es) = (m, t, p, i, s), map(encode, (m, t, p, i, s))
-        detail = ', "detail": ' + encode(rec["detail"]) if "detail" in rec else ""
-        scalars = ', "scalars": ' + encode(rec["scalars"]) if "scalars" in rec else ""
-        yield (f'{{"check": {encode(check)}{detail}, "expect_fail": {"true" if ef else "false"}, '
+        if m is not sm or t is not st or p is not sp or i is not si or s is not ss:
+            sm, st, sp, si, ss = m, t, p, i, s
+            em, et, ep, ei, es = encode(m), encode(t), encode(p), encode(i), encode(s)
+        detail = scalars = ""
+        if size > 11:
+            if "detail" in rec:
+                detail = ', "detail": ' + encode(rec["detail"])
+            if "scalars" in rec:
+                scalars = ', "scalars": ' + encode(rec["scalars"])
+        name = names.get(check)
+        if name is None:
+            name = names[check] = encode(check)
+        limit = limits.get(thr) if thr else repr(thr)
+        if limit is None:
+            limit = limits[thr] = repr(thr)
+        yield (f'{{"check": {name}{detail}, "expect_fail": {"true" if ef else "false"}, '
                f'"manifold": {em}, "ok": {"true" if ok else "false"}, '
                f'"pass": {"true" if ps else "false"}, "point": {ep}, "point_index": {ei}, '
                f'"residual": {res!r}{scalars}, "suite": {es}, "target": {et}, '
-               f'"threshold": {thr!r}}}\n')
+               f'"threshold": {limit}}}\n')
 
 
 def render_text_summary(records, summary) -> str:

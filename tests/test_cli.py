@@ -1469,8 +1469,15 @@ class TestRecordLines:
          _record(point=[-0.0, 1.5], point_index=1.0, suite="b"),
          _record(point=(0, 1.5), point_index=1, suite="b"),
          {k: v for k, v in reversed(_record(point=_SHARED_POINT, suite="a").items())}],
+        # Names and thresholds that a cache keyed by value alone would merge:
+        # 1 == True and 0.0 == -0.0, yet each pair encodes differently.
+        [_record(check=1), _record(check=True), _record(check=1), _record(check="1")],
+        [_record(threshold=0.0), _record(threshold=-0.0), _record(threshold=0.0)],
+        [_record(threshold=t) for t in map(float, ["1e-10", "0.5", "1e-10", "0.5"])],
+        [_record(check=_ODD_TEXT, point_index=k, suite=s) for k in (0, 1) for s in "ab"],
     ], ids=["plain", "residuals", "thresholds", "float_detail", "text", "scalars",
-            "extra_keys", "odd_flags", "shuffled_sites"])
+            "extra_keys", "odd_flags", "shuffled_sites", "int_and_bool_names",
+            "signed_zero_thresholds", "equal_thresholds_distinct_floats", "repeated_odd_name"])
     def test_byte_identical_on_a_table(self, records):
         assert list(cli.record_lines(records)) == json_lines(records)
 
