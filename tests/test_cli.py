@@ -1508,6 +1508,27 @@ class TestRecordLines:
         assert list(cli.record_lines(records)) == json_lines(records)
 
 
+class TestDigest:
+    """cli.render_text_summary: one line per (manifold, target, check)."""
+
+    @pytest.mark.parametrize("records, worst, status", [
+        # A NaN residual off expectation beside a passing one: NaN is the worst.
+        ([_record(residual=1e-12), _record(point_index=1, residual=math.nan, ok=False,
+                                           **{"pass": False})],
+         "nan", "OFF-EXPECTATION"),
+        # A negative control that fails as designed at one point but passes
+        # at the other: the worst record is on expectation, the other is not.
+        ([_record(residual=1.0, expect_fail=True, **{"pass": False}),
+          _record(point_index=1, residual=1e-12, expect_fail=True, ok=False)],
+         "1.000e+00", "OFF-EXPECTATION (expected-fail)"),
+    ], ids=["nan_residual", "control_passing_at_one_point"])
+    def test_digest_shows_a_key_off_expectation(self, records, worst, status):
+        summary = {"manifest": "m", "seed": 0, "points": 2, "suites": ["theorem21"], "ok": False,
+                   "counts": {"checks": 2, "failed": 1, "off_expectation": 1}}
+        row = cli.render_text_summary(records, summary).splitlines()[-1]
+        assert row.split(None, 4) == ["m", "self", "metric_inverse", worst, status]
+
+
 class TestJob:
     def test_expect_and_fitted_over_the_corpus(self):
         # fitted: a family expected ROTER, whose geodesic suite reads the
