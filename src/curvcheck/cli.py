@@ -957,6 +957,7 @@ def write_report(records, summary, out_dir: str) -> dict[str, str]:
 
 _RECORD_FIELDS = operator.itemgetter("check", "expect_fail", "manifold", "ok", "pass", "point",
                                      "point_index", "residual", "suite", "target", "threshold")
+_DIGEST_KEY = operator.itemgetter("manifold", "target", "check")
 
 
 def record_lines(records):
@@ -1015,8 +1016,9 @@ def render_text_summary(records, summary) -> str:
     worst: dict[tuple, float] = {}
     off, controls = set(), set()  # keys with a record off expectation, with a negative control
     for rec in records:
-        key, res = (rec["manifold"], rec["target"], rec["check"]), rec["residual"]
-        if key not in worst or res > worst[key] or res != res:
+        key, res = _DIGEST_KEY(rec), rec["residual"]
+        prev = worst.get(key)
+        if prev is None or res > prev or res != res:
             worst[key] = res
         if not rec["ok"]:
             off.add(key)
