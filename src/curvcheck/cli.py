@@ -384,8 +384,7 @@ class Job:
     kind: str
     definition: dict
     targets: list[Target]
-    family: gm.Family | None
-    pair: gm.GeodesicPair2D | None
+    mapped: gm.Family | gm.GeodesicPair2D | None  # kind tells which
     box: dict
     pinned: list[dict]
 
@@ -401,23 +400,22 @@ class Job:
     def sample_ok(self, points) -> list[bool]:
         """Per point, whether the first target's conditions (on a mapped pair, both members')
         hold, its program runs, each target's metric inverts and a family clears its mapping
-        guards: no chunk piece fails there.  The program runs once, over the points whose
-        conditions hold; if it raises, each point is decided alone, and one that raises fails."""
-        spec = self.targets[0].spec
-        ok = geo.admissible(spec, points)
-        if ok.any():
-            try:
-                cut = self.cut(geo.metric_jets(spec, [pt for pt, held in zip(points, ok) if held]))
-            except _POINT_ERRORS:
-                return [len(points) > 1 and self.sample_ok([pt])[0] for pt in points]
-            passed = np.all([geo.invertible(cut[t.label]) for t in self.targets], axis=0)
-            ok[ok] = passed & (self.family is None or self.family.guards_hold(cut["values"]))
+        guards: no chunk piece fails there.  The conditions run over the points, the program over
+        those that hold; if either raises, each point is decided alone, and one that raises fails."""
+        try:
+            ok = geo.admissible(self.targets[0].spec, points)
+            if ok.any():
+                jets = self.jets([pt for pt, held in zip(points, ok) if held])
+                passed = np.all([geo.invertible(jets[t.label]) for t in self.targets], axis=0)
+                ok[ok] = passed & (self.kind != "family" or self.mapped.guards_hold(jets["values"]))
+        except _POINT_ERRORS:
+            return [len(points) > 1 and self.sample_ok([pt])[0] for pt in points]
         return ok.tolist()
 
-    def cut(self, jets) -> dict:
-        """jets, a run of the first target's program, per target label (gm.cut's on a mapped pair)."""
-        mapped = self.pair or self.family
-        return gm.cut(mapped, jets) if mapped else {self.targets[0].label: jets}
+    def jets(self, points) -> dict:
+        """One run of the first target's program at points, per target label (gm.cut's if mapped)."""
+        run = geo.metric_jets(self.targets[0].spec, points)
+        return gm.cut(self.mapped, run) if self.mapped else {self.targets[0].label: run}
 
 
 def _build_explicit(mdef) -> geo.MetricSpec:
@@ -433,9 +431,7 @@ def _build_fiber(fdef, constants) -> geo.MetricSpec:
 
 
 def build_job(mdef: dict) -> Job:
-    kind = mdef["kind"]
-    family = None
-    pair = None
+    kind, mapped = mdef["kind"], None
     if kind == "explicit":
         targets = [Target("self", _build_explicit(mdef))]
     elif kind == "warped":
@@ -448,19 +444,19 @@ def build_job(mdef: dict) -> Job:
         params = dict(mdef["params"])
         if "fiber_dim" in params:
             params["fiber_dim"] = int(params["fiber_dim"])
-        family = gm.build_family(gm.FamilyConfig(**params))
+        mapped = gm.build_family(gm.FamilyConfig(**params))
         targets = [
-            Target("source", family.source.product, family.source),
-            Target("image", family.image.product, family.image),
+            Target("source", mapped.source.product, mapped.source),
+            Target("image", mapped.image.product, mapped.image),
         ]
     else:  # pair2d
         pdef = mdef["pair"]
-        pair = gm.geodesic_pair_2d(
+        mapped = gm.geodesic_pair_2d(
             pdef["a"], pdef["b"], pdef["map_scale"], pdef["map_shift"]
         )
-        targets = [Target("source", pair.source), Target("image", pair.image)]
+        targets = [Target("source", mapped.source), Target("image", mapped.image)]
     return Job(
-        mdef["name"], kind, mdef, targets, family, pair,
+        mdef["name"], kind, mdef, targets, mapped,
         mdef["box"], mdef.get("pinned_points", []),
     )
 
@@ -481,10 +477,10 @@ def sample_points(job: Job, count: int, rng) -> list[tuple[float, ...]]:
         missing = ", ".join(repr(c) for c in coords if c not in pin)
         if missing:
             raise ManifestError(f"pinned point {pin} of {job.name!r} leaves out {missing}")
-        pt = tuple(float(pin[c]) for c in coords)
-        if not job.sample_ok([pt])[0]:
+        points.append(tuple(float(pin[c]) for c in coords))
+    for pin, ok in zip(job.pinned, job.sample_ok(points) if points else ()):
+        if not ok:
             raise ManifestError(f"pinned point {pin} of {job.name!r} is inadmissible")
-        points.append(pt)
     # Rounds of at most a chunk, none past the last point needed: one-at-a-time's draws.
     lo, hi = np.array([box[c] for c in coords], dtype=float).T
     tries, cap = 0, 1000 * count + 1
@@ -540,26 +536,25 @@ class Chunk:
 
     Each piece is computed for every point on first read, once over the
     chunk's point axis, and holds one entry per point; a suite's piece
-    holds its checks.  No piece fails at a sampled point: Job.sample_ok(points),
-    one bool per point, is the only gate, and the chunk runs the one program
-    it ran over them (a warped product's covers its base, fiber and warp, a
-    mapped pair's both members and ψ), whose jets geo.frames and
-    wp.diagnostics take as handed.  Only curvature can still fail, by
+    holds its checks, planned from the job alone, never from the suites that
+    run.  No piece fails at a sampled point: Job.sample_ok(points) is the only
+    gate, and the chunk takes Job.jets(points), the run it tested (a warped
+    product's covers its base, fiber and warp, a mapped pair's both members
+    and ψ), whose jets geo.frames and wp.diagnostics take as handed.  Only curvature can still fail, by
     overflow: evaluated then raises the same error at every read.  start is
     the run's index of the first point.  stacked is the frame of all the
     points; fiber_frames and diagnostics are stacked too, built from the
     factor jets of the program's run.  A mapped pair's image reads its
     jets and a family's fiber frames from its peer, the source chunk."""
 
-    def __init__(self, job: Job, suites: set, target: Target, start: int, points: list, peer=None):
-        self.job, self.suites, self.target = job, suites, target
-        self.start, self.points, self.peer = start, points, peer
+    def __init__(self, job: Job, target: Target, start: int, points: list, peer=None):
+        self.job, self.target, self.start, self.points, self.peer = job, target, start, points, peer
 
     @cached_property
     def _jets(self) -> dict:
         """Per target label its (g, dg, d2g) and factor jets (wp.WarpedSpec.blocks), each
         taken once, and the rest of a mapped pair's gm.cut, from one run of its program."""
-        cut = self.job.cut(geo.metric_jets(self.target.spec, self.points))
+        cut = self.job.jets(self.points)
         for t in self.job.targets:
             cut[t.label] = geo.jet_block(cut[t.label]), t.warped_spec and t.warped_spec.blocks(cut[t.label])
         return cut
@@ -581,7 +576,7 @@ class Chunk:
 
     @cached_property
     def fiber_frames(self) -> geo.PointFrame:
-        if self.job.family is not None and self.peer is not None:
+        if self.job.kind == "family" and self.peer is not None:
             return self.peer.fiber_frames
         ws = self.target.warped_spec
         return geo.frames(ws.fiber, [ws.split(p)[1] for p in self.points], self.evaluated[1][1])
@@ -616,12 +611,12 @@ class Chunk:
         if f.dim == 2:
             scalars["gauss"] = geo.gauss_curvature(f)
             want = self.job.expect.get("scalars", {}).get("gauss")
-            if want is not None:
+            if want is not None and self.peer is None:  # the source's or the single target's
                 checks.append(("gauss_value", scalar_residual(scalars["gauss"], want), "geo"))
         checks.append(_scalars("frame_scalars", scalars, count))
         rows = _per_point(checks, count)
         if self.start < 2:
-            twin = self.peer and gm.image_twin(self.job.pair or self.job.family)
+            twin = self.peer and gm.image_twin(self.job.mapped)
             bianchi = geo.second_bianchi_residual(f.take(range(min(2 - self.start, count))), twin)
             for row, res in zip(rows, bianchi.tolist()):
                 row.append(("second_bianchi", res, "geo"))
@@ -638,7 +633,8 @@ class Chunk:
         f, perturb, want = self.stacked, job.definition.get("perturb"), job.expect.get("classify")
         l_r = job.expect.get("scalars", {}).get(
             "L_R" if target.label in ("self", "source") else "L_R_image")
-        pins = job.expect.get("pinned_scalars", [])[self.start:]  # one per pinned point at most
+        # One per pinned point at most, on the source or the single target.
+        pins = job.expect.get("pinned_scalars", [])[self.start:] if self.peer is None else []
         rows = []
         for i, (c, kappa) in enumerate(zip(self.classifications, f.scalar.tolist())):
             # Source and image members of a family share the expected kind.
@@ -705,7 +701,7 @@ class Chunk:
             checks.append(("t_proportional", wp.t_proportionality_residual(d), "geo"))
             checks += _named(wp.verify_proportional_blocks(d), "identity")
             if self.target.label == "source":
-                res = scalar_residual(d.tr_t, job.family.cfg.d * d.f_value)
+                res = scalar_residual(d.tr_t, job.mapped.cfg.d * d.f_value)
                 checks.append(("trace_t_scaled_warp", res, "identity"))
         checks.append(_scalars("warp_scalars", scalars, count))
         return _per_point(checks, count)
@@ -722,27 +718,25 @@ class Chunk:
 
     @cached_property
     def product_checks(self) -> list:
-        """Per point, a dict of what reads curvature products for the
-        suites that run: identities and ricci (if expected) for theorem21;
-        on a fitted family, at a point with a fit, cor42 and on the source
-        semisymmetric, which the geodesic piece reads.  The chunk's products
-        are built here, once, and dropped; if only some points are ROTER,
-        the identities read products built on those points alone."""
+        """Per point, a dict of what reads curvature products, planned from
+        the job alone: at a ROTER point identities, and ricci where expected,
+        for theorem21; on a fitted family, at a point with a fit, cor42 and
+        on the source semisymmetric, which the geodesic piece reads.  The
+        chunk's products are built here, once, and dropped; if only some
+        points are ROTER, the identities read products built on those alone."""
         job, cs, frame = self.job, self.classifications, self.stacked
-        theorem21 = "theorem21" in self.suites
         products, out = roter.curvature_products(frame), [{} for _ in cs]
-        kept = [i for i, c in enumerate(cs) if theorem21 and c.kind == roter.ROTER]
+        kept = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
         if kept:
             sub = frame.take(kept)
             sub_products = products if sub is frame else roter.curvature_products(sub)
             for i, res in zip(kept, roter.identity_suite(sub, [cs[i].fit for i in kept],
                                                          sub_products)):
                 out[i]["identities"] = res
-        if theorem21 and job.expect.get("ricci_pseudosymmetric"):
+        if job.expect.get("ricci_pseudosymmetric"):
             for piece, rp in zip(out, roter.ricci_pseudosymmetry(frame, products)):
                 piece["ricci"] = rp
-        fitted = "geodesic" in self.suites and job.fitted
-        kept = [i for i, c in enumerate(cs) if fitted and c.fit is not None]
+        kept = [i for i, c in enumerate(cs) if job.fitted and c.fit is not None]
         if kept:
             P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
             res = gm.corollary42_residual(frame.dim, [cs[i].fit for i in kept], P)
@@ -770,9 +764,9 @@ class Chunk:
             ("psi_gradient", gm.psi_gradient_residual(jets), "strict"),
         ]
         if job.kind == "pair2d":
-            checks += _named(gm.pair_christoffel_closed_forms(job.pair, *frames), "geo")
+            checks += _named(gm.pair_christoffel_closed_forms(job.mapped, *frames), "geo")
         else:
-            fam, d, d_bar = job.family, source.diagnostics, self.diagnostics
+            fam, d, d_bar = job.mapped, source.diagnostics, self.diagnostics
             r4, r5 = gm.warp_compatibility_residuals(fam, d, d_bar, jets)
             checks += [("warp_scale_equation", r4, "geo"), ("warp_log_equation", r5, "geo")]
             checks += _named(gm.family_psi_closed_forms(fam, d, values, jets), "geo")
@@ -813,7 +807,7 @@ def _flag(check, ok, detail=None):
 
 def family_checks(job: Job, members):
     """A family's aggregates (point index -1); members are its points' (source, image) verdicts."""
-    yield "profile_invariant", gm.profile_invariant_residual(job.family), "strict"
+    yield "profile_invariant", gm.profile_invariant_residual(job.mapped), "strict"
     pairs = [(a.fit.L_R, b.fit.L_R) for a, b in members if a.fit and b.fit]
     if pairs:
         yield "l_r_constancy_source", constancy_residual([a for a, _ in pairs]), "identity"
@@ -836,8 +830,8 @@ def _suite_runs(job: Job, points, suites):
     size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):
         pts = points[start:start + size]
-        first = Chunk(job, suites, job.targets[0], start, pts)
-        chunks = [first] + [Chunk(job, suites, t, start, pts, first) for t in job.targets[1:]]
+        first = Chunk(job, job.targets[0], start, pts)
+        chunks = [first] + [Chunk(job, t, start, pts, first) for t in job.targets[1:]]
         runs = [(suite, chunk.target.label, chunk, piece)
                 for suite, piece in TARGET_SUITES.items() if suite in suites for chunk in chunks]
         if "geodesic" in suites and job.kind in ("pair2d", "family"):

@@ -28,22 +28,22 @@ MetricSpec binds its conditions and components programs from ex.jet
 on first use, so no point's evaluation looks up ex.jet's build cache; a
 warped product's also yields the jets of its fiber components and warp.
 
-admissible(spec, points) tests the conditions and invertible(jets) the
-metric, one bool per point; only a run's sampling calls them, and the
-frames below are built from whatever they are handed.  metric_jets(spec,
-points) runs the components program over the points, with a leading
-point axis, and jet_block reads (g, dg, d2g) from it; frames(spec,
-points, jet) then computes the curvature packet once over that axis:
-one PointFrame whose arrays carry it (g of shape (P, n, n)).  Each lane
-of it, and of second_bianchi_residual, equals the same call on that
-point alone, bit for bit.  PointFrame.take cuts some lanes.  Whoever
-asks for a frame owns it and passes it to the helpers below.
+admissible(spec, points) tests the conditions, raising ex.DomainError
+where one cannot be evaluated, and invertible(jets) the metric, one bool
+per point; only cli.Job.sample_ok, which alone splits a raising batch,
+calls them.  metric_jets(spec, points) runs the components program over
+the points, with a leading point axis, and jet_block reads (g, dg, d2g)
+from it; frames(spec, points, jet) then computes the curvature packet,
+from whatever jets it is handed, once over that axis: one PointFrame
+whose arrays carry it (g of shape (P, n, n)).  Each lane of it, and of
+second_bianchi_residual, equals the same call on that point alone, bit
+for bit.  PointFrame.take cuts some lanes.  Whoever asks for a frame
+owns it and passes it to the helpers below.
 MetricSpec is immutable apart from its bound programs, and thread-safe.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
@@ -193,17 +193,11 @@ def jet_block(jets, columns=None, axes=slice(None)) -> tuple[np.ndarray, ...]:
 
 
 def admissible(spec: MetricSpec, points: Sequence[Sequence[float]]) -> np.ndarray:
-    """Whether all of spec's declared conditions hold, at each of points.  A
-    point where they cannot be evaluated fails and decides no other point."""
+    """Whether all of spec's declared conditions hold, at each of points.  Raises
+    the conditions program's ex.DomainError if one cannot be evaluated at a point."""
     if not spec.conditions:
         return np.ones(len(points), dtype=bool)
-    try:
-        (values,) = spec._condition_jet(points)
-    except ex.ExprError:  # run each point alone; NaN, where it raises, holds no condition
-        values = np.full((len(points), len(spec.conditions)), np.nan)
-        for i, point in enumerate(points):
-            with suppress(ex.ExprError):
-                values[i] = spec._condition_jet([point])[0][0]
+    (values,) = spec._condition_jet(points)
     positive = np.array([kind == "positive" for _, kind in spec.conditions])
     return np.all(np.where(positive, values > 0.0, np.abs(values) > _NONZERO_FLOOR), axis=1)
 

@@ -329,10 +329,8 @@ def values_at(fam, points) -> dict:
 def member_ok(spec, point) -> bool:
     """spec's conditions hold at point, its own components program runs
     there and its metric inverts."""
-    if not geo.admissible(spec, [point])[0]:
-        return False
     try:
-        return bool(geo.invertible(geo.metric_jets(spec, [point]))[0])
+        return bool(geo.admissible(spec, [point])[0] and geo.invertible(geo.metric_jets(spec, [point]))[0])
     except ExprError:
         return False
 

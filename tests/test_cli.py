@@ -562,6 +562,31 @@ class TestRun:
         (pin,) = [r for r in records if r["check"] == f"pinned_{key}"]
         assert (pin["residual"], pin["pass"], summary["ok"]) == (1.0, False, False)
 
+    def test_a_pin_binds_the_first_target_of_a_mapped_pair(self):
+        # As expect.scalars.L_R does: the source's L_R is -D/4 = -1, and
+        # the image's, -(D + 4qC)/(4p), is not.
+        manifest = corpus_get("theorem41_n4")
+        mdef = manifest["manifolds"][0]
+        mdef["pinned_points"] = [{"x": 1.0, "t": 0.1, "y1": 0.0, "y2": 0.1}]
+        mdef.setdefault("expect", {})["pinned_scalars"] = [{"L_R": -1.0}]
+        records, summary = cli.run_manifest(manifest, points=1)
+        pins = [r for r in records if r["check"] == "pinned_L_R"]
+        assert [(r["target"], r["point_index"]) for r in pins] == [("source", 0)]
+        assert pins[0]["residual"] < 1e-12 and summary["ok"]
+
+    def test_gauss_binds_the_first_target_of_a_surface_pair(self):
+        # The source's Gauss curvature is -1 and the image's -(D + 4qC)/(4p)
+        # = -0.75: expect.scalars.gauss binds the source alone.
+        manifest = {"name": "gauss_pair", "manifolds": [{
+            "name": "pair", "kind": "pair2d",
+            "pair": {"a": "1/(x*(4*x - 4))", "b": "x", "map_scale": 2.0, "map_shift": 0.5},
+            "box": {"x": [1.5, 2.5], "y": [0.0, 1.0]}, "expect": {"scalars": {"gauss": -1.0}},
+        }]}
+        records, summary = cli.run_manifest(manifest, suites=["geometry-symmetries"], points=3)
+        gauss = [r for r in records if r["check"] == "gauss_value"]
+        assert [r["target"] for r in gauss] == ["source"] * 3
+        assert all(r["pass"] for r in gauss) and summary["ok"]
+
     def test_negative_control_fails_as_designed(self):
         records, summary = cli.run_manifest(
             corpus_get("negative_control_perturbed"), points=2
@@ -1022,7 +1047,7 @@ class TestSharedEvaluation:
             records, summary = cli.run_manifest(corpus_get(name), points=2)
             assert summary["ok"]
             jobs.append(cli.build_job(corpus_get(name)["manifolds"][0]))
-        fiber = jobs[0].family.source.fiber
+        fiber = jobs[0].mapped.source.fiber
         assert max(computed.values()) == max(evaluated.values()) == 1
         assert sum(spec == fiber for spec, _ in computed) == 2  # one per point
         firsts = {job.targets[0].spec for job in jobs}
@@ -1099,7 +1124,7 @@ class TestSharedEvaluation:
         cli.sample_points(job, 1, np.random.default_rng([manifest["seed"], 0]))
         spec, image = job.targets[0].spec, job.targets[1].spec
         assert set(image.conditions) <= set(spec.conditions)
-        wants = [[gm.profile_expr(job.family.cfg)]] if job.family else []  # in the order they compile
+        wants = [[gm.profile_expr(job.mapped.cfg)]] if job.kind == "family" else []  # in the order they compile
         wants.append([c for c, _ in spec.conditions])
         wants.append([e for row in spec.components for e in row] + list(spec.extras))
         assert len(compiled) == len(wants) == programs
@@ -1298,12 +1323,12 @@ class TestSharedEvaluation:
             gc.enable()
         assert summary["ok"] == (refused is None) and left == 0
 
-    def test_geodesic_records_do_not_depend_on_other_suites(self):
+    @pytest.mark.parametrize("suite", cli.SUITES[:-1])
+    def test_suite_records_do_not_depend_on_other_suites(self, suite):
         full, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2)
-        alone, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2,
-                                    suites=["geodesic"])
-        geodesic = [r for r in full if r["suite"] == "geodesic"]
-        assert geodesic and alone == geodesic
+        alone, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2, suites=[suite])
+        records = [r for r in full if r["suite"] == suite]
+        assert records and alone == records
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -1555,7 +1580,7 @@ class TestJob:
         job = cli.build_job(mdef)
         near, clear = (1 - 3e-7, 0.1, 0.05, -0.02), (1 - 3e-5, 0.1, 0.05, -0.02)
         assert all(member_ok(t.spec, near) for t in job.targets)
-        values = gm.family_values(job.family, geo.metric_jets(job.targets[0].spec, [near]))
+        values = gm.family_values(job.mapped, geo.metric_jets(job.targets[0].spec, [near]))
         assert abs(values["one_plus_qb"][0]) < gm.GUARD_FLOOR
         assert job.sample_ok([near, clear]) == [False, True]
 
@@ -1576,7 +1601,7 @@ class TestJob:
             return {**out, "image": (values, first, second)}
 
         monkeypatch.setattr(gm, "cut", singular_image)
-        jets = job.cut(geo.metric_jets(job.targets[0].spec, [point]))
+        jets = job.jets([point])
         assert geo.invertible(jets["source"])[0] and not geo.invertible(jets["image"])[0]
         assert job.sample_ok([point]) == [False]
 
@@ -1638,6 +1663,8 @@ class TestSampling:
         batch = [*admitted, *raising, (0.5, -0.8), (0.5, 0.8), (0.7, 0.9)]
         verdicts = dict(zip(batch, [True] * 3 + [False] * 5))
         assert all(member_ok(job.targets[0].spec, pt) == ok for pt, ok in verdicts.items())
+        with pytest.raises(ex.DomainError):  # sample_ok alone splits the batch
+            geo.admissible(job.targets[0].spec, batch)
         for points in shuffles(batch):
             assert job.sample_ok(points) == [job.sample_ok([pt])[0] for pt in points]
             assert job.sample_ok(points) == [verdicts[pt] for pt in points]
@@ -1666,7 +1693,7 @@ class TestSampling:
             return {**out, "image": (values, first, second)}
 
         monkeypatch.setattr(gm, "cut", singular_image)
-        verdicts = {pt: mapped_point_ok(job.family, pt) and pt not in singular for pt in batch}
+        verdicts = {pt: mapped_point_ok(job.mapped, pt) and pt not in singular for pt in batch}
         assert list(verdicts.values()) == [True, True, False, False, False, True, False, False]
         for points in shuffles(batch):
             assert job.sample_ok(points) == [job.sample_ok([pt])[0] for pt in points]

@@ -384,7 +384,7 @@ class TestOneProgram:
         # bit: the float run and the complex twin at the Bianchi steps.
         manifest = corpus_get(entry)
         job = cli.build_job(manifest["manifolds"][0])
-        mapped, spec = job.pair or job.family, job.targets[0].spec
+        mapped, spec = job.mapped, job.targets[0].spec
         points = cli.sample_points(job, 5, np.random.default_rng([32, 5]))
         steps = (np.array(points)[:, None] + 1j * 1e-30 * np.eye(spec.dim)).reshape(-1, spec.dim)
         program = spec._component_jet
@@ -415,7 +415,7 @@ class TestOneProgram:
         mdef = corpus_get(entry)["manifolds"][0]
         mdef["params" if "params" in mdef else "pair"]["b"] = "x^9"
         job, rng = cli.build_job(mdef), np.random.default_rng(32)
-        mapped = job.pair or job.family
+        mapped = job.mapped
         coords = job.targets[0].spec.coords
         candidates = [tuple(float(rng.uniform(*box.get(c, [-0.3, 0.3]))) for c in coords)
                       for _ in range(300)]
@@ -426,7 +426,7 @@ class TestOneProgram:
                          if not all(geo.admissible(t.spec, [pt])[0] for t in job.targets)]
         assert 0 < len(by_conditions) and len(rejected) < len(candidates)
         guarded = [pt for pt in rejected if pt not in by_conditions]
-        assert bool(guarded) == bool(job.family)
+        assert bool(guarded) == (job.kind == "family")
         for pt in guarded:
             values = point_family_values(mapped, pt)
             assert min(abs(values[key]) for key in ("one_plus_qb", "shape", "bp", "B")) < gm.GUARD_FLOOR

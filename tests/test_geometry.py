@@ -197,10 +197,9 @@ class TestStackedFrames:
         # checks from lane_zero_residuals; each equals the oracle, bit for bit.
         job = cli.build_job(corpus_get(entry)["manifolds"][0])
         points = cli.sample_points(job, 3, np.random.default_rng(7))
-        first = cli.Chunk(job, {"geometry-symmetries"}, job.targets[0], 0, points)
+        first = cli.Chunk(job, job.targets[0], 0, points)
         for target in job.targets:
-            chunk = first if target is job.targets[0] else cli.Chunk(
-                job, {"geometry-symmetries"}, target, 0, points, first)
+            chunk = first if target is job.targets[0] else cli.Chunk(job, target, 0, points, first)
             F = chunk.stacked
             want = {f"riemann_{key}": res for key, res in lane_riemann_symmetry_residuals(F.riemann).items()}
             if F.dim >= 4:

@@ -31,14 +31,14 @@ def state_at(n, seed=3):
     built."""
     job = cli.build_job(corpus_get(FAMILIES[n])["manifolds"][0])
     point = cli.sample_points(job, 1, np.random.default_rng(seed))[0]
-    fam = job.family
+    fam = job.mapped
     frames = tuple(geo.frame(member.product, point) for member in (fam.source, fam.image))
     fits = tuple(roter.fit_roter(stack([f]))[0] for f in frames)
     products = tuple(roter.curvature_products(f) for f in frames)
     for P in products:
         for key in roter._PRODUCTS:
             P[key]
-    return job.family, frames, fits, products
+    return fam, frames, fits, products
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))

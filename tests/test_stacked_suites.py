@@ -123,7 +123,7 @@ def test_warped_lanes_equal_the_one_point_forms(name):
 def test_geodesic_lanes_equal_the_one_point_forms(name):
     job, points = job_and_points(name)
     source, image = job.targets
-    mapped = job.pair or job.family
+    mapped = job.mapped
     psi, run = psi_program(mapped), program_jets(mapped, points)
     frames = (geo.frames(source.spec, points), geo.frames(image.spec, points))
     lanes = list(zip(*map(helpers.lanes, frames)))
@@ -138,10 +138,10 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
     same(gm.psi_gradient_residual(jets), [point_gradient_residual(psi, pt) for pt in points],
          f"{name}.psi_gradient")
     if job.kind == "pair2d":
-        same_lanes(gm.pair_christoffel_closed_forms(job.pair, *frames),
-                   [point_pair_christoffel_closed_forms(job.pair, f, g) for f, g in lanes], name)
+        same_lanes(gm.pair_christoffel_closed_forms(mapped, *frames),
+                   [point_pair_christoffel_closed_forms(mapped, f, g) for f, g in lanes], name)
         return
-    fam = job.family
+    fam = mapped
     d, d_bar = (wp.diagnostics(ws, frame, geo.frames(ws.fiber, [ws.split(p)[1] for p in points]),
                                ws.blocks(geo.metric_jets(ws.product, points)))
                 for ws, frame in zip((fam.source, fam.image), frames))
