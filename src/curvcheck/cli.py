@@ -364,6 +364,33 @@ def validate_manifest(data: dict) -> None:
                 raise ManifestError(
                     f"manifold {mdef['name']!r}: metric matrix must be {n}x{n}"
                 )
+        # Whether a check reads each expectation on this chart, from its kind and
+        # dimension alone; one it does not read would pass unread.
+        n, p = _chart_dims(mdef)
+        read = {"expect/scalars/gauss": n == 2, "expect/scalars/L_R": n >= 4, "perturb": n >= 4,
+                "expect/scalars/L_R_image": kind == "family",
+                "expect/conformally_flat": kind == "family" or kind == "warped" and p == 2 and n >= 4,
+                "expect/classify": n >= 2, "expect/ricci_pseudosymmetric": n >= 2,
+                "expect/pinned_scalars": n >= 2}
+        expect = mdef.get("expect", {})
+        given = ({"perturb"} & mdef.keys()) | {f"expect/{key}" for key in expect}
+        given |= {f"expect/scalars/{key}" for key in expect.get("scalars", ())}
+        unread = sorted(path for path in given if not read.get(path, True))
+        if unread:
+            base = f" over a {p}-dimensional base" if kind == "warped" else ""
+            raise ManifestError(f"manifold {mdef['name']!r}: no check reads {', '.join(unread)} "
+                                f"on its {kind} chart of dimension {n}{base}")
+
+
+def _chart_dims(mdef: dict) -> tuple[int, int]:
+    """A valid manifold's chart dimension n and base dimension p (a warped one's alone)."""
+    kind = mdef["kind"]
+    if kind == "explicit":
+        return len(mdef["coords"]), 0
+    if kind == "warped":
+        fiber, p = mdef["fiber"], len(mdef["base"]["coords"])
+        return p + int(fiber["dim"] if "dim" in fiber else len(fiber["coords"])), p
+    return (int(mdef["params"].get("fiber_dim", 2)) + 2, 2) if kind == "family" else (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -538,48 +565,32 @@ class Chunk:
     chunk's point axis, and holds one entry per point; a suite's piece
     holds its checks, planned from the job alone, never from the suites that
     run.  No piece fails at a sampled point: Job.sample_ok(points) is the only
-    gate, and the chunk takes Job.jets(points), the run it tested (a warped
-    product's covers its base, fiber and warp, a mapped pair's both members
-    and ψ), whose jets geo.frames and wp.diagnostics take as handed.  Only curvature can still fail, by
-    overflow: evaluated then raises the same error at every read.  start is
-    the run's index of the first point.  stacked is the frame of all the
-    points; fiber_frames and diagnostics are stacked too, built from the
-    factor jets of the program's run.  A mapped pair's image reads its
-    jets and a family's fiber frames from its peer, the source chunk."""
+    gate, and run is Job.jets(points), the run it tested (a warped product's
+    covers its base, fiber and warp, a mapped pair's both members and ψ),
+    whose jets geo.frames and wp.diagnostics take as handed.  Only curvature
+    can still fail, by overflow: evaluated then raises the same error at
+    every read.  start is the run's index of the first point.  The chunk
+    builds its own member alone; peer, the source chunk on a mapped pair's
+    image and None on the first target, is read by the geodesic piece only."""
 
-    def __init__(self, job: Job, target: Target, start: int, points: list, peer=None):
-        self.job, self.target, self.start, self.points, self.peer = job, target, start, points, peer
-
-    @cached_property
-    def _jets(self) -> dict:
-        """Per target label its (g, dg, d2g) and factor jets (wp.WarpedSpec.blocks), each
-        taken once, and the rest of a mapped pair's gm.cut, from one run of its program."""
-        cut = self.job.jets(self.points)
-        for t in self.job.targets:
-            cut[t.label] = geo.jet_block(cut[t.label]), t.warped_spec and t.warped_spec.blocks(cut[t.label])
-        return cut
+    def __init__(self, job: Job, target: Target, start: int, points: list, run: dict, peer=None):
+        self.job, self.target, self.start, self.points = job, target, start, points
+        self.run, self.peer = run, peer
 
     @cached_property
     def evaluated(self) -> tuple:
         """stacked and, on a warped target, its factor jets (wp.WarpedSpec.blocks).
-        The jets leave _jets only once the frames are built, so curvature
+        The target's jets leave run only once the frames are built, so curvature
         that is not finite raises the same geo.GeometryError at every read."""
-        jets = (self.peer or self)._jets
-        jet, blocks = jets[self.target.label]
-        out = geo.frames(self.target.spec, self.points, jet), blocks
-        del jets[self.target.label]
+        label, ws = self.target.label, self.target.warped_spec
+        jets = self.run[label]
+        out = geo.frames(self.target.spec, self.points, geo.jet_block(jets)), ws and ws.blocks(jets)
+        del self.run[label]
         return out
 
     @property
     def stacked(self) -> geo.PointFrame:
         return self.evaluated[0]
-
-    @cached_property
-    def fiber_frames(self) -> geo.PointFrame:
-        if self.job.kind == "family" and self.peer is not None:
-            return self.peer.fiber_frames
-        ws = self.target.warped_spec
-        return geo.frames(ws.fiber, [ws.split(p)[1] for p in self.points], self.evaluated[1][1])
 
     @cached_property
     def geometry(self) -> list:
@@ -631,8 +642,7 @@ class Chunk:
         if target.spec.dim < 2:
             return [[] for _ in self.points]
         f, perturb, want = self.stacked, job.definition.get("perturb"), job.expect.get("classify")
-        l_r = job.expect.get("scalars", {}).get(
-            "L_R" if target.label in ("self", "source") else "L_R_image")
+        l_r = job.expect.get("scalars", {}).get("L_R" if self.peer is None else "L_R_image")
         # One per pinned point at most, on the source or the single target.
         pins = job.expect.get("pinned_scalars", [])[self.start:] if self.peer is None else []
         rows = []
@@ -673,7 +683,7 @@ class Chunk:
 
     @cached_property
     def diagnostics(self) -> wp.WarpedDiagnostics:
-        return wp.diagnostics(self.target.warped_spec, self.stacked, self.fiber_frames, self.evaluated[1])
+        return wp.diagnostics(self.target.warped_spec, self.stacked, self.evaluated[1])
 
     @cached_property
     def warped(self) -> list:
@@ -689,7 +699,7 @@ class Chunk:
                    for name, res in wp.verify_curvature_blocks(d).items()]
         scalars = {"warp": d.f_value, "tr_t": d.tr_t, "delta1": d.delta1,
                    "base_scalar": d.base_frame.scalar, "fiber_scalar": d.fiber_frame.scalar}
-        if ws.base_dim == 2 and ws.dim >= 4:
+        if d.rho0 is not None:
             checks += _named(wp.verify_weyl_blocks(d), "identity")
             rho0, is_flat = wp.conformal_flatness_test(d)
             scalars.update(rho0=rho0, rho1=d.rho1, rho2=d.rho2, rho3=d.rho3, mu1=d.mu1, mu2=d.mu2)
@@ -700,7 +710,7 @@ class Chunk:
         if job.kind == "family":
             checks.append(("t_proportional", wp.t_proportionality_residual(d), "geo"))
             checks += _named(wp.verify_proportional_blocks(d), "identity")
-            if self.target.label == "source":
+            if self.peer is None:
                 res = scalar_residual(d.tr_t, job.mapped.cfg.d * d.f_value)
                 checks.append(("trace_t_scaled_warp", res, "identity"))
         checks.append(_scalars("warp_scalars", scalars, count))
@@ -708,11 +718,11 @@ class Chunk:
 
     @cached_property
     def classifications(self) -> list:
-        """roter.classify of every point; on a warped target with a
-        2-dimensional base, each point's block eigenvalues mu1, mu2 join
-        its rank grid."""
+        """roter.classify of every point; on a warped target whose
+        diagnostics have block factors, each point's block eigenvalues
+        mu1, mu2 join its rank grid."""
         ws, extras = self.target.warped_spec, None
-        if ws and ws.base_dim == 2 and self.diagnostics.mu1 is not None:
+        if ws and self.diagnostics.mu1 is not None:
             extras = list(zip(self.diagnostics.mu1.tolist(), self.diagnostics.mu2.tolist()))
         return roter.classify(self.stacked, extras)
 
@@ -742,7 +752,7 @@ class Chunk:
             res = gm.corollary42_residual(frame.dim, [cs[i].fit for i in kept], P)
             for i, value in zip(kept, res.tolist()):
                 out[i]["cor42"] = value
-            if self.target.label == "source":
+            if self.peer is None:
                 for piece, flag in zip(out, gm.semisymmetric(products["RR"], frame).tolist()):
                     piece["semisymmetric"] = flag
         return out
@@ -755,7 +765,7 @@ class Chunk:
         each member's cor42 and the psi-Ricci identity (an error flag where
         the source is semisymmetric)."""
         job, source, count = self.job, self.peer, len(self.points)
-        jets, values, root = (source._jets[key] for key in ("psi", "values", "root"))
+        jets, values, root = (self.run[key] for key in ("psi", "values", "root"))
         frames = (source.stacked, self.stacked)
         checks = [
             ("geodesic_compatibility", gm.geodesic_compatibility_residual(*frames, jets), "geo"),
@@ -830,8 +840,10 @@ def _suite_runs(job: Job, points, suites):
     size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):
         pts = points[start:start + size]
-        first = Chunk(job, job.targets[0], start, pts)
-        chunks = [first] + [Chunk(job, t, start, pts, first) for t in job.targets[1:]]
+        # One run per chunk; sampling admitted each point by running it there, so it cannot raise.
+        run = job.jets(pts)
+        first = Chunk(job, job.targets[0], start, pts, run)
+        chunks = [first] + [Chunk(job, t, start, pts, run, first) for t in job.targets[1:]]
         runs = [(suite, chunk.target.label, chunk, piece)
                 for suite, piece in TARGET_SUITES.items() if suite in suites for chunk in chunks]
         if "geodesic" in suites and job.kind in ("pair2d", "family"):

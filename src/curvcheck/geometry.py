@@ -320,22 +320,22 @@ def frame(spec: MetricSpec, point: Sequence[float]) -> PointFrame:
     return PointFrame(spec, f.point[0], *lane)
 
 
-def gauss_curvature(f: PointFrame):
+def gauss_curvature(frame: PointFrame):
     """Gauss curvature of a 2-dimensional frame: R_1221 / det g = kappa/2,
     one per lane of a stacked frame."""
-    if f.dim != 2:
-        raise GeometryError(f"Gauss curvature needs a 2-dimensional chart, got {f.dim}")
-    return f.riemann[..., 0, 1, 1, 0] / np.linalg.det(f.g)
+    if frame.dim != 2:
+        raise GeometryError(f"Gauss curvature needs a 2-dimensional chart, got {frame.dim}")
+    return frame.riemann[..., 0, 1, 1, 0] / np.linalg.det(frame.g)
 
 
 # ---------------------------------------------------------------------------
 # Covariant derivative of a (0,2) field
 
-def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.ndarray:
-    """nabla_k T_ij of a (0,2) field, using the connection of frame f.
+def covariant_derivative_02(frame: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.ndarray:
+    """nabla_k T_ij of a (0,2) field, using the connection of frame.
 
-    T[i,j] is the field at f's point and dT[k,i,j] = d_k T_ij its
-    coordinate derivatives (for example f.g and f.dg, or another
+    T[i,j] is the field at frame's point and dT[k,i,j] = d_k T_ij its
+    coordinate derivatives (for example frame.g and frame.dg, or another
     metric's g and dg on the same chart).  Returns the array indexed
     [k,i,j]; the field need not be symmetric.  On a stacked frame T and
     dT carry its point axis first, and so does the result, each lane
@@ -343,8 +343,8 @@ def covariant_derivative_02(f: PointFrame, T: np.ndarray, dT: np.ndarray) -> np.
     """
     return (
         dT
-        - np.einsum("...ski,...sj->...kij", f.gamma, T)
-        - np.einsum("...skj,...is->...kij", f.gamma, T)
+        - np.einsum("...ski,...sj->...kij", frame.gamma, T)
+        - np.einsum("...skj,...is->...kij", frame.gamma, T)
     )
 
 

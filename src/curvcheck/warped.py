@@ -12,11 +12,11 @@ All of its curvature concentrates in closed forms built from
     tr(T) = ĝ^{ab} T_ab
     Δ₁F   = ĝ^{ab} F_a F_b
 
-diagnostics(ws, frame, fiber_frame, blocks) evaluates these at every
-point of a stacked product frame (see geometry.frames), from the
-product's jets, with the Ricci block factors μ₁, μ₂, the curvature
-block factors ρ₁, ρ₂, ρ₃ and the conformal-flatness scalar ρ₀ (the
-last six only for a 2-dimensional base).  The verify_* functions,
+diagnostics(ws, frame, blocks) evaluates these at every point of a
+stacked product frame (see geometry.frames), from the product's jets,
+with the Ricci block factors μ₁, μ₂, the curvature block factors ρ₁,
+ρ₂, ρ₃ and the conformal-flatness scalar ρ₀ (the last six only for a
+2-dimensional base and n >= 4).  The verify_* functions,
 t_proportionality_residual and conformal_flatness_test compare every
 closed form against the direct curvature of the assembled product,
 one residual per point: the engine's cross-check that the block
@@ -144,8 +144,8 @@ class WarpedDiagnostics:
     frame, base_frame and fiber_frame are the stacked product, base and
     fiber frames; grad is the base gradient of the warp.  Every array
     carries the point axis first (t of shape (P, p, p)).  rho0..rho3,
-    mu1, mu2 are set only for a 2-dimensional base (block factors of
-    that geometry).
+    mu1, mu2 are set only for a 2-dimensional base and n >= 4 (block
+    factors of that geometry), and every reader tests them for None.
     """
 
     frame: geo.PointFrame
@@ -164,16 +164,15 @@ class WarpedDiagnostics:
     mu2: np.ndarray | None
 
 
-def diagnostics(ws: WarpedSpec, frame: geo.PointFrame, fiber_frame: geo.PointFrame,
-                blocks) -> WarpedDiagnostics:
+def diagnostics(ws: WarpedSpec, frame: geo.PointFrame, blocks) -> WarpedDiagnostics:
     """T, tr(T), Δ₁F and (for 2-D bases) the block factors at each point
-    of a stacked product frame; fiber_frame is the fiber's stacked frame
-    at those points' fiber coordinates (a family's source and image
-    share one), and blocks ws.blocks of the product's jets there, whose
-    base and warp jets give the base frame and F, ∇F and ∇²F.
-    Everything runs once over the point axis."""
-    base_jet, _, (f_value, grad, hess) = blocks
-    bframe = geo.frames(ws.base, [ws.split(point)[0] for point in frame.point], base_jet)
+    of a stacked product frame; blocks are ws.blocks of the product's jets
+    there, whose base, fiber and warp jets give the base and fiber frames
+    and F, ∇F and ∇²F.  Everything runs once over the point axis."""
+    base_jet, fiber_jet, (f_value, grad, hess) = blocks
+    base_points, fiber_points = zip(*map(ws.split, frame.point))
+    bframe = geo.frames(ws.base, base_points, base_jet)
+    fiber_frame = geo.frames(ws.fiber, fiber_points, fiber_jet)
     nabla_grad = hess - np.einsum("psab,ps->pab", bframe.gamma, grad)
     t = nabla_grad - grad[:, :, None] * grad[:, None, :] / per_lane(2.0 * f_value, 2)
     ginv_base = bframe.ginv
@@ -320,10 +319,8 @@ def verify_weyl_blocks(d: WarpedDiagnostics) -> dict[str, np.ndarray]:
     engine verifies against the direct Weyl tensor, not assumptions.
     """
     p, n = d.base_frame.dim, d.frame.dim
-    if p != 2:
-        raise geo.GeometryError("conformal block forms require a 2-dimensional base")
-    if n == 4 and d.fiber_frame.dim != 2:
-        raise geo.GeometryError("dimension-4 products need a 2-dimensional fiber")
+    if d.rho0 is None:
+        raise geo.GeometryError("conformal block forms require a 2-dimensional base and n >= 4")
     C, G, rho0 = d.frame.weyl, unit_curvature(d.frame.g), d.rho0
     out = _block_residuals(C, G, p, {
         "weyl_base": ("base", (n - 3) * rho0 / (n - 1)),
@@ -341,8 +338,8 @@ def verify_proportional_blocks(d: WarpedDiagnostics) -> dict[str, np.ndarray]:
     S_αβ = μ₂ g, each against the direct product curvature.
     """
     p = d.base_frame.dim
-    if p != 2:
-        raise geo.GeometryError("block factors require a 2-dimensional base")
+    if d.rho0 is None:
+        raise geo.GeometryError("block factors require a 2-dimensional base and n >= 4")
     R, S, g = d.frame.riemann, d.frame.ricci, d.frame.g
     out = _block_residuals(R, unit_curvature(g), p, {
         "block_riemann_base": ("base", d.rho1),
@@ -360,7 +357,7 @@ def conformal_flatness_test(d: WarpedDiagnostics) -> tuple[np.ndarray, np.ndarra
     against the scale of its own terms; the Weyl block forms tie the
     two together."""
     if d.rho0 is None:
-        raise geo.GeometryError("rho0 requires a 2-dimensional base")
+        raise geo.GeometryError("rho0 requires a 2-dimensional base and n >= 4")
     n = d.frame.dim
     scale = (
         np.abs(d.base_frame.scalar) / 2.0

@@ -399,13 +399,11 @@ def frames_fits_and_products(fam, points):
 
 def diagnostics_at(ws, points):
     """Stacked warped diagnostics at a chunk of points (or at one point,
-    a chunk of one), from the product and fiber frames and the product's
-    jets there."""
+    a chunk of one), from the product frame and the product's jets there."""
     if np.ndim(points[0]) == 0:
         points = [points]
-    fiber_frame = geo.frames(ws.fiber, [ws.split(point)[1] for point in points])
     blocks = ws.blocks(geo.metric_jets(ws.product, points))
-    return wp.diagnostics(ws, geo.frames(ws.product, points), fiber_frame, blocks)
+    return wp.diagnostics(ws, geo.frames(ws.product, points), blocks)
 
 
 def member_diagnostics(fam, points):

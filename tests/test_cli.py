@@ -190,6 +190,45 @@ class TestValidation:
         assert all(repr(key) in err for key in foreign)
         assert not out.exists()
 
+    @staticmethod
+    def line_chart():
+        return {"name": "line", "manifolds": [{
+            "name": "line", "kind": "explicit", "coords": ["x"], "metric": [["1 + x^2"]],
+            "box": {"x": [-1, 1]}}]}
+
+    @pytest.mark.parametrize("entry, expect, unread", [
+        ("flat_space", {"scalars": {"gauss": 0.0}}, ["expect/scalars/gauss"]),
+        ("flat_space", {"conformally_flat": True}, ["expect/conformally_flat"]),
+        ("ricci_pseudo_1d_base", {"conformally_flat": False}, ["expect/conformally_flat"]),
+        ("rn_lambda0", {"scalars": {"L_R_image": -0.5}}, ["expect/scalars/L_R_image"]),
+        ("surface_pair", {"scalars": {"L_R_image": -0.5}}, ["expect/scalars/L_R_image"]),
+        ("unit_sphere", {"scalars": {"L_R": 1.0}}, ["expect/scalars/L_R"]),
+        ("line", {"classify": "ROTER", "ricci_pseudosymmetric": True},
+         ["expect/classify", "expect/ricci_pseudosymmetric"]),
+    ], ids=["gauss_at_n4", "cflat_explicit", "cflat_1d_base", "l_r_image_explicit",
+            "l_r_image_pair", "l_r_at_n2", "classify_at_n1"])
+    def test_an_expectation_no_check_reads_exits_2(self, tmp_path, capsys, entry, expect, unread):
+        # Each used to run green with no record for its check, whatever the
+        # suites.  Whether a check reads it is decided from the kind and
+        # the chart dimension alone.
+        manifest = self.line_chart() if entry == "line" else corpus_get(entry)
+        mdef = manifest["manifolds"][0]
+        cli.validate_manifest(manifest)
+        given = mdef.setdefault("expect", {})
+        for key, value in expect.items():
+            given[key] = {**given.get(key, {}), **value} if isinstance(value, dict) else value
+        with pytest.raises(cli.ManifestError, match=f"manifold {mdef['name']!r}: no check reads "
+                                                    f"{', '.join(unread)} on its"):
+            cli.validate_manifest(manifest)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(mdef["name"]) in err and all(key in err for key in unread)
+        assert not out.exists()
+
     def test_repeated_manifold_name_exits_2(self, tmp_path, capsys):
         # Records are keyed by manifold name: two manifolds named "m" used
         # to run green, each pair of their records merged in the digest.
@@ -1022,9 +1061,11 @@ class TestSharedEvaluation:
         # target's base and fiber frames read too: no base or fiber
         # program runs.  On a mapped pair that call runs the first
         # target's program, which holds the image's components too: the
-        # image runs none.  The fiber frame that a family's source and
-        # image share is built once, by the source, and read by the
-        # image.  geo.frame is a one-lane geo.frames, so every frame counts.
+        # image runs none.  Each chunk builds its own member's frames, so
+        # the fiber frame of a family, whose source and image share one
+        # fiber, is built once per member: twice per point, and every
+        # other frame once.  geo.frame is a one-lane geo.frames, so every
+        # frame counts.
         computed, evaluated = Counter(), Counter()
         frames, metric_jets = geo.frames, geo.metric_jets
         sampling = flag_sampling(monkeypatch)
@@ -1048,8 +1089,10 @@ class TestSharedEvaluation:
             assert summary["ok"]
             jobs.append(cli.build_job(corpus_get(name)["manifolds"][0]))
         fiber = jobs[0].mapped.source.fiber
-        assert max(computed.values()) == max(evaluated.values()) == 1
-        assert sum(spec == fiber for spec, _ in computed) == 2  # one per point
+        assert jobs[0].mapped.image.fiber == fiber
+        assert {count for (spec, _), count in computed.items() if spec != fiber} == {1}
+        assert [count for (spec, _), count in computed.items() if spec == fiber] == [2, 2]
+        assert max(evaluated.values()) == 1
         firsts = {job.targets[0].spec for job in jobs}
         assert {spec for spec, _ in evaluated} == firsts and len(evaluated) == 2 * len(firsts)
 

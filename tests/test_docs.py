@@ -1,6 +1,7 @@
-"""The user docs name only what exists, and quote the chunk sizes that
-roter.chunk_size gives and the program sizes that expr.jet builds; the
-modules read only each other's public names.
+"""The user docs name only what exists, quote each signature as the code
+has it, and quote the chunk sizes that roter.chunk_size gives and the
+program sizes that expr.jet builds; the modules read only each other's
+public names.
 
 Each backticked dotted reference in README.md and docs/*.md whose head
 is a curvcheck module (or the package itself), one of the aliases the
@@ -68,6 +69,51 @@ def test_reference_resolves(where, ref):
     for name in names:
         assert hasattr(obj, name), f"{where}: `{ref}`: {name} not found"
         obj = getattr(obj, name)
+
+
+def _callable(name: str):
+    """The one public curvcheck callable a quoted name names, or None:
+    mod.name (or a longer path from a module or a class), a unique bare
+    name, or Class.method."""
+    head, *rest = name.split(".")
+    if not rest:
+        found = {id(obj): obj for module in MODULES
+                 for key, obj in vars(HEADS[module]).items() if key == head and callable(obj)
+                 and getattr(obj, "__module__", "").startswith("curvcheck.")}
+        obj = next(iter(found.values())) if len(found) == 1 else None
+    else:
+        obj = HEADS.get(head)
+        for part in rest:
+            obj = getattr(obj, part, None)
+    return obj if callable(obj) and not name.split(".")[-1].startswith("_") else None
+
+
+def _signature_quotes() -> list:
+    """(doc, name, quoted parameter names) of each backticked span that is
+    name(params) alone, its params names with defaults allowed, naming a
+    curvcheck callable; a call inside a longer span is an example."""
+    found = []
+    for path in DOCS:
+        for span in re.findall(r"`([^`\n]+)`", path.read_text(encoding="utf-8")):
+            quote = re.fullmatch(r"([A-Za-z_][\w.]*)\(([^()]*)\)", span)
+            if quote:
+                names = [param.split("=")[0].strip() for param in quote[2].split(",")]
+                if all(map(str.isidentifier, names)) and _callable(quote[1]) is not None:
+                    found.append((path.name, quote[1], tuple(names)))
+    return sorted(set(found))
+
+
+def test_docs_quote_signatures():
+    assert len(_signature_quotes()) >= 20
+
+
+@pytest.mark.parametrize("where, name, quoted", _signature_quotes())
+def test_quoted_signature_is_the_code(where, name, quoted):
+    # A class quotes its __init__'s parameters, which signature gives.
+    params = [p.name for p in inspect.signature(_callable(name)).parameters.values()]
+    if params[:1] == ["self"]:  # a method quoted through its class
+        params = params[1:]
+    assert tuple(params) == quoted, f"{where}: `{name}`"
 
 
 @pytest.mark.parametrize("where", ["README.md", "docs/report-format.md"])

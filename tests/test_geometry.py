@@ -197,9 +197,10 @@ class TestStackedFrames:
         # checks from lane_zero_residuals; each equals the oracle, bit for bit.
         job = cli.build_job(corpus_get(entry)["manifolds"][0])
         points = cli.sample_points(job, 3, np.random.default_rng(7))
-        first = cli.Chunk(job, job.targets[0], 0, points)
+        run = job.jets(points)
+        first = cli.Chunk(job, job.targets[0], 0, points, run)
         for target in job.targets:
-            chunk = first if target is job.targets[0] else cli.Chunk(job, target, 0, points, first)
+            chunk = first if target is job.targets[0] else cli.Chunk(job, target, 0, points, run, first)
             F = chunk.stacked
             want = {f"riemann_{key}": res for key, res in lane_riemann_symmetry_residuals(F.riemann).items()}
             if F.dim >= 4:
@@ -255,8 +256,7 @@ def test_the_kernels_build_three_checks_exactly(entry):
             assert np.array_equal(f.riemann, -np.swapaxes(f.riemann, 3, 4)), where
             ws = target.warped_spec
             if ws is not None:
-                d = wp.diagnostics(ws, f, geo.frames(ws.fiber, [ws.split(p)[1] for p in points]),
-                                   ws.blocks(geo.metric_jets(ws.product, points)))
+                d = wp.diagnostics(ws, f, ws.blocks(geo.metric_jets(ws.product, points)))
                 assert np.array_equal(d.tr_t, np.einsum("pab,pab->p", d.base_frame.ginv, d.t)), where
 
 

@@ -28,13 +28,14 @@ def own_paths(manifest) -> list:
 
 
 def good() -> dict:
+    # A 4-D chart: below n = 4 no check reads perturb, and validation refuses it.
     return {
         "name": "tiny", "seed": 1, "points": 2, "suites": ["geometry-symmetries"],
         "manifolds": [{
-            "name": "flat", "kind": "explicit", "coords": ["x", "y"],
-            "metric": [["1", "0"], ["0", "1"]],
+            "name": "flat", "kind": "explicit", "coords": ["x", "y", "z", "w"],
+            "metric": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
             "conditions": [["1 + x^2", "positive"]],
-            "box": {"x": [-1, 1], "y": [-1, 1]},
+            "box": {c: [-1, 1] for c in ("x", "y", "z", "w")},
             "constants": {"M": 1.0},
             "expect": {"classify": "EINSTEIN"},
             "perturb": {"target": "ricci", "epsilon": 1e-3},

@@ -90,7 +90,7 @@ def test_warped_lanes_equal_the_one_point_forms(name):
             continue
         frame = geo.frames(ws.product, points)
         fiber = geo.frames(ws.fiber, [ws.split(point)[1] for point in points])
-        d = wp.diagnostics(ws, frame, fiber, ws.blocks(geo.metric_jets(ws.product, points)))
+        d = wp.diagnostics(ws, frame, ws.blocks(geo.metric_jets(ws.product, points)))
         alone = [point_diagnostics(ws, f, g)
                  for f, g in zip(helpers.lanes(frame), helpers.lanes(fiber))]
         where = f"{name}/{target.label}"
@@ -142,8 +142,7 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
                    [point_pair_christoffel_closed_forms(mapped, f, g) for f, g in lanes], name)
         return
     fam = mapped
-    d, d_bar = (wp.diagnostics(ws, frame, geo.frames(ws.fiber, [ws.split(p)[1] for p in points]),
-                               ws.blocks(geo.metric_jets(ws.product, points)))
+    d, d_bar = (wp.diagnostics(ws, frame, ws.blocks(geo.metric_jets(ws.product, points)))
                 for ws, frame in zip((fam.source, fam.image), frames))
     ones = [tuple(point_diagnostics(ws, f, geo.frame(ws.fiber, ws.split(f.point)[1]))
                   for ws, f in zip((fam.source, fam.image), pair)) for pair in lanes]

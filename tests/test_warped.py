@@ -149,6 +149,25 @@ class TestOneProgram:
                 assert shared.flags.c_contiguous and np.array_equal(shared, alone), name
 
     @pytest.mark.parametrize("entry", WARPED_ENTRIES)
+    def test_diagnostics_fiber_frame_is_the_fibers_own(self, entry):
+        # Each chunk's diagnostics build its fiber frame from the jets of
+        # the run it is handed (on a family, the one program of both
+        # members); it equals the fiber's own program's frame, bit for bit.
+        manifest = corpus_get(entry)
+        job = cli.build_job(manifest["manifolds"][0])
+        points = cli.sample_points(job, 6, np.random.default_rng([manifest["seed"], 0]))
+        run = job.jets(points)
+        first = cli.Chunk(job, job.targets[0], 0, points, run)
+        for target in job.targets:
+            chunk = first if target is job.targets[0] else cli.Chunk(job, target, 0, points, run, first)
+            ws = target.warped_spec
+            have = chunk.diagnostics.fiber_frame
+            want = geo.frames(ws.fiber, [ws.split(point)[1] for point in points])
+            for field in dataclasses.fields(geo.PointFrame)[1:]:
+                assert np.array_equal(getattr(have, field.name), getattr(want, field.name)), \
+                    (entry, target.label, field.name)
+
+    @pytest.mark.parametrize("entry", WARPED_ENTRIES)
     def test_extras_add_no_program_line(self, monkeypatch, entry):
         # The fiber components and the warp are subtrees of the product's
         # components, and so are their derivatives in jet's diff memo:
