@@ -373,6 +373,8 @@ def validate_manifest(data: dict) -> None:
                 "expect/classify": n >= 2, "expect/ricci_pseudosymmetric": n >= 2,
                 "expect/pinned_scalars": n >= 2}
         expect = mdef.get("expect", {})
+        if expect.get("ricci_pseudosymmetric") is False:  # the suites test only true
+            raise ManifestError(f"manifold {mdef['name']!r}: expect/ricci_pseudosymmetric takes only true")
         given = ({"perturb"} & mdef.keys()) | {f"expect/{key}" for key in expect}
         given |= {f"expect/scalars/{key}" for key in expect.get("scalars", ())}
         unread = sorted(path for path in given if not read.get(path, True))
@@ -719,8 +721,8 @@ class Chunk:
     @cached_property
     def classifications(self) -> list:
         """roter.classify of every point; on a warped target whose
-        diagnostics have block factors, each point's block eigenvalues
-        mu1, mu2 join its rank grid."""
+        diagnostics have block factors, each ROTER point's block
+        eigenvalues mu1, mu2 join the alphas its rank scan ranks."""
         ws, extras = self.target.warped_spec, None
         if ws and self.diagnostics.mu1 is not None:
             extras = list(zip(self.diagnostics.mu1.tolist(), self.diagnostics.mu2.tolist()))
@@ -888,13 +890,14 @@ def run_manifest(manifest: dict, suites=None, points=None, seed=None,
         job = build_job(mdef)
         rng = np.random.default_rng([seed, m_index])
         pts = sample_points(job, count, rng)
+        rounded = [[round(v, 12) for v in pt] for pt in pts]
         for suite, label, start, chunk_pts, read in _suite_runs(job, pts, m_suites):
             try:
                 rows = read()
             except _POINT_ERRORS as err:
                 rows = [[_flag("error", False, f"{type(err).__name__}: {err}")]] * len(chunk_pts)
-            for index, (pt, row) in enumerate(zip(chunk_pts, rows), start):
-                point = [round(v, 12) for v in pt]
+            for index, row in enumerate(rows, start):
+                point = rounded[index] if index >= 0 else []  # -1: a family's aggregates
                 for check in row:
                     threshold = thresholds[check[2]]
                     passed = bool(check[1] <= threshold)
@@ -967,8 +970,8 @@ _DIGEST_KEY = operator.itemgetter("manifold", "target", "check")
 
 
 def record_lines(records):
-    """Each record as json.dumps(rec, sort_keys=True) + "\\n": a sorted-key template that encodes
-    a site's fields once per run of its records, and each str check name and nonzero threshold
+    """Each record as json.dumps(rec, sort_keys=True) + "\\n": a sorted-key template that encodes a
+    site field only when its object changes, and each str check name and nonzero threshold
     once per call; a record it does not fit is encoded whole."""
     encode = json.JSONEncoder(sort_keys=True).encode
     names, limits = {}, {}  # 0.0 == -0.0, so a zero threshold is not cached
@@ -985,9 +988,16 @@ def record_lines(records):
                          and math.isfinite(res) and math.isfinite(thr)):
             yield encode(rec) + "\n"
             continue
-        if m is not sm or t is not st or p is not sp or i is not si or s is not ss:
-            sm, st, sp, si, ss = m, t, p, i, s
-            em, et, ep, ei, es = encode(m), encode(t), encode(p), encode(i), encode(s)
+        if m is not sm:
+            sm, em = m, encode(m)
+        if t is not st:
+            st, et = t, encode(t)
+        if p is not sp:
+            sp, ep = p, encode(p)
+        if i is not si:
+            si, ei = i, encode(i)
+        if s is not ss:
+            ss, es = s, encode(s)
         detail = scalars = ""
         if size > 11:
             if "detail" in rec:

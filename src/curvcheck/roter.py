@@ -27,20 +27,20 @@ the dense ones, so every residual and factor reads them as it would
 read dense tensors.  ricci_pseudosymmetry(frame, products) reads R.S
 and Q(g,S) from the same products.  classify sorts a point into
 EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER; one stacked rank scan ranks
-S - alpha g at the Ricci operator's real eigenvalues (the
-quasi-Einstein test) and on the grid of rank_grid_exceeds_one, which
-ranks alpha1/2 of each fit and its extra candidates in one more.
+S - alpha g at the Ricci operator's real eigenvalues (the quasi-Einstein
+test), and rank_grid_exceeds_one ranks alpha1/2 of each ROTER fit and
+its extra candidates in one more.
 
 Chunks.  Every entry takes a stacked frame of one chart's points, as
 geometry.frames builds it (each array with a leading point axis), and
 returns one result per lane: a list of Classification, of residual
 dicts or of ProportionalityResult, a boolean array for membership and
-the rank grid, and from fit_roter each lane's RoterFit or RoterFitError
+the rank flag, and from fit_roter each lane's RoterFit or RoterFitError
 (returned, not raised).  A lane that a step does not apply to is
 indexed out before the step, and no step mixes lanes, so a lane's
 result does not depend on the rest of its chunk.  classify holds a
 lane's whole verdict: its kind, membership, fit or rejection message
-and rank-grid flag, from one fit_roter and one rank_grid_exceeds_one
+and rank flag, from one fit_roter and one rank_grid_exceeds_one
 call over the chunk.
 
 A caller runs every entry once per chunk of chunk_size(n) points, as
@@ -83,8 +83,6 @@ GRAM_CONDITION_LIMIT = 1e14
 
 # Bytes of a chunk's largest stacked array (see chunk_size).
 CHUNK_BYTES = 128 * 1024
-# The alpha grid of rank_grid_exceeds_one, in units of 10|kappa| + 1.
-_UNIT_GRID = np.linspace(-1.0, 1.0, 21)
 
 EINSTEIN = "EINSTEIN"
 QUASI_EINSTEIN = "QUASI_EINSTEIN"
@@ -349,8 +347,8 @@ class Classification:
     its RoterFit wherever fit_roter accepts the lane, whatever its kind;
     else fit_error holds the rejection message.  grid_rank_above_one
     records whether rank(S - alpha g) > 1 at every alpha classify ranked:
-    the grid of rank_grid_exceeds_one, the real eigenvalues of g^{-1} S
-    and, on a ROTER lane, alpha1/2 of its fit and its extras.
+    the real eigenvalues of g^{-1} S, where a ROTER lane's never drops,
+    and on a ROTER lane alpha1/2 of its fit and its extras.
     """
 
     kind: str
@@ -371,17 +369,12 @@ def classify(frame: PointFrame, extras: list | None = None) -> list:
     ranks them with alpha1/2 on the ROTER lanes.
     """
     f, n = frame, frame.dim
-    # rank(S - alpha g) can only drop at generalized eigenvalues of the
-    # Ricci operator; only the real ones are candidates.
+    # rank(S - alpha g) <= 1 makes det(S - alpha g) = 0, so only a real
+    # eigenvalue of g^{-1} S can drop it: one scan ranks each lane's n.
     eigs = np.linalg.eigvals(f.ginv @ f.ricci)
     real = np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))
-    # One scan: each lane's grid, then its eigenvalues, a complex one
-    # replaced by the grid's last value, which the scan ranks anyway.
-    grid = (10.0 * np.abs(f.scalar) + 1.0)[:, None] * _UNIT_GRID
-    alphas = np.concatenate([grid, np.where(real, eigs.real, grid[:, -1:])], axis=-1)
-    ranks = rank_shift(f.ricci[:, None], f.g[:, None], alphas)
-    above = np.all(ranks > 1, axis=-1).tolist()
-    drops = (ranks[:, _UNIT_GRID.size:] <= 1) & real
+    drops = (rank_shift(f.ricci[:, None], f.g[:, None], eigs.real) <= 1) & real
+    above = (~drops.any(axis=-1)).tolist()
     membership = zip(in_us(f).tolist(), in_uc(f).tolist(), in_ur(f).tolist())
     out = []
     for i, (fit, (us, uc, ur)) in enumerate(zip(fit_roter(f), membership)):
@@ -402,16 +395,13 @@ def classify(frame: PointFrame, extras: list | None = None) -> list:
 
 
 def rank_grid_exceeds_one(frame: PointFrame, cs: list, extras: list) -> np.ndarray:
-    """rank(S - alpha g) > 1 for every alpha on each lane's scan grid.
+    """rank(S - alpha g) > 1 at every alpha of each lane's scan.
 
-    cs are each lane's Classification and extras hold one tuple of
-    further candidates per lane (e.g. warped block eigenvalues mu1,
-    mu2); classify calls it on its ROTER lanes.  The grid spans
-    [-10|kappa|, 10|kappa|] plus the exact rank-drop loci, the
-    real eigenvalues of the lane's Ricci operator, which classify ranked
-    already (c.grid_rank_above_one), then alpha1/2 of c's fit and the
-    lane's extras, ranked here: every lane with candidates left in one
-    stacked rank_shift.
+    cs are each lane's Classification, whose grid_rank_above_one holds
+    classify's ranks at the real eigenvalues of g^{-1} S, and extras one
+    tuple of further candidates per lane (e.g. warped block eigenvalues
+    mu1, mu2).  classify calls it on its ROTER lanes; it ranks alpha1/2 of
+    each fit and the extras, every lane left in one stacked rank_shift.
     """
     out = np.array([c.grid_rank_above_one for c in cs])
     alphas = [((c.fit.alpha1 / 2.0,) if c.fit is not None else ()) + tuple(extra)

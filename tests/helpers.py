@@ -17,6 +17,7 @@ from curvcheck import warped as wp
 from curvcheck.curvops import (
     lane_max_abs_residuals,
     lane_residuals,
+    rank_shift,
     scalar_residual,
     unit_curvature,
 )
@@ -354,6 +355,39 @@ def mapped_point_ok(mapped, point) -> bool:
     except ExprError:
         return False
     return True
+
+
+# The alpha grid roter.classify once ranked, in units of 10|kappa| + 1.
+_UNIT_GRID = np.linspace(-1.0, 1.0, 21)
+
+
+def grid_classify(frame, extras=None) -> list:
+    """(kind, alpha, grid_rank_above_one) of each lane by the former scan,
+    the oracle of roter.classify: rank S - alpha g on a 21-point grid over
+    [-(10|kappa| + 1), 10|kappa| + 1] and at the real eigenvalues of g^{-1} S
+    (a complex one replaced by the grid's last value), then, on a ROTER lane
+    whose grid and eigenvalues all rank above 1, at alpha1/2 of its fit and
+    its extras."""
+    f = frame
+    eigs = np.linalg.eigvals(f.ginv @ f.ricci)
+    real = np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))
+    grid = (10.0 * np.abs(f.scalar) + 1.0)[:, None] * _UNIT_GRID
+    alphas = np.concatenate([grid, np.where(real, eigs.real, grid[:, -1:])], axis=-1)
+    ranks = rank_shift(f.ricci[:, None], f.g[:, None], alphas)
+    drops = (ranks[:, _UNIT_GRID.size:] <= 1) & real
+    out = []
+    for i, (fit, us) in enumerate(zip(roter.fit_roter(f), roter.in_us(f).tolist())):
+        kind = roter.OTHER if isinstance(fit, roter.RoterFitError) else roter.ROTER
+        alpha, above = None, bool(np.all(ranks[i] > 1))
+        if not us:
+            kind, alpha = roter.EINSTEIN, float(f.scalar[i]) / f.dim
+        elif drops[i].any():
+            kind, alpha = roter.QUASI_EINSTEIN, float(eigs.real[i, np.argmax(drops[i])])
+        elif kind == roter.ROTER and above:
+            more = (fit.alpha1 / 2.0, *(extras[i] if extras else ()))
+            above = bool(np.all(rank_shift(f.ricci[i], f.g[i], more) > 1))
+        out.append((kind, alpha, above))
+    return out
 
 
 def sample_one_at_a_time(job, count: int, rng) -> list:

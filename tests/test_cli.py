@@ -229,6 +229,29 @@ class TestValidation:
         assert repr(mdef["name"]) in err and all(key in err for key in unread)
         assert not out.exists()
 
+    def test_ricci_pseudosymmetric_false_exits_2(self, tmp_path, capsys):
+        # The suites test only a true ricci_pseudosymmetric: false used to
+        # run green on rn_lambda0, which is Ricci pseudosymmetric, with no
+        # ricci_pseudosymmetry record.
+        manifest = corpus_get("rn_lambda0")
+        mdef = manifest["manifolds"][0]
+        assert mdef["expect"]["ricci_pseudosymmetric"] is True
+        cli.validate_manifest(manifest)
+        mdef["expect"]["ricci_pseudosymmetric"] = False
+        with pytest.raises(cli.ManifestError, match="manifold 'rn_lambda0': "
+                                                    "expect/ricci_pseudosymmetric takes only true"):
+            cli.validate_manifest(manifest)
+        with pytest.raises(cli.ManifestError, match="ricci_pseudosymmetric takes only true"):
+            cli.run_manifest(manifest, points=2)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'rn_lambda0'" in err and "expect/ricci_pseudosymmetric" in err
+        assert not out.exists()
+
     def test_repeated_manifold_name_exits_2(self, tmp_path, capsys):
         # Records are keyed by manifold name: two manifolds named "m" used
         # to run green, each pair of their records merged in the digest.
@@ -1021,8 +1044,8 @@ class TestSharedEvaluation:
         assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
 
     def test_rank_scans_and_products_once_per_point(self, monkeypatch):
-        # Per (target, chunk), classify ranks its grid and the Ricci
-        # eigenvalues in one stacked rank_shift, and one
+        # Per (target, chunk), classify ranks the Ricci operator's
+        # eigenvalues, and no grid, in one stacked rank_shift, and one
         # rank_grid_exceeds_one ranks alpha1/2 of each ROTER lane's fit,
         # with that lane's warped mu1 and mu2 where it has them, in a
         # second.  ricci_pseudosymmetry reads R.S and Q(g,S) from the
@@ -1040,6 +1063,8 @@ class TestSharedEvaluation:
         assert len(classify) == 1 and len(classify[0][0].g) == len(target_points)
         assert len(grids) == 1 and len(grids[0][0].g) == len(target_points)
         assert len(ranks) == 2
+        # classify's scan ranks n alphas per lane, its eigenvalues of g^{-1} S.
+        assert np.shape(ranks[0][2]) == (len(target_points), 4)
         assert len(ricci) == 1 and len(ricci[0][0].g) == len(target_points)
         assert len(derivations) == len(tachibanas) == 6
         assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
@@ -1053,6 +1078,7 @@ class TestSharedEvaluation:
         assert len(grids) == 2 and all(len(frame.g) == 4 for frame, _, _ in grids)
         assert all(len(extra) == 2 for _, _, extras in grids for extra in extras)
         assert len(ranks) == 4
+        assert [np.shape(alphas) for _, _, alphas in ranks] == [(4, 4), (4, 3)] * 2
 
     def test_each_frame_computed_once(self, monkeypatch):
         # A target's Chunk owns its points' frames, one lane each of a
@@ -1543,11 +1569,27 @@ class TestRecordLines:
         [_record(threshold=0.0), _record(threshold=-0.0), _record(threshold=0.0)],
         [_record(threshold=t) for t in map(float, ["1e-10", "0.5", "1e-10", "0.5"])],
         [_record(check=_ODD_TEXT, point_index=k, suite=s) for k in (0, 1) for s in "ab"],
+        # One point object under changing suites and targets, as run_manifest
+        # shares it; then distinct points that == would merge.
+        [_record(point=_SHARED_POINT, target=t, suite=s, check=c)
+         for t in ("self", "image") for s in "ab" for c in "xy"],
+        [_record(point=[0.0]), _record(point=[-0.0], suite="a"), _record(point=[0.0], suite="a")],
     ], ids=["plain", "residuals", "thresholds", "float_detail", "text", "scalars",
             "extra_keys", "odd_flags", "shuffled_sites", "int_and_bool_names",
-            "signed_zero_thresholds", "equal_thresholds_distinct_floats", "repeated_odd_name"])
+            "signed_zero_thresholds", "equal_thresholds_distinct_floats", "repeated_odd_name",
+            "suites_under_one_point", "signed_zero_points"])
     def test_byte_identical_on_a_table(self, records):
         assert list(cli.record_lines(records)) == json_lines(records)
+
+    def test_a_point_is_one_list_in_every_record(self):
+        # run_manifest rounds each sampled point once per manifold, so
+        # record_lines encodes it once per run of its records.
+        records, _ = cli.run_manifest(corpus_get("theorem41_n4"), points=2)
+        points = {}
+        for r in records:
+            points.setdefault((r["manifold"], r["point_index"]), set()).add(id(r["point"]))
+        assert len({r["suite"] for r in records}) == 4 and len(points) == 3
+        assert all(len(ids) == 1 for ids in points.values())
 
     def test_byte_identical_on_a_run_with_int_thresholds(self):
         # int thresholds (1 * 2 stays an int), float and string details,

@@ -1,12 +1,19 @@
 """Roter fit, classification and identity-suite tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvcheck import cli
 from curvcheck import geometry as geo
 from curvcheck import roter
-from curvcheck.curvops import constancy_residual, scalar_residual
-from helpers import IDENTITY_NAMES, flat_metric, stack, tensor_residual
+from curvcheck.corpus import corpus_get, corpus_list
+from curvcheck.curvops import constancy_residual, rank_shift, scalar_residual
+from helpers import IDENTITY_NAMES, flat_metric, grid_classify, stack, tensor_residual
+
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def rn_metric(M, Q, Lam):
@@ -207,6 +214,96 @@ class TestClassification:
             values.append(fit.L_R)
         assert constancy_residual(values) <= 1e-8
         assert np.mean(values) == pytest.approx(-1.0, abs=1e-9)
+
+
+def _shifted_pair(n, lorentzian, case, seed):
+    """(S, g, alpha0): a non-degenerate symmetric g of signature (n, 0) or
+    (n - 1, 1) and a symmetric S, random or built so that S - alpha0 g has
+    rank at most 1: Einstein S = c g, flat S = 0 or quasi-Einstein
+    S = c g + b u u^T."""
+    rng = np.random.default_rng(seed)
+    P = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    d = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) == 0, -1.0 if lorentzian else 1.0, 1.0)
+    g = P.T @ np.diag(d) @ P
+    c = rng.normal()
+    if case == "random":
+        A = rng.normal(size=(n, n))
+        return A + A.T, g, 0.0
+    if case == "einstein":
+        return c * g, g, c
+    if case == "flat":
+        return np.zeros((n, n)), g, 0.0
+    # u = P^T w with w[0] = 0 is spacelike.  A null u would make g^{-1} S
+    # defective, its eigenvalue c then accurate to about sqrt(eps) only.
+    w = np.where(np.arange(n) == 0, 0.0, rng.normal(size=n))
+    b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    return c * g + b * np.outer(P.T @ w, P.T @ w), g, c
+
+
+class TestRankDrop:
+    """rank(S - alpha g) <= 1 forces det(S - alpha g) = 0, so alpha is a
+    real eigenvalue of g^{-1} S: classify ranks those alone."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(2, 6), st.booleans(),
+           st.sampled_from(["random", "einstein", "flat", "quasi_einstein"]),
+           st.integers(0, 2**32 - 1))
+    def test_rank_drops_only_at_a_real_eigenvalue(self, n, lorentzian, case, seed):
+        S, g, alpha0 = _shifted_pair(n, lorentzian, case, seed)
+        eigs = np.linalg.eigvals(np.linalg.inv(g) @ S)
+        real = eigs.real[np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))]
+        scale = np.linalg.norm(S) + np.linalg.norm(g)
+        # A fine grid over the eigenvalues, through alpha0 exactly.
+        lo, hi = eigs.real.min() - 1.0, eigs.real.max() + 1.0
+        step = (hi - lo) / 400
+        grid = alpha0 + step * np.arange(np.floor((lo - alpha0) / step),
+                                         np.ceil((hi - alpha0) / step) + 1)
+        ranks = rank_shift(S, g, grid)
+        if case != "random":
+            assert ranks[np.argmin(np.abs(grid - alpha0))] <= 1
+        for alpha in grid[ranks <= 1]:
+            lam = real[np.argmin(np.abs(real - alpha))]
+            assert abs(lam - alpha) <= 1e-9 * scale
+            # The rank is read against S - lam g's own largest singular
+            # value, so where S = c g and lam misses c by rounding, it ranks
+            # noise; classify decides that lane by in_us before any rank.
+            noise = np.linalg.norm(S - lam * g) <= 1e-12 * scale * (1.0 + abs(lam))
+            assert rank_shift(S, g, lam) <= 1 or case == "einstein" and noise
+
+    def test_classify_equals_the_grid_oracle_on_the_corpus(self, monkeypatch):
+        # Every entry at its declared points.
+        kinds = _classify_against_the_oracle(monkeypatch, [corpus_get(n) for n in corpus_list()])
+        assert kinds >= {roter.EINSTEIN, roter.QUASI_EINSTEIN, roter.ROTER}
+
+    @pytest.mark.parametrize("seed", [4711, 8123])
+    def test_classify_equals_the_grid_oracle_on_the_sweeps(self, monkeypatch, seed):
+        namespace = {"__name__": "perfbench_run", "__file__": str(PERFBENCH_RUN)}
+        exec(compile(PERFBENCH_RUN.read_text(encoding="utf-8"), str(PERFBENCH_RUN), "exec"),
+             namespace)
+        charged = namespace["charged_manifests"](seed, 4, 60)
+        families = [corpus_get(name) for name in namespace["FAMILIES"]]
+        kinds = _classify_against_the_oracle(monkeypatch, charged, seed=seed)
+        kinds |= _classify_against_the_oracle(monkeypatch, families, points=16, seed=seed)
+        assert roter.ROTER in kinds
+
+
+def _classify_against_the_oracle(monkeypatch, manifests, **overrides) -> set:
+    """Run each manifest with roter.classify checked lane by lane against
+    helpers.grid_classify; the kinds seen."""
+    classify, kinds = roter.classify, set()
+
+    def checked(frame, extras=None):
+        out = classify(frame, extras)
+        assert [(c.kind, c.alpha, c.grid_rank_above_one) for c in out] == grid_classify(
+            frame, extras)
+        kinds.update(c.kind for c in out)
+        return out
+
+    monkeypatch.setattr(roter, "classify", checked)
+    for manifest in manifests:
+        records, summary = cli.run_manifest(manifest, **overrides)
+        assert summary["ok"]
+    return kinds
 
 
 class TestRicciPseudosymmetry:
