@@ -347,8 +347,8 @@ class Classification:
     its RoterFit wherever fit_roter accepts the lane, whatever its kind;
     else fit_error holds the rejection message.  grid_rank_above_one
     records whether rank(S - alpha g) > 1 at every alpha classify ranked:
-    the real eigenvalues of g^{-1} S, where a ROTER lane's never drops,
-    and on a ROTER lane alpha1/2 of its fit and its extras.
+    the real eigenvalues of g^{-1} S, none of which drops a ROTER lane's
+    rank, and on a ROTER lane alpha1/2 of its fit and its extras.
     """
 
     kind: str
