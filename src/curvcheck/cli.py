@@ -564,16 +564,18 @@ class Chunk:
     """One target at a chunk of points, and the only owner of their frames.
 
     Each piece is computed for every point on first read, once over the
-    chunk's point axis, and holds one entry per point; a suite's piece
-    holds its checks, planned from the job alone, never from the suites that
-    run.  No piece fails at a sampled point: Job.sample_ok(points) is the only
-    gate, and run is Job.jets(points), the run it tested (a warped product's
-    covers its base, fiber and warp, a mapped pair's both members and ψ),
-    whose jets geo.frames and wp.diagnostics take as handed.  Only curvature
-    can still fail, by overflow: evaluated then raises the same error at
-    every read.  start is the run's index of the first point.  The chunk
-    builds its own member alone; peer, the source chunk on a mapped pair's
-    image and None on the first target, is read by the geodesic piece only."""
+    chunk's point axis (the curvature products once per group of
+    roter.product_lanes(n) lanes), and holds one entry per point; a suite's
+    piece holds its checks, planned from the job alone, never from the
+    suites that run.  No piece fails at a sampled point: Job.sample_ok(points)
+    is the only gate, and run is Job.jets(points), the run it tested (a
+    warped product's covers its base, fiber and warp, a mapped pair's both
+    members and ψ), whose jets geo.frames and wp.diagnostics take as handed.
+    Only curvature can still fail, by overflow: evaluated then raises the
+    same error at every read.  start is the run's index of the first point.
+    The chunk builds its own member alone; peer, the source chunk on a mapped
+    pair's image and None on the first target, is read by the geodesic piece
+    only."""
 
     def __init__(self, job: Job, target: Target, start: int, points: list, run: dict, peer=None):
         self.job, self.target, self.start, self.points = job, target, start, points
@@ -733,30 +735,37 @@ class Chunk:
         """Per point, a dict of what reads curvature products, planned from
         the job alone: at a ROTER point identities, and ricci where expected,
         for theorem21; on a fitted family, at a point with a fit, cor42 and
-        on the source semisymmetric, which the geodesic piece reads.  The
-        chunk's products are built here, once, and dropped; if only some
-        points are ROTER, the identities read products built on those alone."""
-        job, cs, frame = self.job, self.classifications, self.stacked
-        products, out = roter.curvature_products(frame), [{} for _ in cs]
-        kept = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
-        if kept:
-            sub = frame.take(kept)
-            sub_products = products if sub is frame else roter.curvature_products(sub)
-            for i, res in zip(kept, roter.identity_suite(sub, [cs[i].fit for i in kept],
-                                                         sub_products)):
-                out[i]["identities"] = res
-        if job.expect.get("ricci_pseudosymmetric"):
-            for piece, rp in zip(out, roter.ricci_pseudosymmetry(frame, products)):
-                piece["ricci"] = rp
-        kept = [i for i, c in enumerate(cs) if job.fitted and c.fit is not None]
-        if kept:
-            P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
-            res = gm.corollary42_residual(frame.dim, [cs[i].fit for i in kept], P)
-            for i, value in zip(kept, res.tolist()):
-                out[i]["cor42"] = value
-            if self.peer is None:
-                for piece, flag in zip(out, gm.semisymmetric(products["RR"], frame).tolist()):
-                    piece["semisymmetric"] = flag
+        on the source semisymmetric, which the geodesic piece reads.  Products
+        are built and dropped per contiguous group of roter.product_lanes(n)
+        lanes (a 25-lane chunk's take 6.5 MB at n = 6); since the packed
+        products and lane forms, all else costs most per call, not per point,
+        so it runs once per chunk.  Where only some points of a group are
+        ROTER, the identities read products built on those alone."""
+        job, size, out = self.job, roter.product_lanes(self.stacked.dim), []
+        for start in range(0, len(self.points), size):
+            lanes = range(start, min(start + size, len(self.points)))
+            frame, cs = self.stacked.take(lanes), [self.classifications[i] for i in lanes]
+            products, group = roter.curvature_products(frame), [{} for _ in cs]
+            kept = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]
+            if kept:
+                sub = frame.take(kept)
+                sub_products = products if sub is frame else roter.curvature_products(sub)
+                for i, res in zip(kept, roter.identity_suite(sub, [cs[i].fit for i in kept],
+                                                             sub_products)):
+                    group[i]["identities"] = res
+            if job.expect.get("ricci_pseudosymmetric"):
+                for piece, rp in zip(group, roter.ricci_pseudosymmetry(frame, products)):
+                    piece["ricci"] = rp
+            kept = [i for i, c in enumerate(cs) if job.fitted and c.fit is not None]
+            if kept:
+                P = {key: products[key][kept] for key in ("RR", "QSR", "QgC")}
+                res = gm.corollary42_residual(frame.dim, [cs[i].fit for i in kept], P)
+                for i, value in zip(kept, res.tolist()):
+                    group[i]["cor42"] = value
+                if self.peer is None:
+                    for piece, flag in zip(group, gm.semisymmetric(products["RR"], frame).tolist()):
+                        piece["semisymmetric"] = flag
+            out += group
         return out
 
     @cached_property
@@ -835,9 +844,10 @@ def _suite_runs(job: Job, points, suites):
     """(suite, target label, start, points, read) in run order, read()
     giving the checks at each of the points, which run from index start:
     a piece of one Chunk per target, for chunks of roter.chunk_size(n)
-    points, n the chart dimension.  A mapped pair's image has peer and
-    holds the geodesic piece, and a family's aggregates (index -1) read
-    the Roter verdicts of every chunk that did not fail."""
+    points (products in groups of roter.product_lanes(n)), n the chart
+    dimension.  A mapped pair's image has peer and holds the geodesic
+    piece, and a family's aggregates (index -1) read the Roter verdicts
+    of every chunk that did not fail."""
     members: list = []
     size = roter.chunk_size(job.targets[0].spec.dim)
     for start in range(0, len(points), size):

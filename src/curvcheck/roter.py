@@ -43,10 +43,11 @@ lane's whole verdict: its kind, membership, fit or rejection message
 and rank flag, from one fit_roter and one rank_grid_exceeds_one
 call over the chunk.
 
-A caller runs every entry once per chunk of chunk_size(n) points, as
-many as keep m**3 or n**4 floats a point (order-6 product, order-4
-curvature; m = n(n-1)/2) within CHUNK_BYTES = 128 KB: 1024 at n = 2,
-202 at n = 3, 64 at n = 4, 16 at n = 5, 4 at n = 6 and 1 at n = 7.
+A caller runs every entry once per chunk of chunk_size(n) points (n**4
+floats a point within CHUNK_BYTES = 256 KB: 128 at n = 4, 52 at n = 5,
+25 at n = 6, 13 at n = 7), and the products and their readers once per
+group of product_lanes(n) lanes (m**3 floats a lane, m = n(n-1)/2, within
+PRODUCT_BYTES = 128 KB: 75 at n = 4, 16 at n = 5, 4 at n = 6, 1 at n = 7).
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ FIT_RESIDUAL_LIMIT = 1e-8
 # genuinely collapsing (near-Einstein Ricci).
 GRAM_CONDITION_LIMIT = 1e14
 
-# Bytes of a chunk's largest stacked array (see chunk_size).
-CHUNK_BYTES = 128 * 1024
+# Bytes of a chunk's stacked order-4 array and of a product group's order-6 product.
+CHUNK_BYTES = 256 * 1024
+PRODUCT_BYTES = 128 * 1024
 
 EINSTEIN = "EINSTEIN"
 QUASI_EINSTEIN = "QUASI_EINSTEIN"
@@ -117,10 +119,15 @@ class RoterFit:
 
 def chunk_size(n: int) -> int:
     """Points per chunk at chart dimension n: at least one, and as many as
-    keep a point's larger array, its order-6 product (m**3 floats for
-    m = n(n-1)/2) or an order-4 curvature array (n**4), within CHUNK_BYTES."""
+    keep a point's order-4 curvature array (n**4 floats) within CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (8 * n ** 4))
+
+
+def product_lanes(n: int) -> int:
+    """Lanes per group of curvature_products at chart dimension n: at least one,
+    and as many as keep a lane's order-6 product (m**3 floats) within PRODUCT_BYTES."""
     m = n * (n - 1) // 2
-    return max(1, CHUNK_BYTES // (8 * max(m ** 3, n ** 4)))
+    return max(1, PRODUCT_BYTES // (8 * m ** 3))
 
 
 def in_us(frame: PointFrame) -> np.ndarray:
@@ -254,9 +261,9 @@ def curvature_products(frame: PointFrame) -> dict[str, np.ndarray]:
     identities compare, keyed by name (RR = R.R, QgC = Q(g,C), ...).
 
     Each is built on first read, packed on bivectors (see curvops), with
-    the chunk's point axis first: at n = 6 an order-6 product takes 27 KB
-    a point and all twelve about 0.26 MB.  Callers hold them for one
-    chunk only; they are not kept on the frame.
+    the frame's point axis first: at n = 6 an order-6 product takes 27 KB
+    a point and all twelve about 0.26 MB.  Callers hold them for one group
+    of product_lanes(n) lanes only; they are not kept on the frame.
     """
     return _Products(frame)
 

@@ -122,14 +122,17 @@ def corpus_targets():
 
 
 def test_chunk_size_follows_the_bivector_count():
-    # As many points as keep the larger per-point array, the stacked
-    # order-6 product (m**3 floats) or an order-4 curvature array (n**4
-    # floats), within 128 KB.
-    assert roter.CHUNK_BYTES == 128 * 1024
-    assert [roter.chunk_size(n) for n in (2, 3, 4, 5, 6, 7)] == [1024, 202, 64, 16, 4, 1]
+    # A chunk holds as many points as keep an order-4 curvature array
+    # (n**4 floats) within 256 KB; its curvature products are built in
+    # groups of as many lanes as keep a stacked order-6 product (m**3
+    # floats, m the bivector count) within 128 KB.
+    assert (roter.CHUNK_BYTES, roter.PRODUCT_BYTES) == (256 * 1024, 128 * 1024)
+    assert [roter.chunk_size(n) for n in (2, 3, 4, 5, 6, 7)] == [2048, 404, 128, 52, 25, 13]
+    assert [roter.product_lanes(n) for n in (2, 3, 4, 5, 6, 7)] == [16384, 606, 75, 16, 4, 1]
     for n in (2, 3, 4, 5, 6, 7):
         m = n * (n - 1) // 2
-        assert roter.chunk_size(n) * 8 * max(m ** 3, n ** 4) <= roter.CHUNK_BYTES
+        assert roter.chunk_size(n) * 8 * n ** 4 <= roter.CHUNK_BYTES
+        assert roter.product_lanes(n) * 8 * m ** 3 <= roter.PRODUCT_BYTES
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)

@@ -763,14 +763,15 @@ class TestRun:
         assert checks[1]["second_bianchi"]["pass"] and "second_bianchi" not in checks[2]
 
     def test_the_bianchi_check_runs_once_per_chunk_that_holds_index_0_or_1(self, monkeypatch):
-        # theorem41_c_neg_n6 at 6 points runs as chunks of 4 and 2 points:
+        # theorem41_c_neg_n6 at 27 points runs as chunks of 25 and 2 points:
         # one stacked call per target reads run indices 0 and 1, and the
-        # chunk that starts at index 4 has no second_bianchi record.
+        # chunk that starts at index 25 has no second_bianchi record.
         calls, bianchi = [], geo.second_bianchi_residual
         monkeypatch.setattr(geo, "second_bianchi_residual",
                             lambda f, *rest: calls.append(len(f.point)) or bianchi(f, *rest))
-        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=6)
-        assert summary["ok"] and roter.chunk_size(6) == 4 and calls == [2, 2]
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=27)
+        assert summary["ok"] and roter.chunk_size(6) == 25 and calls == [2, 2]
+        assert max(r["point_index"] for r in records) == 26
         sites = {(r["target"], r["point_index"]) for r in records if r["check"] == "second_bianchi"}
         assert sites == {(target, i) for target in ("source", "image") for i in (0, 1)}
 
@@ -1313,10 +1314,11 @@ class TestSharedEvaluation:
         assert len(derivations[0][2]) == len(tachibanas[0][0]) == len(target_points)
 
     def test_products_built_once_per_chunk(self, monkeypatch):
-        # At n = 6 a chunk holds 4 points.  classify runs once per target
-        # over the chunk's four lanes and makes the target's one fit_roter
-        # and one rank_grid_exceeds_one call, and each derivation product
-        # is built once per target, over the four lanes.
+        # At n = 6 a chunk of 6 points builds its products in groups of 4
+        # and 2 lanes.  classify runs once per target over the chunk's six
+        # lanes and makes the target's one fit_roter and one
+        # rank_grid_exceeds_one call, and each derivation product is built
+        # once per group and target, over the group's lanes.
         classify, calls, inside = roter.classify, [], []
 
         def classifying(frame, extras=None):
@@ -1339,13 +1341,27 @@ class TestSharedEvaluation:
         logged("fit_roter")
         logged("rank_grid_exceeds_one")
         derivations = count_calls(monkeypatch, curvops, "derivation_apply")
-        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=4)
-        assert summary["ok"] and roter.chunk_size(6) == 4
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=6)
+        assert summary["ok"] and roter.chunk_size(6) >= 6 and roter.product_lanes(6) == 4
         # source, then image
-        assert calls == [("classify", 4), ("fit_roter", True, 4),
-                         ("rank_grid_exceeds_one", True, 4)] * 2
-        assert len(derivations) == 6 * 2
-        assert all(len(ginv) == 4 for _, _, ginv in derivations)
+        assert calls == [("classify", 6), ("fit_roter", True, 6),
+                         ("rank_grid_exceeds_one", True, 6)] * 2
+        assert [len(ginv) for _, _, ginv in derivations] == ([4] * 6 + [2] * 6) * 2
+
+    def test_products_never_span_more_than_a_group(self, monkeypatch):
+        # theorem41_c_neg_n6 at 16 points is one chunk per target, read by
+        # one classify call over its 16 lanes, while no product kernel call
+        # holds more than a product group's lanes.
+        lanes, classify = [], roter.classify
+        monkeypatch.setattr(roter, "classify",
+                            lambda frame, *rest: lanes.append(len(frame.g)) or classify(frame, *rest))
+        derivations = count_calls(monkeypatch, curvops, "derivation_apply")
+        tachibanas = count_calls(monkeypatch, curvops, "tachibana")
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=16)
+        assert summary["ok"] and lanes == [16, 16]
+        assert derivations and tachibanas
+        assert max(len(ginv) for _, _, ginv in derivations) <= roter.product_lanes(6) == 4
+        assert max(len(a) for a, _ in tachibanas) <= roter.product_lanes(6)
 
     def test_refused_frame_fails_its_whole_chunk(self, monkeypatch, tmp_path, capsys):
         # Sampling admits no point whose frame can fail: if one raised
@@ -1826,7 +1842,8 @@ class TestSampling:
         # The 60 points of a horizon-straddling chart take three rounds:
         # one conditions run over each round's candidates and one
         # components run over those that pass, not one run per candidate.
-        # At n = 6 no round exceeds a chunk.
+        # At n = 6 no round exceeds a chunk: 52 points take rounds of 25, 25
+        # and 2.
         sampling, lanes = flag_sampling(monkeypatch), {"admissible": [], "metric_jets": []}
         for name, log in lanes.items():
             def logged(spec, points, run=getattr(geo, name), log=log):
@@ -1838,9 +1855,9 @@ class TestSampling:
         assert summary["ok"] and lanes == {"admissible": [60, 11, 3], "metric_jets": [49, 8, 3]}
         for log in lanes.values():
             log.clear()
-        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=20)
-        assert summary["ok"] and max(lanes["admissible"]) == roter.chunk_size(6) == 4
-        assert len(lanes["admissible"]) == 5 and lanes["admissible"] == lanes["metric_jets"]
+        records, summary = cli.run_manifest(corpus_get("theorem41_c_neg_n6"), points=52)
+        assert summary["ok"] and max(lanes["admissible"]) == roter.chunk_size(6) == 25
+        assert len(lanes["admissible"]) == 3 and lanes["admissible"] == lanes["metric_jets"]
 
 
 class TestBenchmarkCalls:

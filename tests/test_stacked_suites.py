@@ -194,15 +194,34 @@ def test_geodesic_lanes_equal_the_one_point_forms(name):
                                   "rn_lambda0", "negative_control_perturbed", "surface_pair",
                                   "unit_sphere"])
 def test_records_do_not_depend_on_the_chunking(monkeypatch, name, size):
-    # At their declared points the families run as one chunk of 10 (n = 4)
-    # or 8 (n = 5), or as chunks of 4 and 2 (n = 6); chunks of 1 or 3
-    # points write the same records.
+    # At their declared points the families run as one chunk of 10 (n = 4),
+    # 8 (n = 5) or 6 (n = 6); chunks of 1 or 3 points write the same
+    # records.
     manifest = corpus_get(name)
     default, summary = cli.run_manifest(manifest)
     assert summary["ok"]
     monkeypatch.setattr(roter, "chunk_size", lambda n: size)
     chunked, _ = cli.run_manifest(manifest)
     assert chunked == default
+
+
+@pytest.mark.parametrize("name", ["theorem41_n4", "theorem41_c_pos_n5", "theorem41_c_neg_n6"])
+def test_records_do_not_depend_on_the_product_groups(monkeypatch, name):
+    # At 16 points each family is one chunk; its curvature products built
+    # in groups of 1 or 3 lanes write the same records as in the default
+    # groups (one at n = 4 and 5, four of 4 lanes at n = 6).
+    manifest = corpus_get(name)
+    default, summary = cli.run_manifest(manifest, points=16)
+    assert summary["ok"] and roter.chunk_size(int(name[-1])) >= 16
+    lanes, products = [], roter.curvature_products
+    monkeypatch.setattr(roter, "curvature_products",
+                        lambda frame: lanes.append(len(frame.g)) or products(frame))
+    for size in (1, 3):
+        monkeypatch.setattr(roter, "product_lanes", lambda n: size)
+        lanes.clear()
+        grouped, _ = cli.run_manifest(manifest, points=16)
+        assert grouped == default, size
+        assert max(lanes) == size
 
 
 def test_a_60_point_charged_chart_is_one_chunk(monkeypatch):
