@@ -1,6 +1,6 @@
 """The user docs name only what exists, quote each signature as the code
-has it, and quote the chunk sizes that roter.chunk_size gives and the
-program sizes that expr.jet builds; the modules read only each other's
+has it, and quote the chunk and product-group sizes that roter.chunk_size
+and roter.product_lanes give and the program sizes that expr.jet builds; the modules read only each other's
 public names.
 
 Each backticked dotted reference in README.md and docs/*.md whose head
@@ -14,6 +14,7 @@ import ast
 import importlib
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -88,14 +89,15 @@ def _callable(name: str):
     return obj if callable(obj) and not name.split(".")[-1].startswith("_") else None
 
 
-def _signature_quotes() -> list:
+def _signature_quotes(docs=DOCS) -> list:
     """(doc, name, quoted parameter names) of each backticked span that is
     name(params) alone, its params names with defaults allowed, naming a
-    curvcheck callable; a call inside a longer span is an example."""
+    curvcheck callable; a call inside a longer span is an example.  A
+    span may wrap over one line break; its whitespace is collapsed."""
     found = []
-    for path in DOCS:
-        for span in re.findall(r"`([^`\n]+)`", path.read_text(encoding="utf-8")):
-            quote = re.fullmatch(r"([A-Za-z_][\w.]*)\(([^()]*)\)", span)
+    for path in docs:
+        for span in re.findall(r"`([^`\n]+(?:\n[^`\n]+)?)`", path.read_text(encoding="utf-8")):
+            quote = re.fullmatch(r"([A-Za-z_][\w.]*)\(([^()]*)\)", " ".join(span.split()))
             if quote:
                 names = [param.split("=")[0].strip() for param in quote[2].split(",")]
                 if all(map(str.isidentifier, names)) and _callable(quote[1]) is not None:
@@ -103,11 +105,35 @@ def _signature_quotes() -> list:
     return sorted(set(found))
 
 
+SIGNATURE_QUOTES = _signature_quotes()
+
+
 def test_docs_quote_signatures():
-    assert len(_signature_quotes()) >= 20
+    assert len(SIGNATURE_QUOTES) >= 20
 
 
-@pytest.mark.parametrize("where, name, quoted", _signature_quotes())
+def _case_ids(cases) -> list:
+    """Each signature case's id: its doc and callable, and -2, -3, ... on
+    a repeat, so adding a quote renames no other case."""
+    seen, ids = Counter(), []
+    for where, name, _ in cases:
+        seen[where, name] += 1
+        ids.append(f"{where}-{name}" + (f"-{seen[where, name]}" if seen[where, name] > 1 else ""))
+    return ids
+
+
+def test_wrapped_quotes_and_repeats_are_seen(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("Call `roter.chunk_size(n)` or `roter.product_lanes(\n  n)`, not\n"
+                   "`roter.chunk_size(dim)`.\n")
+    cases = _signature_quotes([doc])
+    assert cases == [("doc.md", "roter.chunk_size", ("dim",)), ("doc.md", "roter.chunk_size", ("n",)),
+                     ("doc.md", "roter.product_lanes", ("n",))]
+    assert _case_ids(cases) == ["doc.md-roter.chunk_size", "doc.md-roter.chunk_size-2",
+                                "doc.md-roter.product_lanes"]
+
+
+@pytest.mark.parametrize("where, name, quoted", SIGNATURE_QUOTES, ids=_case_ids(SIGNATURE_QUOTES))
 def test_quoted_signature_is_the_code(where, name, quoted):
     # A class quotes its __init__'s parameters, which signature gives.
     params = [p.name for p in inspect.signature(_callable(name)).parameters.values()]
@@ -118,10 +144,18 @@ def test_quoted_signature_is_the_code(where, name, quoted):
 
 @pytest.mark.parametrize("where", ["README.md", "docs/report-format.md"])
 def test_quoted_chunk_sizes_are_the_rule(where):
-    # Each doc quotes the chunk size at n = 4 to 7 as "<points> at n = <n>".
+    # Each doc quotes the chunk size and the product-group size at n = 4
+    # to 7, each as one list "<size> points at n = 4, <size> at n = 5, ..."
+    # or "<size> lanes at n = 4, ...", and no other "<size> at n = <n>".
     text = " ".join((ROOT / where).read_text(encoding="utf-8").split())
-    quoted = {int(n): int(size) for size, n in re.findall(r"(\d+) at n = (\d+)", text)}
-    assert quoted == {n: roter.chunk_size(n) for n in range(4, 8)}
+    quoted = []
+    lists = r"(\d+) (points|lanes) at n = (\d+)((?:,? (?:and )?\d+ at n = \d+)*)"
+    for size, unit, n, rest in re.findall(lists, text):
+        pairs = [(size, n), *re.findall(r"(\d+) at n = (\d+)", rest)]
+        quoted += [(unit, int(n), int(size)) for size, n in pairs]
+    assert len(quoted) == len(re.findall(r"\d+ (?:points |lanes )?at n = \d+", text))
+    assert sorted(quoted) == [("lanes", n, roter.product_lanes(n)) for n in range(4, 8)] + [
+        ("points", n, roter.chunk_size(n)) for n in range(4, 8)]
 
 
 def _tree_nodes(exprs) -> int:
