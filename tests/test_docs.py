@@ -1,7 +1,7 @@
 """The user docs name only what exists, quote each signature as the code
 has it, and quote the chunk and product-group sizes that roter.chunk_size
-and roter.product_lanes give and the program sizes that expr.jet builds; the modules read only each other's
-public names.
+and roter.product_lanes give and the program sizes that expr.jet builds;
+the modules read only each other's public names.
 
 Each backticked dotted reference in README.md and docs/*.md whose head
 is a curvcheck module (or the package itself), one of the aliases the
@@ -146,14 +146,13 @@ def test_quoted_signature_is_the_code(where, name, quoted):
 def test_quoted_chunk_sizes_are_the_rule(where):
     # Each doc quotes the chunk size and the product-group size at n = 4
     # to 7, each as one list "<size> points at n = 4, <size> at n = 5, ..."
-    # or "<size> lanes at n = 4, ...", and no other "<size> at n = <n>".
+    # or "<size> lanes at n = 4, ...", and no other "<size> at n = <n>":
+    # an unlabelled size counts in the list last labelled.
     text = " ".join((ROOT / where).read_text(encoding="utf-8").split())
-    quoted = []
-    lists = r"(\d+) (points|lanes) at n = (\d+)((?:,? (?:and )?\d+ at n = \d+)*)"
-    for size, unit, n, rest in re.findall(lists, text):
-        pairs = [(size, n), *re.findall(r"(\d+) at n = (\d+)", rest)]
-        quoted += [(unit, int(n), int(size)) for size, n in pairs]
-    assert len(quoted) == len(re.findall(r"\d+ (?:points |lanes )?at n = \d+", text))
+    quoted, unit = [], "unlabelled"
+    for size, label, n in re.findall(r"(\d+) (?:(points|lanes) )?at n = (\d+)", text):
+        unit = label or unit
+        quoted.append((unit, int(n), int(size)))
     assert sorted(quoted) == [("lanes", n, roter.product_lanes(n)) for n in range(4, 8)] + [
         ("points", n, roter.chunk_size(n)) for n in range(4, 8)]
 
