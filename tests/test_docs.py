@@ -14,7 +14,6 @@ import ast
 import importlib
 import inspect
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,16 +111,6 @@ def test_docs_quote_signatures():
     assert len(SIGNATURE_QUOTES) >= 20
 
 
-def _case_ids(cases) -> list:
-    """Each signature case's id: its doc and callable, and -2, -3, ... on
-    a repeat, so adding a quote renames no other case."""
-    seen, ids = Counter(), []
-    for where, name, _ in cases:
-        seen[where, name] += 1
-        ids.append(f"{where}-{name}" + (f"-{seen[where, name]}" if seen[where, name] > 1 else ""))
-    return ids
-
-
 def test_wrapped_quotes_and_repeats_are_seen(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("Call `roter.chunk_size(n)` or `roter.product_lanes(\n  n)`, not\n"
@@ -129,11 +118,9 @@ def test_wrapped_quotes_and_repeats_are_seen(tmp_path):
     cases = _signature_quotes([doc])
     assert cases == [("doc.md", "roter.chunk_size", ("dim",)), ("doc.md", "roter.chunk_size", ("n",)),
                      ("doc.md", "roter.product_lanes", ("n",))]
-    assert _case_ids(cases) == ["doc.md-roter.chunk_size", "doc.md-roter.chunk_size-2",
-                                "doc.md-roter.product_lanes"]
 
 
-@pytest.mark.parametrize("where, name, quoted", SIGNATURE_QUOTES, ids=_case_ids(SIGNATURE_QUOTES))
+@pytest.mark.parametrize("where, name, quoted", SIGNATURE_QUOTES)
 def test_quoted_signature_is_the_code(where, name, quoted):
     # A class quotes its __init__'s parameters, which signature gives.
     params = [p.name for p in inspect.signature(_callable(name)).parameters.values()]
