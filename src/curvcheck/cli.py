@@ -722,13 +722,8 @@ class Chunk:
 
     @cached_property
     def classifications(self) -> list:
-        """roter.classify of every point; on a warped target whose
-        diagnostics have block factors, each ROTER point's block
-        eigenvalues mu1, mu2 join the alphas its rank scan ranks."""
-        ws, extras = self.target.warped_spec, None
-        if ws and self.diagnostics.mu1 is not None:
-            extras = list(zip(self.diagnostics.mu1.tolist(), self.diagnostics.mu2.tolist()))
-        return roter.classify(self.stacked, extras)
+        """roter.classify of every point, read from its frame alone."""
+        return roter.classify(self.stacked)
 
     @cached_property
     def product_checks(self) -> list:

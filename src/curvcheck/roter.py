@@ -26,10 +26,10 @@ packed on bivectors (see curvops), whose norms and inner products equal
 the dense ones, so every residual and factor reads them as it would
 read dense tensors.  ricci_pseudosymmetry(frame, products) reads R.S
 and Q(g,S) from the same products.  classify sorts a point into
-EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER; one stacked rank scan ranks
-S - alpha g at the Ricci operator's real eigenvalues (the quasi-Einstein
-test), and rank_grid_exceeds_one ranks alpha1/2 of each ROTER fit and
-its extra candidates in one more.
+EINSTEIN / QUASI_EINSTEIN / ROTER / OTHER from the frame alone; one
+stacked rank scan ranks S - alpha g at the Ricci operator's real
+eigenvalues (the quasi-Einstein test), and rank_grid_exceeds_one ranks
+alpha1/2 of each ROTER fit in one more.
 
 Chunks.  Every entry takes a stacked frame of one chart's points, as
 geometry.frames builds it (each array with a leading point axis), and
@@ -37,11 +37,11 @@ returns one result per lane: a list of Classification, of residual
 dicts or of ProportionalityResult, a boolean array for membership and
 the rank flag, and from fit_roter each lane's RoterFit or RoterFitError
 (returned, not raised).  A lane that a step does not apply to is
-indexed out before the step, and no step mixes lanes, so a lane's
-result does not depend on the rest of its chunk.  classify holds a
-lane's whole verdict: its kind, membership, fit or rejection message
-and rank flag, from one fit_roter and one rank_grid_exceeds_one
-call over the chunk.
+indexed out before the step (fit_roter keeps one index of the lanes it
+still fits), and no step mixes lanes, so a lane's result does not
+depend on the rest of its chunk.  classify holds a lane's whole
+verdict: its kind, membership, fit or rejection message and rank flag,
+from one fit_roter and one rank_grid_exceeds_one call over the chunk.
 
 A caller runs every entry once per chunk of chunk_size(n) points (n**4
 floats a point within CHUNK_BYTES = 256 KB: 128 at n = 4, 52 at n = 5,
@@ -161,35 +161,28 @@ def fit_roter(frame: PointFrame) -> list:
     n = frame.dim
     if n < 4:
         return [RoterFitError("DIMENSION", f"need dimension >= 4, got {n}") for _ in frame.g]
-    fits = [None] * len(frame.g)
     us, uc = in_us(frame), in_uc(frame)
-    for i in np.flatnonzero(~us):
-        fits[i] = RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric")
-    for i in np.flatnonzero(us & ~uc):
-        fits[i] = RoterFitError("NOT_IN_UC", "Weyl tensor vanishes")
-    lanes = np.flatnonzero(us & uc)
-    if len(lanes):
-        for i, fit in zip(lanes, _decompose(frame.take(lanes))):
-            fits[i] = fit
-    return fits
-
-
-def _decompose(f: PointFrame) -> list:
-    # fit_roter on lanes inside U_S and U_C.
-    n, S, g = f.dim, f.ricci, f.g
+    out = [RoterFitError("NOT_IN_US", "Ricci tensor is proportional to the metric") if not in_s
+           else RoterFitError("NOT_IN_UC", "Weyl tensor vanishes") if not in_c
+           else RoterFitError("ILL_CONDITIONED", "degenerate basis tensor")
+           for in_s, in_c in zip(us.tolist(), uc.tolist())]
+    # The lanes still being fitted: each cut below shrinks it.
+    live = np.flatnonzero(us & uc)
+    if not len(live):
+        return out
+    f = frame.take(live)
+    S, g = f.ricci, f.g
     # Rows: each lane's basis tensors (1/2) S^S, g^S and (1/2) g^g, flat.
     B = np.stack([0.5 * kulkarni_nomizu(S, S), kulkarni_nomizu(g, S),
-                  0.5 * kulkarni_nomizu(g, g)], axis=1).reshape(len(S), 3, -1)
-    R = f.riemann.reshape(len(S), -1)
+                  0.5 * kulkarni_nomizu(g, g)], axis=1).reshape(len(live), 3, -1)
+    R = f.riemann.reshape(len(live), -1)
     # The basis tensors carry wildly different physical scales (S^S vs
     # g^g), so the Gram matrix is read on unit tensors: its condition
     # number then measures genuine near-dependence of the span, not
     # units.  One SVD of the unit columns An = U s Vt gives both the
     # condition of An^T An, (s_max/s_min)**2, and the least-squares fit.
     scales = np.sqrt(np.einsum("pkn,pkn->pk", B, B))
-    out: list = [RoterFitError("ILL_CONDITIONED", "degenerate basis tensor") for _ in S]
-    # Lanes leave the arrays only when some lane drops out.
-    live = np.arange(len(S))
+    # The arrays are cut only when some lane drops out.
     nonzero = np.all(scales != 0.0, axis=-1)
     if not nonzero.all():
         live, B, R, scales = live[nonzero], B[nonzero], R[nonzero], scales[nonzero]
@@ -210,7 +203,7 @@ def _decompose(f: PointFrame) -> list:
     # Relative, not curvops' (scale + 1) form: FIT_RESIDUAL_LIMIT gates on it.
     residual = lane_norms(misfit) / (lane_norms(R) + 1e-300)
     phi, mu, eta = coeffs.T
-    kappa = f.scalar[live]
+    kappa = frame.scalar[live]
     alpha1 = kappa + ((n - 2) * mu - 1.0) / phi
     alpha2 = (mu * kappa + (n - 1) * eta) / phi
     L_R = ((n - 2) * (mu * mu - phi * eta) - mu) / phi
@@ -355,7 +348,7 @@ class Classification:
     else fit_error holds the rejection message.  grid_rank_above_one
     records whether rank(S - alpha g) > 1 at every alpha classify ranked:
     the real eigenvalues of g^{-1} S, none of which drops a ROTER lane's
-    rank, and on a ROTER lane alpha1/2 of its fit and its extras.
+    rank, and on a ROTER lane alpha1/2 of its fit.
     """
 
     kind: str
@@ -368,13 +361,9 @@ class Classification:
     grid_rank_above_one: bool = False
 
 
-def classify(frame: PointFrame, extras: list | None = None) -> list:
-    """Each lane's Classification, from one fit_roter call over every lane.
-
-    extras hold one tuple of further rank candidates per lane (e.g.
-    warped block eigenvalues mu1, mu2); one rank_grid_exceeds_one call
-    ranks them with alpha1/2 on the ROTER lanes.
-    """
+def classify(frame: PointFrame) -> list:
+    """Each lane's Classification, from the frame alone: one fit_roter call
+    over every lane, and one rank_grid_exceeds_one call over the ROTER lanes."""
     f, n = frame, frame.dim
     # rank(S - alpha g) <= 1 makes det(S - alpha g) = 0, so only a real
     # eigenvalue of g^{-1} S can drop it: one scan ranks each lane's n.
@@ -394,29 +383,23 @@ def classify(frame: PointFrame, extras: list | None = None) -> list:
         out.append(Classification(kind, us, uc, ur, alpha, None if error else fit, error, above[i]))
     lanes = [i for i, c in enumerate(out) if c.kind == ROTER]
     if lanes:
-        more = [extras[i] for i in lanes] if extras else [()] * len(lanes)
-        flags = rank_grid_exceeds_one(f.take(lanes), [out[i] for i in lanes], more)
+        flags = rank_grid_exceeds_one(f.take(lanes), [out[i] for i in lanes])
         for i, flag in zip(lanes, flags.tolist()):
             out[i] = replace(out[i], grid_rank_above_one=flag)
     return out
 
 
-def rank_grid_exceeds_one(frame: PointFrame, cs: list, extras: list) -> np.ndarray:
+def rank_grid_exceeds_one(frame: PointFrame, cs: list) -> np.ndarray:
     """rank(S - alpha g) > 1 at every alpha of each lane's scan.
 
     cs are each lane's Classification, whose grid_rank_above_one holds
-    classify's ranks at the real eigenvalues of g^{-1} S, and extras one
-    tuple of further candidates per lane (e.g. warped block eigenvalues
-    mu1, mu2).  classify calls it on its ROTER lanes; it ranks alpha1/2 of
-    each fit and the extras, every lane left in one stacked rank_shift.
+    classify's ranks at the real eigenvalues of g^{-1} S.  classify calls
+    it on its ROTER lanes; it ranks alpha1/2 of each fit, one candidate a
+    lane, every lane left in one stacked rank_shift.
     """
     out = np.array([c.grid_rank_above_one for c in cs])
-    alphas = [((c.fit.alpha1 / 2.0,) if c.fit is not None else ()) + tuple(extra)
-              for c, extra in zip(cs, extras, strict=True)]
-    lanes = [i for i, a in enumerate(alphas) if a and out[i]]
+    lanes = [i for i, c in enumerate(cs) if c.fit is not None and out[i]]
     if lanes:
-        width = max(len(alphas[i]) for i in lanes)
-        padded = [alphas[i] + alphas[i][:1] * (width - len(alphas[i])) for i in lanes]
-        ranks = rank_shift(frame.ricci[lanes][:, None], frame.g[lanes][:, None], padded)
-        out[lanes] = np.all(ranks > 1, axis=-1)
+        alphas = [cs[i].fit.alpha1 / 2.0 for i in lanes]
+        out[lanes] = rank_shift(frame.ricci[lanes], frame.g[lanes], alphas) > 1
     return out

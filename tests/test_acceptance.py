@@ -436,7 +436,7 @@ def test_criterion_5_classification_dichotomy():
                 c = roter.classify(frame)[0]
                 if c.kind != roter.ROTER:
                     failures.append((n, "violated-classify", c.kind))
-                elif not roter.rank_grid_exceeds_one(frame, [c], [()])[0]:
+                elif not roter.rank_grid_exceeds_one(frame, [c])[0]:
                     failures.append((n, "violated-rank", pt))
     ok = not failures
     report(5, ok, "matched fiber scalar => EINSTEIN with rho0 <= 1e-9 on both "

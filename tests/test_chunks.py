@@ -55,7 +55,7 @@ def close(a, b, where=""):
         assert a == b, (where, a, b)
 
 
-def one_point(f, extra=(1.0, 2.0)):
+def one_point(f):
     """Every roter entry on one point's frame, as a chunk of one."""
     F = stack([f])
     (c,), (fit,) = roter.classify(F), roter.fit_roter(F)
@@ -66,7 +66,7 @@ def one_point(f, extra=(1.0, 2.0)):
         "membership": tuple(bool(fn(F)[0]) for fn in (roter.in_us, roter.in_uc, roter.in_ur)),
         "factors": roter.pseudosymmetry_factors(F, P)[0],
         "ricci": roter.ricci_pseudosymmetry(F, P)[0],
-        "grid": bool(roter.rank_grid_exceeds_one(F, [c], [extra])[0]),
+        "grid": bool(roter.rank_grid_exceeds_one(F, [c])[0]),
         "products": {key: P[key][0] for key in PRODUCTS},
     }
     if c.kind == roter.ROTER:
@@ -74,7 +74,7 @@ def one_point(f, extra=(1.0, 2.0)):
     return out
 
 
-def chunked(frames, extra=(1.0, 2.0)):
+def chunked(frames):
     """Every roter entry on one chunk of frames, unpacked lane by lane."""
     F = stack(frames)
     cs = roter.classify(F)
@@ -86,7 +86,7 @@ def chunked(frames, extra=(1.0, 2.0)):
         for i, (c, fit, m, factors, ricci, grid) in enumerate(zip(
             cs, roter.fit_roter(F), membership, roter.pseudosymmetry_factors(F, P),
             roter.ricci_pseudosymmetry(F, P),
-            roter.rank_grid_exceeds_one(F, cs, [extra] * len(frames))))
+            roter.rank_grid_exceeds_one(F, cs)))
     ]
     # The identity suite runs on the ROTER lanes, indexed out first.
     keep = [i for i, c in enumerate(cs) if c.kind == roter.ROTER]

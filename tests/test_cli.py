@@ -1048,9 +1048,9 @@ class TestSharedEvaluation:
         # Per (target, chunk), classify ranks the Ricci operator's
         # eigenvalues, and no grid, in one stacked rank_shift, and one
         # rank_grid_exceeds_one ranks alpha1/2 of each ROTER lane's fit,
-        # with that lane's warped mu1 and mu2 where it has them, in a
-        # second.  ricci_pseudosymmetry reads R.S and Q(g,S) from the
-        # chunk's products, whose lanes cover each point once.
+        # and nothing else, in a second.  ricci_pseudosymmetry reads R.S
+        # and Q(g,S) from the chunk's products, whose lanes cover each
+        # point once.
         classify = count_calls(monkeypatch, roter, "classify")
         grids = count_calls(monkeypatch, roter, "rank_grid_exceeds_one")
         ranks = count_calls(monkeypatch, curvops, "rank_shift")
@@ -1071,15 +1071,23 @@ class TestSharedEvaluation:
         assert sum(len(ginv) for _, _, ginv in derivations) == 6 * len(target_points)
         assert sum(len(A) for A, _ in tachibanas) == 6 * len(target_points)
         # A family at n = 4: two targets of one chunk each, every lane
-        # ranking its mu1 and mu2 with alpha1/2.
+        # ranking its alpha1/2 alone.
         for log in (grids, ranks):
             log.clear()
         records, summary = cli.run_manifest(corpus_get("theorem41_n4"), points=4)
         assert summary["ok"]
-        assert len(grids) == 2 and all(len(frame.g) == 4 for frame, _, _ in grids)
-        assert all(len(extra) == 2 for _, _, extras in grids for extra in extras)
+        assert len(grids) == 2 and all(len(frame.g) == 4 for frame, _ in grids)
         assert len(ranks) == 4
-        assert [np.shape(alphas) for _, _, alphas in ranks] == [(4, 4), (4, 3)] * 2
+        assert [np.shape(alphas) for _, _, alphas in ranks] == [(4, 4), (4,)] * 2
+
+    def test_theorem21_builds_no_warped_diagnostics(self, monkeypatch):
+        # classify reads the frame alone, so the Roter suite of a family
+        # never builds the warped blocks.
+        diagnostics = count_calls(monkeypatch, wp, "diagnostics")
+        records, summary = cli.run_manifest(corpus_get("theorem41_n4"), suites=["theorem21"],
+                                            points=4)
+        assert summary["ok"] and {r["suite"] for r in records} == {"theorem21"}
+        assert diagnostics == []
 
     def test_each_frame_computed_once(self, monkeypatch):
         # A target's Chunk owns its points' frames, one lane each of a
@@ -1321,11 +1329,11 @@ class TestSharedEvaluation:
         # once per group and target, over the group's lanes.
         classify, calls, inside = roter.classify, [], []
 
-        def classifying(frame, extras=None):
+        def classifying(frame):
             calls.append(("classify", len(frame.g)))
             inside.append(True)
             try:
-                return classify(frame, extras)
+                return classify(frame)
             finally:
                 inside.pop()
 

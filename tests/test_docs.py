@@ -46,19 +46,36 @@ def _heads() -> dict:
 HEADS = _heads()
 
 
-def _references() -> list:
+def _spans(docs) -> list:
+    """(doc, text) of each backticked span of docs.  A span may wrap over
+    one line break; its whitespace is collapsed."""
+    return [(path.name, " ".join(span.split())) for path in docs
+            for span in re.findall(r"`([^`\n]+(?:\n[^`\n]+)?)`", path.read_text(encoding="utf-8"))]
+
+
+def _references(docs=DOCS) -> list:
+    """(doc, reference) of each dotted reference the docs name.  A
+    double-quoted string inside a span (a quoted record detail) is text,
+    not a name, and is skipped."""
     found = []
-    for path in DOCS:
-        for span in re.findall(r"`([^`\n]+)`", path.read_text(encoding="utf-8")):
-            for ref in re.findall(r"(?<![\w./])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", span):
-                head = ref.split(".")[0]
-                if head in HEADS or head[0].isupper():
-                    found.append((path.name, ref))
+    for where, span in _spans(docs):
+        for ref in re.findall(r"(?<![\w./])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)",
+                              re.sub(r'"[^"]*"', "", span)):
+            head = ref.split(".")[0]
+            if head in HEADS or head[0].isupper():
+                found.append((where, ref))
     return sorted(set(found))
 
 
 def test_docs_have_references():
     assert len(_references()) >= 20
+
+
+def test_wrapped_references_are_seen_and_quoted_text_is_not(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("Read `roter.chunk_size and\n  roter.nope`, not\n"
+                   "`\"Error: R.R = 0\"`.\n")
+    assert _references([doc]) == [("doc.md", "roter.chunk_size"), ("doc.md", "roter.nope")]
 
 
 @pytest.mark.parametrize("where, ref", _references())
@@ -91,16 +108,14 @@ def _callable(name: str):
 def _signature_quotes(docs=DOCS) -> list:
     """(doc, name, quoted parameter names) of each backticked span that is
     name(params) alone, its params names with defaults allowed, naming a
-    curvcheck callable; a call inside a longer span is an example.  A
-    span may wrap over one line break; its whitespace is collapsed."""
+    curvcheck callable; a call inside a longer span is an example."""
     found = []
-    for path in docs:
-        for span in re.findall(r"`([^`\n]+(?:\n[^`\n]+)?)`", path.read_text(encoding="utf-8")):
-            quote = re.fullmatch(r"([A-Za-z_][\w.]*)\(([^()]*)\)", " ".join(span.split()))
-            if quote:
-                names = [param.split("=")[0].strip() for param in quote[2].split(",")]
-                if all(map(str.isidentifier, names)) and _callable(quote[1]) is not None:
-                    found.append((path.name, quote[1], tuple(names)))
+    for where, span in _spans(docs):
+        quote = re.fullmatch(r"([A-Za-z_][\w.]*)\(([^()]*)\)", span)
+        if quote:
+            names = [param.split("=")[0].strip() for param in quote[2].split(",")]
+            if all(map(str.isidentifier, names)) and _callable(quote[1]) is not None:
+                found.append((where, quote[1], tuple(names)))
     return sorted(set(found))
 
 

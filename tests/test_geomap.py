@@ -344,7 +344,7 @@ class TestEinsteinToggle:
             frame = stack([geo.frame(member.product, pt)])
             c = roter.classify(frame)[0]
             assert c.kind == roter.ROTER
-            assert roter.rank_grid_exceeds_one(frame, [c], [()])[0]
+            assert roter.rank_grid_exceeds_one(frame, [c])[0]
 
 
 class TestIndefiniteBase:

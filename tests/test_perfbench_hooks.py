@@ -66,7 +66,7 @@ def test_roter_entries_take_a_stacked_frame(tracer):
         "identity_suite": (chunk, [c.fit for c in cs], products),
         "pseudosymmetry_factors": (chunk, products),
         "ricci_pseudosymmetry": (chunk, products),
-        "rank_grid_exceeds_one": (chunk, cs, [()] * len(points)),
+        "rank_grid_exceeds_one": (chunk, cs),
     }
     roter_entries = [attr for _, module, attr in tracer["WRAPPED"] if module == "roter"]
     assert roter_entries

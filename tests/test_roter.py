@@ -182,9 +182,10 @@ class TestClassification:
         F = stack([f])
         c = roter.classify(F)[0]
         assert c.kind == roter.ROTER
+        assert roter.rank_grid_exceeds_one(F, [c])[0]
         mu1 = f.ricci[0, 0] / f.g[0, 0]
         mu2 = f.ricci[2, 2] / f.g[2, 2]
-        assert roter.rank_grid_exceeds_one(F, [c], [(mu1, mu2)])[0]
+        assert np.all(rank_shift(f.ricci, f.g, [mu1, mu2]) > 1)
 
     def test_charged_metric_is_roter(self):
         c = roter.classify(stack([geo.frame(rn_metric(2.0, 1.0, -0.05),
@@ -296,15 +297,37 @@ class TestRankDrop:
         assert roter.ROTER in kinds
 
 
+@pytest.mark.parametrize("entry", ["theorem41_n4", "theorem41_c_pos_n5", "theorem41_c_neg_n6"])
+@pytest.mark.parametrize("points", [None, 16])
+def test_block_factors_are_eigenvalues_the_scan_ranks(entry, points):
+    # On a family lane S is mu1 g on the base block and mu2 g on the fiber
+    # block, so mu1 and mu2 are eigenvalues of g^{-1} S, which classify
+    # ranks already: ranking them again, as the oracle can, moves no verdict.
+    manifest = corpus_get(entry)
+    job = cli.build_job(manifest["manifolds"][0])
+    rng = np.random.default_rng([manifest["seed"], 0])
+    pts = cli.sample_points(job, points or manifest["points"], rng)
+    run = job.jets(pts)
+    first = cli.Chunk(job, job.targets[0], 0, pts, run)
+    for target in job.targets:
+        chunk = first if target is job.targets[0] else cli.Chunk(job, target, 0, pts, run, first)
+        F, d = chunk.stacked, chunk.diagnostics
+        eigs = np.linalg.eigvals(F.ginv @ F.ricci)
+        for mu in (d.mu1, d.mu2):
+            gap = np.abs(eigs - mu[:, None]).min(axis=-1)
+            assert np.all(gap <= 1e-12 * np.abs(mu)), (entry, target.label, gap / np.abs(mu))
+        extras = list(zip(d.mu1.tolist(), d.mu2.tolist()))
+        assert grid_classify(F, extras) == grid_classify(F), (entry, target.label)
+
+
 def _classify_against_the_oracle(monkeypatch, manifests, **overrides) -> set:
     """Run each manifest with roter.classify checked lane by lane against
     helpers.grid_classify; the kinds seen."""
     classify, kinds = roter.classify, set()
 
-    def checked(frame, extras=None):
-        out = classify(frame, extras)
-        assert [(c.kind, c.alpha, c.grid_rank_above_one) for c in out] == grid_classify(
-            frame, extras)
+    def checked(frame):
+        out = classify(frame)
+        assert [(c.kind, c.alpha, c.grid_rank_above_one) for c in out] == grid_classify(frame)
         kinds.update(c.kind for c in out)
         return out
 
